@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from loomfold.errors import (
     FormMismatch,
@@ -19,6 +20,7 @@ from loomfold.errors import (
     NotAffine,
     NotGcm,
 )
+from loomfold.exactnum import kernel_basis, leading_minors
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -91,7 +93,12 @@ class Gcm:
     """A generalized Cartan matrix of finite or affine type."""
 
     def __init__(self, entries):
-        a = tuple(tuple(int(x) for x in row) for row in entries)
+        try:
+            a = tuple(tuple(row) for row in entries)
+        except TypeError:
+            raise NotGcm("matrix must be a list of rows") from None
+        if not all(type(x) is not bool and isinstance(x, int) for row in a for x in row):
+            raise NotGcm("matrix entries must be integers")
         n = len(a)
         if n == 0 or any(len(row) != n for row in a):
             raise NotGcm("matrix must be square and nonempty")
@@ -323,93 +330,15 @@ def rational_symmetrizer(a: Matrix) -> tuple[Fraction, ...]:
     return tuple(eps)  # type: ignore[arg-type]
 
 
-def _leading_minors(s: list[list[Fraction]]) -> list[Fraction]:
-    """Leading principal minors via fraction-free-ish Gaussian elimination."""
-    n = len(s)
-    m = [row[:] for row in s]
-    minors = []
-    det = Fraction(1)
-    for k in range(n):
-        piv = m[k][k]
-        if piv == 0:
-            # after elimination m[k][k] = d_{k+1}/d_k, so d_{k+1} = 0; the
-            # remaining minors are computed directly (ranks here are tiny)
-            for t in range(k + 1, n + 1):
-                minors.append(_det([row[:t] for row in s[:t]]))
-            return minors
-        det *= piv
-        minors.append(det)
-        for i in range(k + 1, n):
-            f = m[i][k] / piv
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return minors
-
-
-def _det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        piv_row = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv_row = i
-                break
-        if piv_row is None:
-            return Fraction(0)
-        if piv_row != k:
-            m[k], m[piv_row] = m[piv_row], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return det
-
-
 def _kernel_labels(a: Matrix) -> tuple[int, ...]:
     """Primitive strictly positive integer kernel vector (corank-1 matrix)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    # reduced row echelon
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
+    kernel = kernel_basis([[Fraction(x) for x in row] for row in a])
+    if len(kernel) != 1:
         raise NotAffine("kernel is not one-dimensional")
-    fc = free[0]
-    vec = [Fraction(0)] * n
-    vec[fc] = Fraction(1)
-    for row_idx, c in enumerate(pivots):
-        vec[c] = -m[row_idx][fc]
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // _gcd(denom_lcm, x.denominator)
+    vec = kernel[0]
+    denom_lcm = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     if all(x < 0 for x in ints):
         ints = [-x for x in ints]
@@ -418,17 +347,11 @@ def _kernel_labels(a: Matrix) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _classify(a: Matrix) -> Classification:
     n = len(a)
     eps = rational_symmetrizer(a)  # raises IndefiniteType if unsymmetrizable
     s = [[eps[i] * a[i][j] for j in range(n)] for i in range(n)]
-    minors = _leading_minors(s)
+    minors = leading_minors(s)
     if all(d > 0 for d in minors):
         kind = "finite"
     elif all(d > 0 for d in minors[:-1]) and minors[-1] == 0:

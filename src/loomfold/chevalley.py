@@ -18,16 +18,9 @@ from functools import lru_cache
 
 from loomfold.cartan import _RootTable, _graph_iso, finite_matrix
 from loomfold.errors import GeneratorAssertionFailed, InconsistentPropagation, UnknownType
+from loomfold.exactnum import inverse_matrix, perm_orbits, proportional, vec_add
 
 Vec = dict[int, Fraction]
-
-_FOLD_SOURCE = {
-    # target letter -> (source constructor, permutation builder)
-    "B": lambda rank: ("D", rank + 1),
-    "C": lambda rank: ("A", 2 * rank - 1),
-    "F": lambda rank: ("E", 6),
-    "G": lambda rank: ("D", 4),
-}
 
 
 @dataclass
@@ -128,9 +121,8 @@ class FiniteAlg:
                         self.bracket(self.brackets.get((j, k), {}), unit(i)),
                         self.bracket(self.brackets.get((k, i), {}), unit(j)),
                     ):
-                        for t, c in term.items():
-                            acc[t] = acc.get(t, Fraction(0)) + c
-                    if any(acc.values()):
+                        vec_add(acc, term)
+                    if acc:
                         raise GeneratorAssertionFailed(
                             f"{self.label}: Jacobi fails at ({i},{j},{k})"
                         )
@@ -260,15 +252,6 @@ class FractionPropagator:
     def __init__(self):
         self.rows: dict[int, tuple[Vec, Vec]] = {}
 
-    @staticmethod
-    def _axpy(target: Vec, c: Fraction, src: Vec):
-        for k, v in src.items():
-            cur = target.get(k, Fraction(0)) + c * v
-            if cur:
-                target[k] = cur
-            elif k in target:
-                del target[k]
-
     def insert(self, v: Vec, img: Vec) -> bool:
         v = dict(v)
         img = dict(img)
@@ -283,8 +266,8 @@ class FractionPropagator:
                 self.rows[p] = (vn, imgn)
                 return True
             c = v[p]
-            self._axpy(v, -c, row[0])
-            self._axpy(img, -c, row[1])
+            vec_add(v, row[0], -c)
+            vec_add(img, row[1], -c)
         if img:
             raise InconsistentPropagation(
                 "two presentations of one element map to different images"
@@ -300,8 +283,8 @@ class FractionPropagator:
             if row is None:
                 raise InconsistentPropagation("element outside the propagated span")
             c = v[p]
-            self._axpy(v, -c, row[0])
-            self._axpy(out, c, row[1])
+            vec_add(v, row[0], -c)
+            vec_add(out, row[1], c)
         return out
 
     @property
@@ -349,7 +332,7 @@ def mu_extend_finite(alg: FiniteAlg, perm) -> list[Vec]:
 def apply_linear(images: list[Vec], v: Vec) -> Vec:
     out: Vec = {}
     for i, c in v.items():
-        FractionPropagator._axpy(out, c, images[i])
+        vec_add(out, images[i], c)
     return out
 
 
@@ -377,27 +360,11 @@ def fold_source(letter: str, rank: int):
     return src_letter, src_rank, tuple(perm)
 
 
-def _orbits_of_perm(perm) -> list:
-    seen = [False] * len(perm)
-    orbits = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        orbit = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            orbit.append(i)
-            i = perm[i]
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
-
-
 def _build_folded(letter: str, rank: int) -> FiniteAlg:
     src_letter, src_rank, perm = fold_source(letter, rank)
     src = chevalley(f"{src_letter}{src_rank}")
     nu = mu_extend_finite(src, perm)
-    node_orbits = _orbits_of_perm(perm)
+    node_orbits = perm_orbits(perm)
     fold_matrix = tuple(
         tuple(
             sum(src.matrix[q][orb2[0]] for q in orb1) for orb2 in node_orbits
@@ -424,8 +391,11 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
         vec = src.unit(src.index[key])
         img = apply_linear(nu, vec)
         while True:
-            (idx, c), = img.items() if len(img) == 1 else [(None, None)]
-            assert idx is not None, "diagram automorphism must permute root vectors"
+            if len(img) != 1:
+                raise GeneratorAssertionFailed(
+                    f"{src.label}: the diagram automorphism does not permute root vectors"
+                )
+            (idx,) = img
             nxt = src.root_of[idx]
             if nxt == coords:
                 break
@@ -442,9 +412,7 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
         cur = v
         for _ in range(m - 1):
             cur = apply_linear(nu, cur)
-            for k, c in cur.items():
-                total[k] = total.get(k, Fraction(0)) + c
-        total = {k: c for k, c in total.items() if c}
+            vec_add(total, cur)
         if apply_linear(nu, total) != total:
             raise GeneratorAssertionFailed(
                 f"orbit sum at {coords} is not fixed; fold of {letter}{rank} broken"
@@ -459,17 +427,23 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
         cartan_vectors.append(vec)
 
     # folded root coordinates: solve lambda = A_target . c per fixed vector
-    inv = _invert_fraction_matrix([[Fraction(x) for x in row] for row in target])
+    inv = inverse_matrix([[Fraction(x) for x in row] for row in target])
     folded_keys = []
     folded_vecs = []
     for coords, vec in fixed_vectors:
         lam = []
         for t in range(n):
-            br = src.bracket(cartan_vectors[t], vec)
-            ratio = _proportionality(br, vec)
+            ratio = proportional(src.bracket(cartan_vectors[t], vec), vec)
+            if ratio is None:
+                raise GeneratorAssertionFailed(
+                    f"orbit sum at {coords} is no Cartan eigenvector in {src.label}"
+                )
             lam.append(ratio)
         c = [sum(inv[r][t] * lam[t] for t in range(n)) for r in range(n)]
-        assert all(x.denominator == 1 for x in c)
+        if any(x.denominator != 1 for x in c):
+            raise GeneratorAssertionFailed(
+                f"orbit sum at {coords} has non-integral folded coordinates {c}"
+            )
         folded_keys.append(("x", tuple(int(x) for x in c)))
         folded_vecs.append(vec)
 
@@ -521,32 +495,6 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
         h_idx=[index[("h", t)] for t in range(n)],
     )
     return alg
-
-
-def _proportionality(v: Vec, w: Vec) -> Fraction:
-    """v = c * w with w != 0; returns c (0 for v = 0)."""
-    if not v:
-        return Fraction(0)
-    k = next(iter(w))
-    c = v.get(k, Fraction(0)) / w[k]
-    assert all(v.get(t, Fraction(0)) == c * x for t, x in w.items())
-    assert len(v) == len([x for x in w.values() if x])
-    return c
-
-
-def _invert_fraction_matrix(m):
-    n = len(m)
-    aug = [row[:] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

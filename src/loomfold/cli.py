@@ -7,21 +7,14 @@ Exit codes: 0 all pass, 1 relation failure, 2 input rejected, 3 window abort.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
 
 from loomfold import catalog as catalog_mod
 from loomfold.cartan import Gcm
-from loomfold.errors import (
-    JobError,
-    LoomfoldError,
-    NotAnAutomorphism,
-    NotGcm,
-    IndefiniteType,
-    OutOfWindow,
-    ScopeViolation,
-)
+from loomfold.errors import JobError, LoomfoldError, OutOfWindow
 from loomfold.folding import (
     fold_data,
     index_pairs,
@@ -125,9 +118,11 @@ def _parse_window(text: str | None):
         return None
     try:
         m1, m2 = (int(x) for x in text.split(","))
-        return m1, m2
     except ValueError as exc:
         raise JobError("--window expects M1,M2") from exc
+    if m1 < 0 or m2 < 0:
+        raise JobError("--window values must be >= 0")
+    return m1, m2
 
 
 @click.group()
@@ -147,7 +142,7 @@ def classify(input_path, entry):
     try:
         gcm, mu, name = _load_job(input_path, entry)
         cls = gcm.classify()
-    except (JobError, NotGcm, NotAnAutomorphism, IndefiniteType) as exc:
+    except LoomfoldError as exc:
         _fail(2, type(exc).__name__, str(exc))
         return
     payload = {"name": name, **cls.to_json()}
@@ -166,7 +161,7 @@ def fold(input_path, entry):
         gcm, mu, name = _load_job(input_path, entry)
         fd = fold_data(gcm, mu)
         sets = tuple_sets(gcm, mu, fd)
-    except (JobError, LoomfoldError) as exc:
+    except LoomfoldError as exc:
         _fail(2, type(exc).__name__, str(exc))
         return
     _emit(
@@ -192,30 +187,25 @@ def polys(input_path, entry, family_sel, fmt, do_cross):
         fd = fold_data(gcm, mu)
         sets = tuple_sets(gcm, mu, fd)
         fam, _ = _family(gcm, mu, family_sel)
-    except (JobError, LoomfoldError) as exc:
+    except LoomfoldError as exc:
         _fail(2, type(exc).__name__, str(exc))
         return
     pairs = []
+    lines = []
     for i, j in index_pairs(gcm):
         om = drinfeld_poly_omega(sets, i, j, mu.order)
-        cl = drinfeld_poly_closed(gcm, mu, fd, i, j)
-        rec = {
-            "pair": [i, j],
-            "locality": locality_poly(gcm, mu, i, j).to_json(),
-            "weight": om.to_json(),
-        }
+        loc = locality_poly(gcm, mu, i, j)
+        if fmt == "latex":
+            lines.append(rf"p_{{{i}{j}}}(z,w) &= {om.latex()} \\")
+            lines.append(rf"f_{{{i}{j}}}(z,w) &= {loc.latex()} \\")
+            continue
+        rec = {"pair": [i, j], "locality": loc.to_json(), "weight": om.to_json()}
         if do_cross:
+            cl = drinfeld_poly_closed(gcm, mu, fd, i, j)
             rec["weight_closed"] = cl.to_json()
             rec["constructions_agree"] = om == cl
         pairs.append(rec)
     if fmt == "latex":
-        lines = []
-        for i, j in index_pairs(gcm):
-            om = drinfeld_poly_omega(sets, i, j, mu.order)
-            lines.append(rf"p_{{{i}{j}}}(z,w) &= {om.latex()} \\")
-            lines.append(
-                rf"f_{{{i}{j}}}(z,w) &= {locality_poly(gcm, mu, i, j).latex()} \\"
-            )
         click.echo("\n".join(lines))
         return
     _emit({"name": name, "pairs": pairs, "family": fam.to_json()})
@@ -226,16 +216,7 @@ def _verify_one(gcm, mu, name, family_sel, mode_bound, window):
     if window is None:
         window = suite_window(gcm, mu, fam, mode_bound)
     real = Realization(gcm, mu, m1_window=window[0], m2_window=window[1])
-    verifier = Verifier(real)
-    report = verifier.verify_cartan_relations(mode_bound)
-    report.extend(verifier.verify_locality_all(mode_bound))
-    report.extend(verifier.verify_AS(mode_bound))
-    if certificate_only:
-        report.extend(verifier.verify_P1_at_window(fam, mode_bound))
-        note = "window-scale certificate: a pass covers the tested grid only"
-    else:
-        report.extend(verifier.verify_serre_all(fam, mode_bound))
-        note = None
+    report = Verifier(real).run_suite(fam, mode_bound, certificate=certificate_only)
     payload = {
         "name": name,
         "classification": gcm.classify().to_json(),
@@ -244,8 +225,8 @@ def _verify_one(gcm, mu, name, family_sel, mode_bound, window):
         "window": {"m1": window[0], "m2": window[1]},
         "report": report.to_json(),
     }
-    if note:
-        payload["note"] = note
+    if certificate_only:
+        payload["note"] = "window-scale certificate: a pass covers the tested grid only"
     return payload, report
 
 
@@ -259,6 +240,8 @@ def _verify_one(gcm, mu, name, family_sel, mode_bound, window):
 def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
     """Check every relation of the presentation on the realization."""
     try:
+        if mode_bound < 0:
+            raise JobError("--modes must be >= 0")
         window = _parse_window(window_text)
         if entry == "all":
             names = [e.name for e in catalog_mod.load_entries()]
@@ -271,7 +254,7 @@ def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
     except OutOfWindow as exc:
         _fail(3, "OutOfWindow", str(exc))
         return
-    except (JobError, ScopeViolation, LoomfoldError) as exc:
+    except LoomfoldError as exc:
         _fail(2, type(exc).__name__, str(exc))
         return
     _emit(payload)
@@ -285,9 +268,15 @@ def _verify_worker(args):
     return payload
 
 
+def _pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for --jobs: no more than the tasks or the CPUs."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def _verify_many(names, family_sel, mode_bound, window, jobs):
     tasks = [(n, family_sel, mode_bound, window) for n in names]
-    if jobs <= 1:
+    jobs = _pool_size(jobs, len(tasks))
+    if jobs == 1:
         return [_verify_worker(t) for t in tasks]
     import multiprocessing as mp
 
@@ -306,7 +295,7 @@ def crosscheck(input_path, entry):
         fd = fold_data(gcm, mu)
         sets = tuple_sets(gcm, mu, fd)
         oracle = tuple_sets_case_analysis(gcm, mu, fd)
-    except (JobError, LoomfoldError) as exc:
+    except LoomfoldError as exc:
         _fail(2, type(exc).__name__, str(exc))
         return
     pairs = []
@@ -345,7 +334,7 @@ def catalog_cmd(path):
         for e in entries:
             cls = e.gcm.classify()
             listing.append({**e.to_json(), "label": cls.label, "order": e.mu.order})
-    except (JobError, LoomfoldError) as exc:
+    except LoomfoldError as exc:
         _fail(2, type(exc).__name__, str(exc))
         return
     _emit({"entries": listing})

@@ -17,10 +17,6 @@ class NotAffine(LoomfoldError):
     """An affine-only operation was applied to a non-affine matrix."""
 
 
-class NotClassified(LoomfoldError):
-    """Root-system data was requested before classification succeeded."""
-
-
 class FormMismatch(LoomfoldError):
     """The invariant form is inconsistent with the Cartan matrix."""
 

@@ -5,6 +5,10 @@ cyclotomic polynomial with rational coordinates.  Working modulo Phi_N
 (rather than modulo x^N - 1) keeps representations canonical, so equality
 and zero tests are decidable, which every relation check downstream relies
 on.  Mixed orders are coerced through Q(xi_lcm(M,N)).
+
+The module also holds the exact linear algebra shared by the layers above:
+sparse vectors ({key: coefficient} dicts), permutation orbits, and one
+Gauss-Jordan elimination over Fraction or CycNum entries.
 """
 
 from __future__ import annotations
@@ -13,7 +17,20 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-__all__ = ["CycNum", "cyc_root", "euler_phi", "cyclotomic_poly"]
+__all__ = [
+    "CycNum",
+    "cyc_root",
+    "euler_phi",
+    "cyclotomic_poly",
+    "vec_add",
+    "proportional",
+    "perm_orbits",
+    "matrix_rank",
+    "kernel_basis",
+    "inverse_matrix",
+    "determinant",
+    "leading_minors",
+]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -351,15 +368,6 @@ class CycNum:
         s = "+".join(parts).replace("+-", "-")
         return s
 
-    def to_complex(self) -> complex:
-        """Float rendering for display only; never used for decisions."""
-        import cmath
-
-        z = complex(0)
-        for j, c in enumerate(self.coeffs):
-            z += float(c) * cmath.exp(2j * cmath.pi * j / self.order)
-        return z
-
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -373,6 +381,145 @@ class CycNum:
 def cyc_root(order: int, k: int) -> CycNum:
     """The root of unity xi_order ** k as an exact CycNum."""
     return CycNum.root(order, k)
+
+
+# -- sparse vectors and permutations ---------------------------------------------
+
+
+def vec_add(target: dict, src: dict, scale=None) -> None:
+    """target += scale * src in place, dropping keys that cancel to zero."""
+    for k, v in src.items():
+        if scale is not None:
+            v = v * scale
+        cur = target.get(k)
+        val = v if cur is None else cur + v
+        if val:
+            target[k] = val
+        elif k in target:
+            del target[k]
+
+
+def proportional(v: dict, w: dict):
+    """The scalar c with v = c * w (0 for v = 0), for sparse w != 0; None if
+    there is none."""
+    k = next(iter(w))
+    if k not in v:
+        return None if v else w[k] * 0
+    c = v[k] / w[k]
+    if len(v) != len(w) or any(t not in v or v[t] != x * c for t, x in w.items()):
+        return None
+    return c
+
+
+def perm_orbits(perm) -> list[tuple[int, ...]]:
+    """Orbits of a permutation of range(len(perm)), each sorted, by least element."""
+    seen = [False] * len(perm)
+    orbits = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        orbit = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            orbit.append(i)
+            i = perm[i]
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+# -- exact linear algebra over Q and Q(xi_N) ---------------------------------------
+
+
+def _gauss_jordan(rows: list):
+    """Reduced row echelon form of a dense matrix of Fraction or CycNum entries.
+
+    Column by column, the first nonzero entry at or below the current row is
+    swapped up, its row is scaled by the pivot's inverse and the column is
+    cleared in every other row.  Returns (reduced rows, pivot columns, pivot
+    values, number of row swaps); the input is not modified.  A rational
+    pivot is inverted as Fraction(1) / pivot, so no float can appear.
+    """
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    values: list = []
+    swaps = 0
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
+        pv = m[r][col]
+        inv = pv.inverse() if isinstance(pv, CycNum) else _ONE / pv
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        values.append(pv)
+    return m, pivots, values, swaps
+
+
+def _unit_pair(x):
+    """(0, 1) in the number type of x."""
+    return (CycNum.zero(), CycNum.one()) if isinstance(x, CycNum) else (_ZERO, _ONE)
+
+
+def matrix_rank(rows: list) -> int:
+    return len(_gauss_jordan(rows)[1])
+
+
+def kernel_basis(rows: list) -> list[list]:
+    """Kernel basis: one vector per free column, in column order, with that
+    column set to 1 and the pivot entries back-substituted."""
+    m, pivots, _, _ = _gauss_jordan(rows)
+    ncols = len(rows[0])
+    zero, one = _unit_pair(rows[0][0])
+    out = []
+    for col in range(ncols):
+        if col in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[col] = one
+        for prow, pcol in enumerate(pivots):
+            if m[prow][col]:
+                vec[pcol] = -m[prow][col]
+        out.append(vec)
+    return out
+
+
+def inverse_matrix(rows: list) -> list[list]:
+    """Inverse of a square matrix; raises ZeroDivisionError if it is singular."""
+    n = len(rows)
+    zero, one = _unit_pair(rows[0][0])
+    aug = [
+        list(row) + [one if i == j else zero for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    m, pivots, _, _ = _gauss_jordan(aug)
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix has no inverse")
+    return [row[n:] for row in m]
+
+
+def determinant(rows: list):
+    """Determinant of a square matrix (Fraction 0 when it is singular)."""
+    _, pivots, values, swaps = _gauss_jordan(rows)
+    if len(pivots) < len(rows):
+        return _ZERO
+    out = -_ONE if swaps % 2 else _ONE
+    for pv in values:
+        out = out * pv
+    return out
+
+
+def leading_minors(rows: list) -> list:
+    """Determinants of the leading principal k x k submatrices, k = 1..n."""
+    return [determinant([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
 
 
 # -- fraction polynomial helpers (dense, low-to-high) --------------------------

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from loomfold.cartan import Gcm
 from loomfold.errors import NotAnAutomorphism
+from loomfold.exactnum import perm_orbits
 
 __all__ = [
     "DiagramAut",
@@ -45,7 +46,12 @@ class DiagramAut:
 
 def validate_aut(gcm: Gcm, perm) -> DiagramAut:
     """Check that perm is a bijection of the nodes preserving the matrix."""
-    p = tuple(int(x) for x in perm)
+    try:
+        p = tuple(perm)
+    except TypeError:
+        raise NotAnAutomorphism("permutation must be a list of node indices") from None
+    if not all(type(x) is not bool and isinstance(x, int) for x in p):
+        raise NotAnAutomorphism("permutation entries must be integers")
     n = gcm.n
     if len(p) != n or sorted(p) != list(range(n)):
         raise NotAnAutomorphism("not a bijection of the node set")
@@ -56,13 +62,7 @@ def validate_aut(gcm: Gcm, perm) -> DiagramAut:
                 raise NotAnAutomorphism(
                     f"matrix not preserved: a[{p[i]}][{p[j]}] != a[{i}][{j}]"
                 )
-    order = 1
-    q = p
-    ident = tuple(range(n))
-    while q != ident:
-        q = tuple(p[x] for x in q)
-        order += 1
-    return DiagramAut(p, order)
+    return DiagramAut(p, lcm(*(len(orbit) for orbit in perm_orbits(p))))
 
 
 @dataclass(frozen=True)
@@ -124,21 +124,11 @@ def index_pairs(gcm: Gcm) -> list[tuple[int, int]]:
 def fold_data(gcm: Gcm, mu: DiagramAut) -> FoldData:
     n = gcm.n
     a = gcm.entries
-    seen = [False] * n
-    orbits = []
-    orbit_of = [None] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            orbit.append(i)
-            i = mu.perm[i]
+    orbits = perm_orbits(mu.perm)
+    orbit_of = [0] * n
+    for idx, orbit in enumerate(orbits):
         for x in orbit:
-            orbit_of[x] = len(orbits)
-        orbits.append(tuple(sorted(orbit)))
+            orbit_of[x] = idx
     transitive = len(orbits) == 1 and n > 1
     cls = gcm.classify()
     s_vals = []

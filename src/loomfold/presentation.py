@@ -431,11 +431,18 @@ class Verifier:
 
     # -- full suites --------------------------------------------------------------
 
-    def run_suite(self, fam: SerreFamily, mode_bound: int) -> RelationReport:
+    def run_suite(
+        self, fam: SerreFamily, mode_bound: int, certificate: bool = False
+    ) -> RelationReport:
+        """Every relation family; with `certificate`, the weighted relations
+        of `fam` are checked as a window-scale certificate (P1) instead."""
         report = self.verify_cartan_relations(mode_bound)
         report.extend(self.verify_locality_all(mode_bound))
         report.extend(self.verify_AS(mode_bound))
-        report.extend(self.verify_serre_all(fam, mode_bound))
+        if certificate:
+            report.extend(self.verify_P1_at_window(fam, mode_bound))
+        else:
+            report.extend(self.verify_serre_all(fam, mode_bound))
         return report
 
 

@@ -32,7 +32,15 @@ from loomfold.errors import (
     OutOfWindow,
     ScopeViolation,
 )
-from loomfold.exactnum import CycNum, cyc_root
+from loomfold.exactnum import (
+    CycNum,
+    cyc_root,
+    kernel_basis,
+    matrix_rank,
+    perm_orbits,
+    proportional,
+    vec_add,
+)
 from loomfold.folding import DiagramAut, fold_data, validate_aut
 
 AffElem = dict
@@ -41,18 +49,6 @@ AlgElem = dict
 
 # ---------------------------------------------------------------------------
 # sparse-dict helpers
-
-
-def vec_add(target: dict, src: dict, scale=None) -> None:
-    for k, v in src.items():
-        if scale is not None:
-            v = v * scale
-        cur = target.get(k)
-        val = v if cur is None else cur + v
-        if val:
-            target[k] = val
-        elif k in target:
-            del target[k]
 
 
 def vec_scale(v: dict, c) -> dict:
@@ -69,22 +65,6 @@ def vec_eq(a: dict, b: dict) -> bool:
 
 def vec_is_zero(v: dict) -> bool:
     return not v
-
-
-def _proportional(v: dict, w: dict):
-    """v = c * w for a single scalar c (w nonzero); None if not proportional."""
-    if not v:
-        return CycNum.zero()
-    k = next(iter(w))
-    if k not in v:
-        return None
-    c = v[k] / w[k]
-    for t, x in w.items():
-        if t not in v or not (v[t] - x * c).is_zero():
-            return None
-    if len(v) != len(w):
-        return None
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -218,41 +198,6 @@ def _loop_twist_perm(letter: str, rank: int, r: int) -> tuple:
     raise GeneratorAssertionFailed(f"no loop twist for {letter}{rank}^({r})")
 
 
-def _cyc_kernel(rows: list, ncols: int) -> list:
-    """Kernel basis of a CycNum matrix given as dense rows."""
-    m = [row[:] for row in rows]
-    pivots = {}
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][col].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots[col] = r
-        r += 1
-    out = []
-    for col in range(ncols):
-        if col in pivots:
-            continue
-        vec = [CycNum.zero() for _ in range(ncols)]
-        vec[col] = CycNum.one()
-        for pcol, prow in pivots.items():
-            if m[prow][col]:
-                vec[pcol] = -m[prow][col]
-        out.append(vec)
-    return out
-
-
 def _affine_generators(galg: GAlg) -> list:
     """Generators for the canonical affine matrix, found uniformly.
 
@@ -262,19 +207,7 @@ def _affine_generators(galg: GAlg) -> list:
     """
     alg = galg.alg
     r = galg.r
-    perm = galg.twist_perm()
-    orbits = []
-    seen = [False] * alg.rank
-    for start in range(alg.rank):
-        if seen[start]:
-            continue
-        orbit = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            orbit.append(i)
-            i = perm[i]
-        orbits.append(tuple(sorted(orbit)))
+    orbits = perm_orbits(galg.twist_perm())
 
     computed: list[tuple[AffElem, AffElem, AffElem]] = [None]  # node 0 later
     for orbit in orbits:
@@ -320,7 +253,7 @@ def _affine_generators(galg: GAlg) -> list:
         rows = eigen_rows(eigenvalue)
         for op in ops:
             rows.extend(ad_rows(op))
-        kernel = _cyc_kernel(rows, dim)
+        kernel = kernel_basis(rows)
         if len(kernel) != 1:
             raise GeneratorAssertionFailed(
                 f"{alg.label}: weight line has dimension {len(kernel)}"
@@ -333,7 +266,7 @@ def _affine_generators(galg: GAlg) -> list:
     v_high: AffElem = {("g", -1, i): c for i, c in enumerate(highs) if c}
     h_dot = galg.bracket(v_low, v_high)
     ad_back = galg.bracket(h_dot, v_low)
-    kappa = _proportional(ad_back, v_low)
+    kappa = proportional(ad_back, v_low)
     if kappa is None or kappa.is_zero():
         raise GeneratorAssertionFailed(f"{alg.label}: degenerate node-0 normalization")
     scale = CycNum.from_rational(2) / kappa
@@ -352,11 +285,12 @@ def _affine_generators(galg: GAlg) -> list:
                 a_comp[s][t] = 2
                 continue
             br = galg.bracket(computed[s][2], computed[t][0])
-            lamb = _proportional(br, computed[t][0])
+            lamb = proportional(br, computed[t][0])
             if lamb is None or not lamb.is_rational():
                 raise GeneratorAssertionFailed(f"{alg.label}: node pairing not diagonal")
             q = lamb.as_fraction()
-            assert q.denominator == 1
+            if q.denominator != 1:
+                raise GeneratorAssertionFailed(f"{alg.label}: node pairing {q} not integral")
             a_comp[s][t] = int(q)
     canonical = canonical_matrix(galg.cls.label)
     iso = _graph_iso(canonical, tuple(tuple(row) for row in a_comp))
@@ -608,7 +542,7 @@ class Realization:
                     assert set(img) <= key_set, "automorphism left the block"
                     img[key] = img.get(key, CycNum.zero()) - CycNum.one()
                     mat.append([img.get(k2, CycNum.zero()) for k2 in keys])
-                rank = _cyc_rank(mat)
+                rank = matrix_rank(mat)
                 fixed = len(keys) - rank
                 generated = span.get((m1, m2), 0)
                 blocks[(m1, m2)] = (fixed, generated)
@@ -661,29 +595,6 @@ def _key_degrees(key) -> tuple[int, int]:
     if key[0] == "K2":
         return key[1], 0
     return 0, 0
-
-
-def _cyc_rank(rows: list) -> int:
-    cols = len(rows[0]) if rows else 0
-    m = [row[:] for row in rows]
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

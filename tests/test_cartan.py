@@ -59,6 +59,12 @@ def test_gcm_validation():
         Gcm([[2, -1], [0, 2]])  # zero pattern
     with pytest.raises(NotGcm):
         Gcm([[2, 0], [0, 2]])  # decomposable
+    with pytest.raises(NotGcm):
+        Gcm([[2, -1.0], [-1, 2]])  # no coercion of non-integers
+    with pytest.raises(NotGcm):
+        Gcm([[2, -1, False], [-1, 2, -1], [False, -1, 2]])  # A3 with bool zeros
+    with pytest.raises(NotGcm):
+        Gcm(5)
 
 
 def test_classify_basics():

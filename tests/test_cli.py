@@ -1,9 +1,10 @@
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
 
-from loomfold.cli import main
+from loomfold.cli import _pool_size, main
 
 
 @pytest.fixture()
@@ -211,3 +212,42 @@ def test_crosscheck_reports_divergence(runner, tmp_path):
     assert data["pass"] is False
     assert any(not p["weights_agree"] for p in data["pairs"])
     assert all(p["tuple_sets_agree"] for p in data["pairs"])
+
+
+@pytest.mark.parametrize(
+    "job,kind",
+    [
+        ({"cartan": [[2, -1.5], [-1, 2]]}, "NotGcm"),
+        ({"cartan": [[2, -1], [-1, 2]], "mu": [1.7, 0.2]}, "NotAnAutomorphism"),
+        ({"cartan": [[2, "x"], [-1, 2]]}, "NotGcm"),
+    ],
+)
+def test_classify_rejects_non_integer_input(runner, tmp_path, job, kind):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    res = runner.invoke(main, ["classify", "--input", str(path)])
+    assert res.exit_code == 2
+    assert _json_out(res)["error"]["kind"] == kind
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--modes", "-1"],
+        ["--modes", "1", "--window", "-3,2"],
+        ["--modes", "1", "--window", "8,-1"],
+    ],
+)
+def test_verify_rejects_negative_bounds(runner, extra):
+    res = runner.invoke(main, ["verify", "--entry", "A2-flip", *extra])
+    assert res.exit_code == 2
+    assert _json_out(res)["error"]["kind"] == "JobError"
+
+
+def test_pool_size_clamp():
+    cpus = os.cpu_count() or 1
+    assert _pool_size(10**6, 17) == min(17, cpus)
+    assert _pool_size(10**6, 10**6) == cpus
+    assert _pool_size(4, 1) == 1
+    assert _pool_size(0, 17) == 1
+    assert _pool_size(-5, 17) == 1

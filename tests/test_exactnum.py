@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loomfold.exactnum import CycNum, cyc_root, cyclotomic_poly, euler_phi
+from loomfold.exactnum import (
+    CycNum,
+    cyc_root,
+    cyclotomic_poly,
+    determinant,
+    euler_phi,
+    inverse_matrix,
+    kernel_basis,
+    leading_minors,
+    matrix_rank,
+)
 
 
 # Independent oracle: dense integer-coefficient polynomial arithmetic modulo
@@ -139,3 +149,84 @@ def test_rational_helpers():
     assert not y.is_rational()
     with pytest.raises(ValueError):
         y.as_fraction()
+
+
+# -- the shared Gauss-Jordan elimination, against sympy -----------------------
+
+
+@st.composite
+def fraction_matrices(draw):
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 4))
+    # entries from a small pool, so that singular matrices come up often
+    entry = st.sampled_from([Fraction(x, d) for x in range(-2, 3) for d in (1, 2, 3)])
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    if draw(st.booleans()) and nrows > 1:
+        rows[-1] = list(rows[0])  # a repeated row: singular whenever square
+    return rows
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def _rational(x: Fraction):
+    import sympy
+
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_matrices())
+def test_elimination_against_sympy(rows):
+    import sympy
+
+    ref = sympy.Matrix([[_rational(x) for x in row] for row in rows])
+    rank = matrix_rank(rows)
+    assert rank == ref.rank()
+    kernel = kernel_basis(rows)
+    assert _all_fractions(kernel)
+    assert len(kernel) == len(rows[0]) - rank == len(ref.nullspace())
+    # the same normalisation as sympy: free column 1, pivots back-substituted
+    assert [[_rational(x) for x in v] for v in kernel] == [list(v) for v in ref.nullspace()]
+    if len(rows) != len(rows[0]):
+        return
+    det = determinant(rows)
+    assert type(det) is Fraction and det == ref.det()
+    minors = leading_minors(rows)
+    assert _all_fractions([minors])
+    assert minors == [ref[:k, :k].det() for k in range(1, len(rows) + 1)]
+    if det == 0:
+        with pytest.raises(ZeroDivisionError):
+            inverse_matrix(rows)
+    else:
+        inv = inverse_matrix(rows)
+        assert _all_fractions(inv)
+        assert sympy.Matrix(inv) == ref.inv()
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_cyclotomic_kernel_is_exact(order):
+    import random
+
+    rng = random.Random(order)
+    phi = euler_phi(order)
+
+    def num():
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(phi)]
+        return CycNum(order, coeffs)
+
+    for nrows, ncols in [(3, 4), (3, 3), (3, 5), (4, 4)]:
+        rows = [[num() for _ in range(ncols)] for _ in range(nrows)]
+        xi = cyc_root(order, 1)
+        rows[-1] = [xi * a - b for a, b in zip(rows[0], rows[1])]  # force a dependency
+        kernel = kernel_basis(rows)
+        assert len(kernel) == ncols - matrix_rank(rows)
+        assert len(kernel) >= ncols - nrows + 1
+        for vec in kernel:
+            for row in rows:
+                acc = CycNum.zero(order)
+                for a, b in zip(row, vec):
+                    acc = acc + a * b
+                assert acc.is_zero()

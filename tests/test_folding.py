@@ -31,6 +31,12 @@ def test_validate_aut_rejects():
         validate_aut(Gcm(canonical_matrix("A3")), [1, 0, 2])  # breaks the chain
     with pytest.raises(NotAnAutomorphism):
         validate_aut(A2, [0, 0])
+    with pytest.raises(NotAnAutomorphism):
+        validate_aut(A2, [1.0, 0])
+    with pytest.raises(NotAnAutomorphism):
+        validate_aut(A2, [True, False])
+    with pytest.raises(NotAnAutomorphism):
+        validate_aut(A2, None)
 
 
 def test_fold_data_d4_triality():
