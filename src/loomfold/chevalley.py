@@ -7,7 +7,9 @@ source under a diagram automorphism, which keeps a single sign mechanism
 for everything.  The builder asserts antisymmetry, the Jacobi identity and
 invariance of the form on all basis triples before returning.
 
-Elements are sparse dicts {basis index: Fraction}.
+Elements are sparse dicts {basis index: Fraction}.  The structure tables
+`brackets` and `form` hold an int wherever a constant is integral (every
+Chevalley table here), so the bracket kernels above scale by plain ints.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ class FiniteAlg:
     basis: list  # keys ("h", i) | ("x", coords)
     index: dict  # key -> int
     root_of: list  # per basis element: root coords tuple (zeros for Cartan)
-    brackets: dict  # (i, j) -> Vec
-    form: dict  # (i, j) -> Fraction, symmetric, sparse
+    brackets: dict  # (i, j) -> {basis index: int or Fraction}
+    form: dict  # (i, j) -> int or Fraction, symmetric, sparse
     e_idx: list = field(default_factory=list)
     f_idx: list = field(default_factory=list)
     h_idx: list = field(default_factory=list)
@@ -73,8 +75,8 @@ class FiniteAlg:
                             del out[k]
         return out
 
-    def pair(self, v: Vec, w: Vec) -> Fraction:
-        total = Fraction(0)
+    def pair(self, v: Vec, w: Vec) -> int | Fraction:
+        total = 0
         for i, a in v.items():
             for j, b in w.items():
                 s = self.form.get((i, j))
@@ -99,6 +101,10 @@ class FiniteAlg:
 
     def assert_structure(self):
         """Antisymmetry, Jacobi and form invariance on all basis triples."""
+
+        def unit(i: int) -> Vec:
+            return {i: 1}  # int units keep the whole check in int arithmetic
+
         n = self.dim
         for i in range(n):
             for j in range(i, n):
@@ -106,11 +112,10 @@ class FiniteAlg:
                 vji = self.brackets.get((j, i), {})
                 keys = set(vij) | set(vji)
                 for k in keys:
-                    if vij.get(k, Fraction(0)) != -vji.get(k, Fraction(0)):
+                    if vij.get(k, 0) != -vji.get(k, 0):
                         raise GeneratorAssertionFailed(
                             f"{self.label}: bracket not antisymmetric at ({i},{j})"
                         )
-        unit = self.unit
         for i in range(n):
             for j in range(i + 1, n):
                 bij = self.brackets.get((i, j), {})
@@ -193,7 +198,7 @@ def _build_simply_laced(letter: str, rank: int) -> FiniteAlg:
     for i in range(n):
         for r in roots:
             xi = index[("x", r)]
-            c = Fraction(sum(r[j] * matrix[i][j] for j in range(n)))
+            c = sum(r[j] * matrix[i][j] for j in range(n))
             if c:
                 put(i, xi, {xi: c})
     for a in roots:
@@ -206,20 +211,20 @@ def _build_simply_laced(letter: str, rank: int) -> FiniteAlg:
             if all(x == 0 for x in s):
                 coeff = sgn(a) * sgn(b) * eps(a, b)
                 vec = {
-                    index[("h", i)]: Fraction(coeff * a[i]) for i in range(n) if a[i]
+                    index[("h", i)]: coeff * a[i] for i in range(n) if a[i]
                 }
                 put(ia, ib, vec)
             elif s in root_set:
                 coeff = sgn(a) * sgn(b) * sgn(s) * eps(a, b)
-                put(ia, ib, {index[("x", s)]: Fraction(coeff)})
+                put(ia, ib, {index[("x", s)]: coeff})
 
     for i in range(n):
         for j in range(n):
             if matrix[i][j]:
-                form[(index[("h", i)], index[("h", j)])] = Fraction(matrix[i][j])
+                form[(index[("h", i)], index[("h", j)])] = matrix[i][j]
     for r in roots:
         neg = tuple(-c for c in r)
-        form[(index[("x", r)], index[("x", neg)])] = Fraction(1)
+        form[(index[("x", r)], index[("x", neg)])] = 1
 
     alg = FiniteAlg(
         label=f"{letter}{rank}",
@@ -260,7 +265,7 @@ class FractionPropagator:
             row = self.rows.get(p)
             if row is None:
                 c = v[p]
-                inv = 1 / c
+                inv = Fraction(1) / c
                 vn = {k: x * inv for k, x in v.items()}
                 imgn = {k: x * inv for k, x in img.items()}
                 self.rows[p] = (vn, imgn)
@@ -470,7 +475,7 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
             if j < i:
                 continue
             br = src.bracket(vi, vj)
-            out = expander.apply(br) if br else {}
+            out = {k: _integral(c) for k, c in expander.apply(br).items()} if br else {}
             if out:
                 brackets[(i, j)] = out
                 brackets[(j, i)] = {k: -c for k, c in out.items()}
@@ -479,7 +484,7 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
         for j, vj in enumerate(vectors):
             val = src.pair(vi, vj)
             if val:
-                form[(i, j)] = val
+                form[(i, j)] = _integral(val)
 
     alg = FiniteAlg(
         label=f"{letter}{rank}",
@@ -495,6 +500,11 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
         h_idx=[index[("h", t)] for t in range(n)],
     )
     return alg
+
+
+def _integral(q: Fraction):
+    """q as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------

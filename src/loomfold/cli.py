@@ -74,38 +74,78 @@ def _family(gcm, mu, selector: str) -> tuple[SerreFamily, bool]:
         return family_qlimit(gcm, mu), True
     if selector.startswith("f:"):
         base = family_p(gcm, mu)
-        extra = _load_extra_factors(selector[2:])
+        extra = _load_extra_factors(gcm, selector[2:])
         return family_f(base, extra), False
     if selector.startswith("user:"):
         return _load_user_family(gcm, selector[5:]), True
     raise JobError(f"unknown family selector {selector!r}")
 
 
-def _load_extra_factors(path: str) -> dict:
+def _read_pairs(path: str, what: str) -> tuple[dict, list]:
+    """The JSON object in a family or factor file, and its "pairs" list."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise JobError(f"cannot read factor file: {exc}") from exc
+        raise JobError(f"cannot read {what} file: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise JobError(f"{what} file must hold a JSON object")
+    pairs = raw.get("pairs", [])
+    if not isinstance(pairs, list) or not all(isinstance(item, dict) for item in pairs):
+        raise JobError(f'{what} file: "pairs" must be a list of objects')
+    return raw, pairs
+
+
+def _node(gcm, item: dict, key: str) -> int:
+    value = item.get(key)
+    if type(value) is not int or not 0 <= value < gcm.n:
+        raise JobError(f'"{key}" must be a node index in 0..{gcm.n - 1}, got {value!r}')
+    return value
+
+
+def _poly(obj, where: str) -> LPoly:
+    try:
+        return LPoly.from_json(obj)
+    except ValueError as exc:
+        raise JobError(f"{where}: {exc}") from exc
+
+
+def _permutation(key: str, arity: int, where: str) -> tuple:
+    parts = key.split(",")
+    if all(p.isascii() and p.isdigit() for p in parts):
+        sigma = tuple(int(p) for p in parts)
+        if sorted(sigma) == list(range(arity)):
+            return sigma
+    raise JobError(f"{where}: {key!r} is not a permutation of 0..{arity - 1}")
+
+
+def _load_extra_factors(gcm, path: str) -> dict:
+    _, pairs = _read_pairs(path, "factor")
     out = {}
-    for item in raw.get("pairs", []):
-        out[(int(item["i"]), int(item["j"]))] = LPoly.from_json(item["poly"])
+    for item in pairs:
+        i, j = _node(gcm, item, "i"), _node(gcm, item, "j")
+        out[(i, j)] = _poly(item.get("poly"), f"factor pair ({i},{j})")
     return out
 
 
 def _load_user_family(gcm, path: str) -> SerreFamily:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise JobError(f"cannot read family file: {exc}") from exc
-    fam = SerreFamily(raw.get("name", "user"))
-    for item in raw.get("pairs", []):
-        i, j = int(item["i"]), int(item["j"])
+    raw, pairs = _read_pairs(path, "family")
+    name = raw.get("name", "user")
+    if not isinstance(name, str):
+        raise JobError('family "name" must be a string')
+    fam = SerreFamily(name)
+    for item in pairs:
+        i, j = _node(gcm, item, "i"), _node(gcm, item, "j")
+        where = f"family pair ({i},{j})"
+        terms = item.get("terms")
+        if not isinstance(terms, dict) or not terms:
+            raise JobError(f'{where} needs a non-empty "terms" object')
         sigmas = {}
-        for key, poly_json in item["terms"].items():
-            sigma = tuple(int(x) for x in key.split(","))
-            sigmas[sigma] = LPoly.from_json(poly_json)
+        for key, poly_json in terms.items():
+            poly = _poly(poly_json, f"{where}, permutation {key}")
+            if sigmas and poly.vars != next(iter(sigmas.values())).vars:
+                raise JobError(f"{where}: every permutation must use the same variables")
+            sigmas[_permutation(key, len(poly.vars) - 1, where)] = poly
         fam.entries[(i, j)] = sigmas
     if not fam.entries:
         raise JobError("family file holds no pairs")

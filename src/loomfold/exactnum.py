@@ -1,10 +1,22 @@
 """Exact arithmetic in cyclotomic fields Q(xi_N).
 
-Every coefficient in the package is a CycNum: a residue modulo the N-th
-cyclotomic polynomial with rational coordinates.  Working modulo Phi_N
-(rather than modulo x^N - 1) keeps representations canonical, so equality
-and zero tests are decidable, which every relation check downstream relies
-on.  Mixed orders are coerced through Q(xi_lcm(M,N)).
+Every coefficient in the package is a CycNum: an element of Q(xi_N) in the
+power basis 1, xi_N, ..., xi_N^(phi(N)-1), i.e. a residue modulo the N-th
+cyclotomic polynomial Phi_N.  Working modulo Phi_N (rather than modulo
+x^N - 1) keeps representations canonical, so equality and zero tests are
+decidable, which every relation check downstream relies on.
+
+The coordinates are stored as a tuple of int numerators `nums` over one
+positive int denominator `den`, in canonical form: gcd(nums, den) = 1, and
+zero is all-zero numerators over 1.  Two CycNums of one order are therefore
+equal exactly when their (order, nums, den) agree.  Phi_N is monic with
+integer coefficients, so products, sums and the reduction modulo Phi_N run
+on ints and build no Fraction; only `inverse` (an extended Euclid in Q[x])
+and the `coeffs` view use Fractions.  Mixed orders are coerced through
+Q(xi_lcm(M,N)), with a shortcut for rational operands of order 1.  A
+Realization fixes one field Q(xi_L) for all of its values, so its bracket
+loops never coerce.  Every rendering prints the coordinates with
+str(Fraction).
 
 The module also holds the exact linear algebra shared by the layers above:
 sparse vectors ({key: coefficient} dicts), permutation orbits, and one
@@ -15,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "CycNum",
@@ -87,98 +99,101 @@ def _int_poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^(phi+k) mod Phi_n for k = 0..phi-1, as coordinate rows."""
+def _power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^e mod Phi_n as its nonzero (index, int) pairs, for every e below
+    max(n, 2 phi(n) - 1): the powers that roots, lifts into Q(xi_n) and
+    products of two reduced elements reach."""
     phi = euler_phi(n)
     poly = cyclotomic_poly(n)
-    # x^phi = -(poly without leading term)
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(-c) for c in poly[:phi]]
-    rows.append(tuple(cur))
-    for _ in range(phi - 1):
-        nxt = [_ZERO] + cur[: phi - 1]
-        top = cur[phi - 1]
+    rows = [((e, 1),) for e in range(phi)]
+    cur = [-c for c in poly[:phi]]  # x^phi
+    for _ in range(phi, max(n, 2 * phi - 1)):
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
         if top:
             for i in range(phi):
-                nxt[i] += top * rows[0][i]
-        cur = nxt
-        rows.append(tuple(cur))
+                cur[i] -= top * poly[i]
     return tuple(rows)
 
 
-def _reduce_mod_cyclotomic(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list (any length) modulo Phi_n."""
+def _reduce(n: int, coeffs: list[int]) -> list[int]:
+    """An int coefficient list of any length, reduced modulo Phi_n."""
     phi = euler_phi(n)
-    if len(coeffs) > 2 * phi - 1:
-        # long inputs: fold down by repeated single-step reduction
-        poly = cyclotomic_poly(n)
-        coeffs = list(coeffs)
-        for i in range(len(coeffs) - 1, phi - 1, -1):
-            c = coeffs[i]
-            if c:
-                coeffs[i] = _ZERO
-                for j in range(phi):
-                    coeffs[i - phi + j] -= c * poly[j]
-        return tuple(coeffs[:phi]) if len(coeffs) >= phi else tuple(
-            coeffs + [_ZERO] * (phi - len(coeffs))
-        )
-    rows = _reduction_rows(n)
-    out = list(coeffs[:phi]) + [_ZERO] * max(0, phi - len(coeffs))
-    for k, c in enumerate(coeffs[phi:]):
+    if len(coeffs) <= phi:
+        return list(coeffs) + [0] * (phi - len(coeffs))
+    rows = _power_rows(n)
+    out = coeffs[:phi]
+    for e in range(phi, len(coeffs)):
+        c = coeffs[e]
         if c:
-            row = rows[k]
-            for i in range(phi):
-                out[i] += c * row[i]
-    return tuple(out)
+            for i, r in rows[e]:
+                out[i] += c * r
+    return out
+
+
+def _over_common_den(qs: list) -> tuple[list[int], int]:
+    """Int numerators of ints or Fractions over the lcm of their denominators."""
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def _exact(q) -> Fraction:
+    if type(q) is Fraction:
+        return q
+    if isinstance(q, float):
+        raise TypeError(f"CycNum needs exact coordinates, got the float {q!r}")
+    return Fraction(q)
 
 
 class CycNum:
-    """An element of Q(xi_N), stored as coordinates modulo Phi_N.
+    """An element of Q(xi_N): int numerators `nums` over a denominator `den`.
 
-    Instances are immutable.  Arithmetic between different orders coerces
-    both operands into Q(xi_lcm).  Equality is exact.
+    Instances are never mutated.  Arithmetic between different orders
+    coerces both operands into Q(xi_lcm).  Equality is exact.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs):
+        """`coeffs`: the phi(order) coordinates as ints, Fractions or strings."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        phi = euler_phi(order)
-        cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != phi:
-            raise ValueError(f"expected {phi} coordinates for order {order}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", cs)
+        qs = [c if type(c) is int else _exact(c) for c in coeffs]
+        if len(qs) != euler_phi(order):
+            raise ValueError(f"expected {euler_phi(order)} coordinates for order {order}")
+        nums, den = _over_common_den(qs)
+        g = gcd(den, *nums)
+        self.order = order
+        self.nums = tuple(x // g for x in nums)
+        self.den = den // g
 
-    def __setattr__(self, *a):
-        raise AttributeError("CycNum is immutable")
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(order: int = 1) -> "CycNum":
-        return CycNum(order, [_ZERO] * euler_phi(order))
+        return _make(order, (0,) * euler_phi(order), 1)
 
     @staticmethod
     def one(order: int = 1) -> "CycNum":
-        c = [_ZERO] * euler_phi(order)
-        c[0] = _ONE
-        return CycNum(order, c)
+        return _make(order, (1,) + (0,) * (euler_phi(order) - 1), 1)
 
     @staticmethod
     def from_rational(q, order: int = 1) -> "CycNum":
-        c = [_ZERO] * euler_phi(order)
-        c[0] = Fraction(q)
-        return CycNum(order, c)
+        if type(q) is not int:
+            q = _exact(q)
+        return _make(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
 
     @staticmethod
     def root(order: int, k: int) -> "CycNum":
         """xi_order ** k, canonical."""
-        k %= order
-        coeffs = [_ZERO] * (k + 1)
-        coeffs[k] = _ONE
-        return CycNum(order, _reduce_mod_cyclotomic(order, coeffs))
+        return _root(order, k % order)
 
     # -- coercion ----------------------------------------------------------
 
@@ -189,90 +204,129 @@ class CycNum:
         if order % self.order != 0:
             raise ValueError("target order must be a multiple")
         step = order // self.order
-        out: list[Fraction] = []
-        for j, c in enumerate(self.coeffs):
-            if c:
-                idx = j * step
-                while len(out) <= idx:
-                    out.append(_ZERO)
-                out[idx] += c
-        if not out:
-            out = [_ZERO]
-        return CycNum(order, _reduce_mod_cyclotomic(order, out))
+        out = [0] * ((len(self.nums) - 1) * step + 1)
+        for j, c in enumerate(self.nums):
+            out[j * step] = c
+        return _canon(order, _reduce(order, out), self.den)
 
-    @staticmethod
-    def _common(a: "CycNum", b: "CycNum"):
-        if a.order == b.order:
-            return a, b
-        n = lcm(a.order, b.order)
-        return a.lift(n), b.lift(n)
-
-    @staticmethod
-    def _wrap(x) -> "CycNum":
-        if isinstance(x, CycNum):
-            return x
-        return CycNum.from_rational(x)
+    def _scaled(self, p: int, q: int) -> "CycNum":
+        """self * p / q, for q > 0."""
+        return _canon(self.order, [x * p for x in self.nums], self.den * q)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        a, b = CycNum._common(self, CycNum._wrap(other))
-        return CycNum(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if type(other) is not CycNum:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycNum.from_rational(other)
+        n = self.order
+        if other.order != n:
+            if other.order == 1:
+                return self._add_rational(other)
+            if n == 1:
+                return other._add_rational(self)
+            a, b = _common(self, other)
+            return a + b
+        da, db = self.den, other.den
+        if len(self.nums) == 1:
+            d = da * db
+            s = self.nums[0] * db + other.nums[0] * da
+            g = gcd(s, d)
+            return _make(n, (s // g,), d // g)
+        if da == db:
+            return _canon(n, [x + y for x, y in zip(self.nums, other.nums)], da)
+        return _canon(n, [x * db + y * da for x, y in zip(self.nums, other.nums)], da * db)
 
     __radd__ = __add__
 
+    def _add_rational(self, q: "CycNum") -> "CycNum":
+        """self + q for q rational of order 1."""
+        da, db = self.den, q.den
+        nums = [x * db for x in self.nums]
+        nums[0] += q.nums[0] * da
+        return _canon(self.order, nums, da * db)
+
     def __neg__(self):
-        return CycNum(self.order, [-c for c in self.coeffs])
+        return _make(self.order, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
-        return self + (-CycNum._wrap(other))
+        if not isinstance(other, (CycNum, int, Fraction)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return CycNum._wrap(other) - self
+        return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.mul_rational(other)
-        a, b = CycNum._common(self, CycNum._wrap(other))
-        phi = len(a.coeffs)
-        prod = [_ZERO] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
+        if type(other) is not CycNum:
+            if isinstance(other, (int, Fraction)):
+                return self.mul_rational(other)
+            return NotImplemented
+        n = self.order
+        if other.order != n:
+            if other.order == 1:
+                return self._scaled(other.nums[0], other.den)
+            if n == 1:
+                return other._scaled(self.nums[0], self.den)
+            a, b = _common(self, other)
+            return a * b
+        a, b = self.nums, other.nums
+        d = self.den * other.den
+        phi = len(a)
+        if phi == 1:
+            p = a[0] * b[0]
+            g = gcd(p, d)
+            return _make(n, (p // g,), d // g)
+        prod = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return CycNum(a.order, _reduce_mod_cyclotomic(a.order, prod))
+        rows = _power_rows(n)
+        out = prod[:phi]
+        for e in range(phi, 2 * phi - 1):
+            c = prod[e]
+            if c:
+                for i, r in rows[e]:
+                    out[i] += c * r
+        return _canon(n, out, d)
 
     __rmul__ = __mul__
 
     def mul_rational(self, q) -> "CycNum":
-        q = Fraction(q)
-        if not q:
-            return CycNum.zero(self.order)
-        return CycNum(self.order, [c * q for c in self.coeffs])
+        if type(q) is int:
+            if q == 1:
+                return self
+            if q == -1:
+                return -self
+            return self._scaled(q, 1)
+        q = _exact(q)
+        return self._scaled(q.numerator, q.denominator)
 
     def inverse(self) -> "CycNum":
         """Field inverse via the extended Euclidean algorithm in Q[x]."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(xi)")
         if self.is_rational():
-            return CycNum.from_rational(1 / self.coeffs[0], self.order)
+            return CycNum.from_rational(Fraction(self.den, self.nums[0]), self.order)
         mod = [Fraction(c) for c in cyclotomic_poly(self.order)]
         a = list(self.coeffs)
         # invariants: s * self == a (mod Phi), t * self == b (mod Phi)
@@ -286,17 +340,21 @@ class CycNum:
         # now a = gcd (a nonzero constant, Phi_N irreducible), s*self = a mod Phi
         deg = _frac_poly_deg(a)
         assert deg == 0, "cyclotomic modulus must be irreducible"
-        inv_lead = 1 / a[0]
-        inv = [c * inv_lead for c in s]
-        return CycNum(self.order, _reduce_mod_cyclotomic(self.order, inv))
+        inv_lead = _ONE / a[0]
+        nums, den = _over_common_den([c * inv_lead for c in s])
+        return _canon(self.order, _reduce(self.order, nums), den)
 
     def __truediv__(self, other):
-        other = CycNum._wrap(other)
-        a, b = CycNum._common(self, other)
-        return a * b.inverse()
+        if type(other) is not CycNum:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycNum.from_rational(other)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return CycNum._wrap(other) / self
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return CycNum.from_rational(other) * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
@@ -313,12 +371,16 @@ class CycNum:
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        a, b = CycNum._common(self, other)
-        return a.coeffs == b.coeffs
+        if type(other) is not CycNum:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return (
+                self.nums[0] == other.numerator
+                and self.den == other.denominator
+                and self.is_rational()
+            )
+        a, b = (self, other) if other.order == self.order else _common(self, other)
+        return a.nums == b.nums and a.den == b.den
 
     __hash__ = None  # cross-order equal values would hash differently
 
@@ -350,7 +412,7 @@ class CycNum:
         if self.is_zero():
             return "0"
         if self.is_rational():
-            return _frac_latex(self.coeffs[0])
+            return _frac_latex(self.as_fraction())
         parts = []
         for j, c in enumerate(self.coeffs):
             if not c:
@@ -374,13 +436,73 @@ class CycNum:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
     @staticmethod
-    def from_json(obj: dict) -> "CycNum":
-        return CycNum(int(obj["order"]), [Fraction(c) for c in obj["coeffs"]])
+    def from_json(obj) -> "CycNum":
+        """Parse the `to_json` form; raises ValueError on any other shape.
+
+        The order must be an int >= 1 and the coordinates a list of
+        phi(order) ints or strings such as "-3/7"; nothing is coerced.
+        """
+        if not isinstance(obj, dict) or "order" not in obj or "coeffs" not in obj:
+            raise ValueError('a coefficient must be an object with "order" and "coeffs"')
+        order, coeffs = obj["order"], obj["coeffs"]
+        if type(order) is not int or order < 1:
+            raise ValueError(f"coefficient order must be an integer >= 1, got {order!r}")
+        if not isinstance(coeffs, list) or not all(type(c) in (int, str) for c in coeffs):
+            raise ValueError("coefficient coordinates must be a list of integers or strings")
+        # phi(n) >= sqrt(n / 2): rejects a huge order before factoring it
+        if 2 * len(coeffs) ** 2 < order or len(coeffs) != euler_phi(order):
+            raise ValueError(
+                f"a coefficient of order {order} needs phi({order}) coordinates, "
+                f"got {len(coeffs)}"
+            )
+        try:
+            return CycNum(order, [Fraction(c) for c in coeffs])
+        except ZeroDivisionError as exc:
+            raise ValueError(f"coefficient coordinate with a zero denominator: {coeffs}") from exc
+
+
+_new = object.__new__
+
+
+def _make(order: int, nums: tuple, den: int) -> CycNum:
+    """A CycNum from coordinates already in canonical form."""
+    x = _new(CycNum)
+    x.order = order
+    x.nums = nums
+    x.den = den
+    return x
+
+
+def _canon(order: int, nums: list, den: int) -> CycNum:
+    """A CycNum from int numerators over den > 0, divided by their gcd."""
+    g = gcd(den, *nums)
+    x = _new(CycNum)
+    x.order = order
+    if g == 1:
+        x.nums = tuple(nums)
+        x.den = den
+    else:
+        x.nums = tuple(c // g for c in nums)
+        x.den = den // g
+    return x
+
+
+def _common(a: CycNum, b: CycNum):
+    n = lcm(a.order, b.order)
+    return a.lift(n), b.lift(n)
+
+
+@lru_cache(maxsize=None)
+def _root(order: int, k: int) -> CycNum:
+    nums = [0] * euler_phi(order)
+    for i, c in _power_rows(order)[k]:
+        nums[i] = c
+    return _make(order, tuple(nums), 1)
 
 
 def cyc_root(order: int, k: int) -> CycNum:
     """The root of unity xi_order ** k as an exact CycNum."""
-    return CycNum.root(order, k)
+    return _root(order, k % order)
 
 
 # -- sparse vectors and permutations ---------------------------------------------

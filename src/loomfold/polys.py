@@ -280,14 +280,28 @@ class LPoly:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "LPoly":
-        return LPoly(
-            tuple(obj["vars"]),
-            {
-                tuple(t["exps"]): CycNum.from_json(t["coeff"])
-                for t in obj["terms"]
-            },
-        )
+    def from_json(obj) -> "LPoly":
+        """Parse the `to_json` form; raises ValueError on any other shape."""
+        if not isinstance(obj, dict):
+            raise ValueError("a polynomial must be a JSON object")
+        variables, terms = obj.get("vars"), obj.get("terms")
+        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+            raise ValueError('a polynomial needs a "vars" list of names')
+        if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
+            raise ValueError('a polynomial needs a "terms" list of objects')
+        out = {}
+        for t in terms:
+            exps = t.get("exps")
+            if (
+                not isinstance(exps, list)
+                or len(exps) != len(variables)
+                or not all(type(e) is int for e in exps)
+            ):
+                raise ValueError(f"every term needs {len(variables)} integer exponents")
+            if tuple(exps) in out:
+                raise ValueError(f"exponents {exps} appear in two terms")
+            out[tuple(exps)] = CycNum.from_json(t.get("coeff"))
+        return LPoly(variables, out)
 
 
 def _latex_var(v: str) -> str:

@@ -23,6 +23,7 @@ suite before use; the verified table, not any formula, is normative.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from loomfold.cartan import Gcm, _graph_iso, canonical_matrix
 from loomfold.chevalley import FractionPropagator, chevalley, mu_extend_finite
@@ -113,6 +114,7 @@ class GAlg:
 
     def bracket(self, x: AffElem, y: AffElem) -> AffElem:
         alg = self.alg
+        affine = self.mode == "affine"
         out: AffElem = {}
         for kx, cx in x.items():
             if kx[0] != "g":
@@ -123,6 +125,9 @@ class GAlg:
                     continue
                 n2, c = ky[1], ky[2]
                 entry = alg.brackets.get((b, c))
+                pairing = alg.form.get((b, c)) if affine and m2 + n2 == 0 and m2 != 0 else None
+                if not entry and not pairing:
+                    continue
                 coeff = cx * cy
                 if entry:
                     p2 = m2 + n2
@@ -134,17 +139,15 @@ class GAlg:
                             out[key] = val
                         elif key in out:
                             del out[key]
-                if self.mode == "affine" and m2 + n2 == 0 and m2 != 0:
-                    pairing = alg.form.get((b, c))
-                    if pairing:
-                        key = ("k2",)
-                        cur = out.get(key)
-                        val = coeff.mul_rational(pairing * m2)
-                        val = val if cur is None else cur + val
-                        if val:
-                            out[key] = val
-                        elif key in out:
-                            del out[key]
+                if pairing:
+                    key = ("k2",)
+                    cur = out.get(key)
+                    val = coeff.mul_rational(pairing * m2)
+                    val = val if cur is None else cur + val
+                    if val:
+                        out[key] = val
+                    elif key in out:
+                        del out[key]
         return out
 
     def pair(self, x: AffElem, y: AffElem) -> CycNum:
@@ -306,7 +309,13 @@ def _affine_generators(galg: GAlg) -> list:
 
 
 class Realization:
-    """Everything needed to evaluate brackets of generator modes exactly."""
+    """Everything needed to evaluate brackets of generator modes exactly.
+
+    All coefficients live in one field Q(xi_L), L = lcm(ord mu, r): the
+    generators are lifted into it once, here, and the generator images
+    carry their phases xi_N^k as elements of it, so brackets of generator
+    images never coerce between cyclotomic orders.
+    """
 
     def __init__(self, gcm: Gcm, mu, m1_window: int = 24, m2_window: int = 8):
         self.gcm = gcm
@@ -317,12 +326,23 @@ class Realization:
         self.m2w = m2_window
         self.n_order = self.mu.order
         self.galg = GAlg(self.cls)
+        self.field = lcm(self.n_order, self.galg.r)
         perm = self.cls.perm
-        self.gens = [self.galg.canonical_gens[perm[i]] for i in range(gcm.n)]
+        self.gens = [
+            tuple(
+                {k: c.lift(self.field) for k, c in v.items()}
+                for v in self.galg.canonical_gens[perm[i]]
+            )
+            for i in range(gcm.n)
+        ]
         self._assert_generators()
         self.eps = gcm.symmetrizer(self._coroot_form).eps
         self._theta_cache: dict = {}
         self._mu_g: list | None = None
+
+    def _phase(self, k: int) -> CycNum:
+        """xi_N ** k as an element of the realization's field Q(xi_L)."""
+        return cyc_root(self.field, k * (self.field // self.n_order))
 
     # -- generator sanity -------------------------------------------------------
 
@@ -402,10 +422,13 @@ class Realization:
                 if ky[0] != "L":
                     continue
                 n1, n2, c = ky[1], ky[2], ky[3]
+                entry = alg.brackets.get((b, c))
+                pairing = alg.form.get((b, c))
+                if not entry and not pairing:
+                    continue
                 p1 = m1 + n1
                 p2 = m2 + n2
                 coeff = cx * cy
-                entry = alg.brackets.get((b, c))
                 if entry:
                     if abs(p1) > m1w or abs(p2) > m2w:
                         raise OutOfWindow(
@@ -420,7 +443,6 @@ class Realization:
                             out[key] = val
                         elif key in out:
                             del out[key]
-                pairing = alg.form.get((b, c))
                 if pairing:
                     degs = (m1, m2, n1, n2)
                     cur = central.get(degs)
@@ -466,7 +488,7 @@ class Realization:
             for k in range(self.n_order):
                 node = self.mu.apply(i, k)
                 vec = self.gens[node][0 if sign > 0 else 1]
-                vec_add(total, self.embed(m, vec), cyc_root(self.n_order, -k * m))
+                vec_add(total, self.embed(m, vec), self._phase(-k * m))
             cached = self._theta_cache[key] = total
         return cached
 
@@ -477,12 +499,12 @@ class Realization:
             total: AlgElem = {}
             for k in range(self.n_order):
                 node = self.mu.apply(i, k)
-                vec_add(total, self.embed(m, self.gens[node][2]), cyc_root(self.n_order, -k * m))
+                vec_add(total, self.embed(m, self.gens[node][2]), self._phase(-k * m))
             cached = self._theta_cache[key] = total
         return cached
 
     def theta_c(self) -> AlgElem:
-        return {("K1",): CycNum.one()}
+        return {("K1",): CycNum.one(self.field)}
 
     # -- the automorphism at g-level ---------------------------------------------------
 
@@ -684,7 +706,6 @@ class MuHatClosed:
     def __init__(self, real: Realization, mu_map: GLevelMap):
         self.real = real
         self.map = mu_map
-        self.n = real.n_order
         self._k1p_scales: dict[int, CycNum] = {}
 
     def _k1p_scale(self, m2: int) -> CycNum:
@@ -714,7 +735,7 @@ class MuHatClosed:
             if key[0] == "L":
                 m1, m2, idx = key[1], key[2], key[3]
                 img = self.map.apply({("g", m2, idx): CycNum.one()})
-                phase = cyc_root(self.n, -m1)
+                phase = self.real._phase(-m1)
                 for k2, s in img.items():
                     if k2[0] == "g":
                         vec_add(out, {("L", m1, k2[1], k2[2]): c * s * phase})
@@ -723,11 +744,11 @@ class MuHatClosed:
             elif key[0] == "K1":
                 vec_add(out, {key: c})
             elif key[0] == "K1p":
-                scale = cyc_root(self.n, -key[1]) * self._k1p_scale(key[2])
+                scale = self.real._phase(-key[1]) * self._k1p_scale(key[2])
                 vec_add(out, {key: c * scale})
             elif key[0] == "K2":
                 img = self.map.apply({("k2",): CycNum.one()})
-                phase = cyc_root(self.n, -key[1])
+                phase = self.real._phase(-key[1])
                 for k2, s in img.items():
                     assert k2 == ("k2",)
                     vec_add(out, {("K2", key[1]): c * s * phase})
@@ -747,13 +768,12 @@ class MuHat:
         self.n = real.n_order
         prop = FractionPropagator()
         seeds = []
-        xi = lambda k: cyc_root(self.n, k)
         for i in range(real.gcm.n):
             for m in range(-m1_bound, m1_bound + 1):
                 for pick in range(3):
                     src = real.embed(m, real.gens[i][pick])
                     img = vec_scale(
-                        real.embed(m, real.gens[real.mu.perm[i]][pick]), xi(-m)
+                        real.embed(m, real.gens[real.mu.perm[i]][pick]), real._phase(-m)
                     )
                     seeds.append((src, img))
         seeds.append((real.theta_c(), real.theta_c()))

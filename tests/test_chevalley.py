@@ -26,10 +26,15 @@ def test_a2_dimensions_and_serre():
 
 
 @pytest.mark.parametrize(
-    "label,dim", [("A3", 15), ("D4", 28), ("B3", 21), ("C2", 10), ("C3", 21), ("G2", 14)]
+    "label,dim",
+    [("A3", 15), ("D4", 28), ("B3", 21), ("C2", 10), ("C3", 21), ("G2", 14), ("F4", 52)],
 )
 def test_dimensions(label, dim):
-    assert chevalley(label).dim == dim
+    alg = chevalley(label)
+    assert alg.dim == dim
+    # every structure constant is integral and stored as an int
+    assert all(type(s) is int for entry in alg.brackets.values() for s in entry.values())
+    assert all(type(s) is int for s in alg.form.values())
 
 
 def test_g2_from_triality():

@@ -251,3 +251,44 @@ def test_pool_size_clamp():
     assert _pool_size(4, 1) == 1
     assert _pool_size(0, 17) == 1
     assert _pool_size(-5, 17) == 1
+
+
+_ONE = {"order": 1, "coeffs": ["1"]}
+
+
+def _poly(*terms):
+    """A polynomial in z1, z2, w from (exps, coeff) pairs."""
+    return {"vars": ["z1", "z2", "w"], "terms": [{"exps": e, "coeff": c} for e, c in terms]}
+
+
+def _user(coeff=_ONE, key="0,1", **pair):
+    """A user family with one pair, (1, 0) unless overridden."""
+    item = {"i": 1, "j": 0, "terms": {key: _poly(([0, 0, 0], coeff))}, **pair}
+    return "user", {"pairs": [{k: v for k, v in item.items() if v is not None}]}
+
+
+@pytest.mark.parametrize(
+    "selector,content",
+    [
+        _user(i=1.7),
+        _user(i=True),
+        _user(terms=None),
+        _user({"order": 2.5, "coeffs": ["1"]}),
+        _user({"order": 3, "coeffs": ["1"]}),
+        _user({"order": 1, "coeffs": [0.5]}),
+        _user({"order": 2**61 - 1, "coeffs": ["1"]}),
+        _user(key="0,x"),
+        ("f", {"pairs": [{"i": 0.0, "j": 1, "poly": _poly(([0, 0, 1], _ONE))}]}),
+        ("f", {"pairs": [{"i": 0, "j": 1}]}),
+        ("f", {"pairs": [{"i": 0, "j": 1, "poly": _poly(([0, 0, 1], _ONE), ([0, 0, 1], _ONE))}]}),
+    ],
+)
+def test_verify_rejects_malformed_family_file(runner, tmp_path, selector, content):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(content))
+    res = runner.invoke(
+        main, ["verify", "--entry", "A2a-flip", "--modes", "0", "--family", f"{selector}:{path}"]
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # exited through _fail, no traceback
+    assert _json_out(res)["error"]["kind"] == "JobError"

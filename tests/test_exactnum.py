@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,98 @@ def test_rational_helpers():
     assert not y.is_rational()
     with pytest.raises(ValueError):
         y.as_fraction()
+
+
+# -- the integer representation, against sympy ---------------------------------
+
+
+def _sympy_poly(x: CycNum, step: int):
+    """x as a polynomial in xi_(step * x.order), with rational coefficients."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * t ** (j * step)
+        for j, c in enumerate(x.coeffs)
+    )
+    return sympy.Poly(expr, t, domain="QQ")
+
+
+def _sympy_coords(poly, order: int) -> tuple:
+    """Coordinates of a sympy polynomial reduced modulo Phi_order."""
+    import sympy
+
+    t = poly.gens[0]
+    rem = poly.rem(sympy.Poly(sympy.cyclotomic_poly(order, t), t, domain="QQ"))
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (euler_phi(order) - len(coeffs)))
+
+
+def _assert_canonical(x: CycNum):
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int for c in x.nums) and len(x.nums) == euler_phi(x.order)
+    assert math.gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+
+
+def _sparse_coeffs(order):
+    entry = st.one_of(st.just(Fraction(0)), small_fraction)
+    return st.lists(entry, min_size=euler_phi(order), max_size=euler_phi(order))
+
+
+@st.composite
+def any_order_numbers(draw):
+    order = draw(st.integers(1, 12))
+    return CycNum(order, draw(_sparse_coeffs(order)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_order_numbers(), any_order_numbers())
+def test_arithmetic_against_sympy(a, b):
+    n = math.lcm(a.order, b.order)
+    pa, pb = _sympy_poly(a, n // a.order), _sympy_poly(b, n // b.order)
+    for got, want in ((a * b, pa * pb), (a + b, pa + pb), (a - b, pa - pb)):
+        _assert_canonical(got)
+        assert got.order == n
+        assert got.coeffs == _sympy_coords(want, n)
+    if b:
+        inv = b.inverse()
+        _assert_canonical(inv)
+        assert inv.order == b.order
+        one = _sympy_poly(b, 1) * _sympy_poly(inv, 1)
+        assert _sympy_coords(one, b.order) == _sympy_coords(_sympy_poly(CycNum.one(), 1), b.order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_order_numbers(), any_order_numbers())
+def test_canonical_form(a, b):
+    # equal values of one order have identical (order, nums, den)
+    n = math.lcm(a.order, b.order)
+    pairs = [(a * b, b * a), (a + b - b, a.lift(n)), (a - a, CycNum.zero(a.order))]
+    if b:
+        pairs.append((a * b / b, a.lift(n)))
+    for x, y in pairs:
+        _assert_canonical(x)
+        _assert_canonical(y)
+        assert x == y
+        assert (x.order, x.nums, x.den) == (y.order, y.nums, y.den)
+
+
+def test_products_and_sums_build_no_fraction(monkeypatch):
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    xs = [CycNum(n, [Fraction(k + 1, 3 + k) for k in range(euler_phi(n))]) for n in (1, 2, 3, 5, 6)]
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for x in xs:
+        for y in xs:
+            x * y, x + y, x - y, x == y, x.mul_rational(3), -x, cyc_root(12, 5) * x
+    assert made == []
 
 
 # -- the shared Gauss-Jordan elimination, against sympy -----------------------

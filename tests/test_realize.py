@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from loomfold import exactnum
 from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.errors import OutOfWindow, ScopeViolation
 from loomfold.exactnum import CycNum, cyc_root
@@ -151,6 +152,33 @@ def test_theta_vanishing_off_lattice():
     assert vec_is_zero(real.theta_x(1, 2, +1))
     assert not vec_is_zero(real.theta_x(1, 3, +1))
     assert not vec_is_zero(real.theta_x(1, 0, +1))
+
+
+@pytest.mark.parametrize(
+    "label,perm,field", [("A2^(1)", [1, 2, 0], 3), ("A2^(2)", [0, 1], 2), ("D4", [2, 1, 3, 0], 3)]
+)
+def test_brackets_stay_in_the_realization_field(monkeypatch, label, perm, field):
+    # generators and generator images live in Q(xi_L), L = lcm(ord mu, r):
+    # no bracket or theta value coerces between cyclotomic orders
+    real = _real(label, perm, m1w=6, m2w=4)
+    assert real.field == field
+
+    def refuse(a, b):
+        raise AssertionError(f"coerced orders {a.order} and {b.order}")
+
+    monkeypatch.setattr(exactnum, "_common", refuse)
+    elems = []
+    for i in range(real.gcm.n):
+        for m in (-1, 0, 1):
+            elems += [real.theta_x(i, m, +1), real.theta_x(i, m, -1), real.theta_h(i, m)]
+    for x in elems:
+        for y in elems:
+            out = real.bracket(x, y)
+            assert all(c.order == field for c in out.values())
+    for ei, fi, hi in real.gens:
+        for ej, fj, hj in real.gens:
+            for v in (real.galg.bracket(ei, fj), real.galg.bracket(hi, ej)):
+                assert all(c.order == field for c in v.values())
 
 
 def test_grading_additivity():
