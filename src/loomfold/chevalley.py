@@ -19,7 +19,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from loomfold.cartan import _RootTable, _graph_iso, finite_matrix
-from loomfold.errors import GeneratorAssertionFailed, InconsistentPropagation, UnknownType
+from loomfold.errors import (
+    GeneratorAssertionFailed,
+    InconsistentPropagation,
+    OutOfWindow,
+    UnknownType,
+)
 from loomfold.exactnum import inverse_matrix, perm_orbits, proportional, vec_add
 
 Vec = dict[int, Fraction]
@@ -296,6 +301,32 @@ class FractionPropagator:
     def rank(self) -> int:
         return len(self.rows)
 
+    def close(self, pairs, ad, bracket, keep=None, rounds=None) -> None:
+        """Insert the seed (element, image) pairs and close them under `ad`.
+
+        Works breadth first: each round brackets every (s, s_img) of `ad`
+        with each pair the previous round added, and inserts [s, a] with the
+        image [s_img, a_img].  A bracket that raises OutOfWindow, is zero or
+        fails `keep` is skipped; at most `rounds` rounds run when given.
+        """
+        frontier = [(v, img) for v, img in pairs if self.insert(v, img)]
+        done = 0
+        while frontier and (rounds is None or done < rounds):
+            new = []
+            for a, a_img in frontier:
+                for s, s_img in ad:
+                    try:
+                        b = bracket(s, a)
+                    except OutOfWindow:
+                        continue
+                    if not b or (keep is not None and not keep(b)):
+                        continue
+                    b_img = bracket(s_img, a_img)
+                    if self.insert(b, b_img):
+                        new.append((b, b_img))
+            frontier = new
+            done += 1
+
 
 def mu_extend_finite(alg: FiniteAlg, perm) -> list[Vec]:
     """Extend a diagram automorphism from the generators to the whole algebra.
@@ -311,22 +342,7 @@ def mu_extend_finite(alg: FiniteAlg, perm) -> list[Vec]:
         seeds.append((alg.e(i), alg.e(perm[i])))
         seeds.append((alg.f(i), alg.f(perm[i])))
         seeds.append((alg.h(i), alg.h(perm[i])))
-    atoms = []
-    for v, img in seeds:
-        if prop.insert(v, img):
-            atoms.append((v, img))
-    frontier = list(atoms)
-    while frontier and prop.rank < alg.dim:
-        new = []
-        for av, aimg in frontier:
-            for sv, simg in seeds:
-                bv = alg.bracket(sv, av)
-                if not bv:
-                    continue
-                bimg = alg.bracket(simg, aimg)
-                if prop.insert(bv, bimg):
-                    new.append((bv, bimg))
-        frontier = new
+    prop.close(seeds, seeds, alg.bracket)
     if prop.rank != alg.dim:
         raise InconsistentPropagation(
             f"{alg.label}: generator words span only {prop.rank} of {alg.dim}"
@@ -467,7 +483,7 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
     # express arbitrary fixed source elements in the folded basis
     expander = FractionPropagator()
     for i, vec in enumerate(vectors):
-        expander.insert(dict(vec), {i: Fraction(1)})
+        expander.insert(vec, {i: Fraction(1)})
 
     brackets: dict = {}
     for i, vi in enumerate(vectors):

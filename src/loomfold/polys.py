@@ -143,10 +143,6 @@ class LPoly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def max_degree_in(self, name: str) -> int:
-        idx = self.var_index(name)
-        return max((e[idx] for e in self.terms), default=0)
-
     # -- substitution --------------------------------------------------------------
 
     def rename(self, variables) -> "LPoly":

@@ -21,7 +21,7 @@ from loomfold.errors import OutOfWindow, ScopeViolation
 from loomfold.exactnum import CycNum, cyc_root
 from loomfold.folding import index_pairs
 from loomfold.polys import LPoly, SerreFamily
-from loomfold.realize import Realization, vec_add, vec_is_zero, vec_scale
+from loomfold.realize import Realization, vec_add, vec_scale
 
 __all__ = [
     "RelationCheck",
@@ -190,9 +190,9 @@ class Verifier:
                     if not _diff_zero(lhs2, rhs2):
                         chk_x.record_failure((m, sign), _diff(lhs2, rhs2))
                     xc = real.bracket(real.theta_x(i, m, sign), k1)
-                    if not vec_is_zero(xc):
+                    if xc:
                         chk_x.record_failure((m, sign, "c"), xc)
-                if not vec_is_zero(real.bracket(real.theta_h(i, m), k1)):
+                if real.bracket(real.theta_h(i, m), k1):
                     chk_h.record_failure((m, "c"), real.bracket(real.theta_h(i, m), k1))
             report.checks.append(chk_h)
             report.checks.append(chk_x)
@@ -453,7 +453,7 @@ def _diff(lhs, rhs) -> dict:
 
 
 def _diff_zero(lhs, rhs) -> bool:
-    return vec_is_zero(_diff(lhs, rhs))
+    return not _diff(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

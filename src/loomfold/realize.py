@@ -58,16 +58,6 @@ def vec_scale(v: dict, c) -> dict:
     return {k: x * c for k, x in v.items()}
 
 
-def vec_eq(a: dict, b: dict) -> bool:
-    if a.keys() != b.keys():
-        return False
-    return all(a[k] == b[k] for k in a)
-
-
-def vec_is_zero(v: dict) -> bool:
-    return not v
-
-
 # ---------------------------------------------------------------------------
 # g-level algebra
 
@@ -166,18 +156,6 @@ class GAlg:
                 if s:
                     total = total + (cx * cy).mul_rational(s)
         return total
-
-    def nu_apply(self, x: AffElem) -> AffElem:
-        """The loop-direction twist on coefficients (identity for r = 1)."""
-        out: AffElem = {}
-        for k, c in x.items():
-            if k[0] != "g":
-                vec_add(out, {k: c})
-                continue
-            img = self.nu_images[k[2]]
-            for t, s in img.items():
-                vec_add(out, {("g", k[1], t): c.mul_rational(s)})
-        return out
 
 
 def _lift_finite(v) -> AffElem:
@@ -354,18 +332,18 @@ class Realization:
             ei, fi, hi = self.gens[i]
             for j in range(n):
                 ej, fj, hj = self.gens[j]
-                if not vec_is_zero(g.bracket(hi, hj)):
+                if g.bracket(hi, hj):
                     raise GeneratorAssertionFailed(f"[h{i}, h{j}] != 0")
                 for vec, sign in ((ej, 1), (fj, -1)):
                     got = g.bracket(hi, vec)
                     want = vec_scale(vec, CycNum.from_rational(sign * a[i][j]))
-                    if not vec_eq(got, want):
+                    if got != want:
                         raise GeneratorAssertionFailed(
                             f"[h{i}, x{j}^{'+' if sign > 0 else '-'}] mismatch"
                         )
                 got = g.bracket(ei, fj)
                 want = hi if i == j else {}
-                if not vec_eq(got, want):
+                if got != want:
                     raise GeneratorAssertionFailed(f"[e{i}, f{j}] mismatch")
                 if i != j:
                     for pick in (0, 1):
@@ -373,7 +351,7 @@ class Realization:
                         op = (ei, fi)[pick]
                         for _ in range(1 - a[i][j]):
                             v = g.bracket(op, v)
-                        if not vec_is_zero(v):
+                        if v:
                             raise GeneratorAssertionFailed(
                                 f"ad power relation fails at ({i},{j})"
                             )
@@ -481,25 +459,20 @@ class Realization:
 
     def theta_x(self, i: int, m: int, sign: int) -> AlgElem:
         """t1^m (x) averaged raising (sign=+1) or lowering (sign=-1) vector."""
-        key = ("x", i, m, sign)
-        cached = self._theta_cache.get(key)
-        if cached is None:
-            total: AlgElem = {}
-            for k in range(self.n_order):
-                node = self.mu.apply(i, k)
-                vec = self.gens[node][0 if sign > 0 else 1]
-                vec_add(total, self.embed(m, vec), self._phase(-k * m))
-            cached = self._theta_cache[key] = total
-        return cached
+        return self._theta(0 if sign > 0 else 1, i, m)
 
     def theta_h(self, i: int, m: int) -> AlgElem:
-        key = ("h", i, m)
+        return self._theta(2, i, m)
+
+    def _theta(self, pick: int, i: int, m: int) -> AlgElem:
+        """t1^m (x) the mu-average of generator `pick` (e, f, h) of node i."""
+        key = (pick, i, m)
         cached = self._theta_cache.get(key)
         if cached is None:
             total: AlgElem = {}
             for k in range(self.n_order):
                 node = self.mu.apply(i, k)
-                vec_add(total, self.embed(m, self.gens[node][2]), self._phase(-k * m))
+                vec_add(total, self.embed(m, self.gens[node][pick]), self._phase(-k * m))
             cached = self._theta_cache[key] = total
         return cached
 
@@ -547,10 +520,10 @@ class Realization:
             raise ScopeViolation(
                 "fixed-block dimensions need a grading-preserving automorphism"
             )
-        if inner_m2 is None:
-            inner_m2 = 0 if self.galg.mode == "finite" else max(1, inner_m1 - 1)
         if self.galg.mode == "finite":
             inner_m2 = 0
+        elif inner_m2 is None:
+            inner_m2 = max(1, inner_m1 - 1)
         hat = MuHatClosed(self, mu_map)
         blocks = {}
         span = self._theta_span(inner_m1, inner_m2)
@@ -571,7 +544,11 @@ class Realization:
         return blocks
 
     def _theta_span(self, inner_m1: int, inner_m2: int):
-        """Rank per block of the bracket closure of the generator images."""
+        """Rank per block of the bracket closure of the generator images.
+
+        The closure keeps |m1| <= inner_m1 + margin, as MuHat keeps its
+        m1_bound; brackets further out are skipped.
+        """
         margin = 2
         out_m1 = inner_m1 + margin
         out_m2 = inner_m2 + margin
@@ -583,24 +560,11 @@ class Realization:
                 seeds.append(self.theta_x(i, m, +1))
                 seeds.append(self.theta_x(i, m, -1))
                 seeds.append(self.theta_h(i, m))
-        ad_seeds = [s for s in seeds if s and _max_m1(s) <= 1]
+        ad = [(s, {}) for s in seeds if s and _max_m1(s) <= 1]
         prop = FractionPropagator()
-        atoms = []
-        for s in seeds:
-            if s and prop.insert(dict(s), {}):
-                atoms.append(s)
-        frontier = list(atoms)
-        while frontier:
-            new = []
-            for v in frontier:
-                for s in ad_seeds:
-                    try:
-                        w = self.bracket(s, v)
-                    except OutOfWindow:
-                        continue
-                    if w and prop.insert(dict(w), {}):
-                        new.append(w)
-            frontier = new
+        prop.close(
+            [(s, {}) for s in seeds], ad, self.bracket, keep=lambda v: _max_m1(v) <= out_m1
+        )
         ranks: dict = {}
         for pivot in prop.rows:
             m1, m2 = _key_degrees(pivot)
@@ -647,25 +611,13 @@ class GLevelMap:
         if galg.mode == "affine":
             k2 = {("k2",): CycNum.one()}
             seeds.append((k2, k2))
-        atoms = []
-        for v, img in seeds:
-            if prop.insert(dict(v), dict(img)):
-                atoms.append((v, img))
-        frontier = list(atoms)
         bound = t2_bound
-        while frontier:
-            new = []
-            for av, aim in frontier:
-                for sv, sim in seeds:
-                    bv = galg.bracket(sv, av)
-                    if not bv:
-                        continue
-                    if any(k[0] == "g" and abs(k[1]) > bound for k in bv):
-                        continue
-                    bim = galg.bracket(sim, aim)
-                    if prop.insert(dict(bv), dict(bim)):
-                        new.append((bv, bim))
-            frontier = new
+        prop.close(
+            seeds,
+            seeds,
+            galg.bracket,
+            keep=lambda v: all(k[0] != "g" or abs(k[1]) <= bound for k in v),
+        )
         self.prop = prop
         expected = galg.alg.dim * (2 * bound + 1) + 1 if galg.mode == "affine" else galg.alg.dim
         if galg.mode == "affine" and galg.r > 1:
@@ -686,7 +638,7 @@ class GLevelMap:
         return True
 
     def apply(self, x: AffElem) -> AffElem:
-        return self.prop.apply(dict(x))
+        return self.prop.apply(x)
 
 
 def _t2_support(v: AffElem):
@@ -777,37 +729,21 @@ class MuHat:
                     )
                     seeds.append((src, img))
         seeds.append((real.theta_c(), real.theta_c()))
-        atoms = []
-        for v, img in seeds:
-            if prop.insert(dict(v), dict(img)):
-                atoms.append((v, img))
         ad = [s for s in seeds if _max_m1(s[0]) <= 1]
-        frontier = list(atoms)
-        for _ in range(depth - 1):
-            new = []
-            for av, aim in frontier:
-                for sv, sim in ad:
-                    try:
-                        bv = real.bracket(sv, av)
-                    except OutOfWindow:
-                        continue
-                    if not bv or _max_m1(bv) > m1_bound:
-                        continue
-                    bim = real.bracket(sim, aim)
-                    if prop.insert(dict(bv), dict(bim)):
-                        new.append((bv, bim))
-            frontier = new
+        prop.close(
+            seeds, ad, real.bracket, keep=lambda v: _max_m1(v) <= m1_bound, rounds=depth - 1
+        )
         self.prop = prop
 
     def apply(self, x: AlgElem) -> AlgElem:
-        return self.prop.apply(dict(x))
+        return self.prop.apply(x)
 
     def order_check(self, sample: list) -> bool:
         for x in sample:
-            cur = dict(x)
+            cur = x
             for _ in range(self.n):
                 cur = self.apply(cur)
-            if not vec_eq(cur, x):
+            if cur != x:
                 return False
         return True
 
@@ -815,12 +751,12 @@ class MuHat:
         for x, y in pairs:
             lhs = self.apply(self.real.bracket(x, y))
             rhs = self.real.bracket(self.apply(x), self.apply(y))
-            if not vec_eq(lhs, rhs):
+            if lhs != rhs:
                 return False
         return True
 
     def fixes(self, x: AlgElem) -> bool:
-        return vec_eq(self.apply(x), dict(x))
+        return self.apply(x) == x
 
 
 def _max_m1(v: AlgElem) -> int:

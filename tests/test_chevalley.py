@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from loomfold.chevalley import apply_linear, chevalley, mu_extend_finite
-from loomfold.errors import UnknownType
+from loomfold.errors import InconsistentPropagation, UnknownType
 
 
 def test_a1_triple():
@@ -125,6 +125,13 @@ def test_mu_extend_identity():
     nu = mu_extend_finite(alg, (0, 1, 2))
     for idx in range(alg.dim):
         assert apply_linear(nu, alg.unit(idx)) == alg.unit(idx)
+
+
+def test_mu_extend_rejects_non_automorphism():
+    # swapping nodes 0 and 1 of the A3 chain breaks the edge 1-2, so two
+    # bracket words for one element reach different images
+    with pytest.raises(InconsistentPropagation):
+        mu_extend_finite(chevalley("A3"), (1, 0, 2))
 
 
 def test_mu_extend_preserves_brackets():

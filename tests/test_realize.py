@@ -6,13 +6,12 @@ import pytest
 from loomfold import exactnum
 from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.errors import OutOfWindow, ScopeViolation
-from loomfold.exactnum import CycNum, cyc_root
+from loomfold.exactnum import CycNum, cyc_root, matrix_rank
 from loomfold.realize import (
+    MuHat,
     MuHatClosed,
     Realization,
     vec_add,
-    vec_eq,
-    vec_is_zero,
     vec_scale,
 )
 
@@ -40,7 +39,7 @@ def test_affine_generator_matrices_match_canonical():
             for j in range(g.n):
                 got = galg.bracket(real.gens[i][2], real.gens[j][0])
                 want = vec_scale(real.gens[j][0], CycNum.from_rational(a[i][j]))
-                assert vec_eq(got, want), (label, i, j)
+                assert got == want, (label, i, j)
 
 
 def test_twisted_symmetrizer_scale():
@@ -58,18 +57,18 @@ def test_finite_loop_bracket_with_center():
     lhs = real.bracket(real.embed(m, real.gens[0][0]), real.embed(-m, real.gens[0][1]))
     want = real.embed(0, real.gens[0][2])
     vec_add(want, {("K1",): CycNum.from_rational(Fraction(m) / real.eps[0])})
-    assert vec_eq(lhs, want)
+    assert lhs == want
 
 
 def test_center_is_central():
     real = A2A_FLIP
     k1 = {("K1",): CycNum.one()}
     x = real.theta_x(1, 2, +1)
-    assert vec_is_zero(real.bracket(k1, x))
+    assert not real.bracket(k1, x)
     k2 = {("K2", 3): CycNum.one()}
-    assert vec_is_zero(real.bracket(k2, real.theta_h(0, -1)))
+    assert not real.bracket(k2, real.theta_h(0, -1))
     k1p = {("K1p", 1, 1): CycNum.one()}
-    assert vec_is_zero(real.bracket(k1p, x))
+    assert not real.bracket(k1p, x)
 
 
 def test_block_level_central_cancellation():
@@ -119,10 +118,10 @@ def test_theta_periodicity():
             for m in (-2, -1, 0, 1, 2):
                 lhs = real.theta_x(real.mu.perm[i], m, +1)
                 rhs = vec_scale(real.theta_x(i, m, +1), cyc_root(n, m))
-                assert vec_eq(lhs, rhs)
+                assert lhs == rhs
                 lhs_h = real.theta_h(real.mu.perm[i], m)
                 rhs_h = vec_scale(real.theta_h(i, m), cyc_root(n, m))
-                assert vec_eq(lhs_h, rhs_h)
+                assert lhs_h == rhs_h
 
 
 def test_theta_averaging_example():
@@ -131,14 +130,14 @@ def test_theta_averaging_example():
     got = real.theta_x(0, 1, +1)
     want = real.embed(1, real.gens[0][0])
     vec_add(want, real.embed(1, real.gens[1][0]), CycNum.from_rational(-1))
-    assert vec_eq(got, want)
+    assert got == want
     # modes vanish off the orbit lattice: node 0 of the affine flip is a
     # singleton orbit with d_i = 2, so odd modes average to zero
     real2 = A2A_FLIP
-    assert vec_is_zero(real2.theta_x(0, 1, +1))
-    assert not vec_is_zero(real2.theta_x(0, 2, +1))
+    assert not real2.theta_x(0, 1, +1)
+    assert real2.theta_x(0, 2, +1)
     # node 1 has orbit size 2, d_i = 1: no vanishing
-    assert not vec_is_zero(real2.theta_x(1, 1, +1))
+    assert real2.theta_x(1, 1, +1)
 
 
 def test_theta_vanishing_off_lattice():
@@ -148,10 +147,10 @@ def test_theta_vanishing_off_lattice():
     real = Realization(g, [2, 1, 3, 0], m1_window=10, m2_window=2)
     # center node (index 1) is fixed: N_i = 1, d_i = 3: modes not divisible
     # by 3 average to zero
-    assert vec_is_zero(real.theta_x(1, 1, +1))
-    assert vec_is_zero(real.theta_x(1, 2, +1))
-    assert not vec_is_zero(real.theta_x(1, 3, +1))
-    assert not vec_is_zero(real.theta_x(1, 0, +1))
+    assert not real.theta_x(1, 1, +1)
+    assert not real.theta_x(1, 2, +1)
+    assert real.theta_x(1, 3, +1)
+    assert real.theta_x(1, 0, +1)
 
 
 @pytest.mark.parametrize(
@@ -207,11 +206,11 @@ def test_jacobi_and_antisymmetry_random():
             yx = real.bracket(y, x)
             acc = dict(xy)
             vec_add(acc, yx)
-            assert vec_is_zero(acc)
+            assert not acc
             jac = real.bracket(xy, z)
             vec_add(jac, real.bracket(real.bracket(y, z), x))
             vec_add(jac, real.bracket(real.bracket(z, x), y))
-            assert vec_is_zero(jac)
+            assert not jac
 
 
 def test_mu_on_g_examples():
@@ -221,14 +220,14 @@ def test_mu_on_g_examples():
     alg = real.galg.alg
     for idx in range(alg.dim):
         v = {("g", 0, idx): CycNum.one()}
-        assert vec_eq(mu_map.apply(v), v)
+        assert mu_map.apply(v) == v
     # flip sends the top root vector to its negative
     real2 = A2_FLIP
     mm = real2.mu_on_g()
     alg2 = real2.galg.alg
     top = alg2.x_index(alg2.highest_root())
     v = {("g", 0, top): CycNum.one()}
-    assert vec_eq(mm.apply(v), vec_scale(v, CycNum.from_rational(-1)))
+    assert mm.apply(v) == vec_scale(v, CycNum.from_rational(-1))
 
 
 def test_mu_on_g_order():
@@ -243,7 +242,7 @@ def test_mu_on_g_order():
             w = dict(v)
             for _ in range(order):
                 w = mm.apply(w)
-            assert vec_eq(w, v)
+            assert w == v
 
 
 def test_mu_hat_checks():
@@ -281,7 +280,7 @@ def test_mu_hat_closed_matches_propagated():
                     b = hat_prop.apply({key: CycNum.one()})
                 except Exception:
                     continue
-                assert vec_eq(a, b), key
+                assert a == b, key
 
 
 def test_mu_hat_preserves_triangular_blocks():
@@ -349,6 +348,27 @@ def test_fixed_subalgebra_dims_folded_core():
     assert blocks[(1, 0)] == (10, 10)
 
 
+def test_fixed_subalgebra_dims_window_independent():
+    # the span closure stops two t1-degrees past the inner blocks, so a wider
+    # m1 window must not change any block
+    small = _real("A2^(1)", [0, 2, 1], m1w=11, m2w=5).fixed_subalgebra_dims(3)
+    wide = _real("A2^(1)", [0, 2, 1], m1w=20, m2w=5).fixed_subalgebra_dims(3)
+    assert small == wide
+
+
+def test_mu_hat_depth_one_runs_no_round():
+    real = A2A_FLIP
+    seeds = [real.theta_c()]
+    for i in range(real.gcm.n):
+        for m in range(-2, 3):
+            seeds += [real.embed(m, v) for v in real.gens[i]]
+    keys = sorted({k for v in seeds for k in v})
+    independent = matrix_rank([[v.get(k, CycNum.zero()) for k in keys] for v in seeds])
+    for depth in (1, 0, -1):
+        assert MuHat(real, m1_bound=2, depth=depth).prop.rank == independent
+    assert MuHat(real, m1_bound=2, depth=2).prop.rank > independent
+
+
 def test_fixed_subalgebra_dims_scope():
     with pytest.raises(ScopeViolation):
         A2A_ROT.fixed_subalgebra_dims(2, 1)
@@ -396,4 +416,4 @@ def test_k1p_closed_scale_identity_mu():
     real = _real("A2^(1)", [0, 1, 2], m1w=6, m2w=3)
     hat = MuHatClosed(real, real.mu_on_g())
     key = ("K1p", 2, 1)
-    assert vec_eq(hat.apply({key: CycNum.one()}), {key: CycNum.one()})
+    assert hat.apply({key: CycNum.one()}) == {key: CycNum.one()}
