@@ -35,28 +35,6 @@ class RootVec:
 
     coords: tuple[int, ...]
 
-    def __add__(self, other: "RootVec") -> "RootVec":
-        return RootVec(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "RootVec":
-        return RootVec(tuple(-a for a in self.coords))
-
-    def __sub__(self, other: "RootVec") -> "RootVec":
-        return self + (-other)
-
-    def scaled(self, k: int) -> "RootVec":
-        return RootVec(tuple(k * a for a in self.coords))
-
-    def height(self) -> int:
-        return sum(self.coords)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-    @staticmethod
-    def simple(n: int, i: int) -> "RootVec":
-        return RootVec(tuple(1 if j == i else 0 for j in range(n)))
-
 
 @dataclass(frozen=True)
 class Symmetrizer:
@@ -142,9 +120,6 @@ class Gcm:
         if not self.is_affine():
             raise NotAffine("null labels exist only for affine matrices")
         return _kernel_labels(self.entries)
-
-    def delta(self) -> RootVec:
-        return RootVec(self.null_labels())
 
     # -- root system -----------------------------------------------------------
 
@@ -366,8 +341,9 @@ def _classify(a: Matrix) -> Classification:
     raise IndefiniteType("matrix matches no finite or affine diagram")
 
 
-def _graph_iso(a: Matrix, b: Matrix) -> tuple[int, ...] | None:
-    """Permutation p with a[i][j] == b[p[i]][p[j]], or None."""
+def _graph_iso(a: Matrix, b: Matrix, pin=None) -> tuple[int, ...] | None:
+    """Permutation p with a[i][j] == b[p[i]][p[j]], or None; `pin=(i, c)`
+    asks for one with p[i] == c."""
     n = len(a)
     if len(b) != n:
         return None
@@ -387,6 +363,8 @@ def _graph_iso(a: Matrix, b: Matrix) -> tuple[int, ...] | None:
             return True
         for c in range(n):
             if used[c] or inv_b[c] != inv_a[i]:
+                continue
+            if pin is not None and (i == pin[0]) != (c == pin[1]):
                 continue
             ok = True
             for j in range(i):

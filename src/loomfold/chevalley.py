@@ -89,9 +89,6 @@ class FiniteAlg:
                     total += a * b * s
         return total
 
-    def weight(self, idx: int) -> tuple:
-        return self.root_of[idx]
-
     def highest_root(self) -> tuple:
         best = max(
             (coords for key, coords in zip(self.basis, self.root_of) if key[0] == "x"),

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from loomfold.cartan import Gcm
 from loomfold.errors import DivisionNotExact, P2Violation, ScopeViolation
-from loomfold.exactnum import CycNum, cyc_root
+from loomfold.exactnum import CycNum, cyc_root, vec_add
 from loomfold.folding import DiagramAut, FoldData, TupleSets, fold_data, index_pairs
 
 __all__ = [
@@ -61,13 +61,6 @@ class LPoly:
     def one(variables) -> "LPoly":
         return LPoly.const(variables, 1)
 
-    @staticmethod
-    def monomial(variables, exps, c=1) -> "LPoly":
-        return LPoly(variables, {tuple(exps): c})
-
-    def var_index(self, name: str) -> int:
-        return self.vars.index(name)
-
     # -- ring operations -------------------------------------------------------
 
     def _check(self, other: "LPoly"):
@@ -77,9 +70,7 @@ class LPoly:
     def __add__(self, other: "LPoly") -> "LPoly":
         self._check(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
+        vec_add(out, other.terms)
         return LPoly(self.vars, out)
 
     def __neg__(self) -> "LPoly":
@@ -94,11 +85,8 @@ class LPoly:
         self._check(other)
         out: dict = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                cur = out.get(e)
-                out[e] = c if cur is None else cur + c
+            row = {tuple(a + b for a, b in zip(e1, e2)): c2 for e2, c2 in other.terms.items()}
+            vec_add(out, row, c1)
         return LPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -159,18 +147,14 @@ class LPoly:
             new_e = [0] * len(variables)
             for pos, exp in zip(positions, e):
                 new_e[pos] += exp
-            key = tuple(new_e)
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
+            vec_add(out, {tuple(new_e): c})
         return LPoly(variables, out)
 
     def collapse_to_single(self, name: str = "w") -> "LPoly":
         """Substitute every variable by the same variable `name`."""
         out: dict = {}
         for e, c in self.terms.items():
-            key = (sum(e),)
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
+            vec_add(out, {(sum(e),): c})
         return LPoly((name,), out)
 
     def eval_rational(self, values: dict[str, Fraction]) -> CycNum:
@@ -201,14 +185,7 @@ class LPoly:
             q_e = tuple(a - b for a, b in zip(e, lead_e))
             q_c = c / lead_c
             quot[q_e] = q_c
-            for de, dc in div_terms:
-                key = tuple(a + b for a, b in zip(q_e, de))
-                cur = rem.get(key, None)
-                val = (cur if cur is not None else CycNum.zero()) - q_c * dc
-                if val:
-                    rem[key] = val
-                elif key in rem:
-                    del rem[key]
+            vec_add(rem, {tuple(a + b for a, b in zip(q_e, de)): dc for de, dc in div_terms}, -q_c)
             if e in rem:
                 raise DivisionNotExact("leading term did not cancel")
             if len(quot) > 10000:

@@ -178,22 +178,20 @@ class Verifier:
             mi = self.mu.perm[i]
             for m in range(-mode_bound, mode_bound + 1):
                 phase = cyc_root(big_n, m)
-                lhs = real.theta_h(mi, m)
-                rhs = vec_scale(real.theta_h(i, m), phase)
-                chk_h.checked += 1
-                if not _diff_zero(lhs, rhs):
-                    chk_h.record_failure((m,), _diff(lhs, rhs))
+                _expect(chk_h, (m,), real.theta_h(mi, m), vec_scale(real.theta_h(i, m), phase))
                 for sign in (+1, -1):
-                    lhs2 = real.theta_x(mi, m, sign)
-                    rhs2 = vec_scale(real.theta_x(i, m, sign), phase)
-                    chk_x.checked += 1
-                    if not _diff_zero(lhs2, rhs2):
-                        chk_x.record_failure((m, sign), _diff(lhs2, rhs2))
+                    _expect(
+                        chk_x,
+                        (m, sign),
+                        real.theta_x(mi, m, sign),
+                        vec_scale(real.theta_x(i, m, sign), phase),
+                    )
                     xc = real.bracket(real.theta_x(i, m, sign), k1)
                     if xc:
                         chk_x.record_failure((m, sign, "c"), xc)
-                if real.bracket(real.theta_h(i, m), k1):
-                    chk_h.record_failure((m, "c"), real.bracket(real.theta_h(i, m), k1))
+                hc = real.bracket(real.theta_h(i, m), k1)
+                if hc:
+                    chk_h.record_failure((m, "c"), hc)
             report.checks.append(chk_h)
             report.checks.append(chk_x)
 
@@ -216,40 +214,32 @@ class Verifier:
                                     / eps[j]
                                 )
                             want = vec_scale(k1, c)
-                        chk_hh.checked += 1
-                        if not _diff_zero(got, want):
-                            chk_hh.record_failure((m, nn), _diff(got, want))
+                        _expect(chk_hh, (m, nn), got, want)
 
                         for sign, chk in ((+1, chk_hx_p), (-1, chk_hx_m)):
-                            got2 = real.bracket(hm, real.theta_x(j, nn, sign))
+                            got = real.bracket(hm, real.theta_x(j, nn, sign))
                             c2 = CycNum.zero(big_n)
                             for k in range(big_n):
                                 c2 = c2 + cyc_root(big_n, k * m).mul_rational(
                                     Fraction(sign * a[i][self.mu.apply(j, k)])
                                 )
-                            want2 = vec_scale(real.theta_x(j, m + nn, sign), c2)
-                            chk.checked += 1
-                            if not _diff_zero(got2, want2):
-                                chk.record_failure((m, nn), _diff(got2, want2))
+                            want = vec_scale(real.theta_x(j, m + nn, sign), c2)
+                            _expect(chk, (m, nn), got, want)
 
-                        got3 = real.bracket(
-                            real.theta_x(i, m, +1), real.theta_x(j, nn, -1)
-                        )
-                        want3 = {}
+                        got = real.bracket(real.theta_x(i, m, +1), real.theta_x(j, nn, -1))
+                        want = {}
                         for k in range(big_n):
                             if self.mu.apply(j, k) != i:
                                 continue
                             phase = cyc_root(big_n, k * m)
-                            vec_add(want3, real.theta_h(j, m + nn), phase)
+                            vec_add(want, real.theta_h(j, m + nn), phase)
                             if m + nn == 0:
                                 vec_add(
-                                    want3,
+                                    want,
                                     k1,
                                     phase.mul_rational(Fraction(m * big_n) / eps[j]),
                                 )
-                        chk_xx.checked += 1
-                        if not _diff_zero(got3, want3):
-                            chk_xx.record_failure((m, nn), _diff(got3, want3))
+                        _expect(chk_xx, (m, nn), got, want)
                 report.checks.append(chk_hh)
                 report.checks.append(chk_hx_p)
                 report.checks.append(chk_hx_m)
@@ -261,30 +251,9 @@ class Verifier:
     def verify_locality(self, i: int, j: int, mode_bound: int) -> RelationReport:
         from loomfold.polys import locality_poly
 
-        real = self.real
         poly = locality_poly(self.gcm, self.mu, i, j)
-        terms = _sigma_terms(poly)
-        report = RelationReport()
         grid = f"|m|,|n|<={mode_bound}"
-        for sign in (+1, -1):
-            kind = "Xplus" if sign > 0 else "Xminus"
-            chk = RelationCheck(kind, (i, j), sign, grid)
-            cache = _NestedBrackets(real, i, j, sign)
-            for m in range(-mode_bound, mode_bound + 1):
-                for nn in range(-mode_bound, mode_bound + 1):
-                    total: dict = {}
-                    try:
-                        for coeff, (az, aw) in terms:
-                            val = cache.get((m + az, nn + aw))
-                            vec_add(total, val, coeff)
-                    except OutOfWindow:
-                        chk.gaps.append((m, nn))
-                        continue
-                    chk.checked += 1
-                    if total:
-                        chk.record_failure((m, nn), total)
-            report.checks.append(chk)
-        return report
+        return self._verify_weighted("X", i, j, {(0,): poly}, mode_bound, 1, grid)
 
     def verify_locality_all(self, mode_bound: int) -> RelationReport:
         report = RelationReport()
@@ -303,6 +272,7 @@ class Verifier:
         sigma_polys: dict,
         mode_bound: int,
         arity: int,
+        grid: str | None = None,
     ) -> RelationReport:
         real = self.real
         report = RelationReport()
@@ -311,7 +281,7 @@ class Verifier:
             if poly.is_zero():
                 continue
             prepared.append((sigma, _sigma_terms(poly)))
-        grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
+        grid = grid or f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
         for sign in (+1, -1):
             chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i, j), sign, grid)
             cache = _NestedBrackets(real, i, j, sign)
@@ -446,14 +416,13 @@ class Verifier:
         return report
 
 
-def _diff(lhs, rhs) -> dict:
-    out = dict(lhs)
-    vec_add(out, rhs, CycNum.from_rational(-1))
-    return out
-
-
-def _diff_zero(lhs, rhs) -> bool:
-    return not _diff(lhs, rhs)
+def _expect(chk: RelationCheck, modes: tuple, got: dict, want: dict) -> None:
+    """Count one check of `chk`; record got - want when they differ."""
+    chk.checked += 1
+    if got != want:
+        residual = dict(got)
+        vec_add(residual, want, CycNum.from_rational(-1))
+        chk.record_failure(modes, residual)
 
 
 # ---------------------------------------------------------------------------

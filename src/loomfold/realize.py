@@ -5,7 +5,10 @@ Layers:
 * g-level (`GAlg`): the finite algebra itself, or its loop-affinization
   Aff = (sum_m t2^m (x) gdot_[m]) + C k2 with the degree cocycle.  Elements
   ("AffElem") are sparse dicts over keys ("g", m2, basis index) | ("k2",)
-  with CycNum coefficients; no truncation is needed at this level.
+  with CycNum coefficients; no truncation is needed at this level.  The
+  bracket and the form go per t2-block through the finite algebra's
+  `bracket` and `pair`, plus the cocycle m delta_{m+n,0} (u|v) k2; only the
+  hot `Realization.bracket` reads the structure tables itself.
 * ghat-level: the universal central extension over t1.  Elements
   ("AlgElem") are sparse dicts over keys
       ("L", m1, m2, basis index)   loop vectors t1^m1 t2^m2 (x) v
@@ -103,59 +106,39 @@ class GAlg:
     # -- element arithmetic ---------------------------------------------------
 
     def bracket(self, x: AffElem, y: AffElem) -> AffElem:
+        """The loop bracket: per pair of t2-blocks, t2^(m+n) (x) [u, v], plus
+        the cocycle m (u|v) k2 when m + n = 0 != m (affine only)."""
         alg = self.alg
         affine = self.mode == "affine"
         out: AffElem = {}
-        for kx, cx in x.items():
-            if kx[0] != "g":
-                continue
-            m2, b = kx[1], kx[2]
-            for ky, cy in y.items():
-                if ky[0] != "g":
-                    continue
-                n2, c = ky[1], ky[2]
-                entry = alg.brackets.get((b, c))
-                pairing = alg.form.get((b, c)) if affine and m2 + n2 == 0 and m2 != 0 else None
-                if not entry and not pairing:
-                    continue
-                coeff = cx * cy
-                if entry:
-                    p2 = m2 + n2
-                    for t, s in entry.items():
-                        key = ("g", p2, t)
-                        cur = out.get(key)
-                        val = coeff.mul_rational(s) if cur is None else cur + coeff.mul_rational(s)
-                        if val:
-                            out[key] = val
-                        elif key in out:
-                            del out[key]
-                if pairing:
-                    key = ("k2",)
-                    cur = out.get(key)
-                    val = coeff.mul_rational(pairing * m2)
-                    val = val if cur is None else cur + val
-                    if val:
-                        out[key] = val
-                    elif key in out:
-                        del out[key]
+        y_blocks = _t2_blocks(y)
+        for m, u in _t2_blocks(x).items():
+            for n, v in y_blocks.items():
+                vec_add(out, {("g", m + n, t): c for t, c in alg.bracket(u, v).items()})
+                if affine and m + n == 0 and m != 0:
+                    s = alg.pair(u, v)
+                    if s:
+                        vec_add(out, {("k2",): s * m})
         return out
 
     def pair(self, x: AffElem, y: AffElem) -> CycNum:
         """The invariant form; k2 pairs to zero with everything."""
-        alg = self.alg
+        y_blocks = _t2_blocks(y)
         total = CycNum.zero()
-        for kx, cx in x.items():
-            if kx[0] != "g":
-                continue
-            for ky, cy in y.items():
-                if ky[0] != "g":
-                    continue
-                if kx[1] + ky[1] != 0:
-                    continue
-                s = alg.form.get((kx[2], ky[2]))
-                if s:
-                    total = total + (cx * cy).mul_rational(s)
+        for m, u in _t2_blocks(x).items():
+            v = y_blocks.get(-m)
+            if v:
+                total = total + self.alg.pair(u, v)
         return total
+
+
+def _t2_blocks(x: AffElem) -> dict:
+    """The g-part of x split by t2-degree: {m2: {basis index: coefficient}}."""
+    blocks: dict = {}
+    for k, c in x.items():
+        if k[0] == "g":
+            blocks.setdefault(k[1], {})[k[2]] = c
+    return blocks
 
 
 def _lift_finite(v) -> AffElem:
@@ -305,7 +288,7 @@ class Realization:
         self.n_order = self.mu.order
         self.galg = GAlg(self.cls)
         self.field = lcm(self.n_order, self.galg.r)
-        perm = self.cls.perm
+        perm = self._node_perm()
         self.gens = [
             tuple(
                 {k: c.lift(self.field) for k, c in v.items()}
@@ -317,6 +300,20 @@ class Realization:
         self.eps = gcm.symmetrizer(self._coroot_form).eps
         self._theta_cache: dict = {}
         self._mu_g: list | None = None
+
+    def _node_perm(self) -> tuple:
+        """Input node -> canonical node.  The classification's isomorphism,
+        unless mu moves the node it sends to the affine node 0: then the
+        first isomorphism sending a mu-fixed node to 0, if there is one, so
+        that a grading-preserving twist keeps its generator images graded."""
+        perm, mu = self.cls.perm, self.mu.perm
+        if self.cls.kind == "affine" and mu[perm.index(0)] != perm.index(0):
+            for f in range(self.gcm.n):
+                if mu[f] == f:
+                    pinned = _graph_iso(self.gcm.entries, self.cls.canonical, pin=(f, 0))
+                    if pinned is not None:
+                        return pinned
+        return perm
 
     def _phase(self, k: int) -> CycNum:
         """xi_N ** k as an element of the realization's field Q(xi_L)."""
@@ -668,15 +665,9 @@ class MuHatClosed:
             u = self.map.apply({("g", 0, h_idx): CycNum.one()})
             v = self.map.apply({("g", m2, h_idx): CycNum.one()})
             num = CycNum.zero()
-            for ku, cu in u.items():
-                if ku[0] != "g":
-                    continue
-                for kv, cv in v.items():
-                    if kv[0] != "g":
-                        continue
-                    s = alg.form.get((ku[2], kv[2]))
-                    if s:
-                        num = num + (cu * cv).mul_rational(s)
+            for ub in _t2_blocks(u).values():
+                for vb in _t2_blocks(v).values():
+                    num = num + alg.pair(ub, vb)
             base = alg.form[(h_idx, h_idx)]
             cached = self._k1p_scales[m2] = num.mul_rational(Fraction(1) / base)
         return cached
@@ -684,26 +675,16 @@ class MuHatClosed:
     def apply(self, x: AlgElem) -> AlgElem:
         out: AlgElem = {}
         for key, c in x.items():
-            if key[0] == "L":
-                m1, m2, idx = key[1], key[2], key[3]
-                img = self.map.apply({("g", m2, idx): CycNum.one()})
-                phase = self.real._phase(-m1)
-                for k2, s in img.items():
-                    if k2[0] == "g":
-                        vec_add(out, {("L", m1, k2[1], k2[2]): c * s * phase})
-                    else:
-                        vec_add(out, {("K2", m1): c * s * phase})
+            if key[0] in ("L", "K2"):
+                m1 = key[1]
+                g_key = ("g", key[2], key[3]) if key[0] == "L" else ("k2",)
+                img = self.real.embed(m1, self.map.apply({g_key: CycNum.one()}))
+                vec_add(out, img, c * self.real._phase(-m1))
             elif key[0] == "K1":
                 vec_add(out, {key: c})
             elif key[0] == "K1p":
                 scale = self.real._phase(-key[1]) * self._k1p_scale(key[2])
                 vec_add(out, {key: c * scale})
-            elif key[0] == "K2":
-                img = self.map.apply({("k2",): CycNum.one()})
-                phase = self.real._phase(-key[1])
-                for k2, s in img.items():
-                    assert k2 == ("k2",)
-                    vec_add(out, {("K2", key[1]): c * s * phase})
         return out
 
 

@@ -5,6 +5,7 @@ import pytest
 from loomfold.cartan import (
     Gcm,
     RootVec,
+    _graph_iso,
     canonical_matrix,
     classify,
     finite_matrix,
@@ -100,6 +101,17 @@ def test_classify_relabeled_input():
     for i in range(5):
         for j in range(5):
             assert m[i][j] == canon[c.perm[i]][c.perm[j]]
+
+
+def test_graph_iso_pin():
+    a = finite_matrix("A", 3)
+    assert _graph_iso(a, a, pin=(0, 0)) == (0, 1, 2)
+    assert _graph_iso(a, a, pin=(0, 2)) == (2, 1, 0)
+    assert _graph_iso(a, a, pin=(0, 1)) is None  # an end node is no middle node
+    tri = canonical_matrix("A2^(1)")
+    for f in range(3):
+        p = _graph_iso(tri, tri, pin=(f, 0))
+        assert p[f] == 0 and sorted(p) == [0, 1, 2]
 
 
 def test_null_labels():

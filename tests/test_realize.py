@@ -11,6 +11,7 @@ from loomfold.realize import (
     MuHat,
     MuHatClosed,
     Realization,
+    affinize,
     vec_add,
     vec_scale,
 )
@@ -372,6 +373,67 @@ def test_mu_hat_depth_one_runs_no_round():
 def test_fixed_subalgebra_dims_scope():
     with pytest.raises(ScopeViolation):
         A2A_ROT.fixed_subalgebra_dims(2, 1)
+
+
+def test_fixed_subalgebra_dims_node_labelling():
+    # the same flip of A2^(1), fixing node 0, 1 or 2: the realization sends
+    # the fixed node to the affine node, so all three keep the t2-grading
+    g = Gcm(canonical_matrix("A2^(1)"))
+    dims = [
+        Realization(g, mu, m1_window=6, m2_window=4).fixed_subalgebra_dims(1)
+        for mu in ([0, 2, 1], [2, 1, 0], [1, 0, 2])
+    ]
+    assert dims[0] == dims[1] == dims[2]
+
+
+def _loop_bracket_reference(galg, x, y):
+    """[t2^m u, t2^n v] summed over basis pairs of the structure tables."""
+    alg = galg.alg
+    out = {}
+    for kx, cx in x.items():
+        for ky, cy in y.items():
+            if kx[0] != "g" or ky[0] != "g":
+                continue
+            (m, b), (n, c) = kx[1:], ky[1:]
+            for t, s in alg.brackets.get((b, c), {}).items():
+                vec_add(out, {("g", m + n, t): cx * cy * s})
+            if galg.mode == "affine" and m + n == 0 and m != 0 and (b, c) in alg.form:
+                vec_add(out, {("k2",): cx * cy * (m * alg.form[(b, c)])})
+    return out
+
+
+def _loop_pair_reference(galg, x, y):
+    total = CycNum.zero()
+    for kx, cx in x.items():
+        for ky, cy in y.items():
+            if kx[0] == ky[0] == "g" and kx[1] + ky[1] == 0:
+                total = total + cx * cy * galg.alg.form.get((kx[2], ky[2]), 0)
+    return total
+
+
+@pytest.mark.parametrize("label", ["A2^(1)", "A2^(2)", "D4^(1)"])
+def test_galg_kernel_matches_basis_pair_reference(label):
+    galg, _ = affinize(label)
+    dim = galg.alg.dim
+    rng = random.Random(label)
+
+    def rand_elem():
+        x = {}
+        for _ in range(rng.randint(1, 8)):
+            c = CycNum(3, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-3, 3)])
+            x[("g", rng.randint(-2, 2), rng.randrange(dim))] = c
+        if rng.random() < 0.3:
+            x[("k2",)] = CycNum(3, [1, rng.randint(-2, 2)])
+        return {k: c for k, c in x.items() if c}
+
+    with_k2 = 0
+    for _ in range(60):
+        x, y = rand_elem(), rand_elem()
+        got = galg.bracket(x, y)
+        assert got == _loop_bracket_reference(galg, x, y)
+        assert galg.pair(x, y) == _loop_pair_reference(galg, x, y)
+        with_k2 += ("k2",) in got
+    assert with_k2  # the cocycle term was exercised
 
 
 def test_affine_pairing_rule():

@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# Compare the CLI output of this tree with that of a git revision, byte for byte.
+#
+#   tools/bytediff.sh REF
+#
+# Checks REF out into a temporary worktree, runs the same loomfold commands on
+# both trees (from ./src, nothing installed) and compares stdout, stderr and
+# exit code of each.  Prints the differences and exits 1 if there are any.
+set -u
+ref=${1:?usage: tools/bytediff.sh REF}
+root=$(git rev-parse --show-toplevel) || exit 2
+tmp=$(mktemp -d)
+trap 'git -C "$root" worktree remove --force "$tmp/ref" 2>/dev/null; rm -rf "$tmp"' EXIT
+git -C "$root" worktree add --detach -q "$tmp/ref" "$ref" || exit 2
+
+# inputs, named relative to $tmp so that both trees print the same
+one='{"exps": [0, 0, 0], "coeff": {"order": 1, "coeffs": ["1"]}}'
+echo "{\"name\": \"plain\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
+  {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$one]}}}]}" >"$tmp/fam.json"
+echo '{"cartan": [[2, -1], [-4, 2]], "mu": [0, 1]}' >"$tmp/a22.json"
+entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
+  'from loomfold.catalog import load_entries; print(*(e.name for e in load_entries(None)))') \
+  || exit 2
+{
+  echo catalog
+  for e in $entries; do
+    for cmd in classify fold crosscheck polys "polys --crosscheck" "polys --format latex"; do
+      echo "$cmd --entry $e"
+    done
+  done
+  echo "verify --entry all --modes 2 --jobs 2"
+  echo "verify --entry A2a-flip --modes 1 --family user:fam.json"
+  echo "verify --entry A2a-flip --modes 2 --window 3,2"
+  echo "verify --input a22.json --modes 1"
+  echo "verify --input a22.json --modes 1 --family user:fam.json"
+} >"$tmp/commands"
+
+run() {  # run SRC OUT: stdout, stderr and "exit-code command" per numbered command
+  mkdir -p "$2"
+  local n=0 cmd
+  while IFS= read -r cmd; do
+    n=$((n + 1))
+    # shellcheck disable=SC2086  # $cmd is split into arguments on purpose
+    (cd "$tmp" && PYTHONPATH="$1" python3 -m loomfold.cli $cmd >"$2/$n.out" 2>"$2/$n.err")
+    echo "$? $cmd" >"$2/$n.exit"
+  done <"$tmp/commands"
+}
+run "$tmp/ref/src" "$tmp/a"
+run "$root/src" "$tmp/b"
+
+status=0
+for f in "$tmp"/a/*; do
+  n=${f##*/}
+  cmp -s "$f" "$tmp/b/$n" && continue
+  echo "== $n: loomfold $(cut -d' ' -f2- "$tmp/a/${n%.*}.exit")"
+  diff "$f" "$tmp/b/$n" | head -n 20
+  status=1
+done
+[ "$status" = 0 ] && echo "bytediff: no difference from $ref in $(wc -l <"$tmp/commands") commands"
+exit "$status"
