@@ -146,6 +146,8 @@ def _load_user_family(gcm, path: str) -> SerreFamily:
             if sigmas and poly.vars != next(iter(sigmas.values())).vars:
                 raise JobError(f"{where}: every permutation must use the same variables")
             sigmas[_permutation(key, len(poly.vars) - 1, where)] = poly
+        if not any(sigmas.values()):
+            raise JobError(f"{where}: every polynomial is zero, so its relation would read 0 = 0")
         fam.entries[(i, j)] = sigmas
     if not fam.entries:
         raise JobError("family file holds no pairs")

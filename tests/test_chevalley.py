@@ -1,10 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from loomfold.chevalley import apply_linear, chevalley, mu_extend_finite
-from loomfold.errors import InconsistentPropagation, UnknownType
+from loomfold.chevalley import FiniteAlg, apply_linear, chevalley, mu_extend_finite
+from loomfold.errors import GeneratorAssertionFailed, InconsistentPropagation, UnknownType
+from loomfold.exactnum import vec_add
 
 
 def test_a1_triple():
@@ -27,7 +29,18 @@ def test_a2_dimensions_and_serre():
 
 @pytest.mark.parametrize(
     "label,dim",
-    [("A3", 15), ("D4", 28), ("B3", 21), ("C2", 10), ("C3", 21), ("G2", 14), ("F4", 52)],
+    [
+        ("A3", 15),
+        ("D4", 28),
+        ("B3", 21),
+        ("C2", 10),
+        ("C3", 21),
+        ("G2", 14),
+        ("F4", 52),
+        ("E6", 78),
+        ("E7", 133),
+        ("E8", 248),
+    ],
 )
 def test_dimensions(label, dim):
     alg = chevalley(label)
@@ -149,3 +162,111 @@ def test_highest_root():
     alg = chevalley("A2")
     assert alg.highest_root() == (1, 1)
     assert chevalley("G2").highest_root() in {(3, 2), (2, 3)}
+
+
+def _dense_assert_structure(alg):
+    """The structure check as loops over every basis pair and triple: the
+    reference `FiniteAlg.assert_structure` must agree with."""
+
+    def unit(i):
+        return {i: 1}
+
+    n = alg.dim
+    for i in range(n):
+        for j in range(i, n):
+            vij = alg.brackets.get((i, j), {})
+            vji = alg.brackets.get((j, i), {})
+            keys = set(vij) | set(vji)
+            for k in keys:
+                if vij.get(k, 0) != -vji.get(k, 0):
+                    raise GeneratorAssertionFailed(
+                        f"{alg.label}: bracket not antisymmetric at ({i},{j})"
+                    )
+    for i in range(n):
+        for j in range(i + 1, n):
+            bij = alg.brackets.get((i, j), {})
+            for k in range(j, n):
+                acc = {}
+                for term in (
+                    alg.bracket(bij, unit(k)),
+                    alg.bracket(alg.brackets.get((j, k), {}), unit(i)),
+                    alg.bracket(alg.brackets.get((k, i), {}), unit(j)),
+                ):
+                    vec_add(acc, term)
+                if acc:
+                    raise GeneratorAssertionFailed(f"{alg.label}: Jacobi fails at ({i},{j},{k})")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = alg.pair(alg.brackets.get((i, j), {}), unit(k))
+                rhs = alg.pair(unit(i), alg.brackets.get((j, k), {}))
+                if lhs != rhs:
+                    raise GeneratorAssertionFailed(
+                        f"{alg.label}: form not invariant at ({i},{j},{k})"
+                    )
+
+
+def _verdict(check, alg):
+    try:
+        check(alg)
+    except GeneratorAssertionFailed as exc:
+        return str(exc)
+    return None
+
+
+def _mutate(alg, rng):
+    """A copy of `alg` with one or two seeded changes to its structure tables."""
+    brackets, form = dict(alg.brackets), dict(alg.form)
+
+    def add(a, b, l, c):
+        vec = dict(brackets.get((a, b), {}))
+        vec[l] = vec.get(l, 0) + c
+        brackets[(a, b)] = vec
+
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(4)
+        if kind == 0:  # scale one constant of one order
+            a, b = rng.choice(sorted(alg.brackets))
+            l = rng.choice(sorted(alg.brackets[(a, b)]))
+            vec = dict(brackets[(a, b)])
+            vec[l] *= rng.choice([0, -1, 2, 3, Fraction(1, 2)])
+            brackets[(a, b)] = vec
+        elif kind == 1:  # negate one constant in both orders
+            a, b = rng.choice(sorted(alg.brackets))
+            l = rng.choice(sorted(alg.brackets[(a, b)]))
+            c = alg.brackets[(a, b)][l]
+            add(a, b, l, -2 * c)
+            add(b, a, l, 2 * c)
+        elif kind == 2:  # a new antisymmetric entry
+            a, b = rng.sample(range(alg.dim), 2)
+            l, c = rng.randrange(alg.dim), rng.choice([-2, -1, 1, 2, Fraction(1, 3)])
+            add(a, b, l, c)
+            add(b, a, l, -c)
+        else:  # bump one form entry
+            key = (rng.randrange(alg.dim), rng.randrange(alg.dim))
+            if rng.random() < 0.5:
+                key = rng.choice(sorted(alg.form))
+            form[key] = form.get(key, 0) + rng.choice([-1, 1, Fraction(1, 2)])
+    return dataclasses.replace(alg, brackets=brackets, form=form)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4", "G2", "C3", "B3"])
+def test_assert_structure_matches_dense_reference(label):
+    # 150 seeded mutated tables per algebra: the sparse check raises exactly when
+    # the dense loops do, naming the same first failing pair or triple
+    alg = chevalley(label)
+    assert _verdict(_dense_assert_structure, alg) is None
+    assert _verdict(FiniteAlg.assert_structure, alg) is None
+    rng = random.Random(f"structure-{label}")
+    kinds = set()
+    for _ in range(150):
+        bad = _mutate(alg, rng)
+        want = _verdict(_dense_assert_structure, bad)
+        assert _verdict(FiniteAlg.assert_structure, bad) == want
+        if want is not None:
+            kinds.add(want.split(" at ")[0])
+    assert kinds == {
+        f"{label}: bracket not antisymmetric",
+        f"{label}: Jacobi fails",
+        f"{label}: form not invariant",
+    }

@@ -281,6 +281,9 @@ def _user(coeff=_ONE, key="0,1", **pair):
         ("f", {"pairs": [{"i": 0.0, "j": 1, "poly": _poly(([0, 0, 1], _ONE))}]}),
         ("f", {"pairs": [{"i": 0, "j": 1}]}),
         ("f", {"pairs": [{"i": 0, "j": 1, "poly": _poly(([0, 0, 1], _ONE), ([0, 0, 1], _ONE))}]}),
+        # all-zero polynomials would make a relation that certifies 0 = 0
+        ("user", {"pairs": [{"i": 1, "j": 0, "terms": {"0,1": _poly()}}]}),
+        _user({"order": 1, "coeffs": ["0"]}),
     ],
 )
 def test_verify_rejects_malformed_family_file(runner, tmp_path, selector, content):

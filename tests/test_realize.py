@@ -22,11 +22,26 @@ def _real(label, perm, m1w=14, m2w=6):
     return Realization(g, perm, m1_window=m1w, m2_window=m2w)
 
 
-# builds are cached per test session by reusing these module-level objects
-A2_FLIP = _real("A2", [1, 0])
-A1A_FLIP = _real("A1^(1)", [1, 0])
-A2A_FLIP = _real("A2^(1)", [0, 2, 1])
-A2A_ROT = _real("A2^(1)", [1, 2, 0])
+# built once per test session, on first use, so that a fault in a build
+# fails the tests that use it instead of the collection of this module
+@pytest.fixture(scope="session")
+def a2_flip():
+    return _real("A2", [1, 0])
+
+
+@pytest.fixture(scope="session")
+def a1a_flip():
+    return _real("A1^(1)", [1, 0])
+
+
+@pytest.fixture(scope="session")
+def a2a_flip():
+    return _real("A2^(1)", [0, 2, 1])
+
+
+@pytest.fixture(scope="session")
+def a2a_rot():
+    return _real("A2^(1)", [1, 2, 0])
 
 
 def test_affine_generator_matrices_match_canonical():
@@ -52,8 +67,8 @@ def test_twisted_symmetrizer_scale():
     assert a11.as_fraction() == Fraction(2) / real.eps[0]
 
 
-def test_finite_loop_bracket_with_center():
-    real = A2_FLIP
+def test_finite_loop_bracket_with_center(a2_flip):
+    real = a2_flip
     m = 3
     lhs = real.bracket(real.embed(m, real.gens[0][0]), real.embed(-m, real.gens[0][1]))
     want = real.embed(0, real.gens[0][2])
@@ -61,8 +76,8 @@ def test_finite_loop_bracket_with_center():
     assert lhs == want
 
 
-def test_center_is_central():
-    real = A2A_FLIP
+def test_center_is_central(a2a_flip):
+    real = a2a_flip
     k1 = {("K1",): CycNum.one()}
     x = real.theta_x(1, 2, +1)
     assert not real.bracket(k1, x)
@@ -90,9 +105,9 @@ def test_block_level_central_cancellation():
     assert ("K1p", 1, 2) in out2
 
 
-def test_delta_branch_central_coefficient():
+def test_delta_branch_central_coefficient(a2a_flip):
     # Cartan loop vectors at crossing degrees produce the divided symbol
-    real = A2A_FLIP
+    real = a2a_flip
     alg = real.galg.alg
     h = alg.h_idx[0]
     x = {("L", 2, 0, h): CycNum.one()}
@@ -111,9 +126,9 @@ def test_out_of_window():
         real.theta_x(0, 4, +1)
 
 
-def test_theta_periodicity():
+def test_theta_periodicity(a2_flip, a1a_flip, a2a_flip, a2a_rot):
     # images of relabeled modes: x_{mu(i), m} = xi^m x_{i, m}
-    for real in (A2_FLIP, A2A_FLIP, A2A_ROT, A1A_FLIP):
+    for real in (a2_flip, a2a_flip, a2a_rot, a1a_flip):
         n = real.n_order
         for i in range(real.gcm.n):
             for m in (-2, -1, 0, 1, 2):
@@ -125,16 +140,16 @@ def test_theta_periodicity():
                 assert lhs_h == rhs_h
 
 
-def test_theta_averaging_example():
+def test_theta_averaging_example(a2_flip, a2a_flip):
     # flip on the finite chain: the mode-1 average is e_0 - e_1
-    real = A2_FLIP
+    real = a2_flip
     got = real.theta_x(0, 1, +1)
     want = real.embed(1, real.gens[0][0])
     vec_add(want, real.embed(1, real.gens[1][0]), CycNum.from_rational(-1))
     assert got == want
     # modes vanish off the orbit lattice: node 0 of the affine flip is a
     # singleton orbit with d_i = 2, so odd modes average to zero
-    real2 = A2A_FLIP
+    real2 = a2a_flip
     assert not real2.theta_x(0, 1, +1)
     assert real2.theta_x(0, 2, +1)
     # node 1 has orbit size 2, d_i = 1: no vanishing
@@ -181,8 +196,8 @@ def test_brackets_stay_in_the_realization_field(monkeypatch, label, perm, field)
                 assert all(c.order == field for c in v.values())
 
 
-def test_grading_additivity():
-    real = A2A_FLIP
+def test_grading_additivity(a2a_flip):
+    real = a2a_flip
     x = real.theta_x(1, 2, +1)
     y = real.theta_x(2, -1, +1)
     out = real.bracket(x, y)
@@ -190,9 +205,9 @@ def test_grading_additivity():
         assert key[1] == 1  # t1-degrees add
 
 
-def test_jacobi_and_antisymmetry_random():
+def test_jacobi_and_antisymmetry_random(a2_flip, a1a_flip, a2a_flip, a2a_rot):
     rng = random.Random(20240609)
-    for real in (A2_FLIP, A2A_FLIP, A1A_FLIP, A2A_ROT):
+    for real in (a2_flip, a2a_flip, a1a_flip, a2a_rot):
         nodes = range(real.gcm.n)
         elems = []
         for i in nodes:
@@ -214,7 +229,7 @@ def test_jacobi_and_antisymmetry_random():
             assert not jac
 
 
-def test_mu_on_g_examples():
+def test_mu_on_g_examples(a2_flip):
     # identity automorphism acts as the identity
     real = _real("A2", [0, 1], m1w=4, m2w=2)
     mu_map = real.mu_on_g()
@@ -223,7 +238,7 @@ def test_mu_on_g_examples():
         v = {("g", 0, idx): CycNum.one()}
         assert mu_map.apply(v) == v
     # flip sends the top root vector to its negative
-    real2 = A2_FLIP
+    real2 = a2_flip
     mm = real2.mu_on_g()
     alg2 = real2.galg.alg
     top = alg2.x_index(alg2.highest_root())
@@ -231,8 +246,8 @@ def test_mu_on_g_examples():
     assert mm.apply(v) == vec_scale(v, CycNum.from_rational(-1))
 
 
-def test_mu_on_g_order():
-    for real, order in ((A2A_FLIP, 2), (A2A_ROT, 3)):
+def test_mu_on_g_order(a2a_flip, a2a_rot):
+    for real, order in ((a2a_flip, 2), (a2a_rot, 3)):
         mm = real.mu_on_g()
         alg = real.galg.alg
         rng = random.Random(5)
@@ -246,8 +261,8 @@ def test_mu_on_g_order():
             assert w == v
 
 
-def test_mu_hat_checks():
-    for real in (A2_FLIP, A2A_FLIP, A2A_ROT, A1A_FLIP):
+def test_mu_hat_checks(a2_flip, a1a_flip, a2a_flip, a2a_rot):
+    for real in (a2_flip, a2a_flip, a2a_rot, a1a_flip):
         hat = real.mu_hat()
         sample = [
             real.theta_x(0, 1, +1),
@@ -269,8 +284,8 @@ def test_mu_hat_checks():
                 assert hat.fixes(real.theta_x(i, m, -1))
 
 
-def test_mu_hat_closed_matches_propagated():
-    real = A2A_FLIP
+def test_mu_hat_closed_matches_propagated(a2a_flip):
+    real = a2a_flip
     hat_prop = real.mu_hat()
     hat_closed = MuHatClosed(real, real.mu_on_g())
     for m1 in (-2, 0, 1):
@@ -284,9 +299,9 @@ def test_mu_hat_closed_matches_propagated():
                 assert a == b, key
 
 
-def test_mu_hat_preserves_triangular_blocks():
+def test_mu_hat_preserves_triangular_blocks(a2a_flip):
     # raising-part keys map to raising-part keys, Cartan to Cartan
-    real = A2A_FLIP
+    real = a2a_flip
     hat = MuHatClosed(real, real.mu_on_g())
     alg = real.galg.alg
 
@@ -309,8 +324,8 @@ def test_mu_hat_preserves_triangular_blocks():
                     assert all(k2[0] != "L" for k2 in img)
 
 
-def test_mu_hat_k1_fixed():
-    for real in (A2A_FLIP, A2A_ROT):
+def test_mu_hat_k1_fixed(a2a_flip, a2a_rot):
+    for real in (a2a_flip, a2a_rot):
         hat = real.mu_hat()
         assert hat.fixes({("K1",): CycNum.one()})
 
@@ -323,8 +338,8 @@ def test_fixed_subalgebra_dims_identity():
         assert fixed == len(real.block_keys(m1, m2))
 
 
-def test_fixed_subalgebra_dims_finite_flip():
-    real = A2_FLIP
+def test_fixed_subalgebra_dims_finite_flip(a2_flip):
+    real = a2_flip
     blocks = real.fixed_subalgebra_dims(3)
     for (m1, _), (fixed, generated) in blocks.items():
         assert fixed == generated
@@ -335,8 +350,8 @@ def test_fixed_subalgebra_dims_finite_flip():
         assert fixed == expect, (m1, fixed)
 
 
-def test_fixed_subalgebra_dims_affine_flip():
-    real = A2A_FLIP
+def test_fixed_subalgebra_dims_affine_flip(a2a_flip):
+    real = a2a_flip
     blocks = real.fixed_subalgebra_dims(2, 2)
     assert all(f == g for f, g in blocks.values())
 
@@ -357,8 +372,8 @@ def test_fixed_subalgebra_dims_window_independent():
     assert small == wide
 
 
-def test_mu_hat_depth_one_runs_no_round():
-    real = A2A_FLIP
+def test_mu_hat_depth_one_runs_no_round(a2a_flip):
+    real = a2a_flip
     seeds = [real.theta_c()]
     for i in range(real.gcm.n):
         for m in range(-2, 3):
@@ -370,9 +385,9 @@ def test_mu_hat_depth_one_runs_no_round():
     assert MuHat(real, m1_bound=2, depth=2).prop.rank > independent
 
 
-def test_fixed_subalgebra_dims_scope():
+def test_fixed_subalgebra_dims_scope(a2a_rot):
     with pytest.raises(ScopeViolation):
-        A2A_ROT.fixed_subalgebra_dims(2, 1)
+        a2a_rot.fixed_subalgebra_dims(2, 1)
 
 
 def test_fixed_subalgebra_dims_node_labelling():
@@ -436,9 +451,9 @@ def test_galg_kernel_matches_basis_pair_reference(label):
     assert with_k2  # the cocycle term was exercised
 
 
-def test_affine_pairing_rule():
+def test_affine_pairing_rule(a2a_flip):
     # <t2^m x, t2^n y> = <x, y> delta_{m+n,0}; the loop center pairs to zero
-    real = A2A_FLIP
+    real = a2a_flip
     galg = real.galg
     alg = galg.alg
     h = alg.h_idx[0]
@@ -452,10 +467,10 @@ def test_affine_pairing_rule():
     assert galg.pair(k2, k2).is_zero()
 
 
-def test_aff_level_form_invariance():
+def test_aff_level_form_invariance(a2a_flip):
     # <[x,y],z> = <x,[y,z]> for loop elements of the affinized core
     rng = random.Random(11)
-    for real in (A2A_FLIP, _real("A2^(2)", [0, 1], m1w=4, m2w=4)):
+    for real in (a2a_flip, _real("A2^(2)", [0, 1], m1w=4, m2w=4)):
         galg = real.galg
         dim = galg.alg.dim
         for _ in range(40):
