@@ -79,6 +79,12 @@ def load_entries(path: str | None = None) -> list[CatalogEntry]:
             out.append(CatalogEntry(str(item["name"]), gcm, mu))
         except (KeyError, TypeError) as exc:
             raise JobError(f"bad catalog entry: {exc}") from exc
+    seen = set()
+    for e in out:
+        if e.name in seen:
+            # entries are looked up by name, so a repeated one would never run
+            raise JobError(f"catalog names {e.name!r} more than once")
+        seen.add(e.name)
     return out
 
 

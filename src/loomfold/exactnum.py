@@ -18,6 +18,15 @@ Realization fixes one field Q(xi_L) for all of its values, so its bracket
 loops never coerce.  Every rendering prints the coordinates with
 str(Fraction).
 
+Long sums of products do not go through CycNum arithmetic: a lazy sum keeps
+one unreduced int numerator list per key (the int convolutions of the
+operands' numerator tuples, 2 phi(N) - 1 long, or one int when phi(N) = 1)
+over one running denominator in one running field.  A product outside that
+field or over another denominator rewrites the sum once (`lazy_align`);
+`lazy_settle` then reduces each key modulo Phi_N and canonicalises it once.
+`Realization.bracket` runs its basis-pair loop on it, and `lin_comb` sums
+the weighted relation terms with it.
+
 The module also holds the exact linear algebra shared by the layers above:
 sparse vectors ({key: coefficient} dicts), permutation orbits, and one
 Gauss-Jordan elimination over Fraction or CycNum entries.
@@ -35,6 +44,7 @@ __all__ = [
     "euler_phi",
     "cyclotomic_poly",
     "vec_add",
+    "lin_comb",
     "proportional",
     "perm_orbits",
     "matrix_rank",
@@ -503,6 +513,133 @@ def _root(order: int, k: int) -> CycNum:
 def cyc_root(order: int, k: int) -> CycNum:
     """The root of unity xi_order ** k as an exact CycNum."""
     return _root(order, k % order)
+
+
+# -- lazily reduced sums -------------------------------------------------------
+#
+# A lazy sum is a dict {key: value} of unreduced numerators over one shared
+# denominator in one field Q(xi_order): a value is an int when phi(order) = 1,
+# else an int list of length 2 phi(order) - 1 (products of reduced operands,
+# summed as they come).  The caller keeps (order, den) and adds the int
+# convolution of each product's numerator tuples; nothing is reduced or
+# canonicalised until `lazy_settle`.
+
+
+def lazy_align(sums: tuple, order: int, den: int, x: CycNum, y: CycNum):
+    """The rare path of a lazy sum: bring the product x * y into its field
+    and over its denominator.
+
+    Returns (order, den, x, ynums): the field grows to take in lcm(x.order,
+    y.order) and the denominator to a multiple of x.den * y.den, rewriting
+    every dict of `sums` in place; while all of them are empty the sum simply
+    starts afresh in the product's field.  x comes back lifted into the
+    field, and ynums are y's numerators lifted and scaled so that the
+    convolution of x.nums and ynums is x * y over den.
+    """
+    started = any(sums)
+    target = lcm(x.order, y.order)
+    if not started:
+        order = target
+    elif order % target:
+        target = lcm(order, target)
+        for s in sums:
+            _relift(s, order, target, 1)
+        order = target
+    x, y = x.lift(order), y.lift(order)
+    d = x.den * y.den
+    if not started:
+        den = d
+    elif den % d:
+        grown = lcm(den, d)
+        for s in sums:
+            _relift(s, order, order, grown // den)
+        den = grown
+    scale = den // d
+    return order, den, x, [c * scale for c in y.nums]
+
+
+def _relift(sums: dict, order: int, target: int, factor: int) -> None:
+    """Every value of a lazy sum times `factor`, moved from Q(xi_order) into
+    Q(xi_target), a multiple of it; in place."""
+    step = target // order
+    phi = euler_phi(target)
+    for k, v in sums.items():
+        red = _reduce(order, [v] if type(v) is int else v)
+        spread = [0] * ((len(red) - 1) * step + 1)
+        for j, c in enumerate(red):
+            spread[j * step] = c * factor
+        out = _reduce(target, spread)
+        sums[k] = out[0] if phi == 1 else out + [0] * (phi - 1)
+
+
+def lazy_reduce(order: int, v):
+    """One lazy value reduced modulo Phi_order: an int or a phi-long list,
+    or None when it is zero."""
+    if type(v) is int:
+        return v or None
+    red = _reduce(order, v)
+    return red if any(red) else None
+
+
+def lazy_add(sums: dict, key, v, factor: int) -> None:
+    """sums[key] += factor * v, for v a value of `lazy_reduce`."""
+    cur = sums.get(key)
+    if type(v) is int:
+        sums[key] = (cur or 0) + factor * v
+        return
+    if cur is None:
+        cur = sums[key] = [0] * (2 * len(v) - 1)
+    for i, c in enumerate(v):
+        cur[i] += factor * c
+
+
+def lazy_settle(sums: dict, order: int, den: int) -> dict:
+    """{key: CycNum} of a lazy sum: each value reduced modulo Phi_order once
+    and canonicalised once; zero values are dropped."""
+    out = {}
+    if euler_phi(order) == 1:
+        for k, v in sums.items():
+            if v:
+                g = gcd(v, den)
+                out[k] = _make(order, (v // g,), den // g)
+        return out
+    for k, v in sums.items():
+        red = _reduce(order, v)
+        if any(red):
+            out[k] = _canon(order, red, den)
+    return out
+
+
+def lin_comb(terms, order: int) -> dict:
+    """sum(c * v for c, v in terms), for CycNums c and sparse vectors v, as
+    one lazy sum.
+
+    The sum starts in Q(xi_order): with c and the values of v there and of
+    denominator 1, no product leaves the int fast path.  Otherwise it grows
+    to the lcm of the orders of the products, as `lazy_align` says.
+    """
+    sums: dict = {}
+    den = 1
+    phi = euler_phi(order)
+    for c, v in terms:
+        a, da, oc = c.nums, c.den, c.order
+        for k, y in v.items():
+            b = y.nums
+            if oc != order or y.order != order or da * y.den != den:
+                order, den, c, b = lazy_align((sums,), order, den, c, y)
+                a, da, oc = c.nums, c.den, c.order
+                phi = euler_phi(order)
+            if phi == 1:
+                sums[k] = sums.get(k, 0) + a[0] * b[0]
+                continue
+            cur = sums.get(k)
+            if cur is None:
+                cur = sums[k] = [0] * (2 * phi - 1)
+            for i, u in enumerate(a):
+                if u:
+                    for j, w in enumerate(b, i):
+                        cur[j] += u * w
+    return lazy_settle(sums, order, den)
 
 
 # -- sparse vectors and permutations ---------------------------------------------

@@ -16,9 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from loomfold.errors import OutOfWindow, ScopeViolation
-from loomfold.exactnum import CycNum, cyc_root
+from loomfold.exactnum import CycNum, cyc_root, lin_comb
 from loomfold.folding import index_pairs
 from loomfold.polys import LPoly, SerreFamily
 from loomfold.realize import Realization, vec_add, vec_scale
@@ -203,27 +204,23 @@ class Verifier:
                 chk_xx = RelationCheck("XX", (i, j), 0, grid)
                 for m in range(-mode_bound, mode_bound + 1):
                     hm = real.theta_h(i, m)
+                    # sum_k xi_N^(km) a_(i, mu^k j), the phase sum in the
+                    # expected H and HX coefficients; it does not depend on nn
+                    phases = CycNum.zero(big_n)
+                    for k in range(big_n):
+                        phases = phases + cyc_root(big_n, k * m).mul_rational(
+                            a[i][self.mu.apply(j, k)]
+                        )
+                    want_hh = vec_scale(k1, phases.mul_rational(Fraction(m * big_n) / eps[j]))
                     for nn in range(-mode_bound, mode_bound + 1):
                         got = real.bracket(hm, real.theta_h(j, nn))
-                        want = {}
-                        if m + nn == 0:
-                            c = CycNum.zero(big_n)
-                            for k in range(big_n):
-                                c = c + cyc_root(big_n, k * m).mul_rational(
-                                    Fraction(m * big_n * a[i][self.mu.apply(j, k)])
-                                    / eps[j]
-                                )
-                            want = vec_scale(k1, c)
-                        _expect(chk_hh, (m, nn), got, want)
+                        _expect(chk_hh, (m, nn), got, want_hh if m + nn == 0 else {})
 
                         for sign, chk in ((+1, chk_hx_p), (-1, chk_hx_m)):
                             got = real.bracket(hm, real.theta_x(j, nn, sign))
-                            c2 = CycNum.zero(big_n)
-                            for k in range(big_n):
-                                c2 = c2 + cyc_root(big_n, k * m).mul_rational(
-                                    Fraction(sign * a[i][self.mu.apply(j, k)])
-                                )
-                            want = vec_scale(real.theta_x(j, m + nn, sign), c2)
+                            want = vec_scale(
+                                real.theta_x(j, m + nn, sign), phases if sign > 0 else -phases
+                            )
                             _expect(chk, (m, nn), got, want)
 
                         got = real.bracket(real.theta_x(i, m, +1), real.theta_x(j, nn, -1))
@@ -275,12 +272,16 @@ class Verifier:
         grid: str | None = None,
     ) -> RelationReport:
         real = self.real
+        field = real.field
         report = RelationReport()
         prepared = []
         for sigma, poly in sorted(sigma_polys.items()):
             if poly.is_zero():
                 continue
-            prepared.append((sigma, _sigma_terms(poly)))
+            # each coefficient lifted once into Q(xi_lcm(order, L)), where its
+            # products with the bracket values live
+            terms = [(c.lift(lcm(c.order, field)), e) for c, e in _sigma_terms(poly)]
+            prepared.append((sigma, terms))
         grid = grid or f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
         for sign in (+1, -1):
             chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i, j), sign, grid)
@@ -288,7 +289,7 @@ class Verifier:
             for out_modes in itertools.product(
                 range(-mode_bound, mode_bound + 1), repeat=arity + 1
             ):
-                total: dict = {}
+                summands = []
                 try:
                     for sigma, terms in prepared:
                         for coeff, exps in terms:
@@ -297,11 +298,12 @@ class Verifier:
                                 for p in range(arity)
                             )
                             wmode = out_modes[arity] + exps[arity]
-                            vec_add(total, cache.get(ops + (wmode,)), coeff)
+                            summands.append((coeff, cache.get(ops + (wmode,))))
                 except OutOfWindow:
                     chk.gaps.append(out_modes)
                     continue
                 chk.checked += 1
+                total = lin_comb(summands, field)
                 if total:
                     chk.record_failure(out_modes, total)
             report.checks.append(chk)

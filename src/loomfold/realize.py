@@ -18,6 +18,18 @@ Layers:
   inside a window |m1| <= m1w, |m2| <= m2w.  Brackets that would leave the
   window raise OutOfWindow instead of truncating.
 
+`Realization.bracket` is the verifier's hot path and one fused loop over
+basis pairs.  It builds no CycNum per pair: each contributing pair adds the
+int convolution of the two numerator tuples (2 phi(L) - 1 ints, one int when
+phi(L) = 1), times the int structure constant, to an unreduced sum per
+output key, all over one running denominator (the lazy sums of `exactnum`).
+Each sum is reduced modulo Phi_L and canonicalised once, when the bracket
+returns; central pairings are summed per pair of degree blocks and reduced
+once per block.  The structure tables are ints (see `chevalley`), so the
+int fast path covers every pair whose operands lie in Q(xi_L) with
+denominator 1: in the relation suites of every catalog entry at modes 1,
+no pair leaves it.
+
 Affine Chevalley generators are found uniformly from lowest-weight vectors
 of the relevant eigenspace and verified against the full defining-relation
 suite before use; the verified table, not any formula, is normative.
@@ -39,7 +51,12 @@ from loomfold.errors import (
 from loomfold.exactnum import (
     CycNum,
     cyc_root,
+    euler_phi,
     kernel_basis,
+    lazy_add,
+    lazy_align,
+    lazy_reduce,
+    lazy_settle,
     matrix_rank,
     perm_orbits,
     proportional,
@@ -288,6 +305,9 @@ class Realization:
         self.n_order = self.mu.order
         self.galg = GAlg(self.cls)
         self.field = lcm(self.n_order, self.galg.r)
+        self._phi = euler_phi(self.field)
+        alg = self.galg.alg
+        self._brackets, self._form = alg.brackets, alg.form
         perm = self._node_perm()
         self.gens = [
             tuple(
@@ -377,66 +397,112 @@ class Realization:
     def bracket(self, x: AlgElem, y: AlgElem) -> AlgElem:
         """Exact bracket in the extended algebra; raises OutOfWindow.
 
-        Central contributions are accumulated per pair of degree blocks
-        before the symbol reduction: single basis-key pairings may be
-        nonzero off the loop lattice even though the block contraction of
-        honestly graded elements cancels there.
+        One lazy sum (see `exactnum`): each contributing basis pair adds the
+        int convolution of its two numerator tuples, times the structure
+        constant, to an unreduced sum per output key, and times the pairing
+        to a sum per pair of degree blocks.  A pair outside the int fast
+        path (an operand of another order than the running field, or a
+        product denominator other than the running one) goes through
+        `lazy_align`, which lifts and rescales.  Each output sum is reduced
+        modulo Phi_L and canonicalised once, at the end; every coefficient
+        lies in Q(xi_lcm) of the orders of the operand coefficients that
+        met in a contributing pair.
+
+        Central contributions are summed per pair of degree blocks and
+        tested for zero before the symbol reduction: single basis-key
+        pairings may be nonzero off the loop lattice even though the block
+        contraction of honestly graded elements cancels there.
         """
-        galg = self.galg
-        alg = galg.alg
-        affine = galg.mode == "affine"
-        r = galg.r
+        brackets, form = self._brackets, self._form
         m1w, m2w = self.m1w, self.m2w
-        out: AlgElem = {}
-        central: dict = {}  # (m1, m2, n1, n2) -> summed pairing
+        order, phi, den = self.field, self._phi, 1
+        sums: dict = {}  # output key -> unreduced numerators over den
+        central: dict = {}  # (m1, m2, n1, n2) -> unreduced summed pairing
         for kx, cx in x.items():
             if kx[0] != "L":
                 continue
             m1, m2, b = kx[1], kx[2], kx[3]
+            ax, ox, dx = cx.nums, cx.order, cx.den
             for ky, cy in y.items():
                 if ky[0] != "L":
                     continue
-                n1, n2, c = ky[1], ky[2], ky[3]
-                entry = alg.brackets.get((b, c))
-                pairing = alg.form.get((b, c))
+                bc = (b, ky[3])
+                entry = brackets.get(bc)
+                pairing = form.get(bc)
                 if not entry and not pairing:
                     continue
+                n1, n2 = ky[1], ky[2]
                 p1 = m1 + n1
                 p2 = m2 + n2
-                coeff = cx * cy
+                if entry and (abs(p1) > m1w or abs(p2) > m2w):
+                    raise OutOfWindow(
+                        f"bracket degree ({p1},{p2}) leaves window ({m1w},{m2w})"
+                    )
+                ay = cy.nums
+                if ox != order or cy.order != order or dx * cy.den != den:
+                    order, den, cx, ay = lazy_align((sums, central), order, den, cx, cy)
+                    ax, ox, dx = cx.nums, cx.order, cx.den
+                    phi = euler_phi(order)
+                if phi == 1:
+                    prod = ax[0] * ay[0]
+                    if entry:
+                        for t, s in entry.items():
+                            key = ("L", p1, p2, t)
+                            sums[key] = sums.get(key, 0) + s * prod
+                    if pairing:
+                        degs = (m1, m2, n1, n2)
+                        central[degs] = central.get(degs, 0) + pairing * prod
+                    continue
+                if phi == 2:
+                    a0, a1 = ax
+                    b0, b1 = ay
+                    prod = [a0 * b0, a0 * b1 + a1 * b0, a1 * b1]
+                else:
+                    prod = [0] * (2 * phi - 1)
+                    for i, u in enumerate(ax):
+                        if u:
+                            for j, v in enumerate(ay, i):
+                                prod[j] += u * v
                 if entry:
-                    if abs(p1) > m1w or abs(p2) > m2w:
-                        raise OutOfWindow(
-                            f"bracket degree ({p1},{p2}) leaves window ({m1w},{m2w})"
-                        )
                     for t, s in entry.items():
                         key = ("L", p1, p2, t)
-                        cur = out.get(key)
-                        val = coeff.mul_rational(s)
-                        val = val if cur is None else cur + val
-                        if val:
-                            out[key] = val
-                        elif key in out:
-                            del out[key]
+                        cur = sums.get(key)
+                        if cur is None:
+                            sums[key] = [s * v for v in prod]
+                        else:
+                            for i, v in enumerate(prod):
+                                cur[i] += s * v
                 if pairing:
                     degs = (m1, m2, n1, n2)
                     cur = central.get(degs)
-                    val = coeff.mul_rational(pairing)
-                    val = val if cur is None else cur + val
-                    central[degs] = val
+                    if cur is None:
+                        central[degs] = [pairing * v for v in prod]
+                    else:
+                        for i, v in enumerate(prod):
+                            cur[i] += pairing * v
+        if central:
+            self._central_symbols(central, order, sums)
+        return lazy_settle(sums, order, den)
+
+    def _central_symbols(self, central: dict, order: int, sums: dict) -> None:
+        """Add the central symbols of the summed block pairings to `sums`."""
+        affine = self.galg.mode == "affine"
+        r = self.galg.r
+        m1w, m2w = self.m1w, self.m2w
         for (m1, m2, n1, n2), total in central.items():
-            if not total:
+            total = lazy_reduce(order, total)
+            if total is None:
                 continue
             p1 = m1 + n1
             p2 = m2 + n2
             if affine:
                 if p2 == 0:
                     if p1 == 0 and m1 != 0:
-                        vec_add(out, {("K1",): total.mul_rational(m1)})
+                        lazy_add(sums, ("K1",), total, m1)
                     if m2 != 0:
                         if abs(p1) > m1w:
                             raise OutOfWindow(f"central degree {p1} leaves window {m1w}")
-                        vec_add(out, {("K2", p1): total.mul_rational(m2)})
+                        lazy_add(sums, ("K2", p1), total, m2)
                 else:
                     if p2 % r != 0:
                         raise InconsistentPropagation(
@@ -446,11 +512,10 @@ class Realization:
                     if factor:
                         if abs(p1) > m1w or abs(p2) > m2w:
                             raise OutOfWindow(f"central degree ({p1},{p2}) leaves window")
-                        vec_add(out, {("K1p", p1, p2): total.mul_rational(factor)})
+                        lazy_add(sums, ("K1p", p1, p2), total, factor)
             else:
                 if p1 == 0 and m1 != 0:
-                    vec_add(out, {("K1",): total.mul_rational(m1)})
-        return out
+                    lazy_add(sums, ("K1",), total, m1)
 
     # -- generator images -----------------------------------------------------------
 

@@ -178,6 +178,32 @@ def test_catalog_env_override(runner, tmp_path, monkeypatch):
     assert [e["name"] for e in data["entries"]] == ["only"]
 
 
+@pytest.mark.parametrize("via", ["env", "path"])
+def test_catalog_rejects_repeated_name(runner, tmp_path, monkeypatch, via):
+    # a second entry named like the first would be looked up as the first
+    # and never verified, while `verify --entry all` still passed
+    path = tmp_path / "dup.json"
+    path.write_text(
+        json.dumps(
+            [
+                {"name": "X", "cartan": [[2, -1], [-1, 2]], "mu": [1, 0]},
+                {"name": "X", "cartan": [[2, -2], [-2, 2]], "mu": [1, 0]},
+            ]
+        )
+    )
+    if via == "env":
+        monkeypatch.setenv("LOOMFOLD_CATALOG", str(path))
+        commands = [["catalog"], ["verify", "--entry", "all", "--modes", "1"]]
+    else:
+        commands = [["catalog", "--path", str(path)]]
+    for args in commands:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, args
+        data = _json_out(res)
+        assert data["error"]["kind"] == "JobError"
+        assert "'X'" in data["error"]["message"]
+
+
 def test_crosscheck(runner):
     res = runner.invoke(main, ["crosscheck", "--entry", "D4-triality"])
     assert res.exit_code == 0

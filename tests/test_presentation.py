@@ -2,6 +2,7 @@ import pytest
 
 from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.errors import ScopeViolation
+from loomfold.exactnum import cyc_root
 from loomfold.folding import validate_aut
 from loomfold.polys import LPoly, SerreFamily, family_p, family_qlimit
 from loomfold.presentation import (
@@ -93,16 +94,20 @@ def test_thm1_cases_a3_flip():
     assert {c.pair for c in rep.checks} == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
 
-def test_p1_window_certificate_failure_payload():
-    real, fam = _setup("A2^(1)", [0, 2, 1])
+def _plain_family(fam, coeff):
     plain = SerreFamily("plain")
     for (i, j), sigmas in fam.entries.items():
         variables = next(iter(sigmas.values())).vars
         plain.entries[(i, j)] = {
-            s: (LPoly.one(variables) if s == (0, 1) else LPoly.zero(variables))
+            s: (LPoly.const(variables, coeff) if s == (0, 1) else LPoly.zero(variables))
             for s in sigmas
         }
-    rep = Verifier(real).verify_P1_at_window(plain, 2)
+    return plain
+
+
+def test_p1_window_certificate_failure_payload():
+    real, fam = _setup("A2^(1)", [0, 2, 1])
+    rep = Verifier(real).verify_P1_at_window(_plain_family(fam, 1), 2)
     assert not rep.passed
     bad = [c for c in rep.checks if not c.passed]
     assert bad
@@ -110,6 +115,18 @@ def test_p1_window_certificate_failure_payload():
     assert residual
     payload = serialize_elem(residual)
     assert payload and all("coeff" in item for item in payload)
+    # a coefficient of order 5, foreign to the field Q(xi_2) of the
+    # realization: the residual is xi_5 times the one above, in Q(xi_10)
+    xi5 = cyc_root(5, 1)
+    rep5 = Verifier(real).verify_P1_at_window(_plain_family(fam, xi5), 2)
+    bad5 = [c for c in rep5.checks if not c.passed]
+    assert [(c.kind, c.pair, c.failure_count) for c in bad5] == [
+        (c.kind, c.pair, c.failure_count) for c in bad
+    ]
+    modes5, residual5 = bad5[0].failures[0]
+    assert modes5 == modes
+    assert residual5 == {k: c * xi5 for k, c in residual.items()}
+    assert {item["coeff"]["order"] for item in serialize_elem(residual5)} == {10}
 
 
 def test_report_json_shape():

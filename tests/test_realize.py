@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import cached_family, cached_realization
 from loomfold import exactnum
 from loomfold.cartan import Gcm, canonical_matrix
-from loomfold.errors import OutOfWindow, ScopeViolation
+from loomfold.errors import InconsistentPropagation, OutOfWindow, ScopeViolation
 from loomfold.exactnum import CycNum, cyc_root, matrix_rank
+from loomfold.presentation import Verifier
 from loomfold.realize import (
     MuHat,
     MuHatClosed,
@@ -494,3 +496,226 @@ def test_k1p_closed_scale_identity_mu():
     hat = MuHatClosed(real, real.mu_on_g())
     key = ("K1p", 2, 1)
     assert hat.apply({key: CycNum.one()}) == {key: CycNum.one()}
+
+
+# -- the lazy-sum kernel against the CycNum loops it replaced -------------------
+
+
+def _bracket_reference(real, x, y):
+    """Realization.bracket as one CycNum product, scaling and sum per basis
+    pair: the loop that the lazy-sum kernel replaced."""
+    galg = real.galg
+    alg = galg.alg
+    affine = galg.mode == "affine"
+    r = galg.r
+    m1w, m2w = real.m1w, real.m2w
+    out = {}
+    central = {}
+    for kx, cx in x.items():
+        if kx[0] != "L":
+            continue
+        m1, m2, b = kx[1], kx[2], kx[3]
+        for ky, cy in y.items():
+            if ky[0] != "L":
+                continue
+            n1, n2, c = ky[1], ky[2], ky[3]
+            entry = alg.brackets.get((b, c))
+            pairing = alg.form.get((b, c))
+            if not entry and not pairing:
+                continue
+            p1 = m1 + n1
+            p2 = m2 + n2
+            coeff = cx * cy
+            if entry:
+                if abs(p1) > m1w or abs(p2) > m2w:
+                    raise OutOfWindow(f"bracket degree ({p1},{p2}) leaves window ({m1w},{m2w})")
+                for t, s in entry.items():
+                    vec_add(out, {("L", p1, p2, t): coeff.mul_rational(s)})
+            if pairing:
+                degs = (m1, m2, n1, n2)
+                cur = central.get(degs)
+                val = coeff.mul_rational(pairing)
+                central[degs] = val if cur is None else cur + val
+    for (m1, m2, n1, n2), total in central.items():
+        if not total:
+            continue
+        p1 = m1 + n1
+        p2 = m2 + n2
+        if affine:
+            if p2 == 0:
+                if p1 == 0 and m1 != 0:
+                    vec_add(out, {("K1",): total.mul_rational(m1)})
+                if m2 != 0:
+                    if abs(p1) > m1w:
+                        raise OutOfWindow(f"central degree {p1} leaves window {m1w}")
+                    vec_add(out, {("K2", p1): total.mul_rational(m2)})
+            else:
+                if p2 % r != 0:
+                    raise InconsistentPropagation(
+                        "central term at a degree outside the loop lattice"
+                    )
+                factor = m1 * n2 - m2 * n1
+                if factor:
+                    if abs(p1) > m1w or abs(p2) > m2w:
+                        raise OutOfWindow(f"central degree ({p1},{p2}) leaves window")
+                    vec_add(out, {("K1p", p1, p2): total.mul_rational(factor)})
+        else:
+            if p1 == 0 and m1 != 0:
+                vec_add(out, {("K1",): total.mul_rational(m1)})
+    return out
+
+
+def _lin_comb_reference(terms):
+    """The weighted relation sum as one vec_add per term."""
+    total = {}
+    for coeff, vec in terms:
+        vec_add(total, vec, coeff)
+    return total
+
+
+def _outcome(call):
+    """The printed coefficients of a result, or the error it raised."""
+    try:
+        return "ok", {k: c.to_json() for k, c in call().items()}
+    except (OutOfWindow, InconsistentPropagation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# (label, twist, field): phi(field) = 1, 1, 2, 2, 4; A2^(2) has a twisted
+# loop core, the only kind with central terms off the loop lattice
+KERNEL_CASES = [
+    ("A2^(1)", [0, 2, 1], 2),
+    ("A2^(2)", [0, 1], 2),
+    ("A2^(1)", [1, 2, 0], 3),
+    ("A3^(1)", [1, 2, 3, 0], 4),
+    ("A4^(1)", [1, 2, 3, 4, 0], 5),
+]
+
+
+class _Elements:
+    """Seeded random elements of one realization, all coefficients of one
+    order: the field, 1, or one that does not divide the field."""
+
+    def __init__(self, real, seed):
+        self.real = real
+        self.rng = random.Random(seed)
+        self.orders = (real.field, real.field, 1, 3 if real.field % 3 else 4)
+        self.thetas = [
+            v
+            for i in range(real.gcm.n)
+            for m in (-2, -1, 0, 1, 2)
+            for v in (real.theta_x(i, m, +1), real.theta_x(i, m, -1), real.theta_h(i, m))
+            if v
+        ]
+
+    def coeff(self, order, dens=(1, 1, 1, 2, 3)):
+        rng = self.rng
+        while True:
+            c = CycNum(
+                order,
+                [Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(exactnum.euler_phi(order))],
+            )
+            if c:
+                return c
+
+    def element(self, order=None):
+        rng = self.rng
+        order = order or rng.choice(self.orders)
+        if rng.random() < 0.4:  # a generator image, rescaled
+            return vec_scale(rng.choice(self.thetas), self.coeff(order, (1,)))
+        dim = self.real.galg.alg.dim
+        x = {
+            ("L", rng.randint(-2, 2), rng.randint(-2, 2), rng.randrange(dim)): self.coeff(order)
+            for _ in range(rng.randint(1, 6))
+        }
+        if rng.random() < 0.2:  # central keys bracket to zero
+            key = rng.choice([("K1",), ("K2", rng.randint(-2, 2)), ("K1p", 1, rng.randint(1, 2))])
+            x[key] = self.coeff(order)
+        return x
+
+
+@pytest.mark.parametrize("label,perm,field", KERNEL_CASES)
+def test_bracket_kernel_matches_cycnum_reference(label, perm, field):
+    real = _real(label, perm, m1w=3, m2w=3)
+    assert real.field == field
+    gen = _Elements(real, f"kernel:{label}:{perm}")
+    seen = {}
+    for _ in range(250):
+        x, y = gen.element(), gen.element()
+        got = _outcome(lambda: real.bracket(x, y))
+        assert got == _outcome(lambda: _bracket_reference(real, x, y)), (x, y)
+        kind = got[0]
+        if kind == "ok":
+            kind += f"-{'central' if any(k[0] != 'L' for k in got[1]) else 'loop'}"
+        seen[kind] = seen.get(kind, 0) + 1
+    assert seen.get("ok-loop") and seen.get("ok-central") and seen.get("OutOfWindow"), seen
+    if real.galg.r > 1:
+        assert seen.get("InconsistentPropagation"), seen
+
+
+@pytest.mark.parametrize("label,perm,field", KERNEL_CASES)
+def test_bracket_kernel_mixed_orders_same_values(label, perm, field):
+    # an element whose coefficients mix orders: the kernel sums every key in
+    # the lcm of the product orders, the old loop in the lcm of the products
+    # that reached the key; the values agree
+    real = _real(label, perm, m1w=3, m2w=3)
+    gen = _Elements(real, f"mixed:{label}:{perm}")
+    compared = 0
+    for _ in range(120):
+        x, y = gen.element(), gen.element()
+        x.update(gen.element())
+        try:
+            want = _bracket_reference(real, x, y)
+        except (OutOfWindow, InconsistentPropagation) as exc:
+            with pytest.raises(type(exc)):
+                real.bracket(x, y)
+            continue
+        assert real.bracket(x, y) == want
+        compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize("label,perm,field", KERNEL_CASES)
+def test_lin_comb_matches_vec_add_reference(label, perm, field):
+    real = _real(label, perm, m1w=3, m2w=3)
+    gen = _Elements(real, f"lin_comb:{label}:{perm}")
+    foreign = gen.orders[-1]
+    for _ in range(150):
+        terms = []
+        # coefficients in the field or of order 1, or all foreign; the
+        # vectors in the field: every product then lies in one field
+        coeff_orders = gen.rng.choice([(field, 1), (foreign,)])
+        for _ in range(gen.rng.randint(1, 5)):
+            coeff = gen.coeff(gen.rng.choice(coeff_orders))
+            terms.append((coeff, gen.element(field)))
+        if gen.rng.random() < 0.3:  # a sum that cancels
+            coeff, vec = terms[0]
+            terms.append((-coeff, vec))
+        got = exactnum.lin_comb(terms, field)
+        want = _lin_comb_reference(terms)
+        assert {k: c.to_json() for k, c in got.items()} == {
+            k: c.to_json() for k, c in want.items()
+        }
+
+
+def test_kernel_runs_no_cycnum_arithmetic(monkeypatch):
+    real = cached_realization("A5a-rot")
+    fam = cached_family("A5a-rot")
+    ver = Verifier(real)
+    i, j = sorted(fam.entries)[0]
+    polys = fam.polynomials(i, j)
+
+    def weighted():
+        return ver._verify_weighted("DS", i, j, polys, 1, fam.arity(i, j))
+
+    want = weighted().to_json()  # also builds every generator image it needs
+    elems = [real.theta_x(i, m, s) for i in range(real.gcm.n) for m in (-1, 0, 1) for s in (1, -1)]
+    pairs = [(x, y) for x in elems for y in elems if x and y]
+
+    def refuse(*args):
+        raise AssertionError("CycNum arithmetic inside the kernel")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "mul_rational"):
+        monkeypatch.setattr(CycNum, name, refuse)
+    assert any(real.bracket(x, y) for x, y in pairs)
+    assert weighted().to_json() == want

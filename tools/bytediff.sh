@@ -3,20 +3,26 @@
 #
 #   tools/bytediff.sh REF
 #
-# Checks REF out into a temporary worktree, runs the same loomfold commands on
-# both trees (from ./src, nothing installed) and compares stdout, stderr and
-# exit code of each.  Prints the differences and exits 1 if there are any.
+# Exports REF into a temporary directory (git archive, so nothing is written
+# under .git), runs the same loomfold commands on both trees (from ./src,
+# nothing installed) and compares stdout, stderr and exit code of each.
+# Prints the differences and exits 1 if there are any.
 set -u
 ref=${1:?usage: tools/bytediff.sh REF}
 root=$(git rev-parse --show-toplevel) || exit 2
 tmp=$(mktemp -d)
-trap 'git -C "$root" worktree remove --force "$tmp/ref" 2>/dev/null; rm -rf "$tmp"' EXIT
-git -C "$root" worktree add --detach -q "$tmp/ref" "$ref" || exit 2
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/ref"
+git -C "$root" archive "$ref" | tar -x -C "$tmp/ref" || exit 2
 
 # inputs, named relative to $tmp so that both trees print the same
 one='{"exps": [0, 0, 0], "coeff": {"order": 1, "coeffs": ["1"]}}'
 echo "{\"name\": \"plain\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
   {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$one]}}}]}" >"$tmp/fam.json"
+# the same family with the coefficient xi_5, foreign to every catalog field
+xi5='{"exps": [0, 0, 0], "coeff": {"order": 5, "coeffs": ["0", "1", "0", "0"]}}'
+echo "{\"name\": \"xi5\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
+  {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$xi5]}}}]}" >"$tmp/fam5.json"
 echo '{"cartan": [[2, -1], [-4, 2]], "mu": [0, 1]}' >"$tmp/a22.json"
 entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   'from loomfold.catalog import load_entries; print(*(e.name for e in load_entries(None)))') \
@@ -30,6 +36,7 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   done
   echo "verify --entry all --modes 2 --jobs 2"
   echo "verify --entry A2a-flip --modes 1 --family user:fam.json"
+  echo "verify --entry A2a-flip --modes 1 --family user:fam5.json"
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
   echo "verify --input a22.json --modes 1"
   echo "verify --input a22.json --modes 1 --family user:fam.json"
