@@ -453,16 +453,11 @@ class Realization:
                         degs = (m1, m2, n1, n2)
                         central[degs] = central.get(degs, 0) + pairing * prod
                     continue
-                if phi == 2:
-                    a0, a1 = ax
-                    b0, b1 = ay
-                    prod = [a0 * b0, a0 * b1 + a1 * b0, a1 * b1]
-                else:
-                    prod = [0] * (2 * phi - 1)
-                    for i, u in enumerate(ax):
-                        if u:
-                            for j, v in enumerate(ay, i):
-                                prod[j] += u * v
+                prod = [0] * (2 * phi - 1)
+                for i, u in enumerate(ax):
+                    if u:
+                        for j, v in enumerate(ay, i):
+                            prod[j] += u * v
                 if entry:
                     for t, s in entry.items():
                         key = ("L", p1, p2, t)

@@ -136,6 +136,33 @@ def test_verify_user_family_failure_exit(runner, tmp_path):
     assert "window-scale" in data["note"]
 
 
+def test_verify_mixed_order_family_residual_orders(runner, tmp_path):
+    # one relation with a rational and a xi_5 coefficient on the field Q(xi_2):
+    # a residual coefficient reached only by rational products prints order 2,
+    # one that a xi_5 product reached prints order 10
+    xi5 = {"order": 5, "coeffs": ["0", "1", "0", "0"]}
+    fam = {
+        "name": "mixed",
+        "pairs": [
+            {"i": 1, "j": 0, "terms": {"0,1": _poly(([1, 0, 0], _ONE), ([0, 1, 0], xi5))}},
+        ],
+    }
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(fam))
+    res = runner.invoke(
+        main,
+        ["verify", "--entry", "A2a-flip", "--modes", "1", "--family", f"user:{path}"],
+    )
+    assert res.exit_code == 1
+    orders = {
+        item["coeff"]["order"]
+        for chk in _json_out(res)["report"]["checks"]
+        for failure in chk.get("failures", [])
+        for item in failure["residual"]
+    }
+    assert orders == {2, 10}
+
+
 def test_verify_qlimit_family(runner):
     res = runner.invoke(
         main, ["verify", "--entry", "A2a-flip", "--modes", "1", "--family", "qlimit"]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -680,22 +681,37 @@ def test_lin_comb_matches_vec_add_reference(label, perm, field):
     real = _real(label, perm, m1w=3, m2w=3)
     gen = _Elements(real, f"lin_comb:{label}:{perm}")
     foreign = gen.orders[-1]
-    for _ in range(150):
-        terms = []
-        # coefficients in the field or of order 1, or all foreign; the
-        # vectors in the field: every product then lies in one field
-        coeff_orders = gen.rng.choice([(field, 1), (foreign,)])
-        for _ in range(gen.rng.randint(1, 5)):
-            coeff = gen.coeff(gen.rng.choice(coeff_orders))
-            terms.append((coeff, gen.element(field)))
-        if gen.rng.random() < 0.3:  # a sum that cancels
-            coeff, vec = terms[0]
-            terms.append((-coeff, vec))
+
+    def check(terms):
         got = exactnum.lin_comb(terms, field)
         want = _lin_comb_reference(terms)
         assert {k: c.to_json() for k, c in got.items()} == {
             k: c.to_json() for k, c in want.items()
         }
+        return {c.order for c in got.values()}
+
+    # a coefficient prints in the lcm of the orders of the products added
+    # since its partial sum was last zero
+    x, one = cyc_root(foreign, 1), CycNum.one()
+    vec = next(v for m in (1, 0) for v in (real.theta_x(0, m, +1), real.theta_x(1, m, +1)) if v)
+    assert check([(x, vec), (-x, vec), (one, vec)]) == {field}
+    assert check([(one, vec), (x, vec), (-x, vec)]) == {lcm(field, foreign)}
+    assert check([(x, vec), (one, vec)]) == {lcm(field, foreign)}
+    mixed_orders = 0
+    for _ in range(200):
+        terms = []
+        # coefficients in the field or of order 1, all foreign, or both; the
+        # vectors in the field, so the products lie in one field or in two
+        coeff_orders = gen.rng.choice([(field, 1), (foreign,), (field, 1, foreign)])
+        for _ in range(gen.rng.randint(1, 5)):
+            coeff = gen.coeff(gen.rng.choice(coeff_orders))
+            terms.append((coeff, gen.element(field)))
+        if gen.rng.random() < 0.3:  # a sum that cancels, then goes on
+            coeff, vec = terms[0]
+            terms.append((-coeff, vec))
+            terms.append((gen.coeff(gen.rng.choice(coeff_orders)), vec))
+        mixed_orders += len(check(terms)) > 1
+    assert mixed_orders
 
 
 def test_kernel_runs_no_cycnum_arithmetic(monkeypatch):
