@@ -196,6 +196,10 @@ def classify(entries) -> Classification:
 # ---------------------------------------------------------------------------
 # Root table
 
+# The height at which close_finite gives up: no finite root system comes near
+# it (E8 tops out at 29).
+_FINITE_HEIGHT_CAP = 2000
+
 
 class _RootTable:
     """Positive roots by height, generated with root strings."""
@@ -257,12 +261,12 @@ class _RootTable:
             self.by_height[cur + 1] = nxt
             self.built = cur + 1
 
-    def close_finite(self, cap: int = 2000) -> int:
+    def close_finite(self) -> int:
         """Extend until a height level is empty; returns the top height."""
         h = 1
         while self.by_height.get(h):
             h += 1
-            if h > cap:
+            if h > _FINITE_HEIGHT_CAP:
                 raise IndefiniteType("root system did not close; not finite type")
             self.ensure(h)
         return h - 1

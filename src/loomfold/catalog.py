@@ -88,8 +88,8 @@ def load_entries(path: str | None = None) -> list[CatalogEntry]:
     return out
 
 
-def entry_by_name(name: str, path: str | None = None) -> CatalogEntry:
-    for entry in load_entries(path):
+def entry_by_name(name: str) -> CatalogEntry:
+    for entry in load_entries():
         if entry.name == name:
             return entry
     raise JobError(f"no catalog entry named {name!r}")

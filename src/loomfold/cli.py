@@ -6,6 +6,7 @@ Exit codes: 0 all pass, 1 relation failure, 2 input rejected, 3 window abort.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -46,6 +47,22 @@ def _emit(payload: dict):
 def _fail(code: int, kind: str, message: str):
     _emit({"error": {"kind": kind, "message": message}})
     sys.exit(code)
+
+
+def _mapped_errors(command):
+    """Run a command; a LoomfoldError it raises becomes an error payload and
+    exit code 2 (input rejected), or 3 for OutOfWindow (window abort)."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except OutOfWindow as exc:
+            _fail(3, "OutOfWindow", str(exc))
+        except LoomfoldError as exc:
+            _fail(2, type(exc).__name__, str(exc))
+
+    return run
 
 
 def _load_job(input_path: str | None, entry: str | None):
@@ -179,14 +196,11 @@ _entry_opt = click.option("--entry", default=None, help="built-in catalog entry 
 @main.command()
 @_input_opt
 @_entry_opt
+@_mapped_errors
 def classify(input_path, entry):
     """Classify the matrix and report its type label."""
-    try:
-        gcm, mu, name = _load_job(input_path, entry)
-        cls = gcm.classify()
-    except LoomfoldError as exc:
-        _fail(2, type(exc).__name__, str(exc))
-        return
+    gcm, mu, name = _load_job(input_path, entry)
+    cls = gcm.classify()
     payload = {"name": name, **cls.to_json()}
     payload["label"] = cls.label
     if cls.kind == "affine":
@@ -197,15 +211,12 @@ def classify(input_path, entry):
 @main.command()
 @_input_opt
 @_entry_opt
+@_mapped_errors
 def fold(input_path, entry):
     """Orbit data, linking numbers and the root-tuple sets."""
-    try:
-        gcm, mu, name = _load_job(input_path, entry)
-        fd = fold_data(gcm, mu)
-        sets = tuple_sets(gcm, mu, fd)
-    except LoomfoldError as exc:
-        _fail(2, type(exc).__name__, str(exc))
-        return
+    gcm, mu, name = _load_job(input_path, entry)
+    fd = fold_data(gcm, mu)
+    sets = tuple_sets(gcm, mu, fd)
     _emit(
         {
             "name": name,
@@ -222,16 +233,13 @@ def fold(input_path, entry):
 @click.option("--family", "family_sel", default="p")
 @click.option("--format", "fmt", type=click.Choice(["json", "latex"]), default="json")
 @click.option("--crosscheck", "do_cross", is_flag=True, help="emit both weight constructions")
+@_mapped_errors
 def polys(input_path, entry, family_sel, fmt, do_cross):
     """Locality and weight polynomial tables."""
-    try:
-        gcm, mu, name = _load_job(input_path, entry)
-        fd = fold_data(gcm, mu)
-        sets = tuple_sets(gcm, mu, fd)
-        fam, _ = _family(gcm, mu, family_sel)
-    except LoomfoldError as exc:
-        _fail(2, type(exc).__name__, str(exc))
-        return
+    gcm, mu, name = _load_job(input_path, entry)
+    fd = fold_data(gcm, mu)
+    sets = tuple_sets(gcm, mu, fd)
+    fam, _ = _family(gcm, mu, family_sel)
     pairs = []
     lines = []
     for i, j in index_pairs(gcm):
@@ -279,26 +287,20 @@ def _verify_one(gcm, mu, name, family_sel, mode_bound, window):
 @click.option("--family", "family_sel", default="p")
 @click.option("--window", "window_text", default=None, help="M1,M2 (default: sized automatically)")
 @click.option("--jobs", type=int, default=1, help="parallel jobs for --entry all")
+@_mapped_errors
 def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
     """Check every relation of the presentation on the realization."""
-    try:
-        if mode_bound < 0:
-            raise JobError("--modes must be >= 0")
-        window = _parse_window(window_text)
-        if entry == "all":
-            names = [e.name for e in catalog_mod.load_entries()]
-            payloads = _verify_many(names, family_sel, mode_bound, window, jobs)
-            ok = all(p["report"]["pass"] for p in payloads)
-            _emit({"entries": payloads, "pass": ok})
-            sys.exit(0 if ok else 1)
-        gcm, mu, name = _load_job(input_path, entry)
-        payload, report = _verify_one(gcm, mu, name, family_sel, mode_bound, window)
-    except OutOfWindow as exc:
-        _fail(3, "OutOfWindow", str(exc))
-        return
-    except LoomfoldError as exc:
-        _fail(2, type(exc).__name__, str(exc))
-        return
+    if mode_bound < 0:
+        raise JobError("--modes must be >= 0")
+    window = _parse_window(window_text)
+    if entry == "all":
+        names = [e.name for e in catalog_mod.load_entries()]
+        payloads = _verify_many(names, family_sel, mode_bound, window, jobs)
+        ok = all(p["report"]["pass"] for p in payloads)
+        _emit({"entries": payloads, "pass": ok})
+        sys.exit(0 if ok else 1)
+    gcm, mu, name = _load_job(input_path, entry)
+    payload, report = _verify_one(gcm, mu, name, family_sel, mode_bound, window)
     _emit(payload)
     sys.exit(0 if report.passed else 1)
 
@@ -329,17 +331,14 @@ def _verify_many(names, family_sel, mode_bound, window, jobs):
 @main.command()
 @_input_opt
 @_entry_opt
+@_mapped_errors
 def crosscheck(input_path, entry):
     """Dual-construction checks: weights and root-tuple sets, plus the
     observed weight symmetry per ordered pair."""
-    try:
-        gcm, mu, name = _load_job(input_path, entry)
-        fd = fold_data(gcm, mu)
-        sets = tuple_sets(gcm, mu, fd)
-        oracle = tuple_sets_case_analysis(gcm, mu, fd)
-    except LoomfoldError as exc:
-        _fail(2, type(exc).__name__, str(exc))
-        return
+    gcm, mu, name = _load_job(input_path, entry)
+    fd = fold_data(gcm, mu)
+    sets = tuple_sets(gcm, mu, fd)
+    oracle = tuple_sets_case_analysis(gcm, mu, fd)
     pairs = []
     all_ok = True
     for i, j in index_pairs(gcm):
@@ -368,17 +367,13 @@ def crosscheck(input_path, entry):
 
 @main.command("catalog")
 @click.option("--path", default=None, help="explicit catalog file")
+@_mapped_errors
 def catalog_cmd(path):
     """List catalog entries with their classifications."""
-    try:
-        entries = catalog_mod.load_entries(path)
-        listing = []
-        for e in entries:
-            cls = e.gcm.classify()
-            listing.append({**e.to_json(), "label": cls.label, "order": e.mu.order})
-    except LoomfoldError as exc:
-        _fail(2, type(exc).__name__, str(exc))
-        return
+    listing = []
+    for e in catalog_mod.load_entries(path):
+        cls = e.gcm.classify()
+        listing.append({**e.to_json(), "label": cls.label, "order": e.mu.order})
     _emit({"entries": listing})
 
 

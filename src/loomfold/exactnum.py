@@ -11,12 +11,15 @@ positive int denominator `den`, in canonical form: gcd(nums, den) = 1, and
 zero is all-zero numerators over 1.  Two CycNums of one order are therefore
 equal exactly when their (order, nums, den) agree.  Phi_N is monic with
 integer coefficients, so products, sums and the reduction modulo Phi_N run
-on ints and build no Fraction; only `inverse` (an extended Euclid in Q[x])
-and the `coeffs` view use Fractions.  Mixed orders are coerced through
-Q(xi_lcm(M,N)), with a shortcut for rational operands of order 1.  A
-Realization fixes one field Q(xi_L) for all of its values, so its bracket
-loops never coerce.  Every rendering prints the coordinates with
-str(Fraction).
+on ints and build no Fraction; only the `coeffs` view does.  The maps
+xi -> xi^k, k prime to N, are the automorphisms of Q(xi_N): one int
+substitution p(x) -> p(x^k) mod Phi_N (`_subst`) serves them, the lifts
+into a bigger field (k = M/N) and the rewrites of a lazy sum.  So `inverse`
+needs no Euclid: 1/x is the product of the other conjugates of x over its
+norm, a nonzero rational.  Mixed orders are coerced through Q(xi_lcm(M,N)),
+with a shortcut for rational operands of order 1.  A Realization fixes one
+field Q(xi_L) for all of its values, so its bracket loops never coerce.
+Every rendering prints the coordinates with str(Fraction).
 
 Long sums of products do not go through CycNum arithmetic: a lazy sum keeps
 one unreduced int numerator list per key (the int convolutions of the
@@ -128,6 +131,29 @@ def _power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
+def _subst(nums, k: int, n: int) -> list[int]:
+    """p(x^k) mod Phi_n for the int coefficients `nums` of p, k >= 1."""
+    top = (len(nums) - 1) * k
+    if top < n:  # a lift into Q(xi_n): no exponent reaches n
+        out = [0] * (top + 1)
+        out[::k] = nums
+    else:  # x^j goes to x^(j k mod n), as x^n = 1 modulo Phi_n
+        out = [0] * n
+        for j, c in enumerate(nums):
+            out[j * k % n] += c
+    return _reduce(n, out)
+
+
+def _conv(a, b) -> list[int]:
+    """The product of two int coefficient lists, unreduced."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 def _reduce(n: int, coeffs: list[int]) -> list[int]:
     """An int coefficient list of any length, reduced modulo Phi_n."""
     phi = euler_phi(n)
@@ -214,11 +240,7 @@ class CycNum:
             return self
         if order % self.order != 0:
             raise ValueError("target order must be a multiple")
-        step = order // self.order
-        out = [0] * ((len(self.nums) - 1) * step + 1)
-        for j, c in enumerate(self.nums):
-            out[j * step] = c
-        return _canon(order, _reduce(order, out), self.den)
+        return _canon(order, _subst(self.nums, order // self.order, order), self.den)
 
     def _scaled(self, p: int, q: int) -> "CycNum":
         """self * p / q, for q > 0."""
@@ -305,20 +327,7 @@ class CycNum:
             p = a[0] * b[0]
             g = gcd(p, d)
             return _make(n, (p // g,), d // g)
-        prod = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        rows = _power_rows(n)
-        out = prod[:phi]
-        for e in range(phi, 2 * phi - 1):
-            c = prod[e]
-            if c:
-                for i, r in rows[e]:
-                    out[i] += c * r
-        return _canon(n, out, d)
+        return _canon(n, _reduce(n, _conv(a, b)), d)
 
     __rmul__ = __mul__
 
@@ -333,27 +342,23 @@ class CycNum:
         return self._scaled(q.numerator, q.denominator)
 
     def inverse(self) -> "CycNum":
-        """Field inverse via the extended Euclidean algorithm in Q[x]."""
+        """Field inverse: for x = p(xi) / den, y = prod of the conjugates
+        p(xi^k), k prime to the order and k != 1, makes p * y = N(p), a
+        nonzero integer (the norm), so 1/x = den * y / N(p)."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(xi)")
+        n, nums, den = self.order, self.nums, self.den
         if self.is_rational():
-            return CycNum.from_rational(Fraction(self.den, self.nums[0]), self.order)
-        mod = [Fraction(c) for c in cyclotomic_poly(self.order)]
-        a = list(self.coeffs)
-        # invariants: s * self == a (mod Phi), t * self == b (mod Phi)
-        b = mod
-        s: list[Fraction] = [_ONE]
-        t: list[Fraction] = []
-        while any(c for c in b):
-            q, r = _frac_poly_divmod(a, b)
-            a, b = b, r
-            s, t = t, _frac_poly_sub(s, _frac_poly_mul(q, t))
-        # now a = gcd (a nonzero constant, Phi_N irreducible), s*self = a mod Phi
-        deg = _frac_poly_deg(a)
-        assert deg == 0, "cyclotomic modulus must be irreducible"
-        inv_lead = _ONE / a[0]
-        nums, den = _over_common_den([c * inv_lead for c in s])
-        return _canon(self.order, _reduce(self.order, nums), den)
+            p = nums[0]
+            return _make(n, (den if p > 0 else -den,) + nums[1:], abs(p))
+        y = [1]
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                y = _reduce(n, _conv(y, _subst(nums, k, n)))
+        norm = _reduce(n, _conv(nums, y))[0]
+        if norm < 0:
+            norm, den = -norm, -den
+        return _canon(n, [den * c for c in y], norm)
 
     def __truediv__(self, other):
         if type(other) is not CycNum:
@@ -365,7 +370,7 @@ class CycNum:
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return CycNum.from_rational(other) * self.inverse()
+        return self.inverse().mul_rational(other)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -566,10 +571,7 @@ def _relift(sums: dict, order: int, target: int, factor: int) -> None:
     phi = euler_phi(target)
     for k, v in sums.items():
         red = _reduce(order, [v] if type(v) is int else v)
-        spread = [0] * ((len(red) - 1) * step + 1)
-        for j, c in enumerate(red):
-            spread[j * step] = c * factor
-        out = _reduce(target, spread)
+        out = _subst([c * factor for c in red], step, target)
         sums[k] = out[0] if phi == 1 else out + [0] * (phi - 1)
 
 
@@ -705,8 +707,8 @@ def _gauss_jordan(rows: list):
     Column by column, the first nonzero entry at or below the current row is
     swapped up, its row is scaled by the pivot's inverse and the column is
     cleared in every other row.  Returns (reduced rows, pivot columns, pivot
-    values, number of row swaps); the input is not modified.  A rational
-    pivot is inverted as Fraction(1) / pivot, so no float can appear.
+    values, number of row swaps); the input is not modified.  Every pivot is
+    inverted as Fraction(1) / pivot, so no float can appear.
     """
     m = [list(row) for row in rows]
     pivots: list[int] = []
@@ -721,7 +723,7 @@ def _gauss_jordan(rows: list):
             m[r], m[piv] = m[piv], m[r]
             swaps += 1
         pv = m[r][col]
-        inv = pv.inverse() if isinstance(pv, CycNum) else _ONE / pv
+        inv = _ONE / pv
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][col]:
@@ -788,55 +790,6 @@ def determinant(rows: list):
 def leading_minors(rows: list) -> list:
     """Determinants of the leading principal k x k submatrices, k = 1..n."""
     return [determinant([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
-
-
-# -- fraction polynomial helpers (dense, low-to-high) --------------------------
-
-
-def _frac_poly_deg(p: list[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    db = _frac_poly_deg(b)
-    assert db >= 0
-    rem = list(a)
-    da = _frac_poly_deg(rem)
-    if da < db:
-        return [], rem
-    quot = [_ZERO] * (da - db + 1)
-    for i in range(da - db, -1, -1):
-        c = rem[i + db] / b[db]
-        quot[i] = c
-        if c:
-            for j in range(db + 1):
-                rem[i + j] -= c * b[j]
-    return quot, rem
 
 
 def _frac_latex(q: Fraction) -> str:

@@ -12,11 +12,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from loomfold.cartan import Gcm
 from loomfold.errors import DivisionNotExact, P2Violation, ScopeViolation
 from loomfold.exactnum import CycNum, cyc_root, vec_add
-from loomfold.folding import DiagramAut, FoldData, TupleSets, fold_data, index_pairs
+from loomfold.folding import (
+    DiagramAut,
+    FoldData,
+    TupleSets,
+    fold_data,
+    index_pairs,
+    tuple_sets,
+)
 
 __all__ = [
     "LPoly",
@@ -150,12 +158,12 @@ class LPoly:
             vec_add(out, {tuple(new_e): c})
         return LPoly(variables, out)
 
-    def collapse_to_single(self, name: str = "w") -> "LPoly":
-        """Substitute every variable by the same variable `name`."""
+    def collapse_to_single(self) -> "LPoly":
+        """Substitute every variable by the same variable w."""
         out: dict = {}
         for e, c in self.terms.items():
             vec_add(out, {(sum(e),): c})
-        return LPoly((name,), out)
+        return LPoly(("w",), out)
 
     def eval_rational(self, values: dict[str, Fraction]) -> CycNum:
         """Full evaluation at rational points (exponents may be negative)."""
@@ -287,12 +295,10 @@ def _latex_var(v: str) -> str:
 # Building blocks
 
 
-def linear_factor(order: int, k: int, variables=("z", "w")) -> LPoly:
+def linear_factor(order: int, k: int) -> LPoly:
     """z - xi^k w."""
-    vz, vw = variables
-    names = tuple(variables)
     return LPoly(
-        names,
+        ("z", "w"),
         {
             (1, 0): CycNum.one(order),
             (0, 1): -cyc_root(order, k),
@@ -300,26 +306,28 @@ def linear_factor(order: int, k: int, variables=("z", "w")) -> LPoly:
     )
 
 
-def power_difference_ratio(a: int, b: int, variables=("z", "w")) -> LPoly:
+def power_difference_ratio(a: int, b: int) -> LPoly:
     """(z^a - w^a) / (z^b - w^b) for b | a, written out as a geometric sum."""
     assert a % b == 0
-    names = tuple(variables)
     terms = {}
     for k in range(a // b):
         terms[(b * k, a - b - b * k)] = CycNum.one()
-    return LPoly(names, terms)
+    return LPoly(("z", "w"), terms)
 
 
 # ---------------------------------------------------------------------------
 # Locality polynomials
 
 
+@lru_cache(maxsize=None)
 def locality_poly(gcm: Gcm, mu: DiagramAut, i: int, j: int) -> LPoly:
     """The polynomial annihilating [x_i(z), x_j(w)].
 
     Ordinary case: product of (z - xi^k w) over k with a_{i mu^k(j)} != 0.
     For matrices of type A_1^(1) the constraint is stronger: an extra
     (z - w) factor and squared factors over k with a_{i mu^k(j)} < 0.
+    Built once per (gcm, mu, i, j), which hash by value; callers share the
+    result and must not mutate it.
     """
     n = mu.order
     a = gcm.entries
@@ -433,19 +441,9 @@ class SerreFamily:
         return {"family": self.name, "pairs": pairs}
 
 
-def family_p(
-    gcm: Gcm,
-    mu: DiagramAut,
-    fold: FoldData | None = None,
-    sets: TupleSets | None = None,
-) -> SerreFamily:
+def family_p(gcm: Gcm, mu: DiagramAut) -> SerreFamily:
     """The product family: P_{ij,1} = prod over slot pairs of p_ij, rest 0."""
-    from loomfold.folding import tuple_sets
-
-    if fold is None:
-        fold = fold_data(gcm, mu)
-    if sets is None:
-        sets = tuple_sets(gcm, mu, fold)
+    sets = tuple_sets(gcm, mu, fold_data(gcm, mu))
     fam = SerreFamily("p")
     for i, j in index_pairs(gcm):
         arity = 1 - gcm.entries[i][j]
@@ -465,58 +463,35 @@ def family_p(
     return fam
 
 
-def p_pair_qlimit(
-    gcm: Gcm, mu: DiagramAut, fold: FoldData, i: int, j: int, q: Fraction
-) -> LPoly:
-    """The two-variable weight for cross-orbit pairs, at rational q.
+def p_pair_qlimit(gcm: Gcm, mu: DiagramAut, fold: FoldData, i: int, j: int) -> LPoly:
+    """The two-variable weight for cross-orbit pairs, at q = 1.
 
-    (z^{d_i} + q^{-d_i} w^{d_i})^{s_i - 1} * (q^{2 d_ij} z^{d_ij} - w^{d_ij})
-    divided exactly by (q^{2 d_i} z^{d_i} - w^{d_i}).
+    The quantum weight is (z^{d_i} + q^{-d_i} w^{d_i})^{s_i - 1} *
+    (q^{2 d_ij} z^{d_ij} - w^{d_ij}) divided exactly by
+    (q^{2 d_i} z^{d_i} - w^{d_i}).
     """
     d_i = fold.d[i]
     d_ij = fold.d_pair(gcm, mu, i, j)
-    s_i = fold.s[i]
     variables = ("z", "w")
-    first = LPoly(
-        variables, {(d_i, 0): 1, (0, d_i): CycNum.from_rational(q ** (-d_i))}
-    ) ** (s_i - 1)
-    num = LPoly(
-        variables,
-        {(d_ij, 0): CycNum.from_rational(q ** (2 * d_ij)), (0, d_ij): -1},
-    )
-    den = LPoly(
-        variables,
-        {(d_i, 0): CycNum.from_rational(q ** (2 * d_i)), (0, d_i): -1},
-    )
+    first = LPoly(variables, {(d_i, 0): 1, (0, d_i): 1}) ** (fold.s[i] - 1)
+    num = LPoly(variables, {(d_ij, 0): 1, (0, d_ij): -1})
+    den = LPoly(variables, {(d_i, 0): 1, (0, d_i): -1})
     return first * num.divide_exact(den)
 
 
-def p_node_qlimit(d_i: int, q: Fraction) -> LPoly:
-    """q^{-d} z1^d - (q^d + 1) z2^d + q^{2d} z3^d at rational q."""
-    variables = ("z1", "z2", "z3")
-    return LPoly(
-        variables,
-        {
-            (d_i, 0, 0): CycNum.from_rational(q ** (-d_i)),
-            (0, d_i, 0): CycNum.from_rational(-(q**d_i) - 1),
-            (0, 0, d_i): CycNum.from_rational(q ** (2 * d_i)),
-        },
-    )
+def p_node_qlimit(d_i: int) -> LPoly:
+    """q^{-d} z1^d - (q^d + 1) z2^d + q^{2d} z3^d at q = 1."""
+    return LPoly(("z1", "z2", "z3"), {(d_i, 0, 0): 1, (0, d_i, 0): -2, (0, 0, d_i): 1})
 
 
-def family_qlimit(
-    gcm: Gcm,
-    mu: DiagramAut,
-    fold: FoldData | None = None,
-    q: Fraction = Fraction(1),
-) -> SerreFamily:
-    """The classical-limit family of the twisted quantum affinization.
+def family_qlimit(gcm: Gcm, mu: DiagramAut) -> SerreFamily:
+    """The classical-limit family of the twisted quantum affinization: the
+    weights of its q-form at q = 1.
 
     Requires a simply-laced matrix and a non-transitive automorphism; all
     pairs then have a_ij = -1, so the family lives on two z-slots.
     """
-    if fold is None:
-        fold = fold_data(gcm, mu)
+    fold = fold_data(gcm, mu)
     a = gcm.entries
     n = gcm.n
     for i in range(n):
@@ -532,12 +507,12 @@ def family_qlimit(
     for i, j in index_pairs(gcm):
         sigmas = {}
         if not fold.same_orbit(i, j):
-            p = p_pair_qlimit(gcm, mu, fold, i, j, q)
+            p = p_pair_qlimit(gcm, mu, fold, i, j)
             for sigma in _permutations(2):
                 mapping = {"z": variables[sigma[0]], "w": variables[sigma[1]]}
                 sigmas[sigma] = p.embed(variables, mapping)
         else:
-            base = p_node_qlimit(fold.d[i], q)
+            base = p_node_qlimit(fold.d[i])
             for sigma in _permutations(2):
                 mapping = {
                     "z1": variables[sigma[0]],
@@ -591,6 +566,6 @@ def check_P2(fam: SerreFamily) -> dict:
     for (i, j), sigmas in fam.entries.items():
         total = LPoly.zero(("w",))
         for poly in sigmas.values():
-            total = total + poly.collapse_to_single("w")
+            total = total + poly.collapse_to_single()
         out[(i, j)] = total
     return out

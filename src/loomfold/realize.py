@@ -538,9 +538,9 @@ class Realization:
 
     # -- the automorphism at g-level ---------------------------------------------------
 
-    def mu_on_g(self, t2_bound: int | None = None) -> "GLevelMap":
-        if self._mu_g is None or (t2_bound or 0) > self._mu_g.t2_bound:
-            self._mu_g = GLevelMap(self, t2_bound or max(4, self.m2w))
+    def mu_on_g(self) -> "GLevelMap":
+        if self._mu_g is None:
+            self._mu_g = GLevelMap(self, max(4, self.m2w))
         return self._mu_g
 
     def mu_hat(self) -> "MuHat":
@@ -654,7 +654,6 @@ class GLevelMap:
 
     def __init__(self, real: Realization, t2_bound: int):
         self.real = real
-        self.t2_bound = t2_bound
         galg = real.galg
         mu = real.mu
         prop = FractionPropagator()
@@ -668,15 +667,14 @@ class GLevelMap:
         if galg.mode == "affine":
             k2 = {("k2",): CycNum.one()}
             seeds.append((k2, k2))
-        bound = t2_bound
         prop.close(
             seeds,
             seeds,
             galg.bracket,
-            keep=lambda v: all(k[0] != "g" or abs(k[1]) <= bound for k in v),
+            keep=lambda v: all(k[0] != "g" or abs(k[1]) <= t2_bound for k in v),
         )
         self.prop = prop
-        expected = galg.alg.dim * (2 * bound + 1) + 1 if galg.mode == "affine" else galg.alg.dim
+        expected = galg.alg.dim * (2 * t2_bound + 1) + 1 if galg.mode == "affine" else galg.alg.dim
         if galg.mode == "affine" and galg.r > 1:
             expected = None  # eigenspace dimensions vary; coverage checked on use
         if expected is not None and prop.rank < expected:

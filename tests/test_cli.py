@@ -297,6 +297,22 @@ def test_verify_rejects_negative_bounds(runner, extra):
     assert _json_out(res)["error"]["kind"] == "JobError"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        [cmd, "--entry", "no-such-entry"]
+        for cmd in ("classify", "fold", "polys", "crosscheck", "verify")
+    ]
+    + [["catalog", "--path", "no-such-catalog.json"]],
+)
+def test_every_command_maps_input_errors_to_exit_2(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, args
+    data = _json_out(res)
+    assert set(data) == {"schema", "error"}
+    assert data["error"]["kind"] == "JobError"
+
+
 def test_pool_size_clamp():
     cpus = os.cpu_count() or 1
     assert _pool_size(10**6, 17) == min(17, cpus)

@@ -122,13 +122,14 @@ def test_field_axioms(a, b, c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(cyc_numbers())
+@given(cyc_numbers(orders=(1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15)))
 def test_inverse(a):
     if a.is_zero():
         with pytest.raises(ZeroDivisionError):
             a.inverse()
     else:
         assert a * a.inverse() == 1
+        assert a.inverse().inverse() == a
 
 
 def test_division_by_zero():
@@ -237,10 +238,14 @@ def test_products_and_sums_build_no_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     xs = [CycNum(n, [Fraction(k + 1, 3 + k) for k in range(euler_phi(n))]) for n in (1, 2, 3, 5, 6)]
+    rationals = [CycNum.from_rational(Fraction(-7, 4), n) for n in (1, 5, 12)]
+    one = Fraction(1)
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     for x in xs:
         for y in xs:
             x * y, x + y, x - y, x == y, x.mul_rational(3), -x, cyc_root(12, 5) * x
+    for x in xs + rationals:
+        x.inverse(), one / x, cyc_root(12, 5) / x
     assert made == []
 
 

@@ -296,7 +296,7 @@ def test_family_p_a1_affine_diagonal():
 
 
 def test_family_qlimit_values():
-    assert p_node_qlimit(1, Fraction(1)) == LPoly(
+    assert p_node_qlimit(1) == LPoly(
         ("z1", "z2", "z3"), {(1, 0, 0): 1, (0, 1, 0): -2, (0, 0, 1): 1}
     )
     g, mu = _pair("A2^(1)", [0, 2, 1])

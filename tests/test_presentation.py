@@ -1,5 +1,6 @@
 import pytest
 
+from loomfold import polys
 from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.errors import ScopeViolation
 from loomfold.exactnum import cyc_root
@@ -137,6 +138,65 @@ def test_report_json_shape():
     assert data["total"] == len(rep.checks)
     for chk in data["checks"]:
         assert {"relation", "pair", "modes", "pass", "checked"} <= set(chk)
+
+
+def _suite_by_public_methods(real, fam, mode_bound, certificate):
+    """run_suite written as the public all-pair methods, one after the other."""
+    v = Verifier(real)
+    report = v.verify_cartan_relations(mode_bound)
+    report.extend(v.verify_locality_all(mode_bound))
+    report.extend(v.verify_AS(mode_bound))
+    if certificate:
+        report.extend(v.verify_P1_at_window(fam, mode_bound))
+    else:
+        report.extend(v.verify_serre_all(fam, mode_bound))
+    return report
+
+
+@pytest.mark.parametrize(
+    "label, perm, fam_builder, certificate",
+    [
+        ("A1^(1)", [1, 0], family_p, False),
+        ("A2^(1)", [1, 2, 0], family_p, False),
+        ("A2", [1, 0], family_qlimit, True),
+    ],
+)
+def test_run_suite_pair_by_pair_matches_public_methods(label, perm, fam_builder, certificate):
+    real, fam = _setup(label, perm, 1, fam_builder)
+    got = Verifier(real).run_suite(fam, 1, certificate=certificate)
+    assert got.to_json() == _suite_by_public_methods(real, fam, 1, certificate).to_json()
+
+
+def test_run_suite_repeats_no_bracket(monkeypatch):
+    """The locality, AS and Serre checks of a pair share their inner brackets."""
+    real, fam = _setup("A2^(1)", [1, 2, 0], 1)
+    calls = []
+    bracket = real.bracket
+
+    def recording(a, b):
+        calls.append((a, b))  # holding the operands keeps their ids unique
+        return bracket(a, b)
+
+    monkeypatch.setattr(real, "bracket", recording)
+    Verifier(real).run_suite(fam, 1)
+    operands = [(id(a), id(b)) for a, b in calls]
+    assert len(operands) > 100
+    assert len(set(operands)) == len(operands)
+
+
+def test_run_suite_builds_no_locality_poly(monkeypatch):
+    """suite_window has built every locality polynomial; run_suite reuses them."""
+    real, fam = _setup("A2^(1)", [1, 2, 0], 1)
+    factors = []
+    linear_factor = polys.linear_factor
+
+    def counting(*args):
+        factors.append(args)
+        return linear_factor(*args)
+
+    monkeypatch.setattr(polys, "linear_factor", counting)
+    Verifier(real).run_suite(fam, 1)
+    assert factors == []
 
 
 def test_out_of_window_recorded_as_gap():

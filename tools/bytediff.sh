@@ -29,6 +29,11 @@ z2xi5='{"exps": [0, 1, 0], "coeff": {"order": 5, "coeffs": ["0", "1", "0", "0"]}
 echo "{\"name\": \"mixed\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
   {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$z1, $z2xi5]}}}]}" >"$tmp/famx.json"
 echo '{"cartan": [[2, -1], [-4, 2]], "mu": [0, 1]}' >"$tmp/a22.json"
+# D4^(3): its realization lives in Q(xi_3), and building it inverts 49
+# non-rational values; the one-pair family fails with Q(xi_3) residuals
+echo '{"cartan": [[2, -1, 0], [-1, 2, -3], [0, -1, 2]], "mu": [0, 1, 2]}' >"$tmp/d43.json"
+echo "{\"name\": \"plain12\", \"pairs\": [{\"i\": 1, \"j\": 2, \"terms\":
+  {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$one]}}}]}" >"$tmp/fam12.json"
 entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   'from loomfold.catalog import load_entries; print(*(e.name for e in load_entries(None)))') \
   || exit 2
@@ -46,6 +51,8 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
   echo "verify --input a22.json --modes 1"
   echo "verify --input a22.json --modes 1 --family user:fam.json"
+  echo "verify --input d43.json --modes 1"
+  echo "verify --input d43.json --modes 1 --family user:fam12.json"
 } >"$tmp/commands"
 
 run() {  # run SRC OUT: stdout, stderr and "exit-code command" per numbered command
