@@ -20,7 +20,7 @@ from loomfold.errors import (
     NotAffine,
     NotGcm,
 )
-from loomfold.exactnum import kernel_basis, leading_minors
+from loomfold.exactnum import Echelon, kernel_basis
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -311,10 +311,12 @@ def rational_symmetrizer(a: Matrix) -> tuple[Fraction, ...]:
 
 def _kernel_labels(a: Matrix) -> tuple[int, ...]:
     """Primitive strictly positive integer kernel vector (corank-1 matrix)."""
-    kernel = kernel_basis([[Fraction(x) for x in row] for row in a])
+    n = len(a)
+    columns = [{i: a[i][j] for i in range(n) if a[i][j]} for j in range(n)]
+    kernel = kernel_basis(columns, Fraction(1))
     if len(kernel) != 1:
         raise NotAffine("kernel is not one-dimensional")
-    vec = kernel[0]
+    vec = [kernel[0].get(j, 0) for j in range(n)]
     denom_lcm = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom_lcm) for x in vec]
     g = gcd(*ints)
@@ -329,11 +331,20 @@ def _kernel_labels(a: Matrix) -> tuple[int, ...]:
 def _classify(a: Matrix) -> Classification:
     n = len(a)
     eps = rational_symmetrizer(a)  # raises IndefiniteType if unsymmetrizable
-    s = [[eps[i] * a[i][j] for j in range(n)] for i in range(n)]
-    minors = leading_minors(s)
-    if all(d > 0 for d in minors):
+    # Sylvester: row k of diag(eps) A, reduced by the rows before it, leaves
+    # the pivot D_k / D_(k-1) at column k (the keys run -j, so the pivots go
+    # left to right); finite when every pivot is positive, affine when only
+    # the last is zero
+    rows = Echelon()
+    for k in range(n):
+        v, _ = rows.reduce({-j: eps[k] * x for j, x in enumerate(a[k]) if x}, {})
+        pivot = v.get(-k, 0)
+        if pivot <= 0:
+            break
+        rows.insert(v, {})
+    if pivot > 0:
         kind = "finite"
-    elif all(d > 0 for d in minors[:-1]) and minors[-1] == 0:
+    elif pivot == 0 and k == n - 1:
         _kernel_labels(a)  # validates strict positivity
         kind = "affine"
     else:

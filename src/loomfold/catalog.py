@@ -59,16 +59,23 @@ def builtin_entries() -> list[CatalogEntry]:
     ]
 
 
+def read_json(path: str, what: str):
+    """The JSON value held in a file.  A file that cannot be read, is not
+    UTF-8, holds no JSON or nests deeper than the recursion limit raises
+    JobError, "cannot read <what>: <reason>"."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise JobError(f"cannot read {what}: {exc}") from exc
+
+
 def load_entries(path: str | None = None) -> list[CatalogEntry]:
     """Entries from an explicit path, the environment override, or built-ins."""
     path = path or os.environ.get(ENV_VAR)
     if not path:
         return builtin_entries()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise JobError(f"cannot read catalog {path}: {exc}") from exc
+    raw = read_json(path, f"catalog {path}")
     if not isinstance(raw, list):
         raise JobError("catalog file must hold a list of entries")
     out = []
@@ -76,9 +83,12 @@ def load_entries(path: str | None = None) -> list[CatalogEntry]:
         try:
             gcm = Gcm(item["cartan"])
             mu = validate_aut(gcm, item["mu"])
-            out.append(CatalogEntry(str(item["name"]), gcm, mu))
+            name = item["name"]
         except (KeyError, TypeError) as exc:
             raise JobError(f"bad catalog entry: {exc}") from exc
+        if not isinstance(name, str):
+            raise JobError('catalog entry "name" must be a string')
+        out.append(CatalogEntry(name, gcm, mu))
     seen = set()
     for e in out:
         if e.name in seen:

@@ -29,7 +29,7 @@ from loomfold.errors import (
     OutOfWindow,
     UnknownType,
 )
-from loomfold.exactnum import inverse_matrix, perm_orbits, proportional, vec_add
+from loomfold.exactnum import Echelon, perm_orbits, proportional, vec_add
 
 Vec = dict[int, Fraction]
 
@@ -286,81 +286,32 @@ def _build_simply_laced(letter: str, rank: int) -> FiniteAlg:
 # Automorphism propagation
 
 
-class FractionPropagator:
-    """Tracks a partial linear map from (element, image) pairs.
+def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None) -> None:
+    """Insert the seed (element, image) pairs into `ech` and close them
+    under `ad`.
 
-    Vectors are sparse dicts over basis indices.  Inserting a vector that
-    reduces to zero checks that its image is consistent with the span built
-    so far; a contradiction raises InconsistentPropagation.
+    Works breadth first: each round brackets every (s, s_img) of `ad` with
+    each pair the previous round added, and inserts [s, a] with the image
+    [s_img, a_img].  A bracket that raises OutOfWindow, is zero or fails
+    `keep` is skipped; at most `rounds` rounds run when given.
     """
-
-    def __init__(self):
-        self.rows: dict[int, tuple[Vec, Vec]] = {}
-
-    def insert(self, v: Vec, img: Vec) -> bool:
-        v = dict(v)
-        img = dict(img)
-        while v:
-            p = max(v)
-            row = self.rows.get(p)
-            if row is None:
-                c = v[p]
-                inv = Fraction(1) / c
-                vn = {k: x * inv for k, x in v.items()}
-                imgn = {k: x * inv for k, x in img.items()}
-                self.rows[p] = (vn, imgn)
-                return True
-            c = v[p]
-            vec_add(v, row[0], -c)
-            vec_add(img, row[1], -c)
-        if img:
-            raise InconsistentPropagation(
-                "two presentations of one element map to different images"
-            )
-        return False
-
-    def apply(self, v: Vec) -> Vec:
-        v = dict(v)
-        out: Vec = {}
-        while v:
-            p = max(v)
-            row = self.rows.get(p)
-            if row is None:
-                raise InconsistentPropagation("element outside the propagated span")
-            c = v[p]
-            vec_add(v, row[0], -c)
-            vec_add(out, row[1], c)
-        return out
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def close(self, pairs, ad, bracket, keep=None, rounds=None) -> None:
-        """Insert the seed (element, image) pairs and close them under `ad`.
-
-        Works breadth first: each round brackets every (s, s_img) of `ad`
-        with each pair the previous round added, and inserts [s, a] with the
-        image [s_img, a_img].  A bracket that raises OutOfWindow, is zero or
-        fails `keep` is skipped; at most `rounds` rounds run when given.
-        """
-        frontier = [(v, img) for v, img in pairs if self.insert(v, img)]
-        done = 0
-        while frontier and (rounds is None or done < rounds):
-            new = []
-            for a, a_img in frontier:
-                for s, s_img in ad:
-                    try:
-                        b = bracket(s, a)
-                    except OutOfWindow:
-                        continue
-                    if not b or (keep is not None and not keep(b)):
-                        continue
-                    b_img = bracket(s_img, a_img)
-                    if self.insert(b, b_img):
-                        new.append((b, b_img))
-            frontier = new
-            done += 1
+    frontier = [(v, img) for v, img in pairs if ech.insert(v, img)]
+    done = 0
+    while frontier and (rounds is None or done < rounds):
+        new = []
+        for a, a_img in frontier:
+            for s, s_img in ad:
+                try:
+                    b = bracket(s, a)
+                except OutOfWindow:
+                    continue
+                if not b or (keep is not None and not keep(b)):
+                    continue
+                b_img = bracket(s_img, a_img)
+                if ech.insert(b, b_img):
+                    new.append((b, b_img))
+        frontier = new
+        done += 1
 
 
 def mu_extend_finite(alg: FiniteAlg, perm) -> list[Vec]:
@@ -371,13 +322,13 @@ def mu_extend_finite(alg: FiniteAlg, perm) -> list[Vec]:
     whenever an element is reached twice.
     """
     perm = tuple(perm)
-    prop = FractionPropagator()
+    prop = Echelon()
     seeds = []
     for i in range(alg.rank):
         seeds.append((alg.e(i), alg.e(perm[i])))
         seeds.append((alg.f(i), alg.f(perm[i])))
         seeds.append((alg.h(i), alg.h(perm[i])))
-    prop.close(seeds, seeds, alg.bracket)
+    close(prop, seeds, seeds, alg.bracket)
     if prop.rank != alg.dim:
         raise InconsistentPropagation(
             f"{alg.label}: generator words span only {prop.rank} of {alg.dim}"
@@ -482,8 +433,11 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
             vec[src.h_idx[p]] = Fraction(1)
         cartan_vectors.append(vec)
 
-    # folded root coordinates: solve lambda = A_target . c per fixed vector
-    inv = inverse_matrix([[Fraction(x) for x in row] for row in target])
+    # folded root coordinates: solve lambda = A_target . c per fixed vector,
+    # as the combination of the columns of A_target that gives lambda
+    columns = Echelon()
+    for t in range(n):
+        columns.insert({r: target[r][t] for r in range(n) if target[r][t]}, {t: Fraction(1)})
     folded_keys = []
     folded_vecs = []
     for coords, vec in fixed_vectors:
@@ -495,7 +449,8 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
                     f"orbit sum at {coords} is no Cartan eigenvector in {src.label}"
                 )
             lam.append(ratio)
-        c = [sum(inv[r][t] * lam[t] for t in range(n)) for r in range(n)]
+        sol = columns.apply({t: x for t, x in enumerate(lam) if x})
+        c = [sol.get(r, Fraction(0)) for r in range(n)]
         if any(x.denominator != 1 for x in c):
             raise GeneratorAssertionFailed(
                 f"orbit sum at {coords} has non-integral folded coordinates {c}"
@@ -516,7 +471,7 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
         )
 
     # express arbitrary fixed source elements in the folded basis
-    expander = FractionPropagator()
+    expander = Echelon()
     for i, vec in enumerate(vectors):
         expander.insert(vec, {i: Fraction(1)})
 

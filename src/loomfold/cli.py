@@ -71,16 +71,15 @@ def _load_job(input_path: str | None, entry: str | None):
         return ce.gcm, ce.mu, ce.name
     if not input_path:
         raise JobError("provide --input FILE or --entry NAME")
-    try:
-        with open(input_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise JobError(f"cannot read job file: {exc}") from exc
+    raw = catalog_mod.read_json(input_path, "job file")
     if not isinstance(raw, dict) or "cartan" not in raw:
         raise JobError('job file must be an object with a "cartan" matrix')
     gcm = Gcm(raw["cartan"])
     mu = validate_aut(gcm, raw.get("mu", list(range(gcm.n))))
-    return gcm, mu, raw.get("name", "job")
+    name = raw.get("name", "job")
+    if not isinstance(name, str):
+        raise JobError('job "name" must be a string')
+    return gcm, mu, name
 
 
 def _family(gcm, mu, selector: str) -> tuple[SerreFamily, bool]:
@@ -100,11 +99,7 @@ def _family(gcm, mu, selector: str) -> tuple[SerreFamily, bool]:
 
 def _read_pairs(path: str, what: str) -> tuple[dict, list]:
     """The JSON object in a family or factor file, and its "pairs" list."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise JobError(f"cannot read {what} file: {exc}") from exc
+    raw = catalog_mod.read_json(path, f"{what} file")
     if not isinstance(raw, dict):
         raise JobError(f"{what} file must hold a JSON object")
     pairs = raw.get("pairs", [])

@@ -32,8 +32,15 @@ the weighted relation terms with it (a sum whose products lie in two
 different fields goes term by term, see there).
 
 The module also holds the exact linear algebra shared by the layers above:
-sparse vectors ({key: coefficient} dicts), permutation orbits, and one
-Gauss-Jordan elimination over Fraction or CycNum entries.
+sparse vectors ({key: coefficient} dicts), permutation orbits, and the one
+row reduction, `Echelon`: sparse rows over Fraction or CycNum entries, each
+carrying its image, pivoted at their highest key.  Its rank is the number
+of rows; `insert` and `apply` make it a partial linear map (the automorphism
+propagation, the span closures, and solving A c = lambda from the columns
+of A); `reduce` leaves the residual of a vector, so the kernel of a matrix
+is read off its columns (`kernel_basis`), and the pivots that the rows of a
+symmetric matrix leave, in order, are the ratios D_k / D_(k-1) of its
+leading principal minors (Sylvester's test in `cartan`).
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+
+from loomfold.errors import InconsistentPropagation
 
 __all__ = [
     "CycNum",
@@ -51,14 +60,10 @@ __all__ = [
     "lin_comb",
     "proportional",
     "perm_orbits",
-    "matrix_rank",
+    "Echelon",
     "kernel_basis",
-    "inverse_matrix",
-    "determinant",
-    "leading_minors",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -226,11 +231,6 @@ class CycNum:
         if type(q) is not int:
             q = _exact(q)
         return _make(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
-
-    @staticmethod
-    def root(order: int, k: int) -> "CycNum":
-        """xi_order ** k, canonical."""
-        return _root(order, k % order)
 
     # -- coercion ----------------------------------------------------------
 
@@ -701,95 +701,83 @@ def perm_orbits(perm) -> list[tuple[int, ...]]:
 # -- exact linear algebra over Q and Q(xi_N) ---------------------------------------
 
 
-def _gauss_jordan(rows: list):
-    """Reduced row echelon form of a dense matrix of Fraction or CycNum entries.
+class Echelon:
+    """A sparse row echelon of (vector, image) pairs: a partial linear map.
 
-    Column by column, the first nonzero entry at or below the current row is
-    swapped up, its row is scaled by the pivot's inverse and the column is
-    cleared in every other row.  Returns (reduced rows, pivot columns, pivot
-    values, number of row swaps); the input is not modified.  Every pivot is
-    inverted as Fraction(1) / pivot, so no float can appear.
+    Vectors and images are sparse dicts over ordered keys, with int, Fraction
+    or CycNum entries.  Each row is stored under its pivot, the highest key
+    of its vector, with the vector scaled to 1 there and the image scaled
+    alike, so the rows span the inserted vectors and carry their images.
+    `rank` is the number of rows.  Inserting a vector that reduces to zero
+    checks that its image is consistent with the map built so far; a
+    contradiction raises InconsistentPropagation.
     """
-    m = [list(row) for row in rows]
-    pivots: list[int] = []
-    values: list = []
-    swaps = 0
-    for col in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            swaps += 1
-        pv = m[r][col]
-        inv = _ONE / pv
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        values.append(pv)
-    return m, pivots, values, swaps
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def reduce(self, v: dict, img: dict) -> tuple[dict, dict]:
+        """The residual of (v, img): the row at the highest key of v, times
+        that entry, is taken off both until no row is stored at that key or
+        v is zero.  The arguments are not modified."""
+        v = dict(v)
+        img = dict(img)
+        rows = self.rows
+        while v:
+            p = max(v)
+            row = rows.get(p)
+            if row is None:
+                break
+            c = v[p]
+            vec_add(v, row[0], -c)
+            vec_add(img, row[1], -c)
+        return v, img
+
+    def insert(self, v: dict, img: dict) -> bool:
+        """Add the pair (v, img); True when it adds a row."""
+        v, img = self.reduce(v, img)
+        if not v:
+            if img:
+                raise InconsistentPropagation(
+                    "two presentations of one element map to different images"
+                )
+            return False
+        p = max(v)
+        inv = _ONE / v[p]
+        self.rows[p] = ({k: x * inv for k, x in v.items()}, {k: x * inv for k, x in img.items()})
+        return True
+
+    def apply(self, v: dict) -> dict:
+        """The image of v, which must lie in the span of the rows."""
+        v, img = self.reduce(v, {})
+        if v:
+            raise InconsistentPropagation("element outside the propagated span")
+        return {k: -x for k, x in img.items()}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
 
 
-def _unit_pair(x):
-    """(0, 1) in the number type of x."""
-    return (CycNum.zero(), CycNum.one()) if isinstance(x, CycNum) else (_ZERO, _ONE)
+def kernel_basis(columns: list, one) -> list[dict]:
+    """A basis of the kernel of the matrix with these sparse columns, as
+    sparse vectors over the column indices; `one` is the unit of the
+    entries' number type.
 
-
-def matrix_rank(rows: list) -> int:
-    return len(_gauss_jordan(rows)[1])
-
-
-def kernel_basis(rows: list) -> list[list]:
-    """Kernel basis: one vector per free column, in column order, with that
-    column set to 1 and the pivot entries back-substituted."""
-    m, pivots, _, _ = _gauss_jordan(rows)
-    ncols = len(rows[0])
-    zero, one = _unit_pair(rows[0][0])
+    The columns are inserted in order, each with the unit image {j: one}; a
+    column that reduces to zero leaves its residual image, a kernel vector
+    with `one` at column j and 0 at every later column and at every other
+    such column: the normalisation of the reduced row echelon form.
+    """
+    ech = Echelon()
     out = []
-    for col in range(ncols):
-        if col in pivots:
-            continue
-        vec = [zero] * ncols
-        vec[col] = one
-        for prow, pcol in enumerate(pivots):
-            if m[prow][col]:
-                vec[pcol] = -m[prow][col]
-        out.append(vec)
+    for j, col in enumerate(columns):
+        v, img = ech.reduce(col, {j: one})
+        if v:
+            ech.insert(v, img)
+        else:
+            out.append(img)
     return out
-
-
-def inverse_matrix(rows: list) -> list[list]:
-    """Inverse of a square matrix; raises ZeroDivisionError if it is singular."""
-    n = len(rows)
-    zero, one = _unit_pair(rows[0][0])
-    aug = [
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    m, pivots, _, _ = _gauss_jordan(aug)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("singular matrix has no inverse")
-    return [row[n:] for row in m]
-
-
-def determinant(rows: list):
-    """Determinant of a square matrix (Fraction 0 when it is singular)."""
-    _, pivots, values, swaps = _gauss_jordan(rows)
-    if len(pivots) < len(rows):
-        return _ZERO
-    out = -_ONE if swaps % 2 else _ONE
-    for pv in values:
-        out = out * pv
-    return out
-
-
-def leading_minors(rows: list) -> list:
-    """Determinants of the leading principal k x k submatrices, k = 1..n."""
-    return [determinant([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
 
 
 def _frac_latex(q: Fraction) -> str:

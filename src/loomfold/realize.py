@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import lcm
 
 from loomfold.cartan import Gcm, _graph_iso, canonical_matrix
-from loomfold.chevalley import FractionPropagator, chevalley, mu_extend_finite
+from loomfold.chevalley import chevalley, close, mu_extend_finite
 from loomfold.errors import (
     GeneratorAssertionFailed,
     InconsistentPropagation,
@@ -50,6 +50,7 @@ from loomfold.errors import (
 )
 from loomfold.exactnum import (
     CycNum,
+    Echelon,
     cyc_root,
     euler_phi,
     kernel_basis,
@@ -57,7 +58,6 @@ from loomfold.exactnum import (
     lazy_align,
     lazy_reduce,
     lazy_settle,
-    matrix_rank,
     perm_orbits,
     proportional,
     vec_add,
@@ -209,32 +209,20 @@ def _affine_generators(galg: GAlg) -> list:
     xi = cyc_root(r, 1)
     dim = alg.dim
 
-    def eigen_rows(eigenvalue: CycNum) -> list:
-        rows = []
-        for i in range(dim):
-            row = [CycNum.zero() for _ in range(dim)]
-            img = galg.nu_images[i]
-            for t, s in img.items():
-                row[t] = row[t] + CycNum.from_rational(s)
-            row[i] = row[i] - eigenvalue
-            rows.append([row[j] for j in range(dim)])
-        # rows above are images of basis vectors; transpose for column action
-        return [[rows[j][i] for j in range(dim)] for i in range(dim)]
-
-    def ad_rows(op: AffElem) -> list:
-        rows = [[CycNum.zero() for _ in range(dim)] for _ in range(dim)]
+    def weight_line(eigenvalue: CycNum, ops: list) -> dict:
+        """The one v, up to scale, in the finite algebra with nu(v) =
+        eigenvalue v and [op, v] = 0 for every op: the kernel of the matrix
+        whose column j stacks nu(e_j) - eigenvalue e_j and the [op, e_j]."""
+        columns = []
         for j in range(dim):
-            img = galg.bracket(op, {("g", 0, j): CycNum.one()})
-            for key, c in img.items():
-                assert key[0] == "g" and key[1] == 0
-                rows[key[2]][j] = c
-        return rows
-
-    def weight_line(eigenvalue: CycNum, ops: list) -> list:
-        rows = eigen_rows(eigenvalue)
-        for op in ops:
-            rows.extend(ad_rows(op))
-        kernel = kernel_basis(rows)
+            col = {(0, t): CycNum.from_rational(s) for t, s in galg.nu_images[j].items()}
+            vec_add(col, {(0, j): -eigenvalue})
+            for o, op in enumerate(ops, 1):
+                for key, c in galg.bracket(op, {("g", 0, j): CycNum.one()}).items():
+                    assert key[0] == "g" and key[1] == 0
+                    col[(o, key[2])] = c
+            columns.append(col)
+        kernel = kernel_basis(columns, CycNum.one())
         if len(kernel) != 1:
             raise GeneratorAssertionFailed(
                 f"{alg.label}: weight line has dimension {len(kernel)}"
@@ -243,8 +231,8 @@ def _affine_generators(galg: GAlg) -> list:
 
     lows = weight_line(xi, [computed[t][1] for t in range(1, len(computed))])
     highs = weight_line(xi.inverse(), [computed[t][0] for t in range(1, len(computed))])
-    v_low: AffElem = {("g", 1, i): c for i, c in enumerate(lows) if c}
-    v_high: AffElem = {("g", -1, i): c for i, c in enumerate(highs) if c}
+    v_low: AffElem = {("g", 1, i): lows[i] for i in sorted(lows)}
+    v_high: AffElem = {("g", -1, i): highs[i] for i in sorted(highs)}
     h_dot = galg.bracket(v_low, v_high)
     ad_back = galg.bracket(h_dot, v_low)
     kappa = proportional(ad_back, v_low)
@@ -588,14 +576,13 @@ class Realization:
             for m2 in range(-inner_m2, inner_m2 + 1):
                 keys = self.block_keys(m1, m2)
                 key_set = set(keys)
-                mat = []
+                moved = Echelon()  # the span of mu_hat - 1 on the block
                 for key in keys:
                     img = hat.apply({key: CycNum.one()})
                     assert set(img) <= key_set, "automorphism left the block"
-                    img[key] = img.get(key, CycNum.zero()) - CycNum.one()
-                    mat.append([img.get(k2, CycNum.zero()) for k2 in keys])
-                rank = matrix_rank(mat)
-                fixed = len(keys) - rank
+                    vec_add(img, {key: -CycNum.one()})
+                    moved.insert(img, {})
+                fixed = len(keys) - moved.rank
                 generated = span.get((m1, m2), 0)
                 blocks[(m1, m2)] = (fixed, generated)
         return blocks
@@ -618,9 +605,13 @@ class Realization:
                 seeds.append(self.theta_x(i, m, -1))
                 seeds.append(self.theta_h(i, m))
         ad = [(s, {}) for s in seeds if s and _max_m1(s) <= 1]
-        prop = FractionPropagator()
-        prop.close(
-            [(s, {}) for s in seeds], ad, self.bracket, keep=lambda v: _max_m1(v) <= out_m1
+        prop = Echelon()
+        close(
+            prop,
+            [(s, {}) for s in seeds],
+            ad,
+            self.bracket,
+            keep=lambda v: _max_m1(v) <= out_m1,
         )
         ranks: dict = {}
         for pivot in prop.rows:
@@ -656,7 +647,7 @@ class GLevelMap:
         self.real = real
         galg = real.galg
         mu = real.mu
-        prop = FractionPropagator()
+        prop = Echelon()
         seeds = []
         for i in range(real.gcm.n):
             e, f, h = real.gens[i]
@@ -667,7 +658,8 @@ class GLevelMap:
         if galg.mode == "affine":
             k2 = {("k2",): CycNum.one()}
             seeds.append((k2, k2))
-        prop.close(
+        close(
+            prop,
             seeds,
             seeds,
             galg.bracket,
@@ -757,7 +749,7 @@ class MuHat:
     def __init__(self, real: Realization, m1_bound: int = 3, depth: int = 3):
         self.real = real
         self.n = real.n_order
-        prop = FractionPropagator()
+        prop = Echelon()
         seeds = []
         for i in range(real.gcm.n):
             for m in range(-m1_bound, m1_bound + 1):
@@ -769,8 +761,8 @@ class MuHat:
                     seeds.append((src, img))
         seeds.append((real.theta_c(), real.theta_c()))
         ad = [s for s in seeds if _max_m1(s[0]) <= 1]
-        prop.close(
-            seeds, ad, real.bracket, keep=lambda v: _max_m1(v) <= m1_bound, rounds=depth - 1
+        close(
+            prop, seeds, ad, real.bracket, keep=lambda v: _max_m1(v) <= m1_bound, rounds=depth - 1
         )
         self.prop = prop
 

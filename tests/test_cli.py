@@ -3,7 +3,10 @@ import os
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loomfold.cartan import _candidates
 from loomfold.cli import _pool_size, main
 
 
@@ -364,3 +367,165 @@ def test_verify_rejects_malformed_family_file(runner, tmp_path, selector, conten
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)  # exited through _fail, no traceback
     assert _json_out(res)["error"]["kind"] == "JobError"
+
+
+# files no JSON reader can take: not UTF-8, or nested past the recursion limit
+_UNREADABLE = {"binary": b"\xff\xfe", "deep": b"[" * 100_000}
+
+
+def _assert_rejected(res, kind="JobError"):
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # exited through _fail, no traceback
+    data = _json_out(res)
+    assert set(data) == {"schema", "error"}
+    assert data["error"]["kind"] == kind
+    return data["error"]["message"]
+
+
+@pytest.mark.parametrize("content", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+def test_unreadable_job_file(runner, tmp_path, content):
+    path = tmp_path / "job.json"
+    path.write_bytes(content)
+    res = runner.invoke(main, ["classify", "--input", str(path)])
+    assert _assert_rejected(res).startswith("cannot read job file: ")
+
+
+@pytest.mark.parametrize("content", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+def test_unreadable_catalog_file(runner, tmp_path, monkeypatch, content):
+    path = tmp_path / "cat.json"
+    path.write_bytes(content)
+    monkeypatch.setenv("LOOMFOLD_CATALOG", str(path))
+    for args in (["catalog"], ["verify", "--entry", "all", "--modes", "0"]):
+        res = runner.invoke(main, args)
+        assert _assert_rejected(res).startswith(f"cannot read catalog {path}: "), args
+
+
+@pytest.mark.parametrize("selector", ["user", "f"])
+@pytest.mark.parametrize("content", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+def test_unreadable_family_file(runner, tmp_path, selector, content):
+    path = tmp_path / "family.json"
+    path.write_bytes(content)
+    res = runner.invoke(
+        main, ["verify", "--entry", "A2a-flip", "--modes", "0", "--family", f"{selector}:{path}"]
+    )
+    what = "family" if selector == "user" else "factor"
+    assert _assert_rejected(res).startswith(f"cannot read {what} file: ")
+
+
+@pytest.mark.parametrize("name", [5, None, ["A2"], {"a": 1}, True])
+def test_catalog_rejects_non_string_name(runner, tmp_path, name):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([{"name": name, "cartan": [[2, -1], [-1, 2]], "mu": [1, 0]}]))
+    res = runner.invoke(main, ["catalog", "--path", str(path)])
+    assert _assert_rejected(res) == 'catalog entry "name" must be a string'
+
+
+@pytest.mark.parametrize("name", [5, None, ["A2"]])
+@pytest.mark.parametrize("cmd", ["classify", "fold", "polys", "crosscheck", "verify"])
+def test_job_rejects_non_string_name(runner, tmp_path, cmd, name):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"name": name, "cartan": [[2, -1], [-1, 2]]}))
+    res = runner.invoke(main, [cmd, "--input", str(path)])
+    assert _assert_rejected(res) == 'job "name" must be a string'
+
+
+def _sympy_class(a):
+    """"finite", "affine" or the IndefiniteType error (kind, message) of a
+    GCM, from sympy alone: the symmetrizer is the nullspace of
+    eps_i a_ij = eps_j a_ji, and the leading principal minors of
+    diag(eps) A decide."""
+    import sympy
+
+    n = len(a)
+    eqs = [
+        [a[i][j] if k == i else -a[j][i] if k == j else 0 for k in range(n)]
+        for i in range(n)
+        for j in range(i + 1, n)
+        if a[i][j]
+    ]
+    eps = sympy.Matrix(eqs).nullspace() if eqs else [sympy.Matrix([1])]
+    if len(eps) != 1:
+        return ("IndefiniteType", "matrix is not symmetrizable")
+    s = sympy.diag(*eps[0]) * sympy.Matrix(a)
+    minors = [s[:k, :k].det() for k in range(1, n + 1)]
+    if eps[0][0] < 0:
+        minors = [d * (-1) ** k for k, d in enumerate(minors, 1)]
+    if all(d > 0 for d in minors):
+        return "finite"
+    if all(d > 0 for d in minors[:-1]) and minors[-1] == 0:
+        return "affine"
+    return ("IndefiniteType", "matrix is neither of finite nor of affine type")
+
+
+@st.composite
+def _connected_gcms(draw):
+    """Indecomposable GCMs of 1-5 nodes: a random spanning tree plus a few
+    extra edges, each edge with its two entries drawn apart, mostly -1 so
+    that finite and affine matrices come up often."""
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from([-1] * 8 + [-2, -2, -3, -4])
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    edges = [(draw(st.integers(0, j - 1)), j) for j in range(1, n)]
+    edges += [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (i, j) not in edges and draw(st.integers(0, 4)) == 0
+    ]
+    for i, j in edges:
+        a[i][j], a[j][i] = draw(entry), draw(entry)
+    return a
+
+
+@st.composite
+def _near_canonical_gcms(draw):
+    """A canonical finite or affine matrix of 1-5 nodes, relabelled, with
+    one entry of an edge redrawn half of the time."""
+    n = draw(st.integers(1, 5))
+    pool = [c[4] for kind in ("finite", "affine") for c in _candidates(kind, n)]
+    c = draw(st.sampled_from(pool))
+    p = draw(st.permutations(range(n)))
+    a = [[c[p[i]][p[j]] for j in range(n)] for i in range(n)]
+    edges = [(i, j) for i in range(n) for j in range(n) if i != j and a[i][j]]
+    if edges and draw(st.booleans()):
+        i, j = draw(st.sampled_from(edges))
+        a[i][j] = draw(st.integers(-4, -1))
+    return a
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+_jobs = st.one_of(
+    st.one_of(_connected_gcms(), _near_canonical_gcms()).map(lambda a: {"cartan": a}),
+    st.fixed_dictionaries(
+        {"cartan": st.one_of(_connected_gcms(), _json_values)},
+        optional={"mu": _json_values, "name": _json_values},
+    ),
+    _json_values,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(job=_jobs)
+def test_classify_fuzz(tmp_path_factory, job):
+    """Any job file gives one JSON payload and exit 0 or 2, never a
+    traceback; a valid GCM classifies as sympy's leading minors say."""
+    runner = CliRunner()
+    path = tmp_path_factory.getbasetemp() / "fuzz-job.json"
+    path.write_text(json.dumps(job))
+    res = runner.invoke(main, ["classify", "--input", str(path)])
+    assert res.exit_code in (0, 2)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    data = _json_out(res)  # exactly one JSON payload
+    if res.exit_code == 0:
+        assert isinstance(data["name"], str)
+        outcome = data["class"]
+    else:
+        assert set(data) == {"schema", "error"}
+        outcome = (data["error"]["kind"], data["error"]["message"])
+    gcm_given = isinstance(job, dict) and set(job) == {"cartan"}
+    if gcm_given and data.get("error", {}).get("kind") != "NotGcm":
+        assert outcome == _sympy_class(job["cartan"])

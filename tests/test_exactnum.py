@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loomfold.errors import InconsistentPropagation
 from loomfold.exactnum import (
     CycNum,
+    Echelon,
     cyc_root,
     cyclotomic_poly,
-    determinant,
     euler_phi,
-    inverse_matrix,
     kernel_basis,
-    leading_minors,
-    matrix_rank,
 )
 
 
@@ -249,7 +247,7 @@ def test_products_and_sums_build_no_fraction(monkeypatch):
     assert made == []
 
 
-# -- the shared Gauss-Jordan elimination, against sympy -----------------------
+# -- the shared row reduction, against sympy ----------------------------------
 
 
 @st.composite
@@ -275,33 +273,76 @@ def _rational(x: Fraction):
     return sympy.Rational(x.numerator, x.denominator)
 
 
+def _sparse_rows(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _sparse_columns(rows):
+    return _sparse_rows(list(zip(*rows)))
+
+
+def _rank(rows):
+    ech = Echelon()
+    for row in _sparse_rows(rows):
+        ech.insert(row, {})
+    return ech.rank
+
+
 @settings(max_examples=200, deadline=None)
 @given(fraction_matrices())
 def test_elimination_against_sympy(rows):
     import sympy
 
     ref = sympy.Matrix([[_rational(x) for x in row] for row in rows])
-    rank = matrix_rank(rows)
+    n = len(rows[0])
+    rank = _rank(rows)
     assert rank == ref.rank()
-    kernel = kernel_basis(rows)
-    assert _all_fractions(kernel)
-    assert len(kernel) == len(rows[0]) - rank == len(ref.nullspace())
+    kernel = kernel_basis(_sparse_columns(rows), Fraction(1))
+    assert all(type(x) is Fraction for v in kernel for x in v.values())
+    assert len(kernel) == n - rank == len(ref.nullspace())
     # the same normalisation as sympy: free column 1, pivots back-substituted
-    assert [[_rational(x) for x in v] for v in kernel] == [list(v) for v in ref.nullspace()]
-    if len(rows) != len(rows[0]):
+    dense = [[_rational(v.get(j, Fraction(0))) for j in range(n)] for v in kernel]
+    assert dense == [list(v) for v in ref.nullspace()]
+    if len(rows) != n:
         return
-    det = determinant(rows)
-    assert type(det) is Fraction and det == ref.det()
-    minors = leading_minors(rows)
-    assert _all_fractions([minors])
-    assert minors == [ref[:k, :k].det() for k in range(1, len(rows) + 1)]
-    if det == 0:
-        with pytest.raises(ZeroDivisionError):
-            inverse_matrix(rows)
-    else:
-        inv = inverse_matrix(rows)
-        assert _all_fractions(inv)
-        assert sympy.Matrix(inv) == ref.inv()
+    # Sylvester: row k, reduced by the rows before it with the columns in
+    # reverse key order, leaves D_k / D_(k-1) at column k
+    minors = [ref[:k, :k].det() for k in range(1, n + 1)]
+    ech = Echelon()
+    previous = 1
+    for k, row in enumerate(_sparse_rows(rows)):
+        v, img = ech.reduce({-j: x for j, x in row.items()}, {})
+        assert img == {}
+        pivot = v.get(-k, 0)
+        assert _rational(Fraction(pivot)) * previous == minors[k]
+        if not pivot:
+            break
+        ech.insert(v, {})
+        previous = minors[k]
+    if ref.det() == 0:
+        assert rank < n
+        return
+    # solve: the columns with unit images map e_i to column i of the inverse
+    columns = Echelon()
+    for j, col in enumerate(_sparse_columns(rows)):
+        assert columns.insert(col, {j: Fraction(1)})
+    inv = [columns.apply({i: Fraction(1)}) for i in range(n)]
+    assert all(type(x) is Fraction for v in inv for x in v.values())
+    dense = [[_rational(inv[c].get(r, Fraction(0))) for c in range(n)] for r in range(n)]
+    assert sympy.Matrix(dense) == ref.inv()
+
+
+def test_echelon_rejects_inconsistent_images():
+    ech = Echelon()
+    assert ech.insert({0: Fraction(1)}, {"a": Fraction(2)})
+    assert ech.insert({1: Fraction(1), 0: Fraction(1)}, {"b": Fraction(1)})
+    assert not ech.insert({0: Fraction(3)}, {"a": Fraction(6)})
+    assert ech.apply({1: Fraction(2)}) == {"b": Fraction(2), "a": Fraction(-4)}
+    with pytest.raises(InconsistentPropagation):
+        ech.insert({0: Fraction(1)}, {"a": Fraction(1)})
+    with pytest.raises(InconsistentPropagation):
+        ech.apply({2: Fraction(1)})
+    assert ech.rank == 2
 
 
 @pytest.mark.parametrize("order", [3, 5])
@@ -319,12 +360,12 @@ def test_cyclotomic_kernel_is_exact(order):
         rows = [[num() for _ in range(ncols)] for _ in range(nrows)]
         xi = cyc_root(order, 1)
         rows[-1] = [xi * a - b for a, b in zip(rows[0], rows[1])]  # force a dependency
-        kernel = kernel_basis(rows)
-        assert len(kernel) == ncols - matrix_rank(rows)
+        kernel = kernel_basis(_sparse_columns(rows), CycNum.one())
+        assert len(kernel) == ncols - _rank(rows)
         assert len(kernel) >= ncols - nrows + 1
         for vec in kernel:
             for row in rows:
                 acc = CycNum.zero(order)
-                for a, b in zip(row, vec):
-                    acc = acc + a * b
+                for j, x in vec.items():
+                    acc = acc + row[j] * x
                 assert acc.is_zero()

@@ -8,7 +8,7 @@ from conftest import cached_family, cached_realization
 from loomfold import exactnum
 from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.errors import InconsistentPropagation, OutOfWindow, ScopeViolation
-from loomfold.exactnum import CycNum, cyc_root, matrix_rank
+from loomfold.exactnum import CycNum, Echelon, cyc_root
 from loomfold.presentation import Verifier
 from loomfold.realize import (
     MuHat,
@@ -381,8 +381,10 @@ def test_mu_hat_depth_one_runs_no_round(a2a_flip):
     for i in range(real.gcm.n):
         for m in range(-2, 3):
             seeds += [real.embed(m, v) for v in real.gens[i]]
-    keys = sorted({k for v in seeds for k in v})
-    independent = matrix_rank([[v.get(k, CycNum.zero()) for k in keys] for v in seeds])
+    span = Echelon()
+    for v in seeds:
+        span.insert(v, {})
+    independent = span.rank
     for depth in (1, 0, -1):
         assert MuHat(real, m1_bound=2, depth=depth).prop.rank == independent
     assert MuHat(real, m1_bound=2, depth=2).prop.rank > independent

@@ -34,6 +34,14 @@ echo '{"cartan": [[2, -1], [-4, 2]], "mu": [0, 1]}' >"$tmp/a22.json"
 echo '{"cartan": [[2, -1, 0], [-1, 2, -3], [0, -1, 2]], "mu": [0, 1, 2]}' >"$tmp/d43.json"
 echo "{\"name\": \"plain12\", \"pairs\": [{\"i\": 1, \"j\": 2, \"terms\":
   {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$one]}}}]}" >"$tmp/fam12.json"
+# inputs that classification rejects or that test its pivots: indefinite,
+# hyperbolic, not symmetrizable, G2^(1) with its nodes relabelled (null
+# labels [1, 2, 3]), and a permutation of A3 that is no automorphism
+echo '{"cartan": [[2, -3], [-3, 2]]}' >"$tmp/indef.json"
+echo '{"cartan": [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]}' >"$tmp/hyper.json"
+echo '{"cartan": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]}' >"$tmp/nosym.json"
+echo '{"cartan": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]]}' >"$tmp/g21.json"
+echo '{"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "mu": [1, 0, 2]}' >"$tmp/a3bad.json"
 entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   'from loomfold.catalog import load_entries; print(*(e.name for e in load_entries(None)))') \
   || exit 2
@@ -53,6 +61,10 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --input a22.json --modes 1 --family user:fam.json"
   echo "verify --input d43.json --modes 1"
   echo "verify --input d43.json --modes 1 --family user:fam12.json"
+  for job in indef hyper nosym g21; do
+    echo "classify --input $job.json"
+  done
+  echo "fold --input a3bad.json"
 } >"$tmp/commands"
 
 run() {  # run SRC OUT: stdout, stderr and "exit-code command" per numbered command
