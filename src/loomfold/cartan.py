@@ -557,44 +557,37 @@ def canonical_matrix(label: str) -> Matrix:
     return finite_matrix(letter, int(label[1:]))
 
 
+def _finite_types(rank: int) -> list[tuple[str, int]]:
+    """The finite types (letter, rank) of a rank, B2 left out: it is the
+    diagram of C2."""
+    specs = [("A", rank)] if rank >= 1 else []
+    if rank >= 2:
+        specs.append(("C", rank))
+    if rank >= 3:
+        specs.append(("B", rank))
+    if rank >= 4:
+        specs.append(("D", rank))
+    if rank in (6, 7, 8):
+        specs.append(("E", rank))
+    if rank == 4:
+        specs.append(("F", 4))
+    if rank == 2:
+        specs.append(("G", 2))
+    return specs
+
+
 def _candidates(kind: str, n: int):
     """All canonical (letter, rank, twist, label, matrix) of matrix size n."""
-    out = []
     if kind == "finite":
-        specs = [("A", n)]
-        if n >= 2:
-            specs.append(("C", n))
-        if n >= 3:
-            specs.append(("B", n))
-        if n >= 4:
-            specs.append(("D", n))
-        if n in (6, 7, 8):
-            specs.append(("E", n))
-        if n == 4:
-            specs.append(("F", 4))
-        if n == 2:
-            specs.append(("G", 2))
-        for letter, rank in specs:
-            out.append((letter, rank, 0, f"{letter}{rank}", finite_matrix(letter, rank)))
-        return out
+        return [
+            (letter, rank, 0, f"{letter}{rank}", finite_matrix(letter, rank))
+            for letter, rank in _finite_types(n)
+        ]
     ell = n - 1
-    specs1 = [("A", ell)] if ell >= 1 else []
-    if ell >= 2:
-        specs1.append(("C", ell))
-    if ell >= 3:
-        specs1.append(("B", ell))
-    if ell >= 4:
-        specs1.append(("D", ell))
-    if ell in (6, 7, 8):
-        specs1.append(("E", ell))
-    if ell == 4:
-        specs1.append(("F", 4))
-    if ell == 2:
-        specs1.append(("G", 2))
-    for letter, rank in specs1:
-        out.append(
-            (letter, rank, 1, f"{letter}{rank}^(1)", untwisted_affine_matrix(letter, rank))
-        )
+    out = [
+        (letter, rank, 1, f"{letter}{rank}^(1)", untwisted_affine_matrix(letter, rank))
+        for letter, rank in _finite_types(ell)
+    ]
     twisted: list[tuple[str, int, int]] = []
     if ell == 1:
         twisted.append(("A", 2, 2))

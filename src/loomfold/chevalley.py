@@ -4,12 +4,14 @@ Simply-laced types get the standard lattice construction: root vectors with
 signs from a bimultiplicative asymmetry cocycle on the root lattice.  The
 non-simply-laced types are built as fixed subalgebras of a simply-laced
 source under a diagram automorphism, which keeps a single sign mechanism
-for everything.  Every build is certified before it is returned:
-`FiniteAlg.assert_structure` checks antisymmetry, the Jacobi identity and
-invariance of the form on all basis triples.  It visits only the nonzero
-structure constants, so its cost grows with nnz(brackets) times a row's
-length, not with dim^3: on a 2-CPU machine under Python 3.11, the E8 check
-(dim 248) takes 0.3 s, where loops over every basis triple took 17 s.
+for everything.  `diagram_twist` is the one table of those automorphisms,
+read also by the twisted loop cores of `realize`.  Every build is certified
+before it is returned: `FiniteAlg.assert_structure` checks antisymmetry, the
+Jacobi identity and invariance of the form on all basis triples.  It visits
+only the nonzero structure constants, so its cost grows with nnz(brackets)
+times a row's length, not with dim^3: on a 2-CPU machine under Python 3.11,
+the E8 check (dim 248) takes 0.3 s, where loops over every basis triple took
+17 s.
 
 Elements are sparse dicts {basis index: Fraction}.  The structure tables
 `brackets` and `form` hold an int wherever a constant is integral (every
@@ -36,19 +38,34 @@ Vec = dict[int, Fraction]
 
 @dataclass
 class FiniteAlg:
-    """Chevalley-type basis with bracket and invariant-form tables."""
+    """Chevalley-type basis with bracket and invariant-form tables.
+
+    Built from the basis and the tables; the rank and the indexes (basis
+    key -> position, root coordinates per basis element, positions of the
+    generators e_i, f_i, h_i) are derived from `matrix` and `basis`.
+    """
 
     label: str
     matrix: tuple  # Cartan matrix
-    rank: int
     basis: list  # keys ("h", i) | ("x", coords)
-    index: dict  # key -> int
-    root_of: list  # per basis element: root coords tuple (zeros for Cartan)
     brackets: dict  # (i, j) -> {basis index: int or Fraction}
     form: dict  # (i, j) -> int or Fraction, symmetric, sparse
-    e_idx: list = field(default_factory=list)
-    f_idx: list = field(default_factory=list)
-    h_idx: list = field(default_factory=list)
+    rank: int = field(init=False)
+    index: dict = field(init=False)  # key -> int
+    root_of: list = field(init=False)  # per basis element: root coords (zeros for Cartan)
+    e_idx: list = field(init=False)
+    f_idx: list = field(init=False)
+    h_idx: list = field(init=False)
+
+    def __post_init__(self):
+        n = self.rank = len(self.matrix)
+        self.index = {k: i for i, k in enumerate(self.basis)}
+        zero = (0,) * n
+        self.root_of = [k[1] if k[0] == "x" else zero for k in self.basis]
+        simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        self.e_idx = [self.index[("x", c)] for c in simple]
+        self.f_idx = [self.index[("x", tuple(-x for x in c))] for c in simple]
+        self.h_idx = [self.index[("h", i)] for i in range(n)]
 
     @property
     def dim(self) -> int:
@@ -222,7 +239,6 @@ def _build_simply_laced(letter: str, rank: int) -> FiniteAlg:
 
     basis = [("h", i) for i in range(n)] + [("x", r) for r in roots]
     index = {k: i for i, k in enumerate(basis)}
-    root_of = [tuple([0] * n)] * n + roots
 
     def sgn(r) -> int:
         return 1 if sum(r) > 0 else -1
@@ -266,20 +282,7 @@ def _build_simply_laced(letter: str, rank: int) -> FiniteAlg:
         neg = tuple(-c for c in r)
         form[(index[("x", r)], index[("x", neg)])] = 1
 
-    alg = FiniteAlg(
-        label=f"{letter}{rank}",
-        matrix=matrix,
-        rank=n,
-        basis=basis,
-        index=index,
-        root_of=root_of,
-        brackets=brackets,
-        form=form,
-        e_idx=[index[("x", tuple(1 if j == i else 0 for j in range(n)))] for i in range(n)],
-        f_idx=[index[("x", tuple(-1 if j == i else 0 for j in range(n)))] for i in range(n)],
-        h_idx=[index[("h", i)] for i in range(n)],
-    )
-    return alg
+    return FiniteAlg(f"{letter}{rank}", matrix, basis, brackets, form)
 
 
 # ---------------------------------------------------------------------------
@@ -347,29 +350,46 @@ def apply_linear(images: list[Vec], v: Vec) -> Vec:
 # Folding construction
 
 
-def fold_source(letter: str, rank: int):
-    """Source simply-laced label and folding permutation for B, C, F, G."""
-    if letter == "B":
-        src_letter, src_rank = "D", rank + 1
-        perm = list(range(src_rank))
-        perm[src_rank - 2], perm[src_rank - 1] = perm[src_rank - 1], perm[src_rank - 2]
-    elif letter == "C":
-        src_letter, src_rank = "A", 2 * rank - 1
-        perm = [src_rank - 1 - i for i in range(src_rank)]
-    elif letter == "F":
-        src_letter, src_rank = "E", 6
-        perm = [4, 3, 2, 1, 0, 5]
-    elif letter == "G":
-        src_letter, src_rank = "D", 4
-        perm = [2, 1, 3, 0]
+def diagram_twist(letter: str, rank: int, r: int) -> tuple[str, tuple]:
+    """The finite label X_rank and its order-r diagram automorphism nu: the
+    core and the twist of the loop algebra X_rank^(r), or, at r > 1, the
+    simply-laced source that folds to a non-simply-laced type.  D3 is read
+    as A3.
+
+    nu is the identity for r = 1; at r = 2 the reversal of A, the swap of
+    the last two nodes of D and the flip of E6; at r = 3 the triality of D4.
+    """
+    if (letter, rank) == ("D", 3):
+        letter = "A"  # D3 and A3 are the same diagram
+    nu = list(range(rank))
+    if r == 1:
+        pass
+    elif letter == "A" and r == 2:
+        nu.reverse()
+    elif letter == "D" and r == 2:
+        nu[-2], nu[-1] = nu[-1], nu[-2]
+    elif (letter, rank, r) == ("E", 6, 2):
+        nu = [4, 3, 2, 1, 0, 5]
+    elif (letter, rank, r) == ("D", 4, 3):
+        nu = [2, 1, 3, 0]
     else:
-        raise UnknownType(f"no folding source for {letter}{rank}")
-    return src_letter, src_rank, tuple(perm)
+        raise UnknownType(f"no diagram twist of order {r} on {letter}{rank}")
+    return f"{letter}{rank}", tuple(nu)
+
+
+# folded letter -> (source letter, source rank from the folded rank, twist order)
+_FOLDS = {
+    "B": ("D", lambda n: n + 1, 2),
+    "C": ("A", lambda n: 2 * n - 1, 2),
+    "F": ("E", lambda n: 6, 2),
+    "G": ("D", lambda n: 4, 3),
+}
 
 
 def _build_folded(letter: str, rank: int) -> FiniteAlg:
-    src_letter, src_rank, perm = fold_source(letter, rank)
-    src = chevalley(f"{src_letter}{src_rank}")
+    src_letter, src_rank, r = _FOLDS[letter]
+    src_label, perm = diagram_twist(src_letter, src_rank(rank), r)
+    src = chevalley(src_label)
     nu = mu_extend_finite(src, perm)
     node_orbits = perm_orbits(perm)
     fold_matrix = tuple(
@@ -387,39 +407,26 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
         orbit_for_node[node] = node_orbits[orb_idx]
 
     n = rank
-    # root-vector orbits of the source under nu
-    root_orbit_reps = []
+    # fixed vectors: sums over the nu-orbits of root vectors, each orbit
+    # walked once; every image must be one root vector
+    fixed_vectors = []
     seen = set()
     for key, coords in zip(src.basis, src.root_of):
         if key[0] != "x" or coords in seen:
             continue
-        orbit = [coords]
-        seen.add(coords)
-        vec = src.unit(src.index[key])
-        img = apply_linear(nu, vec)
+        cur = src.unit(src.index[key])
+        total: Vec = {}
         while True:
-            if len(img) != 1:
+            vec_add(total, cur)
+            cur = apply_linear(nu, cur)
+            if len(cur) != 1:
                 raise GeneratorAssertionFailed(
                     f"{src.label}: the diagram automorphism does not permute root vectors"
                 )
-            (idx,) = img
-            nxt = src.root_of[idx]
+            nxt = src.root_of[next(iter(cur))]
             if nxt == coords:
                 break
             seen.add(nxt)
-            orbit.append(nxt)
-            img = apply_linear(nu, {idx: Fraction(1)})
-        root_orbit_reps.append((coords, len(orbit)))
-
-    # fixed vectors: sums over nu-orbits of root vectors
-    fixed_vectors = []
-    for coords, m in root_orbit_reps:
-        v = src.unit(src.x_index(coords))
-        total = dict(v)
-        cur = v
-        for _ in range(m - 1):
-            cur = apply_linear(nu, cur)
-            vec_add(total, cur)
         if apply_linear(nu, total) != total:
             raise GeneratorAssertionFailed(
                 f"orbit sum at {coords} is not fixed; fold of {letter}{rank} broken"
@@ -460,8 +467,6 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
 
     basis = [("h", t) for t in range(n)] + folded_keys
     vectors = cartan_vectors + folded_vecs
-    index = {k: i for i, k in enumerate(basis)}
-    root_of = [tuple([0] * n)] * n + [k[1] for k in folded_keys]
 
     expected_dim = n + len(_positive_roots(target)) * 2
     if len(basis) != expected_dim:
@@ -492,20 +497,7 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
             if val:
                 form[(i, j)] = _integral(val)
 
-    alg = FiniteAlg(
-        label=f"{letter}{rank}",
-        matrix=target,
-        rank=n,
-        basis=basis,
-        index=index,
-        root_of=root_of,
-        brackets=brackets,
-        form=form,
-        e_idx=[index[("x", tuple(1 if j == i else 0 for j in range(n)))] for i in range(n)],
-        f_idx=[index[("x", tuple(-1 if j == i else 0 for j in range(n)))] for i in range(n)],
-        h_idx=[index[("h", t)] for t in range(n)],
-    )
-    return alg
+    return FiniteAlg(f"{letter}{rank}", target, basis, brackets, form)
 
 
 def _integral(q: Fraction):
@@ -528,7 +520,7 @@ def chevalley(label: str) -> FiniteAlg:
     if letter in ("A", "D", "E"):
         finite_matrix(letter, rank)  # raises UnknownType for bad ranks
         alg = _build_simply_laced(letter, rank)
-    elif letter in ("B", "C", "F", "G"):
+    elif letter in _FOLDS:
         finite_matrix(letter, rank)
         alg = _build_folded(letter, rank)
     else:

@@ -18,6 +18,12 @@ Layers:
   inside a window |m1| <= m1w, |m2| <= m2w.  Brackets that would leave the
   window raise OutOfWindow instead of truncating.
 
+The twist nu of a loop core comes from `chevalley.diagram_twist`.  The
+diagram automorphism mu acts at g-level as the `Echelon` that
+`Realization.mu_on_g` propagates from the generator images, and at
+ghat-level in two variants: `MuHatClosed`, its closed form when mu preserves
+the t2-grading, and `MuHat`, propagated by brackets in every case.
+
 `Realization.bracket` is the verifier's hot path and one fused loop over
 basis pairs.  It builds no CycNum per pair: each contributing pair adds the
 int convolution of the two numerator tuples (2 phi(L) - 1 ints, one int when
@@ -31,8 +37,9 @@ denominator 1: in the relation suites of every catalog entry at modes 1,
 no pair leaves it.
 
 Affine Chevalley generators are found uniformly from lowest-weight vectors
-of the relevant eigenspace and verified against the full defining-relation
-suite before use; the verified table, not any formula, is normative.
+of the relevant eigenspace; a Realization verifies them against the full
+defining-relation suite (`_assert_generators`) before use.  The verified
+table, not any formula, is normative.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from fractions import Fraction
 from math import lcm
 
 from loomfold.cartan import Gcm, _graph_iso, canonical_matrix
-from loomfold.chevalley import chevalley, close, mu_extend_finite
+from loomfold.chevalley import chevalley, close, diagram_twist, mu_extend_finite
 from loomfold.errors import (
     GeneratorAssertionFailed,
     InconsistentPropagation,
@@ -87,38 +94,20 @@ class GAlg:
 
     def __init__(self, classification):
         self.cls = classification
-        if classification.kind == "finite":
-            self.mode = "finite"
-            self.r = 1
-            self.alg = chevalley(classification.label)
-            self.nu_images = None
-            n = self.alg.rank
-            self.canonical_gens = []
-            for c in range(n):
-                self.canonical_gens.append(
-                    (
-                        _lift_finite(self.alg.e(c)),
-                        _lift_finite(self.alg.f(c)),
-                        _lift_finite(self.alg.h(c)),
-                    )
-                )
+        self.mode = classification.kind  # "finite" | "affine"
+        self.r = max(1, classification.twist)
+        core, self.nu = diagram_twist(classification.letter, classification.rank, self.r)
+        alg = self.alg = chevalley(core)
+        self.nu_images = (
+            mu_extend_finite(alg, self.nu) if self.r > 1 else [alg.unit(i) for i in range(alg.dim)]
+        )
+        if self.mode == "finite":
+            self.canonical_gens = [
+                tuple(_lift_finite(v) for v in (alg.e(c), alg.f(c), alg.h(c)))
+                for c in range(alg.rank)
+            ]
         else:
-            self.mode = "affine"
-            self.r = classification.twist
-            letter, rank = classification.letter, classification.rank
-            if letter == "D" and rank == 3:
-                letter = "A"  # D3 and A3 are the same algebra
-            self.core_letter, self.core_rank = letter, rank
-            self.alg = chevalley(f"{letter}{rank}")
-            self.nu_images = (
-                mu_extend_finite(self.alg, self.twist_perm())
-                if self.r > 1
-                else [self.alg.unit(i) for i in range(self.alg.dim)]
-            )
             self.canonical_gens = _affine_generators(self)
-
-    def twist_perm(self) -> tuple:
-        return _loop_twist_perm(self.core_letter, self.core_rank, self.r)
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -162,23 +151,6 @@ def _lift_finite(v) -> AffElem:
     return {("g", 0, i): CycNum.from_rational(c) for i, c in v.items()}
 
 
-def _loop_twist_perm(letter: str, rank: int, r: int) -> tuple:
-    """The canonical order-r diagram automorphism of the loop core."""
-    if r == 1:
-        return tuple(range(rank))
-    if letter == "A":
-        return tuple(rank - 1 - i for i in range(rank))
-    if letter == "D" and r == 2:
-        perm = list(range(rank))
-        perm[rank - 2], perm[rank - 1] = perm[rank - 1], perm[rank - 2]
-        return tuple(perm)
-    if letter == "E" and rank == 6:
-        return (4, 3, 2, 1, 0, 5)
-    if letter == "D" and r == 3:
-        return (2, 1, 3, 0)
-    raise GeneratorAssertionFailed(f"no loop twist for {letter}{rank}^({r})")
-
-
 def _affine_generators(galg: GAlg) -> list:
     """Generators for the canonical affine matrix, found uniformly.
 
@@ -188,7 +160,7 @@ def _affine_generators(galg: GAlg) -> list:
     """
     alg = galg.alg
     r = galg.r
-    orbits = perm_orbits(galg.twist_perm())
+    orbits = perm_orbits(galg.nu)
 
     computed: list[tuple[AffElem, AffElem, AffElem]] = [None]  # node 0 later
     for orbit in orbits:
@@ -219,7 +191,10 @@ def _affine_generators(galg: GAlg) -> list:
             vec_add(col, {(0, j): -eigenvalue})
             for o, op in enumerate(ops, 1):
                 for key, c in galg.bracket(op, {("g", 0, j): CycNum.one()}).items():
-                    assert key[0] == "g" and key[1] == 0
+                    if key[0] != "g" or key[1] != 0:
+                        raise GeneratorAssertionFailed(
+                            f"{alg.label}: weight-line bracket left t2-degree 0 at {key}"
+                        )
                     col[(o, key[2])] = c
             columns.append(col)
         kernel = kernel_basis(columns, CycNum.one())
@@ -241,8 +216,10 @@ def _affine_generators(galg: GAlg) -> list:
     scale = CycNum.from_rational(2) / kappa
     v_high = vec_scale(v_high, scale)
     coroot0 = galg.bracket(v_low, v_high)
-    coroot0[("k2",)] = galg.pair(v_low, v_high)
-    assert coroot0[("k2",)]
+    k2 = galg.pair(v_low, v_high)
+    if k2.is_zero():
+        raise GeneratorAssertionFailed(f"{alg.label}: node-0 coroot has no k2 part")
+    coroot0[("k2",)] = k2
     computed[0] = (v_low, v_high, coroot0)
 
     # read off the matrix and align with the canonical affine matrix
@@ -526,9 +503,42 @@ class Realization:
 
     # -- the automorphism at g-level ---------------------------------------------------
 
-    def mu_on_g(self) -> "GLevelMap":
+    def mu_on_g(self) -> Echelon:
+        """The diagram automorphism extended to the g-level algebra.
+
+        Generator images (and k2 -> k2) are propagated along bracket words
+        of t2-degree at most max(4, m2 window); two routes to the same
+        element must agree, which is checked on every insertion.  Returns
+        the partial linear map, built once.
+        """
         if self._mu_g is None:
-            self._mu_g = GLevelMap(self, max(4, self.m2w))
+            galg = self.galg
+            t2_bound = max(4, self.m2w)
+            seeds = [
+                pair
+                for i in range(self.gcm.n)
+                for pair in zip(self.gens[i], self.gens[self.mu.perm[i]])
+            ]
+            if galg.mode == "affine":
+                k2 = {("k2",): CycNum.one()}
+                seeds.append((k2, k2))
+            prop = Echelon()
+            close(
+                prop,
+                seeds,
+                seeds,
+                galg.bracket,
+                keep=lambda v: all(k[0] != "g" or abs(k[1]) <= t2_bound for k in v),
+            )
+            # a twisted core's eigenspace dimensions vary: coverage is checked on use
+            if galg.r == 1:
+                dim = galg.alg.dim
+                expected = dim * (2 * t2_bound + 1) + 1 if galg.mode == "affine" else dim
+                if prop.rank < expected:
+                    raise InconsistentPropagation(
+                        f"automorphism propagation covers {prop.rank} of {expected}"
+                    )
+            self._mu_g = prop
         return self._mu_g
 
     def mu_hat(self) -> "MuHat":
@@ -561,7 +571,11 @@ class Realization:
         mu_map = self.mu_on_g()
         if self.galg.mode == "affine" and self.galg.r > 1:
             raise ScopeViolation("fixed-block dimensions need an untwisted loop core")
-        if not mu_map.preserves_t2:
+        if any(
+            _t2_blocks(src).keys() != _t2_blocks(img).keys()
+            for i in range(self.gcm.n)
+            for src, img in zip(self.gens[i], self.gens[self.mu.perm[i]])
+        ):
             raise ScopeViolation(
                 "fixed-block dimensions need a grading-preserving automorphism"
             )
@@ -579,7 +593,8 @@ class Realization:
                 moved = Echelon()  # the span of mu_hat - 1 on the block
                 for key in keys:
                     img = hat.apply({key: CycNum.one()})
-                    assert set(img) <= key_set, "automorphism left the block"
+                    if not set(img) <= key_set:
+                        raise InconsistentPropagation("automorphism left the block")
                     vec_add(img, {key: -CycNum.one()})
                     moved.insert(img, {})
                 fixed = len(keys) - moved.rank
@@ -632,77 +647,20 @@ def _key_degrees(key) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# the automorphism: g-level map and the two ghat-level variants
-
-
-class GLevelMap:
-    """The diagram automorphism extended to the g-level algebra.
-
-    Built by propagating generator images along bracket words inside a
-    t2-degree window; two routes to the same element must agree, which is
-    checked on every insertion.
-    """
-
-    def __init__(self, real: Realization, t2_bound: int):
-        self.real = real
-        galg = real.galg
-        mu = real.mu
-        prop = Echelon()
-        seeds = []
-        for i in range(real.gcm.n):
-            e, f, h = real.gens[i]
-            em, fm, hm = real.gens[mu.perm[i]]
-            seeds.append((e, em))
-            seeds.append((f, fm))
-            seeds.append((h, hm))
-        if galg.mode == "affine":
-            k2 = {("k2",): CycNum.one()}
-            seeds.append((k2, k2))
-        close(
-            prop,
-            seeds,
-            seeds,
-            galg.bracket,
-            keep=lambda v: all(k[0] != "g" or abs(k[1]) <= t2_bound for k in v),
-        )
-        self.prop = prop
-        expected = galg.alg.dim * (2 * t2_bound + 1) + 1 if galg.mode == "affine" else galg.alg.dim
-        if galg.mode == "affine" and galg.r > 1:
-            expected = None  # eigenspace dimensions vary; coverage checked on use
-        if expected is not None and prop.rank < expected:
-            raise InconsistentPropagation(
-                f"automorphism propagation covers {prop.rank} of {expected}"
-            )
-        self.preserves_t2 = self._check_t2()
-
-    def _check_t2(self) -> bool:
-        for i in range(self.real.gcm.n):
-            for pick in range(3):
-                src = self.real.gens[i][pick]
-                img = self.real.gens[self.real.mu.perm[i]][pick]
-                if _t2_support(src) != _t2_support(img):
-                    return False
-        return True
-
-    def apply(self, x: AffElem) -> AffElem:
-        return self.prop.apply(x)
-
-
-def _t2_support(v: AffElem):
-    return {k[1] for k in v if k[0] == "g"}
+# the automorphism at ghat-level: the closed form and the propagated map
 
 
 class MuHatClosed:
     """Degree-wise action when the automorphism preserves the t2-grading.
 
-    Loop vectors transform by the g-level map with a t1-phase.  The divided
-    center symbols transform by the same phase times a per-degree scale that
-    is read off from a central bracket of Cartan loop vectors: the one-line
-    naive phase rule is wrong whenever the block maps of the automorphism
-    twist the finite form.
+    Loop vectors transform by the g-level map (`Realization.mu_on_g`) with a
+    t1-phase.  The divided center symbols transform by the same phase times
+    a per-degree scale that is read off from a central bracket of Cartan
+    loop vectors: the one-line naive phase rule is wrong whenever the block
+    maps of the automorphism twist the finite form.
     """
 
-    def __init__(self, real: Realization, mu_map: GLevelMap):
+    def __init__(self, real: Realization, mu_map: Echelon):
         self.real = real
         self.map = mu_map
         self._k1p_scales: dict[int, CycNum] = {}
@@ -802,8 +760,10 @@ def _max_m1(v: AlgElem) -> int:
 def affinize(label: str):
     """Concrete generators for a canonical affine label, plus their algebra.
 
-    Returns (GAlg, generator list); the generators have already passed the
-    full defining-relation suite during construction.
+    Returns (GAlg, generator list).  The generators are checked here only
+    as far as their construction needs: the matrix is read off [h_s, e_t]
+    and matched to the canonical one.  The full defining-relation suite runs
+    on them in `Realization._assert_generators`, when a Realization is built.
     """
     from loomfold.cartan import classify, canonical_matrix
 

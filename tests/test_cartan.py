@@ -5,6 +5,7 @@ import pytest
 from loomfold.cartan import (
     Gcm,
     RootVec,
+    _candidates,
     _graph_iso,
     canonical_matrix,
     classify,
@@ -223,6 +224,20 @@ def test_twisted_affine_matrices_are_affine():
         assert c.label == f"{letter}{rank}^({twist})"
         assert c.kind == "affine"
         Gcm(m).null_labels()
+
+
+def test_untwisted_candidates_are_the_finite_types():
+    for n in range(1, 11):
+        finite = [
+            (letter, rank, label + "^(1)")
+            for letter, rank, _, label, _ in _candidates("finite", n)
+        ]
+        untwisted = [
+            (letter, rank, label)
+            for letter, rank, twist, label, _ in _candidates("affine", n + 1)
+            if twist == 1
+        ]
+        assert untwisted == finite
 
 
 def test_symmetrizer_simply_laced():

@@ -4,9 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from loomfold.chevalley import FiniteAlg, apply_linear, chevalley, mu_extend_finite
+from loomfold.cartan import Gcm, _candidates, finite_matrix
+from loomfold.chevalley import (
+    _FOLDS,
+    FiniteAlg,
+    apply_linear,
+    chevalley,
+    diagram_twist,
+    mu_extend_finite,
+)
 from loomfold.errors import GeneratorAssertionFailed, InconsistentPropagation, UnknownType
 from loomfold.exactnum import vec_add
+from loomfold.folding import validate_aut
 
 
 def test_a1_triple():
@@ -62,6 +71,42 @@ def test_unknown_type():
         chevalley("H4")
     with pytest.raises(UnknownType):
         chevalley("D3")
+
+
+def test_b2_folds_from_a3():
+    # B2 folds from D3, which the twist table reads as A3
+    alg = chevalley("B2")
+    assert alg.dim == 10
+    assert alg.matrix == finite_matrix("B", 2)
+    for i in range(2):
+        unit = tuple(int(j == i) for j in range(2))
+        assert alg.basis[alg.e_idx[i]] == ("x", unit)
+        assert alg.basis[alg.f_idx[i]] == ("x", tuple(-x for x in unit))
+        assert alg.bracket(alg.e(i), alg.f(i)) == alg.h(i)
+        for j in range(2):
+            want = {alg.e_idx[j]: alg.matrix[i][j]}
+            assert alg.bracket(alg.h(i), alg.e(j)) == want
+
+
+def _twist_rows():
+    """Every (letter, rank, r) the twist table is asked for: the loop cores
+    of the affine types up to size 9 and the sources of the folded types."""
+    rows = {
+        (letter, rank, twist)
+        for n in range(2, 10)
+        for letter, rank, twist, _, _ in _candidates("affine", n)
+    }
+    for label in ["B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5", "F4", "G2"]:
+        src_letter, src_rank, r = _FOLDS[label[0]]
+        rows.add((src_letter, src_rank(int(label[1:])), r))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("letter,rank,r", _twist_rows())
+def test_diagram_twist_is_an_automorphism_of_order_r(letter, rank, r):
+    label, nu = diagram_twist(letter, rank, r)
+    aut = validate_aut(Gcm(finite_matrix(label[0], int(label[1:]))), nu)
+    assert aut.order == r
 
 
 def test_serre_relations_hold():

@@ -493,6 +493,14 @@ def test_aff_level_form_invariance(a2a_flip):
             assert (lhs - rhs).is_zero()
 
 
+def test_fixed_dims_block_check_raises(monkeypatch):
+    # the check holds under python -O too: it raises, it is no assert
+    real = _real("A2", [1, 0], m1w=4, m2w=2)
+    monkeypatch.setattr(MuHatClosed, "apply", lambda self, x: {("L", 9, 0, 0): CycNum.one()})
+    with pytest.raises(InconsistentPropagation, match="left the block"):
+        real.fixed_subalgebra_dims(1)
+
+
 def test_k1p_closed_scale_identity_mu():
     # with the identity twist the divided symbols keep the naive phase rule
     real = _real("A2^(1)", [0, 1, 2], m1w=6, m2w=3)

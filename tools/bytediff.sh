@@ -42,6 +42,21 @@ echo '{"cartan": [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]}' >"$tmp/hyper.json"
 echo '{"cartan": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]}' >"$tmp/nosym.json"
 echo '{"cartan": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]]}' >"$tmp/g21.json"
 echo '{"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "mu": [1, 0, 2]}' >"$tmp/a3bad.json"
+# every row of the twist table and every folded core: the twisted loop cores
+# D3^(2) (D3 read as A3), A4^(2), A5^(2), D4^(2) and E6^(2), the folded cores
+# of G2^(1) and F4^(1), and C2^(1) and B3^(1) under a flip
+twists="d32:D3^(2) a42:A4^(2) a52:A5^(2) d42:D4^(2) e62:E6^(2) g21id:G2^(1)
+  f41:F4^(1) c21flip:C2^(1):2,1,0 b31flip:B3^(1):1,0,2,3"
+(cd "$tmp" && PYTHONPATH="$root/src" python3 -c '
+import json, sys
+from loomfold.cartan import canonical_matrix
+for job in sys.argv[1:]:
+    name, label, *mu = job.split(":")
+    m = [list(row) for row in canonical_matrix(label)]
+    mu = [int(x) for x in mu[0].split(",")] if mu else list(range(len(m)))
+    with open(name + ".json", "w") as out:
+        json.dump({"cartan": m, "mu": mu}, out)
+' $twists) || exit 2
 entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   'from loomfold.catalog import load_entries; print(*(e.name for e in load_entries(None)))') \
   || exit 2
@@ -61,6 +76,9 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --input a22.json --modes 1 --family user:fam.json"
   echo "verify --input d43.json --modes 1"
   echo "verify --input d43.json --modes 1 --family user:fam12.json"
+  for job in $twists; do
+    echo "verify --input ${job%%:*}.json --modes 1"
+  done
   for job in indef hyper nosym g21; do
     echo "classify --input $job.json"
   done
