@@ -1,7 +1,9 @@
 """Command-line front end: classification, folding data, polynomial tables,
 and the mode-level relation verifier, with deterministic JSON output.
 
-Exit codes: 0 all pass, 1 relation failure, 2 input rejected, 3 window abort.
+Exit codes: 0 all pass, 1 relation failure, 2 input rejected, 3 window abort
+(a relation left the window, or a report has out-of-window gaps and no
+failure).
 """
 
 from __future__ import annotations
@@ -272,7 +274,7 @@ def _verify_one(gcm, mu, name, family_sel, mode_bound, window):
     }
     if certificate_only:
         payload["note"] = "window-scale certificate: a pass covers the tested grid only"
-    return payload, report
+    return payload
 
 
 @main.command()
@@ -291,20 +293,25 @@ def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
     if entry == "all":
         names = [e.name for e in catalog_mod.load_entries()]
         payloads = _verify_many(names, family_sel, mode_bound, window, jobs)
-        ok = all(p["report"]["pass"] for p in payloads)
-        _emit({"entries": payloads, "pass": ok})
-        sys.exit(0 if ok else 1)
+        _emit({"entries": payloads, "pass": all(p["report"]["pass"] for p in payloads)})
+        sys.exit(_exit_code([p["report"] for p in payloads]))
     gcm, mu, name = _load_job(input_path, entry)
-    payload, report = _verify_one(gcm, mu, name, family_sel, mode_bound, window)
+    payload = _verify_one(gcm, mu, name, family_sel, mode_bound, window)
     _emit(payload)
-    sys.exit(0 if report.passed else 1)
+    sys.exit(_exit_code([payload["report"]]))
+
+
+def _exit_code(reports: list) -> int:
+    """1 if a report failed, else 3 if one has out-of-window gaps, else 0."""
+    if not all(r["pass"] for r in reports):
+        return 1
+    return 3 if any("out_of_window" in c for r in reports for c in r["checks"]) else 0
 
 
 def _verify_worker(args):
     name, family_sel, mode_bound, window = args
     ce = catalog_mod.entry_by_name(name)
-    payload, _ = _verify_one(ce.gcm, ce.mu, name, family_sel, mode_bound, window)
-    return payload
+    return _verify_one(ce.gcm, ce.mu, name, family_sel, mode_bound, window)
 
 
 def _pool_size(jobs: int, tasks: int) -> int:

@@ -45,6 +45,7 @@ leading principal minors (Sylvester's test in `cartan`).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -456,15 +457,18 @@ class CycNum:
         """Parse the `to_json` form; raises ValueError on any other shape.
 
         The order must be an int >= 1 and the coordinates a list of
-        phi(order) ints or strings such as "-3/7"; nothing is coerced.
+        phi(order) ints or strings of the form [+-]digits[/digits], such as
+        "-3/7"; nothing is coerced.
         """
         if not isinstance(obj, dict) or "order" not in obj or "coeffs" not in obj:
             raise ValueError('a coefficient must be an object with "order" and "coeffs"')
         order, coeffs = obj["order"], obj["coeffs"]
         if type(order) is not int or order < 1:
             raise ValueError(f"coefficient order must be an integer >= 1, got {order!r}")
-        if not isinstance(coeffs, list) or not all(type(c) in (int, str) for c in coeffs):
-            raise ValueError("coefficient coordinates must be a list of integers or strings")
+        if not isinstance(coeffs, list) or not all(
+            type(c) in (int, str) and _RATIONAL.fullmatch(str(c)) for c in coeffs
+        ):
+            raise ValueError('coefficient coordinates must be integers or strings such as "-3/7"')
         # phi(n) >= sqrt(n / 2): rejects a huge order before factoring it
         if 2 * len(coeffs) ** 2 < order or len(coeffs) != euler_phi(order):
             raise ValueError(
@@ -478,6 +482,10 @@ class CycNum:
 
 
 _new = object.__new__
+
+# the coordinate strings `CycNum.to_json` prints; `Fraction` alone would also
+# take "1.5", " 1", "1_0" and "1e999999999", the last as a billion-digit int
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _make(order: int, nums: tuple, den: int) -> CycNum:

@@ -4,7 +4,16 @@ LPoly is a finitely supported map from integer exponent vectors to CycNum,
 over a fixed ordered variable tuple.  On top of it: the locality
 polynomials f_ij, the Drinfeld polynomials p_ij built two independent ways
 (from the difference sets, and from the closed-form case list), and the
-Serre-weight families used by the mode-level verifier.
+relation families.
+
+Every weighted relation of the presentation has one shape,
+sum_sigma P_sigma(z, w) [x_i(z_sigma(1)), ..., [x_i(z_sigma(s)), x_j(w)]] = 0,
+and is stated here as a SerreFamily, the table (i, j) -> {sigma: P_sigma}:
+locality (`family_locality`), the extra relation of A_1^(1) (`family_as`),
+the Serre-weight families (`family_p`, `family_qlimit`, `family_f`) and the
+split-form relations of finite matrices (`family_split`).  The number s of
+z-slots is read from the polynomials' variables.  `presentation` evaluates
+them.
 """
 
 from __future__ import annotations
@@ -30,6 +39,9 @@ __all__ = [
     "LPoly",
     "SerreFamily",
     "locality_poly",
+    "family_locality",
+    "family_as",
+    "family_split",
     "drinfeld_poly_omega",
     "drinfeld_poly_closed",
     "family_p",
@@ -404,8 +416,9 @@ def _permutations(arity: int):
 
 @dataclass
 class SerreFamily:
-    """For each pair (i, j) with a_ij < 0 and each permutation sigma, a
-    homogeneous polynomial in z_1..z_{1-a_ij}, w."""
+    """For each pair (i, j) it covers and each permutation sigma of its
+    z-slots, a homogeneous polynomial in z_1..z_s, w; a Serre-weight family
+    covers the pairs with a_ij < 0, on s = 1 - a_ij slots."""
 
     name: str
     entries: dict = field(default_factory=dict)  # (i, j) -> {sigma: LPoly}
@@ -414,9 +427,6 @@ class SerreFamily:
         sigmas = self.entries[(i, j)]
         some = next(iter(sigmas.values()))
         return len(some.vars) - 1
-
-    def polynomials(self, i: int, j: int) -> dict:
-        return self.entries[(i, j)]
 
     def assert_homogeneous(self):
         for (i, j), sigmas in self.entries.items():
@@ -439,6 +449,59 @@ class SerreFamily:
                 }
             )
         return {"family": self.name, "pairs": pairs}
+
+
+def family_locality(gcm: Gcm, mu: DiagramAut) -> SerreFamily:
+    """Locality as a family: every pair (i, j), one slot, `locality_poly`."""
+    fam = SerreFamily("locality")
+    for i in range(gcm.n):
+        for j in range(gcm.n):
+            fam.entries[(i, j)] = {(0,): locality_poly(gcm, mu, i, j)}
+    return fam
+
+
+def family_as(gcm: Gcm, mu: DiagramAut) -> SerreFamily:
+    """The extra relation of A_1^(1), weight z1^N - z2^N on its index pairs;
+    empty for every other matrix."""
+    fam = SerreFamily("AS")
+    if gcm.classify().label == "A1^(1)":
+        n = mu.order
+        weight = LPoly(_z_vars(2), {(n, 0, 0): 1, (0, n, 0): -1})
+        for pair in index_pairs(gcm):
+            fam.entries[pair] = {(0, 1): weight}
+    return fam
+
+
+def family_split(gcm: Gcm, mu: DiagramAut) -> SerreFamily:
+    """The case-split nested relations for finite matrices with a twist."""
+    if gcm.classify().kind != "finite":
+        raise ScopeViolation("the split-form relation list is for finite matrices")
+    a, perm = gcm.entries, mu.perm
+    fam = SerreFamily("split")
+    for i, j in index_pairs(gcm):
+        arity = 1 - a[i][j]
+        variables = _z_vars(arity)
+        ident = tuple(range(arity))
+        mi = perm[i]
+        if mi == i:
+            sigmas = {ident: LPoly.one(variables)}
+        elif a[i][j] == -1 and j == mi:
+            # z_sigma(1) - 2 z_sigma(2) - w, for both orders of the two slots
+            sigmas = {
+                (s, 1 - s): LPoly(variables, {(1 - s, s, 0): 1, (s, 1 - s, 0): -2, (0, 0, 1): -1})
+                for s in (0, 1)
+            }
+        elif a[i][j] == -1 and a[i][mi] == 0 and perm[j] != j:
+            sigmas = {ident: LPoly.one(variables)}
+        elif a[i][j] == -1 and a[i][mi] == 0 and perm[j] == j:
+            n = mu.order
+            sigmas = {ident: LPoly(variables, {(k, n - 1 - k, 0): 1 for k in range(n)})}
+        elif a[i][j] == -1 and a[i][mi] == -1 and j != mi:
+            sigmas = {ident: LPoly(variables, {(1, 0, 0): 1, (0, 1, 0): 1})}
+        else:
+            raise ScopeViolation(f"pair ({i},{j}) matches no split-form case")
+        fam.entries[(i, j)] = sigmas
+    return fam
 
 
 def family_p(gcm: Gcm, mu: DiagramAut) -> SerreFamily:

@@ -1,8 +1,13 @@
 """Mode-level verification of the current-algebra relations.
 
-A formal identity sum_sigma P(z_1..z_s, w) [x(z_sigma(1)), ..., [x(z_sigma(s)),
-y(w)]] = 0 is checked by extracting the coefficient of each monomial
-z_1^{-m_1-1} ... w^{-n-1} over a finite grid of output modes; each
+`polys` states the relations and this module evaluates them.  Besides the
+degree-zero (Cartan) relations, every relation is a formal identity
+sum_sigma P(z_1..z_s, w) [x(z_sigma(1)), ..., [x(z_sigma(s)), y(w)]] = 0
+given by a SerreFamily, and `Verifier.verify_family` checks any such
+family: locality (kind X), the A_1^(1) extra relation (AS), a Serre-weight
+family (DS, or P1 as a window-scale certificate) and the split form
+(THM1_DS).  An identity is checked by extracting the coefficient of each
+monomial z_1^{-m_1-1} ... w^{-n-1} over a finite grid of output modes; each
 coefficient is a finite exact combination of iterated brackets of generator
 images in the realization.  A reported failure therefore carries an
 explicit nonzero residual element that can be re-checked independently.
@@ -18,10 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from loomfold.errors import OutOfWindow, ScopeViolation
+from loomfold.errors import OutOfWindow
 from loomfold.exactnum import CycNum, cyc_root, lin_comb
-from loomfold.folding import index_pairs
-from loomfold.polys import LPoly, SerreFamily, locality_poly
+from loomfold.polys import SerreFamily, family_as, family_locality, family_split
 from loomfold.realize import Realization, vec_add, vec_scale
 
 __all__ = [
@@ -113,10 +117,6 @@ class RelationReport:
             "failed": sum(1 for c in checks if not c.passed),
             "checks": [c.to_json() for c in checks],
         }
-
-
-def _sigma_terms(poly: LPoly):
-    return [(c, e) for e, c in sorted(poly.terms.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -223,44 +223,34 @@ class Verifier:
                 report.checks.append(chk_xx)
         return report
 
-    # -- locality ----------------------------------------------------------------
-
-    def verify_locality(self, i: int, j: int, mode_bound: int) -> RelationReport:
-        poly = locality_poly(self.gcm, self.mu, i, j)
-        grid = f"|m|,|n|<={mode_bound}"
-        return self._verify_weighted("X", i, j, {(0,): poly}, mode_bound, 1, grid)
-
-    def verify_locality_all(self, mode_bound: int) -> RelationReport:
-        report = RelationReport()
-        for i in range(self.gcm.n):
-            for j in range(self.gcm.n):
-                report.extend(self.verify_locality(i, j, mode_bound))
-        return report
-
     # -- weighted nested relations ---------------------------------------------------
 
+    def verify_family(self, kind: str, fam: SerreFamily, mode_bound: int) -> RelationReport:
+        """Check every pair of `fam`, in sorted order, as relation `kind`."""
+        report = RelationReport()
+        for i, j in sorted(fam.entries):
+            report.extend(self._verify_weighted(kind, fam, i, j, mode_bound))
+        return report
+
     def _verify_weighted(
-        self,
-        kind: str,
-        i: int,
-        j: int,
-        sigma_polys: dict,
-        mode_bound: int,
-        arity: int,
-        grid: str | None = None,
+        self, kind: str, fam: SerreFamily, i: int, j: int, mode_bound: int
     ) -> RelationReport:
         real = self.real
         field = real.field
         report = RelationReport()
+        arity = fam.arity(i, j)
         prepared = []
-        for sigma, poly in sorted(sigma_polys.items()):
+        for sigma, poly in sorted(fam.entries[(i, j)].items()):
             if poly.is_zero():
                 continue
             # each coefficient lifted once into Q(xi_lcm(order, L)), where its
             # products with the bracket values live
-            terms = [(c.lift(lcm(c.order, field)), e) for c, e in _sigma_terms(poly)]
+            terms = [(c.lift(lcm(c.order, field)), e) for e, c in sorted(poly.terms.items())]
             prepared.append((sigma, terms))
-        grid = grid or f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
+        if kind == "X":
+            grid = f"|m|,|n|<={mode_bound}"
+        else:
+            grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
         if self._pair != (i, j):
             self._pair, self._memos = (i, j), {+1: {}, -1: {}}
         for sign in (+1, -1):
@@ -300,38 +290,10 @@ class Verifier:
             hit = memo[modes] = self.real.bracket(outer, inner)
         return hit
 
-    def verify_serre(self, fam: SerreFamily, i: int, j: int, mode_bound: int) -> RelationReport:
-        arity = fam.arity(i, j)
-        return self._verify_weighted("DS", i, j, fam.polynomials(i, j), mode_bound, arity)
-
-    def verify_serre_all(self, fam: SerreFamily, mode_bound: int) -> RelationReport:
-        report = RelationReport()
-        for i, j in index_pairs(self.gcm):
-            report.extend(self.verify_serre(fam, i, j, mode_bound))
-        return report
-
     def verify_AS(self, mode_bound: int) -> RelationReport:
-        """The extra relation specific to matrices of type A_1^(1)."""
-        report = RelationReport()
-        if self.gcm.classify().label != "A1^(1)":
-            chk = RelationCheck("ASplus", (), 0, "vacuous")
-            chk.checked = 1
-            report.checks.append(chk)
-            chk = RelationCheck("ASminus", (), 0, "vacuous")
-            chk.checked = 1
-            report.checks.append(chk)
-            return report
-        for i, j in index_pairs(self.gcm):
-            report.extend(self._verify_as(i, j, mode_bound))
-        return report
-
-    def _verify_as(self, i: int, j: int, mode_bound: int) -> RelationReport:
-        n_ord = self.n_order
-        pref = LPoly(
-            ("z1", "z2", "w"),
-            {(n_ord, 0, 0): CycNum.one(), (0, n_ord, 0): -CycNum.one()},
-        )
-        return self._verify_weighted("AS", i, j, {(0, 1): pref}, mode_bound, 2)
+        """The extra relation of A_1^(1); two vacuous checks on other matrices."""
+        fam = family_as(self.gcm, self.mu)
+        return self.verify_family("AS", fam, mode_bound) if fam.entries else _vacuous("AS")
 
     def verify_P1_at_window(self, fam: SerreFamily, mode_bound: int) -> RelationReport:
         """Window-scale certificate for an arbitrary family.
@@ -339,59 +301,11 @@ class Verifier:
         Covers exactly the pairs the family defines; a pass certifies the
         identities on the tested mode grid only.
         """
-        report = RelationReport()
-        for i, j in sorted(fam.entries):
-            arity = fam.arity(i, j)
-            report.extend(
-                self._verify_weighted("P1", i, j, fam.polynomials(i, j), mode_bound, arity)
-            )
-        return report
-
-    # -- the finite-type split-form relations --------------------------------------------
+        return self.verify_family("P1", fam, mode_bound)
 
     def verify_thm1_ds(self, mode_bound: int) -> RelationReport:
         """The case-split nested relations for finite matrices with a twist."""
-        if self.gcm.classify().kind != "finite":
-            raise ScopeViolation("the split-form relation list is for finite matrices")
-        report = RelationReport()
-        a = self.gcm.entries
-        mu = self.mu
-        n_ord = self.n_order
-        for i, j in index_pairs(self.gcm):
-            arity = 1 - a[i][j]
-            variables = tuple(f"z{k+1}" for k in range(arity)) + ("w",)
-            ident = tuple(range(arity))
-            sigma_polys: dict = {}
-            if mu.perm[i] == i:
-                sigma_polys[ident] = LPoly.one(variables)
-            elif a[i][j] == -1 and j == mu.perm[i]:
-                for sigma in itertools.permutations(range(2)):
-                    terms = {}
-                    e1 = [0, 0, 0]
-                    e1[sigma[0]] = 1
-                    terms[tuple(e1)] = CycNum.one()
-                    e2 = [0, 0, 0]
-                    e2[sigma[1]] = 1
-                    terms[tuple(e2)] = CycNum.from_rational(-2)
-                    terms[(0, 0, 1)] = CycNum.from_rational(-1)
-                    sigma_polys[sigma] = LPoly(variables, terms)
-            elif a[i][j] == -1 and a[i][mu.perm[i]] == 0 and mu.perm[j] != j:
-                sigma_polys[ident] = LPoly.one(variables)
-            elif a[i][j] == -1 and a[i][mu.perm[i]] == 0 and mu.perm[j] == j:
-                terms = {
-                    (k, n_ord - 1 - k, 0): CycNum.one() for k in range(n_ord)
-                }
-                sigma_polys[ident] = LPoly(variables, terms)
-            elif a[i][j] == -1 and a[i][mu.perm[i]] == -1 and j != mu.perm[i]:
-                sigma_polys[ident] = LPoly(
-                    variables, {(1, 0, 0): CycNum.one(), (0, 1, 0): CycNum.one()}
-                )
-            else:
-                raise ScopeViolation(f"pair ({i},{j}) matches no split-form case")
-            report.extend(
-                self._verify_weighted("THM1_DS", i, j, sigma_polys, mode_bound, arity)
-            )
-        return report
+        return self.verify_family("THM1_DS", family_split(self.gcm, self.mu), mode_bound)
 
     # -- full suites --------------------------------------------------------------
 
@@ -404,21 +318,16 @@ class Verifier:
         The weighted relations go pair by pair, so that the locality, AS and
         Serre (or P1) checks of a pair share its memos of nested brackets.
         """
+        loc, extra, fam = _suite_families(self.gcm, self.mu, fam)
+        suite = (("X", loc), ("AS", extra), ("P1" if certificate else "DS", fam))
         report = self.verify_cartan_relations(mode_bound)
-        pairs = set(index_pairs(self.gcm))
-        special = self.gcm.classify().label == "A1^(1)"
-        if not special:
-            report.extend(self.verify_AS(mode_bound))  # its vacuous checks
+        if not extra.entries:
+            report.extend(_vacuous("AS"))
         for i in range(self.gcm.n):
             for j in range(self.gcm.n):
-                report.extend(self.verify_locality(i, j, mode_bound))
-                if special and (i, j) in pairs:
-                    report.extend(self._verify_as(i, j, mode_bound))
-                if certificate and (i, j) in fam.entries:
-                    one_pair = SerreFamily(fam.name, {(i, j): fam.entries[(i, j)]})
-                    report.extend(self.verify_P1_at_window(one_pair, mode_bound))
-                elif not certificate and (i, j) in pairs:
-                    report.extend(self.verify_serre(fam, i, j, mode_bound))
+                for kind, f in suite:
+                    if (i, j) in f.entries:
+                        report.extend(self._verify_weighted(kind, f, i, j, mode_bound))
         self._pair, self._memos = None, {}
         return report
 
@@ -432,41 +341,39 @@ def _expect(chk: RelationCheck, modes: tuple, got: dict, want: dict) -> None:
         chk.record_failure(modes, residual)
 
 
+def _vacuous(kind: str) -> RelationReport:
+    """Two passing checks that stand for a relation with no pairs to check."""
+    return RelationReport(
+        [RelationCheck(kind + sign, (), 0, "vacuous", checked=1) for sign in ("plus", "minus")]
+    )
+
+
+def _suite_families(gcm, mu, fam: SerreFamily) -> tuple:
+    """The weighted families of a suite: locality, the extra relation of
+    A_1^(1) and `fam`."""
+    return family_locality(gcm, mu), family_as(gcm, mu), fam
+
+
 # ---------------------------------------------------------------------------
 # window sizing
 
 
 def family_max_degree(fam: SerreFamily) -> int:
-    """Largest per-variable degree across all family polynomials."""
-    best = 0
-    for sigmas in fam.entries.values():
-        for poly in sigmas.values():
-            for exps in poly.terms:
-                m = max(exps)
-                if m > best:
-                    best = m
-    return best
+    """Largest |exponent| of any variable across all family polynomials."""
+    exps = [e for sigmas in fam.entries.values() for poly in sigmas.values() for e in poly.terms]
+    return max((abs(x) for e in exps for x in e), default=0)
 
 
-def suite_window(gcm, mu, fam: SerreFamily | None, mode_bound: int) -> tuple[int, int]:
+def suite_window(gcm, mu, fam: SerreFamily, mode_bound: int) -> tuple[int, int]:
     """A window guaranteed to hold the whole relation suite at this bound.
 
     t1: the worst intermediate degree of a nested bracket with all operand
-    modes at mode_bound plus the polynomial shifts; t2: nesting depth, since
-    every generator lives in t2-degrees {-1, 0, 1}.
+    modes within mode_bound plus the largest |exponent| of the suite's
+    families; t2: nesting depth, since every generator lives in t2-degrees
+    {-1, 0, 1}.
     """
-    deg = family_max_degree(fam) if fam is not None else 0
-    arity = 1
-    for i in range(gcm.n):
-        for j in range(gcm.n):
-            if gcm.entries[i][j] < 0:
-                arity = max(arity, 1 - gcm.entries[i][j])
-    loc_deg = 0
-    for i in range(gcm.n):
-        for j in range(gcm.n):
-            loc_deg = max(loc_deg, locality_poly(gcm, mu, i, j).total_degree() or 0)
-    as_deg = mu.order if gcm.classify().label == "A1^(1)" else 0
-    per_slot = mode_bound + max(deg, loc_deg, as_deg)
-    m1 = (arity + 1) * per_slot + 2
+    deg = max(family_max_degree(f) for f in _suite_families(gcm, mu, fam))
+    arity = max(1, *(1 - a for row in gcm.entries for a in row if a < 0))
+    m1 = (arity + 1) * (mode_bound + deg) + 2
     m2 = arity + 3
     return m1, m2

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loomfold.cartan import _candidates
-from loomfold.cli import _pool_size, main
+from loomfold.cli import _exit_code, _pool_size, main
 
 
 @pytest.fixture()
@@ -96,11 +96,14 @@ def test_verify_window_abort(runner):
     res = runner.invoke(
         main, ["verify", "--entry", "A2-flip", "--modes", "2", "--window", "3,2"]
     )
-    assert res.exit_code in (0, 1, 3)
-    # an explicit tiny window must not crash; gaps or abort are both honest
+    # an explicit tiny window must not crash; an abort and a report with
+    # gaps both exit 3, never 0
+    assert res.exit_code == 3
     data = _json_out(res)
-    if res.exit_code == 3:
+    if "error" in data:
         assert data["error"]["kind"] == "OutOfWindow"
+    else:
+        assert any("out_of_window" in c for c in data["report"]["checks"])
 
 
 def test_verify_window_abort_deterministic(runner):
@@ -110,6 +113,46 @@ def test_verify_window_abort_deterministic(runner):
     )
     assert res.exit_code == 3
     assert _json_out(res)["error"]["kind"] == "OutOfWindow"
+
+
+def test_verify_gaps_exit_3(runner, tmp_path, monkeypatch):
+    # the window 4,2 holds every Cartan relation at modes 2 but not every
+    # grid point of the weighted ones: the report passes with gaps
+    args = ["verify", "--entry", "A2-flip", "--modes", "2", "--window", "4,2"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    report = _json_out(res)["report"]
+    assert report["pass"] is True
+    assert any("out_of_window" in c for c in report["checks"])
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([{"name": "gappy", "cartan": [[2, -1], [-1, 2]], "mu": [1, 0]}]))
+    monkeypatch.setenv("LOOMFOLD_CATALOG", str(path))
+    res = runner.invoke(main, ["verify", "--entry", "all", "--modes", "2", "--window", "4,2"])
+    assert res.exit_code == 3
+    assert _json_out(res)["pass"] is True
+
+
+def test_exit_code_precedence():
+    clean = {"pass": True, "checks": [{"pass": True}]}
+    gappy = {"pass": True, "checks": [{"pass": True, "out_of_window": [[0, 0]]}]}
+    failed = {"pass": False, "checks": [{"pass": False}]}
+    assert _exit_code([clean, clean]) == 0
+    assert _exit_code([clean, gappy]) == 3
+    assert _exit_code([gappy, failed]) == 1
+
+
+def test_verify_window_counts_negative_exponents(runner, tmp_path):
+    # a family whose only term is z1^-30 shifts the operand modes by -30:
+    # the window must hold them, so every grid point is checked
+    fam = {"pairs": [{"i": 1, "j": 0, "terms": {"0,1": _poly(([-30, 0, 0], _ONE))}}]}
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(fam))
+    res = runner.invoke(
+        main, ["verify", "--entry", "A2a-flip", "--modes", "1", "--family", f"user:{path}"]
+    )
+    assert res.exit_code == 1
+    p1 = [c for c in _json_out(res)["report"]["checks"] if c["relation"].startswith("P1")]
+    assert p1 and all(c["checked"] > 0 and "out_of_window" not in c for c in p1)
 
 
 def test_verify_user_family_failure_exit(runner, tmp_path):
@@ -325,7 +368,11 @@ def test_pool_size_clamp():
     assert _pool_size(-5, 17) == 1
 
 
-_ONE = {"order": 1, "coeffs": ["1"]}
+def _coeff(text):
+    return {"order": 1, "coeffs": [text]}
+
+
+_ONE = _coeff("1")
 
 
 def _poly(*terms):
@@ -356,6 +403,13 @@ def _user(coeff=_ONE, key="0,1", **pair):
         # all-zero polynomials would make a relation that certifies 0 = 0
         ("user", {"pairs": [{"i": 1, "j": 0, "terms": {"0,1": _poly()}}]}),
         _user({"order": 1, "coeffs": ["0"]}),
+        # only the strings to_json prints: Fraction would expand the first
+        # into a billion-digit int, and take the others as 1.5, 1, 10 and 1
+        *(
+            _user(_coeff(c))
+            for c in ("1e999999999", "1.5", " 1", "1_0", "\u0661")
+        ),
+        ("f", {"pairs": [{"i": 0, "j": 1, "poly": _poly(([0, 0, 1], _coeff("1e999")))}]}),
     ],
 )
 def test_verify_rejects_malformed_family_file(runner, tmp_path, selector, content):

@@ -5,13 +5,23 @@ from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.errors import ScopeViolation
 from loomfold.exactnum import cyc_root
 from loomfold.folding import validate_aut
-from loomfold.polys import LPoly, SerreFamily, family_p, family_qlimit
+from loomfold.polys import LPoly, SerreFamily, family_locality, family_p, family_qlimit
 from loomfold.presentation import (
     Verifier,
     serialize_elem,
     suite_window,
 )
 from loomfold.realize import Realization
+
+
+def _one_pair(fam, i, j):
+    return SerreFamily(fam.name, {(i, j): fam.entries[(i, j)]})
+
+
+def _locality(real, i, j, mode_bound):
+    """The locality checks of one pair."""
+    fam = _one_pair(family_locality(real.gcm, real.mu), i, j)
+    return Verifier(real).verify_family("X", fam, mode_bound)
 
 
 def _setup(label, perm, mode_bound=2, fam_builder=family_p):
@@ -39,35 +49,34 @@ def test_cartan_relations_twisted():
 def test_locality_orthogonal_pair():
     real, _ = _setup("A3", [0, 1, 2])
     # orthogonal nodes: the weight is 1, so the commutator itself vanishes
-    rep = Verifier(real).verify_locality(0, 2, 2)
+    rep = _locality(real, 0, 2, 2)
     assert rep.passed
     assert all(c.checked == 25 for c in rep.checks)
 
 
 def test_locality_diagonal():
     real, _ = _setup("A2", [1, 0])
-    assert Verifier(real).verify_locality(0, 0, 2).passed
+    assert _locality(real, 0, 0, 2).passed
 
 
 def test_locality_special_type():
     real, _ = _setup("A1^(1)", [1, 0])
-    v = Verifier(real)
     for i in range(2):
         for j in range(2):
-            assert v.verify_locality(i, j, 2).passed, (i, j)
+            assert _locality(real, i, j, 2).passed, (i, j)
 
 
 def test_serre_family_p_usual():
     real, fam = _setup("A2", [0, 1])
-    rep = Verifier(real).verify_serre(fam, 0, 1, 2)
+    rep = Verifier(real).verify_family("DS", _one_pair(fam, 0, 1), 2)
     assert rep.passed
 
 
 def test_serre_triality_weighted():
     real, fam = _setup("D4", [2, 1, 3, 0])
     v = Verifier(real)
-    assert v.verify_serre(fam, 0, 1, 2).passed
-    assert v.verify_serre(fam, 1, 0, 2).passed
+    assert v.verify_family("DS", _one_pair(fam, 0, 1), 2).passed
+    assert v.verify_family("DS", _one_pair(fam, 1, 0), 2).passed
 
 
 def test_AS_vacuous_and_special():
@@ -144,12 +153,12 @@ def _suite_by_public_methods(real, fam, mode_bound, certificate):
     """run_suite written as the public all-pair methods, one after the other."""
     v = Verifier(real)
     report = v.verify_cartan_relations(mode_bound)
-    report.extend(v.verify_locality_all(mode_bound))
+    report.extend(v.verify_family("X", family_locality(real.gcm, real.mu), mode_bound))
     report.extend(v.verify_AS(mode_bound))
     if certificate:
         report.extend(v.verify_P1_at_window(fam, mode_bound))
     else:
-        report.extend(v.verify_serre_all(fam, mode_bound))
+        report.extend(v.verify_family("DS", fam, mode_bound))
     return report
 
 
@@ -203,7 +212,7 @@ def test_out_of_window_recorded_as_gap():
     g = Gcm(canonical_matrix("A2"))
     mu = validate_aut(g, [1, 0])
     real = Realization(g, mu, m1_window=3, m2_window=2)
-    rep = Verifier(real).verify_locality(0, 1, 2)
+    rep = _locality(real, 0, 1, 2)
     gaps = [c for c in rep.checks if c.gaps]
     assert gaps
     data = rep.to_json()

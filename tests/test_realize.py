@@ -729,10 +729,9 @@ def test_kernel_runs_no_cycnum_arithmetic(monkeypatch):
     fam = cached_family("A5a-rot")
     ver = Verifier(real)
     i, j = sorted(fam.entries)[0]
-    polys = fam.polynomials(i, j)
 
     def weighted():
-        return ver._verify_weighted("DS", i, j, polys, 1, fam.arity(i, j))
+        return ver._verify_weighted("DS", fam, i, j, 1)
 
     want = weighted().to_json()  # also builds every generator image it needs
     elems = [real.theta_x(i, m, s) for i in range(real.gcm.n) for m in (-1, 0, 1) for s in (1, -1)]

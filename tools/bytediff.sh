@@ -28,6 +28,18 @@ z1='{"exps": [1, 0, 0], "coeff": {"order": 1, "coeffs": ["1"]}}'
 z2xi5='{"exps": [0, 1, 0], "coeff": {"order": 5, "coeffs": ["0", "1", "0", "0"]}}'
 echo "{\"name\": \"mixed\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
   {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$z1, $z2xi5]}}}]}" >"$tmp/famx.json"
+# one z-slot (vars z1, w): its grid prints as modes in [-1,1]^2 at modes 1
+w1='{"exps": [0, 1], "coeff": {"order": 1, "coeffs": ["1"]}}'
+echo "{\"name\": \"arity1\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
+  {\"0\": {\"vars\": [\"z1\", \"w\"], \"terms\": [$w1]}}}]}" >"$tmp/fam1.json"
+# the plain family on a pair that is no index pair: a_00 = 2
+echo "{\"name\": \"diag\", \"pairs\": [{\"i\": 0, \"j\": 0, \"terms\":
+  {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$one]}}}]}" >"$tmp/fam00.json"
+# an extra factor z1 + w on the pair (0, 1) of family p
+zw='{"exps": [1, 0, 0], "coeff": {"order": 1, "coeffs": ["1"]}},
+  {"exps": [0, 0, 1], "coeff": {"order": 1, "coeffs": ["1"]}}'
+echo "{\"pairs\": [{\"i\": 0, \"j\": 1, \"poly\":
+  {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$zw]}}]}" >"$tmp/extra.json"
 echo '{"cartan": [[2, -1], [-4, 2]], "mu": [0, 1]}' >"$tmp/a22.json"
 # D4^(3): its realization lives in Q(xi_3), and building it inverts 49
 # non-rational values; the one-pair family fails with Q(xi_3) residuals
@@ -71,6 +83,9 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A2a-flip --modes 1 --family user:fam.json"
   echo "verify --entry A2a-flip --modes 1 --family user:fam5.json"
   echo "verify --entry A2a-flip --modes 1 --family user:famx.json"
+  echo "verify --entry A2a-flip --modes 1 --family user:fam1.json"
+  echo "verify --entry A2a-flip --modes 1 --family user:fam00.json"
+  echo "verify --entry A2a-flip --modes 1 --family f:extra.json"
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
   echo "verify --input a22.json --modes 1"
   echo "verify --input a22.json --modes 1 --family user:fam.json"
