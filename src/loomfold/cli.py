@@ -35,7 +35,7 @@ from loomfold.polys import (
     family_qlimit,
     locality_poly,
 )
-from loomfold.presentation import Verifier, suite_window
+from loomfold.presentation import RelationReport, Verifier, suite_window
 from loomfold.realize import Realization
 
 SCHEMA = 1
@@ -274,7 +274,20 @@ def _verify_one(gcm, mu, name, family_sel, mode_bound, window):
     }
     if certificate_only:
         payload["note"] = "window-scale certificate: a pass covers the tested grid only"
-    return payload
+    return payload, _exit_code(report)
+
+
+def _exit_code(report: RelationReport) -> int:
+    """1 if the report failed, else 3 if it has out-of-window gaps, else 0."""
+    if not report.passed:
+        return 1
+    return 3 if report.has_gaps else 0
+
+
+def _combined_exit_code(codes: list) -> int:
+    """The exit code of several reports: a failure outranks gaps, and gaps
+    outrank a clean pass."""
+    return max(codes, key=(0, 3, 1).index, default=0)
 
 
 @main.command()
@@ -292,20 +305,14 @@ def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
     window = _parse_window(window_text)
     if entry == "all":
         names = [e.name for e in catalog_mod.load_entries()]
-        payloads = _verify_many(names, family_sel, mode_bound, window, jobs)
+        results = _verify_many(names, family_sel, mode_bound, window, jobs)
+        payloads = [p for p, _ in results]
         _emit({"entries": payloads, "pass": all(p["report"]["pass"] for p in payloads)})
-        sys.exit(_exit_code([p["report"] for p in payloads]))
+        sys.exit(_combined_exit_code([code for _, code in results]))
     gcm, mu, name = _load_job(input_path, entry)
-    payload = _verify_one(gcm, mu, name, family_sel, mode_bound, window)
+    payload, code = _verify_one(gcm, mu, name, family_sel, mode_bound, window)
     _emit(payload)
-    sys.exit(_exit_code([payload["report"]]))
-
-
-def _exit_code(reports: list) -> int:
-    """1 if a report failed, else 3 if one has out-of-window gaps, else 0."""
-    if not all(r["pass"] for r in reports):
-        return 1
-    return 3 if any("out_of_window" in c for r in reports for c in r["checks"]) else 0
+    sys.exit(code)
 
 
 def _verify_worker(args):

@@ -373,7 +373,7 @@ def suite_window(gcm, mu, fam: SerreFamily, mode_bound: int) -> tuple[int, int]:
     {-1, 0, 1}.
     """
     deg = max(family_max_degree(f) for f in _suite_families(gcm, mu, fam))
-    arity = max(1, *(1 - a for row in gcm.entries for a in row if a < 0))
+    arity = max((1 - a for row in gcm.entries for a in row if a < 0), default=1)
     m1 = (arity + 1) * (mode_bound + deg) + 2
     m2 = arity + 3
     return m1, m2

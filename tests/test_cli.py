@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loomfold.cartan import _candidates
-from loomfold.cli import _exit_code, _pool_size, main
+from loomfold.cli import _combined_exit_code, _exit_code, _pool_size, main
+from loomfold.presentation import RelationCheck, RelationReport
 
 
 @pytest.fixture()
@@ -133,12 +134,25 @@ def test_verify_gaps_exit_3(runner, tmp_path, monkeypatch):
 
 
 def test_exit_code_precedence():
-    clean = {"pass": True, "checks": [{"pass": True}]}
-    gappy = {"pass": True, "checks": [{"pass": True, "out_of_window": [[0, 0]]}]}
-    failed = {"pass": False, "checks": [{"pass": False}]}
-    assert _exit_code([clean, clean]) == 0
-    assert _exit_code([clean, gappy]) == 3
-    assert _exit_code([gappy, failed]) == 1
+    clean = RelationReport([RelationCheck("H", (0, 0), 0, "", checked=1)])
+    gappy = RelationReport([RelationCheck("H", (0, 0), 0, "", gaps=[(0, 0)])])
+    failed = RelationReport([RelationCheck("H", (0, 0), 0, "", gaps=[(0, 0)], failure_count=1)])
+    assert [_exit_code(r) for r in (clean, gappy, failed)] == [0, 3, 1]
+    assert _combined_exit_code([0, 0]) == 0
+    assert _combined_exit_code([0, 3]) == 3
+    assert _combined_exit_code([3, 1, 0]) == 1
+    assert _combined_exit_code([]) == 0
+
+
+def test_verify_default_window_without_negative_entry(runner, tmp_path):
+    # A1 has no a_ij < 0: the automatic window takes arity 1
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps({"cartan": [[2]]}))
+    res = runner.invoke(main, ["verify", "--input", str(path), "--modes", "1"])
+    assert res.exit_code == 0
+    data = _json_out(res)
+    assert data["window"] == {"m1": 6, "m2": 4}
+    assert data["report"]["pass"] is True
 
 
 def test_verify_window_counts_negative_exponents(runner, tmp_path):

@@ -41,6 +41,8 @@ zw='{"exps": [1, 0, 0], "coeff": {"order": 1, "coeffs": ["1"]}},
 echo "{\"pairs\": [{\"i\": 0, \"j\": 1, \"poly\":
   {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$zw]}}]}" >"$tmp/extra.json"
 echo '{"cartan": [[2, -1], [-4, 2]], "mu": [0, 1]}' >"$tmp/a22.json"
+# A1: no negative entry, so the automatic window has arity 1
+echo '{"cartan": [[2]]}' >"$tmp/a1.json"
 # D4^(3): its realization lives in Q(xi_3), and building it inverts 49
 # non-rational values; the one-pair family fails with Q(xi_3) residuals
 echo '{"cartan": [[2, -1, 0], [-1, 2, -3], [0, -1, 2]], "mu": [0, 1, 2]}' >"$tmp/d43.json"
@@ -87,6 +89,7 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A2a-flip --modes 1 --family user:fam00.json"
   echo "verify --entry A2a-flip --modes 1 --family f:extra.json"
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
+  echo "verify --input a1.json --modes 1"
   echo "verify --input a22.json --modes 1"
   echo "verify --input a22.json --modes 1 --family user:fam.json"
   echo "verify --input d43.json --modes 1"
