@@ -296,7 +296,8 @@ def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None) -> None:
     Works breadth first: each round brackets every (s, s_img) of `ad` with
     each pair the previous round added, and inserts [s, a] with the image
     [s_img, a_img].  A bracket that raises OutOfWindow, is zero or fails
-    `keep` is skipped; at most `rounds` rounds run when given.
+    `keep` is skipped; at most `rounds` rounds run when given.  An empty
+    image (a span closure maps everything to {}) is not bracketed.
     """
     frontier = [(v, img) for v, img in pairs if ech.insert(v, img)]
     done = 0
@@ -310,7 +311,7 @@ def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None) -> None:
                     continue
                 if not b or (keep is not None and not keep(b)):
                     continue
-                b_img = bracket(s_img, a_img)
+                b_img = bracket(s_img, a_img) if s_img and a_img else {}
                 if ech.insert(b, b_img):
                     new.append((b, b_img))
         frontier = new

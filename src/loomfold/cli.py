@@ -68,6 +68,8 @@ def _mapped_errors(command):
 
 
 def _load_job(input_path: str | None, entry: str | None):
+    if entry and input_path is not None:
+        raise JobError("provide --input FILE or --entry NAME, not both")
     if entry:
         ce = catalog_mod.entry_by_name(entry)
         return ce.gcm, ce.mu, ce.name
@@ -133,11 +135,19 @@ def _permutation(key: str, arity: int, where: str) -> tuple:
     raise JobError(f"{where}: {key!r} is not a permutation of 0..{arity - 1}")
 
 
+def _pair(gcm, item: dict, seen: dict, what: str) -> tuple[int, int]:
+    """The (i, j) of a file item, which no earlier item of the file names."""
+    pair = _node(gcm, item, "i"), _node(gcm, item, "j")
+    if pair in seen:
+        raise JobError(f"{what} pair {pair} appears twice")
+    return pair
+
+
 def _load_extra_factors(gcm, path: str) -> dict:
     _, pairs = _read_pairs(path, "factor")
     out = {}
     for item in pairs:
-        i, j = _node(gcm, item, "i"), _node(gcm, item, "j")
+        i, j = _pair(gcm, item, out, "factor")
         out[(i, j)] = _poly(item.get("poly"), f"factor pair ({i},{j})")
     return out
 
@@ -149,7 +159,7 @@ def _load_user_family(gcm, path: str) -> SerreFamily:
         raise JobError('family "name" must be a string')
     fam = SerreFamily(name)
     for item in pairs:
-        i, j = _node(gcm, item, "i"), _node(gcm, item, "j")
+        i, j = _pair(gcm, item, fam.entries, "family")
         where = f"family pair ({i},{j})"
         terms = item.get("terms")
         if not isinstance(terms, dict) or not terms:
@@ -159,7 +169,10 @@ def _load_user_family(gcm, path: str) -> SerreFamily:
             poly = _poly(poly_json, f"{where}, permutation {key}")
             if sigmas and poly.vars != next(iter(sigmas.values())).vars:
                 raise JobError(f"{where}: every permutation must use the same variables")
-            sigmas[_permutation(key, len(poly.vars) - 1, where)] = poly
+            sigma = _permutation(key, len(poly.vars) - 1, where)
+            if sigma in sigmas:
+                raise JobError(f"{where}: permutation {key!r} repeats {sigma}")
+            sigmas[sigma] = poly
         if not any(sigmas.values()):
             raise JobError(f"{where}: every polynomial is zero, so its relation would read 0 = 0")
         fam.entries[(i, j)] = sigmas
@@ -303,7 +316,7 @@ def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
     if mode_bound < 0:
         raise JobError("--modes must be >= 0")
     window = _parse_window(window_text)
-    if entry == "all":
+    if entry == "all" and input_path is None:  # with --input, _load_job rejects both
         names = [e.name for e in catalog_mod.load_entries()]
         results = _verify_many(names, family_sel, mode_bound, window, jobs)
         payloads = [p for p, _ in results]

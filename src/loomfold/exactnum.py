@@ -27,9 +27,9 @@ operands' numerator tuples, 2 phi(N) - 1 long, or one int when phi(N) = 1)
 over one running denominator in one running field.  A product outside that
 field or over another denominator rewrites the sum once (`lazy_align`);
 `lazy_settle` then reduces each key modulo Phi_N and canonicalises it once.
-`Realization.bracket` runs its basis-pair loop on it, and `lin_comb` sums
-the weighted relation terms with it (a sum whose products lie in two
-different fields goes term by term, see there).
+The bracket kernel of `realize` runs its basis-pair loop on it, and
+`lin_comb` sums the weighted relation terms with it (a sum whose products
+lie in two different fields goes term by term, see there).
 
 The module also holds the exact linear algebra shared by the layers above:
 sparse vectors ({key: coefficient} dicts), permutation orbits, and the one
@@ -58,6 +58,7 @@ __all__ = [
     "euler_phi",
     "cyclotomic_poly",
     "vec_add",
+    "vec_scale",
     "lin_comb",
     "proportional",
     "perm_orbits",
@@ -675,6 +676,11 @@ def vec_add(target: dict, src: dict, scale=None) -> None:
             target[k] = val
         elif k in target:
             del target[k]
+
+
+def vec_scale(v: dict, c) -> dict:
+    """c * v as a new vector; {} when c is zero."""
+    return {k: x * c for k, x in v.items()} if c else {}
 
 
 def proportional(v: dict, w: dict):

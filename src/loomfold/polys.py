@@ -597,7 +597,11 @@ def family_qlimit(gcm: Gcm, mu: DiagramAut) -> SerreFamily:
 
 def family_f(base: SerreFamily, extra: dict) -> SerreFamily:
     """Multiply the identity-permutation slot of each pair by a fixed
-    homogeneous polynomial that does not vanish on the diagonal."""
+    homogeneous polynomial that does not vanish on the diagonal; a factor
+    on a pair that `base` does not cover raises."""
+    uncovered = sorted(set(extra) - set(base.entries))
+    if uncovered:
+        raise ScopeViolation(f"family {base.name} does not cover the factor pairs {uncovered}")
     fam = SerreFamily(f"f*{base.name}")
     for (i, j), sigmas in base.entries.items():
         f_ij = extra.get((i, j))

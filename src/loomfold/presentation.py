@@ -24,9 +24,9 @@ from fractions import Fraction
 from math import lcm
 
 from loomfold.errors import OutOfWindow
-from loomfold.exactnum import CycNum, cyc_root, lin_comb
+from loomfold.exactnum import CycNum, cyc_root, lin_comb, vec_add, vec_scale
 from loomfold.polys import SerreFamily, family_as, family_locality, family_split
-from loomfold.realize import Realization, vec_add, vec_scale
+from loomfold.realize import Realization
 
 __all__ = [
     "RelationCheck",

@@ -1,40 +1,35 @@
 """Concrete exact realization of the extended loop algebra and its twist.
 
-Layers:
+Elements ("AlgElem") are sparse dicts with CycNum coefficients over the keys
+    ("L", m1, m2, basis index)   loop vectors t1^m1 t2^m2 (x) v
+    ("K1",)                      the t1-direction center
+    ("K1p", m1, m2)              divided center symbols, m2 != 0
+    ("K2", m1)                   t1^m1 (x) k2
+at two levels:
 
 * g-level (`GAlg`): the finite algebra itself, or its loop-affinization
-  Aff = (sum_m t2^m (x) gdot_[m]) + C k2 with the degree cocycle.  Elements
-  ("AffElem") are sparse dicts over keys ("g", m2, basis index) | ("k2",)
-  with CycNum coefficients; no truncation is needed at this level.  The
-  bracket and the form go per t2-block through the finite algebra's
-  `bracket` and `pair`, plus the cocycle m delta_{m+n,0} (u|v) k2; only the
-  hot `Realization.bracket` reads the structure tables itself.
-* ghat-level: the universal central extension over t1.  Elements
-  ("AlgElem") are sparse dicts over keys
-      ("L", m1, m2, basis index)   loop vectors t1^m1 t2^m2 (x) v
-      ("K1",)                      the t1-direction center
-      ("K1p", m1, m2)              divided center symbols, m2 != 0
-      ("K2", m1)                   t1^m1 (x) k2
-  inside a window |m1| <= m1w, |m2| <= m2w.  Brackets that would leave the
-  window raise OutOfWindow instead of truncating.
+  Aff = (sum_m t2^m (x) gdot_[m]) + C k2 with the degree cocycle: the
+  elements of t1-degree 0, over ("L", 0, m2, b) and ("K2", 0).
+* ghat-level (`Realization`): the universal central extension of Aff over
+  t1, inside a window |m1| <= m1w, |m2| <= m2w.  Brackets that would leave
+  the window raise OutOfWindow instead of truncating.
+
+One kernel, `_loop_bracket`, brackets both levels: the verifier's hot path,
+one fused loop over basis pairs on the lazy int sums of `exactnum`.  The
+structure tables are ints (see `chevalley`), so its int fast path covers
+every pair whose operands lie in Q(xi_L) with denominator 1: in the relation
+suites of every catalog entry at modes 1, no pair leaves it.
+`Realization.bracket` passes its window and the core's lattice period r.
+`GAlg.bracket` passes period 1 and no window: it brackets in the full loop
+algebra g (x) C[t2^+-1] + C k2, of which a twisted core's Aff is a
+subalgebra, so that ungraded elements of a twisted core bracket too; at
+t1-degree 0 no K1p symbol arises, since m1 n2 - m2 n1 = 0.
 
 The twist nu of a loop core comes from `chevalley.diagram_twist`.  The
 diagram automorphism mu acts at g-level as the `Echelon` that
 `Realization.mu_on_g` propagates from the generator images, and at
 ghat-level in two variants: `MuHatClosed`, its closed form when mu preserves
 the t2-grading, and `MuHat`, propagated by brackets in every case.
-
-`Realization.bracket` is the verifier's hot path and one fused loop over
-basis pairs.  It builds no CycNum per pair: each contributing pair adds the
-int convolution of the two numerator tuples (2 phi(L) - 1 ints, one int when
-phi(L) = 1), times the int structure constant, to an unreduced sum per
-output key, all over one running denominator (the lazy sums of `exactnum`).
-Each sum is reduced modulo Phi_L and canonicalised once, when the bracket
-returns; central pairings are summed per pair of degree blocks and reduced
-once per block.  The structure tables are ints (see `chevalley`), so the
-int fast path covers every pair whose operands lie in Q(xi_L) with
-denominator 1: in the relation suites of every catalog entry at modes 1,
-no pair leaves it.
 
 Affine Chevalley generators are found uniformly from lowest-weight vectors
 of the relevant eigenspace; a Realization verifies them against the full
@@ -68,21 +63,11 @@ from loomfold.exactnum import (
     perm_orbits,
     proportional,
     vec_add,
+    vec_scale,
 )
 from loomfold.folding import DiagramAut, fold_data, validate_aut
 
-AffElem = dict
 AlgElem = dict
-
-
-# ---------------------------------------------------------------------------
-# sparse-dict helpers
-
-
-def vec_scale(v: dict, c) -> dict:
-    if isinstance(c, CycNum) and c.is_zero():
-        return {}
-    return {k: x * c for k, x in v.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -111,23 +96,13 @@ class GAlg:
 
     # -- element arithmetic ---------------------------------------------------
 
-    def bracket(self, x: AffElem, y: AffElem) -> AffElem:
-        """The loop bracket: per pair of t2-blocks, t2^(m+n) (x) [u, v], plus
-        the cocycle m (u|v) k2 when m + n = 0 != m (affine only)."""
-        alg = self.alg
-        affine = self.mode == "affine"
-        out: AffElem = {}
-        y_blocks = _t2_blocks(y)
-        for m, u in _t2_blocks(x).items():
-            for n, v in y_blocks.items():
-                vec_add(out, {("g", m + n, t): c for t, c in alg.bracket(u, v).items()})
-                if affine and m + n == 0 and m != 0:
-                    s = alg.pair(u, v)
-                    if s:
-                        vec_add(out, {("k2",): s * m})
-        return out
+    def bracket(self, x: AlgElem, y: AlgElem) -> AlgElem:
+        """The loop bracket: t2^(m+n) (x) [u, v], plus the cocycle
+        m (u|v) k2 when m + n = 0 != m (affine only); lattice period 1 and
+        no window, as the module docstring explains."""
+        return _loop_bracket(self.alg, self.mode == "affine", 1, 1, None, x, y)
 
-    def pair(self, x: AffElem, y: AffElem) -> CycNum:
+    def pair(self, x: AlgElem, y: AlgElem) -> CycNum:
         """The invariant form; k2 pairs to zero with everything."""
         y_blocks = _t2_blocks(y)
         total = CycNum.zero()
@@ -138,17 +113,17 @@ class GAlg:
         return total
 
 
-def _t2_blocks(x: AffElem) -> dict:
-    """The g-part of x split by t2-degree: {m2: {basis index: coefficient}}."""
+def _t2_blocks(x: AlgElem) -> dict:
+    """The loop part of x split by t2-degree: {m2: {basis index: coefficient}}."""
     blocks: dict = {}
     for k, c in x.items():
-        if k[0] == "g":
-            blocks.setdefault(k[1], {})[k[2]] = c
+        if k[0] == "L":
+            blocks.setdefault(k[2], {})[k[3]] = c
     return blocks
 
 
-def _lift_finite(v) -> AffElem:
-    return {("g", 0, i): CycNum.from_rational(c) for i, c in v.items()}
+def _lift_finite(v) -> AlgElem:
+    return {("L", 0, 0, i): CycNum.from_rational(c) for i, c in v.items()}
 
 
 def _affine_generators(galg: GAlg) -> list:
@@ -162,15 +137,15 @@ def _affine_generators(galg: GAlg) -> list:
     r = galg.r
     orbits = perm_orbits(galg.nu)
 
-    computed: list[tuple[AffElem, AffElem, AffElem]] = [None]  # node 0 later
+    computed: list[tuple[AlgElem, AlgElem, AlgElem]] = [None]  # node 0 later
     for orbit in orbits:
         adjacent = any(
             alg.matrix[p][q] != 0 for p in orbit for q in orbit if p != q
         )
         lam = 2 if adjacent else 1
-        e: AffElem = {}
-        f: AffElem = {}
-        h: AffElem = {}
+        e: AlgElem = {}
+        f: AlgElem = {}
+        h: AlgElem = {}
         for p in orbit:
             vec_add(e, _lift_finite(alg.e(p)))
             vec_add(f, _lift_finite(alg.f(p)), CycNum.from_rational(lam))
@@ -190,12 +165,12 @@ def _affine_generators(galg: GAlg) -> list:
             col = {(0, t): CycNum.from_rational(s) for t, s in galg.nu_images[j].items()}
             vec_add(col, {(0, j): -eigenvalue})
             for o, op in enumerate(ops, 1):
-                for key, c in galg.bracket(op, {("g", 0, j): CycNum.one()}).items():
-                    if key[0] != "g" or key[1] != 0:
+                for key, c in galg.bracket(op, {("L", 0, 0, j): CycNum.one()}).items():
+                    if key[0] != "L" or key[2] != 0:
                         raise GeneratorAssertionFailed(
                             f"{alg.label}: weight-line bracket left t2-degree 0 at {key}"
                         )
-                    col[(o, key[2])] = c
+                    col[(o, key[3])] = c
             columns.append(col)
         kernel = kernel_basis(columns, CycNum.one())
         if len(kernel) != 1:
@@ -206,8 +181,8 @@ def _affine_generators(galg: GAlg) -> list:
 
     lows = weight_line(xi, [computed[t][1] for t in range(1, len(computed))])
     highs = weight_line(xi.inverse(), [computed[t][0] for t in range(1, len(computed))])
-    v_low: AffElem = {("g", 1, i): lows[i] for i in sorted(lows)}
-    v_high: AffElem = {("g", -1, i): highs[i] for i in sorted(highs)}
+    v_low: AlgElem = {("L", 0, 1, i): lows[i] for i in sorted(lows)}
+    v_high: AlgElem = {("L", 0, -1, i): highs[i] for i in sorted(highs)}
     h_dot = galg.bracket(v_low, v_high)
     ad_back = galg.bracket(h_dot, v_low)
     kappa = proportional(ad_back, v_low)
@@ -219,7 +194,7 @@ def _affine_generators(galg: GAlg) -> list:
     k2 = galg.pair(v_low, v_high)
     if k2.is_zero():
         raise GeneratorAssertionFailed(f"{alg.label}: node-0 coroot has no k2 part")
-    coroot0[("k2",)] = k2
+    coroot0[("K2", 0)] = k2
     computed[0] = (v_low, v_high, coroot0)
 
     # read off the matrix and align with the canonical affine matrix
@@ -270,9 +245,6 @@ class Realization:
         self.n_order = self.mu.order
         self.galg = GAlg(self.cls)
         self.field = lcm(self.n_order, self.galg.r)
-        self._phi = euler_phi(self.field)
-        alg = self.galg.alg
-        self._brackets, self._form = alg.brackets, alg.form
         perm = self._node_perm()
         self.gens = [
             tuple(
@@ -348,134 +320,20 @@ class Realization:
         if abs(m1) > self.m1w or abs(m2) > self.m2w:
             raise OutOfWindow(f"degree ({m1},{m2}) outside window ({self.m1w},{self.m2w})")
 
-    def embed(self, m1: int, x: AffElem) -> AlgElem:
+    def embed(self, m1: int, x: AlgElem) -> AlgElem:
+        """The g-level element x shifted to t1-degree m1."""
         out: AlgElem = {}
         for k, c in x.items():
-            if k[0] == "g":
-                self._check_window(m1, k[1])
-                out[("L", m1, k[1], k[2])] = c
-            else:
-                self._check_window(m1, 0)
-                out[("K2", m1)] = c
+            self._check_window(m1, _key_degrees(k)[1])
+            out[(k[0], m1) + k[2:]] = c
         return out
 
     def bracket(self, x: AlgElem, y: AlgElem) -> AlgElem:
-        """Exact bracket in the extended algebra; raises OutOfWindow.
-
-        One lazy sum (see `exactnum`): each contributing basis pair adds the
-        int convolution of its two numerator tuples, times the structure
-        constant, to an unreduced sum per output key, and times the pairing
-        to a sum per pair of degree blocks.  A pair outside the int fast
-        path (an operand of another order than the running field, or a
-        product denominator other than the running one) goes through
-        `lazy_align`, which lifts and rescales.  Each output sum is reduced
-        modulo Phi_L and canonicalised once, at the end; every coefficient
-        lies in Q(xi_lcm) of the orders of the operand coefficients that
-        met in a contributing pair.
-
-        Central contributions are summed per pair of degree blocks and
-        tested for zero before the symbol reduction: single basis-key
-        pairings may be nonzero off the loop lattice even though the block
-        contraction of honestly graded elements cancels there.
-        """
-        brackets, form = self._brackets, self._form
-        m1w, m2w = self.m1w, self.m2w
-        order, phi, den = self.field, self._phi, 1
-        sums: dict = {}  # output key -> unreduced numerators over den
-        central: dict = {}  # (m1, m2, n1, n2) -> unreduced summed pairing
-        for kx, cx in x.items():
-            if kx[0] != "L":
-                continue
-            m1, m2, b = kx[1], kx[2], kx[3]
-            ax, ox, dx = cx.nums, cx.order, cx.den
-            for ky, cy in y.items():
-                if ky[0] != "L":
-                    continue
-                bc = (b, ky[3])
-                entry = brackets.get(bc)
-                pairing = form.get(bc)
-                if not entry and not pairing:
-                    continue
-                n1, n2 = ky[1], ky[2]
-                p1 = m1 + n1
-                p2 = m2 + n2
-                if entry and (abs(p1) > m1w or abs(p2) > m2w):
-                    raise OutOfWindow(
-                        f"bracket degree ({p1},{p2}) leaves window ({m1w},{m2w})"
-                    )
-                ay = cy.nums
-                if ox != order or cy.order != order or dx * cy.den != den:
-                    order, den, cx, ay = lazy_align((sums, central), order, den, cx, cy)
-                    ax, ox, dx = cx.nums, cx.order, cx.den
-                    phi = euler_phi(order)
-                if phi == 1:
-                    prod = ax[0] * ay[0]
-                    if entry:
-                        for t, s in entry.items():
-                            key = ("L", p1, p2, t)
-                            sums[key] = sums.get(key, 0) + s * prod
-                    if pairing:
-                        degs = (m1, m2, n1, n2)
-                        central[degs] = central.get(degs, 0) + pairing * prod
-                    continue
-                prod = [0] * (2 * phi - 1)
-                for i, u in enumerate(ax):
-                    if u:
-                        for j, v in enumerate(ay, i):
-                            prod[j] += u * v
-                if entry:
-                    for t, s in entry.items():
-                        key = ("L", p1, p2, t)
-                        cur = sums.get(key)
-                        if cur is None:
-                            sums[key] = [s * v for v in prod]
-                        else:
-                            for i, v in enumerate(prod):
-                                cur[i] += s * v
-                if pairing:
-                    degs = (m1, m2, n1, n2)
-                    cur = central.get(degs)
-                    if cur is None:
-                        central[degs] = [pairing * v for v in prod]
-                    else:
-                        for i, v in enumerate(prod):
-                            cur[i] += pairing * v
-        if central:
-            self._central_symbols(central, order, sums)
-        return lazy_settle(sums, order, den)
-
-    def _central_symbols(self, central: dict, order: int, sums: dict) -> None:
-        """Add the central symbols of the summed block pairings to `sums`."""
-        affine = self.galg.mode == "affine"
-        r = self.galg.r
-        m1w, m2w = self.m1w, self.m2w
-        for (m1, m2, n1, n2), total in central.items():
-            total = lazy_reduce(order, total)
-            if total is None:
-                continue
-            p1 = m1 + n1
-            p2 = m2 + n2
-            if affine:
-                if p2 == 0:
-                    if p1 == 0 and m1 != 0:
-                        lazy_add(sums, ("K1",), total, m1)
-                    if m2 != 0:
-                        if abs(p1) > m1w:
-                            raise OutOfWindow(f"central degree {p1} leaves window {m1w}")
-                        lazy_add(sums, ("K2", p1), total, m2)
-                else:
-                    if p2 % r != 0:
-                        raise InconsistentPropagation(
-                            "central term at a degree outside the loop lattice"
-                        )
-                    factor = m1 * n2 - m2 * n1
-                    if factor:
-                        if abs(p1) > m1w or abs(p2) > m2w:
-                            raise OutOfWindow(f"central degree ({p1},{p2}) leaves window")
-                        lazy_add(sums, ("K1p", p1, p2), total, factor)
-            else:
-                if p1 == 0 and m1 != 0:
-                    lazy_add(sums, ("K1",), total, m1)
+        """Exact bracket in the extended algebra; raises OutOfWindow."""
+        galg = self.galg
+        return _loop_bracket(
+            galg.alg, galg.mode == "affine", galg.r, self.field, (self.m1w, self.m2w), x, y
+        )
 
     # -- generator images -----------------------------------------------------------
 
@@ -520,7 +378,7 @@ class Realization:
                 for pair in zip(self.gens[i], self.gens[self.mu.perm[i]])
             ]
             if galg.mode == "affine":
-                k2 = {("k2",): CycNum.one()}
+                k2 = {("K2", 0): CycNum.one()}
                 seeds.append((k2, k2))
             prop = Echelon()
             close(
@@ -528,7 +386,7 @@ class Realization:
                 seeds,
                 seeds,
                 galg.bracket,
-                keep=lambda v: all(k[0] != "g" or abs(k[1]) <= t2_bound for k in v),
+                keep=lambda v: all(k[0] != "L" or abs(k[2]) <= t2_bound for k in v),
             )
             # a twisted core's eigenspace dimensions vary: coverage is checked on use
             if galg.r == 1:
@@ -637,13 +495,126 @@ class Realization:
 
 
 def _key_degrees(key) -> tuple[int, int]:
-    if key[0] == "L":
-        return key[1], key[2]
-    if key[0] == "K1p":
+    if key[0] in ("L", "K1p"):
         return key[1], key[2]
     if key[0] == "K2":
         return key[1], 0
     return 0, 0
+
+
+def _max_degree(v: AlgElem) -> int:
+    """The largest |m1| or |m2| of a key of v."""
+    return max((abs(d) for k in v for d in k[1:3]), default=0)
+
+
+# ---------------------------------------------------------------------------
+# the bracket kernel
+
+
+def _loop_bracket(alg, affine: bool, r: int, field: int, window, x: AlgElem, y: AlgElem):
+    """[x, y] in the central extension over t1 of the t2-loop algebra of the
+    core `alg`, with k2 and its degree cocycle when `affine`; the divided
+    center symbols live on the loop lattice t2^(r Z).
+
+    One lazy sum (see `exactnum`) started in Q(xi_field): each contributing
+    basis pair adds the int convolution of its two numerator tuples (2 phi - 1
+    ints, or one), times the structure constant, to an unreduced sum per
+    output key, and times the pairing to a sum per pair of degree blocks.  A
+    pair off the int fast path (an operand of another order than the running
+    field, or a product denominator other than the running one) goes through
+    `lazy_align`.  Each sum is reduced and canonicalised once, at the end;
+    every coefficient lies in Q(xi_lcm) of the orders of the operand
+    coefficients that met in a contributing pair.  Central sums are tested
+    for zero before the symbol reduction: single basis-key pairings may be
+    nonzero off the loop lattice even though the block contraction of
+    honestly graded elements cancels there.
+
+    `window` (m1w, m2w) bounds the output degrees, beyond which a term
+    raises OutOfWindow; None takes the operands' own degrees as the bound.
+    """
+    brackets, form = alg.brackets, alg.form
+    if window is None:
+        m1w = m2w = _max_degree(x) + _max_degree(y)
+    else:
+        m1w, m2w = window
+    order, phi, den = field, euler_phi(field), 1
+    sums: dict = {}  # output key -> unreduced numerators over den
+    central: dict = {}  # (m1, m2, n1, n2) -> unreduced summed pairing
+    for kx, cx in x.items():
+        if kx[0] != "L":
+            continue
+        m1, m2, b = kx[1], kx[2], kx[3]
+        ax, ox, dx = cx.nums, cx.order, cx.den
+        for ky, cy in y.items():
+            if ky[0] != "L":
+                continue
+            bc = (b, ky[3])
+            entry = brackets.get(bc)
+            pairing = form.get(bc)
+            if not entry and not pairing:
+                continue
+            n1, n2 = ky[1], ky[2]
+            p1 = m1 + n1
+            p2 = m2 + n2
+            if entry and (abs(p1) > m1w or abs(p2) > m2w):
+                raise OutOfWindow(f"bracket degree ({p1},{p2}) leaves window ({m1w},{m2w})")
+            ay = cy.nums
+            if ox != order or cy.order != order or dx * cy.den != den:
+                order, den, cx, ay = lazy_align((sums, central), order, den, cx, cy)
+                ax, ox, dx = cx.nums, cx.order, cx.den
+                phi = euler_phi(order)
+            if phi == 1:
+                prod = ax[0] * ay[0]
+                if entry:
+                    for t, s in entry.items():
+                        key = ("L", p1, p2, t)
+                        sums[key] = sums.get(key, 0) + s * prod
+                if pairing:
+                    degs = (m1, m2, n1, n2)
+                    central[degs] = central.get(degs, 0) + pairing * prod
+                continue
+            prod = [0] * (2 * phi - 1)
+            for i, u in enumerate(ax):
+                if u:
+                    for j, v in enumerate(ay, i):
+                        prod[j] += u * v
+            if entry:
+                for t, s in entry.items():
+                    key = ("L", p1, p2, t)
+                    cur = sums.get(key)
+                    if cur is None:
+                        sums[key] = [s * v for v in prod]
+                    else:
+                        for i, v in enumerate(prod):
+                            cur[i] += s * v
+            if pairing:
+                degs = (m1, m2, n1, n2)
+                cur = central.get(degs)
+                if cur is None:
+                    central[degs] = [pairing * v for v in prod]
+                else:
+                    for i, v in enumerate(prod):
+                        cur[i] += pairing * v
+    for (m1, m2, n1, n2), total in central.items():
+        total = lazy_reduce(order, total)
+        if total is None:
+            continue
+        p1 = m1 + n1
+        p2 = m2 + n2
+        if not affine or p2 == 0:
+            if p1 == 0 and m1 != 0:
+                lazy_add(sums, ("K1",), total, m1)
+            if affine and m2 != 0:
+                if abs(p1) > m1w:
+                    raise OutOfWindow(f"central degree {p1} leaves window {m1w}")
+                lazy_add(sums, ("K2", p1), total, m2)
+        elif p2 % r != 0:
+            raise InconsistentPropagation("central term at a degree outside the loop lattice")
+        elif m1 * n2 != m2 * n1:
+            if abs(p1) > m1w or abs(p2) > m2w:
+                raise OutOfWindow(f"central degree ({p1},{p2}) leaves window")
+            lazy_add(sums, ("K1p", p1, p2), total, m1 * n2 - m2 * n1)
+    return lazy_settle(sums, order, den) if sums else {}
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +641,8 @@ class MuHatClosed:
         if cached is None:
             alg = self.real.galg.alg
             h_idx = alg.h_idx[0]
-            u = self.map.apply({("g", 0, h_idx): CycNum.one()})
-            v = self.map.apply({("g", m2, h_idx): CycNum.one()})
+            u = self.map.apply({("L", 0, 0, h_idx): CycNum.one()})
+            v = self.map.apply({("L", 0, m2, h_idx): CycNum.one()})
             num = CycNum.zero()
             for ub in _t2_blocks(u).values():
                 for vb in _t2_blocks(v).values():
@@ -683,11 +654,10 @@ class MuHatClosed:
     def apply(self, x: AlgElem) -> AlgElem:
         out: AlgElem = {}
         for key, c in x.items():
-            if key[0] in ("L", "K2"):
+            if key[0] in ("L", "K2"):  # the g-level image, shifted back to t1-degree m1
                 m1 = key[1]
-                g_key = ("g", key[2], key[3]) if key[0] == "L" else ("k2",)
-                img = self.real.embed(m1, self.map.apply({g_key: CycNum.one()}))
-                vec_add(out, img, c * self.real._phase(-m1))
+                img = self.map.apply({(key[0], 0) + key[2:]: CycNum.one()})
+                vec_add(out, self.real.embed(m1, img), c * self.real._phase(-m1))
             elif key[0] == "K1":
                 vec_add(out, {key: c})
             elif key[0] == "K1p":

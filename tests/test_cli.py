@@ -424,6 +424,10 @@ def _user(coeff=_ONE, key="0,1", **pair):
             for c in ("1e999999999", "1.5", " 1", "1_0", "\u0661")
         ),
         ("f", {"pairs": [{"i": 0, "j": 1, "poly": _poly(([0, 0, 1], _coeff("1e999")))}]}),
+        # "0,1" and "00,1" are one permutation: the later would replace the earlier
+        _user(terms={"0,1": _poly(), "00,1": _poly(([0, 0, 0], _ONE))}),
+        # a repeated factor pair would keep only the later factor
+        ("f", {"pairs": [{"i": 0, "j": 1, "poly": _poly(([0, 0, 1], _ONE))}] * 2}),
     ],
 )
 def test_verify_rejects_malformed_family_file(runner, tmp_path, selector, content):
@@ -435,6 +439,40 @@ def test_verify_rejects_malformed_family_file(runner, tmp_path, selector, conten
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)  # exited through _fail, no traceback
     assert _json_out(res)["error"]["kind"] == "JobError"
+
+
+def test_verify_rejects_repeated_family_pair(runner, tmp_path):
+    # the failing plain weight 1, then family p's own entry for the same pair:
+    # keeping only the later entry would pass without checking the first
+    own = runner.invoke(main, ["polys", "--entry", "A2a-flip"])
+    p_terms = next(e for e in _json_out(own)["family"]["pairs"] if e["pair"] == [1, 0])["terms"]
+    _, plain = _user()
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(plain))
+    args = ["verify", "--entry", "A2a-flip", "--modes", "1", "--family", f"user:{path}"]
+    assert runner.invoke(main, args).exit_code == 1
+    path.write_text(json.dumps({"pairs": plain["pairs"] + [{"i": 1, "j": 0, "terms": p_terms}]}))
+    assert _assert_rejected(runner.invoke(main, args)) == "family pair (1, 0) appears twice"
+
+
+def test_verify_rejects_factor_on_uncovered_pair(runner, tmp_path):
+    # a_00 = 2, so family p has no entry (0, 0) for the factor to multiply
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps({"pairs": [{"i": 0, "j": 0, "poly": _poly(([0, 0, 1], _ONE))}]}))
+    res = runner.invoke(
+        main, ["verify", "--entry", "A2a-flip", "--modes", "1", "--family", f"f:{path}"]
+    )
+    assert "(0, 0)" in _assert_rejected(res, "ScopeViolation")
+
+
+@pytest.mark.parametrize(
+    "args", [["classify", "--entry", "A3-flip"], ["verify", "--entry", "all", "--modes", "0"]]
+)
+def test_entry_and_input_together_rejected(runner, tmp_path, args):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]], "mu": [1, 0]}))
+    res = runner.invoke(main, args + ["--input", str(path)])
+    assert _assert_rejected(res) == "provide --input FILE or --entry NAME, not both"
 
 
 # files no JSON reader can take: not UTF-8, or nested past the recursion limit
@@ -597,3 +635,83 @@ def test_classify_fuzz(tmp_path_factory, job):
     gcm_given = isinstance(job, dict) and set(job) == {"cartan"}
     if gcm_given and data.get("error", {}).get("kind") != "NotGcm":
         assert outcome == _sympy_class(job["cartan"])
+
+
+def _leaves(doc, path=()):
+    """The paths to every value inside a JSON document."""
+    items = enumerate(doc) if isinstance(doc, list) else doc.items() if isinstance(doc, dict) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _leaves(v, path + (k,))
+
+
+@st.composite
+def _mutated(draw, valid):
+    """A document of `valid`, or one with a single value replaced by arbitrary JSON."""
+    doc = draw(valid)
+    paths = list(_leaves(doc))
+    if paths and draw(st.integers(0, 3)):
+        *up, last = draw(st.sampled_from(paths))
+        target = doc
+        for k in up:
+            target = target[k]
+        target[last] = draw(_json_values)
+    return doc
+
+
+# valid family and factor files for A2-flip (pairs (0, 1) and (1, 0)): one
+# monomial per polynomial, so each is homogeneous and none vanishes on the
+# diagonal; exponents stay small, so that the automatic window does too
+_fuzz_poly = st.builds(
+    lambda exps, c: {"vars": ["z1", "z2", "w"], "terms": [{"exps": exps, "coeff": c}]},
+    st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+    st.one_of(
+        st.builds(lambda c: {"order": 1, "coeffs": [c]}, st.sampled_from(["1", "-2", "1/3"])),
+        st.builds(lambda c: {"order": 3, "coeffs": [c, "-1"]}, st.sampled_from(["0", "1"])),
+    ),
+)
+_fuzz_pairs = st.lists(st.sampled_from([(0, 1), (1, 0)]), min_size=1, max_size=2, unique=True)
+_fuzz_user = st.builds(
+    lambda pairs, polys: {
+        "name": "fuzz",
+        "pairs": [
+            {"i": i, "j": j, "terms": {"0,1": p, "1,0": q}} for (i, j), (p, q) in zip(pairs, polys)
+        ],
+    },
+    _fuzz_pairs,
+    st.lists(st.tuples(_fuzz_poly, _fuzz_poly), min_size=2, max_size=2),
+)
+_fuzz_factor = st.builds(
+    lambda pairs, polys: {"pairs": [{"i": i, "j": j, "poly": p} for (i, j), p in zip(pairs, polys)]},
+    _fuzz_pairs,
+    st.lists(_fuzz_poly, min_size=2, max_size=2),
+)
+_fuzz_catalog = st.lists(
+    _connected_gcms().map(lambda a: {"cartan": a, "mu": list(range(len(a)))}), min_size=1, max_size=3
+).map(lambda entries: [dict(e, name=f"e{k}") for k, e in enumerate(entries)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    job=st.one_of(
+        st.tuples(st.just("user"), _mutated(_fuzz_user)),
+        st.tuples(st.just("f"), _mutated(_fuzz_factor)),
+        st.tuples(st.just("catalog"), _mutated(_fuzz_catalog)),
+    )
+)
+def test_family_and_catalog_file_fuzz(tmp_path_factory, job):
+    """Any user: family, f: factor or catalog file gives one JSON payload and
+    an exit code of the contract, never a traceback."""
+    kind, content = job
+    path = tmp_path_factory.getbasetemp() / "fuzz-file.json"
+    path.write_text(json.dumps(content))
+    if kind == "catalog":
+        args = ["catalog", "--path", str(path)]
+    else:
+        args = ["verify", "--entry", "A2-flip", "--modes", "0", "--family", f"{kind}:{path}"]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code in (0, 1, 2, 3)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    data = _json_out(res)  # exactly one JSON payload
+    if res.exit_code == 2:
+        assert set(data) == {"schema", "error"}

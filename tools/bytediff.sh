@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Compare the CLI output of this tree with that of a git revision, byte for byte.
+# Compare the CLI output of this tree with that of a git revision, byte for
+# byte, plus a dump of the g-level values that no CLI command prints.
 #
 #   tools/bytediff.sh REF
 #
@@ -71,6 +72,48 @@ for job in sys.argv[1:]:
     with open(name + ".json", "w") as out:
         json.dump({"cartan": m, "mu": mu}, out)
 ' $twists) || exit 2
+# the g-level values, which no CLI command prints: the affinize generators of
+# 14 affine labels and, per catalog entry, the generators, the g-level
+# automorphism on every unit of t2-degree |m2| <= 2 (and on k2), and the
+# fixed-block dimensions at m1 = 1 or their error.  Keys print in one
+# spelling, ("L", 0, m2, b) and ("K2", 0), whichever spelling the tree uses.
+cat >"$tmp/gdump.py" <<'EOF'
+from loomfold.catalog import load_entries
+from loomfold.errors import LoomfoldError
+from loomfold.exactnum import CycNum
+from loomfold.realize import Realization, affinize
+
+
+def norm(k):
+    return ("L", 0) + k[1:] if k[0] == "g" else ("K2", 0) if k == ("k2",) else k
+
+
+def show(v):
+    return "{" + ", ".join(f"{norm(k)}: {v[k]!r}" for k in sorted(v, key=norm)) + "}"
+
+
+for label in ("A1^(1) A2^(1) A3^(1) B3^(1) C2^(1) D4^(1) G2^(1) F4^(1) "
+              "A2^(2) A4^(2) A5^(2) D3^(2) D4^(2) D4^(3)").split():
+    for node, gens in enumerate(affinize(label)[1]):
+        print("affinize", label, node, *map(show, gens))
+for e in load_entries(None):
+    real = Realization(e.gcm, e.mu, m1_window=6, m2_window=4)
+    old = any(k[0] == "g" for k in real.gens[0][0])
+    for node, gens in enumerate(real.gens):
+        print("gens", e.name, node, *map(show, gens))
+    t2 = 2 if real.galg.mode == "affine" else 0
+    units = [(m2, b) for m2 in range(-t2, t2 + 1) for b in range(real.galg.alg.dim)]
+    units = [("g",) + u if old else ("L", 0) + u for u in units]
+    if t2:
+        units.append(("k2",) if old else ("K2", 0))
+    mu = real.mu_on_g()
+    for u in units:
+        print("mu_on_g", e.name, norm(u), show(mu.apply({u: CycNum.one(real.field)})))
+    try:
+        print("fixed", e.name, real.fixed_subalgebra_dims(1))
+    except LoomfoldError as exc:
+        print("fixed", e.name, type(exc).__name__, exc)
+EOF
 entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   'from loomfold.catalog import load_entries; print(*(e.name for e in load_entries(None)))') \
   || exit 2
@@ -101,15 +144,18 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
     echo "classify --input $job.json"
   done
   echo "fold --input a3bad.json"
+  echo gdump
 } >"$tmp/commands"
 
 run() {  # run SRC OUT: stdout, stderr and "exit-code command" per numbered command
   mkdir -p "$2"
-  local n=0 cmd
+  local n=0 cmd argv
   while IFS= read -r cmd; do
     n=$((n + 1))
-    # shellcheck disable=SC2086  # $cmd is split into arguments on purpose
-    (cd "$tmp" && PYTHONPATH="$1" python3 -m loomfold.cli $cmd >"$2/$n.out" 2>"$2/$n.err")
+    argv="-m loomfold.cli $cmd"
+    [ "$cmd" = gdump ] && argv=gdump.py
+    # shellcheck disable=SC2086  # $argv is split into arguments on purpose
+    (cd "$tmp" && PYTHONPATH="$1" python3 $argv >"$2/$n.out" 2>"$2/$n.err")
     echo "$? $cmd" >"$2/$n.exit"
   done <"$tmp/commands"
 }
