@@ -4,7 +4,7 @@ Everything is computed over the rationals and cyclotomic fields; there is
 no floating point anywhere in a decision path.
 """
 
-from loomfold.cartan import Gcm, RootVec, Symmetrizer, classify
+from loomfold.cartan import Gcm, classify
 from loomfold.chevalley import chevalley, mu_extend_finite
 from loomfold.exactnum import CycNum, cyc_root
 from loomfold.folding import (
@@ -34,8 +34,6 @@ __all__ = [
     "CycNum",
     "cyc_root",
     "Gcm",
-    "RootVec",
-    "Symmetrizer",
     "classify",
     "chevalley",
     "mu_extend_finite",

@@ -25,24 +25,6 @@ from loomfold.exactnum import Echelon, kernel_basis
 Matrix = tuple[tuple[int, ...], ...]
 
 
-# ---------------------------------------------------------------------------
-# Root vectors
-
-
-@dataclass(frozen=True)
-class RootVec:
-    """Integer vector in the root lattice, in the simple-root basis."""
-
-    coords: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Symmetrizer:
-    """Positive rationals eps_i with diag(eps) * A symmetric."""
-
-    eps: tuple[Fraction, ...]
-
-
 @dataclass(frozen=True)
 class Classification:
     kind: str  # "finite" | "affine"
@@ -130,19 +112,21 @@ class Gcm:
             self._root_table = _RootTable(self.entries, labels)
         return self._root_table
 
-    def roots_up_to_height(self, h: int) -> list[tuple[RootVec, str]]:
-        """Positive roots of height <= h, each flagged 'real' or 'imaginary'."""
+    def roots_up_to_height(self, h: int) -> list[tuple[tuple[int, ...], str]]:
+        """Positive roots of height <= h, as coordinate tuples in the
+        simple-root basis, each flagged 'real' or 'imaginary'."""
         table = self._table()
         table.ensure(h)
         out = []
         for height in range(1, h + 1):
             for coords in sorted(table.by_height.get(height, ())):
-                out.append((RootVec(coords), table.flags[coords]))
+                out.append((coords, table.flags[coords]))
         return out
 
     def membership(self, v) -> str:
-        """Classify a lattice vector: 'zero' | 'real' | 'imaginary' | 'none'."""
-        coords = v.coords if isinstance(v, RootVec) else tuple(v)
+        """Classify a lattice vector, given by its coordinates in the
+        simple-root basis: 'zero' | 'real' | 'imaginary' | 'none'."""
+        coords = tuple(v)
         if all(c == 0 for c in coords):
             return "zero"
         if all(c >= 0 for c in coords):
@@ -156,15 +140,11 @@ class Gcm:
         flag = table.flags.get(coords)
         return flag if flag is not None else "none"
 
-    def pairing(self, v, i: int) -> int:
-        """<v, alpha_i^vee> = sum_j v_j a_ij."""
-        coords = v.coords if isinstance(v, RootVec) else tuple(v)
-        return sum(c * self.entries[i][j] for j, c in enumerate(coords))
-
     # -- symmetrizer -------------------------------------------------------------
 
-    def symmetrizer(self, coroot_form) -> Symmetrizer:
-        """Derive eps_i from a concrete invariant form on the coroots.
+    def symmetrizer(self, coroot_form) -> tuple[Fraction, ...]:
+        """Derive the positive rationals eps_i, with diag(eps) * A symmetric,
+        from a concrete invariant form on the coroots.
 
         coroot_form(i, j) must return <alpha_i^vee, alpha_j^vee> as a
         Fraction.  Asserts diag(eps) * A symmetric and the compatibility
@@ -185,7 +165,7 @@ class Gcm:
                     )
                 if eps[i] * self.entries[i][j] != eps[j] * self.entries[j][i]:
                     raise FormMismatch("diag(eps) * A is not symmetric")
-        return Symmetrizer(tuple(eps))
+        return tuple(eps)
 
 
 def classify(entries) -> Classification:
@@ -202,9 +182,8 @@ _FINITE_HEIGHT_CAP = 2000
 
 
 class _RootTable:
-    """Positive roots by height, generated with root strings."""
-
-    DEFAULT_HEIGHT = 12
+    """Positive roots by height, generated with root strings up to the
+    height a reader asks for (`ensure`, `close_finite`)."""
 
     def __init__(self, a: Matrix, null_labels: tuple[int, ...] | None):
         self.a = a
@@ -217,7 +196,6 @@ class _RootTable:
             self.by_height[1].add(coords)
             self.flags[coords] = "real"
         self.built = 1
-        self.ensure(self.DEFAULT_HEIGHT)
 
     def _flag(self, coords: tuple[int, ...]) -> str:
         if self.null_labels is not None:

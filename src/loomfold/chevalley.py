@@ -110,16 +110,6 @@ class FiniteAlg:
                     total += a * b * s
         return total
 
-    def highest_root(self) -> tuple:
-        best = max(
-            (coords for key, coords in zip(self.basis, self.root_of) if key[0] == "x"),
-            key=lambda c: sum(c),
-        )
-        return best
-
-    def x_index(self, coords) -> int:
-        return self.index[("x", tuple(coords))]
-
     # -- structural assertions ---------------------------------------------------
 
     def assert_structure(self):

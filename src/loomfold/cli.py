@@ -320,7 +320,8 @@ def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
         names = [e.name for e in catalog_mod.load_entries()]
         results = _verify_many(names, family_sel, mode_bound, window, jobs)
         payloads = [p for p, _ in results]
-        _emit({"entries": payloads, "pass": all(p["report"]["pass"] for p in payloads)})
+        passed = all("error" not in p and p["report"]["pass"] for p in payloads)
+        _emit({"entries": payloads, "pass": passed})
         sys.exit(_combined_exit_code([code for _, code in results]))
     gcm, mu, name = _load_job(input_path, entry)
     payload, code = _verify_one(gcm, mu, name, family_sel, mode_bound, window)
@@ -329,9 +330,14 @@ def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
 
 
 def _verify_worker(args):
+    """One entry of --entry all; a window abort becomes that entry's error
+    payload and exit code 3, so that it hides no other entry's result."""
     name, family_sel, mode_bound, window = args
     ce = catalog_mod.entry_by_name(name)
-    return _verify_one(ce.gcm, ce.mu, name, family_sel, mode_bound, window)
+    try:
+        return _verify_one(ce.gcm, ce.mu, name, family_sel, mode_bound, window)
+    except OutOfWindow as exc:
+        return {"name": name, "error": {"kind": "OutOfWindow", "message": str(exc)}}, 3
 
 
 def _pool_size(jobs: int, tasks: int) -> int:

@@ -261,7 +261,7 @@ class CycNum:
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
+            raise ValueError(f"{self!r} is not rational")
         return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
@@ -305,9 +305,6 @@ class CycNum:
         if not isinstance(other, (CycNum, int, Fraction)):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if type(other) is not CycNum:
@@ -406,25 +403,6 @@ class CycNum:
 
     def __repr__(self):
         return f"CycNum({self.order}, {[str(c) for c in self.coeffs]})"
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            else:
-                xi = f"xi{self.order}" + (f"^{j}" if j > 1 else "")
-                if c == 1:
-                    parts.append(xi)
-                elif c == -1:
-                    parts.append(f"-{xi}")
-                else:
-                    parts.append(f"{c}*{xi}")
-        return " + ".join(parts).replace("+ -", "- ")
 
     def latex(self) -> str:
         if self.is_zero():

@@ -99,22 +99,13 @@ class LPoly:
     def __sub__(self, other: "LPoly") -> "LPoly":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
-            return self.scaled(other)
+    def __mul__(self, other: "LPoly") -> "LPoly":
         self._check(other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             row = {tuple(a + b for a, b in zip(e1, e2)): c2 for e2, c2 in other.terms.items()}
             vec_add(out, row, c1)
         return LPoly(self.vars, out)
-
-    __rmul__ = __mul__
-
-    def scaled(self, c) -> "LPoly":
-        if not isinstance(c, CycNum):
-            c = CycNum.from_rational(Fraction(c))
-        return LPoly(self.vars, {e: x * c for e, x in self.terms.items()})
 
     def __pow__(self, k: int) -> "LPoly":
         assert k >= 0
@@ -215,29 +206,7 @@ class LPoly:
     # -- rendering ------------------------------------------------------------------
 
     def __repr__(self):
-        return f"LPoly({self.vars}, {self})"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                f"{v}^{k}" if k != 1 else v for v, k in zip(self.vars, e) if k != 0
-            )
-            cs = str(c)
-            if mono:
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append(f"-{mono}")
-                else:
-                    needs_parens = "+" in cs or (("-" in cs) and not cs.startswith("-"))
-                    parts.append(f"({cs})*{mono}" if needs_parens else f"{cs}*{mono}")
-            else:
-                parts.append(cs)
-        return " + ".join(parts).replace("+ -", "- ")
+        return f"LPoly({self.vars}, {self.terms})"
 
     def latex(self) -> str:
         if not self.terms:
@@ -320,7 +289,8 @@ def linear_factor(order: int, k: int) -> LPoly:
 
 def power_difference_ratio(a: int, b: int) -> LPoly:
     """(z^a - w^a) / (z^b - w^b) for b | a, written out as a geometric sum."""
-    assert a % b == 0
+    if a % b:
+        raise DivisionNotExact(f"z^{b} - w^{b} does not divide z^{a} - w^{a}")
     terms = {}
     for k in range(a // b):
         terms[(b * k, a - b - b * k)] = CycNum.one()
@@ -390,16 +360,11 @@ def drinfeld_poly_closed(
         for k in sorted(fold.gamma_minus(gcm, mu, i, i)):
             out = out * linear_factor(n, k) * linear_factor(n, (2 * k) % n)
         return out
+    # a_{i, mu^(k + N_i) j} = a_{i, mu^k j}, so Gamma^-_ij is a union of
+    # cosets of size d_i = N / N_i and d_i divides d_ij = |Gamma^-_ij|
     d_i = fold.d[i]
     d_ij = fold.d_pair(gcm, mu, i, j)
-    first = power_difference_ratio(s_i * d_i, d_i)
-    second = power_difference_ratio(d_ij, d_i) if d_ij % d_i == 0 else None
-    if second is None:
-        # fall back to exact division to surface an inconsistency loudly
-        num = LPoly(("z", "w"), {(d_ij, 0): 1, (0, d_ij): -1})
-        den = LPoly(("z", "w"), {(d_i, 0): 1, (0, d_i): -1})
-        second = num.divide_exact(den)
-    return first * second
+    return power_difference_ratio(s_i * d_i, d_i) * power_difference_ratio(d_ij, d_i)
 
 
 # ---------------------------------------------------------------------------

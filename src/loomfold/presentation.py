@@ -127,10 +127,10 @@ class Verifier:
     """Runs relation families against one realization.
 
     The weighted relations evaluate right-nested brackets
-    [x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]], memoised by mode suffix.  The
-    memos belong to one pair (i, j), one per sign, and serve every relation
-    of that pair; they are dropped when a relation of another pair starts,
-    so no more than one pair's memos are ever kept.
+    [x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]], memoised by mode suffix in
+    memos {+1: {}, -1: {}} that belong to one pair (i, j) and that the
+    caller passes: `verify_family` gives each pair fresh memos, and
+    `run_suite` gives each pair one set, shared by all its relations.
     """
 
     def __init__(self, real: Realization):
@@ -138,8 +138,6 @@ class Verifier:
         self.gcm = real.gcm
         self.mu = real.mu
         self.n_order = real.n_order
-        self._pair = None
-        self._memos: dict = {}
 
     # -- degree-zero relations ------------------------------------------------
 
@@ -229,11 +227,11 @@ class Verifier:
         """Check every pair of `fam`, in sorted order, as relation `kind`."""
         report = RelationReport()
         for i, j in sorted(fam.entries):
-            report.extend(self._verify_weighted(kind, fam, i, j, mode_bound))
+            report.extend(self._verify_weighted(kind, fam, i, j, mode_bound, {+1: {}, -1: {}}))
         return report
 
     def _verify_weighted(
-        self, kind: str, fam: SerreFamily, i: int, j: int, mode_bound: int
+        self, kind: str, fam: SerreFamily, i: int, j: int, mode_bound: int, memos: dict
     ) -> RelationReport:
         real = self.real
         field = real.field
@@ -251,11 +249,9 @@ class Verifier:
             grid = f"|m|,|n|<={mode_bound}"
         else:
             grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
-        if self._pair != (i, j):
-            self._pair, self._memos = (i, j), {+1: {}, -1: {}}
         for sign in (+1, -1):
             chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i, j), sign, grid)
-            memo = self._memos[sign]
+            memo = memos[sign]
             for out_modes in itertools.product(
                 range(-mode_bound, mode_bound + 1), repeat=arity + 1
             ):
@@ -325,10 +321,10 @@ class Verifier:
             report.extend(_vacuous("AS"))
         for i in range(self.gcm.n):
             for j in range(self.gcm.n):
+                memos = {+1: {}, -1: {}}
                 for kind, f in suite:
                     if (i, j) in f.entries:
-                        report.extend(self._verify_weighted(kind, f, i, j, mode_bound))
-        self._pair, self._memos = None, {}
+                        report.extend(self._verify_weighted(kind, f, i, j, mode_bound, memos))
         return report
 
 

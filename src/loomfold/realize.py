@@ -20,10 +20,10 @@ structure tables are ints (see `chevalley`), so its int fast path covers
 every pair whose operands lie in Q(xi_L) with denominator 1: in the relation
 suites of every catalog entry at modes 1, no pair leaves it.
 `Realization.bracket` passes its window and the core's lattice period r.
-`GAlg.bracket` passes period 1 and no window: it brackets in the full loop
-algebra g (x) C[t2^+-1] + C k2, of which a twisted core's Aff is a
-subalgebra, so that ungraded elements of a twisted core bracket too; at
-t1-degree 0 no K1p symbol arises, since m1 n2 - m2 n1 = 0.
+`GAlg.bracket` passes period 1 and a window no degree reaches: it brackets
+in the full loop algebra g (x) C[t2^+-1] + C k2, of which a twisted core's
+Aff is a subalgebra, so that ungraded elements of a twisted core bracket
+too; at t1-degree 0 no K1p symbol arises, since m1 n2 - m2 n1 = 0.
 
 The twist nu of a loop core comes from `chevalley.diagram_twist`.  The
 diagram automorphism mu acts at g-level as the `Echelon` that
@@ -39,6 +39,7 @@ table, not any formula, is normative.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -100,7 +101,7 @@ class GAlg:
         """The loop bracket: t2^(m+n) (x) [u, v], plus the cocycle
         m (u|v) k2 when m + n = 0 != m (affine only); lattice period 1 and
         no window, as the module docstring explains."""
-        return _loop_bracket(self.alg, self.mode == "affine", 1, 1, None, x, y)
+        return _loop_bracket(self.alg, self.mode == "affine", 1, 1, _NO_WINDOW, x, y)
 
     def pair(self, x: AlgElem, y: AlgElem) -> CycNum:
         """The invariant form; k2 pairs to zero with everything."""
@@ -238,7 +239,9 @@ class Realization:
     def __init__(self, gcm: Gcm, mu, m1_window: int = 24, m2_window: int = 8):
         self.gcm = gcm
         self.mu = mu if isinstance(mu, DiagramAut) else validate_aut(gcm, mu)
-        self.fold = fold_data(gcm, self.mu)
+        # called only for the NotAnAutomorphism it raises when an orbit of mu
+        # matches no case of the orbit classification
+        fold_data(gcm, self.mu)
         self.cls = gcm.classify()
         self.m1w = m1_window
         self.m2w = m2_window
@@ -254,7 +257,7 @@ class Realization:
             for i in range(gcm.n)
         ]
         self._assert_generators()
-        self.eps = gcm.symmetrizer(self._coroot_form).eps
+        self.eps = gcm.symmetrizer(self._coroot_form)
         self._theta_cache: dict = {}
         self._mu_g: list | None = None
 
@@ -399,9 +402,6 @@ class Realization:
             self._mu_g = prop
         return self._mu_g
 
-    def mu_hat(self) -> "MuHat":
-        return MuHat(self)
-
     # -- fixed subalgebra --------------------------------------------------------------
 
     def block_keys(self, m1: int, m2: int) -> list:
@@ -502,13 +502,11 @@ def _key_degrees(key) -> tuple[int, int]:
     return 0, 0
 
 
-def _max_degree(v: AlgElem) -> int:
-    """The largest |m1| or |m2| of a key of v."""
-    return max((abs(d) for k in v for d in k[1:3]), default=0)
-
-
 # ---------------------------------------------------------------------------
 # the bracket kernel
+
+# The window of `GAlg.bracket`: no degree reaches it, so no term leaves it.
+_NO_WINDOW = (sys.maxsize, sys.maxsize)
 
 
 def _loop_bracket(alg, affine: bool, r: int, field: int, window, x: AlgElem, y: AlgElem):
@@ -530,13 +528,10 @@ def _loop_bracket(alg, affine: bool, r: int, field: int, window, x: AlgElem, y: 
     honestly graded elements cancels there.
 
     `window` (m1w, m2w) bounds the output degrees, beyond which a term
-    raises OutOfWindow; None takes the operands' own degrees as the bound.
+    raises OutOfWindow.
     """
     brackets, form = alg.brackets, alg.form
-    if window is None:
-        m1w = m2w = _max_degree(x) + _max_degree(y)
-    else:
-        m1w, m2w = window
+    m1w, m2w = window
     order, phi, den = field, euler_phi(field), 1
     sums: dict = {}  # output key -> unreduced numerators over den
     central: dict = {}  # (m1, m2, n1, n2) -> unreduced summed pairing

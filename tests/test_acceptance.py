@@ -114,15 +114,21 @@ def test_criterion_4_presentation_suite_family_p():
 
 
 def test_criterion_5_finite_type_split_relations():
-    for name in ("A2-flip", "A3-flip"):
+    # every case of family_split: among them A4-flip's pair (1, 0), where
+    # a_{i, mu i} = -1 and j != mu i, and A5-flip's pair (0, 1), where i and
+    # j both move and a_{i, mu i} = 0
+    finite = [e.name for e in builtin_entries() if not e.gcm.is_affine()]
+    assert len(finite) == 8
+    for name in finite:
         real = cached_realization(name)
         report = Verifier(real).verify_thm1_ds(4)
         assert report.passed, (name, [c for c in report.checks if not c.passed][:1])
+        assert not report.has_gaps, name
     # the sigma-summed last line is present for the adjacent-orbit pair
     real = cached_realization("A2-flip")
     rep = Verifier(real).verify_thm1_ds(4)
     assert any(c.kind == "THM1_DSplus" for c in rep.checks)
-    _ok(5, "split-form finite relations (including the sigma-summed line) pass at modes <= 4")
+    _ok(5, "split-form relations (sigma-summed line included) pass at modes <= 4, all finite entries")
 
 
 def test_criterion_6_classical_limit_family():

@@ -203,12 +203,6 @@ def test_mu_extend_preserves_brackets():
         assert lhs == rhs
 
 
-def test_highest_root():
-    alg = chevalley("A2")
-    assert alg.highest_root() == (1, 1)
-    assert chevalley("G2").highest_root() in {(3, 2), (2, 3)}
-
-
 def _dense_assert_structure(alg):
     """The structure check as loops over every basis pair and triple: the
     reference `FiniteAlg.assert_structure` must agree with."""

@@ -73,6 +73,10 @@ def test_polys_latex(runner):
     res = runner.invoke(main, ["polys", "--entry", "A4-flip", "--format", "latex"])
     assert res.exit_code == 0
     assert "z+w" in res.output.replace(" ", "")
+    # a locality polynomial with xi_4 coefficients
+    res = runner.invoke(main, ["polys", "--entry", "A3a-rot", "--format", "latex"])
+    assert res.exit_code == 0
+    assert r"f_{01}(z,w) &= z^{3}+\xi_{4}z^{2}w-zw^{2}-\xi_{4}w^{3} \\" in res.output.splitlines()
 
 
 def test_polys_crosscheck(runner):
@@ -453,6 +457,25 @@ def test_verify_rejects_repeated_family_pair(runner, tmp_path):
     assert runner.invoke(main, args).exit_code == 1
     path.write_text(json.dumps({"pairs": plain["pairs"] + [{"i": 1, "j": 0, "terms": p_terms}]}))
     assert _assert_rejected(runner.invoke(main, args)) == "family pair (1, 0) appears twice"
+
+
+def test_verify_all_reports_window_abort_per_entry(runner, tmp_path):
+    # at window 2,0 every loop entry aborts (its generators have t2-degree 1)
+    # and A4-flip fails the plain weight 1: one entry's abort hides no other
+    # entry's result, and the failure outranks the aborts
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(_user()[1]))
+    args = ["--modes", "1", "--family", f"user:{path}", "--window", "2,0"]
+    res = runner.invoke(main, ["verify", "--entry", "all", *args])
+    assert res.exit_code == 1
+    data = _json_out(res)
+    assert data["pass"] is False
+    entries = {e["name"]: e for e in data["entries"]}
+    assert len(entries) == 17
+    assert entries["A4-flip"]["report"]["pass"] is False
+    single = runner.invoke(main, ["verify", "--entry", "A1a-flip", *args])
+    assert single.exit_code == 3
+    assert entries["A1a-flip"] == {"name": "A1a-flip", "error": _json_out(single)["error"]}
 
 
 def test_verify_rejects_factor_on_uncovered_pair(runner, tmp_path):

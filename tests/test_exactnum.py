@@ -141,6 +141,11 @@ def test_json_round_trip():
     assert x.to_json() == {"order": 5, "coeffs": ["1/2", "0", "-3/7", "2"]}
 
 
+def test_latex_non_rational():
+    x = CycNum(5, [Fraction(1, 2), 0, Fraction(-3, 4), 0])
+    assert x.latex() == r"\frac{1}{2}-\frac{3}{4}\xi_{5}^{2}"
+
+
 def test_rational_helpers():
     x = CycNum.from_rational(Fraction(3, 4), 6)
     assert x.is_rational() and x.as_fraction() == Fraction(3, 4)

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import cached_realization
 from loomfold import polys
 from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.errors import ScopeViolation
@@ -102,6 +103,22 @@ def test_thm1_cases_a3_flip():
     rep = Verifier(real).verify_thm1_ds(3)
     assert rep.passed
     assert {c.pair for c in rep.checks} == {(0, 1), (1, 0), (1, 2), (2, 1)}
+
+
+def test_cartan_relation_failure_residual(monkeypatch):
+    """A wrong eps_1 changes the central terms that the H and XX relations
+    expect on the pairs (i, 1): each residual is a multiple of K1 alone."""
+    real = cached_realization("A2a-flip")
+    assert Verifier(real).verify_cartan_relations(1).passed
+    monkeypatch.setattr(real, "eps", (real.eps[0], 2 * real.eps[1], *real.eps[2:]))
+    failed = [c for c in Verifier(real).verify_cartan_relations(1).checks if not c.passed]
+    assert {(c.kind, c.pair) for c in failed} == {
+        ("H", (1, 1)),
+        ("XX", (1, 1)),
+        ("H", (2, 1)),
+        ("XX", (2, 1)),
+    }
+    assert all(set(residual) == {("K1",)} for c in failed for _, residual in c.failures)
 
 
 def _plain_family(fam, coeff):

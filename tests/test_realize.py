@@ -244,7 +244,7 @@ def test_mu_on_g_examples(a2_flip):
     real2 = a2_flip
     mm = real2.mu_on_g()
     alg2 = real2.galg.alg
-    top = alg2.x_index(alg2.highest_root())
+    top = alg2.index[("x", (1, 1))]
     v = {("L", 0, 0, top): CycNum.one()}
     assert mm.apply(v) == vec_scale(v, CycNum.from_rational(-1))
 
@@ -266,7 +266,7 @@ def test_mu_on_g_order(a2a_flip, a2a_rot):
 
 def test_mu_hat_checks(a2_flip, a1a_flip, a2a_flip, a2a_rot):
     for real in (a2_flip, a2a_flip, a2a_rot, a1a_flip):
-        hat = real.mu_hat()
+        hat = MuHat(real)
         sample = [
             real.theta_x(0, 1, +1),
             real.theta_h(0, -1),
@@ -289,7 +289,7 @@ def test_mu_hat_checks(a2_flip, a1a_flip, a2a_flip, a2a_rot):
 
 def test_mu_hat_closed_matches_propagated(a2a_flip):
     real = a2a_flip
-    hat_prop = real.mu_hat()
+    hat_prop = MuHat(real)
     hat_closed = MuHatClosed(real, real.mu_on_g())
     for m1 in (-2, 0, 1):
         for m2 in (-1, 0, 1):
@@ -329,7 +329,7 @@ def test_mu_hat_preserves_triangular_blocks(a2a_flip):
 
 def test_mu_hat_k1_fixed(a2a_flip, a2a_rot):
     for real in (a2a_flip, a2a_rot):
-        hat = real.mu_hat()
+        hat = MuHat(real)
         assert hat.fixes({("K1",): CycNum.one()})
 
 
@@ -729,9 +729,10 @@ def test_kernel_runs_no_cycnum_arithmetic(monkeypatch):
     fam = cached_family("A5a-rot")
     ver = Verifier(real)
     i, j = sorted(fam.entries)[0]
+    memos = {+1: {}, -1: {}}
 
     def weighted():
-        return ver._verify_weighted("DS", fam, i, j, 1)
+        return ver._verify_weighted("DS", fam, i, j, 1, memos)
 
     want = weighted().to_json()  # also builds every generator image it needs
     elems = [real.theta_x(i, m, s) for i in range(real.gcm.n) for m in (-1, 0, 1) for s in (1, -1)]

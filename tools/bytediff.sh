@@ -75,8 +75,7 @@ for job in sys.argv[1:]:
 # the g-level values, which no CLI command prints: the affinize generators of
 # 14 affine labels and, per catalog entry, the generators, the g-level
 # automorphism on every unit of t2-degree |m2| <= 2 (and on k2), and the
-# fixed-block dimensions at m1 = 1 or their error.  Keys print in one
-# spelling, ("L", 0, m2, b) and ("K2", 0), whichever spelling the tree uses.
+# fixed-block dimensions at m1 = 1 or their error.
 cat >"$tmp/gdump.py" <<'EOF'
 from loomfold.catalog import load_entries
 from loomfold.errors import LoomfoldError
@@ -84,12 +83,8 @@ from loomfold.exactnum import CycNum
 from loomfold.realize import Realization, affinize
 
 
-def norm(k):
-    return ("L", 0) + k[1:] if k[0] == "g" else ("K2", 0) if k == ("k2",) else k
-
-
 def show(v):
-    return "{" + ", ".join(f"{norm(k)}: {v[k]!r}" for k in sorted(v, key=norm)) + "}"
+    return "{" + ", ".join(f"{k}: {v[k]!r}" for k in sorted(v)) + "}"
 
 
 for label in ("A1^(1) A2^(1) A3^(1) B3^(1) C2^(1) D4^(1) G2^(1) F4^(1) "
@@ -98,17 +93,15 @@ for label in ("A1^(1) A2^(1) A3^(1) B3^(1) C2^(1) D4^(1) G2^(1) F4^(1) "
         print("affinize", label, node, *map(show, gens))
 for e in load_entries(None):
     real = Realization(e.gcm, e.mu, m1_window=6, m2_window=4)
-    old = any(k[0] == "g" for k in real.gens[0][0])
     for node, gens in enumerate(real.gens):
         print("gens", e.name, node, *map(show, gens))
     t2 = 2 if real.galg.mode == "affine" else 0
-    units = [(m2, b) for m2 in range(-t2, t2 + 1) for b in range(real.galg.alg.dim)]
-    units = [("g",) + u if old else ("L", 0) + u for u in units]
+    units = [("L", 0, m2, b) for m2 in range(-t2, t2 + 1) for b in range(real.galg.alg.dim)]
     if t2:
-        units.append(("k2",) if old else ("K2", 0))
+        units.append(("K2", 0))
     mu = real.mu_on_g()
     for u in units:
-        print("mu_on_g", e.name, norm(u), show(mu.apply({u: CycNum.one(real.field)})))
+        print("mu_on_g", e.name, u, show(mu.apply({u: CycNum.one(real.field)})))
     try:
         print("fixed", e.name, real.fixed_subalgebra_dims(1))
     except LoomfoldError as exc:
@@ -132,6 +125,7 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A2a-flip --modes 1 --family user:fam00.json"
   echo "verify --entry A2a-flip --modes 1 --family f:extra.json"
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
+  echo "verify --entry D4a-triality --modes 1 --family qlimit"
   echo "verify --input a1.json --modes 1"
   echo "verify --input a22.json --modes 1"
   echo "verify --input a22.json --modes 1 --family user:fam.json"
