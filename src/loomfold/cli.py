@@ -17,7 +17,7 @@ import click
 
 from loomfold import catalog as catalog_mod
 from loomfold.cartan import Gcm
-from loomfold.errors import JobError, LoomfoldError, OutOfWindow
+from loomfold.errors import JobError, LoomfoldError, OutOfWindow, ScopeViolation
 from loomfold.folding import (
     fold_data,
     index_pairs,
@@ -86,19 +86,29 @@ def _load_job(input_path: str | None, entry: str | None):
     return gcm, mu, name
 
 
-def _family(gcm, mu, selector: str) -> tuple[SerreFamily, bool]:
-    """Returns (family, is_window_certificate)."""
-    if selector == "p":
-        return family_p(gcm, mu), False
-    if selector == "qlimit":
-        return family_qlimit(gcm, mu), True
+def _family_source(selector: str) -> tuple:
+    """(kind, file contents) of a family selector.  The file of "f:" or
+    "user:" is read and parsed here, once for any number of matrices."""
+    if selector in ("p", "qlimit"):
+        return selector, None
     if selector.startswith("f:"):
-        base = family_p(gcm, mu)
-        extra = _load_extra_factors(gcm, selector[2:])
-        return family_f(base, extra), False
+        return "f", _read_pairs(selector[2:], "factor")
     if selector.startswith("user:"):
-        return _load_user_family(gcm, selector[5:]), True
+        return "user", _read_pairs(selector[5:], "family")
     raise JobError(f"unknown family selector {selector!r}")
+
+
+def _family(gcm, mu, source: tuple) -> tuple[SerreFamily, bool]:
+    """The family of a `_family_source` on one matrix; returns (family,
+    is_window_certificate)."""
+    kind, contents = source
+    if kind == "p":
+        return family_p(gcm, mu), False
+    if kind == "qlimit":
+        return family_qlimit(gcm, mu), True
+    if kind == "f":
+        return family_f(family_p(gcm, mu), _load_extra_factors(gcm, contents)), False
+    return _load_user_family(gcm, contents), True
 
 
 def _read_pairs(path: str, what: str) -> tuple[dict, list]:
@@ -143,8 +153,8 @@ def _pair(gcm, item: dict, seen: dict, what: str) -> tuple[int, int]:
     return pair
 
 
-def _load_extra_factors(gcm, path: str) -> dict:
-    _, pairs = _read_pairs(path, "factor")
+def _load_extra_factors(gcm, contents: tuple) -> dict:
+    _, pairs = contents
     out = {}
     for item in pairs:
         i, j = _pair(gcm, item, out, "factor")
@@ -152,8 +162,8 @@ def _load_extra_factors(gcm, path: str) -> dict:
     return out
 
 
-def _load_user_family(gcm, path: str) -> SerreFamily:
-    raw, pairs = _read_pairs(path, "family")
+def _load_user_family(gcm, contents: tuple) -> SerreFamily:
+    raw, pairs = contents
     name = raw.get("name", "user")
     if not isinstance(name, str):
         raise JobError('family "name" must be a string')
@@ -249,7 +259,7 @@ def polys(input_path, entry, family_sel, fmt, do_cross):
     gcm, mu, name = _load_job(input_path, entry)
     fd = fold_data(gcm, mu)
     sets = tuple_sets(gcm, mu, fd)
-    fam, _ = _family(gcm, mu, family_sel)
+    fam, _ = _family(gcm, mu, _family_source(family_sel))
     pairs = []
     lines = []
     for i, j in index_pairs(gcm):
@@ -271,8 +281,10 @@ def polys(input_path, entry, family_sel, fmt, do_cross):
     _emit({"name": name, "pairs": pairs, "family": fam.to_json()})
 
 
-def _verify_one(gcm, mu, name, family_sel, mode_bound, window):
-    fam, certificate_only = _family(gcm, mu, family_sel)
+def _verify_one(gcm, mu, name, family, mode_bound, window):
+    """The payload and exit code of one matrix, for the (family,
+    is_window_certificate) of `_family`."""
+    fam, certificate_only = family
     if window is None:
         window = suite_window(gcm, mu, fam, mode_bound)
     real = Realization(gcm, mu, m1_window=window[0], m2_window=window[1])
@@ -298,9 +310,10 @@ def _exit_code(report: RelationReport) -> int:
 
 
 def _combined_exit_code(codes: list) -> int:
-    """The exit code of several reports: a failure outranks gaps, and gaps
-    outrank a clean pass."""
-    return max(codes, key=(0, 3, 1).index, default=0)
+    """The exit code of several entries: a failed relation outranks a
+    rejected input, which outranks a window abort, which outranks a clean
+    pass."""
+    return max(codes, key=(0, 3, 2, 1).index, default=0)
 
 
 @main.command()
@@ -318,26 +331,38 @@ def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
     window = _parse_window(window_text)
     if entry == "all" and input_path is None:  # with --input, _load_job rejects both
         names = [e.name for e in catalog_mod.load_entries()]
-        results = _verify_many(names, family_sel, mode_bound, window, jobs)
+        source = _family_source(family_sel)
+        results = _verify_many(names, source, mode_bound, window, jobs)
         payloads = [p for p, _ in results]
         passed = all("error" not in p and p["report"]["pass"] for p in payloads)
         _emit({"entries": payloads, "pass": passed})
         sys.exit(_combined_exit_code([code for _, code in results]))
     gcm, mu, name = _load_job(input_path, entry)
-    payload, code = _verify_one(gcm, mu, name, family_sel, mode_bound, window)
+    family = _family(gcm, mu, _family_source(family_sel))
+    payload, code = _verify_one(gcm, mu, name, family, mode_bound, window)
     _emit(payload)
     sys.exit(code)
 
 
 def _verify_worker(args):
-    """One entry of --entry all; a window abort becomes that entry's error
-    payload and exit code 3, so that it hides no other entry's result."""
-    name, family_sel, mode_bound, window = args
+    """One entry of --entry all.  A family the entry's matrix rejects
+    becomes that entry's error payload and exit code 2, a window abort its
+    error payload and exit code 3, so that neither hides another entry's
+    result."""
+    name, source, mode_bound, window = args
     ce = catalog_mod.entry_by_name(name)
     try:
-        return _verify_one(ce.gcm, ce.mu, name, family_sel, mode_bound, window)
+        family = _family(ce.gcm, ce.mu, source)
+    except (JobError, ScopeViolation) as exc:
+        return _entry_error(name, exc), 2
+    try:
+        return _verify_one(ce.gcm, ce.mu, name, family, mode_bound, window)
     except OutOfWindow as exc:
-        return {"name": name, "error": {"kind": "OutOfWindow", "message": str(exc)}}, 3
+        return _entry_error(name, exc), 3
+
+
+def _entry_error(name: str, exc: LoomfoldError) -> dict:
+    return {"name": name, "error": {"kind": type(exc).__name__, "message": str(exc)}}
 
 
 def _pool_size(jobs: int, tasks: int) -> int:
@@ -345,8 +370,8 @@ def _pool_size(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
-def _verify_many(names, family_sel, mode_bound, window, jobs):
-    tasks = [(n, family_sel, mode_bound, window) for n in names]
+def _verify_many(names, source, mode_bound, window, jobs):
+    tasks = [(n, source, mode_bound, window) for n in names]
     jobs = _pool_size(jobs, len(tasks))
     if jobs == 1:
         return [_verify_worker(t) for t in tasks]

@@ -12,6 +12,20 @@ coefficient is a finite exact combination of iterated brackets of generator
 images in the realization.  A reported failure therefore carries an
 explicit nonzero residual element that can be re-checked independently.
 
+The ordered pairs are evaluated one class at a time (`_pair_classes`):
+the pairs (mu^a i0, mu^a j0) of the class's least pair (i0, j0).  The
+generator images satisfy theta_x(mu i, m) = xi_N^m theta_x(i, m), so the
+nested bracket of (mu^a i0, mu^a j0) at modes (k_1, ..., k_s, n) is
+xi_N^(a (k_1 + ... + k_s + n)) times that of (i0, j0).  What is shared is
+therefore only the bracket values: a summand of any pair in the class reads
+the representative's value and carries the phase in its coefficient, after
+the shift identity has been tested exactly on each of its operand images
+(`Realization.shift_holds`); where it fails, the pair brackets itself.
+What stays per pair is everything a report shows: each pair's relation is
+summed from that pair's own family coefficients and tested, so gaps and
+residuals are those of the pair evaluated alone, for any family.  Only the
+memo of the class in hand is alive; it is dropped when the class is done.
+
 A pass certifies the identity on the tested grid only; for the built-in
 families the grid is the whole statement being claimed here.
 """
@@ -128,9 +142,10 @@ class Verifier:
 
     The weighted relations evaluate right-nested brackets
     [x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]], memoised by mode suffix in
-    memos {+1: {}, -1: {}} that belong to one pair (i, j) and that the
-    caller passes: `verify_family` gives each pair fresh memos, and
-    `run_suite` gives each pair one set, shared by all its relations.
+    one memo per sign and per pair actually bracketed.  `verify_family` and
+    `run_suite` keep the memos of one class of pairs at a time: all of its
+    relations and pairs read the representative's memo, and a pair's own
+    memo fills only where a shift identity fails.
     """
 
     def __init__(self, real: Realization):
@@ -225,16 +240,47 @@ class Verifier:
 
     def verify_family(self, kind: str, fam: SerreFamily, mode_bound: int) -> RelationReport:
         """Check every pair of `fam`, in sorted order, as relation `kind`."""
+        return self._verify_classes(((kind, fam),), mode_bound)
+
+    def _verify_classes(self, suite: tuple, mode_bound: int) -> RelationReport:
+        """Every (kind, family) of `suite` on every pair it defines, one
+        class of pairs at a time, with one set of memos per class; the
+        checks are returned in (i, j) order, in suite order within a pair."""
+        by_pair: dict = {}
+        for cls in _pair_classes(self.mu, self.gcm.n):
+            memos: dict = {}
+            i0, j0, _ = cls[0]
+            for i, j, a in cls:
+                for kind, fam in suite:
+                    if (i, j) in fam.entries:
+                        by_pair.setdefault((i, j), []).append(
+                            self._verify_weighted(kind, fam, i, j, mode_bound, memos, (i0, j0, a))
+                        )
         report = RelationReport()
-        for i, j in sorted(fam.entries):
-            report.extend(self._verify_weighted(kind, fam, i, j, mode_bound, {+1: {}, -1: {}}))
+        for pair in sorted(by_pair):
+            for part in by_pair[pair]:
+                report.extend(part)
         return report
 
     def _verify_weighted(
-        self, kind: str, fam: SerreFamily, i: int, j: int, mode_bound: int, memos: dict
+        self,
+        kind: str,
+        fam: SerreFamily,
+        i: int,
+        j: int,
+        mode_bound: int,
+        memos: dict,
+        source: tuple,
     ) -> RelationReport:
+        """Relation `kind` of `fam` on the pair (i, j) = mu^a (i0, j0), for
+        `source` (i0, j0, a).  Where `_unshifted` allows it, a summand reads
+        the nested bracket of (i0, j0) at its modes and multiplies its
+        coefficient by xi_N^(a sum(modes)); elsewhere it brackets (i, j)
+        itself, from the source (i, j, 0).  `memos` maps (sign, i, j) to the
+        memo of the pair (i, j) bracketed."""
         real = self.real
         field = real.field
+        big_n = self.n_order
         report = RelationReport()
         arity = fam.arity(i, j)
         prepared = []
@@ -242,29 +288,45 @@ class Verifier:
             if poly.is_zero():
                 continue
             # each coefficient lifted once into Q(xi_lcm(order, L)), where its
-            # products with the bracket values live
-            terms = [(c.lift(lcm(c.order, field)), e) for e, c in sorted(poly.terms.items())]
+            # products with the bracket values live, and kept per phase
+            # exponent e as coeff * xi_N^e
+            terms = [({0: c.lift(lcm(c.order, field))}, e) for e, c in sorted(poly.terms.items())]
             prepared.append((sigma, terms))
         if kind == "X":
             grid = f"|m|,|n|<={mode_bound}"
         else:
             grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
+        i0, j0, _ = source
+        # every mode an operand takes below
+        offsets = [x for _, terms in prepared for _, exps in terms for x in exps]
+        span = range(min(offsets, default=0) - mode_bound, max(offsets, default=0) + mode_bound + 1)
         for sign in (+1, -1):
             chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i, j), sign, grid)
-            memo = memos[sign]
+            shared = source, memos.setdefault((sign, i0, j0), {})
+            alone = (i, j, 0), memos.setdefault((sign, i, j), {})
+            bad_i, bad_j = self._unshifted(source, sign, span)
             for out_modes in itertools.product(
                 range(-mode_bound, mode_bound + 1), repeat=arity + 1
             ):
                 summands = []
                 try:
                     for sigma, terms in prepared:
-                        for coeff, exps in terms:
+                        for scaled, exps in terms:
                             ops = tuple(
                                 out_modes[sigma[p]] + exps[sigma[p]]
                                 for p in range(arity)
                             )
                             modes = ops + (out_modes[arity] + exps[arity],)
-                            summands.append((coeff, self._nested(memo, i, j, sign, modes)))
+                            (si, sj, a), memo = (
+                                alone
+                                if modes[arity] in bad_j or not bad_i.isdisjoint(ops)
+                                else shared
+                            )
+                            e = a * sum(modes) % big_n
+                            coeff = scaled.get(e)
+                            if coeff is None:
+                                coeff = scaled[e] = scaled[0] * real._phase(e)
+                            summands.append((coeff, self._nested(memo, si, sj, sign, modes)))
                 except OutOfWindow:
                     chk.gaps.append(out_modes)
                     continue
@@ -274,6 +336,21 @@ class Verifier:
                     chk.record_failure(out_modes, total)
             report.checks.append(chk)
         return report
+
+    def _unshifted(self, source: tuple, sign: int, span: range) -> tuple[set, set]:
+        """The modes k in `span` at which theta_x(mu^a i0, k) is not
+        xi_N^(a k) theta_x(i0, k), and those at which the same fails for j0,
+        for `source` (i0, j0, a).  Where neither set meets the modes of a
+        summand, its nested bracket is xi_N^(a sum(modes)) times that of
+        (i0, j0)."""
+        i0, j0, a = source
+        if not a:
+            return set(), set()
+        holds = self.real.shift_holds
+        return (
+            {k for k in span if not holds(i0, a, k, sign)},
+            {k for k in span if not holds(j0, a, k, sign)},
+        )
 
     def _nested(self, memo: dict, i: int, j: int, sign: int, modes: tuple):
         """[x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]] at modes (k_1, ..., k_s, n)."""
@@ -311,21 +388,37 @@ class Verifier:
         """Every relation family; with `certificate`, the weighted relations
         of `fam` are checked as a window-scale certificate (P1) instead.
 
-        The weighted relations go pair by pair, so that the locality, AS and
-        Serre (or P1) checks of a pair share its memos of nested brackets.
+        The weighted relations go one class of pairs at a time (see
+        `_pair_classes`), so that the locality, AS and Serre (or P1) checks
+        of every pair in a class share its memos of nested brackets.
         """
         loc, extra, fam = _suite_families(self.gcm, self.mu, fam)
         suite = (("X", loc), ("AS", extra), ("P1" if certificate else "DS", fam))
         report = self.verify_cartan_relations(mode_bound)
         if not extra.entries:
             report.extend(_vacuous("AS"))
-        for i in range(self.gcm.n):
-            for j in range(self.gcm.n):
-                memos = {+1: {}, -1: {}}
-                for kind, f in suite:
-                    if (i, j) in f.entries:
-                        report.extend(self._verify_weighted(kind, f, i, j, mode_bound, memos))
+        report.extend(self._verify_classes(suite, mode_bound))
         return report
+
+
+def _pair_classes(mu, n: int) -> list:
+    """The ordered pairs of nodes grouped by the simultaneous shift
+    (i, j) -> (mu i, mu j): per class, the triples (i, j, a) in (i, j)
+    order, where a is the least shift taking the class's least pair to
+    (i, j), so that the first triple is (i0, j0, 0)."""
+    shift: dict = {}
+    classes = []
+    for i0, j0 in itertools.product(range(n), repeat=2):
+        if (i0, j0) in shift:
+            continue
+        cls = []
+        for a in range(mu.order):
+            pair = (mu.apply(i0, a), mu.apply(j0, a))
+            if pair not in shift:
+                shift[pair] = a
+                cls.append(pair + (a,))
+        classes.append(sorted(cls))
+    return classes
 
 
 def _expect(chk: RelationCheck, modes: tuple, got: dict, want: dict) -> None:

@@ -259,6 +259,7 @@ class Realization:
         self._assert_generators()
         self.eps = gcm.symmetrizer(self._coroot_form)
         self._theta_cache: dict = {}
+        self._shift_cache: dict = {}
         self._mu_g: list | None = None
 
     def _node_perm(self) -> tuple:
@@ -358,6 +359,24 @@ class Realization:
                 vec_add(total, self.embed(m, self.gens[node][pick]), self._phase(-k * m))
             cached = self._theta_cache[key] = total
         return cached
+
+    def shift_holds(self, i: int, a: int, m: int, sign: int) -> bool:
+        """Whether theta_x(mu^a i, m, sign) == xi_N^(a m) theta_x(i, m, sign).
+
+        The generator images are built to satisfy it; this tests the cached
+        images exactly, once per argument.  False where an image leaves the
+        window, so that nothing is derived from it.
+        """
+        key = (sign, i, a, m)
+        hit = self._shift_cache.get(key)
+        if hit is None:
+            try:
+                shifted = self.theta_x(self.mu.apply(i, a), m, sign)
+                hit = shifted == vec_scale(self.theta_x(i, m, sign), self._phase(a * m))
+            except OutOfWindow:
+                hit = False
+            self._shift_cache[key] = hit
+        return hit
 
     def theta_c(self) -> AlgElem:
         return {("K1",): CycNum.one(self.field)}

@@ -145,6 +145,8 @@ def test_exit_code_precedence():
     assert _combined_exit_code([0, 0]) == 0
     assert _combined_exit_code([0, 3]) == 3
     assert _combined_exit_code([3, 1, 0]) == 1
+    assert _combined_exit_code([0, 3, 2]) == 2
+    assert _combined_exit_code([2, 1]) == 1
     assert _combined_exit_code([]) == 0
 
 
@@ -476,6 +478,46 @@ def test_verify_all_reports_window_abort_per_entry(runner, tmp_path):
     single = runner.invoke(main, ["verify", "--entry", "A1a-flip", *args])
     assert single.exit_code == 3
     assert entries["A1a-flip"] == {"name": "A1a-flip", "error": _json_out(single)["error"]}
+
+
+def test_verify_all_reports_rejected_family_per_entry(runner, tmp_path, monkeypatch):
+    # a family on the pair (2, 1): every two-node entry rejects it, and every
+    # other entry is still verified; a failed relation outranks the rejections
+    path = tmp_path / "fam21.json"
+    path.write_text(json.dumps(_user(i=2, j=1)[1]))
+    args = ["--modes", "0", "--family", f"user:{path}"]
+    res = runner.invoke(main, ["verify", "--entry", "all", *args])
+    assert res.exit_code == 1
+    entries = _json_out(res)["entries"]
+    rejected = [e["name"] for e in entries if "error" in e]
+    assert rejected == ["A2-id", "A2-flip", "A1a-id", "A1a-flip"]
+    assert len(entries) - len(rejected) == 13
+    single = runner.invoke(main, ["verify", "--entry", "A2-flip", *args])
+    want = _json_out(single)["error"]
+    assert want == {"kind": "JobError", "message": '"i" must be a node index in 0..1, got 2'}
+    assert all(e["error"] == want for e in entries if e["name"] in rejected)
+    # with no relation failing, the rejection outranks the clean pass
+    cat = tmp_path / "cat.json"
+    cat.write_text(
+        json.dumps(
+            [
+                {"name": "small", "cartan": [[2, -1], [-1, 2]], "mu": [0, 1]},
+                {"name": "big", "cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "mu": [0, 1, 2]},
+            ]
+        )
+    )
+    monkeypatch.setenv("LOOMFOLD_CATALOG", str(cat))
+    res = runner.invoke(main, ["verify", "--entry", "all", *args])
+    assert res.exit_code == 2
+    data = _json_out(res)
+    assert data["pass"] is False
+    small, big = data["entries"]
+    assert small == {"name": "small", "error": want}
+    assert big["report"]["pass"] is True
+    # a file that cannot be read is rejected once, before any entry
+    path.write_bytes(_UNREADABLE["binary"])
+    res = runner.invoke(main, ["verify", "--entry", "all", *args])
+    assert _assert_rejected(res).startswith("cannot read family file: ")
 
 
 def test_verify_rejects_factor_on_uncovered_pair(runner, tmp_path):

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
-from conftest import cached_realization
-from loomfold import polys
+from conftest import cached_family, cached_realization
+from loomfold import polys, presentation
+from loomfold.catalog import builtin_entries
 from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.errors import ScopeViolation
 from loomfold.exactnum import cyc_root
@@ -266,3 +269,81 @@ def test_twisted_loop_cores_full_suite(label, perm, modes):
     real, fam = _setup(label, perm, modes)
     rep = Verifier(real).run_suite(fam, modes)
     assert rep.passed, [(c.kind, c.pair) for c in rep.checks if not c.passed][:2]
+
+
+# -- one class of pairs at a time -------------------------------------------------
+
+
+def _alone(mu, n):
+    """Every ordered pair its own class: nothing is shared."""
+    return [[(i, j, 0)] for i in range(n) for j in range(n)]
+
+
+def _shared_and_alone(monkeypatch, run):
+    """The JSON of `run()` with the pair classes, then with every pair alone."""
+    shared = json.dumps(run().to_json(), sort_keys=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(presentation, "_pair_classes", _alone)
+        alone = json.dumps(run().to_json(), sort_keys=True)
+    return shared, alone
+
+
+@pytest.mark.parametrize("name", [e.name for e in builtin_entries()])
+def test_classes_match_pairs_alone_family_p(monkeypatch, name):
+    real, fam = cached_realization(name), cached_family(name)
+    for modes in (0, 1):
+        for run in (
+            lambda: Verifier(real).run_suite(fam, modes),
+            lambda: Verifier(real).verify_family("DS", fam, modes),
+        ):
+            shared, alone = _shared_and_alone(monkeypatch, run)
+            assert shared == alone
+
+
+def test_classes_match_pairs_alone_qlimit(monkeypatch):
+    real = cached_realization("D4a-triality")
+    fam = family_qlimit(real.gcm, real.mu)
+    for run in (
+        lambda: Verifier(real).run_suite(fam, 1, certificate=True),
+        lambda: Verifier(real).verify_family("P1", fam, 1),
+    ):
+        shared, alone = _shared_and_alone(monkeypatch, run)
+        assert shared == alone
+
+
+@pytest.mark.parametrize("name", ["A2a-flip", "A2a-rot", "A3a-rot"])
+def test_classes_match_pairs_alone_negative_control(monkeypatch, name):
+    # the criterion-9 plain family fails with the same residuals
+    real = cached_realization(name)
+    plain = _plain_family(cached_family(name), 1)
+    for run in (
+        lambda: Verifier(real).run_suite(plain, 1, certificate=True),
+        lambda: Verifier(real).verify_family("P1", plain, 1),
+    ):
+        shared, alone = _shared_and_alone(monkeypatch, run)
+        assert shared == alone
+        assert '"failures"' in shared
+
+
+def test_classes_fall_back_where_the_shift_identity_fails(monkeypatch):
+    # theta_x(1, 1, +1) tampered: node 1 is mu of node 0, so the pairs that
+    # would read (0, *) brackets with it as an operand bracket themselves
+    real, fam = _setup("A2^(1)", [1, 2, 0], 1)
+    theta = real.theta_x(1, 1, +1)
+    first = min(theta)
+    real._theta_cache[(0, 1, 1)] = {k: c + c if k == first else c for k, c in theta.items()}
+    shared, alone = _shared_and_alone(monkeypatch, lambda: Verifier(real).run_suite(fam, 1))
+    assert shared == alone
+    assert not real.shift_holds(0, 1, 1, +1)
+    assert real.shift_holds(0, 1, 0, +1)
+    assert '"failures"' in shared
+
+
+def test_pair_classes_rotation():
+    real = cached_realization("A2a-rot")
+    classes = presentation._pair_classes(real.mu, real.gcm.n)
+    assert classes == [
+        [(0, 0, 0), (1, 1, 1), (2, 2, 2)],
+        [(0, 1, 0), (1, 2, 1), (2, 0, 2)],
+        [(0, 2, 0), (1, 0, 1), (2, 1, 2)],
+    ]

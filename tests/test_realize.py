@@ -732,7 +732,7 @@ def test_kernel_runs_no_cycnum_arithmetic(monkeypatch):
     memos = {+1: {}, -1: {}}
 
     def weighted():
-        return ver._verify_weighted("DS", fam, i, j, 1, memos)
+        return ver._verify_weighted("DS", fam, i, j, 1, memos, (i, j, 0))
 
     want = weighted().to_json()  # also builds every generator image it needs
     elems = [real.theta_x(i, m, s) for i in range(real.gcm.n) for m in (-1, 0, 1) for s in (1, -1)]

@@ -124,6 +124,12 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A2a-flip --modes 1 --family user:fam1.json"
   echo "verify --entry A2a-flip --modes 1 --family user:fam00.json"
   echo "verify --entry A2a-flip --modes 1 --family f:extra.json"
+  # rotations: the pair (1, 0) is no class representative, so its failing
+  # residuals come from the brackets of the pair it is shifted from
+  echo "verify --entry A2a-rot --modes 1 --family user:fam.json"
+  echo "verify --entry A2a-rot --modes 1 --family user:fam5.json"
+  echo "verify --entry A3a-rot --modes 1 --family user:famx.json"
+  echo "verify --entry A4a-rot --modes 1 --family user:fam.json"
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
   echo "verify --entry D4a-triality --modes 1 --family qlimit"
   echo "verify --input a1.json --modes 1"
