@@ -14,17 +14,20 @@ explicit nonzero residual element that can be re-checked independently.
 
 The ordered pairs are evaluated one class at a time (`_pair_classes`):
 the pairs (mu^a i0, mu^a j0) of the class's least pair (i0, j0).  The
-generator images satisfy theta_x(mu i, m) = xi_N^m theta_x(i, m), so the
-nested bracket of (mu^a i0, mu^a j0) at modes (k_1, ..., k_s, n) is
-xi_N^(a (k_1 + ... + k_s + n)) times that of (i0, j0).  What is shared is
-therefore only the bracket values: a summand of any pair in the class reads
-the representative's value and carries the phase in its coefficient, after
-the shift identity has been tested exactly on each of its operand images
-(`Realization.shift_holds`); where it fails, the pair brackets itself.
-What stays per pair is everything a report shows: each pair's relation is
-summed from that pair's own family coefficients and tested, so gaps and
-residuals are those of the pair evaluated alone, for any family.  Only the
-memo of the class in hand is alive; it is dropped when the class is done.
+generator images satisfy theta_x(mu i, m) = xi_N^m theta_x(i, m), and the
+same for theta_h, so the nested bracket of (mu^a i0, mu^a j0) at modes
+(k_1, ..., k_s, n) is xi_N^(a (k_1 + ... + k_s + n)) times that of
+(i0, j0), and so is each bracket of the Cartan checks H, HX and XX at
+modes (m, n).  What is shared is therefore only the bracket values: a
+summand or Cartan check of any pair in the class reads the
+representative's value times the phase, after the shift identity has been
+tested exactly on each of its operand images (`Realization.shift_holds`,
+sign 0 for theta_h); where it fails, the pair brackets itself.  What stays
+per pair is everything a report shows: each pair's relation is summed from
+that pair's own family coefficients, and each Cartan check compares with
+that pair's own expected value, so gaps and residuals are those of the pair
+evaluated alone, for any family.  Only the memo of the class in hand is
+alive; it is dropped when the class is done.
 
 A pass certifies the identity on the tested grid only; for the built-in
 families the grid is the whole statement being claimed here.
@@ -142,10 +145,11 @@ class Verifier:
 
     The weighted relations evaluate right-nested brackets
     [x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]], memoised by mode suffix in
-    one memo per sign and per pair actually bracketed.  `verify_family` and
-    `run_suite` keep the memos of one class of pairs at a time: all of its
-    relations and pairs read the representative's memo, and a pair's own
-    memo fills only where a shift identity fails.
+    one memo per sign and per pair actually bracketed.  `verify_family`,
+    `run_suite` and `verify_cartan_relations` keep the memos of one class of
+    pairs at a time: all of its relations and pairs read the
+    representative's memo, and a pair brackets itself only where a shift
+    identity fails.
     """
 
     def __init__(self, real: Realization):
@@ -157,11 +161,12 @@ class Verifier:
     # -- degree-zero relations ------------------------------------------------
 
     def verify_cartan_relations(self, mode_bound: int) -> RelationReport:
+        """The H and Xperiod checks of every node, then the H, HX and XX
+        checks of every ordered pair, one class of pairs at a time (see
+        `_cartan_pair`); the checks are returned in (i, j) order."""
         real = self.real
         n = self.gcm.n
-        a = self.gcm.entries
         big_n = self.n_order
-        eps = real.eps
         grid = f"|m|,|n|<={mode_bound}"
         report = RelationReport()
         k1 = real.theta_c()
@@ -189,52 +194,78 @@ class Verifier:
             report.checks.append(chk_h)
             report.checks.append(chk_x)
 
-        for i in range(n):
-            for j in range(n):
-                chk_hh = RelationCheck("H", (i, j), 0, grid)
-                chk_hx_p = RelationCheck("HXplus", (i, j), +1, grid)
-                chk_hx_m = RelationCheck("HXminus", (i, j), -1, grid)
-                chk_xx = RelationCheck("XX", (i, j), 0, grid)
-                for m in range(-mode_bound, mode_bound + 1):
-                    hm = real.theta_h(i, m)
-                    # sum_k xi_N^(km) a_(i, mu^k j), the phase sum in the
-                    # expected H and HX coefficients; it does not depend on nn
-                    phases = CycNum.zero(big_n)
-                    for k in range(big_n):
-                        phases = phases + cyc_root(big_n, k * m).mul_rational(
-                            a[i][self.mu.apply(j, k)]
-                        )
-                    want_hh = vec_scale(k1, phases.mul_rational(Fraction(m * big_n) / eps[j]))
-                    for nn in range(-mode_bound, mode_bound + 1):
-                        got = real.bracket(hm, real.theta_h(j, nn))
-                        _expect(chk_hh, (m, nn), got, want_hh if m + nn == 0 else {})
-
-                        for sign, chk in ((+1, chk_hx_p), (-1, chk_hx_m)):
-                            got = real.bracket(hm, real.theta_x(j, nn, sign))
-                            want = vec_scale(
-                                real.theta_x(j, m + nn, sign), phases if sign > 0 else -phases
-                            )
-                            _expect(chk, (m, nn), got, want)
-
-                        got = real.bracket(real.theta_x(i, m, +1), real.theta_x(j, nn, -1))
-                        want = {}
-                        for k in range(big_n):
-                            if self.mu.apply(j, k) != i:
-                                continue
-                            phase = cyc_root(big_n, k * m)
-                            vec_add(want, real.theta_h(j, m + nn), phase)
-                            if m + nn == 0:
-                                vec_add(
-                                    want,
-                                    k1,
-                                    phase.mul_rational(Fraction(m * big_n) / eps[j]),
-                                )
-                        _expect(chk_xx, (m, nn), got, want)
-                report.checks.append(chk_hh)
-                report.checks.append(chk_hx_p)
-                report.checks.append(chk_hx_m)
-                report.checks.append(chk_xx)
+        pairs: dict = {}
+        for cls in _pair_classes(self.mu, n):
+            memo: dict = {}
+            i0, j0, _ = cls[0]
+            for i, j, shift in cls:
+                pairs[(i, j)] = self._cartan_pair(i, j, mode_bound, memo, (i0, j0, shift))
+        for pair in sorted(pairs):
+            report.checks.extend(pairs[pair])
         return report
+
+    def _cartan_pair(self, i: int, j: int, mode_bound: int, memo: dict, source: tuple) -> list:
+        """The H, HXplus, HXminus and XX checks of the pair (i, j) = mu^a (i0, j0),
+        for `source` (i0, j0, a).  A bracket of images of i and j at modes
+        (m, nn) is read from `memo`, the brackets of (i0, j0) keyed by the
+        operand signs (0 for theta_h) and modes, times xi_N^(a (m + nn)),
+        where the shift identity holds for both operands (`_unshifted`);
+        elsewhere (i, j) brackets itself.  Every expected value is the
+        pair's own."""
+        real = self.real
+        a = self.gcm.entries
+        big_n = self.n_order
+        eps = real.eps
+        k1 = real.theta_c()
+        i0, j0, shift = source
+        span = range(-mode_bound, mode_bound + 1)
+        unshifted = {sign: self._unshifted(source, sign, span) for sign in (0, +1, -1)}
+        grid = f"|m|,|n|<={mode_bound}"
+        chk_hh = RelationCheck("H", (i, j), 0, grid)
+        chk_hx_p = RelationCheck("HXplus", (i, j), +1, grid)
+        chk_hx_m = RelationCheck("HXminus", (i, j), -1, grid)
+        chk_xx = RelationCheck("XX", (i, j), 0, grid)
+
+        def image(node, m, sign):
+            return real.theta_x(node, m, sign) if sign else real.theta_h(node, m)
+
+        def bracket(left, right, m, nn):
+            """[image(i, m, left), image(j, nn, right)]"""
+            if m in unshifted[left][0] or nn in unshifted[right][1]:
+                return real.bracket(image(i, m, left), image(j, nn, right))
+            key = (left, right, m, nn)
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = real.bracket(image(i0, m, left), image(j0, nn, right))
+            e = shift * (m + nn) % big_n
+            return vec_scale(got, real._phase(e)) if e else got
+
+        for m in span:
+            # sum_k xi_N^(km) a_(i, mu^k j), the phase sum in the expected H
+            # and HX coefficients; it does not depend on nn
+            phases = CycNum.zero(big_n)
+            for k in range(big_n):
+                phases = phases + cyc_root(big_n, k * m).mul_rational(a[i][self.mu.apply(j, k)])
+            want_hh = vec_scale(k1, phases.mul_rational(Fraction(m * big_n) / eps[j]))
+            for nn in span:
+                _expect(chk_hh, (m, nn), bracket(0, 0, m, nn), want_hh if m + nn == 0 else {})
+
+                for sign, chk in ((+1, chk_hx_p), (-1, chk_hx_m)):
+                    got = bracket(0, sign, m, nn)
+                    want = vec_scale(real.theta_x(j, m + nn, sign), phases if sign > 0 else -phases)
+                    _expect(chk, (m, nn), got, want)
+
+                got = bracket(+1, -1, m, nn)
+                want = {}
+                for k in range(big_n):
+                    if self.mu.apply(j, k) != i:
+                        continue
+                    phase = cyc_root(big_n, k * m)
+                    vec_add(want, real.theta_h(j, m + nn), phase)
+                    if m + nn == 0:
+                        vec_add(want, k1, phase.mul_rational(Fraction(m * big_n) / eps[j]))
+                _expect(chk_xx, (m, nn), got, want)
+        return [chk_hh, chk_hx_p, chk_hx_m, chk_xx]
 
     # -- weighted nested relations ---------------------------------------------------
 
@@ -338,11 +369,11 @@ class Verifier:
         return report
 
     def _unshifted(self, source: tuple, sign: int, span: range) -> tuple[set, set]:
-        """The modes k in `span` at which theta_x(mu^a i0, k) is not
-        xi_N^(a k) theta_x(i0, k), and those at which the same fails for j0,
-        for `source` (i0, j0, a).  Where neither set meets the modes of a
-        summand, its nested bracket is xi_N^(a sum(modes)) times that of
-        (i0, j0)."""
+        """The modes k in `span` at which theta_x(mu^a i0, k, sign) is not
+        xi_N^(a k) theta_x(i0, k, sign) (theta_h for sign 0), and those at
+        which the same fails for j0, for `source` (i0, j0, a).  Where neither
+        set meets the modes of a summand, its nested bracket is
+        xi_N^(a sum(modes)) times that of (i0, j0)."""
         i0, j0, a = source
         if not a:
             return set(), set()

@@ -361,7 +361,8 @@ class Realization:
         return cached
 
     def shift_holds(self, i: int, a: int, m: int, sign: int) -> bool:
-        """Whether theta_x(mu^a i, m, sign) == xi_N^(a m) theta_x(i, m, sign).
+        """Whether theta_x(mu^a i, m, sign) == xi_N^(a m) theta_x(i, m, sign),
+        or, for sign 0, theta_h(mu^a i, m) == xi_N^(a m) theta_h(i, m).
 
         The generator images are built to satisfy it; this tests the cached
         images exactly, once per argument.  False where an image leaves the
@@ -370,9 +371,10 @@ class Realization:
         key = (sign, i, a, m)
         hit = self._shift_cache.get(key)
         if hit is None:
+            pick = 2 if sign == 0 else 0 if sign > 0 else 1
             try:
-                shifted = self.theta_x(self.mu.apply(i, a), m, sign)
-                hit = shifted == vec_scale(self.theta_x(i, m, sign), self._phase(a * m))
+                shifted = self._theta(pick, self.mu.apply(i, a), m)
+                hit = shifted == vec_scale(self._theta(pick, i, m), self._phase(a * m))
             except OutOfWindow:
                 hit = False
             self._shift_cache[key] = hit

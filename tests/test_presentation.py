@@ -298,6 +298,11 @@ def test_classes_match_pairs_alone_family_p(monkeypatch, name):
         ):
             shared, alone = _shared_and_alone(monkeypatch, run)
             assert shared == alone
+    # run_suite holds the Cartan checks at modes 0 and 1
+    shared, alone = _shared_and_alone(
+        monkeypatch, lambda: Verifier(real).verify_cartan_relations(2)
+    )
+    assert shared == alone
 
 
 def test_classes_match_pairs_alone_qlimit(monkeypatch):
@@ -347,3 +352,57 @@ def test_pair_classes_rotation():
         [(0, 1, 0), (1, 2, 1), (2, 0, 2)],
         [(0, 2, 0), (1, 0, 1), (2, 1, 2)],
     ]
+
+
+def test_cartan_classes_fall_back_where_the_h_shift_fails(monkeypatch):
+    # theta_h(mu 0, 1) tampered on A2a-rot: the pairs that would read a
+    # bracket of their class representative with it as an operand bracket
+    # themselves
+    real, _ = _setup("A2^(1)", [1, 2, 0], 1)
+    node = real.mu.apply(0, 1)
+    theta = real.theta_h(node, 1)
+    first = min(k for k in theta if k[0] == "L")  # a K2 term brackets to 0
+    real._theta_cache[(2, node, 1)] = {k: c + c if k == first else c for k, c in theta.items()}
+    assert not real.shift_holds(0, 1, 1, 0)
+    assert real.shift_holds(0, 1, 0, 0)
+    shared, alone = _shared_and_alone(
+        monkeypatch, lambda: Verifier(real).verify_cartan_relations(1)
+    )
+    assert shared == alone
+    assert '"failures"' in shared
+
+
+@pytest.mark.parametrize("name", ["A2a-flip", "A3a-rot"])
+def test_cartan_classes_keep_each_pairs_expected_value(monkeypatch, name):
+    # the eps tamper of test_cartan_relation_failure_residual: a wrong eps_1
+    # is not mu-invariant, so the pairs of one class expect different values
+    real = cached_realization(name)
+    monkeypatch.setattr(real, "eps", (real.eps[0], 2 * real.eps[1], *real.eps[2:]))
+    shared, alone = _shared_and_alone(
+        monkeypatch, lambda: Verifier(real).verify_cartan_relations(1)
+    )
+    assert shared == alone
+    assert not json.loads(shared)["pass"]
+
+
+def test_cartan_relations_bracket_once_per_class(monkeypatch):
+    """On A5a-rot the 36 ordered pairs fall into 6 classes: the pair checks
+    bracket each of their 4 shapes once per class and (m, nn)."""
+    real = cached_realization("A5a-rot")
+    k1 = real.theta_c()
+    calls = []
+    bracket = real.bracket
+
+    def recording(x, y):
+        if y != k1:  # the brackets with K1 belong to the node checks
+            calls.append((x, y))
+        return bracket(x, y)
+
+    monkeypatch.setattr(real, "bracket", recording)
+    Verifier(real).verify_cartan_relations(1)
+    assert len(calls) == 4 * 6 * 9
+    calls.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(presentation, "_pair_classes", _alone)
+        Verifier(real).verify_cartan_relations(1)
+    assert len(calls) == 4 * 36 * 9

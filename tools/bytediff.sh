@@ -42,6 +42,11 @@ zw='{"exps": [1, 0, 0], "coeff": {"order": 1, "coeffs": ["1"]}},
 echo "{\"pairs\": [{\"i\": 0, \"j\": 1, \"poly\":
   {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$zw]}}]}" >"$tmp/extra.json"
 echo '{"cartan": [[2, -1], [-4, 2]], "mu": [0, 1]}' >"$tmp/a22.json"
+# A4a-rot relabelled by i -> 2i + 1 mod 5: mu is i -> i + 2 and the affine
+# node is 1, so a pair is reached from its class representative by a shift
+# that is not the difference of their labels
+echo '{"cartan": [[2, 0, -1, -1, 0], [0, 2, 0, -1, -1], [-1, 0, 2, 0, -1],
+  [-1, -1, 0, 2, 0], [0, -1, -1, 0, 2]], "mu": [2, 3, 4, 0, 1]}' >"$tmp/a4rel.json"
 # A1: no negative entry, so the automatic window has arity 1
 echo '{"cartan": [[2]]}' >"$tmp/a1.json"
 # D4^(3): its realization lives in Q(xi_3), and building it inverts 49
@@ -132,6 +137,7 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A4a-rot --modes 1 --family user:fam.json"
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
   echo "verify --entry D4a-triality --modes 1 --family qlimit"
+  echo "verify --input a4rel.json --modes 2"
   echo "verify --input a1.json --modes 1"
   echo "verify --input a22.json --modes 1"
   echo "verify --input a22.json --modes 1 --family user:fam.json"
