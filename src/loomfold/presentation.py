@@ -18,16 +18,23 @@ generator images satisfy theta_x(mu i, m) = xi_N^m theta_x(i, m), and the
 same for theta_h, so the nested bracket of (mu^a i0, mu^a j0) at modes
 (k_1, ..., k_s, n) is xi_N^(a (k_1 + ... + k_s + n)) times that of
 (i0, j0), and so is each bracket of the Cartan checks H, HX and XX at
-modes (m, n).  What is shared is therefore only the bracket values: a
-summand or Cartan check of any pair in the class reads the
-representative's value times the phase, after the shift identity has been
-tested exactly on each of its operand images (`Realization.shift_holds`,
-sign 0 for theta_h); where it fails, the pair brackets itself.  What stays
-per pair is everything a report shows: each pair's relation is summed from
-that pair's own family coefficients, and each Cartan check compares with
-that pair's own expected value, so gaps and residuals are those of the pair
-evaluated alone, for any family.  Only the memo of the class in hand is
-alive; it is dropped when the class is done.
+modes (m, n).  A summand or Cartan check of any pair in the class reads
+the representative's bracket value times the phase, after the shift
+identity has been tested exactly on each of its operand images
+(`Realization.shift_holds`, sign 0 for theta_h); where it fails, the pair
+brackets itself.
+
+A weighted relation of a shifted pair is not even summed when four things
+hold (`Verifier._derive`): its polynomials equal those of (i0, j0), every
+term of them has one total degree D, every coefficient has one order, and
+the shift identity holds on every operand image.  Then every summand at
+output modes `out` carries the same phase xi_N^(a (sum(out) + D)), so the
+pair's report is the representative's: the same checked count, gaps and
+failure count, each residual times that phase.  Any other relation is
+summed from the pair's own coefficients, and each Cartan check compares
+with the pair's own expected value, so gaps and residuals are those of the
+pair evaluated alone, for any family.  Only the memo of the class in hand
+is alive; it is dropped when the class is done.
 
 A pass certifies the identity on the tested grid only; for the built-in
 families the grid is the whole statement being claimed here.
@@ -36,7 +43,7 @@ families the grid is the whole statement being claimed here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 
@@ -149,7 +156,10 @@ class Verifier:
     `run_suite` and `verify_cartan_relations` keep the memos of one class of
     pairs at a time: all of its relations and pairs read the
     representative's memo, and a pair brackets itself only where a shift
-    identity fails.
+    identity fails.  A shifted pair whose relation has the representative's
+    polynomials, one total degree D and one coefficient order, with the
+    shift identity holding on every operand, sums nothing: its report is
+    the representative's with each residual times xi_N^(a (sum(out) + D)).
     """
 
     def __init__(self, real: Realization):
@@ -276,21 +286,67 @@ class Verifier:
     def _verify_classes(self, suite: tuple, mode_bound: int) -> RelationReport:
         """Every (kind, family) of `suite` on every pair it defines, one
         class of pairs at a time, with one set of memos per class; the
-        checks are returned in (i, j) order, in suite order within a pair."""
+        checks are returned in (i, j) order, in suite order within a pair.
+        A shifted pair whose relation allows it (`_derive`) takes its report
+        from the class representative's."""
         by_pair: dict = {}
         for cls in _pair_classes(self.mu, self.gcm.n):
             memos: dict = {}
+            reps: dict = {}
             i0, j0, _ = cls[0]
             for i, j, a in cls:
                 for kind, fam in suite:
-                    if (i, j) in fam.entries:
-                        by_pair.setdefault((i, j), []).append(
-                            self._verify_weighted(kind, fam, i, j, mode_bound, memos, (i0, j0, a))
-                        )
+                    if (i, j) not in fam.entries:
+                        continue
+                    source = (i0, j0, a)
+                    part = None
+                    if kind in reps:
+                        part = self._derive(reps[kind], fam, i, j, mode_bound, source)
+                    if part is None:
+                        part = self._verify_weighted(kind, fam, i, j, mode_bound, memos, source)
+                    if not a:
+                        reps[kind] = part
+                    by_pair.setdefault((i, j), []).append(part)
         report = RelationReport()
         for pair in sorted(by_pair):
             for part in by_pair[pair]:
                 report.extend(part)
+        return report
+
+    def _derive(
+        self, rep: RelationReport, fam: SerreFamily, i: int, j: int, mode_bound: int, source: tuple
+    ) -> RelationReport | None:
+        """The report of `fam` on the pair (i, j) = mu^a (i0, j0), for
+        `source` (i0, j0, a), read from `rep`, the report of (i0, j0); None
+        unless all of these hold:
+        - the polynomials of (i, j) equal those of (i0, j0);
+        - every term of them has one total degree D;
+        - every coefficient has one order, so that a residual prints in the
+          field the pair's own sum would give it;
+        - the shift identity holds on every operand image (`_unshifted`).
+        Then every summand of (i, j) at output modes `out` reads the
+        bracket of (i0, j0) with its coefficient times
+        xi_N^(a (sum(out) + D)), the same phase for all of them: the pair has
+        the checked count, gaps and failure count of (i0, j0), and each
+        residual is that of (i0, j0) times the phase."""
+        i0, j0, a = source
+        sigmas, rep_sigmas = fam.entries[(i, j)], fam.entries[(i0, j0)]
+        form = _shift_form(sigmas)
+        if form is None or form != _shift_form(rep_sigmas) or sigmas != rep_sigmas:
+            return None
+        span = _operand_span(sigmas, mode_bound)
+        if any(bad for sign in (+1, -1) for bad in self._unshifted(source, sign, span)):
+            return None
+        degree = form[0]
+        report = RelationReport()
+        for chk in rep.checks:
+            failures = []
+            for modes, residual in chk.failures:
+                e = a * (sum(modes) + degree) % self.n_order
+                if e:
+                    residual = vec_scale(residual, self.real._phase(e))
+                failures.append((modes, residual))
+            report.checks.append(replace(chk, pair=(i, j), failures=failures))
         return report
 
     def _verify_weighted(
@@ -328,9 +384,7 @@ class Verifier:
         else:
             grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
         i0, j0, _ = source
-        # every mode an operand takes below
-        offsets = [x for _, terms in prepared for _, exps in terms for x in exps]
-        span = range(min(offsets, default=0) - mode_bound, max(offsets, default=0) + mode_bound + 1)
+        span = _operand_span(fam.entries[(i, j)], mode_bound)
         for sign in (+1, -1):
             chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i, j), sign, grid)
             shared = source, memos.setdefault((sign, i0, j0), {})
@@ -450,6 +504,20 @@ def _pair_classes(mu, n: int) -> list:
                 cls.append(pair + (a,))
         classes.append(sorted(cls))
     return classes
+
+
+def _operand_span(sigmas: dict, mode_bound: int) -> range:
+    """Every mode an operand of the relation {sigma: P_sigma} takes at
+    output modes within mode_bound."""
+    offsets = [x for poly in sigmas.values() for exps in poly.terms for x in exps]
+    return range(min(offsets, default=0) - mode_bound, max(offsets, default=0) + mode_bound + 1)
+
+
+def _shift_form(sigmas: dict) -> tuple | None:
+    """(D, order) when every term of the relation {sigma: P_sigma} has total
+    degree D and a coefficient of that order; None otherwise."""
+    forms = {(sum(exps), c.order) for poly in sigmas.values() for exps, c in poly.terms.items()}
+    return forms.pop() if len(forms) == 1 else None
 
 
 def _expect(chk: RelationCheck, modes: tuple, got: dict, want: dict) -> None:

@@ -124,15 +124,22 @@ def test_cartan_relation_failure_residual(monkeypatch):
     assert all(set(residual) == {("K1",)} for c in failed for _, residual in c.failures)
 
 
-def _plain_family(fam, coeff):
-    plain = SerreFamily("plain")
+def _family_on(fam, terms):
+    """A family on the pairs of `fam`, with the polynomial {exps: coeff} of
+    terms(i, j, sigma) in each slot sigma."""
+    out = SerreFamily("plain")
     for (i, j), sigmas in fam.entries.items():
         variables = next(iter(sigmas.values())).vars
-        plain.entries[(i, j)] = {
-            s: (LPoly.const(variables, coeff) if s == (0, 1) else LPoly.zero(variables))
-            for s in sigmas
-        }
-    return plain
+        out.entries[(i, j)] = {s: LPoly(variables, terms(i, j, s)) for s in sigmas}
+    return out
+
+
+def _plain_family(fam, coeff, degree=0):
+    """coeff * z1^degree in the identity slot of every pair, and 0
+    elsewhere: a relation of total degree `degree` that fails."""
+    return _family_on(
+        fam, lambda i, j, s: {(degree,) + (0,) * len(s): coeff} if s == (0, 1) else {}
+    )
 
 
 def test_p1_window_certificate_failure_payload():
@@ -318,16 +325,18 @@ def test_classes_match_pairs_alone_qlimit(monkeypatch):
 
 @pytest.mark.parametrize("name", ["A2a-flip", "A2a-rot", "A3a-rot"])
 def test_classes_match_pairs_alone_negative_control(monkeypatch, name):
-    # the criterion-9 plain family fails with the same residuals
-    real = cached_realization(name)
-    plain = _plain_family(cached_family(name), 1)
-    for run in (
-        lambda: Verifier(real).run_suite(plain, 1, certificate=True),
-        lambda: Verifier(real).verify_family("P1", plain, 1),
-    ):
-        shared, alone = _shared_and_alone(monkeypatch, run)
-        assert shared == alone
-        assert '"failures"' in shared
+    # the criterion-9 plain family fails with the same residuals, and so
+    # does its z1-weighted form, of total degree 1: a shifted pair's
+    # residuals carry the phase xi_N^(a (sum(out) + 1))
+    real, fam = cached_realization(name), cached_family(name)
+    for plain in (_plain_family(fam, 1), _plain_family(fam, 1, degree=1)):
+        for run in (
+            lambda: Verifier(real).run_suite(plain, 1, certificate=True),
+            lambda: Verifier(real).verify_family("P1", plain, 1),
+        ):
+            shared, alone = _shared_and_alone(monkeypatch, run)
+            assert shared == alone
+            assert '"failures"' in shared
 
 
 def test_classes_fall_back_where_the_shift_identity_fails(monkeypatch):
@@ -342,6 +351,62 @@ def test_classes_fall_back_where_the_shift_identity_fails(monkeypatch):
     assert not real.shift_holds(0, 1, 1, +1)
     assert real.shift_holds(0, 1, 0, +1)
     assert '"failures"' in shared
+
+
+def _count_sums(monkeypatch):
+    """A list that grows by one at every relation sum (`lin_comb`) that
+    presentation makes."""
+    sums = []
+    lin_comb = presentation.lin_comb
+
+    def counting(*args):
+        sums.append(None)
+        return lin_comb(*args)
+
+    monkeypatch.setattr(presentation, "lin_comb", counting)
+    return sums
+
+
+def test_run_suite_sums_once_per_class(monkeypatch):
+    """On A5a-rot the 36 ordered pairs fall into 6 classes, and the locality
+    and family-p relations of a shifted pair are those of its class
+    representative: one sum per class, grid point, sign and relation."""
+    real, fam = cached_realization("A5a-rot"), cached_family("A5a-rot")
+    sums = _count_sums(monkeypatch)
+    Verifier(real).run_suite(fam, 1)
+    assert len(sums) == 216
+    sums.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(presentation, "_pair_classes", _alone)
+        Verifier(real).run_suite(fam, 1)
+    assert len(sums) == 1296
+
+
+# families on which no shifted pair reads its report from the class
+# representative's, each breaking one condition of `Verifier._derive`
+_NOT_SHIFTS = {
+    # the coefficient 1 + 10 i + j differs on every pair
+    "polys differ": lambda i, j, s: {(0, 0, 0): 1 + 10 * i + j},
+    # z1 in one slot and 1 in the other: each homogeneous, of degrees 1 and 0
+    "slot degrees differ": lambda i, j, s: {(1, 0, 0) if s == (0, 1) else (0, 0, 0): 1},
+    # 1 in one slot and xi_5, foreign to every catalog field, in the other
+    "coefficient orders mix": lambda i, j, s: {(0, 0, 0): 1 if s == (0, 1) else cyc_root(5, 1)},
+}
+
+
+@pytest.mark.parametrize("why", sorted(_NOT_SHIFTS))
+@pytest.mark.parametrize("name", ["A2a-flip", "A2a-rot", "A3a-rot"])
+def test_classes_sum_each_pair_whose_relation_is_no_shift(monkeypatch, name, why):
+    real = cached_realization(name)
+    fam = _family_on(cached_family(name), _NOT_SHIFTS[why])
+    sums = _count_sums(monkeypatch)
+    shared, alone = _shared_and_alone(
+        monkeypatch, lambda: Verifier(real).verify_family("P1", fam, 1)
+    )
+    assert shared == alone
+    assert '"failures"' in shared
+    # both runs sum every pair at each of the 27 output modes, per sign
+    assert len(sums) == 2 * len(fam.entries) * 2 * 27
 
 
 def test_pair_classes_rotation():

@@ -29,6 +29,17 @@ z1='{"exps": [1, 0, 0], "coeff": {"order": 1, "coeffs": ["1"]}}'
 z2xi5='{"exps": [0, 1, 0], "coeff": {"order": 5, "coeffs": ["0", "1", "0", "0"]}}'
 echo "{\"name\": \"mixed\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
   {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$z1, $z2xi5]}}}]}" >"$tmp/famx.json"
+# z1 alone, of total degree 1, on every pair (i + 1, i) of A3a-rot and of
+# A4a-rot: each is one class under the rotation, so the residuals of its
+# shifted pairs carry the phase xi_N^(a (sum(modes) + 1))
+for last in 3 4; do
+  pairs=
+  for i in $(seq 0 $last); do
+    pairs="$pairs${pairs:+,} {\"i\": $(((i + 1) % (last + 1))), \"j\": $i, \"terms\":
+  {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$z1]}}}"
+  done
+  echo "{\"name\": \"z1\", \"pairs\": [$pairs]}" >"$tmp/famz$last.json"
+done
 # one z-slot (vars z1, w): its grid prints as modes in [-1,1]^2 at modes 1
 w1='{"exps": [0, 1], "coeff": {"order": 1, "coeffs": ["1"]}}'
 echo "{\"name\": \"arity1\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
@@ -135,6 +146,8 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A2a-rot --modes 1 --family user:fam5.json"
   echo "verify --entry A3a-rot --modes 1 --family user:famx.json"
   echo "verify --entry A4a-rot --modes 1 --family user:fam.json"
+  echo "verify --entry A3a-rot --modes 1 --family user:famz3.json"
+  echo "verify --entry A4a-rot --modes 1 --family user:famz4.json"
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
   echo "verify --entry D4a-triality --modes 1 --family qlimit"
   echo "verify --input a4rel.json --modes 2"
