@@ -18,9 +18,9 @@ generator images satisfy theta_x(mu i, m) = xi_N^m theta_x(i, m), and the
 same for theta_h, so the nested bracket of (mu^a i0, mu^a j0) at modes
 (k_1, ..., k_s, n) is xi_N^(a (k_1 + ... + k_s + n)) times that of
 (i0, j0), and so is each bracket of the Cartan checks H, HX and XX at
-modes (m, n).  A summand or Cartan check of any pair in the class reads
-the representative's bracket value times the phase, after the shift
-identity has been tested exactly on each of its operand images
+modes (m, n).  A summand of any pair in the class reads the
+representative's nested bracket times the phase, after the shift identity
+has been tested exactly on each of its operand images
 (`Realization.shift_holds`, sign 0 for theta_h); where it fails, the pair
 brackets itself.
 
@@ -30,11 +30,17 @@ term of them has one total degree D, every coefficient has one order, and
 the shift identity holds on every operand image.  Then every summand at
 output modes `out` carries the same phase xi_N^(a (sum(out) + D)), so the
 pair's report is the representative's: the same checked count, gaps and
-failure count, each residual times that phase.  Any other relation is
-summed from the pair's own coefficients, and each Cartan check compares
-with the pair's own expected value, so gaps and residuals are those of the
-pair evaluated alone, for any family.  Only the memo of the class in hand
-is alive; it is dropped when the class is done.
+failure count, each residual times that phase (`Verifier._phased`).  The
+Cartan checks of a shifted pair are derived the same way, with D = 0, when
+eps_j = eps_(j0) and the shift identity holds for every sign on the modes
+[-2 bound, 2 bound] of the operands and of the expected values
+theta_x(j, m + n) and theta_h(j, m + n) (`Verifier._cartan_shifts`); each
+expected value is then the representative's times xi_N^(a (m + n)) as
+well.  Any other relation is summed from the pair's own coefficients, and
+any other pair's Cartan checks are evaluated for the pair alone, so gaps
+and residuals are those of the pair evaluated alone, for any family.  A
+derived check holds lists and residuals of its own.  Only the memo of the
+class in hand is alive; it is dropped when the class is done.
 
 A pass certifies the identity on the tested grid only; for the built-in
 families the grid is the whole statement being claimed here.
@@ -152,14 +158,16 @@ class Verifier:
 
     The weighted relations evaluate right-nested brackets
     [x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]], memoised by mode suffix in
-    one memo per sign and per pair actually bracketed.  `verify_family`,
-    `run_suite` and `verify_cartan_relations` keep the memos of one class of
-    pairs at a time: all of its relations and pairs read the
-    representative's memo, and a pair brackets itself only where a shift
-    identity fails.  A shifted pair whose relation has the representative's
-    polynomials, one total degree D and one coefficient order, with the
-    shift identity holding on every operand, sums nothing: its report is
-    the representative's with each residual times xi_N^(a (sum(out) + D)).
+    one memo per sign and per pair actually bracketed.  `verify_family` and
+    `run_suite` keep the memos of one class of pairs at a time: all of its
+    relations and pairs read the representative's memo, and a pair brackets
+    itself only where a shift identity fails.  A shifted pair whose
+    relation has the representative's polynomials, one total degree D and
+    one coefficient order, with the shift identity holding on every
+    operand, sums nothing: its report is the representative's with each
+    residual times xi_N^(a (sum(out) + D)).
+    So are the Cartan checks of a shifted pair that `_cartan_shifts`
+    allows, with D = 0: they bracket and compare nothing.
     """
 
     def __init__(self, real: Realization):
@@ -172,8 +180,12 @@ class Verifier:
 
     def verify_cartan_relations(self, mode_bound: int) -> RelationReport:
         """The H and Xperiod checks of every node, then the H, HX and XX
-        checks of every ordered pair, one class of pairs at a time (see
-        `_cartan_pair`); the checks are returned in (i, j) order."""
+        checks of every ordered pair, one class of pairs at a time: the
+        representative (i0, j0) is evaluated by `_cartan_pair`, and a
+        shifted pair mu^a (i0, j0) takes the representative's checks, each
+        residual at modes (m, n) times xi_N^(a (m + n)), where
+        `_cartan_shifts` allows it, and is evaluated by `_cartan_pair`
+        otherwise.  The checks are returned in (i, j) order."""
         real = self.real
         n = self.gcm.n
         big_n = self.n_order
@@ -206,49 +218,32 @@ class Verifier:
 
         pairs: dict = {}
         for cls in _pair_classes(self.mu, n):
-            memo: dict = {}
             i0, j0, _ = cls[0]
             for i, j, shift in cls:
-                pairs[(i, j)] = self._cartan_pair(i, j, mode_bound, memo, (i0, j0, shift))
+                if shift and self._cartan_shifts((i0, j0, shift), mode_bound):
+                    pairs[(i, j)] = self._phased(pairs[(i0, j0)], (i, j), shift, 0)
+                else:
+                    pairs[(i, j)] = self._cartan_pair(i, j, mode_bound)
         for pair in sorted(pairs):
             report.checks.extend(pairs[pair])
         return report
 
-    def _cartan_pair(self, i: int, j: int, mode_bound: int, memo: dict, source: tuple) -> list:
-        """The H, HXplus, HXminus and XX checks of the pair (i, j) = mu^a (i0, j0),
-        for `source` (i0, j0, a).  A bracket of images of i and j at modes
-        (m, nn) is read from `memo`, the brackets of (i0, j0) keyed by the
-        operand signs (0 for theta_h) and modes, times xi_N^(a (m + nn)),
-        where the shift identity holds for both operands (`_unshifted`);
-        elsewhere (i, j) brackets itself.  Every expected value is the
-        pair's own."""
+    def _cartan_pair(self, i: int, j: int, mode_bound: int) -> list:
+        """The H, HXplus, HXminus and XX checks of the pair (i, j), each
+        bracket and expected value evaluated for (i, j) itself: the class
+        representative, or a shifted pair whose checks `_cartan_shifts` does
+        not allow to be derived."""
         real = self.real
         a = self.gcm.entries
         big_n = self.n_order
         eps = real.eps
         k1 = real.theta_c()
-        i0, j0, shift = source
         span = range(-mode_bound, mode_bound + 1)
-        unshifted = {sign: self._unshifted(source, sign, span) for sign in (0, +1, -1)}
         grid = f"|m|,|n|<={mode_bound}"
         chk_hh = RelationCheck("H", (i, j), 0, grid)
         chk_hx_p = RelationCheck("HXplus", (i, j), +1, grid)
         chk_hx_m = RelationCheck("HXminus", (i, j), -1, grid)
         chk_xx = RelationCheck("XX", (i, j), 0, grid)
-
-        def image(node, m, sign):
-            return real.theta_x(node, m, sign) if sign else real.theta_h(node, m)
-
-        def bracket(left, right, m, nn):
-            """[image(i, m, left), image(j, nn, right)]"""
-            if m in unshifted[left][0] or nn in unshifted[right][1]:
-                return real.bracket(image(i, m, left), image(j, nn, right))
-            key = (left, right, m, nn)
-            got = memo.get(key)
-            if got is None:
-                got = memo[key] = real.bracket(image(i0, m, left), image(j0, nn, right))
-            e = shift * (m + nn) % big_n
-            return vec_scale(got, real._phase(e)) if e else got
 
         for m in span:
             # sum_k xi_N^(km) a_(i, mu^k j), the phase sum in the expected H
@@ -257,15 +252,17 @@ class Verifier:
             for k in range(big_n):
                 phases = phases + cyc_root(big_n, k * m).mul_rational(a[i][self.mu.apply(j, k)])
             want_hh = vec_scale(k1, phases.mul_rational(Fraction(m * big_n) / eps[j]))
+            h_i = real.theta_h(i, m)
             for nn in span:
-                _expect(chk_hh, (m, nn), bracket(0, 0, m, nn), want_hh if m + nn == 0 else {})
+                got = real.bracket(h_i, real.theta_h(j, nn))
+                _expect(chk_hh, (m, nn), got, want_hh if m + nn == 0 else {})
 
                 for sign, chk in ((+1, chk_hx_p), (-1, chk_hx_m)):
-                    got = bracket(0, sign, m, nn)
+                    got = real.bracket(h_i, real.theta_x(j, nn, sign))
                     want = vec_scale(real.theta_x(j, m + nn, sign), phases if sign > 0 else -phases)
                     _expect(chk, (m, nn), got, want)
 
-                got = bracket(+1, -1, m, nn)
+                got = real.bracket(real.theta_x(i, m, +1), real.theta_x(j, nn, -1))
                 want = {}
                 for k in range(big_n):
                     if self.mu.apply(j, k) != i:
@@ -276,6 +273,26 @@ class Verifier:
                         vec_add(want, k1, phase.mul_rational(Fraction(m * big_n) / eps[j]))
                 _expect(chk_xx, (m, nn), got, want)
         return [chk_hh, chk_hx_p, chk_hx_m, chk_xx]
+
+    def _cartan_shifts(self, source: tuple, mode_bound: int) -> bool:
+        """Whether the H, HX and XX checks of (i, j) = mu^a (i0, j0), for
+        `source` (i0, j0, a), are those of (i0, j0) times xi_N^(a (m + n))
+        at modes (m, n), tested exactly:
+        - eps_j = eps_(j0);
+        - the shift identity holds for both nodes and every sign on
+          [-2 mode_bound, 2 mode_bound], which holds the operand modes and
+          the modes m + n of the expected theta_x(j, m + n) and
+          theta_h(j, m + n) (`_unshifted`).
+        The rest of each expected value needs no test.  `validate_aut`, the
+        only builder of a DiagramAut, makes a_(mu i, mu j) = a_(i, j), so
+        a_(i, mu^k j) = a_(i0, mu^k j0) and the phase sums agree; and
+        mu^k j = i exactly when mu^k j0 = i0, so the XX sums have the same
+        terms."""
+        _, j0, a = source
+        if self.real.eps[self.mu.apply(j0, a)] != self.real.eps[j0]:
+            return False
+        span = range(-2 * mode_bound, 2 * mode_bound + 1)
+        return not any(bad for sign in (0, +1, -1) for bad in self._unshifted(source, sign, span))
 
     # -- weighted nested relations ---------------------------------------------------
 
@@ -337,17 +354,23 @@ class Verifier:
         span = _operand_span(sigmas, mode_bound)
         if any(bad for sign in (+1, -1) for bad in self._unshifted(source, sign, span)):
             return None
-        degree = form[0]
-        report = RelationReport()
-        for chk in rep.checks:
+        return RelationReport(self._phased(rep.checks, (i, j), a, form[0]))
+
+    def _phased(self, checks: list, pair: tuple, a: int, degree: int) -> list:
+        """The checks of `pair` = mu^a (i0, j0) read from `checks`, those of
+        (i0, j0) for a relation whose summands all carry the phase
+        xi_N^(a (sum(modes) + degree)) at output modes `modes`: the same
+        checked count, gaps and failure count, and each residual times that
+        phase.  Every list and residual of the result is its own."""
+        out = []
+        for chk in checks:
             failures = []
             for modes, residual in chk.failures:
                 e = a * (sum(modes) + degree) % self.n_order
-                if e:
-                    residual = vec_scale(residual, self.real._phase(e))
+                residual = vec_scale(residual, self.real._phase(e)) if e else dict(residual)
                 failures.append((modes, residual))
-            report.checks.append(replace(chk, pair=(i, j), failures=failures))
-        return report
+            out.append(replace(chk, pair=pair, gaps=list(chk.gaps), failures=failures))
+        return out
 
     def _verify_weighted(
         self,

@@ -471,3 +471,120 @@ def test_cartan_relations_bracket_once_per_class(monkeypatch):
         patch.setattr(presentation, "_pair_classes", _alone)
         Verifier(real).verify_cartan_relations(1)
     assert len(calls) == 4 * 36 * 9
+
+
+def _count_cartan_pairs(monkeypatch):
+    """A list of the pairs whose Cartan checks are evaluated, not derived."""
+    pairs = []
+    cartan_pair = Verifier._cartan_pair
+
+    def recording(self, i, j, *args):
+        pairs.append((i, j))
+        return cartan_pair(self, i, j, *args)
+
+    monkeypatch.setattr(Verifier, "_cartan_pair", recording)
+    return pairs
+
+
+def _orbit_scaled_eps(real):
+    """eps with each node's value times 2 + the least node of its mu-orbit:
+    one factor per orbit, so the tamper is mu-invariant."""
+    mu = real.mu
+    return tuple(
+        (2 + min(mu.apply(i, k) for k in range(mu.order))) * e for i, e in enumerate(real.eps)
+    )
+
+
+def _doubled_brackets(real):
+    """real.bracket times 2: bilinear and mu-equivariant like the true one,
+    so every derivation test still holds, and a Cartan check of brackets
+    at modes (m, n) leaves the true bracket as its residual, at m + n != 0
+    too."""
+    bracket = real.bracket
+    return lambda x, y: {k: c + c for k, c in bracket(x, y).items()}
+
+
+@pytest.mark.parametrize("tamper", ["eps", "brackets"])
+@pytest.mark.parametrize("name", ["A2a-flip", "A2a-rot", "A3a-rot", "A5a-rot"])
+def test_cartan_classes_derive_the_residuals_of_shifted_pairs(monkeypatch, name, tamper):
+    # either tamper makes every pair fail at modes 2, and the shifted pairs
+    # still take their checks from their representative's, each residual
+    # times xi_N^(a (m + n)); the eps tamper leaves residuals at m + n = 0
+    # only, the doubled brackets at other m + n as well
+    real = cached_realization(name)
+    if tamper == "eps":
+        monkeypatch.setattr(real, "eps", _orbit_scaled_eps(real))
+    else:
+        monkeypatch.setattr(real, "bracket", _doubled_brackets(real))
+    evaluated = _count_cartan_pairs(monkeypatch)
+    shared, alone = _shared_and_alone(
+        monkeypatch, lambda: Verifier(real).verify_cartan_relations(2)
+    )
+    assert shared == alone
+    classes = presentation._pair_classes(real.mu, real.gcm.n)
+    assert evaluated[: len(classes)] == [cls[0][:2] for cls in classes]
+    assert len(evaluated) == len(classes) + real.gcm.n**2
+    pair_checks = [c for c in json.loads(shared)["checks"] if len(c["pair"]) == 2]
+    failed = {tuple(c["pair"]) for c in pair_checks if not c["pass"]}
+    assert failed == {tuple(c["pair"]) for c in pair_checks}
+    if tamper == "brackets":
+        assert any(sum(f["modes"]) for c in pair_checks for f in c.get("failures", []))
+
+
+def test_cartan_relations_check_once_per_class(monkeypatch):
+    """On A5a-rot the Cartan checks of 6 of the 36 ordered pairs are
+    evaluated, one per class; with the eps tamper of
+    test_cartan_classes_keep_each_pairs_expected_value, every pair whose
+    eps differs from its representative's is evaluated too."""
+    real = cached_realization("A5a-rot")
+    evaluated = _count_cartan_pairs(monkeypatch)
+    Verifier(real).verify_cartan_relations(1)
+    assert len(evaluated) == 6
+    evaluated.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(presentation, "_pair_classes", _alone)
+        Verifier(real).verify_cartan_relations(1)
+    assert len(evaluated) == 36
+    evaluated.clear()
+    monkeypatch.setattr(real, "eps", (real.eps[0], 2 * real.eps[1], *real.eps[2:]))
+    Verifier(real).verify_cartan_relations(1)
+    classes = presentation._pair_classes(real.mu, real.gcm.n)
+    reps = {cls[0][:2] for cls in classes}
+    tampered = {(i, j) for cls in classes for i, j, _ in cls if (j == 1) != (cls[0][1] == 1)}
+    assert len(tampered) == 10
+    assert sorted(evaluated) == sorted(reps | tampered)
+
+
+@pytest.mark.parametrize("sign", [0, +1, -1])
+def test_cartan_classes_fall_back_where_an_expected_value_shift_fails(monkeypatch, sign):
+    # theta_x(mu 0, 2, sign) (theta_h for sign 0) tampered on A2a-rot: at
+    # modes 1 no operand has mode 2, but the expected HX or XX values of
+    # the pairs (i, mu 0) at m + n = 2 read it, so those pairs are evaluated
+    real, _ = _setup("A2^(1)", [1, 2, 0], 1)
+    node = real.mu.apply(0, 1)
+    pick = {+1: 0, -1: 1, 0: 2}[sign]
+    theta = real._theta(pick, node, 2)
+    first = min(theta)
+    real._theta_cache[(pick, node, 2)] = {k: c + c if k == first else c for k, c in theta.items()}
+    assert not real.shift_holds(0, 1, 2, sign)
+    assert real.shift_holds(0, 1, 1, sign)
+    shared, alone = _shared_and_alone(
+        monkeypatch, lambda: Verifier(real).verify_cartan_relations(1)
+    )
+    assert shared == alone
+    assert '"failures"' in shared
+
+
+def test_derived_checks_own_their_lists(monkeypatch):
+    """No two checks share a gaps or failures list or a residual, the
+    derived weighted and Cartan checks included."""
+    real, fam = cached_realization("A2a-rot"), cached_family("A2a-rot")
+    monkeypatch.setattr(real, "eps", _orbit_scaled_eps(real))
+    v = Verifier(real)
+    checks = v.verify_cartan_relations(2).checks
+    checks += v.verify_family("P1", _plain_family(fam, 1), 1).checks
+    residuals = [r for c in checks for _, r in c.failures]
+    assert len(residuals) > len(checks)
+    assert len({id(c.gaps) for c in checks}) == len(checks)
+    assert len({id(c.failures) for c in checks}) == len(checks)
+    assert len({id(r) for r in residuals}) == len(residuals)

@@ -58,6 +58,11 @@ echo '{"cartan": [[2, -1], [-4, 2]], "mu": [0, 1]}' >"$tmp/a22.json"
 # that is not the difference of their labels
 echo '{"cartan": [[2, 0, -1, -1, 0], [0, 2, 0, -1, -1], [-1, 0, 2, 0, -1],
   [-1, -1, 0, 2, 0], [0, -1, -1, 0, 2]], "mu": [2, 3, 4, 0, 1]}' >"$tmp/a4rel.json"
+# D4a-triality relabelled by 0 1 2 3 4 -> 3 0 1 2 4: the affine node is 3,
+# mu is 0 -> 2 -> 4 -> 0, and the classes of (1, 0) and (3, 0) have a least
+# pair that is not (0, *)
+echo '{"cartan": [[2, -1, 0, 0, 0], [-1, 2, -1, -1, -1], [0, -1, 2, 0, 0],
+  [0, -1, 0, 2, 0], [0, -1, 0, 0, 2]], "mu": [2, 1, 4, 3, 0]}' >"$tmp/d4rel.json"
 # A1: no negative entry, so the automatic window has arity 1
 echo '{"cartan": [[2]]}' >"$tmp/a1.json"
 # D4^(3): its realization lives in Q(xi_3), and building it inverts 49
@@ -151,6 +156,7 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
   echo "verify --entry D4a-triality --modes 1 --family qlimit"
   echo "verify --input a4rel.json --modes 2"
+  echo "verify --input d4rel.json --modes 1"
   echo "verify --input a1.json --modes 1"
   echo "verify --input a22.json --modes 1"
   echo "verify --input a22.json --modes 1 --family user:fam.json"
