@@ -14,33 +14,42 @@ explicit nonzero residual element that can be re-checked independently.
 
 The ordered pairs are evaluated one class at a time (`_pair_classes`):
 the pairs (mu^a i0, mu^a j0) of the class's least pair (i0, j0).  The
-generator images satisfy theta_x(mu i, m) = xi_N^m theta_x(i, m), and the
-same for theta_h, so the nested bracket of (mu^a i0, mu^a j0) at modes
-(k_1, ..., k_s, n) is xi_N^(a (k_1 + ... + k_s + n)) times that of
-(i0, j0), and so is each bracket of the Cartan checks H, HX and XX at
-modes (m, n).  A summand of any pair in the class reads the
-representative's nested bracket times the phase, after the shift identity
-has been tested exactly on each of its operand images
-(`Realization.shift_holds`, sign 0 for theta_h); where it fails, the pair
-brackets itself.
+generator images (`Realization._theta`, with x = e, f or h) are
 
-A weighted relation of a shifted pair is not even summed when four things
+    theta(i, m) = sum_k xi_N^(-k m) t1^m (x) x_(mu^k i).
+
+Reindexing k -> k - a, with mu^N = id (`validate_aut` ensures it) and
+xi_N^N = 1, gives exactly
+
+    theta(mu^a i, m) = sum_k xi_N^(-(k - a) m) t1^m (x) x_(mu^k i)
+                     = xi_N^(a m) theta(i, m).
+
+Both sides embed the same orbit of generators, so they also leave the
+window at the same modes.  By bilinearity the nested bracket of
+(mu^a i0, mu^a j0) at modes (k_1, ..., k_s, n) is
+xi_N^(a (k_1 + ... + k_s + n)) times that of (i0, j0), and so is each
+bracket of the Cartan checks H, HX and XX at modes (m, n); each raises
+OutOfWindow exactly where the representative's does, since a nonzero
+multiple has the same keys.  Every summand of a pair in the class reads
+the representative's nested bracket and scales its coefficient.
+The identity is also checked exactly on the grid: the Xperiod and H checks
+of every node, which every report carries, compare theta(mu i, m) with
+xi_N^m theta(i, m) at each mode, so a corrupted image fails the report.
+
+A weighted relation of a shifted pair is not even summed when three things
 hold (`Verifier._derive`): its polynomials equal those of (i0, j0), every
-term of them has one total degree D, every coefficient has one order, and
-the shift identity holds on every operand image.  Then every summand at
-output modes `out` carries the same phase xi_N^(a (sum(out) + D)), so the
-pair's report is the representative's: the same checked count, gaps and
-failure count, each residual times that phase (`Verifier._phased`).  The
-Cartan checks of a shifted pair are derived the same way, with D = 0, when
-eps_j = eps_(j0) and the shift identity holds for every sign on the modes
-[-2 bound, 2 bound] of the operands and of the expected values
-theta_x(j, m + n) and theta_h(j, m + n) (`Verifier._cartan_shifts`); each
-expected value is then the representative's times xi_N^(a (m + n)) as
-well.  Any other relation is summed from the pair's own coefficients, and
-any other pair's Cartan checks are evaluated for the pair alone, so gaps
-and residuals are those of the pair evaluated alone, for any family.  A
-derived check holds lists and residuals of its own.  Only the memo of the
-class in hand is alive; it is dropped when the class is done.
+term of them has one total degree D, and every coefficient has one order.
+Then every summand at output modes `out` carries the same phase
+xi_N^(a (sum(out) + D)), so the pair's report is the representative's: the
+same checked count, gaps and failure count, each residual times that phase
+(`Verifier._phased`).  The Cartan checks of a shifted pair are derived the
+same way, with D = 0, when eps_j = eps_(j0): each expected value is then
+the representative's times xi_N^(a (m + n)) as well.  Any other relation
+is summed from the pair's own coefficients, and any other pair's Cartan
+checks are evaluated for the pair alone, so gaps and residuals are those
+of the pair evaluated alone, for any family.  A derived check holds lists
+and residuals of its own.  Only the memo of the class in hand is alive; it
+is dropped when the class is done.
 
 A pass certifies the identity on the tested grid only; for the built-in
 families the grid is the whole statement being claimed here.
@@ -158,16 +167,14 @@ class Verifier:
 
     The weighted relations evaluate right-nested brackets
     [x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]], memoised by mode suffix in
-    one memo per sign and per pair actually bracketed.  `verify_family` and
-    `run_suite` keep the memos of one class of pairs at a time: all of its
-    relations and pairs read the representative's memo, and a pair brackets
-    itself only where a shift identity fails.  A shifted pair whose
-    relation has the representative's polynomials, one total degree D and
-    one coefficient order, with the shift identity holding on every
-    operand, sums nothing: its report is the representative's with each
-    residual times xi_N^(a (sum(out) + D)).
-    So are the Cartan checks of a shifted pair that `_cartan_shifts`
-    allows, with D = 0: they bracket and compare nothing.
+    one memo per sign.  `verify_family` and `run_suite` keep the memos of
+    one class of pairs at a time: all of its relations and pairs read the
+    representative's brackets.  A shifted pair whose relation has the
+    representative's polynomials, one total degree D and one coefficient
+    order sums nothing: its report is the representative's with each
+    residual times xi_N^(a (sum(out) + D)).  So are the Cartan checks of a
+    shifted pair with eps_j = eps_(j0), with D = 0: they bracket and
+    compare nothing.
     """
 
     def __init__(self, real: Realization):
@@ -182,10 +189,15 @@ class Verifier:
         """The H and Xperiod checks of every node, then the H, HX and XX
         checks of every ordered pair, one class of pairs at a time: the
         representative (i0, j0) is evaluated by `_cartan_pair`, and a
-        shifted pair mu^a (i0, j0) takes the representative's checks, each
-        residual at modes (m, n) times xi_N^(a (m + n)), where
-        `_cartan_shifts` allows it, and is evaluated by `_cartan_pair`
-        otherwise.  The checks are returned in (i, j) order."""
+        shifted pair (i, j) = mu^a (i0, j0) with eps_j = eps_(j0) takes the
+        representative's checks, each residual at modes (m, n) times
+        xi_N^(a (m + n)); one with another eps_j is evaluated by
+        `_cartan_pair`.  Nothing else of an expected value needs a test:
+        `validate_aut`, the only builder of a DiagramAut, makes
+        a_(mu i, mu j) = a_(i, j), so a_(i, mu^k j) = a_(i0, mu^k j0) and
+        the phase sums agree; and mu^k j = i exactly when mu^k j0 = i0, so
+        the XX sums have the same terms.  The checks are returned in (i, j)
+        order."""
         real = self.real
         n = self.gcm.n
         big_n = self.n_order
@@ -220,7 +232,7 @@ class Verifier:
         for cls in _pair_classes(self.mu, n):
             i0, j0, _ = cls[0]
             for i, j, shift in cls:
-                if shift and self._cartan_shifts((i0, j0, shift), mode_bound):
+                if shift and real.eps[j] == real.eps[j0]:
                     pairs[(i, j)] = self._phased(pairs[(i0, j0)], (i, j), shift, 0)
                 else:
                     pairs[(i, j)] = self._cartan_pair(i, j, mode_bound)
@@ -231,8 +243,7 @@ class Verifier:
     def _cartan_pair(self, i: int, j: int, mode_bound: int) -> list:
         """The H, HXplus, HXminus and XX checks of the pair (i, j), each
         bracket and expected value evaluated for (i, j) itself: the class
-        representative, or a shifted pair whose checks `_cartan_shifts` does
-        not allow to be derived."""
+        representative, or a shifted pair whose eps_j is not eps_(j0)."""
         real = self.real
         a = self.gcm.entries
         big_n = self.n_order
@@ -274,26 +285,6 @@ class Verifier:
                 _expect(chk_xx, (m, nn), got, want)
         return [chk_hh, chk_hx_p, chk_hx_m, chk_xx]
 
-    def _cartan_shifts(self, source: tuple, mode_bound: int) -> bool:
-        """Whether the H, HX and XX checks of (i, j) = mu^a (i0, j0), for
-        `source` (i0, j0, a), are those of (i0, j0) times xi_N^(a (m + n))
-        at modes (m, n), tested exactly:
-        - eps_j = eps_(j0);
-        - the shift identity holds for both nodes and every sign on
-          [-2 mode_bound, 2 mode_bound], which holds the operand modes and
-          the modes m + n of the expected theta_x(j, m + n) and
-          theta_h(j, m + n) (`_unshifted`).
-        The rest of each expected value needs no test.  `validate_aut`, the
-        only builder of a DiagramAut, makes a_(mu i, mu j) = a_(i, j), so
-        a_(i, mu^k j) = a_(i0, mu^k j0) and the phase sums agree; and
-        mu^k j = i exactly when mu^k j0 = i0, so the XX sums have the same
-        terms."""
-        _, j0, a = source
-        if self.real.eps[self.mu.apply(j0, a)] != self.real.eps[j0]:
-            return False
-        span = range(-2 * mode_bound, 2 * mode_bound + 1)
-        return not any(bad for sign in (0, +1, -1) for bad in self._unshifted(source, sign, span))
-
     # -- weighted nested relations ---------------------------------------------------
 
     def verify_family(self, kind: str, fam: SerreFamily, mode_bound: int) -> RelationReport:
@@ -308,7 +299,7 @@ class Verifier:
         from the class representative's."""
         by_pair: dict = {}
         for cls in _pair_classes(self.mu, self.gcm.n):
-            memos: dict = {}
+            memos = {+1: {}, -1: {}}
             reps: dict = {}
             i0, j0, _ = cls[0]
             for i, j, a in cls:
@@ -318,7 +309,7 @@ class Verifier:
                     source = (i0, j0, a)
                     part = None
                     if kind in reps:
-                        part = self._derive(reps[kind], fam, i, j, mode_bound, source)
+                        part = self._derive(reps[kind], fam, i, j, source)
                     if part is None:
                         part = self._verify_weighted(kind, fam, i, j, mode_bound, memos, source)
                     if not a:
@@ -331,7 +322,7 @@ class Verifier:
         return report
 
     def _derive(
-        self, rep: RelationReport, fam: SerreFamily, i: int, j: int, mode_bound: int, source: tuple
+        self, rep: RelationReport, fam: SerreFamily, i: int, j: int, source: tuple
     ) -> RelationReport | None:
         """The report of `fam` on the pair (i, j) = mu^a (i0, j0), for
         `source` (i0, j0, a), read from `rep`, the report of (i0, j0); None
@@ -339,8 +330,7 @@ class Verifier:
         - the polynomials of (i, j) equal those of (i0, j0);
         - every term of them has one total degree D;
         - every coefficient has one order, so that a residual prints in the
-          field the pair's own sum would give it;
-        - the shift identity holds on every operand image (`_unshifted`).
+          field the pair's own sum would give it.
         Then every summand of (i, j) at output modes `out` reads the
         bracket of (i0, j0) with its coefficient times
         xi_N^(a (sum(out) + D)), the same phase for all of them: the pair has
@@ -350,9 +340,6 @@ class Verifier:
         sigmas, rep_sigmas = fam.entries[(i, j)], fam.entries[(i0, j0)]
         form = _shift_form(sigmas)
         if form is None or form != _shift_form(rep_sigmas) or sigmas != rep_sigmas:
-            return None
-        span = _operand_span(sigmas, mode_bound)
-        if any(bad for sign in (+1, -1) for bad in self._unshifted(source, sign, span)):
             return None
         return RelationReport(self._phased(rep.checks, (i, j), a, form[0]))
 
@@ -383,11 +370,11 @@ class Verifier:
         source: tuple,
     ) -> RelationReport:
         """Relation `kind` of `fam` on the pair (i, j) = mu^a (i0, j0), for
-        `source` (i0, j0, a).  Where `_unshifted` allows it, a summand reads
-        the nested bracket of (i0, j0) at its modes and multiplies its
-        coefficient by xi_N^(a sum(modes)); elsewhere it brackets (i, j)
-        itself, from the source (i, j, 0).  `memos` maps (sign, i, j) to the
-        memo of the pair (i, j) bracketed."""
+        `source` (i0, j0, a).  Each summand reads the nested bracket of
+        (i0, j0) at its modes and multiplies its coefficient by
+        xi_N^(a sum(modes)), so only (i0, j0) is bracketed; it raises
+        OutOfWindow exactly where the bracket of (i, j) would.  `memos` maps
+        each sign to the memo of (i0, j0)."""
         real = self.real
         field = real.field
         big_n = self.n_order
@@ -406,13 +393,10 @@ class Verifier:
             grid = f"|m|,|n|<={mode_bound}"
         else:
             grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
-        i0, j0, _ = source
-        span = _operand_span(fam.entries[(i, j)], mode_bound)
+        i0, j0, a = source
         for sign in (+1, -1):
             chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i, j), sign, grid)
-            shared = source, memos.setdefault((sign, i0, j0), {})
-            alone = (i, j, 0), memos.setdefault((sign, i, j), {})
-            bad_i, bad_j = self._unshifted(source, sign, span)
+            memo = memos[sign]
             for out_modes in itertools.product(
                 range(-mode_bound, mode_bound + 1), repeat=arity + 1
             ):
@@ -420,21 +404,15 @@ class Verifier:
                 try:
                     for sigma, terms in prepared:
                         for scaled, exps in terms:
-                            ops = tuple(
+                            modes = tuple(
                                 out_modes[sigma[p]] + exps[sigma[p]]
                                 for p in range(arity)
-                            )
-                            modes = ops + (out_modes[arity] + exps[arity],)
-                            (si, sj, a), memo = (
-                                alone
-                                if modes[arity] in bad_j or not bad_i.isdisjoint(ops)
-                                else shared
-                            )
+                            ) + (out_modes[arity] + exps[arity],)
                             e = a * sum(modes) % big_n
                             coeff = scaled.get(e)
                             if coeff is None:
                                 coeff = scaled[e] = scaled[0] * real._phase(e)
-                            summands.append((coeff, self._nested(memo, si, sj, sign, modes)))
+                            summands.append((coeff, self._nested(memo, i0, j0, sign, modes)))
                 except OutOfWindow:
                     chk.gaps.append(out_modes)
                     continue
@@ -444,21 +422,6 @@ class Verifier:
                     chk.record_failure(out_modes, total)
             report.checks.append(chk)
         return report
-
-    def _unshifted(self, source: tuple, sign: int, span: range) -> tuple[set, set]:
-        """The modes k in `span` at which theta_x(mu^a i0, k, sign) is not
-        xi_N^(a k) theta_x(i0, k, sign) (theta_h for sign 0), and those at
-        which the same fails for j0, for `source` (i0, j0, a).  Where neither
-        set meets the modes of a summand, its nested bracket is
-        xi_N^(a sum(modes)) times that of (i0, j0)."""
-        i0, j0, a = source
-        if not a:
-            return set(), set()
-        holds = self.real.shift_holds
-        return (
-            {k for k in span if not holds(i0, a, k, sign)},
-            {k for k in span if not holds(j0, a, k, sign)},
-        )
 
     def _nested(self, memo: dict, i: int, j: int, sign: int, modes: tuple):
         """[x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]] at modes (k_1, ..., k_s, n)."""
@@ -527,13 +490,6 @@ def _pair_classes(mu, n: int) -> list:
                 cls.append(pair + (a,))
         classes.append(sorted(cls))
     return classes
-
-
-def _operand_span(sigmas: dict, mode_bound: int) -> range:
-    """Every mode an operand of the relation {sigma: P_sigma} takes at
-    output modes within mode_bound."""
-    offsets = [x for poly in sigmas.values() for exps in poly.terms for x in exps]
-    return range(min(offsets, default=0) - mode_bound, max(offsets, default=0) + mode_bound + 1)
 
 
 def _shift_form(sigmas: dict) -> tuple | None:

@@ -259,7 +259,6 @@ class Realization:
         self._assert_generators()
         self.eps = gcm.symmetrizer(self._coroot_form)
         self._theta_cache: dict = {}
-        self._shift_cache: dict = {}
         self._mu_g: list | None = None
 
     def _node_perm(self) -> tuple:
@@ -359,26 +358,6 @@ class Realization:
                 vec_add(total, self.embed(m, self.gens[node][pick]), self._phase(-k * m))
             cached = self._theta_cache[key] = total
         return cached
-
-    def shift_holds(self, i: int, a: int, m: int, sign: int) -> bool:
-        """Whether theta_x(mu^a i, m, sign) == xi_N^(a m) theta_x(i, m, sign),
-        or, for sign 0, theta_h(mu^a i, m) == xi_N^(a m) theta_h(i, m).
-
-        The generator images are built to satisfy it; this tests the cached
-        images exactly, once per argument.  False where an image leaves the
-        window, so that nothing is derived from it.
-        """
-        key = (sign, i, a, m)
-        hit = self._shift_cache.get(key)
-        if hit is None:
-            pick = 2 if sign == 0 else 0 if sign > 0 else 1
-            try:
-                shifted = self._theta(pick, self.mu.apply(i, a), m)
-                hit = shifted == vec_scale(self._theta(pick, i, m), self._phase(a * m))
-            except OutOfWindow:
-                hit = False
-            self._shift_cache[key] = hit
-        return hit
 
     def theta_c(self) -> AlgElem:
         return {("K1",): CycNum.one(self.field)}

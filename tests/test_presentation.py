@@ -4,7 +4,7 @@ import pytest
 
 from conftest import cached_family, cached_realization
 from loomfold import polys, presentation
-from loomfold.catalog import builtin_entries
+from loomfold.catalog import builtin_entries, entry_by_name
 from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.errors import ScopeViolation
 from loomfold.exactnum import cyc_root
@@ -339,18 +339,50 @@ def test_classes_match_pairs_alone_negative_control(monkeypatch, name):
             assert '"failures"' in shared
 
 
-def test_classes_fall_back_where_the_shift_identity_fails(monkeypatch):
-    # theta_x(1, 1, +1) tampered: node 1 is mu of node 0, so the pairs that
-    # would read (0, *) brackets with it as an operand bracket themselves
-    real, fam = _setup("A2^(1)", [1, 2, 0], 1)
-    theta = real.theta_x(1, 1, +1)
-    first = min(theta)
-    real._theta_cache[(0, 1, 1)] = {k: c + c if k == first else c for k, c in theta.items()}
-    shared, alone = _shared_and_alone(monkeypatch, lambda: Verifier(real).run_suite(fam, 1))
+@pytest.mark.parametrize("name", ["A3a-rot", "A4a-rot"])
+def test_classes_match_pairs_alone_through_window_gaps(monkeypatch, name):
+    # at the window (4, 3) operand images leave the window at modes 2: the
+    # gaps of a shifted pair are those of its class representative's
+    # brackets, and they are the pair's own
+    e = entry_by_name(name)
+    real = Realization(e.gcm, e.mu, m1_window=4, m2_window=3)
+    fam = cached_family(name)
+    shared, alone = _shared_and_alone(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
     assert shared == alone
-    assert not real.shift_holds(0, 1, 1, +1)
-    assert real.shift_holds(0, 1, 0, +1)
-    assert '"failures"' in shared
+    assert '"out_of_window"' in shared
+    shared, alone = _shared_and_alone(
+        monkeypatch, lambda: Verifier(real).verify_cartan_relations(2)
+    )
+    assert shared == alone
+
+
+def _failures(report) -> dict:
+    """(relation, pair) -> the modes of the recorded failures, for every
+    failed check of `report`."""
+    return {
+        (c.kind, c.pair): [modes for modes, _ in c.failures]
+        for c in report.checks
+        if not c.passed
+    }
+
+
+def _double_one_coefficient(real, pick, node, m, key):
+    """Corrupt the cached image theta(pick, node, m): its coefficient at
+    `key` doubled."""
+    theta = real._theta(pick, node, m)
+    real._theta_cache[(pick, node, m)] = {k: c + c if k == key else c for k, c in theta.items()}
+
+
+def test_node_checks_catch_a_tampered_theta_x():
+    # theta_x(1, 1, +1) tampered on A2a-rot: the Xperiod checks of node 0
+    # (theta_x(mu 0, 1) against xi_3 theta_x(0, 1)) and of node 1
+    # (theta_x(mu 1, 1) against xi_3 theta_x(1, 1)) fail at that mode
+    real, fam = _setup("A2^(1)", [1, 2, 0], 1)
+    _double_one_coefficient(real, 0, 1, 1, min(real.theta_x(1, 1, +1)))
+    report = Verifier(real).run_suite(fam, 1)
+    assert not report.passed
+    failed = _failures(report)
+    assert failed[("Xperiod", (0,))] == failed[("Xperiod", (1,))] == [(1, +1)]
 
 
 def _count_sums(monkeypatch):
@@ -419,22 +451,18 @@ def test_pair_classes_rotation():
     ]
 
 
-def test_cartan_classes_fall_back_where_the_h_shift_fails(monkeypatch):
-    # theta_h(mu 0, 1) tampered on A2a-rot: the pairs that would read a
-    # bracket of their class representative with it as an operand bracket
-    # themselves
+def test_node_checks_catch_a_tampered_theta_h():
+    # theta_h(mu 0, 1) tampered on A2a-rot: the H checks of node 0 and of
+    # node mu 0 fail at that mode
     real, _ = _setup("A2^(1)", [1, 2, 0], 1)
     node = real.mu.apply(0, 1)
     theta = real.theta_h(node, 1)
     first = min(k for k in theta if k[0] == "L")  # a K2 term brackets to 0
-    real._theta_cache[(2, node, 1)] = {k: c + c if k == first else c for k, c in theta.items()}
-    assert not real.shift_holds(0, 1, 1, 0)
-    assert real.shift_holds(0, 1, 0, 0)
-    shared, alone = _shared_and_alone(
-        monkeypatch, lambda: Verifier(real).verify_cartan_relations(1)
-    )
-    assert shared == alone
-    assert '"failures"' in shared
+    _double_one_coefficient(real, 2, node, 1, first)
+    report = Verifier(real).verify_cartan_relations(1)
+    assert not report.passed
+    failed = _failures(report)
+    assert failed[("H", (0,))] == failed[("H", (node,))] == [(1,)]
 
 
 @pytest.mark.parametrize("name", ["A2a-flip", "A3a-rot"])
@@ -556,23 +584,23 @@ def test_cartan_relations_check_once_per_class(monkeypatch):
 
 
 @pytest.mark.parametrize("sign", [0, +1, -1])
-def test_cartan_classes_fall_back_where_an_expected_value_shift_fails(monkeypatch, sign):
+def test_cartan_classes_catch_a_tampered_expected_value(sign):
     # theta_x(mu 0, 2, sign) (theta_h for sign 0) tampered on A2a-rot: at
-    # modes 1 no operand has mode 2, but the expected HX or XX values of
-    # the pairs (i, mu 0) at m + n = 2 read it, so those pairs are evaluated
+    # modes 1 no operand and no node check has mode 2, but the expected HX
+    # (XX for sign 0) value of the pair (0, mu 0) at m + n = 2 reads it, so
+    # that check fails there, and so does the same check of every pair
+    # derived from (0, mu 0)
     real, _ = _setup("A2^(1)", [1, 2, 0], 1)
     node = real.mu.apply(0, 1)
     pick = {+1: 0, -1: 1, 0: 2}[sign]
-    theta = real._theta(pick, node, 2)
-    first = min(theta)
-    real._theta_cache[(pick, node, 2)] = {k: c + c if k == first else c for k, c in theta.items()}
-    assert not real.shift_holds(0, 1, 2, sign)
-    assert real.shift_holds(0, 1, 1, sign)
-    shared, alone = _shared_and_alone(
-        monkeypatch, lambda: Verifier(real).verify_cartan_relations(1)
-    )
-    assert shared == alone
-    assert '"failures"' in shared
+    _double_one_coefficient(real, pick, node, 2, min(real._theta(pick, node, 2)))
+    report = Verifier(real).verify_cartan_relations(1)
+    assert not report.passed
+    relation = {+1: "HXplus", -1: "HXminus", 0: "XX"}[sign]
+    (cls,) = [c for c in presentation._pair_classes(real.mu, real.gcm.n) if c[0][:2] == (0, node)]
+    failed = _failures(report)
+    assert set(failed) == {(relation, (i, j)) for i, j, _ in cls}
+    assert {sum(modes) for modes_list in failed.values() for modes in modes_list} == {2}
 
 
 def test_derived_checks_own_their_lists(monkeypatch):

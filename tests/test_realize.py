@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -7,6 +8,7 @@ import pytest
 from conftest import cached_family, cached_realization
 from loomfold import exactnum
 from loomfold.cartan import Gcm, canonical_matrix
+from loomfold.catalog import builtin_entries, entry_by_name
 from loomfold.errors import InconsistentPropagation, OutOfWindow, ScopeViolation
 from loomfold.exactnum import CycNum, Echelon, cyc_root
 from loomfold.presentation import Verifier
@@ -141,6 +143,54 @@ def test_theta_periodicity(a2_flip, a1a_flip, a2a_flip, a2a_rot):
                 lhs_h = real.theta_h(real.mu.perm[i], m)
                 rhs_h = vec_scale(real.theta_h(i, m), cyc_root(n, m))
                 assert lhs_h == rhs_h
+
+
+def _shift_identity_cases(real, modes):
+    """(pick, i, a, m, phase) for every generator pick (e, f, h), node i,
+    shift a < N and mode m in `modes`, with phase = xi_N^(a m) from cyc_root
+    lifted into the realization's field."""
+    big_n = real.n_order
+    for pick, i, a, m in itertools.product(range(3), range(real.gcm.n), range(big_n), modes):
+        yield pick, i, a, m, cyc_root(big_n, a * m).lift(real.field)
+
+
+@pytest.mark.parametrize("name", [e.name for e in builtin_entries()])
+def test_theta_shift_identity(name):
+    # theta(mu^a i, m) = xi_N^(a m) theta(i, m): the mu-average reindexed by
+    # k -> k - a, exact since mu^N = id and xi_N^N = 1; the presentation
+    # verifier reads every shifted pair from its class representative by it
+    real = cached_realization(name)
+    for pick, i, a, m, phase in _shift_identity_cases(real, range(-3, 4)):
+        shifted = real._theta(pick, real.mu.apply(i, a), m)
+        assert shifted == vec_scale(real._theta(pick, i, m), phase)
+
+
+@pytest.mark.parametrize(
+    "name,m1w,m2w", [("A3a-rot", 4, 3), ("A4a-rot", 4, 3), ("A2a-flip", 4, 0)]
+)
+def test_theta_shift_identity_leaves_the_window_on_both_sides(name, m1w, m2w):
+    # both sides embed the same mu-orbit of generators, so they raise
+    # OutOfWindow at the same modes: past m1w on the rotations, and on the
+    # flip with m2w = 0 for the fixed affine node 0 alone, at every mode
+    e = entry_by_name(name)
+    real = Realization(e.gcm, e.mu, m1_window=m1w, m2_window=m2w)
+
+    def image(pick, i, m):
+        try:
+            return real._theta(pick, i, m)
+        except OutOfWindow:
+            return None
+
+    outside = inside = 0
+    for pick, i, a, m, phase in _shift_identity_cases(real, range(-6, 7)):
+        shifted, base = image(pick, real.mu.apply(i, a), m), image(pick, i, m)
+        if base is None:
+            assert shifted is None
+            outside += 1
+        else:
+            assert shifted == vec_scale(base, phase)
+            inside += 1
+    assert outside and inside
 
 
 def test_theta_averaging_example(a2_flip, a2a_flip):

@@ -154,6 +154,11 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A3a-rot --modes 1 --family user:famz3.json"
   echo "verify --entry A4a-rot --modes 1 --family user:famz4.json"
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
+  # rotations with out-of-window gaps: operand images leave the window, so
+  # the gaps of a shifted pair come from its class representative's brackets
+  echo "verify --entry A3a-rot --modes 2 --window 4,3"
+  echo "verify --entry A4a-rot --modes 2 --window 4,3"
+  echo "verify --entry A5a-rot --modes 1 --window 3,3 --family user:fam.json"
   echo "verify --entry D4a-triality --modes 1 --family qlimit"
   echo "verify --input a4rel.json --modes 2"
   echo "verify --input d4rel.json --modes 1"
