@@ -9,8 +9,12 @@ family (DS, or P1 as a window-scale certificate) and the split form
 (THM1_DS).  An identity is checked by extracting the coefficient of each
 monomial z_1^{-m_1-1} ... w^{-n-1} over a finite grid of output modes; each
 coefficient is a finite exact combination of iterated brackets of generator
-images in the realization.  A reported failure therefore carries an
-explicit nonzero residual element that can be re-checked independently.
+images in the realization.  The degree-zero relations are of the same
+form: an image or bracket minus its expected value, which enters with
+negated coefficients.  So every check is one row of (coefficient, element)
+terms, and `Verifier._check` counts it and sums it with `lin_comb`.  A
+reported failure therefore carries an explicit nonzero residual element
+that can be re-checked independently.
 
 The ordered pairs are evaluated one class at a time (`_pair_classes`):
 the pairs (mu^a i0, mu^a j0) of the class's least pair (i0, j0).  The
@@ -42,14 +46,16 @@ term of them has one total degree D, and every coefficient has one order.
 Then every summand at output modes `out` carries the same phase
 xi_N^(a (sum(out) + D)), so the pair's report is the representative's: the
 same checked count, gaps and failure count, each residual times that phase
-(`Verifier._phased`).  The Cartan checks of a shifted pair are derived the
-same way, with D = 0, when eps_j = eps_(j0): each expected value is then
-the representative's times xi_N^(a (m + n)) as well.  Any other relation
-is summed from the pair's own coefficients, and any other pair's Cartan
-checks are evaluated for the pair alone, so gaps and residuals are those
-of the pair evaluated alone, for any family.  A derived check holds lists
-and residuals of its own.  Only the memo of the class in hand is alive; it
-is dropped when the class is done.
+(`Verifier._phased`).  Any other relation is summed from the pair's own
+coefficients, so gaps and residuals are those of the pair evaluated alone,
+for any family.  The Cartan checks of every shifted pair are derived the
+same way, with D = 0: each expected value is the representative's times
+xi_N^(a (m + n)) as well, because eps is mu-invariant.  `Gcm` rejects
+decomposable matrices, so the symmetrizers of A are the positive multiples
+of eps; `validate_aut` makes mu preserve A, so eps o mu is one of them,
+c eps with c > 0, and mu^N = id gives c^N = 1, so c = 1.  A derived check
+holds lists and residuals of its own.  Only the memo of the class in hand
+is alive; it is dropped when the class is done.
 
 A pass certifies the identity on the tested grid only; for the built-in
 families the grid is the whole statement being claimed here.
@@ -63,7 +69,7 @@ from fractions import Fraction
 from math import lcm
 
 from loomfold.errors import OutOfWindow
-from loomfold.exactnum import CycNum, cyc_root, lin_comb, vec_add, vec_scale
+from loomfold.exactnum import CycNum, lin_comb, vec_scale
 from loomfold.polys import SerreFamily, family_as, family_locality, family_split
 from loomfold.realize import Realization
 
@@ -172,9 +178,9 @@ class Verifier:
     representative's brackets.  A shifted pair whose relation has the
     representative's polynomials, one total degree D and one coefficient
     order sums nothing: its report is the representative's with each
-    residual times xi_N^(a (sum(out) + D)).  So are the Cartan checks of a
-    shifted pair with eps_j = eps_(j0), with D = 0: they bracket and
-    compare nothing.
+    residual times xi_N^(a (sum(out) + D)).  So are the Cartan checks of
+    every shifted pair, with D = 0: they bracket nothing.  Every check, of
+    either kind, is counted and summed by `_check`.
     """
 
     def __init__(self, real: Realization):
@@ -187,38 +193,30 @@ class Verifier:
 
     def verify_cartan_relations(self, mode_bound: int) -> RelationReport:
         """The H and Xperiod checks of every node, then the H, HX and XX
-        checks of every ordered pair, one class of pairs at a time: the
-        representative (i0, j0) is evaluated by `_cartan_pair`, and a
-        shifted pair (i, j) = mu^a (i0, j0) with eps_j = eps_(j0) takes the
-        representative's checks, each residual at modes (m, n) times
-        xi_N^(a (m + n)); one with another eps_j is evaluated by
-        `_cartan_pair`.  Nothing else of an expected value needs a test:
-        `validate_aut`, the only builder of a DiagramAut, makes
-        a_(mu i, mu j) = a_(i, j), so a_(i, mu^k j) = a_(i0, mu^k j0) and
-        the phase sums agree; and mu^k j = i exactly when mu^k j0 = i0, so
-        the XX sums have the same terms.  The checks are returned in (i, j)
-        order."""
+        checks of every ordered pair, in (i, j) order.  `_cartan_pair`
+        evaluates the representative (i0, j0) of each class; a shifted pair
+        mu^a (i0, j0) takes its checks, each residual at modes (m, n) times
+        xi_N^(a (m + n)).  So do its expected values: eps is mu-invariant
+        (see the module docstring), and `validate_aut` makes
+        a_(mu i, mu j) = a_(i, j), so the phase sums and the terms of the
+        XX sums agree."""
         real = self.real
-        n = self.gcm.n
-        big_n = self.n_order
         grid = f"|m|,|n|<={mode_bound}"
         report = RelationReport()
         k1 = real.theta_c()
+        one = CycNum.one(real.field)
 
-        for i in range(n):
+        for i in range(self.gcm.n):
             chk_h = RelationCheck("H", (i,), 0, grid)
             chk_x = RelationCheck("Xperiod", (i,), 0, grid)
             mi = self.mu.perm[i]
             for m in range(-mode_bound, mode_bound + 1):
-                phase = cyc_root(big_n, m)
-                _expect(chk_h, (m,), real.theta_h(mi, m), vec_scale(real.theta_h(i, m), phase))
+                minus = -real._phase(m)
+                row = [(one, real.theta_h(mi, m)), (minus, real.theta_h(i, m))]
+                self._check(chk_h, (m,), row)
                 for sign in (+1, -1):
-                    _expect(
-                        chk_x,
-                        (m, sign),
-                        real.theta_x(mi, m, sign),
-                        vec_scale(real.theta_x(i, m, sign), phase),
-                    )
+                    row = [(one, real.theta_x(mi, m, sign)), (minus, real.theta_x(i, m, sign))]
+                    self._check(chk_x, (m, sign), row)
                     xc = real.bracket(real.theta_x(i, m, sign), k1)
                     if xc:
                         chk_x.record_failure((m, sign, "c"), xc)
@@ -229,61 +227,70 @@ class Verifier:
             report.checks.append(chk_x)
 
         pairs: dict = {}
-        for cls in _pair_classes(self.mu, n):
+        for cls in _pair_classes(self.mu, self.gcm.n):
             i0, j0, _ = cls[0]
-            for i, j, shift in cls:
-                if shift and real.eps[j] == real.eps[j0]:
-                    pairs[(i, j)] = self._phased(pairs[(i0, j0)], (i, j), shift, 0)
-                else:
-                    pairs[(i, j)] = self._cartan_pair(i, j, mode_bound)
+            pairs[(i0, j0)] = self._cartan_pair(i0, j0, mode_bound)
+            for i, j, shift in cls[1:]:
+                pairs[(i, j)] = self._phased(pairs[(i0, j0)], (i, j), shift, 0)
         for pair in sorted(pairs):
             report.checks.extend(pairs[pair])
         return report
 
     def _cartan_pair(self, i: int, j: int, mode_bound: int) -> list:
-        """The H, HXplus, HXminus and XX checks of the pair (i, j), each
-        bracket and expected value evaluated for (i, j) itself: the class
-        representative, or a shifted pair whose eps_j is not eps_(j0)."""
+        """The H, HXplus, HXminus and XX checks of the class representative
+        (i, j): at modes (m, n), each bracket with its expected value
+        subtracted, as one row."""
         real = self.real
         a = self.gcm.entries
         big_n = self.n_order
-        eps = real.eps
         k1 = real.theta_c()
+        one = CycNum.one(real.field)
         span = range(-mode_bound, mode_bound + 1)
         grid = f"|m|,|n|<={mode_bound}"
         chk_hh = RelationCheck("H", (i, j), 0, grid)
         chk_hx_p = RelationCheck("HXplus", (i, j), +1, grid)
         chk_hx_m = RelationCheck("HXminus", (i, j), -1, grid)
         chk_xx = RelationCheck("XX", (i, j), 0, grid)
+        # the k with mu^k j = i: the terms of the expected XX value
+        meets = [k for k in range(big_n) if self.mu.apply(j, k) == i]
 
         for m in span:
             # sum_k xi_N^(km) a_(i, mu^k j), the phase sum in the expected H
             # and HX coefficients; it does not depend on nn
-            phases = CycNum.zero(big_n)
+            phases = CycNum.zero(real.field)
             for k in range(big_n):
-                phases = phases + cyc_root(big_n, k * m).mul_rational(a[i][self.mu.apply(j, k)])
-            want_hh = vec_scale(k1, phases.mul_rational(Fraction(m * big_n) / eps[j]))
+                phases = phases + real._phase(k * m).mul_rational(a[i][self.mu.apply(j, k)])
+            # the central term m N / eps_j of the expected values at m + nn = 0
+            central = Fraction(m * big_n) / real.eps[j]
             h_i = real.theta_h(i, m)
             for nn in span:
-                got = real.bracket(h_i, real.theta_h(j, nn))
-                _expect(chk_hh, (m, nn), got, want_hh if m + nn == 0 else {})
+                row = [(one, real.bracket(h_i, real.theta_h(j, nn)))]
+                if m + nn == 0:
+                    row.append((-phases.mul_rational(central), k1))
+                self._check(chk_hh, (m, nn), row)
 
                 for sign, chk in ((+1, chk_hx_p), (-1, chk_hx_m)):
                     got = real.bracket(h_i, real.theta_x(j, nn, sign))
-                    want = vec_scale(real.theta_x(j, m + nn, sign), phases if sign > 0 else -phases)
-                    _expect(chk, (m, nn), got, want)
+                    want = real.theta_x(j, m + nn, sign)
+                    self._check(chk, (m, nn), [(one, got), (-phases if sign > 0 else phases, want)])
 
-                got = real.bracket(real.theta_x(i, m, +1), real.theta_x(j, nn, -1))
-                want = {}
-                for k in range(big_n):
-                    if self.mu.apply(j, k) != i:
-                        continue
-                    phase = cyc_root(big_n, k * m)
-                    vec_add(want, real.theta_h(j, m + nn), phase)
+                row = [(one, real.bracket(real.theta_x(i, m, +1), real.theta_x(j, nn, -1)))]
+                for k in meets:
+                    phase = real._phase(k * m)
+                    row.append((-phase, real.theta_h(j, m + nn)))
                     if m + nn == 0:
-                        vec_add(want, k1, phase.mul_rational(Fraction(m * big_n) / eps[j]))
-                _expect(chk_xx, (m, nn), got, want)
+                        row.append((-phase.mul_rational(central), k1))
+                self._check(chk_xx, (m, nn), row)
         return [chk_hh, chk_hx_p, chk_hx_m, chk_xx]
+
+    def _check(self, chk: RelationCheck, modes: tuple, row: list) -> None:
+        """Count one check of `chk` at `modes`: the row of (coefficient,
+        element) terms is summed in the realization's field, and a nonzero
+        sum is recorded as the residual."""
+        chk.checked += 1
+        total = lin_comb(row, self.real.field)
+        if total:
+            chk.record_failure(modes, total)
 
     # -- weighted nested relations ---------------------------------------------------
 
@@ -416,10 +423,7 @@ class Verifier:
                 except OutOfWindow:
                     chk.gaps.append(out_modes)
                     continue
-                chk.checked += 1
-                total = lin_comb(summands, field)
-                if total:
-                    chk.record_failure(out_modes, total)
+                self._check(chk, out_modes, summands)
             report.checks.append(chk)
         return report
 
@@ -497,15 +501,6 @@ def _shift_form(sigmas: dict) -> tuple | None:
     degree D and a coefficient of that order; None otherwise."""
     forms = {(sum(exps), c.order) for poly in sigmas.values() for exps, c in poly.terms.items()}
     return forms.pop() if len(forms) == 1 else None
-
-
-def _expect(chk: RelationCheck, modes: tuple, got: dict, want: dict) -> None:
-    """Count one check of `chk`; record got - want when they differ."""
-    chk.checked += 1
-    if got != want:
-        residual = dict(got)
-        vec_add(residual, want, CycNum.from_rational(-1))
-        chk.record_failure(modes, residual)
 
 
 def _vacuous(kind: str) -> RelationReport:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from loomfold import polys, presentation
 from loomfold.catalog import builtin_entries, entry_by_name
 from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.errors import ScopeViolation
-from loomfold.exactnum import cyc_root
+from loomfold.exactnum import CycNum, cyc_root, vec_add
 from loomfold.folding import validate_aut
 from loomfold.polys import LPoly, SerreFamily, family_locality, family_p, family_qlimit
 from loomfold.presentation import (
@@ -110,7 +111,10 @@ def test_thm1_cases_a3_flip():
 
 def test_cartan_relation_failure_residual(monkeypatch):
     """A wrong eps_1 changes the central terms that the H and XX relations
-    expect on the pairs (i, 1): each residual is a multiple of K1 alone."""
+    of the class representative (1, 1) expect, and (2, 2) = mu (1, 1)
+    derives its checks from those: each residual is a multiple of K1
+    alone.  The other class with j = 1, of (1, 2) and (2, 1), is derived
+    from (1, 2), which reads eps_2."""
     real = cached_realization("A2a-flip")
     assert Verifier(real).verify_cartan_relations(1).passed
     monkeypatch.setattr(real, "eps", (real.eps[0], 2 * real.eps[1], *real.eps[2:]))
@@ -118,8 +122,8 @@ def test_cartan_relation_failure_residual(monkeypatch):
     assert {(c.kind, c.pair) for c in failed} == {
         ("H", (1, 1)),
         ("XX", (1, 1)),
-        ("H", (2, 1)),
-        ("XX", (2, 1)),
+        ("H", (2, 2)),
+        ("XX", (2, 2)),
     }
     assert all(set(residual) == {("K1",)} for c in failed for _, residual in c.failures)
 
@@ -400,18 +404,21 @@ def _count_sums(monkeypatch):
 
 
 def test_run_suite_sums_once_per_class(monkeypatch):
-    """On A5a-rot the 36 ordered pairs fall into 6 classes, and the locality
-    and family-p relations of a shifted pair are those of its class
-    representative: one sum per class, grid point, sign and relation."""
+    """On A5a-rot the 36 ordered pairs fall into 6 classes, and the locality,
+    family-p and Cartan relations of a shifted pair are those of its class
+    representative: one sum per class, grid point, sign and relation.  The
+    weighted relations make 216 sums, the H and Xperiod checks of the 6
+    nodes 54 and the H, HX and XX checks 4 * 9 per class; every pair alone
+    makes 36 times 36 of each."""
     real, fam = cached_realization("A5a-rot"), cached_family("A5a-rot")
     sums = _count_sums(monkeypatch)
     Verifier(real).run_suite(fam, 1)
-    assert len(sums) == 216
+    assert len(sums) == 216 + 54 + 6 * 36
     sums.clear()
     with monkeypatch.context() as patch:
         patch.setattr(presentation, "_pair_classes", _alone)
         Verifier(real).run_suite(fam, 1)
-    assert len(sums) == 1296
+    assert len(sums) == 1296 + 54 + 36 * 36
 
 
 # families on which no shifted pair reads its report from the class
@@ -465,17 +472,20 @@ def test_node_checks_catch_a_tampered_theta_h():
     assert failed[("H", (0,))] == failed[("H", (node,))] == [(1,)]
 
 
-@pytest.mark.parametrize("name", ["A2a-flip", "A3a-rot"])
-def test_cartan_classes_keep_each_pairs_expected_value(monkeypatch, name):
-    # the eps tamper of test_cartan_relation_failure_residual: a wrong eps_1
-    # is not mu-invariant, so the pairs of one class expect different values
-    real = cached_realization(name)
+def test_cartan_classes_fail_under_a_non_invariant_eps(monkeypatch):
+    # the eps tamper of test_cartan_relation_failure_residual on A3a-rot: a
+    # wrong eps_1 is not mu-invariant, as no true symmetrizer can be.  The
+    # report still fails: H and XX of the representative (0, 1), which reads
+    # eps_1, expect a wrong central term, and the shifted pairs of its class
+    # derive it, so every residual is a multiple of K1 alone
+    real = cached_realization("A3a-rot")
     monkeypatch.setattr(real, "eps", (real.eps[0], 2 * real.eps[1], *real.eps[2:]))
-    shared, alone = _shared_and_alone(
-        monkeypatch, lambda: Verifier(real).verify_cartan_relations(1)
-    )
-    assert shared == alone
-    assert not json.loads(shared)["pass"]
+    report = Verifier(real).verify_cartan_relations(1)
+    assert not report.passed
+    failing = {(0, 1), (1, 2), (2, 3), (3, 0)}
+    assert set(_failures(report)) == {(kind, pair) for kind in ("H", "XX") for pair in failing}
+    failed = [c for c in report.checks if not c.passed]
+    assert all(set(residual) == {("K1",)} for c in failed for _, residual in c.failures)
 
 
 def test_cartan_relations_bracket_once_per_class(monkeypatch):
@@ -559,11 +569,89 @@ def test_cartan_classes_derive_the_residuals_of_shifted_pairs(monkeypatch, name,
         assert any(sum(f["modes"]) for c in pair_checks for f in c.get("failures", []))
 
 
+def _cartan_oracle(real, kind, pair, modes):
+    """got - want of the Cartan check `kind` of `pair` at `modes`, formed
+    with vec_add from real.bracket and the images real.theta_*."""
+    mu, big_n, k1 = real.mu, real.n_order, real.theta_c()
+    want = {}
+    if len(pair) == 1:  # the H and Xperiod checks of a node
+        (i,), (m, *sign) = pair, modes
+        image = real.theta_h if kind == "H" else real.theta_x
+        got = dict(image(mu.perm[i], m, *sign))
+        vec_add(want, image(i, m, *sign), cyc_root(big_n, m))
+    else:
+        (i, j), (m, n) = pair, modes
+        phases = sum(
+            (cyc_root(big_n, k * m) * real.gcm.entries[i][mu.apply(j, k)] for k in range(big_n)),
+            CycNum.zero(),
+        )
+        central = Fraction(m * big_n) / real.eps[j]
+        if kind == "H":
+            got = real.bracket(real.theta_h(i, m), real.theta_h(j, n))
+            if m + n == 0:
+                vec_add(want, k1, phases * central)
+        elif kind == "XX":
+            got = real.bracket(real.theta_x(i, m, +1), real.theta_x(j, n, -1))
+            for k in range(big_n):
+                if mu.apply(j, k) == i:
+                    vec_add(want, real.theta_h(j, m + n), cyc_root(big_n, k * m))
+                    if m + n == 0:
+                        vec_add(want, k1, cyc_root(big_n, k * m) * central)
+        else:
+            sign = +1 if kind == "HXplus" else -1
+            got = real.bracket(real.theta_h(i, m), real.theta_x(j, n, sign))
+            vec_add(want, real.theta_x(j, m + n, sign), phases * sign)
+    residual = dict(got)
+    vec_add(residual, want, CycNum.from_rational(-1))
+    return residual
+
+
+def _match_the_oracle(real, checks) -> int:
+    """Assert that every recorded residual of `checks` prints as its
+    `_cartan_oracle`; the number of residuals."""
+    recorded = [(c.kind, c.pair, modes, r) for c in checks for modes, r in c.failures]
+    for kind, pair, modes, residual in recorded:
+        oracle = _cartan_oracle(real, kind, pair, modes)
+        assert serialize_elem(residual) == serialize_elem(oracle), (kind, pair, modes)
+    return len(recorded)
+
+
+@pytest.mark.parametrize("name", ["A2a-flip", "D4a-triality", "A5a-rot"])
+def test_cartan_residuals_match_an_oracle(monkeypatch, name):
+    # fields of order 2, 3 and 6.  With real.bracket doubled the pair checks
+    # fail where a bracket is nonzero, and each recorded residual, the
+    # derived ones included, prints as got - want summed term by term (the
+    # node checks bracket nothing but K1 and pass); with one coefficient of
+    # theta_x(1, 1, +1) doubled instead, so do the residuals of the node
+    # checks that fail (the pair checks that read that image fail too, but a
+    # tampered image breaks the shift identity their derivation rests on)
+    real = cached_realization(name)
+    recorded = 0
+    with monkeypatch.context() as patch:
+        theta = real.theta_x(1, 1, +1)
+        key = min(theta)
+        patch.setitem(
+            real._theta_cache, (0, 1, 1), {k: c + c if k == key else c for k, c in theta.items()}
+        )
+        checks = Verifier(real).verify_cartan_relations(2).checks
+        nodes = [c for c in checks if len(c.pair) == 1 and not c.passed]
+        assert {(c.kind, c.pair) for c in nodes} == {
+            ("Xperiod", (1,)),
+            ("Xperiod", (real.mu.perm.index(1),)),
+        }
+        recorded += _match_the_oracle(real, nodes)
+    monkeypatch.setattr(real, "bracket", _doubled_brackets(real))
+    checks = Verifier(real).verify_cartan_relations(2).checks
+    assert all(c.passed for c in checks if len(c.pair) == 1)
+    recorded += _match_the_oracle(real, checks)
+    assert recorded > 4 * real.gcm.n**2
+
+
 def test_cartan_relations_check_once_per_class(monkeypatch):
     """On A5a-rot the Cartan checks of 6 of the 36 ordered pairs are
     evaluated, one per class; with the eps tamper of
-    test_cartan_classes_keep_each_pairs_expected_value, every pair whose
-    eps differs from its representative's is evaluated too."""
+    test_cartan_classes_fail_under_a_non_invariant_eps the same 6, since
+    every shifted pair is derived."""
     real = cached_realization("A5a-rot")
     evaluated = _count_cartan_pairs(monkeypatch)
     Verifier(real).verify_cartan_relations(1)
@@ -575,12 +663,10 @@ def test_cartan_relations_check_once_per_class(monkeypatch):
     assert len(evaluated) == 36
     evaluated.clear()
     monkeypatch.setattr(real, "eps", (real.eps[0], 2 * real.eps[1], *real.eps[2:]))
-    Verifier(real).verify_cartan_relations(1)
+    report = Verifier(real).verify_cartan_relations(1)
+    assert not report.passed
     classes = presentation._pair_classes(real.mu, real.gcm.n)
-    reps = {cls[0][:2] for cls in classes}
-    tampered = {(i, j) for cls in classes for i, j, _ in cls if (j == 1) != (cls[0][1] == 1)}
-    assert len(tampered) == 10
-    assert sorted(evaluated) == sorted(reps | tampered)
+    assert evaluated == [cls[0][:2] for cls in classes]
 
 
 @pytest.mark.parametrize("sign", [0, +1, -1])

@@ -193,6 +193,41 @@ def test_theta_shift_identity_leaves_the_window_on_both_sides(name, m1w, m2w):
     assert outside and inside
 
 
+# A4a-rot relabelled by i -> 2i + 1 mod 5 and D4a-triality relabelled by
+# 0 1 2 3 4 -> 3 0 1 2 4, as in tools/bytediff.sh, and two flips of
+# non-simply-laced matrices, whose eps is not constant
+_RELABELLED = {
+    "B3^(1)-flip": (canonical_matrix("B3^(1)"), [1, 0, 2, 3]),
+    "C2^(1)-flip": (canonical_matrix("C2^(1)"), [2, 1, 0]),
+    "a4rel": (
+        [[2, 0, -1, -1, 0], [0, 2, 0, -1, -1], [-1, 0, 2, 0, -1], [-1, -1, 0, 2, 0],
+         [0, -1, -1, 0, 2]],
+        [2, 3, 4, 0, 1],
+    ),
+    "d4rel": (
+        [[2, -1, 0, 0, 0], [-1, 2, -1, -1, -1], [0, -1, 2, 0, 0], [0, -1, 0, 2, 0],
+         [0, -1, 0, 0, 2]],
+        [2, 1, 4, 3, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [e.name for e in builtin_entries()] + sorted(_RELABELLED))
+def test_eps_is_mu_invariant(name):
+    # eps o mu is again a symmetrizer of the indecomposable matrix A (mu
+    # preserves A), so it is c eps with c > 0, and mu^N = id forces c = 1:
+    # the Cartan checks of a shifted pair are derived from its class
+    # representative's on this
+    if name in _RELABELLED:
+        rows, perm = _RELABELLED[name]
+        real = Realization(Gcm(rows), perm, m1_window=2, m2_window=2)
+    else:
+        real = cached_realization(name)
+    if "^" in name:  # the non-simply-laced flips
+        assert len(set(real.eps)) > 1
+    assert all(real.eps[real.mu.perm[j]] == real.eps[j] for j in range(real.gcm.n))
+
+
 def test_theta_averaging_example(a2_flip, a2a_flip):
     # flip on the finite chain: the mode-1 average is e_0 - e_1
     real = a2_flip

@@ -96,11 +96,16 @@ for job in sys.argv[1:]:
 # the g-level values, which no CLI command prints: the affinize generators of
 # 14 affine labels and, per catalog entry, the generators, the g-level
 # automorphism on every unit of t2-degree |m2| <= 2 (and on k2), and the
-# fixed-block dimensions at m1 = 1 or their error.
+# fixed-block dimensions at m1 = 1 or their error; and the residuals of the
+# Cartan checks at modes 2, which every catalog entry passes, with
+# real.bracket doubled and one coefficient of theta_x(0, 1, +1) doubled.
 cat >"$tmp/gdump.py" <<'EOF'
+import json
+
 from loomfold.catalog import load_entries
 from loomfold.errors import LoomfoldError
 from loomfold.exactnum import CycNum
+from loomfold.presentation import Verifier
 from loomfold.realize import Realization, affinize
 
 
@@ -127,6 +132,15 @@ for e in load_entries(None):
         print("fixed", e.name, real.fixed_subalgebra_dims(1))
     except LoomfoldError as exc:
         print("fixed", e.name, type(exc).__name__, exc)
+for e in load_entries(None):
+    real = Realization(e.gcm, e.mu, 12, 5)
+    real.bracket = lambda x, y, true=real.bracket: {k: c + c for k, c in true(x, y).items()}
+    theta = real.theta_x(0, 1, +1)
+    if theta:
+        key = min(theta)
+        real._theta_cache[(0, 0, 1)] = {k: c + c if k == key else c for k, c in theta.items()}
+    report = Verifier(real).verify_cartan_relations(2).to_json()
+    print("cartan", e.name, json.dumps(report, sort_keys=True))
 EOF
 entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   'from loomfold.catalog import load_entries; print(*(e.name for e in load_entries(None)))') \
