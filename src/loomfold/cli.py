@@ -328,6 +328,8 @@ def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
     """Check every relation of the presentation on the realization."""
     if mode_bound < 0:
         raise JobError("--modes must be >= 0")
+    if jobs < 1:
+        raise JobError("--jobs must be >= 1")
     window = _parse_window(window_text)
     if entry == "all" and input_path is None:  # with --input, _load_job rejects both
         names = [e.name for e in catalog_mod.load_entries()]
@@ -366,8 +368,13 @@ def _entry_error(name: str, exc: LoomfoldError) -> dict:
 
 
 def _pool_size(jobs: int, tasks: int) -> int:
-    """Worker processes for --jobs: no more than the tasks or the CPUs."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+    """Worker processes for --jobs: no more than the tasks or the CPUs
+    this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, tasks, cpus))
 
 
 def _verify_many(names, source, mode_bound, window, jobs):

@@ -48,6 +48,7 @@ from loomfold.chevalley import chevalley, close, diagram_twist, mu_extend_finite
 from loomfold.errors import (
     GeneratorAssertionFailed,
     InconsistentPropagation,
+    JobError,
     OutOfWindow,
     ScopeViolation,
 )
@@ -425,8 +426,10 @@ class Realization:
         Supported when the lifted automorphism preserves the t2-grading:
         finite matrices, untwisted affine matrices with a grading-preserving
         permutation, or the identity.  Returns {block: (fixed, generated)}.
+        Negative bounds raise JobError, since they name no block.
         """
-        mu_map = self.mu_on_g()
+        if inner_m1 < 0 or (inner_m2 is not None and inner_m2 < 0):
+            raise JobError(f"block bounds must be >= 0, got ({inner_m1}, {inner_m2})")
         if self.galg.mode == "affine" and self.galg.r > 1:
             raise ScopeViolation("fixed-block dimensions need an untwisted loop core")
         if any(
@@ -441,7 +444,7 @@ class Realization:
             inner_m2 = 0
         elif inner_m2 is None:
             inner_m2 = max(1, inner_m1 - 1)
-        hat = MuHatClosed(self, mu_map)
+        hat = MuHatClosed(self, self.mu_on_g())
         blocks = {}
         span = self._theta_span(inner_m1, inner_m2)
         for m1 in range(-inner_m1, inner_m1 + 1):
@@ -465,24 +468,32 @@ class Realization:
 
         The closure keeps |m1| <= inner_m1 + margin, as MuHat keeps its
         m1_bound; brackets further out are skipped.
+
+        It runs on the least node of each mu-orbit: theta(mu^a i, m) =
+        xi_N^(am) theta(i, m), so every other node's image is a nonzero
+        multiple of one already seeded, of the same degree.  Its bracket with
+        any element is that multiple of the kept bracket: it leaves the
+        window, fails `keep` or vanishes exactly when the kept one does, and
+        otherwise reduces to zero against it.  The central theta_c is a seed
+        but brackets to zero, so it is left out of `ad`.  The echelon ends
+        with the same rows, in the same order, as a closure over every node.
         """
         margin = 2
         out_m1 = inner_m1 + margin
         out_m2 = inner_m2 + margin
         if out_m1 > self.m1w or out_m2 > self.m2w:
             raise OutOfWindow("window too small for the requested inner blocks")
-        seeds = [self.theta_c()]
-        for i in range(self.gcm.n):
-            for m in range(-out_m1, out_m1 + 1):
-                seeds.append(self.theta_x(i, m, +1))
-                seeds.append(self.theta_x(i, m, -1))
-                seeds.append(self.theta_h(i, m))
-        ad = [(s, {}) for s in seeds if s and _max_m1(s) <= 1]
+        images = [
+            self._theta(pick, orbit[0], m)
+            for orbit in perm_orbits(self.mu.perm)
+            for m in range(-out_m1, out_m1 + 1)
+            for pick in range(3)
+        ]
         prop = Echelon()
         close(
             prop,
-            [(s, {}) for s in seeds],
-            ad,
+            [(self.theta_c(), {})] + [(s, {}) for s in images],
+            [(s, {}) for s in images if s and _max_m1(s) <= 1],
             self.bracket,
             keep=lambda v: _max_m1(v) <= out_m1,
         )
@@ -623,13 +634,16 @@ class MuHatClosed:
     t1-phase.  The divided center symbols transform by the same phase times
     a per-degree scale that is read off from a central bracket of Cartan
     loop vectors: the one-line naive phase rule is wrong whenever the block
-    maps of the automorphism twist the finite form.
+    maps of the automorphism twist the finite form.  The g-level image of
+    each key is computed once per instance and kept: blocks of every
+    t1-degree share it.
     """
 
     def __init__(self, real: Realization, mu_map: Echelon):
         self.real = real
         self.map = mu_map
         self._k1p_scales: dict[int, CycNum] = {}
+        self._images: dict = {}
 
     def _k1p_scale(self, m2: int) -> CycNum:
         cached = self._k1p_scales.get(m2)
@@ -651,7 +665,10 @@ class MuHatClosed:
         for key, c in x.items():
             if key[0] in ("L", "K2"):  # the g-level image, shifted back to t1-degree m1
                 m1 = key[1]
-                img = self.map.apply({(key[0], 0) + key[2:]: CycNum.one()})
+                g_key = (key[0], 0) + key[2:]
+                img = self._images.get(g_key)
+                if img is None:
+                    img = self._images[g_key] = self.map.apply({g_key: CycNum.one()})
                 vec_add(out, self.real.embed(m1, img), c * self.real._phase(-m1))
             elif key[0] == "K1":
                 vec_add(out, {key: c})

@@ -363,6 +363,14 @@ def test_verify_rejects_negative_bounds(runner, extra):
     assert _json_out(res)["error"]["kind"] == "JobError"
 
 
+@pytest.mark.parametrize("entry", ["A2-flip", "all"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(runner, entry, jobs):
+    res = runner.invoke(main, ["verify", "--entry", entry, "--modes", "0", "--jobs", jobs])
+    assert res.exit_code == 2
+    assert _json_out(res)["error"] == {"kind": "JobError", "message": "--jobs must be >= 1"}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -380,7 +388,7 @@ def test_every_command_maps_input_errors_to_exit_2(runner, args):
 
 
 def test_pool_size_clamp():
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     assert _pool_size(10**6, 17) == min(17, cpus)
     assert _pool_size(10**6, 10**6) == cpus
     assert _pool_size(4, 1) == 1

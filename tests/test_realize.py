@@ -6,16 +6,18 @@ from math import lcm
 import pytest
 
 from conftest import cached_family, cached_realization
-from loomfold import exactnum
+from loomfold import exactnum, realize
 from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.catalog import builtin_entries, entry_by_name
-from loomfold.errors import InconsistentPropagation, OutOfWindow, ScopeViolation
+from loomfold.chevalley import close
+from loomfold.errors import InconsistentPropagation, JobError, OutOfWindow, ScopeViolation
 from loomfold.exactnum import CycNum, Echelon, cyc_root
 from loomfold.presentation import Verifier
 from loomfold.realize import (
     MuHat,
     MuHatClosed,
     Realization,
+    _max_m1,
     affinize,
     vec_add,
     vec_scale,
@@ -489,6 +491,92 @@ def test_fixed_subalgebra_dims_node_labelling():
         for mu in ([0, 2, 1], [2, 1, 0], [1, 0, 2])
     ]
     assert dims[0] == dims[1] == dims[2]
+
+
+@pytest.mark.parametrize("bounds", [(-1,), (1, -2), (-1, 1)])
+def test_fixed_subalgebra_dims_rejects_negative_bounds(a2a_flip, bounds):
+    # a negative bound names no block: {} would pass "fixed == generated" vacuously
+    with pytest.raises(JobError):
+        a2a_flip.fixed_subalgebra_dims(*bounds)
+
+
+def test_fixed_subalgebra_dims_scope_needs_no_propagation(monkeypatch):
+    real = _real("A2^(1)", [1, 2, 0], m1w=6, m2w=4)
+
+    def refuse(self):
+        raise AssertionError("mu_on_g built before the scope test")
+
+    monkeypatch.setattr(Realization, "mu_on_g", refuse)
+    with pytest.raises(ScopeViolation):
+        real.fixed_subalgebra_dims(1)
+
+
+def _all_node_span(real, inner_m1):
+    """The closure of `_theta_span` with every node's images seeded and in
+    `ad`, and theta_c in `ad` too."""
+    out_m1 = inner_m1 + 2
+    seeds = [real.theta_c()]
+    for i in range(real.gcm.n):
+        for m in range(-out_m1, out_m1 + 1):
+            seeds += [real.theta_x(i, m, +1), real.theta_x(i, m, -1), real.theta_h(i, m)]
+    ech = Echelon()
+    close(
+        ech,
+        [(s, {}) for s in seeds],
+        [(s, {}) for s in seeds if s and _max_m1(s) <= 1],
+        real.bracket,
+        keep=lambda v: _max_m1(v) <= out_m1,
+    )
+    return ech
+
+
+@pytest.mark.parametrize(
+    "name", ["A2-flip", "D4-triality", "E6-flip", "A2a-flip", "A5a-rot", "D4a-triality"]
+)
+def test_theta_span_rows_match_all_node_closure(monkeypatch, name):
+    # the closure on one node per mu-orbit ends with the same rows, in the
+    # same order, with the same values, as the closure over every node
+    e = entry_by_name(name)
+    real = Realization(e.gcm, e.mu, m1_window=3, m2_window=3)
+    closed = []
+
+    def spy(ech, *args, **kwargs):
+        closed.append(ech)
+        return close(ech, *args, **kwargs)
+
+    monkeypatch.setattr(realize, "close", spy)
+    real._theta_span(1, 1)
+    assert list(closed[0].rows.items()) == list(_all_node_span(real, 1).rows.items())
+
+
+def test_theta_span_and_fixed_dims_work_counts(monkeypatch):
+    real = _real("A2^(1)", [0, 2, 1], m1w=11, m2w=5)
+    brackets = 0
+    true_bracket = real.bracket
+
+    def counted_bracket(x, y):
+        nonlocal brackets
+        brackets += 1
+        return true_bracket(x, y)
+
+    monkeypatch.setattr(real, "bracket", counted_bracket)
+    real._theta_span(3, 2)
+    assert brackets == 6540
+    monkeypatch.undo()
+    mu = real.mu_on_g()
+    applies = 0
+    true_apply = Echelon.apply
+
+    def counted_apply(self, v):
+        nonlocal applies
+        applies += self is mu
+        return true_apply(self, v)
+
+    monkeypatch.setattr(Echelon, "apply", counted_apply)
+    real.fixed_subalgebra_dims(3)
+    # one per g-level key (5 t2-degrees of 8 loop vectors, and k2) plus two
+    # per divided-center scale at m2 = +-1, +-2, whatever the t1-degree
+    assert applies == 49
 
 
 def _loop_bracket_reference(galg, x, y):

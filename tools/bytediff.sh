@@ -96,16 +96,20 @@ for job in sys.argv[1:]:
 # the g-level values, which no CLI command prints: the affinize generators of
 # 14 affine labels and, per catalog entry, the generators, the g-level
 # automorphism on every unit of t2-degree |m2| <= 2 (and on k2), and the
-# fixed-block dimensions at m1 = 1 or their error; and the residuals of the
-# Cartan checks at modes 2, which every catalog entry passes, with
-# real.bracket doubled and one coefficient of theta_x(0, 1, +1) doubled.
+# fixed-block dimensions at m1 = 1 or their error; the fixed-block dimensions
+# at m1 = 3 on the tests' window (sized for modes 4) of four entries; the span
+# ranks per block of the theta closure at (3, 2) in the window (11, 5), which
+# runs on the rotations too; and the residuals of the Cartan checks at modes
+# 2, which every catalog entry passes, with real.bracket doubled and one
+# coefficient of theta_x(0, 1, +1) doubled.
 cat >"$tmp/gdump.py" <<'EOF'
 import json
 
 from loomfold.catalog import load_entries
 from loomfold.errors import LoomfoldError
 from loomfold.exactnum import CycNum
-from loomfold.presentation import Verifier
+from loomfold.polys import family_p
+from loomfold.presentation import Verifier, suite_window
 from loomfold.realize import Realization, affinize
 
 
@@ -132,6 +136,12 @@ for e in load_entries(None):
         print("fixed", e.name, real.fixed_subalgebra_dims(1))
     except LoomfoldError as exc:
         print("fixed", e.name, type(exc).__name__, exc)
+for e in load_entries(None):
+    if e.name in ("A2-id", "A2-flip", "A2a-flip", "D4a-triality"):
+        m1, m2 = suite_window(e.gcm, e.mu, family_p(e.gcm, e.mu), 4)
+        real = Realization(e.gcm, e.mu, max(m1, 14), m2)
+        print("fixed3", e.name, real.fixed_subalgebra_dims(3))
+    print("span", e.name, sorted(Realization(e.gcm, e.mu, 11, 5)._theta_span(3, 2).items()))
 for e in load_entries(None):
     real = Realization(e.gcm, e.mu, 12, 5)
     real.bracket = lambda x, y, true=real.bracket: {k: c + c for k, c in true(x, y).items()}
