@@ -28,8 +28,7 @@ over one running denominator in one running field.  A product outside that
 field or over another denominator rewrites the sum once (`lazy_align`);
 `lazy_settle` then reduces each key modulo Phi_N and canonicalises it once.
 The bracket kernel of `realize` runs its basis-pair loop on it, and
-`lin_comb` sums the weighted relation terms with it (a sum whose products
-lie in two different fields goes term by term, see there).
+`lin_comb` sums every relation check with it, in the one field it is given.
 
 The module also holds the exact linear algebra shared by the layers above:
 sparse vectors ({key: coefficient} dicts), permutation orbits, and the one
@@ -602,14 +601,10 @@ def lazy_settle(sums: dict, order: int, den: int) -> dict:
 
 def lin_comb(terms: list, order: int) -> dict:
     """sum(c * v for c, v in terms), for CycNums c and sparse vectors v, as
-    one lazy sum while every product lies in one field.
-
-    The sum starts in Q(xi_order): with c and the values of v there and of
-    denominator 1, no product leaves the int fast path; a first product in
-    another field restarts it there.  Products of two different orders are
-    summed term by term with `vec_add` instead: each coefficient of that sum
-    prints in the lcm of the orders of the products added since its partial
-    sum was last zero, which only the partial sums tell.
+    one lazy sum in Q(xi_order): every product lies in that field, and every
+    value of the result is written there.  With c and the values of v in
+    the field and of denominator 1, no product leaves the int fast path.  A
+    product outside the field raises ValueError.
     """
     sums: dict = {}
     den = 1
@@ -619,14 +614,10 @@ def lin_comb(terms: list, order: int) -> dict:
         for k, y in v.items():
             b = y.nums
             if oc != order or y.order != order or da * y.den != den:
-                if sums and lcm(oc, y.order) != order:
-                    total: dict = {}
-                    for c, v in terms:
-                        vec_add(total, v, c)
-                    return total
-                order, den, c, b = lazy_align((sums,), order, den, c, y)
-                a, da, oc = c.nums, c.den, c.order
-                phi = euler_phi(order)
+                if order % lcm(oc, y.order):
+                    raise ValueError(f"a product of orders {oc}, {y.order} outside Q(xi_{order})")
+                _, den, c, b = lazy_align((sums,), order, den, c.lift(order), y.lift(order))
+                a, da, oc = c.nums, c.den, order
             if phi == 1:
                 sums[k] = sums.get(k, 0) + a[0] * b[0]
                 continue

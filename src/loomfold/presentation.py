@@ -12,9 +12,12 @@ coefficient is a finite exact combination of iterated brackets of generator
 images in the realization.  The degree-zero relations are of the same
 form: an image or bracket minus its expected value, which enters with
 negated coefficients.  So every check is one row of (coefficient, element)
-terms, and `Verifier._check` counts it and sums it with `lin_comb`.  A
-reported failure therefore carries an explicit nonzero residual element
-that can be re-checked independently.
+terms, and `Verifier._check` counts it and sums it with `lin_comb` in one
+field: Q(xi_L), the realization's, for the degree-zero rows, and for a
+weighted relation on a pair Q(xi_F), F the lcm of L and the orders of that
+pair's coefficients.  A reported failure therefore carries an explicit
+nonzero residual element, every coefficient printed in that field, that
+can be re-checked independently.
 
 The ordered pairs are evaluated one class at a time (`_pair_classes`):
 the pairs (mu^a i0, mu^a j0) of the class's least pair (i0, j0).  The
@@ -40,10 +43,10 @@ The identity is also checked exactly on the grid: the Xperiod and H checks
 of every node, which every report carries, compare theta(mu i, m) with
 xi_N^m theta(i, m) at each mode, so a corrupted image fails the report.
 
-A weighted relation of a shifted pair is not even summed when three things
-hold (`Verifier._derive`): its polynomials equal those of (i0, j0), every
-term of them has one total degree D, and every coefficient has one order.
-Then every summand at output modes `out` carries the same phase
+A weighted relation of a shifted pair is not even summed when two things
+hold (`Verifier._derive`): its polynomials equal those of (i0, j0), and
+every term of them has one total degree D.  Both sum in one field, and
+every summand at output modes `out` carries the same phase
 xi_N^(a (sum(out) + D)), so the pair's report is the representative's: the
 same checked count, gaps and failure count, each residual times that phase
 (`Verifier._phased`).  Any other relation is summed from the pair's own
@@ -176,9 +179,9 @@ class Verifier:
     one memo per sign.  `verify_family` and `run_suite` keep the memos of
     one class of pairs at a time: all of its relations and pairs read the
     representative's brackets.  A shifted pair whose relation has the
-    representative's polynomials, one total degree D and one coefficient
-    order sums nothing: its report is the representative's with each
-    residual times xi_N^(a (sum(out) + D)).  So are the Cartan checks of
+    representative's polynomials and one total degree D sums nothing: its
+    report is the representative's with each residual times
+    xi_N^(a (sum(out) + D)).  So are the Cartan checks of
     every shifted pair, with D = 0: they bracket nothing.  Every check, of
     either kind, is counted and summed by `_check`.
     """
@@ -283,12 +286,15 @@ class Verifier:
                 self._check(chk_xx, (m, nn), row)
         return [chk_hh, chk_hx_p, chk_hx_m, chk_xx]
 
-    def _check(self, chk: RelationCheck, modes: tuple, row: list) -> None:
+    def _check(
+        self, chk: RelationCheck, modes: tuple, row: list, field: int | None = None
+    ) -> None:
         """Count one check of `chk` at `modes`: the row of (coefficient,
-        element) terms is summed in the realization's field, and a nonzero
-        sum is recorded as the residual."""
+        element) terms is summed in Q(xi_field), by default the
+        realization's field, and a nonzero sum is recorded as the
+        residual."""
         chk.checked += 1
-        total = lin_comb(row, self.real.field)
+        total = lin_comb(row, field or self.real.field)
         if total:
             chk.record_failure(modes, total)
 
@@ -333,22 +339,19 @@ class Verifier:
     ) -> RelationReport | None:
         """The report of `fam` on the pair (i, j) = mu^a (i0, j0), for
         `source` (i0, j0, a), read from `rep`, the report of (i0, j0); None
-        unless all of these hold:
-        - the polynomials of (i, j) equal those of (i0, j0);
-        - every term of them has one total degree D;
-        - every coefficient has one order, so that a residual prints in the
-          field the pair's own sum would give it.
-        Then every summand of (i, j) at output modes `out` reads the
-        bracket of (i0, j0) with its coefficient times
-        xi_N^(a (sum(out) + D)), the same phase for all of them: the pair has
-        the checked count, gaps and failure count of (i0, j0), and each
-        residual is that of (i0, j0) times the phase."""
+        unless the polynomials of (i, j) equal those of (i0, j0) and every
+        term of them has one total degree D.  Then every summand of (i, j)
+        at output modes `out` reads the bracket of (i0, j0) with its
+        coefficient times xi_N^(a (sum(out) + D)), the same phase for all
+        of them, and both sum in one field: the pair has the checked count,
+        gaps and failure count of (i0, j0), and each residual is that of
+        (i0, j0) times the phase."""
         i0, j0, a = source
-        sigmas, rep_sigmas = fam.entries[(i, j)], fam.entries[(i0, j0)]
-        form = _shift_form(sigmas)
-        if form is None or form != _shift_form(rep_sigmas) or sigmas != rep_sigmas:
+        sigmas = fam.entries[(i, j)]
+        degree = _shift_degree(sigmas)
+        if degree is None or sigmas != fam.entries[(i0, j0)]:
             return None
-        return RelationReport(self._phased(rep.checks, (i, j), a, form[0]))
+        return RelationReport(self._phased(rep.checks, (i, j), a, degree))
 
     def _phased(self, checks: list, pair: tuple, a: int, degree: int) -> list:
         """The checks of `pair` = mu^a (i0, j0) read from `checks`, those of
@@ -380,22 +383,21 @@ class Verifier:
         `source` (i0, j0, a).  Each summand reads the nested bracket of
         (i0, j0) at its modes and multiplies its coefficient by
         xi_N^(a sum(modes)), so only (i0, j0) is bracketed; it raises
-        OutOfWindow exactly where the bracket of (i, j) would.  `memos` maps
-        each sign to the memo of (i0, j0)."""
+        OutOfWindow exactly where the bracket of (i, j) would.  Every check
+        sums in Q(xi_F), F the lcm of L and the orders of the pair's
+        coefficients.  `memos` maps each sign to the memo of (i0, j0)."""
         real = self.real
-        field = real.field
         big_n = self.n_order
         report = RelationReport()
         arity = fam.arity(i, j)
-        prepared = []
-        for sigma, poly in sorted(fam.entries[(i, j)].items()):
-            if poly.is_zero():
-                continue
-            # each coefficient lifted once into Q(xi_lcm(order, L)), where its
-            # products with the bracket values live, and kept per phase
-            # exponent e as coeff * xi_N^e
-            terms = [({0: c.lift(lcm(c.order, field))}, e) for e, c in sorted(poly.terms.items())]
-            prepared.append((sigma, terms))
+        polys = [(s, p) for s, p in sorted(fam.entries[(i, j)].items()) if not p.is_zero()]
+        field = lcm(real.field, *(c.order for _, p in polys for c in p.terms.values()))
+        # each coefficient lifted once into Q(xi_F) and kept per phase
+        # exponent e as coeff * xi_N^e
+        prepared = [
+            (sigma, [({0: c.lift(field)}, e) for e, c in sorted(poly.terms.items())])
+            for sigma, poly in polys
+        ]
         if kind == "X":
             grid = f"|m|,|n|<={mode_bound}"
         else:
@@ -423,7 +425,7 @@ class Verifier:
                 except OutOfWindow:
                     chk.gaps.append(out_modes)
                     continue
-                self._check(chk, out_modes, summands)
+                self._check(chk, out_modes, summands, field)
             report.checks.append(chk)
         return report
 
@@ -496,11 +498,11 @@ def _pair_classes(mu, n: int) -> list:
     return classes
 
 
-def _shift_form(sigmas: dict) -> tuple | None:
-    """(D, order) when every term of the relation {sigma: P_sigma} has total
-    degree D and a coefficient of that order; None otherwise."""
-    forms = {(sum(exps), c.order) for poly in sigmas.values() for exps, c in poly.terms.items()}
-    return forms.pop() if len(forms) == 1 else None
+def _shift_degree(sigmas: dict) -> int | None:
+    """D when every term of the relation {sigma: P_sigma} has total degree
+    D; None otherwise."""
+    degrees = {sum(exps) for poly in sigmas.values() for exps in poly.terms}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def _vacuous(kind: str) -> RelationReport:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -204,8 +205,8 @@ def test_verify_user_family_failure_exit(runner, tmp_path):
 
 def test_verify_mixed_order_family_residual_orders(runner, tmp_path):
     # one relation with a rational and a xi_5 coefficient on the field Q(xi_2):
-    # a residual coefficient reached only by rational products prints order 2,
-    # one that a xi_5 product reached prints order 10
+    # the relation sums in Q(xi_10), and every residual coefficient prints
+    # order 10
     xi5 = {"order": 5, "coeffs": ["0", "1", "0", "0"]}
     fam = {
         "name": "mixed",
@@ -226,7 +227,7 @@ def test_verify_mixed_order_family_residual_orders(runner, tmp_path):
         for failure in chk.get("failures", [])
         for item in failure["residual"]
     }
-    assert orders == {2, 10}
+    assert orders == {10}
 
 
 def test_verify_qlimit_family(runner):
@@ -258,6 +259,24 @@ def test_catalog_listing(runner):
     names = [e["name"] for e in data["entries"]]
     assert len(names) >= 12
     assert "A1a-flip" in names and "D4a-triality" in names
+
+
+# the sha256 of the stdout of the default commands on the built-in catalog;
+# the verify report is 467 359 bytes
+_PINNED_OUTPUT = {
+    "catalog": "465cf235fb3a93d2c1f9d73a3af711e918c718852f6ad1d3bd8c30a1031168b4",
+    "verify --entry all --modes 1": (
+        "a738105d8842f74b6ee36c4a3d395387c71c7eb8f554df204fa5c345d60a58dc"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_OUTPUT))
+def test_default_output_is_pinned(runner, monkeypatch, command):
+    monkeypatch.delenv("LOOMFOLD_CATALOG", raising=False)
+    res = runner.invoke(main, command.split())
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _PINNED_OUTPUT[command]
 
 
 def test_catalog_env_override(runner, tmp_path, monkeypatch):

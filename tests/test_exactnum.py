@@ -13,6 +13,7 @@ from loomfold.exactnum import (
     cyclotomic_poly,
     euler_phi,
     kernel_basis,
+    lin_comb,
 )
 
 
@@ -348,6 +349,25 @@ def test_echelon_rejects_inconsistent_images():
     with pytest.raises(InconsistentPropagation):
         ech.apply({2: Fraction(1)})
     assert ech.rank == 2
+
+
+def test_lin_comb_sums_in_the_field_it_is_given():
+    half, xi4, xi6 = CycNum.from_rational(Fraction(1, 2)), cyc_root(4, 1), cyc_root(6, 1)
+    # products of orders 1 and 4 in Q(xi_4): every value is written there,
+    # the rational one too
+    total = lin_comb([(half, {"a": CycNum.one(), "b": xi4}), (xi4, {"a": xi4})], 4)
+    assert total == {"a": CycNum.from_rational(Fraction(-1, 2)), "b": xi4 * half}
+    assert {c.order for c in total.values()} == {4}
+    assert lin_comb([(xi4, {"a": xi4}), (CycNum.one(4), {"a": CycNum.one()})], 4) == {}
+    # a product of order 12 is outside Q(xi_4) and outside Q(xi_6), first or
+    # after other terms
+    for terms, order in (
+        ([(xi4, {"a": xi6})], 4),
+        ([(half, {"a": xi4}), (xi6, {"b": xi4})], 4),
+        ([(half, {"a": xi6}), (xi6, {"b": xi4})], 6),
+    ):
+        with pytest.raises(ValueError, match="outside"):
+            lin_comb(terms, order)
 
 
 @pytest.mark.parametrize("order", [3, 5])

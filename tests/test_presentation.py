@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -428,8 +429,6 @@ _NOT_SHIFTS = {
     "polys differ": lambda i, j, s: {(0, 0, 0): 1 + 10 * i + j},
     # z1 in one slot and 1 in the other: each homogeneous, of degrees 1 and 0
     "slot degrees differ": lambda i, j, s: {(1, 0, 0) if s == (0, 1) else (0, 0, 0): 1},
-    # 1 in one slot and xi_5, foreign to every catalog field, in the other
-    "coefficient orders mix": lambda i, j, s: {(0, 0, 0): 1 if s == (0, 1) else cyc_root(5, 1)},
 }
 
 
@@ -446,6 +445,36 @@ def test_classes_sum_each_pair_whose_relation_is_no_shift(monkeypatch, name, why
     assert '"failures"' in shared
     # both runs sum every pair at each of the 27 output modes, per sign
     assert len(sums) == 2 * len(fam.entries) * 2 * 27
+
+
+@pytest.mark.parametrize("name", ["A2a-flip", "A2a-rot", "A3a-rot"])
+def test_classes_derive_a_relation_whose_coefficient_orders_mix(monkeypatch, name):
+    # 1 in one slot and xi_5, foreign to every catalog field, in the other:
+    # every pair sums in Q(xi_F), F = lcm(L, 5), so a shifted pair reads its
+    # residuals from its class representative's, in that field too
+    real = cached_realization(name)
+    fam = _family_on(
+        cached_family(name), lambda i, j, s: {(0, 0, 0): 1 if s == (0, 1) else cyc_root(5, 1)}
+    )
+    sums = _count_sums(monkeypatch)
+    shared, alone = _shared_and_alone(
+        monkeypatch, lambda: Verifier(real).verify_family("P1", fam, 1)
+    )
+    assert shared == alone
+    report = json.loads(shared)
+    orders = {
+        item["coeff"]["order"]
+        for chk in report["checks"]
+        for failure in chk.get("failures", [])
+        for item in failure["residual"]
+    }
+    assert orders == {lcm(real.field, 5)}
+    # the shared run sums the class representatives only, the run alone
+    # every pair, at each of the 27 output modes, per sign
+    classes = presentation._pair_classes(real.mu, real.gcm.n)
+    reps = sum(1 for cls in classes if cls[0][:2] in fam.entries)
+    assert reps < len(fam.entries)
+    assert len(sums) == 2 * (reps + len(fam.entries)) * 27
 
 
 def test_pair_classes_rotation():

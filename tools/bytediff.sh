@@ -24,7 +24,8 @@ echo "{\"name\": \"plain\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
 xi5='{"exps": [0, 0, 0], "coeff": {"order": 5, "coeffs": ["0", "1", "0", "0"]}}'
 echo "{\"name\": \"xi5\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
   {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$xi5]}}}]}" >"$tmp/fam5.json"
-# one relation with both coefficients: its residuals print order 2 or 10
+# one relation with both coefficients: it sums in Q(xi_lcm(L, 5)), so on
+# A2a-flip its residuals print order 10
 z1='{"exps": [1, 0, 0], "coeff": {"order": 1, "coeffs": ["1"]}}'
 z2xi5='{"exps": [0, 1, 0], "coeff": {"order": 5, "coeffs": ["0", "1", "0", "0"]}}'
 echo "{\"name\": \"mixed\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
@@ -40,6 +41,14 @@ for last in 3 4; do
   done
   echo "{\"name\": \"z1\", \"pairs\": [$pairs]}" >"$tmp/famz$last.json"
 done
+# z1 + xi_5 z2 on every pair (i + 1, i) of A3a-rot: one class whose
+# coefficient orders mix, so its shifted pairs are derived in Q(xi_20)
+pairs=
+for i in 0 1 2 3; do
+  pairs="$pairs${pairs:+,} {\"i\": $(((i + 1) % 4)), \"j\": $i, \"terms\":
+  {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$z1, $z2xi5]}}}"
+done
+echo "{\"name\": \"mixed\", \"pairs\": [$pairs]}" >"$tmp/famzx3.json"
 # one z-slot (vars z1, w): its grid prints as modes in [-1,1]^2 at modes 1
 w1='{"exps": [0, 1], "coeff": {"order": 1, "coeffs": ["1"]}}'
 echo "{\"name\": \"arity1\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
@@ -177,6 +186,7 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A4a-rot --modes 1 --family user:fam.json"
   echo "verify --entry A3a-rot --modes 1 --family user:famz3.json"
   echo "verify --entry A4a-rot --modes 1 --family user:famz4.json"
+  echo "verify --entry A3a-rot --modes 1 --family user:famzx3.json"
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
   # rotations with out-of-window gaps: operand images leave the window, so
   # the gaps of a shifted pair come from its class representative's brackets
