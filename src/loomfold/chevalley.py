@@ -20,9 +20,10 @@ Chevalley table here), so the bracket kernels above scale by plain ints.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from loomfold.cartan import _RootTable, _graph_iso, finite_matrix
 from loomfold.errors import (
@@ -66,6 +67,18 @@ class FiniteAlg:
         self.e_idx = [self.index[("x", c)] for c in simple]
         self.f_idx = [self.index[("x", tuple(-x for x in c))] for c in simple]
         self.h_idx = [self.index[("h", i)] for i in range(n)]
+
+    @cached_property
+    def partners(self) -> dict:
+        """i -> {j: (brackets[(i, j)], form[(i, j)])} over the nonzero pairs
+        of both tables: one int-keyed lookup per basis pair in the bracket
+        kernel, built on its first use."""
+        rows: dict = {}
+        for i, j in itertools.chain(self.brackets, self.form):
+            entry, pairing = self.brackets.get((i, j)), self.form.get((i, j))
+            if entry or pairing:
+                rows.setdefault(i, {})[j] = (entry, pairing)
+        return rows
 
     @property
     def dim(self) -> int:

@@ -1,0 +1,175 @@
+"""The bracket kernel of the loop algebras in `realize`, in two steps.
+
+Elements are the sparse dicts of `realize`: loop keys ("L", m1, m2, basis
+index) and the central keys ("K1",), ("K1p", m1, m2) and ("K2", m1).
+`_loop_bracket` accumulates: the verifier's hot path, one fused loop over
+basis pairs (met through `FiniteAlg.partners`) on the lazy int sums of
+`exactnum`.  `_place` finishes: it moves the loop part in t1 and puts the
+central symbols at the actual degrees, since K1 and K1p weigh a block by
+each operand's t1-degree.  The structure tables are ints (see `chevalley`),
+so the int fast path covers every pair whose operands lie in Q(xi_L) with
+denominator 1: in the relation suites of every catalog entry at modes 1, no
+pair leaves it.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from loomfold.errors import InconsistentPropagation, OutOfWindow
+from loomfold.exactnum import euler_phi, lazy_add, lazy_align, lazy_reduce, lazy_settle
+
+# The window of `realize.GAlg.bracket`: no degree reaches it, so no term leaves it.
+_NO_WINDOW = (sys.maxsize, sys.maxsize)
+
+
+def _loop_bracket(alg, field: int, window, x: dict, y: dict):
+    """The accumulate step of [x, y] in the central extension over t1 of the
+    t2-loop algebra of the core `alg`: everything `_place` needs to finish
+    the bracket at any t1-shift of its operands.
+
+    One lazy sum (see `exactnum`) started in Q(xi_field): each contributing
+    basis pair adds the int convolution of its two numerator tuples (2 phi - 1
+    ints, or one; written out at phi = 2), times the structure constant, to
+    an unreduced sum per output key, and times the pairing to a sum per pair
+    of degree blocks.  A
+    pair off the int fast path (an operand of another order than the running
+    field, or a product denominator other than the running one) goes through
+    `lazy_align`.  Each sum is reduced once, at the end; every coefficient
+    lies in Q(xi_lcm) of the orders of the operand coefficients that met in
+    a contributing pair.  Central sums are tested for zero before any symbol
+    is placed: single basis-key pairings may be nonzero off the loop lattice
+    even though the block contraction of honestly graded elements cancels
+    there.
+
+    `window` (m1w, m2w) bounds the output degree of each contributing pair,
+    tested as the pair is reached.  With window None nothing is tested, and
+    the degrees (p1, p2) of the contributing pairs are read off the keys of
+    the unsettled sums, in the order first reached, for `_place` to test
+    after a shift.
+
+    Returns (loop, degrees, central, order, den): the settled loop part,
+    those degrees (empty when tested here), the nonzero reduced pairing
+    sums per degree block (m1, m2, n1, n2), and their field and denominator.
+    """
+    partners = alg.partners
+    m1w, m2w = window or _NO_WINDOW
+    order, phi, den = field, euler_phi(field), 1
+    sums: dict = {}  # output key -> unreduced numerators over den
+    central: dict = {}  # (m1, m2, n1, n2) -> unreduced summed pairing
+    for kx, cx in x.items():
+        if kx[0] != "L":
+            continue
+        row = partners.get(kx[3])
+        if row is None:
+            continue
+        m1, m2 = kx[1], kx[2]
+        ax, ox, dx = cx.nums, cx.order, cx.den
+        for ky, cy in y.items():
+            if ky[0] != "L":
+                continue
+            hit = row.get(ky[3])
+            if hit is None:
+                continue
+            entry, pairing = hit
+            n1, n2 = ky[1], ky[2]
+            p1 = m1 + n1
+            p2 = m2 + n2
+            if entry and (abs(p1) > m1w or abs(p2) > m2w):
+                raise OutOfWindow(f"bracket degree ({p1},{p2}) leaves window ({m1w},{m2w})")
+            ay = cy.nums
+            if ox != order or cy.order != order or dx * cy.den != den:
+                order, den, cx, ay = lazy_align((sums, central), order, den, cx, cy)
+                ax, ox, dx = cx.nums, cx.order, cx.den
+                phi = euler_phi(order)
+            if phi == 1:
+                prod = ax[0] * ay[0]
+                if entry:
+                    for t, s in entry.items():
+                        key = ("L", p1, p2, t)
+                        sums[key] = sums.get(key, 0) + s * prod
+                if pairing:
+                    degs = (m1, m2, n1, n2)
+                    central[degs] = central.get(degs, 0) + pairing * prod
+                continue
+            if phi == 2:  # Q(xi_3), Q(xi_4), Q(xi_6): most twists of order > 2
+                a0, a1 = ax
+                b0, b1 = ay
+                prod = [a0 * b0, a0 * b1 + a1 * b0, a1 * b1]
+            else:
+                prod = [0] * (2 * phi - 1)
+                for i, u in enumerate(ax):
+                    if u:
+                        for j, v in enumerate(ay, i):
+                            prod[j] += u * v
+            if entry:
+                for t, s in entry.items():
+                    key = ("L", p1, p2, t)
+                    cur = sums.get(key)
+                    if cur is None:
+                        sums[key] = [s * v for v in prod]
+                    else:
+                        for i, v in enumerate(prod):
+                            cur[i] += s * v
+            if pairing:
+                degs = (m1, m2, n1, n2)
+                cur = central.get(degs)
+                if cur is None:
+                    central[degs] = [pairing * v for v in prod]
+                else:
+                    for i, v in enumerate(prod):
+                        cur[i] += pairing * v
+    if central:
+        for degs in list(central):
+            total = central[degs] = lazy_reduce(order, central[degs])
+            if total is None:
+                del central[degs]
+    degrees = () if window else list(dict.fromkeys([(k[1], k[2]) for k in sums]))
+    return lazy_settle(sums, order, den) if sums else {}, degrees, central, order, den
+
+
+def _place(acc, affine: bool, r: int, window, d1: int, d2: int) -> dict:
+    """The place step: [x', y'] from `acc`, the `_loop_bracket` of (x, y),
+    for x', y' the loop keys of x, y moved d1, d2 in t1.  The loop part is
+    acc's moved d1 + d2; the central terms go at the actual degrees, with k2
+    and its degree cocycle when `affine` and the divided center symbols on
+    the loop lattice t2^(r Z): K1 (factor m1, where p1 = 0), K2(p1) (factor
+    m2) and K1p(p1, p2) (factor m1 n2 - m2 n1).  The moved degree of each
+    contributing pair in acc's degrees, then of each central term, is tested
+    against `window` in the order reached, so OutOfWindow is raised where,
+    and with the message that, `_loop_bracket` on (x', y') would raise.
+    acc is not changed; its loop part may be returned itself.
+    """
+    loop, degrees, central, order, den = acc
+    shift = d1 + d2
+    if degrees:
+        m1w, m2w = window
+        for p1, p2 in degrees:
+            p1 += shift
+            if abs(p1) > m1w or abs(p2) > m2w:
+                raise OutOfWindow(f"bracket degree ({p1},{p2}) leaves window ({m1w},{m2w})")
+    if shift and loop:
+        loop = {("L", k[1] + shift, k[2], k[3]): c for k, c in loop.items()}
+    if not central:
+        return loop
+    m1w, m2w = window
+    sums: dict = {}
+    for (m1, m2, n1, n2), total in central.items():
+        m1 += d1
+        n1 += d2
+        p1 = m1 + n1
+        p2 = m2 + n2
+        if not affine or p2 == 0:
+            if p1 == 0 and m1 != 0:
+                lazy_add(sums, ("K1",), total, m1)
+            if affine and m2 != 0:
+                if abs(p1) > m1w:
+                    raise OutOfWindow(f"central degree {p1} leaves window {m1w}")
+                lazy_add(sums, ("K2", p1), total, m2)
+        elif p2 % r != 0:
+            raise InconsistentPropagation("central term at a degree outside the loop lattice")
+        elif m1 * n2 != m2 * n1:
+            if abs(p1) > m1w or abs(p2) > m2w:
+                raise OutOfWindow(f"central degree ({p1},{p2}) leaves window")
+            lazy_add(sums, ("K1p", p1, p2), total, m1 * n2 - m2 * n1)
+    return {**loop, **lazy_settle(sums, order, den)} if sums else loop

@@ -43,6 +43,24 @@ The identity is also checked exactly on the grid: the Xperiod and H checks
 of every node, which every report carries, compare theta(mu i, m) with
 xi_N^m theta(i, m) at each mode, so a corrupted image fails the report.
 
+The representative's nested brackets are bracketed once per residue class
+of their modes mod N (`Verifier._nested`).  Since xi_N^(-k N) = 1,
+theta(i, m + N) is theta(i, m) moved N in t1, key by key.  So when
+(k_1, ..., k_s, n) = (r_1, ..., r_s, n') mod N, the operands of the
+outermost bracket, theta(i, k_1) and the inner nested bracket, are on their
+loop keys those at the modes r moved k_1 - r_1 and (k_2 + ... + n) -
+(r_2 + ... + n') in t1 (by induction on s; central keys bracket to zero).
+The kernel meets the same basis pairs with the same products, so the loop
+part is r's moved sum(k) - sum(r), and the central terms come from the same
+pairing sums per degree block, placed at the actual degrees
+(`kernel._place`).  The first modes r of a class are accumulated with no
+window, and every member, r included, is placed from them.  The operands
+are still looked up at the actual modes, and the place step tests the moved
+degree of every contributing pair and central term as the kernel would, so
+a placed bracket raises OutOfWindow exactly where the direct one does, and
+every report, gaps included, is unchanged.  A zero inner bracket gives zero
+with no kernel call: it meets no basis pair, so it leaves no window either.
+
 A weighted relation of a shifted pair is not even summed when two things
 hold (`Verifier._derive`): its polynomials equal those of (i0, j0), and
 every term of them has one total degree D.  Both sum in one field, and
@@ -73,7 +91,7 @@ from math import lcm
 
 from loomfold.errors import OutOfWindow
 from loomfold.exactnum import CycNum, lin_comb, vec_scale
-from loomfold.polys import SerreFamily, family_as, family_locality, family_split
+from loomfold.polys import SerreFamily, family_as, family_locality
 from loomfold.realize import Realization
 
 __all__ = [
@@ -176,13 +194,16 @@ class Verifier:
 
     The weighted relations evaluate right-nested brackets
     [x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]], memoised by mode suffix in
-    one memo per sign.  `verify_family` and `run_suite` keep the memos of
-    one class of pairs at a time: all of its relations and pairs read the
-    representative's brackets.  A shifted pair whose relation has the
-    representative's polynomials and one total degree D sums nothing: its
-    report is the representative's with each residual times
-    xi_N^(a (sum(out) + D)).  So are the Cartan checks of
-    every shifted pair, with D = 0: they bracket nothing.  Every check, of
+    one memo per sign, which also keeps one kernel accumulation per residue
+    class of modes mod N: every nested bracket of the class is placed from
+    it, shifted in t1, and raises OutOfWindow where a direct bracket would
+    (see the module docstring).  `verify_family` and `run_suite` keep the
+    memos of one class of pairs at a time: all of its relations and pairs
+    read the representative's brackets.  A shifted pair whose relation has
+    the representative's polynomials and one total degree D sums nothing:
+    its report is the representative's with each residual times
+    xi_N^(a (sum(out) + D)).  So are the Cartan checks of every shifted
+    pair, with D = 0: they bracket nothing.  Every check, of
     either kind, is counted and summed by `_check`.
     """
 
@@ -312,7 +333,7 @@ class Verifier:
         from the class representative's."""
         by_pair: dict = {}
         for cls in _pair_classes(self.mu, self.gcm.n):
-            memos = {+1: {}, -1: {}}
+            memos = {+1: ({}, {}), -1: ({}, {})}
             reps: dict = {}
             i0, j0, _ = cls[0]
             for i, j, a in cls:
@@ -385,7 +406,8 @@ class Verifier:
         xi_N^(a sum(modes)), so only (i0, j0) is bracketed; it raises
         OutOfWindow exactly where the bracket of (i, j) would.  Every check
         sums in Q(xi_F), F the lcm of L and the orders of the pair's
-        coefficients.  `memos` maps each sign to the memo of (i0, j0)."""
+        coefficients.  `memos` maps each sign to the memo of (i0, j0), the
+        pair (values, reps) of `_nested`."""
         real = self.real
         big_n = self.n_order
         report = RelationReport()
@@ -429,15 +451,33 @@ class Verifier:
             report.checks.append(chk)
         return report
 
-    def _nested(self, memo: dict, i: int, j: int, sign: int, modes: tuple):
-        """[x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]] at modes (k_1, ..., k_s, n)."""
+    def _nested(self, memo: tuple, i: int, j: int, sign: int, modes: tuple):
+        """[x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]] at modes (k_1, ..., k_s, n).
+
+        `memo` is (values, reps) of one sign: the values by modes, and per
+        residue class of modes mod N the first modes r of the class with
+        operands in the window and a nonzero inner bracket, with the
+        kernel's accumulate step on them, from which every value of the
+        class is placed (see the module docstring)."""
         if len(modes) == 1:
             return self.real.theta_x(j, modes[0], sign)
-        hit = memo.get(modes)
+        values, reps = memo
+        hit = values.get(modes)
         if hit is None:
-            inner = self._nested(memo, i, j, sign, modes[1:])
+            tail = modes[1:]
+            inner = self._nested(memo, i, j, sign, tail)
             outer = self.real.theta_x(i, modes[0], sign)
-            hit = memo[modes] = self.real.bracket(outer, inner)
+            if not inner:  # [x, 0] = 0 meets no basis pair, so leaves no window
+                hit = values[modes] = {}
+                return hit
+            big_n = self.n_order
+            key = tuple([m % big_n for m in modes])
+            degree = sum(tail)
+            rep = reps.get(key)
+            if rep is None:
+                rep = reps[key] = (modes[0], degree, self.real.accumulate(outer, inner))
+            r1, r_degree, acc = rep
+            hit = values[modes] = self.real.place(acc, modes[0] - r1, degree - r_degree)
         return hit
 
     def verify_AS(self, mode_bound: int) -> RelationReport:
@@ -452,10 +492,6 @@ class Verifier:
         identities on the tested mode grid only.
         """
         return self.verify_family("P1", fam, mode_bound)
-
-    def verify_thm1_ds(self, mode_bound: int) -> RelationReport:
-        """The case-split nested relations for finite matrices with a twist."""
-        return self.verify_family("THM1_DS", family_split(self.gcm, self.mu), mode_bound)
 
     # -- full suites --------------------------------------------------------------
 

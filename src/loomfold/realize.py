@@ -14,16 +14,14 @@ at two levels:
   t1, inside a window |m1| <= m1w, |m2| <= m2w.  Brackets that would leave
   the window raise OutOfWindow instead of truncating.
 
-One kernel, `_loop_bracket`, brackets both levels: the verifier's hot path,
-one fused loop over basis pairs on the lazy int sums of `exactnum`.  The
-structure tables are ints (see `chevalley`), so its int fast path covers
-every pair whose operands lie in Q(xi_L) with denominator 1: in the relation
-suites of every catalog entry at modes 1, no pair leaves it.
-`Realization.bracket` passes its window and the core's lattice period r.
-`GAlg.bracket` passes period 1 and a window no degree reaches: it brackets
-in the full loop algebra g (x) C[t2^+-1] + C k2, of which a twisted core's
-Aff is a subalgebra, so that ungraded elements of a twisted core bracket
-too; at t1-degree 0 no K1p symbol arises, since m1 n2 - m2 n1 = 0.
+One kernel (`kernel`) brackets both levels.  `Realization.bracket` runs
+both of its steps at shift 0, with its window and the core's lattice period
+r; `accumulate` and `place` apart serve the verifier's residue memo (see
+`presentation`).  `GAlg.bracket` passes period 1 and a window no degree
+reaches: it brackets in the full loop algebra g (x) C[t2^+-1] + C k2, of
+which a twisted core's Aff is a subalgebra, so that ungraded elements of a
+twisted core bracket too; at t1-degree 0 no K1p symbol arises, since
+m1 n2 - m2 n1 = 0.
 
 The twist nu of a loop core comes from `chevalley.diagram_twist`.  The
 diagram automorphism mu acts at g-level as the `Echelon` that
@@ -39,7 +37,6 @@ table, not any formula, is normative.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import lcm
 
@@ -56,18 +53,14 @@ from loomfold.exactnum import (
     CycNum,
     Echelon,
     cyc_root,
-    euler_phi,
     kernel_basis,
-    lazy_add,
-    lazy_align,
-    lazy_reduce,
-    lazy_settle,
     perm_orbits,
     proportional,
     vec_add,
     vec_scale,
 )
 from loomfold.folding import DiagramAut, fold_data, validate_aut
+from loomfold.kernel import _NO_WINDOW, _loop_bracket, _place
 
 AlgElem = dict
 
@@ -102,7 +95,8 @@ class GAlg:
         """The loop bracket: t2^(m+n) (x) [u, v], plus the cocycle
         m (u|v) k2 when m + n = 0 != m (affine only); lattice period 1 and
         no window, as the module docstring explains."""
-        return _loop_bracket(self.alg, self.mode == "affine", 1, 1, _NO_WINDOW, x, y)
+        acc = _loop_bracket(self.alg, 1, _NO_WINDOW, x, y)
+        return _place(acc, self.mode == "affine", 1, _NO_WINDOW, 0, 0)
 
     def pair(self, x: AlgElem, y: AlgElem) -> CycNum:
         """The invariant form; k2 pairs to zero with everything."""
@@ -335,9 +329,20 @@ class Realization:
     def bracket(self, x: AlgElem, y: AlgElem) -> AlgElem:
         """Exact bracket in the extended algebra; raises OutOfWindow."""
         galg = self.galg
-        return _loop_bracket(
-            galg.alg, galg.mode == "affine", galg.r, self.field, (self.m1w, self.m2w), x, y
-        )
+        window = (self.m1w, self.m2w)
+        acc = _loop_bracket(galg.alg, self.field, window, x, y)
+        # the loop tested the window, so at shift 0 only central terms remain
+        return _place(acc, galg.mode == "affine", galg.r, window, 0, 0) if acc[2] else acc[0]
+
+    def accumulate(self, x: AlgElem, y: AlgElem):
+        """The kernel's accumulate step on (x, y), with no window tested."""
+        return _loop_bracket(self.galg.alg, self.field, None, x, y)
+
+    def place(self, acc, d1: int, d2: int) -> AlgElem:
+        """The bracket of the operands of `acc` moved d1 and d2 in t1, in
+        this window (see `_place`)."""
+        galg = self.galg
+        return _place(acc, galg.mode == "affine", galg.r, (self.m1w, self.m2w), d1, d2)
 
     # -- generator images -----------------------------------------------------------
 
@@ -511,116 +516,6 @@ def _key_degrees(key) -> tuple[int, int]:
     if key[0] == "K2":
         return key[1], 0
     return 0, 0
-
-
-# ---------------------------------------------------------------------------
-# the bracket kernel
-
-# The window of `GAlg.bracket`: no degree reaches it, so no term leaves it.
-_NO_WINDOW = (sys.maxsize, sys.maxsize)
-
-
-def _loop_bracket(alg, affine: bool, r: int, field: int, window, x: AlgElem, y: AlgElem):
-    """[x, y] in the central extension over t1 of the t2-loop algebra of the
-    core `alg`, with k2 and its degree cocycle when `affine`; the divided
-    center symbols live on the loop lattice t2^(r Z).
-
-    One lazy sum (see `exactnum`) started in Q(xi_field): each contributing
-    basis pair adds the int convolution of its two numerator tuples (2 phi - 1
-    ints, or one), times the structure constant, to an unreduced sum per
-    output key, and times the pairing to a sum per pair of degree blocks.  A
-    pair off the int fast path (an operand of another order than the running
-    field, or a product denominator other than the running one) goes through
-    `lazy_align`.  Each sum is reduced and canonicalised once, at the end;
-    every coefficient lies in Q(xi_lcm) of the orders of the operand
-    coefficients that met in a contributing pair.  Central sums are tested
-    for zero before the symbol reduction: single basis-key pairings may be
-    nonzero off the loop lattice even though the block contraction of
-    honestly graded elements cancels there.
-
-    `window` (m1w, m2w) bounds the output degrees, beyond which a term
-    raises OutOfWindow.
-    """
-    brackets, form = alg.brackets, alg.form
-    m1w, m2w = window
-    order, phi, den = field, euler_phi(field), 1
-    sums: dict = {}  # output key -> unreduced numerators over den
-    central: dict = {}  # (m1, m2, n1, n2) -> unreduced summed pairing
-    for kx, cx in x.items():
-        if kx[0] != "L":
-            continue
-        m1, m2, b = kx[1], kx[2], kx[3]
-        ax, ox, dx = cx.nums, cx.order, cx.den
-        for ky, cy in y.items():
-            if ky[0] != "L":
-                continue
-            bc = (b, ky[3])
-            entry = brackets.get(bc)
-            pairing = form.get(bc)
-            if not entry and not pairing:
-                continue
-            n1, n2 = ky[1], ky[2]
-            p1 = m1 + n1
-            p2 = m2 + n2
-            if entry and (abs(p1) > m1w or abs(p2) > m2w):
-                raise OutOfWindow(f"bracket degree ({p1},{p2}) leaves window ({m1w},{m2w})")
-            ay = cy.nums
-            if ox != order or cy.order != order or dx * cy.den != den:
-                order, den, cx, ay = lazy_align((sums, central), order, den, cx, cy)
-                ax, ox, dx = cx.nums, cx.order, cx.den
-                phi = euler_phi(order)
-            if phi == 1:
-                prod = ax[0] * ay[0]
-                if entry:
-                    for t, s in entry.items():
-                        key = ("L", p1, p2, t)
-                        sums[key] = sums.get(key, 0) + s * prod
-                if pairing:
-                    degs = (m1, m2, n1, n2)
-                    central[degs] = central.get(degs, 0) + pairing * prod
-                continue
-            prod = [0] * (2 * phi - 1)
-            for i, u in enumerate(ax):
-                if u:
-                    for j, v in enumerate(ay, i):
-                        prod[j] += u * v
-            if entry:
-                for t, s in entry.items():
-                    key = ("L", p1, p2, t)
-                    cur = sums.get(key)
-                    if cur is None:
-                        sums[key] = [s * v for v in prod]
-                    else:
-                        for i, v in enumerate(prod):
-                            cur[i] += s * v
-            if pairing:
-                degs = (m1, m2, n1, n2)
-                cur = central.get(degs)
-                if cur is None:
-                    central[degs] = [pairing * v for v in prod]
-                else:
-                    for i, v in enumerate(prod):
-                        cur[i] += pairing * v
-    for (m1, m2, n1, n2), total in central.items():
-        total = lazy_reduce(order, total)
-        if total is None:
-            continue
-        p1 = m1 + n1
-        p2 = m2 + n2
-        if not affine or p2 == 0:
-            if p1 == 0 and m1 != 0:
-                lazy_add(sums, ("K1",), total, m1)
-            if affine and m2 != 0:
-                if abs(p1) > m1w:
-                    raise OutOfWindow(f"central degree {p1} leaves window {m1w}")
-                lazy_add(sums, ("K2", p1), total, m2)
-        elif p2 % r != 0:
-            raise InconsistentPropagation("central term at a degree outside the loop lattice")
-        elif m1 * n2 != m2 * n1:
-            if abs(p1) > m1w or abs(p2) > m2w:
-                raise OutOfWindow(f"central degree ({p1},{p2}) leaves window")
-            lazy_add(sums, ("K1p", p1, p2), total, m1 * n2 - m2 * n1)
-    return lazy_settle(sums, order, den) if sums else {}
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from loomfold.polys import (
     drinfeld_poly_closed,
     drinfeld_poly_omega,
     family_qlimit,
+    family_split,
 )
 from loomfold.presentation import Verifier, suite_window
 from loomfold.realize import MuHat, Realization, vec_add
@@ -121,12 +122,12 @@ def test_criterion_5_finite_type_split_relations():
     assert len(finite) == 8
     for name in finite:
         real = cached_realization(name)
-        report = Verifier(real).verify_thm1_ds(4)
+        report = Verifier(real).verify_family("THM1_DS", family_split(real.gcm, real.mu), 4)
         assert report.passed, (name, [c for c in report.checks if not c.passed][:1])
         assert not report.has_gaps, name
     # the sigma-summed last line is present for the adjacent-orbit pair
     real = cached_realization("A2-flip")
-    rep = Verifier(real).verify_thm1_ds(4)
+    rep = Verifier(real).verify_family("THM1_DS", family_split(real.gcm, real.mu), 4)
     assert any(c.kind == "THM1_DSplus" for c in rep.checks)
     _ok(5, "split-form relations (sigma-summed line included) pass at modes <= 4, all finite entries")
 

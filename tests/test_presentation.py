@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 from math import lcm
@@ -5,13 +6,20 @@ from math import lcm
 import pytest
 
 from conftest import cached_family, cached_realization
-from loomfold import polys, presentation
+from loomfold import polys, presentation, realize
 from loomfold.catalog import builtin_entries, entry_by_name
 from loomfold.cartan import Gcm, canonical_matrix
-from loomfold.errors import ScopeViolation
+from loomfold.errors import OutOfWindow, ScopeViolation
 from loomfold.exactnum import CycNum, cyc_root, vec_add
 from loomfold.folding import validate_aut
-from loomfold.polys import LPoly, SerreFamily, family_locality, family_p, family_qlimit
+from loomfold.polys import (
+    LPoly,
+    SerreFamily,
+    family_locality,
+    family_p,
+    family_qlimit,
+    family_split,
+)
 from loomfold.presentation import (
     Verifier,
     serialize_elem,
@@ -100,12 +108,12 @@ def test_AS_vacuous_and_special():
 def test_thm1_requires_finite():
     real, _ = _setup("A2^(1)", [0, 2, 1])
     with pytest.raises(ScopeViolation):
-        Verifier(real).verify_thm1_ds(2)
+        Verifier(real).verify_family("THM1_DS", family_split(real.gcm, real.mu), 2)
 
 
 def test_thm1_cases_a3_flip():
     real, _ = _setup("A3", [2, 1, 0], 3)
-    rep = Verifier(real).verify_thm1_ds(3)
+    rep = Verifier(real).verify_family("THM1_DS", family_split(real.gcm, real.mu), 3)
     assert rep.passed
     assert {c.pair for c in rep.checks} == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
@@ -208,17 +216,25 @@ def test_run_suite_pair_by_pair_matches_public_methods(label, perm, fam_builder,
     assert got.to_json() == _suite_by_public_methods(real, fam, 1, certificate).to_json()
 
 
+def _count_kernel_calls(monkeypatch):
+    """A list of the operands of every call of the bracket kernel
+    `kernel._loop_bracket`, made through the name `realize` calls it by;
+    holding them keeps their ids unique."""
+    calls = []
+    kernel = realize._loop_bracket
+
+    def recording(alg, field, window, x, y):
+        calls.append((x, y))
+        return kernel(alg, field, window, x, y)
+
+    monkeypatch.setattr(realize, "_loop_bracket", recording)
+    return calls
+
+
 def test_run_suite_repeats_no_bracket(monkeypatch):
     """The locality, AS and Serre checks of a pair share their inner brackets."""
     real, fam = _setup("A2^(1)", [1, 2, 0], 1)
-    calls = []
-    bracket = real.bracket
-
-    def recording(a, b):
-        calls.append((a, b))  # holding the operands keeps their ids unique
-        return bracket(a, b)
-
-    monkeypatch.setattr(real, "bracket", recording)
+    calls = _count_kernel_calls(monkeypatch)
     Verifier(real).run_suite(fam, 1)
     operands = [(id(a), id(b)) for a, b in calls]
     assert len(operands) > 100
@@ -731,3 +747,173 @@ def test_derived_checks_own_their_lists(monkeypatch):
     assert len({id(c.gaps) for c in checks}) == len(checks)
     assert len({id(c.failures) for c in checks}) == len(checks)
     assert len({id(r) for r in residuals}) == len(residuals)
+
+
+# -- one kernel call per residue class of nested modes --------------------------
+
+
+def _direct_nested(real, i, j, sign, modes, memo):
+    """The oracle of `Verifier._nested`: the plain recursion through
+    Realization.bracket, one bracket per mode tuple, memoised by modes."""
+    if len(modes) == 1:
+        return real.theta_x(j, modes[0], sign)
+    hit = memo.get(modes)
+    if hit is None:
+        inner = _direct_nested(real, i, j, sign, modes[1:], memo)
+        hit = memo[modes] = real.bracket(real.theta_x(i, modes[0], sign), inner)
+    return hit
+
+
+def _nested_values(monkeypatch, run) -> dict:
+    """(i, j, sign, modes) -> the value `Verifier._nested` returned, or
+    OutOfWindow where it raised, for every call made while `run()` ran."""
+    seen = {}
+    nested = Verifier._nested
+
+    def recording(self, memo, i, j, sign, modes):
+        seen[(i, j, sign, modes)] = OutOfWindow  # kept if the call raises
+        value = seen[(i, j, sign, modes)] = nested(self, memo, i, j, sign, modes)
+        return value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Verifier, "_nested", recording)
+        run()
+    return seen
+
+
+def _assert_nested_match_direct(real, seen) -> int:
+    """Every recorded value prints as the oracle's, loop and central keys
+    alike, and raises OutOfWindow where the oracle does; the number of
+    nested values that were placed from a representative of other modes."""
+    memos: dict = {}
+    reps: dict = {}
+    shifted = 0
+    for (i, j, sign, modes), got in seen.items():
+        try:
+            want = _direct_nested(real, i, j, sign, modes, memos.setdefault((i, j, sign), {}))
+        except OutOfWindow:
+            want = OutOfWindow
+        if got is OutOfWindow or want is OutOfWindow:
+            assert got is want, (i, j, sign, modes)
+        else:
+            assert serialize_elem(got) == serialize_elem(want), (i, j, sign, modes)
+        if len(modes) > 1:
+            key = (i, j, sign) + tuple(m % real.n_order for m in modes)
+            shifted += reps.setdefault(key, modes) != modes
+    return shifted
+
+
+@pytest.mark.parametrize("name", [e.name for e in builtin_entries()])
+def test_nested_values_match_direct_brackets(monkeypatch, name):
+    # the suite at modes 2 reads nested modes that repeat a residue class mod
+    # N on every entry, so most of its values are placed, not bracketed
+    real, fam = cached_realization(name), cached_family(name)
+    seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
+    assert _assert_nested_match_direct(real, seen)
+
+
+@pytest.mark.parametrize("name", ["A1a-flip", "A2a-flip", "A2a-rot", "A3a-rot"])
+def test_nested_values_match_direct_brackets_modes_4(monkeypatch, name):
+    real, fam = cached_realization(name), cached_family(name)
+    seen = _nested_values(monkeypatch, lambda: Verifier(real).verify_family("DS", fam, 4))
+    assert _assert_nested_match_direct(real, seen)
+
+
+@pytest.mark.parametrize(
+    "name, modes, window",
+    [
+        ("A1a-flip", 2, (6, 3)),
+        ("A1a-id", 2, (6, 3)),
+        ("A2a-flip", 3, (7, 4)),
+        ("A2a-rot", 2, (6, 3)),
+        ("A3a-rot", 2, (7, 4)),
+    ],
+)
+def test_nested_values_leave_tight_windows_where_direct_brackets_do(
+    monkeypatch, name, modes, window
+):
+    # bracket output degrees leave the window: a placed value raises
+    # OutOfWindow exactly where the direct bracket does, and the gaps of the
+    # report are those of the pairs evaluated alone
+    e = entry_by_name(name)
+    real = Realization(e.gcm, e.mu, *window)
+    fam = cached_family(name)
+    seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, modes))
+    assert _assert_nested_match_direct(real, seen)
+    assert OutOfWindow in seen.values()
+    shared, alone = _shared_and_alone(monkeypatch, lambda: Verifier(real).run_suite(fam, modes))
+    assert shared == alone
+    assert '"out_of_window"' in shared
+
+
+@pytest.mark.parametrize(
+    "label, perm, bracketed, classes, tuples",
+    [("A2^(1)", [1, 2, 0], 126, 162, 504), ("A1^(1)", [0, 1], 16, 16, 680)],
+)
+def test_run_suite_brackets_once_per_residue_class(
+    monkeypatch, label, perm, bracketed, classes, tuples
+):
+    """The nested kernel calls of run_suite at modes 1 (A2a-rot, A1a-id)
+    are one per class of pairs, sign and residue class of modes mod N whose
+    inner operand is nonzero, against one per mode tuple when each is
+    bracketed directly; a zero inner operand is no kernel call."""
+    real, fam = _setup(label, perm, 1)
+    calls = _count_kernel_calls(monkeypatch)
+    Verifier(real).verify_cartan_relations(1)
+    cartan = len(calls)
+    calls.clear()
+    seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 1))
+    nested = [(i, j, sign, modes) for i, j, sign, modes in seen if len(modes) > 1]
+    big_n = real.n_order
+
+    def residues(i, j, sign, modes):
+        return (i, j, sign) + tuple(m % big_n for m in modes)
+
+    keys = {residues(*k) for k in nested if seen[k[:3] + (k[3][1:],)]}
+    assert len(calls) - cartan == len(keys) == bracketed
+    assert len({residues(*k) for k in nested}) == classes
+    assert len(nested) == tuples
+
+
+def test_a_tampered_residue_representative_fails_its_whole_class(monkeypatch):
+    # the plain family on the pair (0, 1) of A2a-rot has one summand per
+    # check, the nested bracket at the output modes.  One residue class's
+    # representative gets a loop key it does not have: the residual changes
+    # at every member of the class that is no gap, and nowhere else; the
+    # gaps, from bracket degrees beyond the window (4, 3), stay
+    monkeypatch.setattr(presentation, "MAX_RECORDED_FAILURES", 10**6)
+    e = entry_by_name("A2a-rot")
+    real = Realization(e.gcm, e.mu, m1_window=4, m2_window=3)
+    fam = _one_pair(_plain_family(cached_family("A2a-rot"), 1), 0, 1)
+    v = Verifier(real)
+    memos = {+1: ({}, {}), -1: ({}, {})}
+
+    def run():
+        report = v._verify_weighted("P1", fam, 0, 1, 2, memos, (0, 1, 0))
+        return {
+            chk.sign: (chk.checked, list(chk.gaps), dict(chk.failures)) for chk in report.checks
+        }
+
+    before = run()
+    values, reps = memos[+1]
+    key = (1, 1, 2)
+    r1, rest, (loop, *acc) = reps[key]
+    reps[key] = (r1, rest, ({**loop, ("L", 0, 0, 0): CycNum.one(real.field)}, *acc))
+    values.clear()
+    after = run()
+    assert after[-1] == before[-1]
+    checked, gaps, failures = after[+1]
+    assert (checked, gaps) == before[+1][:2]
+    members = {
+        out
+        for out in itertools.product(range(-2, 3), repeat=3)
+        if tuple(m % 3 for m in out) == key
+    }
+    changed = {
+        out
+        for out in failures.keys() | before[+1][2].keys()
+        if serialize_elem(failures.get(out, {})) != serialize_elem(before[+1][2].get(out, {}))
+    }
+    assert changed == members - set(gaps)
+    assert changed and members & set(gaps)
+    assert changed <= failures.keys()

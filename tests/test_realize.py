@@ -12,7 +12,7 @@ from loomfold.catalog import builtin_entries, entry_by_name
 from loomfold.chevalley import close
 from loomfold.errors import InconsistentPropagation, JobError, OutOfWindow, ScopeViolation
 from loomfold.exactnum import CycNum, Echelon, cyc_root
-from loomfold.presentation import Verifier
+from loomfold.presentation import Verifier, serialize_elem
 from loomfold.realize import (
     MuHat,
     MuHatClosed,
@@ -900,7 +900,7 @@ def test_kernel_runs_no_cycnum_arithmetic(monkeypatch):
     fam = cached_family("A5a-rot")
     ver = Verifier(real)
     i, j = sorted(fam.entries)[0]
-    memos = {+1: {}, -1: {}}
+    memos = {+1: ({}, {}), -1: ({}, {})}
 
     def weighted():
         return ver._verify_weighted("DS", fam, i, j, 1, memos, (i, j, 0))
@@ -916,3 +916,47 @@ def test_kernel_runs_no_cycnum_arithmetic(monkeypatch):
         monkeypatch.setattr(CycNum, name, refuse)
     assert any(real.bracket(x, y) for x, y in pairs)
     assert weighted().to_json() == want
+
+
+# -- the two steps of the kernel: accumulate, then place at a t1-shift ---------
+
+
+def _t1_shifted(x, d):
+    """The loop part of x moved d in t1-degree (the kernel reads no other key)."""
+    return {("L", k[1] + d) + k[2:]: c for k, c in x.items() if k[0] == "L"}
+
+
+@pytest.mark.parametrize("name", ["A2-flip", "A1a-id", "A2a-flip", "A2a-rot"])
+def test_place_brackets_the_shifted_operands(name):
+    # place(accumulate(x, y), d1, d2) is the bracket of x and y moved d1 and
+    # d2 in t1: the same value, central keys at the shifted degrees included,
+    # or the same OutOfWindow message, for any shifts, not only multiples of N
+    e = entry_by_name(name)
+    real = Realization(e.gcm, e.mu, m1_window=4, m2_window=2)
+    rng = random.Random(name)
+    images = [
+        image
+        for i in range(real.gcm.n)
+        for m in (-1, 0, 1)
+        for image in (real.theta_x(i, m, +1), real.theta_x(i, m, -1), real.theta_h(i, m))
+        if image
+    ]
+    elems = images + [real.bracket(rng.choice(images), rng.choice(images)) for _ in range(20)]
+    seen = {"raised": 0, "central": 0}
+    for _ in range(300):
+        x, y = rng.choice(elems), rng.choice(elems)
+        d1, d2 = rng.randint(-4, 4), rng.randint(-4, 4)
+        acc = real.accumulate(x, y)
+        try:
+            got = serialize_elem(real.place(acc, d1, d2))
+        except OutOfWindow as exc:
+            got = str(exc)
+        try:
+            want = serialize_elem(real.bracket(_t1_shifted(x, d1), _t1_shifted(y, d2)))
+        except OutOfWindow as exc:
+            want = str(exc)
+            seen["raised"] += 1
+        assert got == want, (d1, d2)
+        if isinstance(got, list):
+            seen["central"] += any(item["key"][0] != "L" for item in got)
+    assert seen["raised"] and seen["central"]

@@ -188,6 +188,12 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A4a-rot --modes 1 --family user:famz4.json"
   echo "verify --entry A3a-rot --modes 1 --family user:famzx3.json"
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
+  # N <= 2 with weighted gaps from bracket output degrees, the Cartan rows
+  # inside the window: a nested bracket placed from its residue class's
+  # representative must leave the window where the direct one does
+  echo "verify --entry A1a-flip --modes 2 --window 6,3"
+  echo "verify --entry A1a-id --modes 2 --window 6,3"
+  echo "verify --entry A2a-flip --modes 3 --window 7,4"
   # rotations with out-of-window gaps: operand images leave the window, so
   # the gaps of a shifted pair come from its class representative's brackets
   echo "verify --entry A3a-rot --modes 2 --window 4,3"
