@@ -133,11 +133,6 @@ class LPoly:
 
     # -- structure queries -------------------------------------------------------
 
-    def total_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
@@ -167,17 +162,6 @@ class LPoly:
         for e, c in self.terms.items():
             vec_add(out, {(sum(e),): c})
         return LPoly(("w",), out)
-
-    def eval_rational(self, values: dict[str, Fraction]) -> CycNum:
-        """Full evaluation at rational points (exponents may be negative)."""
-        total = CycNum.zero()
-        for e, c in self.terms.items():
-            factor = Fraction(1)
-            for name, exp in zip(self.vars, e):
-                v = Fraction(values[name])
-                factor *= v**exp
-            total = total + c.mul_rational(factor)
-        return total
 
     # -- division ------------------------------------------------------------------
 

@@ -37,8 +37,8 @@ window at the same modes.  By bilinearity the nested bracket of
 xi_N^(a (k_1 + ... + k_s + n)) times that of (i0, j0), and so is each
 bracket of the Cartan checks H, HX and XX at modes (m, n); each raises
 OutOfWindow exactly where the representative's does, since a nonzero
-multiple has the same keys.  Every summand of a pair in the class reads
-the representative's nested bracket and scales its coefficient.
+multiple has the same keys.  So only the representative is bracketed,
+and every relation of the class is moved to it (see below).
 The identity is also checked exactly on the grid: the Xperiod and H checks
 of every node, which every report carries, compare theta(mu i, m) with
 xi_N^m theta(i, m) at each mode, so a corrupted image fails the report.
@@ -61,16 +61,23 @@ a placed bracket raises OutOfWindow exactly where the direct one does, and
 every report, gaps included, is unchanged.  A zero inner bracket gives zero
 with no kernel call: it meets no basis pair, so it leaves no window either.
 
-A weighted relation of a shifted pair is not even summed when two things
-hold (`Verifier._derive`): its polynomials equal those of (i0, j0), and
-every term of them has one total degree D.  Both sum in one field, and
-every summand at output modes `out` carries the same phase
-xi_N^(a (sum(out) + D)), so the pair's report is the representative's: the
-same checked count, gaps and failure count, each residual times that phase
-(`Verifier._phased`).  Any other relation is summed from the pair's own
-coefficients, so gaps and residuals are those of the pair evaluated alone,
-for any family.  The Cartan checks of every shifted pair are derived the
-same way, with D = 0: each expected value is the representative's times
+One rule moves a weighted relation of the pair (i, j) = mu^a (i0, j0) to
+(i0, j0) (`Verifier._transport`).  A term c z^e of P_sigma, of total degree
+d, reads at output modes `out` the nested bracket at modes of sum
+sum(out) + d, so on the brackets of (i0, j0) its coefficient is
+
+    c xi_N^(a (sum(out) + d)) = c xi_N^(a (d - D)) * xi_N^(a (sum(out) + D)),
+
+with D the least total degree of the relation.  The first factor, the
+transported coefficient, does not depend on the modes; the second is one
+phase for the whole check.  So the report of (i, j) is that of the
+transported relation on (i0, j0): the same checked count, gaps and failure
+count, and each residual times xi_N^(a (sum(out) + D)) (`Verifier._phased`).
+Both sum in Q(xi_F), since N divides L.  Each distinct transported relation
+of a class is summed once, so pairs whose relations transport alike share
+one evaluation, and the report of every pair is that of the pair evaluated
+alone, for any family.  The Cartan checks of every shifted pair are derived
+the same way, with D = 0: each expected value is the representative's times
 xi_N^(a (m + n)) as well, because eps is mu-invariant.  `Gcm` rejects
 decomposable matrices, so the symmetrizers of A are the positive multiples
 of eps; `validate_aut` makes mu preserve A, so eps o mu is one of them,
@@ -198,13 +205,13 @@ class Verifier:
     class of modes mod N: every nested bracket of the class is placed from
     it, shifted in t1, and raises OutOfWindow where a direct bracket would
     (see the module docstring).  `verify_family` and `run_suite` keep the
-    memos of one class of pairs at a time: all of its relations and pairs
-    read the representative's brackets.  A shifted pair whose relation has
-    the representative's polynomials and one total degree D sums nothing:
-    its report is the representative's with each residual times
-    xi_N^(a (sum(out) + D)).  So are the Cartan checks of every shifted
-    pair, with D = 0: they bracket nothing.  Every check, of
-    either kind, is counted and summed by `_check`.
+    memos of one class of pairs at a time.  Every relation of a pair
+    mu^a (i0, j0) is transported to the representative (i0, j0), each
+    distinct transported relation is summed once on its brackets, and the
+    pair's report is its evaluation with each residual times
+    xi_N^(a (sum(out) + D)).  The Cartan checks of every shifted pair are
+    the representative's in the same way, with D = 0: they bracket nothing.
+    Every check, of either kind, is counted and summed by `_check`.
     """
 
     def __init__(self, real: Realization):
@@ -329,50 +336,55 @@ class Verifier:
         """Every (kind, family) of `suite` on every pair it defines, one
         class of pairs at a time, with one set of memos per class; the
         checks are returned in (i, j) order, in suite order within a pair.
-        A shifted pair whose relation allows it (`_derive`) takes its report
-        from the class representative's."""
+        Each relation is transported to the class representative
+        (`_transport`), each distinct transported relation is evaluated
+        once, and every pair's report is phased from its evaluation."""
         by_pair: dict = {}
         for cls in _pair_classes(self.mu, self.gcm.n):
             memos = {+1: ({}, {}), -1: ({}, {})}
-            reps: dict = {}
+            evaluated: dict = {}
             i0, j0, _ = cls[0]
             for i, j, a in cls:
                 for kind, fam in suite:
                     if (i, j) not in fam.entries:
                         continue
-                    source = (i0, j0, a)
-                    part = None
-                    if kind in reps:
-                        part = self._derive(reps[kind], fam, i, j, source)
+                    arity = fam.arity(i, j)
+                    terms, degree = self._transport(fam.entries[(i, j)], a)
+                    # a coefficient by its field and coordinates: CycNum has no hash
+                    key = (kind, arity, tuple((s, e, c.order, c.nums, c.den) for s, c, e in terms))
+                    part = evaluated.get(key)
                     if part is None:
-                        part = self._verify_weighted(kind, fam, i, j, mode_bound, memos, source)
-                    if not a:
-                        reps[kind] = part
-                    by_pair.setdefault((i, j), []).append(part)
+                        part = evaluated[key] = self._verify_weighted(
+                            kind, terms, i0, j0, arity, mode_bound, memos
+                        )
+                    by_pair.setdefault((i, j), []).extend(
+                        self._phased(part.checks, (i, j), a, degree)
+                    )
         report = RelationReport()
         for pair in sorted(by_pair):
-            for part in by_pair[pair]:
-                report.extend(part)
+            report.checks.extend(by_pair[pair])
         return report
 
-    def _derive(
-        self, rep: RelationReport, fam: SerreFamily, i: int, j: int, source: tuple
-    ) -> RelationReport | None:
-        """The report of `fam` on the pair (i, j) = mu^a (i0, j0), for
-        `source` (i0, j0, a), read from `rep`, the report of (i0, j0); None
-        unless the polynomials of (i, j) equal those of (i0, j0) and every
-        term of them has one total degree D.  Then every summand of (i, j)
-        at output modes `out` reads the bracket of (i0, j0) with its
-        coefficient times xi_N^(a (sum(out) + D)), the same phase for all
-        of them, and both sum in one field: the pair has the checked count,
-        gaps and failure count of (i0, j0), and each residual is that of
-        (i0, j0) times the phase."""
-        i0, j0, a = source
-        sigmas = fam.entries[(i, j)]
-        degree = _shift_degree(sigmas)
-        if degree is None or sigmas != fam.entries[(i0, j0)]:
-            return None
-        return RelationReport(self._phased(rep.checks, (i, j), a, degree))
+    def _transport(self, sigmas: dict, a: int) -> tuple:
+        """The relation {sigma: P_sigma} of a pair mu^a (i0, j0), moved to
+        (i0, j0): its nonzero terms (sigma, c xi_N^(a (d - D)), exps), in
+        (sigma, exps) order, with d the total degree of exps, D the least
+        one and every coefficient c lifted into Q(xi_F), F the lcm of L and
+        the orders of the pair's coefficients; and D (0 with no term).  At
+        output modes `out` the summand of a term reads modes of sum
+        sum(out) + d, so its coefficient on the brackets of (i0, j0) is
+        c xi_N^(a (sum(out) + d)): the transported one times
+        xi_N^(a (sum(out) + D)), one phase for the whole check."""
+        real = self.real
+        terms = [(s, e, c) for s, p in sorted(sigmas.items()) for e, c in sorted(p.terms.items())]
+        field = lcm(real.field, *(c.order for _, _, c in terms))
+        degree = min((sum(e) for _, e, _ in terms), default=0)
+        out = []
+        for s, e, c in terms:
+            c = c.lift(field)
+            k = a * (sum(e) - degree) % self.n_order
+            out.append((s, c * real._phase(k) if k else c, e))
+        return tuple(out), degree
 
     def _phased(self, checks: list, pair: tuple, a: int, degree: int) -> list:
         """The checks of `pair` = mu^a (i0, j0) read from `checks`, those of
@@ -391,59 +403,36 @@ class Verifier:
         return out
 
     def _verify_weighted(
-        self,
-        kind: str,
-        fam: SerreFamily,
-        i: int,
-        j: int,
-        mode_bound: int,
-        memos: dict,
-        source: tuple,
+        self, kind: str, terms: tuple, i0: int, j0: int, arity: int, mode_bound: int, memos: dict
     ) -> RelationReport:
-        """Relation `kind` of `fam` on the pair (i, j) = mu^a (i0, j0), for
-        `source` (i0, j0, a).  Each summand reads the nested bracket of
-        (i0, j0) at its modes and multiplies its coefficient by
-        xi_N^(a sum(modes)), so only (i0, j0) is bracketed; it raises
-        OutOfWindow exactly where the bracket of (i, j) would.  Every check
-        sums in Q(xi_F), F the lcm of L and the orders of the pair's
-        coefficients.  `memos` maps each sign to the memo of (i0, j0), the
-        pair (values, reps) of `_nested`."""
-        real = self.real
-        big_n = self.n_order
-        report = RelationReport()
-        arity = fam.arity(i, j)
-        polys = [(s, p) for s, p in sorted(fam.entries[(i, j)].items()) if not p.is_zero()]
-        field = lcm(real.field, *(c.order for _, p in polys for c in p.terms.values()))
-        # each coefficient lifted once into Q(xi_F) and kept per phase
-        # exponent e as coeff * xi_N^e
-        prepared = [
-            (sigma, [({0: c.lift(field)}, e) for e, c in sorted(poly.terms.items())])
-            for sigma, poly in polys
-        ]
+        """Relation `kind` with the `terms` of `_transport` on the pair
+        (i0, j0), with `arity` z-slots: each summand reads the nested
+        bracket of (i0, j0) at its modes.  Every check sums in Q(xi_F), F
+        the lcm of L and the orders of the coefficients.  `memos` maps each
+        sign to the memo of (i0, j0), the pair (values, reps) of
+        `_nested`."""
+        field = lcm(self.real.field, *(c.order for _, c, _ in terms))
+        # per term: the slot that each mode reads, w last
+        slots = [(sigma + (arity,), c, exps) for sigma, c, exps in terms]
         if kind == "X":
             grid = f"|m|,|n|<={mode_bound}"
         else:
             grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
-        i0, j0, a = source
+        report = RelationReport()
         for sign in (+1, -1):
-            chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i, j), sign, grid)
+            chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i0, j0), sign, grid)
             memo = memos[sign]
             for out_modes in itertools.product(
                 range(-mode_bound, mode_bound + 1), repeat=arity + 1
             ):
                 summands = []
                 try:
-                    for sigma, terms in prepared:
-                        for scaled, exps in terms:
-                            modes = tuple(
-                                out_modes[sigma[p]] + exps[sigma[p]]
-                                for p in range(arity)
-                            ) + (out_modes[arity] + exps[arity],)
-                            e = a * sum(modes) % big_n
-                            coeff = scaled.get(e)
-                            if coeff is None:
-                                coeff = scaled[e] = scaled[0] * real._phase(e)
-                            summands.append((coeff, self._nested(memo, i0, j0, sign, modes)))
+                    for read, c, exps in slots:
+                        # a memo key: from a list the tuple is allocated once;
+                        # from a generator it is allocated at a guessed size
+                        # and shrunk, which raised the peak RSS of a suite
+                        modes = tuple([out_modes[q] + exps[q] for q in read])
+                        summands.append((c, self._nested(memo, i0, j0, sign, modes)))
                 except OutOfWindow:
                     chk.gaps.append(out_modes)
                     continue
@@ -532,13 +521,6 @@ def _pair_classes(mu, n: int) -> list:
                 cls.append(pair + (a,))
         classes.append(sorted(cls))
     return classes
-
-
-def _shift_degree(sigmas: dict) -> int | None:
-    """D when every term of the relation {sigma: P_sigma} has total degree
-    D; None otherwise."""
-    degrees = {sum(exps) for poly in sigmas.values() for exps in poly.terms}
-    return degrees.pop() if len(degrees) == 1 else None
 
 
 def _vacuous(kind: str) -> RelationReport:

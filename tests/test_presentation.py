@@ -438,8 +438,10 @@ def test_run_suite_sums_once_per_class(monkeypatch):
     assert len(sums) == 1296 + 54 + 36 * 36
 
 
-# families on which no shifted pair reads its report from the class
-# representative's, each breaking one condition of `Verifier._derive`
+# families on which no two pairs of a class transport to the same relation
+# on the class representative (`Verifier._transport`): each term of a pair
+# mu^a (i0, j0) is the coefficient c times xi_N^(a (d - D)), d its total
+# degree and D the least one, and these make the transported terms differ
 _NOT_SHIFTS = {
     # the coefficient 1 + 10 i + j differs on every pair
     "polys differ": lambda i, j, s: {(0, 0, 0): 1 + 10 * i + j},
@@ -491,6 +493,55 @@ def test_classes_derive_a_relation_whose_coefficient_orders_mix(monkeypatch, nam
     reps = sum(1 for cls in classes if cls[0][:2] in fam.entries)
     assert reps < len(fam.entries)
     assert len(sums) == 2 * (reps + len(fam.entries)) * 27
+
+
+def test_transported_relations_keep_each_pairs_field(monkeypatch):
+    # the coefficient 1 in the identity slot of every pair of A2a-rot, stored
+    # in Q(xi_5) except on the least pair: equal values, but the shifted
+    # pairs of the least pair's class sum in Q(xi_15), so they share no
+    # evaluation with it, and each pair prints as it does alone
+    real, fam = cached_realization("A2a-rot"), cached_family("A2a-rot")
+    least = min(fam.entries)
+    fam = _plain_family(fam, CycNum.one(5))
+    fam.entries[least] = _plain_family(cached_family("A2a-rot"), 1).entries[least]
+    shared, alone = _shared_and_alone(
+        monkeypatch, lambda: Verifier(real).verify_family("P1", fam, 1)
+    )
+    assert shared == alone
+    orders = {
+        item["coeff"]["order"]
+        for chk in json.loads(shared)["checks"]
+        for failure in chk.get("failures", [])
+        for item in failure["residual"]
+    }
+    assert orders == {real.field, lcm(real.field, 5)}
+
+
+def test_shifted_pairs_that_transport_alike_are_summed_once(monkeypatch):
+    # z1 in one slot and z1 z2 w in the other, of degrees 1 and 3, on every
+    # pair (i + 1, i) of A3a-rot (N = 4), one class.  Moved to the
+    # representative (0, 3), the pair shifted by a keeps z1 and scales
+    # z1 z2 w by xi_4^(2 a): a = 1 and a = 3 share xi_4^2 = -1, a = 0 and
+    # a = 2 share 1, so two relations are summed for the four pairs
+    real = cached_realization("A3a-rot")
+    variables = ("z1", "z2", "w")
+    fam = SerreFamily("degrees")
+    for i in range(4):
+        fam.entries[((i + 1) % 4, i)] = {
+            (0, 1): LPoly(variables, {(1, 0, 0): 1}),
+            (1, 0): LPoly(variables, {(1, 1, 1): 1}),
+        }
+    classes = presentation._pair_classes(real.mu, real.gcm.n)
+    assert [(0, 3, 0), (1, 0, 1), (2, 1, 2), (3, 2, 3)] in classes
+    sums = _count_sums(monkeypatch)
+    shared, alone = _shared_and_alone(
+        monkeypatch, lambda: Verifier(real).verify_family("P1", fam, 1)
+    )
+    assert shared == alone
+    assert '"failures"' in shared
+    # the shared run sums two relations, the run alone the four pairs, at
+    # each of the 27 output modes, per sign
+    assert len(sums) == 2 * (2 + 4) * 27
 
 
 def test_pair_classes_rotation():
@@ -887,9 +938,10 @@ def test_a_tampered_residue_representative_fails_its_whole_class(monkeypatch):
     fam = _one_pair(_plain_family(cached_family("A2a-rot"), 1), 0, 1)
     v = Verifier(real)
     memos = {+1: ({}, {}), -1: ({}, {})}
+    terms, _ = v._transport(fam.entries[(0, 1)], 0)
 
     def run():
-        report = v._verify_weighted("P1", fam, 0, 1, 2, memos, (0, 1, 0))
+        report = v._verify_weighted("P1", terms, 0, 1, fam.arity(0, 1), 2, memos)
         return {
             chk.sign: (chk.checked, list(chk.gaps), dict(chk.failures)) for chk in report.checks
         }

@@ -901,9 +901,10 @@ def test_kernel_runs_no_cycnum_arithmetic(monkeypatch):
     ver = Verifier(real)
     i, j = sorted(fam.entries)[0]
     memos = {+1: ({}, {}), -1: ({}, {})}
+    terms, _ = ver._transport(fam.entries[(i, j)], 0)
 
     def weighted():
-        return ver._verify_weighted("DS", fam, i, j, 1, memos, (i, j, 0))
+        return ver._verify_weighted("DS", terms, i, j, fam.arity(i, j), 1, memos)
 
     want = weighted().to_json()  # also builds every generator image it needs
     elems = [real.theta_x(i, m, s) for i in range(real.gcm.n) for m in (-1, 0, 1) for s in (1, -1)]

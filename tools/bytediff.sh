@@ -49,6 +49,18 @@ for i in 0 1 2 3; do
   {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$z1, $z2xi5]}}}"
 done
 echo "{\"name\": \"mixed\", \"pairs\": [$pairs]}" >"$tmp/famzx3.json"
+# z1 in one slot and z1 z2 w in the other, of degrees 1 and 3, on every pair
+# (i + 1, i) of A3a-rot: moved to the class representative, the shifted
+# pairs a = 1 and a = 3 both scale the second slot by xi_4^2 = -1, so they
+# share one evaluation
+z1z2w='{"exps": [1, 1, 1], "coeff": {"order": 1, "coeffs": ["1"]}}'
+pairs=
+for i in 0 1 2 3; do
+  pairs="$pairs${pairs:+,} {\"i\": $(((i + 1) % 4)), \"j\": $i, \"terms\":
+  {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$z1]},
+   \"1,0\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$z1z2w]}}}"
+done
+echo "{\"name\": \"degrees\", \"pairs\": [$pairs]}" >"$tmp/famd3.json"
 # one z-slot (vars z1, w): its grid prints as modes in [-1,1]^2 at modes 1
 w1='{"exps": [0, 1], "coeff": {"order": 1, "coeffs": ["1"]}}'
 echo "{\"name\": \"arity1\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
@@ -187,6 +199,7 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A3a-rot --modes 1 --family user:famz3.json"
   echo "verify --entry A4a-rot --modes 1 --family user:famz4.json"
   echo "verify --entry A3a-rot --modes 1 --family user:famzx3.json"
+  echo "verify --entry A3a-rot --modes 2 --family user:famd3.json"
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
   # N <= 2 with weighted gaps from bracket output degrees, the Cartan rows
   # inside the window: a nested bracket placed from its residue class's
