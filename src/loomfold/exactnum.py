@@ -689,11 +689,13 @@ class Echelon:
 
     Vectors and images are sparse dicts over ordered keys, with int, Fraction
     or CycNum entries.  Each row is stored under its pivot, the highest key
-    of its vector, with the vector scaled to 1 there and the image scaled
-    alike, so the rows span the inserted vectors and carry their images.
-    `rank` is the number of rows.  Inserting a vector that reduces to zero
-    checks that its image is consistent with the map built so far; a
-    contradiction raises InconsistentPropagation.
+    of its vector, scaled to 1 there, as (tail, image): the vector without
+    that unit entry, and the image scaled alike.  A reduction step pops the
+    entry c at the pivot (it cancels exactly) and adds -c times the tail,
+    and times the image only when the row has one.  `rank` is the number of
+    rows.  Inserting a vector that reduces to zero checks that its image is
+    consistent with the map built so far; a contradiction raises
+    InconsistentPropagation.
     """
 
     def __init__(self):
@@ -711,9 +713,14 @@ class Echelon:
             row = rows.get(p)
             if row is None:
                 break
-            c = v[p]
-            vec_add(v, row[0], -c)
-            vec_add(img, row[1], -c)
+            c = v.pop(p)
+            tail, image = row
+            if image:
+                c = -c
+                vec_add(v, tail, c)
+                vec_add(img, image, c)
+            elif tail:
+                vec_add(v, tail, -c)
         return v, img
 
     def insert(self, v: dict, img: dict) -> bool:
@@ -726,8 +733,12 @@ class Echelon:
                 )
             return False
         p = max(v)
-        inv = _ONE / v[p]
-        self.rows[p] = ({k: x * inv for k, x in v.items()}, {k: x * inv for k, x in img.items()})
+        c = v.pop(p)
+        if c != 1:
+            inv = _ONE / c
+            v = {k: x * inv for k, x in v.items()}
+            img = {k: x * inv for k, x in img.items()}
+        self.rows[p] = (v, img)
         return True
 
     def apply(self, v: dict) -> dict:

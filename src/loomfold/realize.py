@@ -431,7 +431,8 @@ class Realization:
         Supported when the lifted automorphism preserves the t2-grading:
         finite matrices, untwisted affine matrices with a grading-preserving
         permutation, or the identity.  Returns {block: (fixed, generated)}.
-        Negative bounds raise JobError, since they name no block.
+        Negative bounds raise JobError, since they name no block, and so
+        does a positive inner_m2 on a finite core, which has t2-degree 0 only.
         """
         if inner_m1 < 0 or (inner_m2 is not None and inner_m2 < 0):
             raise JobError(f"block bounds must be >= 0, got ({inner_m1}, {inner_m2})")
@@ -446,6 +447,8 @@ class Realization:
                 "fixed-block dimensions need a grading-preserving automorphism"
             )
         if self.galg.mode == "finite":
+            if inner_m2:
+                raise JobError(f"a finite core has t2-degree 0 only, got inner_m2 = {inner_m2}")
             inner_m2 = 0
         elif inner_m2 is None:
             inner_m2 = max(1, inner_m1 - 1)
@@ -620,9 +623,6 @@ class MuHat:
             if lhs != rhs:
                 return False
         return True
-
-    def fixes(self, x: AlgElem) -> bool:
-        return self.apply(x) == x
 
 
 def _max_m1(v: AlgElem) -> int:

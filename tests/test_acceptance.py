@@ -189,9 +189,9 @@ def test_criterion_7_structural_exactness():
         pairs = [(rng.choice(low), rng.choice(low)) for _ in range(6)]
         assert hat.bracket_check(pairs), name
         for i in range(real.gcm.n):
-            assert hat.fixes(real.theta_h(i, 1)), name
-            assert hat.fixes(real.theta_x(i, -1, +1)), name
-        assert hat.fixes(real.theta_c()), name
+            assert hat.apply(real.theta_h(i, 1)) == real.theta_h(i, 1), name
+            assert hat.apply(real.theta_x(i, -1, +1)) == real.theta_x(i, -1, +1), name
+        assert hat.apply(real.theta_c()) == real.theta_c(), name
     _ok(
         7,
         "Jacobi and antisymmetry on 500 random triples, form invariance on all "

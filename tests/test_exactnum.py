@@ -14,6 +14,8 @@ from loomfold.exactnum import (
     euler_phi,
     kernel_basis,
     lin_comb,
+    vec_add,
+    vec_scale,
 )
 
 
@@ -394,3 +396,118 @@ def test_cyclotomic_kernel_is_exact(order):
                 for j, x in vec.items():
                     acc = acc + row[j] * x
                 assert acc.is_zero()
+
+
+# -- the stored rows, against an elimination that keeps each pivot entry ------
+
+
+class _PivotEchelon:
+    """The elimination with the unit pivot entry kept in each row: a step
+    takes c = v[p] times the whole row off the vector, and off the image,
+    with two `vec_add`s."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, v, img):
+        v, img = dict(v), dict(img)
+        while v:
+            p = max(v)
+            if p not in self.rows:
+                break
+            vec, image = self.rows[p]
+            c = v[p]
+            vec_add(v, vec, -c)
+            vec_add(img, image, -c)
+        return v, img
+
+    def insert(self, v, img):
+        v, img = self.reduce(v, img)
+        if not v:
+            if img:
+                raise InconsistentPropagation("contradicting image")
+            return False
+        p = max(v)
+        inv = Fraction(1) / v[p]
+        self.rows[p] = (vec_scale(v, inv), vec_scale(img, inv))
+        return True
+
+    def apply(self, v):
+        v, img = self.reduce(v, {})
+        assert not v
+        return vec_scale(img, -1)
+
+
+def _entries(kind):
+    pool = [0, 0, 0, 1, 1, -1, 2, -3]
+    if kind == "int":
+        return st.sampled_from(pool)
+    if kind == "Fraction":
+        return st.sampled_from([Fraction(x, d) for x in pool for d in (1, 2, 3)])
+    order = int(kind[-1])
+    coeffs = st.lists(st.sampled_from(pool), min_size=euler_phi(order), max_size=euler_phi(order))
+    return coeffs.map(lambda c: CycNum(order, c))
+
+
+@st.composite
+def echelon_pairs(draw):
+    """(kind, one, pairs): sparse (vector, image) pairs of one number type.
+    Some are sums of two earlier pairs, consistent or with a perturbed
+    image, so that insertions reduce to zero and contradict."""
+    kind = draw(st.sampled_from(["int", "Fraction", "CycNum1", "CycNum3", "CycNum4", "CycNum5"]))
+    one = {"int": 1, "Fraction": Fraction(1)}.get(kind) or CycNum.one(int(kind[-1]))
+    entry = _entries(kind)
+
+    def sparse(keys):
+        return {k: x for k, x in draw(st.dictionaries(keys, entry, max_size=4)).items() if x}
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 10))):
+        move = draw(st.sampled_from(["fresh", "fresh", "sum", "clash"]))
+        if move == "fresh" or not pairs:
+            img = sparse(st.sampled_from("abc")) if draw(st.booleans()) else {}
+            pairs.append((sparse(st.integers(0, 5)), img))
+            continue
+        (v, img), (w, img2) = draw(st.sampled_from(pairs)), draw(st.sampled_from(pairs))
+        c = draw(entry)
+        v, img = dict(v), dict(img)
+        vec_add(v, w, c)
+        vec_add(img, img2, c)
+        if move == "clash":
+            vec_add(img, {"a": one})
+        pairs.append((v, img))
+    return kind, one, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_pairs())
+def test_echelon_matches_pivot_entry_elimination(case):
+    _, one, pairs = case
+    ech, ref = Echelon(), _PivotEchelon()
+    members = []
+    for v, img in pairs:
+        try:
+            want = ref.insert(v, img)
+        except InconsistentPropagation:
+            with pytest.raises(InconsistentPropagation):
+                ech.insert(v, img)
+            continue
+        assert ech.insert(v, img) == want
+        members.append(v)
+    assert list(ech.rows) == list(ref.rows) and ech.rank == len(ref.rows)
+    for p, (tail, image) in ech.rows.items():
+        vec, ref_image = ref.rows[p]
+        assert vec[p] == 1 and tail == {k: x for k, x in vec.items() if k != p}
+        assert image == ref_image
+    members.append({})
+    for v in members:
+        assert ech.apply(v) == ref.apply(v)
+    columns = [v for v, _ in pairs]
+    ref_cols, ref_kernel = _PivotEchelon(), []
+    for j, col in enumerate(columns):
+        v, img = ref_cols.reduce(col, {j: one})
+        if v:
+            ref_cols.insert(v, img)
+        else:
+            ref_kernel.append(img)
+    assert kernel_basis(columns, one) == ref_kernel

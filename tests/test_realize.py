@@ -366,12 +366,12 @@ def test_mu_hat_checks(a2_flip, a1a_flip, a2a_flip, a2a_rot):
             (real.theta_h(0, 1), real.theta_x(0, -1, -1)),
         ]
         assert hat.bracket_check(pairs)
-        assert hat.fixes(real.theta_c())
+        assert hat.apply(real.theta_c()) == real.theta_c()
         for i in range(real.gcm.n):
             for m in (-1, 0, 2):
-                assert hat.fixes(real.theta_h(i, m))
-                assert hat.fixes(real.theta_x(i, m, +1))
-                assert hat.fixes(real.theta_x(i, m, -1))
+                assert hat.apply(real.theta_h(i, m)) == real.theta_h(i, m)
+                assert hat.apply(real.theta_x(i, m, +1)) == real.theta_x(i, m, +1)
+                assert hat.apply(real.theta_x(i, m, -1)) == real.theta_x(i, m, -1)
 
 
 def test_mu_hat_closed_matches_propagated(a2a_flip):
@@ -417,7 +417,7 @@ def test_mu_hat_preserves_triangular_blocks(a2a_flip):
 def test_mu_hat_k1_fixed(a2a_flip, a2a_rot):
     for real in (a2a_flip, a2a_rot):
         hat = MuHat(real)
-        assert hat.fixes({("K1",): CycNum.one()})
+        assert hat.apply({("K1",): CycNum.one()}) == {("K1",): CycNum.one()}
 
 
 def test_fixed_subalgebra_dims_identity():
@@ -500,6 +500,16 @@ def test_fixed_subalgebra_dims_rejects_negative_bounds(a2a_flip, bounds):
         a2a_flip.fixed_subalgebra_dims(*bounds)
 
 
+def test_fixed_subalgebra_dims_finite_core_rejects_t2_bound(a2_flip):
+    # a finite core has only the t2-degree 0: a positive bound is rejected,
+    # not replaced by 0
+    with pytest.raises(JobError, match="inner_m2"):
+        a2_flip.fixed_subalgebra_dims(1, 1)
+    blocks = a2_flip.fixed_subalgebra_dims(1)
+    assert a2_flip.fixed_subalgebra_dims(1, 0) == blocks
+    assert set(blocks) == {(-1, 0), (0, 0), (1, 0)}
+
+
 def test_fixed_subalgebra_dims_scope_needs_no_propagation(monkeypatch):
     real = _real("A2^(1)", [1, 2, 0], m1w=6, m2w=4)
 
@@ -559,9 +569,26 @@ def test_theta_span_and_fixed_dims_work_counts(monkeypatch):
         brackets += 1
         return true_bracket(x, y)
 
+    inserts = 0
+    closed = []
+    true_insert = Echelon.insert
+
+    def counted_insert(self, v, img):
+        nonlocal inserts
+        inserts += 1
+        return true_insert(self, v, img)
+
+    def spy(ech, *args, **kwargs):
+        closed.append(ech)
+        return close(ech, *args, **kwargs)
+
     monkeypatch.setattr(real, "bracket", counted_bracket)
+    monkeypatch.setattr(Echelon, "insert", counted_insert)
+    monkeypatch.setattr(realize, "close", spy)
     real._theta_span(3, 2)
-    assert brackets == 6540
+    # a third of the brackets vanish or leave the window; one in eight of the
+    # inserted pairs (the seeds included) adds a row
+    assert (brackets, inserts, closed[0].rank) == (6540, 4269, 545)
     monkeypatch.undo()
     mu = real.mu_on_g()
     applies = 0
