@@ -7,11 +7,11 @@ source under a diagram automorphism, which keeps a single sign mechanism
 for everything.  `diagram_twist` is the one table of those automorphisms,
 read also by the twisted loop cores of `realize`.  Every build is certified
 before it is returned: `FiniteAlg.assert_structure` checks antisymmetry, the
-Jacobi identity and invariance of the form on all basis triples.  It visits
-only the nonzero structure constants, so its cost grows with nnz(brackets)
-times a row's length, not with dim^3: on a 2-CPU machine under Python 3.11,
-the E8 check (dim 248) takes 0.3 s, where loops over every basis triple took
-17 s.
+symmetry of the form, the Jacobi identity and invariance of the form on all
+basis triples.  It visits only the nonzero structure constants, so its cost
+grows with nnz(brackets) times a row's length, not with dim^3: on a 2-CPU
+machine under Python 3.11, the E8 check (dim 248) takes 0.3 s, where loops
+over every basis triple took 17 s.
 
 Elements are sparse dicts {basis index: Fraction}.  The structure tables
 `brackets` and `form` hold an int wherever a constant is integral (every
@@ -126,9 +126,10 @@ class FiniteAlg:
     # -- structural assertions ---------------------------------------------------
 
     def assert_structure(self):
-        """Antisymmetry, Jacobi and form invariance on all basis triples.
+        """Antisymmetry, Jacobi, form symmetry and invariance.
 
-        Certifies [i,j] = -[j,i] for every stored pair, in both orders; that
+        Certifies [i,j] = -[j,i] for every stored pair, in both orders;
+        (i,j) = (j,i) for every stored form entry, in both orders; that
         the Jacobiator [[i,j],k] - [i,[j,k]] + [j,[i,k]] vanishes for every
         i < j < k (a triple with a repeated index then holds by
         antisymmetry); and ([i,j],k) = (i,[j,k]) for all i, j, k.  Only
@@ -159,6 +160,11 @@ class FiniteAlg:
         rows: dict = {}  # rows[a][k] = (a, k)
         for (a, k), f in self.form.items():
             rows.setdefault(a, {})[k] = f
+            if self.form.get((k, a), 0) != f:
+                bad.append((min(a, k), max(a, k)))
+        if bad:
+            i, j = min(bad)
+            raise GeneratorAssertionFailed(f"{self.label}: form not symmetric at ({i},{j})")
 
         def first_failure(acc: dict, what: str, i: int) -> None:
             fail = [t[:2] for t, x in acc.items() if x]
@@ -301,13 +307,35 @@ def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None) -> None:
     [s_img, a_img].  A bracket that raises OutOfWindow, is zero or fails
     `keep` is skipped; at most `rounds` rounds run when given.  An empty
     image (a span closure maps everything to {}) is not bracketed.
+
+    In the first round a pair of `ad` that is itself one of `pairs` (the
+    same object) meets every other such pair twice, as (s, a) and (a, s);
+    only the first of the two is bracketed, and no such pair with itself.
+    The later one would insert [a, s] = -[s, a] with the image
+    [a_img, s_img] = -[s_img, a_img]: both brackets are antisymmetric
+    (`FiniteAlg.assert_structure` certifies the table and the symmetric
+    form that the central terms read), and a bracket leaves the window or
+    fails `keep` (which must read only the keys) exactly when its mirror
+    does, so it never adds a row and its consistency check repeats the
+    first one.  The rows and their order are those of a closure that
+    brackets every pair.
     """
-    frontier = [(v, img) for v, img in pairs if ech.insert(v, img)]
+    frontier = [p for p in pairs if ech.insert(*p)]
+    in_ad = {id(p) for p in ad}
+    met: set = set()  # ids of the seed pairs of `ad` already in the frontier
     done = 0
     while frontier and (rounds is None or done < rounds):
         new = []
-        for a, a_img in frontier:
-            for s, s_img in ad:
+        for a_pair in frontier:
+            a, a_img = a_pair
+            mirrored = ()
+            if not done and id(a_pair) in in_ad:
+                met.add(id(a_pair))
+                mirrored = met
+            for s_pair in ad:
+                if id(s_pair) in mirrored:
+                    continue
+                s, s_img = s_pair
                 try:
                     b = bracket(s, a)
                 except OutOfWindow:

@@ -732,6 +732,12 @@ class Echelon:
                     "two presentations of one element map to different images"
                 )
             return False
+        self._store(v, img)
+        return True
+
+    def _store(self, v: dict, img: dict) -> None:
+        """Store a residual of `reduce` with v != 0 as a row under its
+        pivot; v and img are consumed."""
         p = max(v)
         c = v.pop(p)
         if c != 1:
@@ -739,7 +745,6 @@ class Echelon:
             v = {k: x * inv for k, x in v.items()}
             img = {k: x * inv for k, x in img.items()}
         self.rows[p] = (v, img)
-        return True
 
     def apply(self, v: dict) -> dict:
         """The image of v, which must lie in the span of the rows."""
@@ -758,8 +763,9 @@ def kernel_basis(columns: list, one) -> list[dict]:
     sparse vectors over the column indices; `one` is the unit of the
     entries' number type.
 
-    The columns are inserted in order, each with the unit image {j: one}; a
-    column that reduces to zero leaves its residual image, a kernel vector
+    The columns are reduced once each, in order, with the unit image
+    {j: one}; a nonzero residual is stored as a row, and a column that
+    reduces to zero leaves its residual image, a kernel vector
     with `one` at column j and 0 at every later column and at every other
     such column: the normalisation of the reduced row echelon form.
     """
@@ -768,7 +774,7 @@ def kernel_basis(columns: list, one) -> list[dict]:
     for j, col in enumerate(columns):
         v, img = ech.reduce(col, {j: one})
         if v:
-            ech.insert(v, img)
+            ech._store(v, img)
         else:
             out.append(img)
     return out

@@ -474,36 +474,49 @@ class Realization:
     def _theta_span(self, inner_m1: int, inner_m2: int):
         """Rank per block of the bracket closure of the generator images.
 
-        The closure keeps |m1| <= inner_m1 + margin, as MuHat keeps its
-        m1_bound; brackets further out are skipped.
+        The closure keeps |m1| <= inner_m1 + margin and |m2| <= inner_m2 +
+        margin, as MuHat keeps its m1_bound; brackets further out are
+        skipped, so the rows do not grow with the window.  Only what can add
+        a row is bracketed:
 
-        It runs on the least node of each mu-orbit: theta(mu^a i, m) =
-        xi_N^(am) theta(i, m), so every other node's image is a nonzero
-        multiple of one already seeded, of the same degree.  Its bracket with
-        any element is that multiple of the kept bracket: it leaves the
-        window, fails `keep` or vanishes exactly when the kept one does, and
-        otherwise reduces to zero against it.  The central theta_c is a seed
-        but brackets to zero, so it is left out of `ad`.  The echelon ends
-        with the same rows, in the same order, as a closure over every node.
+        * It runs on the least node of each mu-orbit: theta(mu^a i, m) =
+          xi_N^(am) theta(i, m), so every other node's image is a nonzero
+          multiple of one already seeded, of the same degree.  Its bracket
+          with any element is that multiple of the kept bracket: it leaves
+          the window, fails `keep` or vanishes exactly when the kept one
+          does, and otherwise reduces to zero against it.
+        * `ad` holds the theta_x images only.  The central theta_c brackets
+          to zero.  [e_k, f_l] = delta_kl h_k is certified by
+          `_assert_generators`, so [theta_x(i, m, +1), theta_x(i, 0, -1)] is
+          (N / |O_i|) theta_h(i, m) plus a central term, and by Jacobi
+          ad theta_h(i, m) is the commutator of two members of `ad`: the
+          closure reaches its brackets a round later.  theta_h and theta_c
+          stay seeds.
+        * `close` brackets each mirrored pair of seeds once.
         """
         margin = 2
         out_m1 = inner_m1 + margin
         out_m2 = inner_m2 + margin
         if out_m1 > self.m1w or out_m2 > self.m2w:
             raise OutOfWindow("window too small for the requested inner blocks")
-        images = [
-            self._theta(pick, orbit[0], m)
-            for orbit in perm_orbits(self.mu.perm)
-            for m in range(-out_m1, out_m1 + 1)
-            for pick in range(3)
-        ]
+        seeds = [(self.theta_c(), {})]
+        ad = []
+        for orbit in perm_orbits(self.mu.perm):
+            for m in range(-out_m1, out_m1 + 1):
+                for pick in range(3):
+                    pair = (self._theta(pick, orbit[0], m), {})
+                    seeds.append(pair)
+                    if pick < 2 and abs(m) <= 1 and pair[0]:
+                        ad.append(pair)
         prop = Echelon()
         close(
             prop,
-            [(self.theta_c(), {})] + [(s, {}) for s in images],
-            [(s, {}) for s in images if s and _max_m1(s) <= 1],
+            seeds,
+            ad,
             self.bracket,
-            keep=lambda v: _max_m1(v) <= out_m1,
+            keep=lambda v: all(
+                abs(d1) <= out_m1 and abs(d2) <= out_m2 for d1, d2 in map(_key_degrees, v)
+            ),
         )
         ranks: dict = {}
         for pivot in prop.rows:
@@ -597,8 +610,8 @@ class MuHat:
                         real.embed(m, real.gens[real.mu.perm[i]][pick]), real._phase(-m)
                     )
                     seeds.append((src, img))
-        seeds.append((real.theta_c(), real.theta_c()))
         ad = [s for s in seeds if _max_m1(s[0]) <= 1]
+        seeds.append((real.theta_c(), real.theta_c()))  # central: not in `ad`
         close(
             prop, seeds, ad, real.bracket, keep=lambda v: _max_m1(v) <= m1_bound, rounds=depth - 1
         )

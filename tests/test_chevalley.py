@@ -223,6 +223,10 @@ def _dense_assert_structure(alg):
                     )
     for i in range(n):
         for j in range(i + 1, n):
+            if alg.form.get((i, j), 0) != alg.form.get((j, i), 0):
+                raise GeneratorAssertionFailed(f"{alg.label}: form not symmetric at ({i},{j})")
+    for i in range(n):
+        for j in range(i + 1, n):
             bij = alg.brackets.get((i, j), {})
             for k in range(j, n):
                 acc = {}
@@ -306,6 +310,21 @@ def test_assert_structure_matches_dense_reference(label):
             kinds.add(want.split(" at ")[0])
     assert kinds == {
         f"{label}: bracket not antisymmetric",
+        f"{label}: form not symmetric",
         f"{label}: Jacobi fails",
         f"{label}: form not invariant",
     }
+
+
+def test_assert_structure_rejects_an_asymmetric_form_entry():
+    # the central terms of the loop bracket read the form in both orders, and
+    # `close` brackets one of each mirrored pair of seeds on the strength of it
+    alg = chevalley("A2")
+    a, k = alg.e_idx[0], alg.f_idx[0]
+    form = dict(alg.form)
+    form[(a, k)] += 1
+    bad = dataclasses.replace(alg, form=form)
+    with pytest.raises(
+        GeneratorAssertionFailed, match=rf"A2: form not symmetric at \({min(a, k)},{max(a, k)}\)$"
+    ):
+        bad.assert_structure()

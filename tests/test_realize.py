@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -586,9 +587,9 @@ def test_theta_span_and_fixed_dims_work_counts(monkeypatch):
     monkeypatch.setattr(Echelon, "insert", counted_insert)
     monkeypatch.setattr(realize, "close", spy)
     real._theta_span(3, 2)
-    # a third of the brackets vanish or leave the window; one in eight of the
-    # inserted pairs (the seeds included) adds a row
-    assert (brackets, inserts, closed[0].rank) == (6540, 4269, 545)
+    # over a quarter of the brackets vanish and none leaves the window; one in
+    # five or six of the inserted pairs (the seeds included) adds a row
+    assert (brackets, inserts, closed[0].rank) == (3540, 2441, 447)
     monkeypatch.undo()
     mu = real.mu_on_g()
     applies = 0
@@ -605,6 +606,116 @@ def test_theta_span_and_fixed_dims_work_counts(monkeypatch):
     # per divided-center scale at m2 = +-1, +-2, whatever the t1-degree
     assert applies == 49
 
+
+
+def _span_rows(monkeypatch, real, inner_m1, inner_m2):
+    closed = []
+
+    def spy(ech, *args, **kwargs):
+        closed.append(ech)
+        return close(ech, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(realize, "close", spy)
+        real._theta_span(inner_m1, inner_m2)
+    return list(closed[0].rows.items())
+
+
+@pytest.mark.parametrize("name", ["A2a-flip", "A3a-rot", "A1a-id"])
+def test_theta_span_rows_do_not_depend_on_the_window(monkeypatch, name):
+    # the closure bounds |m2| as it bounds |m1|, so wider windows in either
+    # direction leave every row, its value and its place unchanged
+    e = entry_by_name(name)
+    rows = [
+        _span_rows(monkeypatch, Realization(e.gcm, e.mu, m1w, m2w), 3, 2)
+        for m1w, m2w in ((11, 5), (11, 8), (20, 6))
+    ]
+    assert rows[0] == rows[1] == rows[2]
+
+
+def test_theta_x_pair_brackets_to_theta_h_up_to_center(catalog_names):
+    # [theta_x(i, m, +1), theta_x(i, 0, -1)] = (N / |O_i|) theta_h(i, m) plus
+    # central keys, for each orbit representative i: the identity that lets
+    # `_theta_span` leave theta_h out of `ad`
+    for name in catalog_names:
+        e = entry_by_name(name)
+        real = Realization(e.gcm, e.mu, m1_window=3, m2_window=3)
+        for orbit in exactnum.perm_orbits(real.mu.perm):
+            i = orbit[0]
+            scale = CycNum.from_rational(Fraction(real.n_order, len(orbit)))
+            for m in (-1, 0, 1):
+                diff = real.bracket(real.theta_x(i, m, +1), real.theta_x(i, 0, -1))
+                vec_add(diff, vec_scale(real.theta_h(i, m), -scale))
+                assert all(k[0] != "L" for k in diff), (name, i, m)
+
+
+def _close_every_pair(ech, pairs, ad, bracket, keep=None, rounds=None):
+    """`chevalley.close` without the mirrored-pair cut: every pair of `ad`
+    is bracketed with every pair of the frontier, in every round."""
+    frontier = [(v, img) for v, img in pairs if ech.insert(v, img)]
+    done = 0
+    while frontier and (rounds is None or done < rounds):
+        new = []
+        for a, a_img in frontier:
+            for s, s_img in ad:
+                try:
+                    b = bracket(s, a)
+                except OutOfWindow:
+                    continue
+                if not b or (keep is not None and not keep(b)):
+                    continue
+                b_img = bracket(s_img, a_img) if s_img and a_img else {}
+                if ech.insert(b, b_img):
+                    new.append((b, b_img))
+        frontier = new
+        done += 1
+
+
+def _closed_rows(monkeypatch, module, closure, build):
+    """The rows, with their images and in their order, of every echelon that
+    `build()` closes through `module.close`, run with `closure` instead."""
+    closed = []
+
+    def spy(ech, *args, **kwargs):
+        closed.append(ech)
+        return closure(ech, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "close", spy)
+        build()
+    return [list(ech.rows.items()) for ech in closed]
+
+
+@pytest.mark.parametrize("name", ["A2-flip", "A1a-flip", "A2a-flip", "A2a-rot", "A3a-rot"])
+def test_mu_hat_and_mu_on_g_rows_match_every_pair_closure(monkeypatch, name):
+    # bracketing one of each mirrored pair of seeds changes no row, image or
+    # row order of the propagated automorphism, at g-level or ghat-level
+    e = entry_by_name(name)
+
+    def build():
+        real = Realization(e.gcm, e.mu, m1_window=6, m2_window=4)
+        real.mu_on_g()
+        MuHat(real, 2, 2)
+
+    got = _closed_rows(monkeypatch, realize, close, build)
+    want = _closed_rows(monkeypatch, realize, _close_every_pair, build)
+    assert len(got) == 2 and got == want
+
+
+@pytest.mark.parametrize("source", [("E", 6, 2), ("D", 4, 3), ("A", 5, 2)])
+def test_mu_extend_finite_rows_match_every_pair_closure(monkeypatch, source):
+    # the sources of F4, G2 and C3 under their diagram twists
+    module = sys.modules["loomfold.chevalley"]
+    label, nu = module.diagram_twist(*source)
+    alg = module.chevalley(label)
+    images = []
+
+    def build():
+        images.append(module.mu_extend_finite(alg, nu))
+
+    got = _closed_rows(monkeypatch, module, close, build)
+    want = _closed_rows(monkeypatch, module, _close_every_pair, build)
+    assert len(got) == 1 and got == want and images[0] == images[1]
 
 def _loop_bracket_reference(galg, x, y):
     """[t2^m u, t2^n v] summed over basis pairs of the structure tables."""

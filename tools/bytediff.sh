@@ -116,8 +116,9 @@ for job in sys.argv[1:]:
 ' $twists) || exit 2
 # the g-level values, which no CLI command prints: the affinize generators of
 # 14 affine labels and, per catalog entry, the generators, the g-level
-# automorphism on every unit of t2-degree |m2| <= 2 (and on k2), and the
-# fixed-block dimensions at m1 = 1 or their error; the fixed-block dimensions
+# automorphism on every unit of t2-degree |m2| <= 2 (and on k2), the image
+# under MuHat(real, 2, 2) of every theta image with |m| <= 1, and the
+# fixed-block dimensions at m1 = 1, each or its error; the fixed-block dimensions
 # at m1 = 3 on the tests' window (sized for modes 4) of four entries; the span
 # ranks per block of the theta closure at (3, 2) in the window (11, 5), which
 # runs on the rotations too; and the residuals of the Cartan checks at modes
@@ -131,7 +132,7 @@ from loomfold.errors import LoomfoldError
 from loomfold.exactnum import CycNum
 from loomfold.polys import family_p
 from loomfold.presentation import Verifier, suite_window
-from loomfold.realize import Realization, affinize
+from loomfold.realize import MuHat, Realization, affinize
 
 
 def show(v):
@@ -153,6 +154,14 @@ for e in load_entries(None):
     mu = real.mu_on_g()
     for u in units:
         print("mu_on_g", e.name, u, show(mu.apply({u: CycNum.one(real.field)})))
+    try:
+        hat = MuHat(real, 2, 2)
+        for i in range(real.gcm.n):
+            for m in (-1, 0, 1):
+                for pick in range(3):
+                    print("muhat", e.name, i, m, pick, show(hat.apply(real._theta(pick, i, m))))
+    except LoomfoldError as exc:
+        print("muhat", e.name, type(exc).__name__, exc)
     try:
         print("fixed", e.name, real.fixed_subalgebra_dims(1))
     except LoomfoldError as exc:
