@@ -332,9 +332,9 @@ def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
         raise JobError("--jobs must be >= 1")
     window = _parse_window(window_text)
     if entry == "all" and input_path is None:  # with --input, _load_job rejects both
-        names = [e.name for e in catalog_mod.load_entries()]
+        entries = catalog_mod.load_entries()
         source = _family_source(family_sel)
-        results = _verify_many(names, source, mode_bound, window, jobs)
+        results = _verify_many(entries, source, mode_bound, window, jobs)
         payloads = [p for p, _ in results]
         passed = all("error" not in p and p["report"]["pass"] for p in payloads)
         _emit({"entries": payloads, "pass": passed})
@@ -347,12 +347,12 @@ def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
 
 
 def _verify_worker(args):
-    """One entry of --entry all.  A family the entry's matrix rejects
-    becomes that entry's error payload and exit code 2, a window abort its
-    error payload and exit code 3, so that neither hides another entry's
-    result."""
-    name, source, mode_bound, window = args
-    ce = catalog_mod.entry_by_name(name)
+    """One catalog entry of --entry all, as listed by the one read of the
+    catalog.  A family the entry's matrix rejects becomes that entry's
+    error payload and exit code 2, a window abort its error payload and
+    exit code 3, so that neither hides another entry's result."""
+    ce, source, mode_bound, window = args
+    name = ce.name
     try:
         family = _family(ce.gcm, ce.mu, source)
     except (JobError, ScopeViolation) as exc:
@@ -377,8 +377,8 @@ def _pool_size(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, cpus))
 
 
-def _verify_many(names, source, mode_bound, window, jobs):
-    tasks = [(n, source, mode_bound, window) for n in names]
+def _verify_many(entries, source, mode_bound, window, jobs):
+    tasks = [(e, source, mode_bound, window) for e in entries]
     jobs = _pool_size(jobs, len(tasks))
     if jobs == 1:
         return [_verify_worker(t) for t in tasks]

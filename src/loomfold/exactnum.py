@@ -606,6 +606,8 @@ def lin_comb(terms: list, order: int) -> dict:
     the field and of denominator 1, no product leaves the int fast path.  A
     product outside the field raises ValueError.
     """
+    if not terms:
+        return {}
     sums: dict = {}
     den = 1
     phi = euler_phi(order)

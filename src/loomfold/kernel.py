@@ -5,11 +5,11 @@ index) and the central keys ("K1",), ("K1p", m1, m2) and ("K2", m1).
 `_loop_bracket` accumulates: the verifier's hot path, one fused loop over
 basis pairs (met through `FiniteAlg.partners`) on the lazy int sums of
 `exactnum`.  `_place` finishes: it moves the loop part in t1 and puts the
-central symbols at the actual degrees, since K1 and K1p weigh a block by
-each operand's t1-degree.  The structure tables are ints (see `chevalley`),
-so the int fast path covers every pair whose operands lie in Q(xi_L) with
-denominator 1: in the relation suites of every catalog entry at modes 1, no
-pair leaves it.
+central symbols at the actual degrees (`_central`, which the verifier also
+calls alone), since K1 and K1p weigh a block by each operand's t1-degree.
+The structure tables are ints (see `chevalley`), so the int fast path covers
+every pair whose operands lie in Q(xi_L) with denominator 1: in the relation
+suites of every catalog entry at modes 1, no pair leaves it.
 """
 
 from __future__ import annotations
@@ -131,27 +131,38 @@ def _loop_bracket(alg, field: int, window, x: dict, y: dict):
 def _place(acc, affine: bool, r: int, window, d1: int, d2: int) -> dict:
     """The place step: [x', y'] from `acc`, the `_loop_bracket` of (x, y),
     for x', y' the loop keys of x, y moved d1, d2 in t1.  The loop part is
-    acc's moved d1 + d2; the central terms go at the actual degrees, with k2
-    and its degree cocycle when `affine` and the divided center symbols on
-    the loop lattice t2^(r Z): K1 (factor m1, where p1 = 0), K2(p1) (factor
-    m2) and K1p(p1, p2) (factor m1 n2 - m2 n1).  The moved degree of each
-    contributing pair in acc's degrees, then of each central term, is tested
-    against `window` in the order reached, so OutOfWindow is raised where,
-    and with the message that, `_loop_bracket` on (x', y') would raise.
-    acc is not changed; its loop part may be returned itself.
+    acc's moved d1 + d2, and the central terms are `_central`'s, which also
+    tests the window.  acc is not changed; its loop part may be returned
+    itself.
     """
-    loop, degrees, central, order, den = acc
+    central = _central(acc, affine, r, window, d1, d2)
+    loop = acc[0]
     shift = d1 + d2
+    if shift and loop:
+        loop = {("L", k[1] + shift, k[2], k[3]): c for k, c in loop.items()}
+    return {**loop, **central} if central else loop
+
+
+def _central(acc, affine: bool, r: int, window, d1: int, d2: int) -> dict:
+    """The central terms of `_place` with no loop key walked: they go at the
+    actual degrees, with k2 and its degree cocycle when `affine` and the
+    divided center symbols on the loop lattice t2^(r Z): K1 (factor m1,
+    where p1 = 0), K2(p1) (factor m2) and K1p(p1, p2) (factor m1 n2 - m2 n1).
+    The moved degree of each contributing pair in acc's degrees, then of
+    each central term, is tested against `window` in the order reached, so
+    OutOfWindow is raised where, and with the message that, `_loop_bracket`
+    on (x', y') would raise.
+    """
+    _, degrees, central, order, den = acc
     if degrees:
         m1w, m2w = window
+        shift = d1 + d2
         for p1, p2 in degrees:
             p1 += shift
             if abs(p1) > m1w or abs(p2) > m2w:
                 raise OutOfWindow(f"bracket degree ({p1},{p2}) leaves window ({m1w},{m2w})")
-    if shift and loop:
-        loop = {("L", k[1] + shift, k[2], k[3]): c for k, c in loop.items()}
     if not central:
-        return loop
+        return {}
     m1w, m2w = window
     sums: dict = {}
     for (m1, m2, n1, n2), total in central.items():
@@ -172,4 +183,4 @@ def _place(acc, affine: bool, r: int, window, d1: int, d2: int) -> dict:
             if abs(p1) > m1w or abs(p2) > m2w:
                 raise OutOfWindow(f"central degree ({p1},{p2}) leaves window")
             lazy_add(sums, ("K1p", p1, p2), total, m1 * n2 - m2 * n1)
-    return {**loop, **lazy_settle(sums, order, den)} if sums else loop
+    return lazy_settle(sums, order, den) if sums else {}

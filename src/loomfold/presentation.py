@@ -61,6 +61,44 @@ a placed bracket raises OutOfWindow exactly where the direct one does, and
 every report, gaps included, is unchanged.  A zero inner bracket gives zero
 with no kernel call: it meets no basis pair, so it leaves no window either.
 
+Whole rows go by residue class too.  At output modes `out` = r mod N, every
+summand of a weighted row reads modes congruent to those it reads at r, and
+their mode sums differ by sum(out) - sum(r), the same for every summand.
+Both are placed from the same accumulation, so each summand's loop part is
+r's moved that far in t1, and so is the row's loop residual.  Only the
+central part (K1, K1p, K2) is placed at the actual degrees: it is affine or
+bilinear in the modes, through the pairing sums of `kernel._loop_bracket`.
+So the first row of each class that is no gap is summed in full; every
+later row, a member, sums only the central parts of its summands and takes
+the first residual's loop keys moved sum(out) - sum(r) (`Verifier._check`).
+A member builds and walks no loop part, and its gaps stay its own.
+`_WindowBound` bounds, over the accumulations reached and the whole grid,
+where an operand mode and every degree that the place step tests can
+move; if the window holds them all, no row can leave it, and a member sums
+the central parts placed from its summands' outermost accumulations (only
+those with a pairing sum: on a finite core a same-sign nested bracket has
+none).  Otherwise a member goes through `Verifier._nested_central`, which
+looks its operands up at the actual modes and tests the moved degrees level
+by level, as `_nested` does.  Neither reads an operand's value at a
+member's modes; `_nested` never did, since it places from the class.
+
+The Cartan rows at (m, n) = (r, s) mod N go the same way, moved
+m + n - r - s: their brackets, the expected images theta_x(j, m + n) and
+theta_h(j, m + n), and the phases, which depend on m mod N only, are those
+at (r, s) moved; the K1 terms of the expected values (at m + n = 0) are the
+member's own.  A member needs `_CartanClass` to show that no member of its
+class can leave the window, and its images to be the first row's moved: a
+pair shares its classes only if every image that its rows read is the one
+at the least mode of its residue class moved in t1 (`Verifier._periodic`),
+so a corrupted image makes its pair evaluate every row directly.  The node
+checks (H and Xperiod), two images a row, are summed row by row.
+
+So a failing member's residual is the first row's loop residual, moved,
+plus its own central residual, and since `serialize_elem` sorts keys every
+report is byte-identical to the row-by-row sums.  When 2 mode_bound + 1 <= N,
+as on every rotation at modes <= 1, each class has one row
+(`_shared_classes`) and every row is summed in full.
+
 One rule moves a weighted relation of the pair (i, j) = mu^a (i0, j0) to
 (i0, j0) (`Verifier._transport`).  A term c z^e of P_sigma, of total degree
 d, reads at output modes `out` the nested bracket at modes of sum
@@ -92,7 +130,7 @@ families the grid is the whole statement being claimed here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -204,8 +242,11 @@ class Verifier:
     one memo per sign, which also keeps one kernel accumulation per residue
     class of modes mod N: every nested bracket of the class is placed from
     it, shifted in t1, and raises OutOfWindow where a direct bracket would
-    (see the module docstring).  `verify_family` and `run_suite` keep the
-    memos of one class of pairs at a time.  Every relation of a pair
+    (see the module docstring).  Rows go by residue class as well: the
+    first row of a class of modes mod N is summed in full, and a later one
+    sums its central terms and takes the first's loop residual, moved.
+    `verify_family` and `run_suite` keep the memos of one class of pairs at
+    a time.  Every relation of a pair
     mu^a (i0, j0) is transported to the representative (i0, j0), each
     distinct transported relation is summed once on its brackets, and the
     pair's report is its evaluation with each residual times
@@ -258,19 +299,31 @@ class Verifier:
             report.checks.append(chk_x)
 
         pairs: dict = {}
+        images: dict = {}
         for cls in _pair_classes(self.mu, self.gcm.n):
             i0, j0, _ = cls[0]
-            pairs[(i0, j0)] = self._cartan_pair(i0, j0, mode_bound)
+            pairs[(i0, j0)] = self._cartan_pair(i0, j0, mode_bound, images)
             for i, j, shift in cls[1:]:
                 pairs[(i, j)] = self._phased(pairs[(i0, j0)], (i, j), shift, 0)
         for pair in sorted(pairs):
             report.checks.extend(pairs[pair])
         return report
 
-    def _cartan_pair(self, i: int, j: int, mode_bound: int) -> list:
+    def _cartan_pair(self, i: int, j: int, mode_bound: int, images: dict) -> list:
         """The H, HXplus, HXminus and XX checks of the class representative
         (i, j): at modes (m, n), each bracket with its expected value
-        subtracted, as one row."""
+        subtracted, as one row.
+
+        When some class of (m, n) mod N has two members, the first modes
+        (r, s) of a class are bracketed through the kernel's accumulate and
+        place steps (`_bracket`).  If `_CartanClass` shows that no member of
+        the class can leave the window, and `_periodic_pair` that the images
+        read are periodic (with `images` its cache), a later member takes
+        each row's loop residual from the first, moved m + n - r - s, and
+        sums its central terms only: the bracket's, placed from the first
+        accumulation, those of the expected images, and the K1 terms (see
+        the module docstring).  Any other member is evaluated like a first
+        row."""
         real = self.real
         a = self.gcm.entries
         big_n = self.n_order
@@ -282,49 +335,137 @@ class Verifier:
         chk_hx_p = RelationCheck("HXplus", (i, j), +1, grid)
         chk_hx_m = RelationCheck("HXminus", (i, j), -1, grid)
         chk_xx = RelationCheck("XX", (i, j), 0, grid)
+        checks = [chk_hh, chk_hx_p, chk_hx_m, chk_xx]
         # the k with mu^k j = i: the terms of the expected XX value
         meets = [k for k in range(big_n) if self.mu.apply(j, k) == i]
+        grouped = _shared_classes(mode_bound, big_n)
+        firsts: dict = {}
 
+        # j's images by mode, when every image that the rows read is
+        # periodic (`_periodic_pair`), or False; looked for at the first member
+        periodic = None
         for m in span:
             # sum_k xi_N^(km) a_(i, mu^k j), the phase sum in the expected H
             # and HX coefficients; it does not depend on nn
             phases = CycNum.zero(real.field)
             for k in range(big_n):
                 phases = phases + real._phase(k * m).mul_rational(a[i][self.mu.apply(j, k)])
+            minus = -phases
             # the central term m N / eps_j of the expected values at m + nn = 0
             central = Fraction(m * big_n) / real.eps[j]
+            # the coefficients of the expected XX value theta_h(j, m + nn)
+            xx_minus = [-real._phase(k * m) for k in meets]
             h_i = real.theta_h(i, m)
             for nn in span:
-                row = [(one, real.bracket(h_i, real.theta_h(j, nn)))]
-                if m + nn == 0:
-                    row.append((-phases.mul_rational(central), k1))
-                self._check(chk_hh, (m, nn), row)
-
-                for sign, chk in ((+1, chk_hx_p), (-1, chk_hx_m)):
-                    got = real.bracket(h_i, real.theta_x(j, nn, sign))
+                modes = (m, nn)
+                level = m + nn == 0
+                k1_hh = [(minus.mul_rational(central), k1)] if level else []
+                k1_xx = [(c.mul_rational(central), k1) for c in xx_minus] if level else []
+                key = (m % big_n, nn % big_n) if grouped else None
+                first = firsts.get(key) if grouped else None
+                if first is not None and first.ready(real, mode_bound) and periodic is None:
+                    periodic = self._periodic_pair(images, i, j, mode_bound)
+                if first is not None and first.ready(real, mode_bound) and periodic:
+                    (r, s), shift = first.modes, m + nn - first.sum
+                    e, f, h = periodic[m + nn]
+                    rows = (
+                        k1_hh,
+                        [(minus, e)] if e else [],
+                        [(phases, f)] if f else [],
+                        ([(c, h) for c in xx_minus] if h else []) + k1_xx,
+                    )
+                    for chk, row, (acc, loop) in zip(checks, rows, first.rows):
+                        got = real.place_central(acc, m - r, nn - s) if acc[2] else None
+                        if got:  # the bracket's central terms
+                            row.append((one, got))
+                        self._check(chk, modes, row, None, loop, shift)
+                    continue
+                accs = [] if grouped and first is None else None
+                got = self._bracket(accs, h_i, real.theta_h(j, nn))
+                totals = [self._check(chk_hh, modes, [(one, got)] + k1_hh)]
+                for chk, sign, coeff in ((chk_hx_p, +1, minus), (chk_hx_m, -1, phases)):
+                    got = self._bracket(accs, h_i, real.theta_x(j, nn, sign))
                     want = real.theta_x(j, m + nn, sign)
-                    self._check(chk, (m, nn), [(one, got), (-phases if sign > 0 else phases, want)])
+                    totals.append(self._check(chk, modes, [(one, got), (coeff, want)]))
+                row = [(one, self._bracket(accs, real.theta_x(i, m, +1), real.theta_x(j, nn, -1)))]
+                row += [(c, real.theta_h(j, m + nn)) for c in xx_minus]
+                totals.append(self._check(chk_xx, modes, row + k1_xx))
+                if accs is not None:
+                    firsts[key] = _CartanClass(modes, accs, totals)
+        return checks
 
-                row = [(one, real.bracket(real.theta_x(i, m, +1), real.theta_x(j, nn, -1)))]
-                for k in meets:
-                    phase = real._phase(k * m)
-                    row.append((-phase, real.theta_h(j, m + nn)))
-                    if m + nn == 0:
-                        row.append((-phase.mul_rational(central), k1))
-                self._check(chk_xx, (m, nn), row)
-        return [chk_hh, chk_hx_p, chk_hx_m, chk_xx]
+    def _bracket(self, accs: list | None, x: dict, y: dict) -> dict:
+        """[x, y]; with a list `accs`, through the kernel's accumulate and
+        place steps at shift 0, with the accumulation appended to it."""
+        if accs is None:
+            return self.real.bracket(x, y)
+        acc = self.real.accumulate(x, y)
+        accs.append(acc)
+        return self.real.place(acc, 0, 0)
+
+    def _periodic_pair(self, images: dict, i: int, j: int, mode_bound: int):
+        """j's images by mode k, |k| <= 2 mode_bound, as the central terms
+        of each (e, f, h), when `_periodic` finds every image of i at
+        |k| <= mode_bound and of j at |k| <= 2 mode_bound, which the Cartan
+        rows of (i, j) read, periodic; else False.  Then a row at (m, n)
+        reads the images of its class's first row (r, s), moved in t1:
+        those at m from r, at n from s and at m + n from r + s."""
+        reach = 2 * mode_bound
+        span = range(-mode_bound, mode_bound + 1)
+        if any(self._periodic(images, i, k, reach) is None for k in span):
+            return False
+        out = {k: self._periodic(images, j, k, reach) for k in range(-reach, reach + 1)}
+        return None not in out.values() and out
+
+    def _periodic(self, images: dict, node: int, k: int, reach: int):
+        """The central terms of the images (e, f, h) of `node` at mode k,
+        |k| <= reach, when each is the one at the least mode of k's residue
+        class mod N in [-reach, reach] moved in t1, key by key; else None,
+        also where an image leaves the window.  Cached in `images` by
+        (node, k)."""
+        hit = images.get((node, k), False)
+        if hit is False:
+            real = self.real
+            base = -reach + (k + reach) % self.n_order
+            hit = []
+            try:
+                for pick in range(3):
+                    image = real._theta(pick, node, k)
+                    if k != base:
+                        d = k - base
+                        first = real._theta(pick, node, base)
+                        if image != {(key[0], key[1] + d) + key[2:]: c for key, c in first.items()}:
+                            hit = None
+                            break
+                    hit.append(_central_keys(image))
+            except OutOfWindow:
+                hit = None
+            images[(node, k)] = hit
+        return hit
 
     def _check(
-        self, chk: RelationCheck, modes: tuple, row: list, field: int | None = None
-    ) -> None:
+        self,
+        chk: RelationCheck,
+        modes: tuple,
+        row: list,
+        field: int | None = None,
+        loop: list = (),
+        shift: int = 0,
+    ) -> dict:
         """Count one check of `chk` at `modes`: the row of (coefficient,
         element) terms is summed in Q(xi_field), by default the
-        realization's field, and a nonzero sum is recorded as the
-        residual."""
+        realization's field, and a nonzero sum is recorded as the residual
+        and returned.  A later row of a residue class passes the terms of
+        its central part only, with the loop part of its class's first
+        residual as `loop`, (key, coefficient) pairs moved `shift` in t1 here
+        (see the module docstring)."""
         chk.checked += 1
         total = lin_comb(row, field or self.real.field)
+        if loop:
+            total = {**{("L", k[1] + shift, k[2], k[3]): c for k, c in loop}, **total}
         if total:
             chk.record_failure(modes, total)
+        return total
 
     # -- weighted nested relations ---------------------------------------------------
 
@@ -342,6 +483,7 @@ class Verifier:
         by_pair: dict = {}
         for cls in _pair_classes(self.mu, self.gcm.n):
             memos = {+1: ({}, {}), -1: ({}, {})}
+            centrals: dict = {+1: {}, -1: {}}
             evaluated: dict = {}
             i0, j0, _ = cls[0]
             for i, j, a in cls:
@@ -355,7 +497,7 @@ class Verifier:
                     part = evaluated.get(key)
                     if part is None:
                         part = evaluated[key] = self._verify_weighted(
-                            kind, terms, i0, j0, arity, mode_bound, memos
+                            kind, terms, i0, j0, arity, mode_bound, memos, centrals
                         )
                     by_pair.setdefault((i, j), []).extend(
                         self._phased(part.checks, (i, j), a, degree)
@@ -399,18 +541,41 @@ class Verifier:
                 e = a * (sum(modes) + degree) % self.n_order
                 residual = vec_scale(residual, self.real._phase(e)) if e else dict(residual)
                 failures.append((modes, residual))
-            out.append(replace(chk, pair=pair, gaps=list(chk.gaps), failures=failures))
+            out.append(
+                RelationCheck(
+                    chk.kind, pair, chk.sign, chk.grid, chk.checked, list(chk.gaps), failures,
+                    chk.failure_count,
+                )
+            )
         return out
 
     def _verify_weighted(
-        self, kind: str, terms: tuple, i0: int, j0: int, arity: int, mode_bound: int, memos: dict
+        self,
+        kind: str,
+        terms: tuple,
+        i0: int,
+        j0: int,
+        arity: int,
+        mode_bound: int,
+        memos: dict,
+        centrals: dict | None = None,
     ) -> RelationReport:
         """Relation `kind` with the `terms` of `_transport` on the pair
         (i0, j0), with `arity` z-slots: each summand reads the nested
         bracket of (i0, j0) at its modes.  Every check sums in Q(xi_F), F
         the lcm of L and the orders of the coefficients.  `memos` maps each
         sign to the memo of (i0, j0), the pair (values, reps) of
-        `_nested`."""
+        `_nested`, and `centrals` each sign to the memo of
+        `_nested_central` (fresh ones when None).
+
+        The first row of each residue class of output modes mod N that is
+        no gap is summed in full.  Every later row of the class takes the
+        first row's loop residual moved sum(out) - sum(r) and sums only the
+        central parts of its summands: placed from their outermost
+        accumulations when `_WindowBound` shows that no row can leave the
+        window, else from `_nested_central`, which tests the window per row
+        (see the module docstring).  When 2 mode_bound + 1 <= N every class
+        has one row, and every row is summed in full."""
         field = lcm(self.real.field, *(c.order for _, c, _ in terms))
         # per term: the slot that each mode reads, w last
         slots = [(sigma + (arity,), c, exps) for sigma, c, exps in terms]
@@ -418,13 +583,37 @@ class Verifier:
             grid = f"|m|,|n|<={mode_bound}"
         else:
             grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
+        big_n = self.n_order
+        grouped = _shared_classes(mode_bound, big_n)
+        if centrals is None:
+            centrals = {+1: {}, -1: {}}
         report = RelationReport()
         for sign in (+1, -1):
             chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i0, j0), sign, grid)
             memo = memos[sign]
+            bound = _WindowBound(self.real, slots, mode_bound) if grouped else None
+            # residues -> (sum of the class's first modes, the loop part of
+            # its residual, and per summand with a pairing sum (coefficient,
+            # read, exps, outermost accumulation) or None)
+            firsts: dict = {}
             for out_modes in itertools.product(
                 range(-mode_bound, mode_bound + 1), repeat=arity + 1
             ):
+                if grouped:
+                    key = tuple([m % big_n for m in out_modes])
+                    first = firsts.get(key)
+                    if first is not None:
+                        r_sum, loop, plan = first
+                        if plan is None:
+                            light = centrals[sign]
+                            row = self._central_row(memo, light, i0, j0, sign, slots, out_modes)
+                        else:
+                            row = self._planned_row(plan, out_modes)
+                        if row is None:
+                            chk.gaps.append(out_modes)
+                        else:
+                            self._check(chk, out_modes, row, field, loop, sum(out_modes) - r_sum)
+                        continue
                 summands = []
                 try:
                     for read, c, exps in slots:
@@ -436,9 +625,56 @@ class Verifier:
                 except OutOfWindow:
                     chk.gaps.append(out_modes)
                     continue
-                self._check(chk, out_modes, summands, field)
+                total = self._check(chk, out_modes, summands, field)
+                if grouped:
+                    loop = [(k, c) for k, c in total.items() if k[0] == "L"]
+                    plan = self._class_plan(memo[1], bound, slots, out_modes)
+                    firsts[key] = (sum(out_modes), loop, plan)
             report.checks.append(chk)
         return report
+
+    def _class_plan(self, reps: dict, bound, slots: list, out_modes: tuple):
+        """What the later rows of the class of `out_modes`, whose first row
+        was just summed, place their central parts from: per summand whose
+        outermost accumulation (in `reps`) has a pairing sum, (coefficient,
+        read, exps, (r1, r_degree, accumulation)); or None when `bound`
+        cannot show that no row leaves the window."""
+        if not bound.holds(reps):
+            return None
+        if not bound.central:
+            return []
+        plan = []
+        for read, c, exps in slots:
+            rep = reps.get(tuple([(out_modes[q] + exps[q]) % self.n_order for q in read]))
+            if rep is not None and rep[2][2]:
+                plan.append((c, read, exps, rep))
+        return plan
+
+    def _planned_row(self, plan: list, out_modes: tuple) -> list:
+        """The (coefficient, central part) terms of the row at `out_modes`
+        from its class's `plan`: each summand's outermost accumulation
+        placed at the summand's modes, (k_1, ..., n) = out + exps read
+        through its slots."""
+        row = []
+        for c, read, exps, (r1, r_degree, acc) in plan:
+            d1 = out_modes[read[0]] + exps[read[0]] - r1
+            d2 = sum([out_modes[q] + exps[q] for q in read[1:]]) - r_degree
+            got = self.real.place_central(acc, d1, d2)
+            if got:
+                row.append((c, got))
+        return row
+
+    def _central_row(self, memo, light, i, j, sign, slots, out_modes):
+        """The (coefficient, central part) terms of the row at `out_modes`
+        from `_nested_central`, or None where a summand leaves the window."""
+        row = []
+        try:
+            for read, c, exps in slots:
+                modes = tuple([out_modes[q] + exps[q] for q in read])
+                row.append((c, self._nested_central(memo, light, i, j, sign, modes)[1]))
+        except OutOfWindow:
+            return None
+        return row
 
     def _nested(self, memo: tuple, i: int, j: int, sign: int, modes: tuple):
         """[x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]] at modes (k_1, ..., k_s, n).
@@ -467,6 +703,41 @@ class Verifier:
                 rep = reps[key] = (modes[0], degree, self.real.accumulate(outer, inner))
             r1, r_degree, acc = rep
             hit = values[modes] = self.real.place(acc, modes[0] - r1, degree - r_degree)
+        return hit
+
+    def _nested_central(self, memo: tuple, light: dict, i: int, j: int, sign: int, modes: tuple):
+        """Whether the loop part of `_nested(memo, i, j, sign, modes)` is
+        nonzero, and its central part, raising OutOfWindow where `_nested`
+        raises, with no loop key built or walked; for modes whose residue
+        class `_nested` has reached.
+
+        `light` memoises both by modes.  The operands are looked up at the
+        actual modes, as `_nested` does, and the central part is placed
+        from the class's accumulation (`Realization.place_central`), whose
+        loop part is nonzero for every member or for none.  An inner operand
+        with no loop part makes the bracket zero with no window left, as in
+        `_nested`: its central keys bracket to zero."""
+        if len(modes) == 1:  # theta_x has loop keys only
+            return bool(self.real.theta_x(j, modes[0], sign)), {}
+        hit = light.get(modes)
+        if hit is None:
+            tail = modes[1:]
+            inner = self._nested_central(memo, light, i, j, sign, tail)[0]
+            self.real.theta_x(i, modes[0], sign)
+            rep = memo[1].get(tuple([m % self.n_order for m in modes])) if inner else None
+            if rep is not None:
+                r1, r_degree, acc = rep
+                central = self.real.place_central(acc, modes[0] - r1, sum(tail) - r_degree)
+                hit = (bool(acc[0]), central)
+            elif inner:  # only where an image breaks the class identity
+                value = self._nested(memo, i, j, sign, modes)
+                hit = (
+                    any(k[0] == "L" for k in value),
+                    {k: c for k, c in value.items() if k[0] != "L"},
+                )
+            else:
+                hit = (False, {})
+            light[modes] = hit
         return hit
 
     def verify_AS(self, mode_bound: int) -> RelationReport:
@@ -501,6 +772,95 @@ class Verifier:
             report.extend(_vacuous("AS"))
         report.extend(self._verify_classes(suite, mode_bound))
         return report
+
+
+class _CartanClass:
+    """The first modes (r, s) of a class of the Cartan rows' (m, n) mod N:
+    per row (H, HXplus, HXminus, XX), the kernel's accumulation of its
+    bracket and the loop part of its residual, read when a later member
+    comes; and whether no member can leave the window.  A member reads
+    images at |m|, |n| <= mode_bound and at |m + n| <= 2 mode_bound, and
+    moves every degree of an accumulation by m + n - r - s, its t2-degree
+    staying; so it leaves no window if 2 mode_bound does not, and every
+    degree that `Realization.place_central` tests lies within
+    m1w - 2 mode_bound of r + s, with its t2-degree in the window.  The
+    generator t2-degrees passed the window when (r, s) looked its images
+    up."""
+
+    def __init__(self, modes: tuple, accs: list, totals: list):
+        self.modes = modes
+        self.sum = sum(modes)
+        self.accs = accs
+        self.totals = totals
+        self.rows = None
+        self._ready = None
+
+    def ready(self, real, mode_bound: int) -> bool:
+        """Whether no member can leave the window; then `rows` holds, per
+        row, its accumulation and the loop part of its residual."""
+        if self._ready is None:
+            room = real.m1w - 2 * mode_bound
+            self._ready = room >= 0 and all(
+                abs(p1 - self.sum) <= room and abs(p2) <= real.m2w
+                for acc in self.accs
+                for p1, p2 in acc[1] + [(m1 + n1, m2 + n2) for m1, m2, n1, n2 in acc[2]]
+            )
+            loops = ([(k, c) for k, c in total.items() if k[0] == "L"] for total in self.totals)
+            self.rows = list(zip(self.accs, loops))
+        return self._ready
+
+
+class _WindowBound:
+    """Whether no row of one relation on the grid |modes| <= mode_bound can
+    leave the window, for the accumulations reached so far.
+
+    A row reads operands at modes out_q + e_q, and each nesting level
+    places an accumulation (`Verifier._nested`) moved by the level's mode
+    sum less that of the accumulation's own modes; every degree that
+    `Realization.place_central` tests, of a contributing pair or of a
+    central term, moves by the same amount, and its t2-degree stays.  A
+    level's mode sum is at most `reach` = the largest sum of
+    mode_bound + |e_q| over a summand's slots in absolute value.  So if
+    every operand mode fits, and every such degree of every accumulation
+    lies within reach of its own modes' sum by a margin that the window
+    holds, with its t2-degree in the window, no row leaves it.
+    `holds(reps)` reads the accumulations added since its last call, in
+    order; once one fails, it stays failed.  `central` says whether any of
+    them has a pairing sum."""
+
+    def __init__(self, real, slots: list, mode_bound: int):
+        self.m1w, self.m2w = real.m1w, real.m2w
+        exps = [e for _, _, term in slots for e in term]
+        self.ok = mode_bound + max(map(abs, exps), default=0) <= self.m1w
+        sums = [sum(mode_bound + abs(e) for e in term) for _, _, term in slots]
+        self.reach = max(sums, default=0)
+        self.seen = 0
+        self.central = False
+
+    def holds(self, reps: dict) -> bool:
+        if self.ok and len(reps) > self.seen:
+            room = self.m1w - self.reach
+            for r1, r_degree, acc in itertools.islice(reps.values(), self.seen, None):
+                r_sum = r1 + r_degree
+                self.central = self.central or bool(acc[2])
+                for p1, p2 in acc[1] + [(m1 + n1, m2 + n2) for m1, m2, n1, n2 in acc[2]]:
+                    if abs(p1 - r_sum) > room or abs(p2) > self.m2w:
+                        self.ok = False
+                        return False
+            self.seen = len(reps)
+        return self.ok
+
+
+def _shared_classes(mode_bound: int, big_n: int) -> bool:
+    """Whether some residue class mod N of the modes in [-mode_bound,
+    mode_bound] has two members, so that a later row of a class is read
+    off its first (see the module docstring)."""
+    return 2 * mode_bound + 1 > big_n
+
+
+def _central_keys(elem: dict) -> dict:
+    """The terms of `elem` off the loop keys."""
+    return {k: c for k, c in elem.items() if k[0] != "L"}
 
 
 def _pair_classes(mu, n: int) -> list:

@@ -16,12 +16,12 @@ at two levels:
 
 One kernel (`kernel`) brackets both levels.  `Realization.bracket` runs
 both of its steps at shift 0, with its window and the core's lattice period
-r; `accumulate` and `place` apart serve the verifier's residue memo (see
-`presentation`).  `GAlg.bracket` passes period 1 and a window no degree
-reaches: it brackets in the full loop algebra g (x) C[t2^+-1] + C k2, of
-which a twisted core's Aff is a subalgebra, so that ungraded elements of a
-twisted core bracket too; at t1-degree 0 no K1p symbol arises, since
-m1 n2 - m2 n1 = 0.
+r; `accumulate`, `place` and `place_central` apart serve the verifier's
+residue classes (see `presentation`).  `GAlg.bracket` passes period 1 and a
+window no degree reaches: it brackets in the full loop algebra
+g (x) C[t2^+-1] + C k2, of which a twisted core's Aff is a subalgebra, so
+that ungraded elements of a twisted core bracket too; at t1-degree 0 no K1p
+symbol arises, since m1 n2 - m2 n1 = 0.
 
 The twist nu of a loop core comes from `chevalley.diagram_twist`.  The
 diagram automorphism mu acts at g-level as the `Echelon` that
@@ -60,7 +60,7 @@ from loomfold.exactnum import (
     vec_scale,
 )
 from loomfold.folding import DiagramAut, fold_data, validate_aut
-from loomfold.kernel import _NO_WINDOW, _loop_bracket, _place
+from loomfold.kernel import _NO_WINDOW, _central, _loop_bracket, _place
 
 AlgElem = dict
 
@@ -343,6 +343,12 @@ class Realization:
         this window (see `_place`)."""
         galg = self.galg
         return _place(acc, galg.mode == "affine", galg.r, (self.m1w, self.m2w), d1, d2)
+
+    def place_central(self, acc, d1: int, d2: int) -> AlgElem:
+        """The keys other than loop keys of `place(acc, d1, d2)`, raising
+        where it raises, with no loop key walked (see `_central`)."""
+        galg = self.galg
+        return _central(acc, galg.mode == "affine", galg.r, (self.m1w, self.m2w), d1, d2)
 
     # -- generator images -----------------------------------------------------------
 

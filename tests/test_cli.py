@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loomfold import catalog
 from loomfold.cartan import _candidates
 from loomfold.cli import _combined_exit_code, _exit_code, _pool_size, main
 from loomfold.presentation import RelationCheck, RelationReport
@@ -277,6 +278,38 @@ def test_default_output_is_pinned(runner, monkeypatch, command):
     res = runner.invoke(main, command.split())
     assert res.exit_code == 0
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == _PINNED_OUTPUT[command]
+
+
+def test_verify_all_reads_the_catalog_once(runner, tmp_path, monkeypatch):
+    # every entry is verified from the one read of the catalog file: a
+    # worker is handed its entry, not its name to look up again
+    path = tmp_path / "cat.json"
+    path.write_text(
+        json.dumps(
+            [
+                {"name": "flip", "cartan": [[2, -1], [-1, 2]], "mu": [1, 0]},
+                {"name": "id", "cartan": [[2, -1], [-1, 2]], "mu": [0, 1]},
+                {"name": "chain", "cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "mu": [2, 1, 0]},
+            ]
+        )
+    )
+    monkeypatch.setenv("LOOMFOLD_CATALOG", str(path))
+    reads = []
+    read_json = catalog.read_json
+
+    def counting(*args):
+        reads.append(args)
+        return read_json(*args)
+
+    monkeypatch.setattr(catalog, "read_json", counting)
+    args = ["verify", "--entry", "all", "--modes", "1"]
+    one = runner.invoke(main, args + ["--jobs", "1"])
+    assert one.exit_code == 0
+    assert len(reads) == 1
+    assert [e["name"] for e in _json_out(one)["entries"]] == ["flip", "id", "chain"]
+    two = runner.invoke(main, args + ["--jobs", "2"])
+    assert two.exit_code == 0
+    assert two.output == one.output
 
 
 def test_catalog_env_override(runner, tmp_path, monkeypatch):

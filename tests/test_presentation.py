@@ -589,22 +589,18 @@ def test_cartan_relations_bracket_once_per_class(monkeypatch):
     bracket each of their 4 shapes once per class and (m, nn)."""
     real = cached_realization("A5a-rot")
     k1 = real.theta_c()
-    calls = []
-    bracket = real.bracket
+    calls = _count_kernel_calls(monkeypatch)
 
-    def recording(x, y):
-        if y != k1:  # the brackets with K1 belong to the node checks
-            calls.append((x, y))
-        return bracket(x, y)
+    def pair_brackets():  # the brackets with K1 belong to the node checks
+        return [(x, y) for x, y in calls if y != k1]
 
-    monkeypatch.setattr(real, "bracket", recording)
     Verifier(real).verify_cartan_relations(1)
-    assert len(calls) == 4 * 6 * 9
+    assert len(pair_brackets()) == 4 * 6 * 9
     calls.clear()
     with monkeypatch.context() as patch:
         patch.setattr(presentation, "_pair_classes", _alone)
         Verifier(real).verify_cartan_relations(1)
-    assert len(calls) == 4 * 36 * 9
+    assert len(pair_brackets()) == 4 * 36 * 9
 
 
 def _count_cartan_pairs(monkeypatch):
@@ -629,13 +625,24 @@ def _orbit_scaled_eps(real):
     )
 
 
-def _doubled_brackets(real):
-    """real.bracket times 2: bilinear and mu-equivariant like the true one,
-    so every derivation test still holds, and a Cartan check of brackets
-    at modes (m, n) leaves the true bracket as its residual, at m + n != 0
-    too."""
-    bracket = real.bracket
-    return lambda x, y: {k: c + c for k, c in bracket(x, y).items()}
+def _double_the_kernel(monkeypatch):
+    """Every bracket times 2: the accumulate step of the bracket kernel,
+    `kernel._loop_bracket` through the name `realize` calls it by, doubles
+    its loop and central parts, so a direct bracket and one placed from an
+    accumulation are both doubled.  Bilinear and mu-equivariant like the
+    true bracket, so every derivation test still holds, and a Cartan check
+    of brackets at modes (m, n) leaves the true bracket as its residual, at
+    m + n != 0 too."""
+    kernel = realize._loop_bracket
+
+    def doubled(*args):
+        loop, degrees, central, order, den = kernel(*args)
+        central = {
+            degs: 2 * v if type(v) is int else [2 * x for x in v] for degs, v in central.items()
+        }
+        return {k: c + c for k, c in loop.items()}, degrees, central, order, den
+
+    monkeypatch.setattr(realize, "_loop_bracket", doubled)
 
 
 @pytest.mark.parametrize("tamper", ["eps", "brackets"])
@@ -649,7 +656,7 @@ def test_cartan_classes_derive_the_residuals_of_shifted_pairs(monkeypatch, name,
     if tamper == "eps":
         monkeypatch.setattr(real, "eps", _orbit_scaled_eps(real))
     else:
-        monkeypatch.setattr(real, "bracket", _doubled_brackets(real))
+        _double_the_kernel(monkeypatch)
     evaluated = _count_cartan_pairs(monkeypatch)
     shared, alone = _shared_and_alone(
         monkeypatch, lambda: Verifier(real).verify_cartan_relations(2)
@@ -736,7 +743,7 @@ def test_cartan_residuals_match_an_oracle(monkeypatch, name):
             ("Xperiod", (real.mu.perm.index(1),)),
         }
         recorded += _match_the_oracle(real, nodes)
-    monkeypatch.setattr(real, "bracket", _doubled_brackets(real))
+    _double_the_kernel(monkeypatch)
     checks = Verifier(real).verify_cartan_relations(2).checks
     assert all(c.passed for c in checks if len(c.pair) == 1)
     recorded += _match_the_oracle(real, checks)
@@ -815,42 +822,59 @@ def _direct_nested(real, i, j, sign, modes, memo):
     return hit
 
 
-def _nested_values(monkeypatch, run) -> dict:
+def _nested_values(monkeypatch, run) -> tuple:
     """(i, j, sign, modes) -> the value `Verifier._nested` returned, or
-    OutOfWindow where it raised, for every call made while `run()` ran."""
+    OutOfWindow where it raised, for every call made while `run()` ran; and
+    the same for `Verifier._nested_central`, whose value is the pair (loop
+    part nonzero, central part)."""
     seen = {}
-    nested = Verifier._nested
+    centrals = {}
 
-    def recording(self, memo, i, j, sign, modes):
-        seen[(i, j, sign, modes)] = OutOfWindow  # kept if the call raises
-        value = seen[(i, j, sign, modes)] = nested(self, memo, i, j, sign, modes)
-        return value
+    def recorder(method, out):
+        def recording(self, *args):
+            key = args[-4:]
+            out[key] = OutOfWindow  # kept if the call raises
+            value = out[key] = method(self, *args)
+            return value
+
+        return recording
 
     with monkeypatch.context() as patch:
-        patch.setattr(Verifier, "_nested", recording)
+        patch.setattr(Verifier, "_nested", recorder(Verifier._nested, seen))
+        patch.setattr(Verifier, "_nested_central", recorder(Verifier._nested_central, centrals))
         run()
-    return seen
+    return seen, centrals
 
 
-def _assert_nested_match_direct(real, seen) -> int:
+def _assert_nested_match_direct(real, seen, centrals) -> int:
     """Every recorded value prints as the oracle's, loop and central keys
-    alike, and raises OutOfWindow where the oracle does; the number of
-    nested values that were placed from a representative of other modes."""
+    alike, and raises OutOfWindow where the oracle does; every recorded
+    central part prints as the oracle's keys other than loop keys, with the
+    loop part nonzero where the oracle's is, and raises where it does.  The
+    number of nested values and central parts that were placed from a
+    representative of other modes."""
     memos: dict = {}
     reps: dict = {}
     shifted = 0
-    for (i, j, sign, modes), got in seen.items():
-        try:
-            want = _direct_nested(real, i, j, sign, modes, memos.setdefault((i, j, sign), {}))
-        except OutOfWindow:
-            want = OutOfWindow
-        if got is OutOfWindow or want is OutOfWindow:
-            assert got is want, (i, j, sign, modes)
-        else:
-            assert serialize_elem(got) == serialize_elem(want), (i, j, sign, modes)
-        if len(modes) > 1:
-            key = (i, j, sign) + tuple(m % real.n_order for m in modes)
-            shifted += reps.setdefault(key, modes) != modes
+    for record, central in ((seen, False), (centrals, True)):
+        for (i, j, sign, modes), got in record.items():
+            try:
+                want = _direct_nested(real, i, j, sign, modes, memos.setdefault((i, j, sign), {}))
+            except OutOfWindow:
+                want = OutOfWindow
+            if got is OutOfWindow or want is OutOfWindow:
+                assert got is want, (i, j, sign, modes)
+            elif central:
+                loop, part = got
+                assert loop == any(k[0] == "L" for k in want), (i, j, sign, modes)
+                assert serialize_elem(part) == serialize_elem(
+                    {k: c for k, c in want.items() if k[0] != "L"}
+                ), (i, j, sign, modes)
+            else:
+                assert serialize_elem(got) == serialize_elem(want), (i, j, sign, modes)
+            if len(modes) > 1:
+                key = (i, j, sign) + tuple(m % real.n_order for m in modes)
+                shifted += reps.setdefault(key, modes) != modes
     return shifted
 
 
@@ -859,15 +883,17 @@ def test_nested_values_match_direct_brackets(monkeypatch, name):
     # the suite at modes 2 reads nested modes that repeat a residue class mod
     # N on every entry, so most of its values are placed, not bracketed
     real, fam = cached_realization(name), cached_family(name)
-    seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
-    assert _assert_nested_match_direct(real, seen)
+    seen, centrals = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
+    assert _assert_nested_match_direct(real, seen, centrals)
 
 
 @pytest.mark.parametrize("name", ["A1a-flip", "A2a-flip", "A2a-rot", "A3a-rot"])
 def test_nested_values_match_direct_brackets_modes_4(monkeypatch, name):
     real, fam = cached_realization(name), cached_family(name)
-    seen = _nested_values(monkeypatch, lambda: Verifier(real).verify_family("DS", fam, 4))
-    assert _assert_nested_match_direct(real, seen)
+    seen, centrals = _nested_values(
+        monkeypatch, lambda: Verifier(real).verify_family("DS", fam, 4)
+    )
+    assert _assert_nested_match_direct(real, seen, centrals)
 
 
 @pytest.mark.parametrize(
@@ -889,9 +915,12 @@ def test_nested_values_leave_tight_windows_where_direct_brackets_do(
     e = entry_by_name(name)
     real = Realization(e.gcm, e.mu, *window)
     fam = cached_family(name)
-    seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, modes))
-    assert _assert_nested_match_direct(real, seen)
-    assert OutOfWindow in seen.values()
+    seen, centrals = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, modes))
+    assert _assert_nested_match_direct(real, seen, centrals)
+    # the window may cut some later rows of a class of output modes, so
+    # they test it per row, through `_nested_central`
+    assert OutOfWindow in [*seen.values(), *centrals.values()]
+    assert centrals
     shared, alone = _shared_and_alone(monkeypatch, lambda: Verifier(real).run_suite(fam, modes))
     assert shared == alone
     assert '"out_of_window"' in shared
@@ -899,7 +928,7 @@ def test_nested_values_leave_tight_windows_where_direct_brackets_do(
 
 @pytest.mark.parametrize(
     "label, perm, bracketed, classes, tuples",
-    [("A2^(1)", [1, 2, 0], 126, 162, 504), ("A1^(1)", [0, 1], 16, 16, 680)],
+    [("A2^(1)", [1, 2, 0], 126, 162, 504), ("A1^(1)", [0, 1], 16, 16, 48)],
 )
 def test_run_suite_brackets_once_per_residue_class(
     monkeypatch, label, perm, bracketed, classes, tuples
@@ -907,20 +936,27 @@ def test_run_suite_brackets_once_per_residue_class(
     """The nested kernel calls of run_suite at modes 1 (A2a-rot, A1a-id)
     are one per class of pairs, sign and residue class of modes mod N whose
     inner operand is nonzero, against one per mode tuple when each is
-    bracketed directly; a zero inner operand is no kernel call."""
+    bracketed directly; a zero inner operand is no kernel call.  The nested
+    mode tuples read are those of the first row of each class of output
+    modes: all 504 on A2a-rot (N = 3), where every class of output modes
+    has one row, and 48 of the 680 that every row reads on A1a-id (N = 1),
+    where the window holds every row."""
     real, fam = _setup(label, perm, 1)
     calls = _count_kernel_calls(monkeypatch)
     Verifier(real).verify_cartan_relations(1)
     cartan = len(calls)
     calls.clear()
-    seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 1))
-    nested = [(i, j, sign, modes) for i, j, sign, modes in seen if len(modes) > 1]
+    seen, centrals = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 1))
+    # a later row of a class of output modes reads its nested modes through
+    # `_nested_central`, which brackets nothing
+    reads = {**{k: any(v) for k, v in centrals.items()}, **{k: bool(v) for k, v in seen.items()}}
+    nested = [(i, j, sign, modes) for i, j, sign, modes in reads if len(modes) > 1]
     big_n = real.n_order
 
     def residues(i, j, sign, modes):
         return (i, j, sign) + tuple(m % big_n for m in modes)
 
-    keys = {residues(*k) for k in nested if seen[k[:3] + (k[3][1:],)]}
+    keys = {residues(*k) for k in nested if reads[k[:3] + (k[3][1:],)]}
     assert len(calls) - cartan == len(keys) == bracketed
     assert len({residues(*k) for k in nested}) == classes
     assert len(nested) == tuples
@@ -969,3 +1005,269 @@ def test_a_tampered_residue_representative_fails_its_whole_class(monkeypatch):
     assert changed == members - set(gaps)
     assert changed and members & set(gaps)
     assert changed <= failures.keys()
+
+
+# -- one full sum per residue class of rows ---------------------------------------
+
+
+def _same(a: str, b: str) -> bool:
+    return a == b
+
+_CARTAN_KINDS = {"H", "HXplus", "HXminus", "XX", "Xperiod"}
+
+
+def _count_rows(monkeypatch):
+    """Per kind of row (weighted, Cartan pair, Cartan node): [rows, rows
+    summed in full].  A later row of a class passes `_check` the loop part
+    of its class's first residual and the shift, so it is not counted as a
+    full sum."""
+    rows = {"weighted": [0, 0], "pair": [0, 0], "node": [0, 0]}
+    check = Verifier._check
+
+    def counting(self, chk, modes, row, *rest):
+        if len(chk.pair) == 1:
+            kind = "node"
+        else:
+            kind = "pair" if chk.kind in _CARTAN_KINDS else "weighted"
+        rows[kind][0] += 1
+        rows[kind][1] += len(rest) < 2
+        return check(self, chk, modes, row, *rest)
+
+    monkeypatch.setattr(Verifier, "_check", counting)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "label, perm, weighted, pair, node, kernel",
+    [
+        ("F4", [0, 1, 2, 3], (720, 44), (576, 64), 36, 146),
+        ("G2", [0, 1], (612, 12), (144, 16), 18, 50),
+        ("C3", [0, 1, 2], (486, 26), (324, 36), 27, 91),
+        ("E6", [4, 3, 2, 1, 0, 5], (684, 256), (720, 320), 54, 558),
+    ],
+)
+def test_class_rows_work_counts(monkeypatch, label, perm, weighted, pair, node, kernel):
+    """run_suite at modes 1 on the cores of the benchmark's build-cores
+    workload: the weighted and Cartan pair rows are summed in full once per
+    check and residue class of their modes mod N (one class per check for
+    the identity twists, four of the nine (m, n) for the flip of E6), the
+    node rows each, and the kernel accumulates only for those full sums
+    (at the parent, every row was summed in full, and the kernel ran 658,
+    178, 379 and 958 times).  A silent fallback to a full sum per row fails
+    here."""
+    real, fam = _setup(label, perm, 1)
+    rows = _count_rows(monkeypatch)
+    calls = _count_kernel_calls(monkeypatch)
+    assert Verifier(real).run_suite(fam, 1).passed
+    assert (tuple(rows["weighted"]), tuple(rows["pair"]), tuple(rows["node"])) == (
+        weighted,
+        pair,
+        (node, node),
+    )
+    assert len(calls) == kernel
+
+
+def _bracket_family(fam):
+    """1 + 3 z1 on each pair of `fam`, with one z-slot: [x_i(z), x_j(w)]
+    weighted, which fails wherever the bracket is nonzero, on the identity
+    twists too (where the plain family is family p)."""
+    out = SerreFamily("bracket")
+    for pair in fam.entries:
+        out.entries[pair] = {(0,): LPoly(("z1", "w"), {(0, 0): 1, (1, 0): 3})}
+    return out
+
+
+def _perturbed_family(fam):
+    """family p with 2 z1 added to every slot of each pair: not homogeneous,
+    failing, and in a slot sigma != id the first nested mode reads another
+    exponent than z1's."""
+    out = SerreFamily("perturbed")
+    for pair, sigmas in fam.entries.items():
+        out.entries[pair] = {}
+        for sigma, poly in sigmas.items():
+            terms = dict(poly.terms)
+            e = (1,) + (0,) * (len(poly.vars) - 1)
+            terms[e] = terms.get(e, 0) + 2
+            out.entries[pair][sigma] = LPoly(poly.vars, terms)
+    return out
+
+
+_FAMILIES = {
+    "p": lambda fam: fam,
+    "plain": lambda fam: _plain_family(fam, 1),
+    "perturbed": _perturbed_family,
+    "bracket": _bracket_family,
+}
+
+
+def _classes_and_rows(monkeypatch, run) -> tuple:
+    """The JSON of `run()` with every failure recorded, with the residue
+    classes of rows, then with every row summed in full; or the OutOfWindow
+    message of each.  Compare them with `_same`: pytest's diff of two long
+    strings would take minutes."""
+    monkeypatch.setattr(presentation, "MAX_RECORDED_FAILURES", 10**6)
+
+    def outcome():
+        try:
+            return json.dumps(run().to_json(), sort_keys=True)
+        except OutOfWindow as exc:
+            return str(exc)
+
+    classes = outcome()
+    with monkeypatch.context() as patch:
+        patch.setattr(presentation, "_shared_classes", lambda mode_bound, big_n: False)
+        rows = outcome()
+    return classes, rows
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("name", [e.name for e in builtin_entries() if e.mu.order < 5])
+def test_class_rows_match_rows_summed_alone(monkeypatch, name, family):
+    # every row, failing or not, and every gap: the class rows of a suite
+    # at modes 2 (p as family p, the others as window-scale certificates);
+    # on A4a-rot and A5a-rot (N >= 5) every class has one row there
+    real = cached_realization(name)
+    fam = _FAMILIES[family](cached_family(name))
+    classes, rows = _classes_and_rows(
+        monkeypatch, lambda: Verifier(real).run_suite(fam, 2, certificate=family != "p")
+    )
+    assert _same(classes, rows)
+    if family in ("p", "bracket"):
+        assert ('"failures"' in classes) == (family == "bracket")
+
+
+@pytest.mark.parametrize("family", ["p", "bracket"])
+@pytest.mark.parametrize("name", ["A2-id", "E6-flip", "A1a-id", "A1a-flip", "A2a-id", "A2a-flip"])
+def test_class_rows_match_rows_summed_alone_modes_4(monkeypatch, name, family):
+    real = cached_realization(name)
+    fam = _FAMILIES[family](cached_family(name))
+    classes, rows = _classes_and_rows(
+        monkeypatch, lambda: Verifier(real).run_suite(fam, 4, certificate=family != "p")
+    )
+    assert _same(classes, rows)
+
+
+@pytest.mark.parametrize("window", [(6, 3), (7, 4)])
+@pytest.mark.parametrize("name", ["A2-id", "A1a-id", "A1a-flip", "A2a-id", "A2a-flip", "A2a-rot"])
+def test_class_rows_match_rows_summed_alone_in_tight_windows(monkeypatch, name, window):
+    # at modes 2 and 4 the window cuts rows of a class, or the Cartan rows
+    # leave it: the gaps, the residuals and the OutOfWindow messages are
+    # those of every row summed in full
+    e = entry_by_name(name)
+    real = Realization(e.gcm, e.mu, *window)
+    fam = _bracket_family(cached_family(name))
+    outcomes = set()
+    for modes in (2, 4):
+        for run in (
+            lambda: Verifier(real).run_suite(fam, modes, certificate=True),
+            lambda: Verifier(real).verify_family("P1", fam, modes),
+        ):
+            classes, rows = _classes_and_rows(monkeypatch, run)
+            assert _same(classes, rows)
+            outcomes.add("out_of_window" if '"out_of_window"' in classes else classes[:7])
+    assert "out_of_window" in outcomes
+
+
+def test_a_tampered_first_residual_fails_its_class_members(monkeypatch):
+    # the first row of one class of output modes gets a loop key in its
+    # residual, after it was recorded: every later row of the class that is
+    # no gap fails with that key moved sum(out) - sum(r), and no other row
+    # changes.  Bracket family on A1a-id (N = 1: one class per check) in the
+    # window (4, 3), which cuts some rows of the class at modes 2
+    monkeypatch.setattr(presentation, "MAX_RECORDED_FAILURES", 10**6)
+    e = entry_by_name("A1a-id")
+    real = Realization(e.gcm, e.mu, 4, 3)
+    fam = _one_pair(_bracket_family(cached_family("A1a-id")), 0, 1)
+    before = Verifier(real).verify_family("P1", fam, 2).checks
+    check = Verifier._check
+    key = ("L", 40, 0, 0)
+    firsts = []
+
+    def tampering(self, chk, modes, row, *rest):
+        total = check(self, chk, modes, row, *rest)
+        if not rest[1:] and chk.sign > 0:  # the first row, +1: passed on
+            firsts.append(modes)
+            total = {**total, key: CycNum.one(real.field)}
+        return total
+
+    monkeypatch.setattr(Verifier, "_check", tampering)
+    after = Verifier(real).verify_family("P1", fam, 2).checks
+    assert len(firsts) == 1
+    (r,) = firsts
+    plus_before, plus_after = before[0], after[0]
+    assert after[1].to_json() == before[1].to_json()
+    assert (plus_after.checked, plus_after.gaps) == (plus_before.checked, plus_before.gaps)
+    assert plus_after.gaps
+    was = dict(plus_before.failures)
+    now = dict(plus_after.failures)
+    members = [
+        out
+        for out in itertools.product(range(-2, 3), repeat=2)
+        if out > r and out not in plus_after.gaps
+    ]
+    assert set(now) == set(was) | set(members)
+    for out in members:
+        moved = ("L", 40 + sum(out) - sum(r), 0, 0)
+        assert now[out] == {**was.get(out, {}), moved: CycNum.one(real.field)}
+
+
+def test_a_tampered_pairing_sum_fails_the_members_it_weighs(monkeypatch):
+    # the accumulations of the Cartan classes of A2-id (N = 1) at modes 2
+    # with their pairing sums doubled: a row fails exactly where the
+    # doubled sums place a nonzero central term, so at m + n = 0, m != 0
+    # (the factor m of K1) and nowhere else, by the central terms of the
+    # true bracket; the first row of each class, at m + n = -4, passes
+    real, _ = _setup("A2", [0, 1], 2)
+    accumulate = Realization.accumulate
+
+    def doubled(self, x, y):
+        loop, degrees, central, order, den = accumulate(self, x, y)
+        return loop, degrees, {d: 2 * v for d, v in central.items()}, order, den
+
+    monkeypatch.setattr(Realization, "accumulate", doubled)
+    checks = [c for c in Verifier(real).verify_cartan_relations(2).checks if len(c.pair) == 2]
+    failed = [(c, modes, r) for c in checks for modes, r in c.failures]
+    assert failed
+    monkeypatch.undo()
+    for chk, (m, n), residual in failed:
+        assert m + n == 0 and m != 0
+        assert set(residual) == {("K1",)}
+        i, j = chk.pair
+        x, y = {
+            "H": ((2, i, m), (2, j, n)),
+            "XX": ((0, i, m), (1, j, n)),
+        }[chk.kind]
+        true = real.bracket(real._theta(*x), real._theta(*y))
+        assert residual == {k: c for k, c in true.items() if k[0] != "L"}
+    assert {chk.kind for chk, _, _ in failed} == {"H", "XX"}
+
+
+@pytest.mark.parametrize("name", ["A2-id", "A2a-id", "A2a-flip", "E6-flip"])
+def test_tampered_cartan_rows_fail_with_the_oracle_residual(monkeypatch, name):
+    # with every bracket doubled, the Cartan pair rows of an N <= 2 entry at
+    # modes 2, first rows and later members alike, fail wherever the bracket
+    # is nonzero, each with a nonzero residual that prints as got - want
+    real = cached_realization(name)
+    _double_the_kernel(monkeypatch)
+    checks = [c for c in Verifier(real).verify_cartan_relations(2).checks if len(c.pair) == 2]
+    assert all(r for c in checks for _, r in c.failures)
+    assert _match_the_oracle(real, checks) > 4 * real.gcm.n**2
+
+
+@pytest.mark.parametrize("name", ["A2-id", "A2a-id", "A2a-flip"])
+def test_a_corrupted_image_at_a_member_mode_fails_as_alone(monkeypatch, name):
+    # theta_x(1, 1, +1) corrupted: mode 1 is no class's first mode at modes
+    # 2 (the first is -2 or -1), and on the identity twists no node check
+    # sees it, so only the pair rows that read it fail there.  They fail as
+    # when every row is summed in full, residuals included
+    e = entry_by_name(name)
+    real = Realization(e.gcm, e.mu, *suite_window(e.gcm, e.mu, cached_family(name), 2))
+    _double_one_coefficient(real, 0, 1, 1, min(real.theta_x(1, 1, +1)))
+    classes, rows = _classes_and_rows(
+        monkeypatch, lambda: Verifier(real).verify_cartan_relations(2)
+    )
+    assert _same(classes, rows)
+    failed = {tuple(c["pair"]) for c in json.loads(classes)["checks"] if not c["pass"]}
+    assert failed
+    if name.endswith("-id"):
+        assert all(1 in pair for pair in failed)

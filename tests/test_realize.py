@@ -563,12 +563,12 @@ def test_theta_span_rows_match_all_node_closure(monkeypatch, name):
 def test_theta_span_and_fixed_dims_work_counts(monkeypatch):
     real = _real("A2^(1)", [0, 2, 1], m1w=11, m2w=5)
     brackets = 0
-    true_bracket = real.bracket
+    kernel = realize._loop_bracket
 
-    def counted_bracket(x, y):
+    def counted_kernel(*args):  # one accumulation per Realization.bracket
         nonlocal brackets
         brackets += 1
-        return true_bracket(x, y)
+        return kernel(*args)
 
     inserts = 0
     closed = []
@@ -583,7 +583,7 @@ def test_theta_span_and_fixed_dims_work_counts(monkeypatch):
         closed.append(ech)
         return close(ech, *args, **kwargs)
 
-    monkeypatch.setattr(real, "bracket", counted_bracket)
+    monkeypatch.setattr(realize, "_loop_bracket", counted_kernel)
     monkeypatch.setattr(Echelon, "insert", counted_insert)
     monkeypatch.setattr(realize, "close", spy)
     real._theta_span(3, 2)

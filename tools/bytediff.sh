@@ -65,6 +65,9 @@ echo "{\"name\": \"degrees\", \"pairs\": [$pairs]}" >"$tmp/famd3.json"
 w1='{"exps": [0, 1], "coeff": {"order": 1, "coeffs": ["1"]}}'
 echo "{\"name\": \"arity1\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
   {\"0\": {\"vars\": [\"z1\", \"w\"], \"terms\": [$w1]}}}]}" >"$tmp/fam1.json"
+# the same on the pair (2, 1), adjacent in G2^(1) (nodes 0 and 1 are not)
+echo "{\"name\": \"arity1\", \"pairs\": [{\"i\": 2, \"j\": 1, \"terms\":
+  {\"0\": {\"vars\": [\"z1\", \"w\"], \"terms\": [$w1]}}}]}" >"$tmp/fam21.json"
 # the plain family on a pair that is no index pair: a_00 = 2
 echo "{\"name\": \"diag\", \"pairs\": [{\"i\": 0, \"j\": 0, \"terms\":
   {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$one]}}}]}" >"$tmp/fam00.json"
@@ -122,11 +125,14 @@ for job in sys.argv[1:]:
 # at m1 = 3 on the tests' window (sized for modes 4) of four entries; the span
 # ranks per block of the theta closure at (3, 2) in the window (11, 5), which
 # runs on the rotations too; and the residuals of the Cartan checks at modes
-# 2, which every catalog entry passes, with real.bracket doubled and one
-# coefficient of theta_x(0, 1, +1) doubled.
+# 2, which every catalog entry passes, with every bracket doubled (the loop
+# and central parts of the kernel's accumulate step, realize._loop_bracket,
+# which direct and placed brackets both go through) and one coefficient of
+# theta_x(0, 1, +1) doubled.
 cat >"$tmp/gdump.py" <<'EOF'
 import json
 
+import loomfold.realize as realize
 from loomfold.catalog import load_entries
 from loomfold.errors import LoomfoldError
 from loomfold.exactnum import CycNum
@@ -172,14 +178,24 @@ for e in load_entries(None):
         real = Realization(e.gcm, e.mu, max(m1, 14), m2)
         print("fixed3", e.name, real.fixed_subalgebra_dims(3))
     print("span", e.name, sorted(Realization(e.gcm, e.mu, 11, 5)._theta_span(3, 2).items()))
+kernel = realize._loop_bracket
+
+
+def doubled(*args):
+    loop, degrees, central, order, den = kernel(*args)
+    central = {d: 2 * v if type(v) is int else [2 * x for x in v] for d, v in central.items()}
+    return {k: c + c for k, c in loop.items()}, degrees, central, order, den
+
+
 for e in load_entries(None):
     real = Realization(e.gcm, e.mu, 12, 5)
-    real.bracket = lambda x, y, true=real.bracket: {k: c + c for k, c in true(x, y).items()}
     theta = real.theta_x(0, 1, +1)
     if theta:
         key = min(theta)
         real._theta_cache[(0, 0, 1)] = {k: c + c if k == key else c for k, c in theta.items()}
+    realize._loop_bracket = doubled
     report = Verifier(real).verify_cartan_relations(2).to_json()
+    realize._loop_bracket = kernel
     print("cartan", e.name, json.dumps(report, sort_keys=True))
 EOF
 entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
@@ -209,6 +225,11 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A4a-rot --modes 1 --family user:famz4.json"
   echo "verify --entry A3a-rot --modes 1 --family user:famzx3.json"
   echo "verify --entry A3a-rot --modes 2 --family user:famd3.json"
+  # modes 2 on identity twists (N = 1) and on a flip (N = 2): failing rows
+  # that are no class's first take the first's loop residual, moved
+  echo "verify --entry A2a-id --modes 2 --family user:fam1.json"
+  echo "verify --input g21id.json --modes 2 --family user:fam21.json"
+  echo "verify --entry A2a-flip --modes 2 --family user:fam.json"
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
   # N <= 2 with weighted gaps from bracket output degrees, the Cartan rows
   # inside the window: a nested bracket placed from its residue class's
