@@ -78,6 +78,9 @@ def load_entries(path: str | None = None) -> list[CatalogEntry]:
     raw = read_json(path, f"catalog {path}")
     if not isinstance(raw, list):
         raise JobError("catalog file must hold a list of entries")
+    if not raw:
+        # `verify --entry all` would pass having checked nothing
+        raise JobError("catalog file holds no entries")
     out = []
     for item in raw:
         try:

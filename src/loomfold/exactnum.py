@@ -339,6 +339,19 @@ class CycNum:
         q = _exact(q)
         return self._scaled(q.numerator, q.denominator)
 
+    def rotated(self, k: int) -> "CycNum":
+        """self * xi_order^k.  A root of unity is a unit of Z[xi], so the
+        numerators keep their gcd and the result is canonical over the same
+        denominator: no product or gcd is taken."""
+        n = self.order
+        rows = _power_rows(n)
+        out = [0] * len(self.nums)
+        for j, c in enumerate(self.nums):
+            if c:
+                for i, v in rows[(j + k) % n]:
+                    out[i] += c * v
+        return _make(n, tuple(out), self.den)
+
     def inverse(self) -> "CycNum":
         """Field inverse: for x = p(xi) / den, y = prod of the conjugates
         p(xi^k), k prime to the order and k != 1, makes p * y = N(p), a

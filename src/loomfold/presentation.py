@@ -20,8 +20,8 @@ nonzero residual element, every coefficient printed in that field, that
 can be re-checked independently.
 
 The ordered pairs are evaluated one class at a time (`_pair_classes`):
-the pairs (mu^a i0, mu^a j0) of the class's least pair (i0, j0).  The
-generator images (`Realization._theta`, with x = e, f or h) are
+the pairs (mu^a i0, mu^b j0), i0 and j0 the least nodes of their mu-orbits.
+The generator images (`Realization._theta`, with x = e, f or h) are
 
     theta(i, m) = sum_k xi_N^(-k m) t1^m (x) x_(mu^k i).
 
@@ -33,95 +33,72 @@ xi_N^N = 1, gives exactly
 
 Both sides embed the same orbit of generators, so they also leave the
 window at the same modes.  By bilinearity the nested bracket of
-(mu^a i0, mu^a j0) at modes (k_1, ..., k_s, n) is
-xi_N^(a (k_1 + ... + k_s + n)) times that of (i0, j0), and so is each
-bracket of the Cartan checks H, HX and XX at modes (m, n); each raises
-OutOfWindow exactly where the representative's does, since a nonzero
-multiple has the same keys.  So only the representative is bracketed,
-and every relation of the class is moved to it (see below).
-The identity is also checked exactly on the grid: the Xperiod and H checks
-of every node, which every report carries, compare theta(mu i, m) with
-xi_N^m theta(i, m) at each mode, so a corrupted image fails the report.
+(mu^a i0, mu^b j0) at modes (k_1, ..., k_s, n) is
+xi_N^(a (k_1 + ... + k_s) + b n) times that of (i0, j0), and each bracket
+of the Cartan checks H, HX and XX at modes (m, n) is xi_N^(a m + b n)
+times its own; each raises OutOfWindow exactly where that of (i0, j0)
+does, since a nonzero multiple has the same keys.  So only (i0, j0) is
+bracketed, and every relation of the class is moved to it (see below): a
+rotation is one class, an identity twist one class per pair.
+The identity is checked, not assumed, on every image that a row reads
+(`Verifier._apart`): a node i = mu^a i0, a > 0, joins i0 only where each
+theta_x(i, out + e), |out| <= mode_bound and e an exponent of the suite
+(the weighted rows), or theta_x(i, k) and theta_h(i, k), |k| <=
+2 mode_bound (the Cartan rows), is xi_N^(a k) times i0's at the same k,
+or both leave the window, and eps_i = eps_i0; else i is its own least
+node.  So every report is that of each pair evaluated alone, for any
+images and eps.  The node checks H and Xperiod compare theta(mu i, m) with
+xi_N^m theta(i, m) on the grid, so a corrupted image fails the report.
 
-The representative's nested brackets are bracketed once per residue class
-of their modes mod N (`Verifier._nested`).  Since xi_N^(-k N) = 1,
-theta(i, m + N) is theta(i, m) moved N in t1, key by key.  So when
-(k_1, ..., k_s, n) = (r_1, ..., r_s, n') mod N, the operands of the
-outermost bracket, theta(i, k_1) and the inner nested bracket, are on their
-loop keys those at the modes r moved k_1 - r_1 and (k_2 + ... + n) -
-(r_2 + ... + n') in t1 (by induction on s; central keys bracket to zero).
-The kernel meets the same basis pairs with the same products, so the loop
-part is r's moved sum(k) - sum(r), and the central terms come from the same
-pairing sums per degree block, placed at the actual degrees
-(`kernel._place`).  The first modes r of a class are accumulated with no
-window, and every member, r included, is placed from them.  The operands
-are still looked up at the actual modes, and the place step tests the moved
-degree of every contributing pair and central term as the kernel would, so
-a placed bracket raises OutOfWindow exactly where the direct one does, and
-every report, gaps included, is unchanged.  A zero inner bracket gives zero
-with no kernel call: it meets no basis pair, so it leaves no window either.
+The nested brackets of (i0, j0) are bracketed once per residue class of
+their modes mod N (`Verifier._nested`).  Since xi_N^(-k N) = 1,
+theta(i, m + N) is theta(i, m) moved N in t1, key by key, so by induction
+on s the bracket at modes k = r mod N meets the basis pairs of the one at
+r with the same products: its loop part is r's moved sum(k) - sum(r), and
+its central terms come from the same pairing sums per degree block, placed
+at the actual degrees (`kernel._place`).  The first modes r of a class are
+accumulated with no window, and every member is placed from them.  The
+operands are still looked up at the actual modes, and the place step tests
+every moved degree as the kernel would, so a placed bracket raises
+OutOfWindow exactly where the direct one does.  A zero inner bracket gives
+zero with no kernel call: it meets no basis pair.
 
-Whole rows go by residue class too.  At output modes `out` = r mod N, every
-summand of a weighted row reads modes congruent to those it reads at r, and
-their mode sums differ by sum(out) - sum(r), the same for every summand.
-Both are placed from the same accumulation, so each summand's loop part is
-r's moved that far in t1, and so is the row's loop residual.  Only the
-central part (K1, K1p, K2) is placed at the actual degrees: it is affine or
-bilinear in the modes, through the pairing sums of `kernel._loop_bracket`.
-So the first row of each class that is no gap is summed in full; every
-later row, a member, sums only the central parts of its summands and takes
-the first residual's loop keys moved sum(out) - sum(r) (`Verifier._check`).
-A member builds and walks no loop part, and its gaps stay its own.
-`_WindowBound` bounds, over the accumulations reached and the whole grid,
-where an operand mode and every degree that the place step tests can
-move; if the window holds them all, no row can leave it, and a member sums
-the central parts placed from its summands' outermost accumulations (only
-those with a pairing sum: on a finite core a same-sign nested bracket has
-none).  Otherwise a member goes through `Verifier._nested_central`, which
-looks its operands up at the actual modes and tests the moved degrees level
-by level, as `_nested` does.  Neither reads an operand's value at a
-member's modes; `_nested` never did, since it places from the class.
+Whole rows go by residue class too.  At output modes `out` = r mod N every
+summand of a weighted row is placed from the accumulation it uses at r,
+moved sum(out) - sum(r), so the row's loop residual is r's moved; only the
+central part (K1, K1p, K2) depends on the actual degrees.  So the first
+row of each class that is no gap is summed in full, and every later row, a
+member, sums only its central parts and takes the first loop residual,
+moved (`Verifier._check`); it builds no loop part, and its gaps stay its
+own (`_WindowBound`, else `Verifier._nested_central`, which tests the
+window level by level).  The Cartan rows at (m, n) = (r, s) mod N go the
+same way, moved m + n - r - s, where `_CartanClass` shows that no member
+can leave the window and every image that the pair's rows read is the
+first of its residue class moved (`Verifier._periodic`).  The node checks,
+two images a row, are summed row by row.  Since `serialize_elem` sorts
+keys, every report is byte-identical to the row-by-row sums.  When
+2 mode_bound + 1 <= N, as on every rotation at modes <= 1, each class has
+one row (`_shared_classes`).
 
-The Cartan rows at (m, n) = (r, s) mod N go the same way, moved
-m + n - r - s: their brackets, the expected images theta_x(j, m + n) and
-theta_h(j, m + n), and the phases, which depend on m mod N only, are those
-at (r, s) moved; the K1 terms of the expected values (at m + n = 0) are the
-member's own.  A member needs `_CartanClass` to show that no member of its
-class can leave the window, and its images to be the first row's moved: a
-pair shares its classes only if every image that its rows read is the one
-at the least mode of its residue class moved in t1 (`Verifier._periodic`),
-so a corrupted image makes its pair evaluate every row directly.  The node
-checks (H and Xperiod), two images a row, are summed row by row.
-
-So a failing member's residual is the first row's loop residual, moved,
-plus its own central residual, and since `serialize_elem` sorts keys every
-report is byte-identical to the row-by-row sums.  When 2 mode_bound + 1 <= N,
-as on every rotation at modes <= 1, each class has one row
-(`_shared_classes`) and every row is summed in full.
-
-One rule moves a weighted relation of the pair (i, j) = mu^a (i0, j0) to
-(i0, j0) (`Verifier._transport`).  A term c z^e of P_sigma, of total degree
-d, reads at output modes `out` the nested bracket at modes of sum
-sum(out) + d, so on the brackets of (i0, j0) its coefficient is
-
-    c xi_N^(a (sum(out) + d)) = c xi_N^(a (d - D)) * xi_N^(a (sum(out) + D)),
-
-with D the least total degree of the relation.  The first factor, the
-transported coefficient, does not depend on the modes; the second is one
-phase for the whole check.  So the report of (i, j) is that of the
-transported relation on (i0, j0): the same checked count, gaps and failure
-count, and each residual times xi_N^(a (sum(out) + D)) (`Verifier._phased`).
-Both sum in Q(xi_F), since N divides L.  Each distinct transported relation
-of a class is summed once, so pairs whose relations transport alike share
-one evaluation, and the report of every pair is that of the pair evaluated
-alone, for any family.  The Cartan checks of every shifted pair are derived
-the same way, with D = 0: each expected value is the representative's times
-xi_N^(a (m + n)) as well, because eps is mu-invariant.  `Gcm` rejects
-decomposable matrices, so the symmetrizers of A are the positive multiples
-of eps; `validate_aut` makes mu preserve A, so eps o mu is one of them,
-c eps with c > 0, and mu^N = id gives c^N = 1, so c = 1.  A derived check
-holds lists and residuals of its own.  Only the memo of the class in hand
-is alive; it is dropped when the class is done.
+One rule moves a weighted relation of (i, j) = (mu^a i0, mu^b j0) to
+(i0, j0) (`Verifier._transport`).  At output modes `out`, w last, a term
+c z^e of P_sigma reads the nested bracket at z-modes of sum
+sum_z(out) + sum(e_z) and at the w-mode out_w + e_w, so on the brackets of
+(i0, j0) its coefficient is c xi_N^(a (sum(e_z) - Dz) + b (e_w - Dw)), the
+transported coefficient, times xi_N^(a (sum_z(out) + Dz) + b (out_w + Dw)),
+with (Dz, Dw) the z- and w-degree of a least-degree term.  The first
+factor does not depend on the modes; the second is one phase for the whole
+check.  So the report of (i, j) is that of the transported relation on
+(i0, j0): the same checked count, gaps and failure count, and each residual
+times the phase (`Verifier._phased`).  Both sum in Q(xi_F), since N divides
+L.  Each distinct transported relation of a class is summed once.  The
+Cartan checks of every pair of a class are derived the same way, with the
+phase xi_N^(a m + b n), since the expected values move alike: the phase
+sum of a_(i, mu^k j) and the XX sum over mu^k j = i gain xi_N^((a - b) m)
+(mu preserves A), theta(j, m + n) gains xi_N^(b (m + n)), the K1 terms sit
+at m + n = 0, where xi_N^(a m + b n) = xi_N^((a - b) m), and eps_j =
+eps_j0.  A derived check holds lists and residuals of its own.  Only the
+memo of the class in hand is alive; it is dropped when the class is done.
 
 A pass certifies the identity on the tested grid only; for the built-in
 families the grid is the whole statement being claimed here.
@@ -135,7 +112,7 @@ from fractions import Fraction
 from math import lcm
 
 from loomfold.errors import OutOfWindow
-from loomfold.exactnum import CycNum, lin_comb, vec_scale
+from loomfold.exactnum import CycNum, lin_comb
 from loomfold.polys import SerreFamily, family_as, family_locality
 from loomfold.realize import Realization
 
@@ -239,19 +216,12 @@ class Verifier:
 
     The weighted relations evaluate right-nested brackets
     [x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]], memoised by mode suffix in
-    one memo per sign, which also keeps one kernel accumulation per residue
-    class of modes mod N: every nested bracket of the class is placed from
-    it, shifted in t1, and raises OutOfWindow where a direct bracket would
-    (see the module docstring).  Rows go by residue class as well: the
-    first row of a class of modes mod N is summed in full, and a later one
-    sums its central terms and takes the first's loop residual, moved.
-    `verify_family` and `run_suite` keep the memos of one class of pairs at
-    a time.  Every relation of a pair
-    mu^a (i0, j0) is transported to the representative (i0, j0), each
-    distinct transported relation is summed once on its brackets, and the
-    pair's report is its evaluation with each residual times
-    xi_N^(a (sum(out) + D)).  The Cartan checks of every shifted pair are
-    the representative's in the same way, with D = 0: they bracket nothing.
+    one memo per sign, with one kernel accumulation per residue class of
+    modes mod N, and sum a row from the first row of its residue class of
+    output modes (see the module docstring).  `verify_family`, `run_suite`
+    and `verify_cartan_relations` go one class of pairs at a time (`_apart`,
+    `_pair_classes`): only its least pair (i0, j0) is evaluated, and each
+    pair (mu^a i0, mu^b j0) takes that report, phased (`_phased`).
     Every check, of either kind, is counted and summed by `_check`.
     """
 
@@ -266,12 +236,10 @@ class Verifier:
     def verify_cartan_relations(self, mode_bound: int) -> RelationReport:
         """The H and Xperiod checks of every node, then the H, HX and XX
         checks of every ordered pair, in (i, j) order.  `_cartan_pair`
-        evaluates the representative (i0, j0) of each class; a shifted pair
-        mu^a (i0, j0) takes its checks, each residual at modes (m, n) times
-        xi_N^(a (m + n)).  So do its expected values: eps is mu-invariant
-        (see the module docstring), and `validate_aut` makes
-        a_(mu i, mu j) = a_(i, j), so the phase sums and the terms of the
-        XX sums agree."""
+        evaluates the least pair (i0, j0) of each class, the nodes' images at
+        |k| <= 2 mode_bound and eps compared by `_apart`; every other pair
+        (mu^a i0, mu^b j0) takes its checks, each residual at modes (m, n)
+        times xi_N^(a m + b n), as its expected values move (module docstring)."""
         real = self.real
         grid = f"|m|,|n|<={mode_bound}"
         report = RelationReport()
@@ -300,19 +268,19 @@ class Verifier:
 
         pairs: dict = {}
         images: dict = {}
-        for cls in _pair_classes(self.mu, self.gcm.n):
+        apart = self._apart(range(-2 * mode_bound, 2 * mode_bound + 1), (0, 1, 2))
+        for cls in _pair_classes(self.mu, self.gcm.n, apart):
             i0, j0, _ = cls[0]
             pairs[(i0, j0)] = self._cartan_pair(i0, j0, mode_bound, images)
             for i, j, shift in cls[1:]:
-                pairs[(i, j)] = self._phased(pairs[(i0, j0)], (i, j), shift, 0)
+                pairs[(i, j)] = self._phased(pairs[(i0, j0)], (i, j), shift, (0, 0))
         for pair in sorted(pairs):
             report.checks.extend(pairs[pair])
         return report
 
     def _cartan_pair(self, i: int, j: int, mode_bound: int, images: dict) -> list:
-        """The H, HXplus, HXminus and XX checks of the class representative
-        (i, j): at modes (m, n), each bracket with its expected value
-        subtracted, as one row.
+        """The H, HXplus, HXminus and XX checks of the least pair (i, j) of
+        a class: at modes (m, n), each bracket less its expected value.
 
         When some class of (m, n) mod N has two members, the first modes
         (r, s) of a class are bracketed through the kernel's accumulate and
@@ -477,21 +445,25 @@ class Verifier:
         """Every (kind, family) of `suite` on every pair it defines, one
         class of pairs at a time, with one set of memos per class; the
         checks are returned in (i, j) order, in suite order within a pair.
-        Each relation is transported to the class representative
-        (`_transport`), each distinct transported relation is evaluated
-        once, and every pair's report is phased from its evaluation."""
+        A node joins its orbit's least node where `_apart` finds each theta_x
+        image a row can read to be that node's, phased.  Each relation is
+        moved to the class's least pair (`_transport`), each distinct one is
+        evaluated once, and every pair's report is phased from it."""
         by_pair: dict = {}
-        for cls in _pair_classes(self.mu, self.gcm.n):
+        # a row reads theta_x at out + e, |out| <= mode_bound, e an exponent
+        exps = [x for _, fam in suite for e in _exponents(fam) for x in e]
+        span = range(min(exps, default=0) - mode_bound, max(exps, default=0) + mode_bound + 1)
+        for cls in _pair_classes(self.mu, self.gcm.n, self._apart(span, (0, 1))):
             memos = {+1: ({}, {}), -1: ({}, {})}
             centrals: dict = {+1: {}, -1: {}}
             evaluated: dict = {}
             i0, j0, _ = cls[0]
-            for i, j, a in cls:
+            for i, j, shift in cls:
                 for kind, fam in suite:
                     if (i, j) not in fam.entries:
                         continue
                     arity = fam.arity(i, j)
-                    terms, degree = self._transport(fam.entries[(i, j)], a)
+                    terms, degrees = self._transport(fam.entries[(i, j)], *shift)
                     # a coefficient by its field and coordinates: CycNum has no hash
                     key = (kind, arity, tuple((s, e, c.order, c.nums, c.den) for s, c, e in terms))
                     part = evaluated.get(key)
@@ -500,47 +472,45 @@ class Verifier:
                             kind, terms, i0, j0, arity, mode_bound, memos, centrals
                         )
                     by_pair.setdefault((i, j), []).extend(
-                        self._phased(part.checks, (i, j), a, degree)
+                        self._phased(part.checks, (i, j), shift, degrees)
                     )
         report = RelationReport()
         for pair in sorted(by_pair):
             report.checks.extend(by_pair[pair])
         return report
 
-    def _transport(self, sigmas: dict, a: int) -> tuple:
-        """The relation {sigma: P_sigma} of a pair mu^a (i0, j0), moved to
-        (i0, j0): its nonzero terms (sigma, c xi_N^(a (d - D)), exps), in
-        (sigma, exps) order, with d the total degree of exps, D the least
-        one and every coefficient c lifted into Q(xi_F), F the lcm of L and
-        the orders of the pair's coefficients; and D (0 with no term).  At
-        output modes `out` the summand of a term reads modes of sum
-        sum(out) + d, so its coefficient on the brackets of (i0, j0) is
-        c xi_N^(a (sum(out) + d)): the transported one times
-        xi_N^(a (sum(out) + D)), one phase for the whole check."""
-        real = self.real
+    def _transport(self, sigmas: dict, a: int, b: int) -> tuple:
+        """The relation {sigma: P_sigma} of a pair (mu^a i0, mu^b j0) moved
+        to (i0, j0) (see the module docstring): its nonzero terms
+        (sigma, c xi_N^(a (sum(e_z) - Dz) + b (e_w - Dw)), e), in (sigma, e)
+        order, each c lifted into Q(xi_F), F the lcm of L and the orders of
+        the pair's coefficients; and (Dz, Dw), the z- and w-degree of its
+        first term of least total degree ((0, 0) with no term)."""
         terms = [(s, e, c) for s, p in sorted(sigmas.items()) for e, c in sorted(p.terms.items())]
-        field = lcm(real.field, *(c.order for _, _, c in terms))
-        degree = min((sum(e) for _, e, _ in terms), default=0)
+        field = lcm(self.real.field, *(c.order for _, _, c in terms))
+        dz, dw = min(((sum(e) - e[-1], e[-1]) for _, e, _ in terms), key=sum, default=(0, 0))
         out = []
         for s, e, c in terms:
             c = c.lift(field)
-            k = a * (sum(e) - degree) % self.n_order
-            out.append((s, c * real._phase(k) if k else c, e))
-        return tuple(out), degree
+            k = (a * (sum(e) - e[-1] - dz) + b * (e[-1] - dw)) % self.n_order
+            out.append((s, c.rotated(k * field // self.n_order) if k else c, e))
+        return tuple(out), (dz, dw)
 
-    def _phased(self, checks: list, pair: tuple, a: int, degree: int) -> list:
-        """The checks of `pair` = mu^a (i0, j0) read from `checks`, those of
-        (i0, j0) for a relation whose summands all carry the phase
-        xi_N^(a (sum(modes) + degree)) at output modes `modes`: the same
-        checked count, gaps and failure count, and each residual times that
-        phase.  Every list and residual of the result is its own."""
+    def _phased(self, checks: list, pair: tuple, shift: tuple, degrees: tuple) -> list:
+        """The checks of `pair` = (mu^a i0, mu^b j0), (a, b) = `shift`, from
+        `checks`, those of (i0, j0): the same checked count, gaps and failure
+        count, each residual at output modes `out`, w last, times
+        xi_N^(a (sum_z(out) + Dz) + b (out_w + Dw)), (Dz, Dw) = `degrees`.
+        Every list and residual of the result is its own."""
+        (a, b), (dz, dw) = shift, degrees
         out = []
         for chk in checks:
             failures = []
             for modes, residual in chk.failures:
-                e = a * (sum(modes) + degree) % self.n_order
-                residual = vec_scale(residual, self.real._phase(e)) if e else dict(residual)
-                failures.append((modes, residual))
+                e = (a * (sum(modes[:-1]) + dz) + b * (modes[-1] + dw)) % self.n_order
+                # each coefficient lies in its check's field Q(xi_F), and N divides F
+                turn = {k: c.rotated(e * c.order // self.n_order) for k, c in residual.items()}
+                failures.append((modes, turn))
             out.append(
                 RelationCheck(
                     chk.kind, pair, chk.sign, chk.grid, chk.checked, list(chk.gaps), failures,
@@ -548,6 +518,24 @@ class Verifier:
                 )
             )
         return out
+
+    def _apart(self, span: range, picks: tuple) -> set:
+        """The nodes i = mu^a i0, a > 0, i0 the least node of i's orbit, that
+        stay out of i0's classes: eps_i != eps_i0, or for some pick in
+        `picks` and k in `span`, theta(pick, i, k) is not xi_N^(a k)
+        theta(pick, i0, k), or just one of the two leaves the window."""
+        real = self.real
+        step = real.field // self.n_order  # xi_N = xi_L^step
+        apart = set()
+        for i in range(self.gcm.n):
+            i0, a = _orbit_shift(self.mu, i)
+            if real.eps[i] != real.eps[i0] or any(
+                _image(real, p, i, k) != _image(real, p, i0, k, a * k * step)
+                for k in (span if a else ())
+                for p in picks
+            ):
+                apart.add(i)
+        return apart
 
     def _verify_weighted(
         self,
@@ -863,24 +851,32 @@ def _central_keys(elem: dict) -> dict:
     return {k: c for k, c in elem.items() if k[0] != "L"}
 
 
-def _pair_classes(mu, n: int) -> list:
-    """The ordered pairs of nodes grouped by the simultaneous shift
-    (i, j) -> (mu i, mu j): per class, the triples (i, j, a) in (i, j)
-    order, where a is the least shift taking the class's least pair to
-    (i, j), so that the first triple is (i0, j0, 0)."""
-    shift: dict = {}
-    classes = []
-    for i0, j0 in itertools.product(range(n), repeat=2):
-        if (i0, j0) in shift:
-            continue
-        cls = []
-        for a in range(mu.order):
-            pair = (mu.apply(i0, a), mu.apply(j0, a))
-            if pair not in shift:
-                shift[pair] = a
-                cls.append(pair + (a,))
-        classes.append(sorted(cls))
-    return classes
+def _image(real, pick: int, node: int, k: int, turn: int = 0):
+    """theta(pick, node, k) times xi_L^turn; None outside the window."""
+    try:
+        image = real._theta(pick, node, k)
+    except OutOfWindow:
+        return None
+    return {key: c.rotated(turn) for key, c in image.items()} if turn else image
+
+
+def _orbit_shift(mu, i: int) -> tuple:
+    """(i0, a): i0 the least node of i's mu-orbit, a least with mu^a i0 = i."""
+    i0 = min(mu.apply(i, k) for k in range(mu.order))
+    return i0, next(a for a in range(mu.order) if mu.apply(i0, a) == i)
+
+
+def _pair_classes(mu, n: int, apart) -> list:
+    """The ordered pairs of nodes grouped by the least nodes (i0, j0) of
+    their mu-orbits: per class, the triples (i, j, (a, b)) in (i, j) order,
+    with (i, j) = (mu^a i0, mu^b j0), a and b least, so that the first
+    triple is (i0, j0, (0, 0)).  A node of `apart` is its own least node."""
+    classes: dict = {}
+    shifts = [(i, 0) if i in apart else _orbit_shift(mu, i) for i in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        (i0, a), (j0, b) = shifts[i], shifts[j]
+        classes.setdefault((i0, j0), []).append((i, j, (a, b)))
+    return list(classes.values())
 
 
 def _vacuous(kind: str) -> RelationReport:
@@ -900,10 +896,14 @@ def _suite_families(gcm, mu, fam: SerreFamily) -> tuple:
 # window sizing
 
 
+def _exponents(fam: SerreFamily) -> list:
+    """The exponent tuples of every term of the family's polynomials."""
+    return [e for sigmas in fam.entries.values() for poly in sigmas.values() for e in poly.terms]
+
+
 def family_max_degree(fam: SerreFamily) -> int:
     """Largest |exponent| of any variable across all family polynomials."""
-    exps = [e for sigmas in fam.entries.values() for poly in sigmas.values() for e in poly.terms]
-    return max((abs(x) for e in exps for x in e), default=0)
+    return max((abs(x) for e in _exponents(fam) for x in e), default=0)
 
 
 def suite_window(gcm, mu, fam: SerreFamily, mode_bound: int) -> tuple[int, int]:

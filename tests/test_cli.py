@@ -349,6 +349,24 @@ def test_catalog_rejects_repeated_name(runner, tmp_path, monkeypatch, via):
         assert "'X'" in data["error"]["message"]
 
 
+@pytest.mark.parametrize("via", ["env", "path"])
+def test_catalog_rejects_empty_list(runner, tmp_path, monkeypatch, via):
+    # an empty catalog made `verify --entry all` pass with no entry checked
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    if via == "env":
+        monkeypatch.setenv("LOOMFOLD_CATALOG", str(path))
+        commands = [["catalog"], ["verify", "--entry", "all", "--modes", "1"]]
+    else:
+        commands = [["catalog", "--path", str(path)]]
+    for args in commands:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, args
+        data = _json_out(res)
+        assert data["error"]["kind"] == "JobError"
+        assert "no entries" in data["error"]["message"]
+
+
 def test_crosscheck(runner):
     res = runner.invoke(main, ["crosscheck", "--entry", "D4-triality"])
     assert res.exit_code == 0

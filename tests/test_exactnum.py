@@ -235,6 +235,16 @@ def test_canonical_form(a, b):
         assert (x.order, x.nums, x.den) == (y.order, y.nums, y.den)
 
 
+@settings(max_examples=150, deadline=None)
+@given(any_order_numbers(), st.integers(-30, 30))
+def test_rotated_is_the_product_with_a_root(a, k):
+    # a root of unity is a unit of Z[xi]: the rotated numerators need no gcd
+    got = a.rotated(k)
+    want = a * cyc_root(a.order, k)
+    _assert_canonical(got)
+    assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+
+
 def test_products_and_sums_build_no_fraction(monkeypatch):
     made = []
     original = Fraction.__new__

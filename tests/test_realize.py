@@ -161,7 +161,8 @@ def _shift_identity_cases(real, modes):
 def test_theta_shift_identity(name):
     # theta(mu^a i, m) = xi_N^(a m) theta(i, m): the mu-average reindexed by
     # k -> k - a, exact since mu^N = id and xi_N^N = 1; the presentation
-    # verifier reads every shifted pair from its class representative by it
+    # verifier reads each pair (mu^a i0, mu^b j0) from the least nodes
+    # (i0, j0) of their orbits by it, where it holds on every image read
     real = cached_realization(name)
     for pick, i, a, m, phase in _shift_identity_cases(real, range(-3, 4)):
         shifted = real._theta(pick, real.mu.apply(i, a), m)
@@ -1039,7 +1040,7 @@ def test_kernel_runs_no_cycnum_arithmetic(monkeypatch):
     ver = Verifier(real)
     i, j = sorted(fam.entries)[0]
     memos = {+1: ({}, {}), -1: ({}, {})}
-    terms, _ = ver._transport(fam.entries[(i, j)], 0)
+    terms, _ = ver._transport(fam.entries[(i, j)], 0, 0)
 
     def weighted():
         return ver._verify_weighted("DS", terms, i, j, fam.arity(i, j), 1, memos)

@@ -61,6 +61,18 @@ for i in 0 1 2 3; do
    \"1,0\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$z1z2w]}}}"
 done
 echo "{\"name\": \"degrees\", \"pairs\": [$pairs]}" >"$tmp/famd3.json"
+# the plain family on every ordered pair i != j of A5a-rot: the rotation makes
+# the ordered pairs one class, so each of the 30 pairs (mu^a 0, mu^b 0)
+# reads the brackets of (0, 0) through its own shift pair (a, b)
+pairs=
+for i in 0 1 2 3 4 5; do
+  for j in 0 1 2 3 4 5; do
+    [ "$i" = "$j" ] && continue
+    pairs="$pairs${pairs:+,} {\"i\": $i, \"j\": $j, \"terms\":
+  {\"0,1\": {\"vars\": [\"z1\", \"z2\", \"w\"], \"terms\": [$one]}}}"
+  done
+done
+echo "{\"name\": \"plain\", \"pairs\": [$pairs]}" >"$tmp/fam5all.json"
 # one z-slot (vars z1, w): its grid prints as modes in [-1,1]^2 at modes 1
 w1='{"exps": [0, 1], "coeff": {"order": 1, "coeffs": ["1"]}}'
 echo "{\"name\": \"arity1\", \"pairs\": [{\"i\": 1, \"j\": 0, \"terms\":
@@ -128,7 +140,10 @@ for job in sys.argv[1:]:
 # 2, which every catalog entry passes, with every bracket doubled (the loop
 # and central parts of the kernel's accumulate step, realize._loop_bracket,
 # which direct and placed brackets both go through) and one coefficient of
-# theta_x(0, 1, +1) doubled.
+# theta_x(0, 1, +1) doubled.  Node 0 is the least node of its mu-orbit, so
+# that corruption sets every other node of the orbit apart: each pair with
+# one of them is its own class, and every report is that of the pairs
+# evaluated alone.
 cat >"$tmp/gdump.py" <<'EOF'
 import json
 
@@ -242,6 +257,7 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A3a-rot --modes 2 --window 4,3"
   echo "verify --entry A4a-rot --modes 2 --window 4,3"
   echo "verify --entry A5a-rot --modes 1 --window 3,3 --family user:fam.json"
+  echo "verify --entry A5a-rot --modes 1 --family user:fam5all.json"
   echo "verify --entry D4a-triality --modes 1 --family qlimit"
   echo "verify --input a4rel.json --modes 2"
   echo "verify --input d4rel.json --modes 1"
