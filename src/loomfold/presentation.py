@@ -41,7 +41,7 @@ does, since a nonzero multiple has the same keys.  So only (i0, j0) is
 bracketed, and every relation of the class is moved to it (see below): a
 rotation is one class, an identity twist one class per pair.
 The identity is checked, not assumed, on every image that a row reads
-(`Verifier._apart`): a node i = mu^a i0, a > 0, joins i0 only where each
+(`Verifier._audit`): a node i = mu^a i0, a > 0, joins i0 only where each
 theta_x(i, out + e), |out| <= mode_bound and e an exponent of the suite
 (the weighted rows), or theta_x(i, k) and theta_h(i, k), |k| <=
 2 mode_bound (the Cartan rows), is xi_N^(a k) times i0's at the same k,
@@ -100,6 +100,36 @@ at m + n = 0, where xi_N^(a m + b n) = xi_N^((a - b) m), and eps_j =
 eps_j0.  A derived check holds lists and residuals of its own.  Only the
 memo of the class in hand is alive; it is dropped when the class is done.
 
+One sign per relation.  The Chevalley involution omega_0 of the core
+(e_i -> -f_i, f_i -> -e_i, h -> -h; `FiniteAlg.omega`, certified on the
+tables) extends to omega_hat on the keys (`Realization.omega`): a loop key
+keeps its t1-degree, negates its t2-degree and moves its basis vector by
+omega_0; K1 stays, K2(p) changes sign, and K1p(p1, p2) goes to -K1p(p1,
+-p2), since their weights m1, m2 and m1 n2 - m2 n1 stay, change sign and
+change sign.  omega_hat is an automorphism of the kernel's bracket, window
+tests included (its docstring has the proof), and it is Q(xi)-linear.  So
+where the images read satisfy theta_x(i, k, -1) = -omega_hat theta_x(i, k,
++1), the nested bracket of sign -1 at s + 1 modes is (-1)^(s + 1)
+omega_hat of the one of sign +1, since each of its s + 1 operands
+contributes a factor -1, and it leaves the window exactly where the other
+does.  A weighted row sums such brackets at s + 1 = arity + 1 modes with
+the same coefficients, so its residual of sign -1 is (-1)^(arity + 1)
+omega_hat of its residual of sign +1, with the same gaps.  Where also
+theta_h(i, m) = -omega_hat theta_h(i, m), HXminus brackets theta_h(i, m)
+with theta_x(j, n, -1) and adds the phase sum times theta_x(j, m + n, -1):
+two factors -1 in the bracket, one in the expected value, whose
+coefficient is minus HXplus's, so its residual is omega_hat of HXplus's.
+So each class whose least nodes pass this image check (`_audit`, on
+exactly the images that the rows read) evaluates sign +1 only, and the
+check of sign -1 copies its checked count, gaps and failure count and maps
+each residual (`Verifier._derive_minus`); a class that fails it, such as
+node 1 of A2^(2) or a tampered image, evaluates both signs.  Since
+`serialize_elem` sorts keys, every report is byte-identical to the one
+with both signs evaluated.  The same audit finds whether the theta_x
+images of the weighted rows are periodic in t1 (`Realization.in_period`);
+a class where they are not brackets every nested value directly and sums
+every row in full.
+
 A pass certifies the identity on the tested grid only; for the built-in
 families the grid is the whole statement being claimed here.
 """
@@ -110,6 +140,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from loomfold.errors import OutOfWindow
 from loomfold.exactnum import CycNum, lin_comb
@@ -219,9 +250,11 @@ class Verifier:
     one memo per sign, with one kernel accumulation per residue class of
     modes mod N, and sum a row from the first row of its residue class of
     output modes (see the module docstring).  `verify_family`, `run_suite`
-    and `verify_cartan_relations` go one class of pairs at a time (`_apart`,
+    and `verify_cartan_relations` go one class of pairs at a time (`_audit`,
     `_pair_classes`): only its least pair (i0, j0) is evaluated, and each
-    pair (mu^a i0, mu^b j0) takes that report, phased (`_phased`).
+    pair (mu^a i0, mu^b j0) takes that report, phased (`_phased`).  Where
+    the images pass the image check of `_audit`, only sign +1 of a
+    relation is evaluated, and sign -1 is derived (`_derive_minus`).
     Every check, of either kind, is counted and summed by `_check`.
     """
 
@@ -233,13 +266,16 @@ class Verifier:
 
     # -- degree-zero relations ------------------------------------------------
 
-    def verify_cartan_relations(self, mode_bound: int) -> RelationReport:
+    def verify_cartan_relations(self, mode_bound: int, audit=None) -> RelationReport:
         """The H and Xperiod checks of every node, then the H, HX and XX
         checks of every ordered pair, in (i, j) order.  `_cartan_pair`
         evaluates the least pair (i0, j0) of each class, the nodes' images at
-        |k| <= 2 mode_bound and eps compared by `_apart`; every other pair
-        (mu^a i0, mu^b j0) takes its checks, each residual at modes (m, n)
-        times xi_N^(a m + b n), as its expected values move (module docstring)."""
+        |k| <= 2 mode_bound and eps compared by `_audit` (`audit`, when the
+        caller has made it); every other pair (mu^a i0, mu^b j0) takes its
+        checks, each residual at modes (m, n) times xi_N^(a m + b n), as its
+        expected values move (module docstring)."""
+        if audit is None:
+            audit = self._audit(mode_bound, range(0))
         real = self.real
         grid = f"|m|,|n|<={mode_bound}"
         report = RelationReport()
@@ -268,19 +304,22 @@ class Verifier:
 
         pairs: dict = {}
         images: dict = {}
-        apart = self._apart(range(-2 * mode_bound, 2 * mode_bound + 1), (0, 1, 2))
-        for cls in _pair_classes(self.mu, self.gcm.n, apart):
+        for cls in _pair_classes(self.mu, self.gcm.n, audit.cartan_apart):
             i0, j0, _ = cls[0]
-            pairs[(i0, j0)] = self._cartan_pair(i0, j0, mode_bound, images)
+            mirror = i0 in audit.h_mirrored and j0 in audit.cartan_mirrored
+            pairs[(i0, j0)] = self._cartan_pair(i0, j0, mode_bound, images, mirror)
             for i, j, shift in cls[1:]:
                 pairs[(i, j)] = self._phased(pairs[(i0, j0)], (i, j), shift, (0, 0))
         for pair in sorted(pairs):
             report.checks.extend(pairs[pair])
         return report
 
-    def _cartan_pair(self, i: int, j: int, mode_bound: int, images: dict) -> list:
+    def _cartan_pair(self, i: int, j: int, mode_bound: int, images: dict, mirror: bool) -> list:
         """The H, HXplus, HXminus and XX checks of the least pair (i, j) of
         a class: at modes (m, n), each bracket less its expected value.
+        With `mirror` (the images that HXplus reads pass the image check of
+        `_audit`), HXminus is not evaluated but derived from HXplus, each
+        residual r as omega_hat(r) (`_derive_minus`).
 
         When some class of (m, n) mod N has two members, the first modes
         (r, s) of a class are bracketed through the kernel's accumulate and
@@ -303,7 +342,8 @@ class Verifier:
         chk_hx_p = RelationCheck("HXplus", (i, j), +1, grid)
         chk_hx_m = RelationCheck("HXminus", (i, j), -1, grid)
         chk_xx = RelationCheck("XX", (i, j), 0, grid)
-        checks = [chk_hh, chk_hx_p, chk_hx_m, chk_xx]
+        # the checks evaluated, in row order
+        checks = [chk_hh, chk_hx_p] + ([] if mirror else [chk_hx_m]) + [chk_xx]
         # the k with mu^k j = i: the terms of the expected XX value
         meets = [k for k in range(big_n) if self.mu.apply(j, k) == i]
         grouped = _shared_classes(mode_bound, big_n)
@@ -323,6 +363,7 @@ class Verifier:
             central = Fraction(m * big_n) / real.eps[j]
             # the coefficients of the expected XX value theta_h(j, m + nn)
             xx_minus = [-real._phase(k * m) for k in meets]
+            hx = [(chk_hx_p, +1, minus)] + ([] if mirror else [(chk_hx_m, -1, phases)])
             h_i = real.theta_h(i, m)
             for nn in span:
                 modes = (m, nn)
@@ -336,12 +377,10 @@ class Verifier:
                 if first is not None and first.ready(real, mode_bound) and periodic:
                     (r, s), shift = first.modes, m + nn - first.sum
                     e, f, h = periodic[m + nn]
-                    rows = (
-                        k1_hh,
-                        [(minus, e)] if e else [],
-                        [(phases, f)] if f else [],
-                        ([(c, h) for c in xx_minus] if h else []) + k1_xx,
-                    )
+                    rows = [k1_hh, [(minus, e)] if e else []]
+                    if not mirror:
+                        rows.append([(phases, f)] if f else [])
+                    rows.append(([(c, h) for c in xx_minus] if h else []) + k1_xx)
                     for chk, row, (acc, loop) in zip(checks, rows, first.rows):
                         got = real.place_central(acc, m - r, nn - s) if acc[2] else None
                         if got:  # the bracket's central terms
@@ -351,7 +390,7 @@ class Verifier:
                 accs = [] if grouped and first is None else None
                 got = self._bracket(accs, h_i, real.theta_h(j, nn))
                 totals = [self._check(chk_hh, modes, [(one, got)] + k1_hh)]
-                for chk, sign, coeff in ((chk_hx_p, +1, minus), (chk_hx_m, -1, phases)):
+                for chk, sign, coeff in hx:
                     got = self._bracket(accs, h_i, real.theta_x(j, nn, sign))
                     want = real.theta_x(j, m + nn, sign)
                     totals.append(self._check(chk, modes, [(one, got), (coeff, want)]))
@@ -360,6 +399,8 @@ class Verifier:
                 totals.append(self._check(chk_xx, modes, row + k1_xx))
                 if accs is not None:
                     firsts[key] = _CartanClass(modes, accs, totals)
+        if mirror:
+            checks.insert(2, self._derive_minus(chk_hx_p, +1))
         return checks
 
     def _bracket(self, accs: list | None, x: dict, y: dict) -> dict:
@@ -441,23 +482,29 @@ class Verifier:
         """Check every pair of `fam`, in sorted order, as relation `kind`."""
         return self._verify_classes(((kind, fam),), mode_bound)
 
-    def _verify_classes(self, suite: tuple, mode_bound: int) -> RelationReport:
+    def _verify_classes(self, suite: tuple, mode_bound: int, audit=None) -> RelationReport:
         """Every (kind, family) of `suite` on every pair it defines, one
         class of pairs at a time, with one set of memos per class; the
         checks are returned in (i, j) order, in suite order within a pair.
-        A node joins its orbit's least node where `_apart` finds each theta_x
-        image a row can read to be that node's, phased.  Each relation is
-        moved to the class's least pair (`_transport`), each distinct one is
-        evaluated once, and every pair's report is phased from it."""
+        A node joins its orbit's least node where `_audit` (`audit`, when
+        the caller has made it) finds each theta_x image a row can read to
+        be that node's, phased.  Each relation is moved to the class's least
+        pair (`_transport`), each distinct one is evaluated once, and every
+        pair's report is phased from it.  A class whose least nodes' images
+        pass the image check evaluates sign +1 only and derives sign -1; one
+        whose images are not periodic in t1 brackets every nested value
+        directly (see the module docstring)."""
+        if audit is None:
+            audit = self._audit(None, _weighted_span(suite, mode_bound))
         by_pair: dict = {}
-        # a row reads theta_x at out + e, |out| <= mode_bound, e an exponent
-        exps = [x for _, fam in suite for e in _exponents(fam) for x in e]
-        span = range(min(exps, default=0) - mode_bound, max(exps, default=0) + mode_bound + 1)
-        for cls in _pair_classes(self.mu, self.gcm.n, self._apart(span, (0, 1))):
-            memos = {+1: ({}, {}), -1: ({}, {})}
+        for cls in _pair_classes(self.mu, self.gcm.n, audit.weighted_apart):
+            i0, j0, _ = cls[0]
+            mirror = i0 in audit.weighted_mirrored and j0 in audit.weighted_mirrored
+            # no residue-class representatives where an image is not periodic
+            periodic = i0 in audit.periodic and j0 in audit.periodic
+            memos = {sign: ({}, {} if periodic else None) for sign in (+1, -1)}
             centrals: dict = {+1: {}, -1: {}}
             evaluated: dict = {}
-            i0, j0, _ = cls[0]
             for i, j, shift in cls:
                 for kind, fam in suite:
                     if (i, j) not in fam.entries:
@@ -469,7 +516,7 @@ class Verifier:
                     part = evaluated.get(key)
                     if part is None:
                         part = evaluated[key] = self._verify_weighted(
-                            kind, terms, i0, j0, arity, mode_bound, memos, centrals
+                            kind, terms, i0, j0, arity, mode_bound, memos, centrals, mirror
                         )
                     by_pair.setdefault((i, j), []).extend(
                         self._phased(part.checks, (i, j), shift, degrees)
@@ -519,23 +566,56 @@ class Verifier:
             )
         return out
 
-    def _apart(self, span: range, picks: tuple) -> set:
-        """The nodes i = mu^a i0, a > 0, i0 the least node of i's orbit, that
-        stay out of i0's classes: eps_i != eps_i0, or for some pick in
-        `picks` and k in `span`, theta(pick, i, k) is not xi_N^(a k)
-        theta(pick, i0, k), or just one of the two leaves the window."""
+    def _audit(self, mode_bound: int | None, span: range) -> "_Audit":
+        """One pass over the generator images that the rows of a run read:
+        theta_x and theta_h at |k| <= 2 mode_bound, for the Cartan rows (none
+        when mode_bound is None), and theta_x at k in `span`, for the
+        weighted rows.  Each comparison is made once per (pick, node, k),
+        whichever rows read the image, and nothing is kept across calls.
+
+        A node i = mu^a i0, a > 0, i0 the least node of i's orbit, stays out
+        of i0's classes of the Cartan rows, or of the weighted rows, when
+        eps_i != eps_i0 or an image those rows read, theta(pick, i, k), is
+        not xi_N^(a k) theta(pick, i0, k), or just one of the two leaves the
+        window.  For every node that is the least of its classes, the image
+        check of the derived sign (`Realization.mirrors`) is made on theta_h
+        at |k| <= mode_bound (the left operand of HXplus) and on theta_x at
+        each k, and the t1-periodicity of theta_x on `span` is checked
+        (`Realization.in_period`)."""
         real = self.real
         step = real.field // self.n_order  # xi_N = xi_L^step
-        apart = set()
+        cartan = range(0) if mode_bound is None else range(-2 * mode_bound, 2 * mode_bound + 1)
+        ks = set(cartan).union(span)
+        audit = _Audit(set(), set(), set(), set(), set(), set())
+        heads = []
         for i in range(self.gcm.n):
             i0, a = _orbit_shift(self.mu, i)
-            if real.eps[i] != real.eps[i0] or any(
-                _image(real, p, i, k) != _image(real, p, i0, k, a * k * step)
-                for k in (span if a else ())
-                for p in picks
-            ):
-                apart.add(i)
-        return apart
+            if not a:
+                heads.append(i)
+                continue
+            for k in ks if real.eps[i] == real.eps[i0] else ():
+                for pick in (0, 1, 2) if k in cartan else (0, 1):
+                    if not _turned(real.image(pick, i, k), real.image(pick, i0, k), a * k * step):
+                        if k in cartan:
+                            audit.cartan_apart.add(i)
+                        if pick < 2 and k in span:
+                            audit.weighted_apart.add(i)
+            if real.eps[i] != real.eps[i0]:
+                audit.cartan_apart.add(i)
+                audit.weighted_apart.add(i)
+            if i in audit.cartan_apart or i in audit.weighted_apart:
+                heads.append(i)
+        for i in heads:
+            faults = {k for k in ks if not real.mirrors(0, i, k)}
+            if cartan and not faults.intersection(cartan):
+                audit.cartan_mirrored.add(i)
+            if not faults.intersection(span):
+                audit.weighted_mirrored.add(i)
+            if cartan and all(real.mirrors(2, i, k) for k in range(-mode_bound, mode_bound + 1)):
+                audit.h_mirrored.add(i)
+            if real.in_period(i, span):
+                audit.periodic.add(i)
+        return audit
 
     def _verify_weighted(
         self,
@@ -547,6 +627,7 @@ class Verifier:
         mode_bound: int,
         memos: dict,
         centrals: dict | None = None,
+        mirror: bool = False,
     ) -> RelationReport:
         """Relation `kind` with the `terms` of `_transport` on the pair
         (i0, j0), with `arity` z-slots: each summand reads the nested
@@ -554,7 +635,10 @@ class Verifier:
         the lcm of L and the orders of the coefficients.  `memos` maps each
         sign to the memo of (i0, j0), the pair (values, reps) of
         `_nested`, and `centrals` each sign to the memo of
-        `_nested_central` (fresh ones when None).
+        `_nested_central` (fresh ones when None).  With `mirror` (the images
+        of i0 and j0 pass the image check of `_audit`) only sign +1 is
+        evaluated, and the check of sign -1 is derived from it, each
+        residual r as (-1)^(arity + 1) omega_hat(r) (`_derive_minus`).
 
         The first row of each residue class of output modes mod N that is
         no gap is summed in full.  Every later row of the class takes the
@@ -563,7 +647,8 @@ class Verifier:
         accumulations when `_WindowBound` shows that no row can leave the
         window, else from `_nested_central`, which tests the window per row
         (see the module docstring).  When 2 mode_bound + 1 <= N every class
-        has one row, and every row is summed in full."""
+        has one row, and every row is summed in full; so is every row of a
+        sign whose memo has no reps (None: an image read is not periodic)."""
         field = lcm(self.real.field, *(c.order for _, c, _ in terms))
         # per term: the slot that each mode reads, w last
         slots = [(sigma + (arity,), c, exps) for sigma, c, exps in terms]
@@ -572,13 +657,13 @@ class Verifier:
         else:
             grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
         big_n = self.n_order
-        grouped = _shared_classes(mode_bound, big_n)
         if centrals is None:
             centrals = {+1: {}, -1: {}}
         report = RelationReport()
-        for sign in (+1, -1):
+        for sign in (+1,) if mirror else (+1, -1):
             chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i0, j0), sign, grid)
             memo = memos[sign]
+            grouped = _shared_classes(mode_bound, big_n) and memo[1] is not None
             bound = _WindowBound(self.real, slots, mode_bound) if grouped else None
             # residues -> (sum of the class's first modes, the loop part of
             # its residual, and per summand with a pairing sum (coefficient,
@@ -619,7 +704,21 @@ class Verifier:
                     plan = self._class_plan(memo[1], bound, slots, out_modes)
                     firsts[key] = (sum(out_modes), loop, plan)
             report.checks.append(chk)
+        if mirror:
+            report.checks.append(self._derive_minus(report.checks[0], (-1) ** (arity + 1)))
         return report
+
+    def _derive_minus(self, chk: RelationCheck, sign: int) -> RelationCheck:
+        """The check of sign -1 of a relation from `chk`, its check of sign
+        +1, where the images read pass the image check (module docstring):
+        the same checked count, gaps and failure count, each residual r as
+        sign omega_hat(r).  Every list and residual of the result is its own."""
+        omega = self.real.omega
+        return RelationCheck(
+            chk.kind.removesuffix("plus") + "minus", chk.pair, -1, chk.grid, chk.checked,
+            list(chk.gaps), [(modes, omega(r, sign)) for modes, r in chk.failures],
+            chk.failure_count,
+        )
 
     def _class_plan(self, reps: dict, bound, slots: list, out_modes: tuple):
         """What the later rows of the class of `out_modes`, whose first row
@@ -671,7 +770,9 @@ class Verifier:
         residue class of modes mod N the first modes r of the class with
         operands in the window and a nonzero inner bracket, with the
         kernel's accumulate step on them, from which every value of the
-        class is placed (see the module docstring)."""
+        class is placed (see the module docstring).  With reps None (an
+        image of the pair is not periodic in t1) every value is bracketed
+        directly."""
         if len(modes) == 1:
             return self.real.theta_x(j, modes[0], sign)
         values, reps = memo
@@ -682,6 +783,9 @@ class Verifier:
             outer = self.real.theta_x(i, modes[0], sign)
             if not inner:  # [x, 0] = 0 meets no basis pair, so leaves no window
                 hit = values[modes] = {}
+                return hit
+            if reps is None:
+                hit = values[modes] = self.real.bracket(outer, inner)
                 return hit
             big_n = self.n_order
             key = tuple([m % big_n for m in modes])
@@ -755,10 +859,11 @@ class Verifier:
         """
         loc, extra, fam = _suite_families(self.gcm, self.mu, fam)
         suite = (("X", loc), ("AS", extra), ("P1" if certificate else "DS", fam))
-        report = self.verify_cartan_relations(mode_bound)
+        audit = self._audit(mode_bound, _weighted_span(suite, mode_bound))
+        report = self.verify_cartan_relations(mode_bound, audit)
         if not extra.entries:
             report.extend(_vacuous("AS"))
-        report.extend(self._verify_classes(suite, mode_bound))
+        report.extend(self._verify_classes(suite, mode_bound, audit))
         return report
 
 
@@ -839,6 +944,30 @@ class _WindowBound:
         return self.ok
 
 
+class _Audit(NamedTuple):
+    """What `Verifier._audit` found, as sets of nodes: those set apart from
+    their orbit's least node for the Cartan rows and for the weighted rows;
+    among the least nodes of their classes, those whose images pass the
+    image check of the derived sign, theta_h at |k| <= mode_bound
+    (`h_mirrored`) and theta_x at |k| <= 2 mode_bound (`cartan_mirrored`)
+    or on the weighted span (`weighted_mirrored`); and those whose theta_x
+    images on the weighted span are periodic in t1 (`periodic`)."""
+
+    cartan_apart: set
+    weighted_apart: set
+    h_mirrored: set
+    cartan_mirrored: set
+    weighted_mirrored: set
+    periodic: set
+
+
+def _weighted_span(suite: tuple, mode_bound: int) -> range:
+    """The modes k of the theta_x images that the weighted rows of `suite`
+    read: out + e, |out| <= mode_bound, e an exponent of its families."""
+    exps = [x for _, fam in suite for e in _exponents(fam) for x in e]
+    return range(min(exps, default=0) - mode_bound, max(exps, default=0) + mode_bound + 1)
+
+
 def _shared_classes(mode_bound: int, big_n: int) -> bool:
     """Whether some residue class mod N of the modes in [-mode_bound,
     mode_bound] has two members, so that a later row of a class is read
@@ -851,13 +980,16 @@ def _central_keys(elem: dict) -> dict:
     return {k: c for k, c in elem.items() if k[0] != "L"}
 
 
-def _image(real, pick: int, node: int, k: int, turn: int = 0):
-    """theta(pick, node, k) times xi_L^turn; None outside the window."""
-    try:
-        image = real._theta(pick, node, k)
-    except OutOfWindow:
-        return None
-    return {key: c.rotated(turn) for key, c in image.items()} if turn else image
+def _turned(image, first, turn: int) -> bool:
+    """Whether image = xi_L^turn first, key by key, for two values of
+    `Realization.image`; or both are None."""
+    if image is None or first is None or len(image) != len(first):
+        return image is first
+    for key, c in first.items():
+        d = image.get(key)
+        if d is None or d != (c.rotated(turn) if turn % c.order else c):
+            return False
+    return True
 
 
 def _orbit_shift(mu, i: int) -> tuple:

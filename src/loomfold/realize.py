@@ -350,6 +350,48 @@ class Realization:
         galg = self.galg
         return _central(acc, galg.mode == "affine", galg.r, (self.m1w, self.m2w), d1, d2)
 
+    def omega(self, x: AlgElem, sign: int = 1) -> AlgElem:
+        """sign times omega_hat(x), omega_hat the Chevalley involution
+        omega_0 of the core (`FiniteAlg.omega`) extended to the keys:
+
+            ("L", m1, m2, b)  ->  ("L", m1, -m2, omega_0 b)
+            ("K1",)           ->  ("K1",)
+            ("K2", p)         ->  -("K2", p)
+            ("K1p", p1, p2)   ->  -("K1p", p1, -p2)
+
+        omega_hat is an automorphism of the bracket that `kernel._loop_bracket`
+        and `kernel._place` compute, raises included.  It is Q(xi)-linear,
+        since it acts on keys only, fixes t1 and negates t2-degrees.  A
+        contributing basis pair at degrees (m1, m2), (n1, n2) goes to the
+        pair (omega_0 u, omega_0 v) at (m1, -m2), (n1, -n2).  Its loop term
+        t1^p1 t2^p2 [u, v] goes to t1^p1 t2^-p2 [omega_0 u, omega_0 v] =
+        omega_hat of it, since omega_0 is an automorphism, and its pairing
+        (omega_0 u | omega_0 v) = (u | v) is the same, since omega_0 keeps
+        the form (both certified by `FiniteAlg._certify_omega`).  So every
+        central term of `_central` maps with it:
+        * K1 weighs m1, which stays;
+        * K2(p1) weighs m2, which changes sign;
+        * K1p(p1, p2) weighs m1 n2 - m2 n1, which changes sign, at (p1, -p2).
+        Every test of `_loop_bracket`, `_place` and `_central` reads m1,
+        n1, p1, |p2|, whether m2, p2 or m1 n2 - m2 n1 is 0 and whether r
+        divides p2, and each of these stays, so the symmetric window and the
+        r-lattice map onto themselves and a bracket raises exactly where its
+        image raises.  Over every pair this gives omega_hat [x, y] =
+        [omega_hat x, omega_hat y]."""
+        perm, scale = self.galg.alg.omega
+        out: AlgElem = {}
+        for key, c in x.items():
+            tag = key[0]
+            if tag == "L":
+                out[("L", key[1], -key[2], perm[key[3]])] = c.mul_rational(sign * scale[key[3]])
+            elif tag == "K1":
+                out[key] = c.mul_rational(sign)
+            elif tag == "K2":
+                out[key] = c.mul_rational(-sign)
+            else:
+                out[("K1p", key[1], -key[2])] = c.mul_rational(-sign)
+        return out
+
     # -- generator images -----------------------------------------------------------
 
     def theta_x(self, i: int, m: int, sign: int) -> AlgElem:
@@ -373,6 +415,43 @@ class Realization:
 
     def theta_c(self) -> AlgElem:
         return {("K1",): CycNum.one(self.field)}
+
+    def image(self, pick: int, i: int, m: int) -> AlgElem | None:
+        """`_theta(pick, i, m)`, or None where it leaves the window."""
+        try:
+            return self._theta(pick, i, m)
+        except OutOfWindow:
+            return None
+
+    def mirrors(self, pick: int, i: int, m: int) -> bool:
+        """The image check under which the verifier derives sign -1 from
+        sign +1: for pick 0, theta_x(i, m, -1) = -omega_hat theta_x(i, m,
+        +1); for pick 2, theta_h(i, m) = -omega_hat theta_h(i, m).  Both
+        sides may leave the window together."""
+        image = self.image(pick, i, m)
+        mirror = image if pick == 2 else self.image(1, i, m)
+        if image is None or mirror is None:
+            return image is mirror
+        return self.omega(image, -1) == mirror
+
+    def in_period(self, i: int, span: range) -> bool:
+        """Whether every theta_x image of node i, of either sign, at m in
+        `span` inside the window is the first such image of m's residue
+        class mod N, at m', moved m - m' in t1, key by key.  An image outside
+        the window is never placed: the verifier looks every operand up
+        before it places a bracket from its residue class."""
+        big_n = self.n_order
+        firsts: dict = {}
+        for m in span if len(span) > big_n else ():
+            for pick in (0, 1):
+                image = self.image(pick, i, m)
+                if image is None:
+                    continue
+                m0, first = firsts.setdefault((pick, m % big_n), (m, image))
+                d = m - m0
+                if d and image != {(k[0], k[1] + d) + k[2:]: c for k, c in first.items()}:
+                    return False
+        return True
 
     # -- the automorphism at g-level ---------------------------------------------------
 

@@ -328,3 +328,47 @@ def test_assert_structure_rejects_an_asymmetric_form_entry():
         GeneratorAssertionFailed, match=rf"A2: form not symmetric at \({min(a, k)},{max(a, k)}\)$"
     ):
         bad.assert_structure()
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6"])
+def test_chevalley_involution(label):
+    # omega_0 sends e_i to -f_i, f_i to -e_i and h to -h, squares to the
+    # identity, and keeps every bracket of two basis vectors and the form,
+    # checked here densely, apart from its certificate
+    alg = chevalley(label)
+    perm, scale = alg.omega
+
+    def omega(v):
+        return {perm[b]: c * scale[b] for b, c in v.items()}
+
+    for i in range(alg.rank):
+        assert omega(alg.e(i)) == {alg.f_idx[i]: -1}
+        assert omega(alg.f(i)) == {alg.e_idx[i]: -1}
+        assert omega(alg.h(i)) == {alg.h_idx[i]: -1}
+    units = [alg.unit(b) for b in range(alg.dim)]
+    for u in units:
+        assert omega(omega(u)) == u
+        for v in units:
+            assert omega(alg.bracket(u, v)) == alg.bracket(omega(u), omega(v))
+            assert alg.pair(omega(u), omega(v)) == alg.pair(u, v)
+
+
+@pytest.mark.parametrize("label", ["A2", "G2"])
+def test_chevalley_involution_certificate_rejects_a_changed_entry(label):
+    # every structure constant in turn, doubled in one order only, and every
+    # form entry in turn, bumped by one: each table fails the certificate of
+    # omega_0, since its entry no longer matches the one omega_0 maps it to
+    alg = chevalley(label)
+    tables = []
+    for (a, b), vec in sorted(alg.brackets.items()):
+        for l in sorted(vec):
+            brackets = dict(alg.brackets)
+            brackets[(a, b)] = {**vec, l: 2 * vec[l]}
+            tables.append(dataclasses.replace(alg, brackets=brackets))
+    for key in sorted(alg.form):
+        if alg.omega[0][key[0]] != key[0]:  # (h, h') maps to itself: no witness
+            tables.append(dataclasses.replace(alg, form={**alg.form, key: alg.form[key] + 1}))
+    assert len(tables) > len(alg.brackets)
+    for bad in tables:
+        with pytest.raises(GeneratorAssertionFailed, match=f"{label}: omega_0"):
+            bad.omega

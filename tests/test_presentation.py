@@ -232,10 +232,24 @@ def _count_kernel_calls(monkeypatch):
     return calls
 
 
+def _both_signs(monkeypatch):
+    """No image passes the image check of the derived sign, so that every
+    relation evaluates both of its signs."""
+    monkeypatch.setattr(Realization, "mirrors", lambda *args: False)
+
+
 def test_run_suite_repeats_no_bracket(monkeypatch):
-    """The locality, AS and Serre checks of a pair share their inner brackets."""
+    """The locality, AS and Serre checks of a pair share their inner
+    brackets, with both signs evaluated and with sign -1 derived (81 kernel
+    calls, the Cartan rows' included)."""
     real, fam = _setup("A2^(1)", [1, 2, 0], 1)
     calls = _count_kernel_calls(monkeypatch)
+    Verifier(real).run_suite(fam, 1)
+    operands = [(id(a), id(b)) for a, b in calls]
+    assert len(operands) == 81
+    assert len(set(operands)) == len(operands)
+    calls.clear()
+    _both_signs(monkeypatch)
     Verifier(real).run_suite(fam, 1)
     operands = [(id(a), id(b)) for a, b in calls]
     assert len(operands) > 100
@@ -301,6 +315,20 @@ def test_twisted_loop_cores_full_suite(label, perm, modes):
 
 
 # -- one class of pairs at a time -------------------------------------------------
+
+
+def _least_nodes(real) -> set:
+    """The least node of each mu-orbit."""
+    mu = real.mu
+    return {min(mu.apply(i, k) for k in range(mu.order)) for i in range(real.gcm.n)}
+
+
+def _least_pairs(real, pairs) -> int:
+    """How many of `pairs` join two least nodes of their mu-orbits.  Each
+    pair evaluated alone (`_alone`) derives sign -1 only there, since
+    `Verifier._audit` makes the image check on the least nodes."""
+    least = _least_nodes(real)
+    return sum(1 for i, j in pairs if i in least and j in least)
 
 
 def _alone(mu, n, apart):
@@ -425,7 +453,7 @@ def test_classes_match_pairs_alone_under_one_corrupted_input(monkeypatch, name, 
     # every other node of its orbit apart
     orbit = {real.mu.apply(i0, a) for a in range(real.mu.order)}
     apart = {real.mu.apply(i0)} if where == "shifted" else orbit - {i0}
-    assert Verifier(real)._apart(range(-2, 3), (0, 1, 2)) == apart
+    assert Verifier(real)._audit(1, range(0)).cartan_apart == apart
 
 
 def _failures(report) -> dict:
@@ -479,16 +507,25 @@ def test_run_suite_sums_once_per_class(monkeypatch):
     per sign) and family p to one of two (27), so the weighted relations
     make 2 * 18 + 54 sums, the H and Xperiod checks of the 6 nodes 54 and
     the H, HX and XX checks 4 * 9; every pair alone makes 36 times 36 of
-    each of the last and 1296 weighted sums."""
+    each of the last and 1296 weighted sums.  Sign -1 of each weighted
+    relation and HXminus are derived from sign +1 and HXplus where the
+    least pair of a class joins two least nodes of their orbits, not
+    summed: that halves the weighted sums of a class and takes one of its
+    four pair sums."""
     real, fam = cached_realization("A5a-rot"), cached_family("A5a-rot")
     sums = _count_sums(monkeypatch)
     Verifier(real).run_suite(fam, 1)
-    assert len(sums) == 2 * 18 + 54 + 54 + 4 * 9
+    assert len(sums) == 18 + 27 + 54 + 3 * 9
     sums.clear()
     with monkeypatch.context() as patch:
         patch.setattr(presentation, "_pair_classes", _alone)
         Verifier(real).run_suite(fam, 1)
-    assert len(sums) == 1296 + 54 + 36 * 36
+    # alone, only (0, 0) joins two least nodes, whose images are checked
+    assert len(sums) == 1296 - 9 + 54 + 36 * 36 - 9
+    sums.clear()
+    _both_signs(monkeypatch)
+    Verifier(real).run_suite(fam, 1)
+    assert len(sums) == 2 * 18 + 54 + 54 + 4 * 9
 
 
 # families whose pairs transport to relations on the class representative
@@ -525,9 +562,11 @@ def test_classes_sum_each_pair_whose_relation_is_no_shift(monkeypatch, name, why
     assert shared == alone
     assert '"failures"' in shared
     # each distinct moved relation, then every pair alone, summed at each of
-    # the 27 output modes, per sign
+    # the 27 output modes, for sign +1 and, alone, for sign -1 wherever it
+    # is not derived
     summed = _SHARED_SUMS.get((name, why), len(fam.entries))
-    assert len(sums) == 2 * (summed + len(fam.entries)) * 27
+    alone = 2 * len(fam.entries) - _least_pairs(real, fam.entries)
+    assert len(sums) == (summed + alone) * 27
 
 
 @pytest.mark.parametrize("name", ["A2a-flip", "A2a-rot", "A3a-rot"])
@@ -554,11 +593,13 @@ def test_classes_derive_a_relation_whose_coefficient_orders_mix(monkeypatch, nam
     assert orders == {lcm(real.field, 5)}
     # the shared run sums one relation per class that holds a pair of the
     # family (every pair's moves alike, being of degree 0), the run alone
-    # every pair, at each of the 27 output modes, per sign
+    # every pair, at each of the 27 output modes, for sign +1 and, alone,
+    # for sign -1 wherever it is not derived
     classes = presentation._pair_classes(real.mu, real.gcm.n, ())
     reps = sum(1 for cls in classes if any(t[:2] in fam.entries for t in cls))
     assert reps < len(fam.entries)
-    assert len(sums) == 2 * (reps + len(fam.entries)) * 27
+    alone = 2 * len(fam.entries) - _least_pairs(real, fam.entries)
+    assert len(sums) == (reps + alone) * 27
 
 
 def test_transported_relations_keep_each_pairs_field(monkeypatch):
@@ -606,9 +647,11 @@ def test_shifted_pairs_that_transport_alike_are_summed_once(monkeypatch):
     )
     assert shared == alone
     assert '"failures"' in shared
-    # the shared run sums two relations, the run alone the four pairs, at
-    # each of the 27 output modes, per sign
-    assert len(sums) == 2 * (2 + 4) * 27
+    # the shared run sums two relations at each of the 27 output modes, for
+    # sign +1, and the run alone the four pairs, for both signs: no pair
+    # joins two least nodes
+    assert _least_pairs(real, fam.entries) == 0
+    assert len(sums) == (2 + 2 * 4) * 27
 
 
 def test_pair_classes_rotation():
@@ -670,7 +713,8 @@ def test_cartan_classes_fail_under_a_non_invariant_eps(monkeypatch):
 
 def test_cartan_relations_bracket_once_per_class(monkeypatch):
     """On A5a-rot the 36 ordered pairs fall into one class: the pair checks
-    bracket each of their 4 shapes once per (m, nn)."""
+    bracket each of their 4 shapes once per (m, nn), or 3 where HXminus is
+    derived from HXplus."""
     real = cached_realization("A5a-rot")
     k1 = real.theta_c()
     calls = _count_kernel_calls(monkeypatch)
@@ -678,13 +722,18 @@ def test_cartan_relations_bracket_once_per_class(monkeypatch):
     def pair_brackets():  # the brackets with K1 belong to the node checks
         return [(x, y) for x, y in calls if y != k1]
 
-    Verifier(real).verify_cartan_relations(1)
-    assert len(pair_brackets()) == 4 * 1 * 9
-    calls.clear()
-    with monkeypatch.context() as patch:
-        patch.setattr(presentation, "_pair_classes", _alone)
+    for shapes in (3, 4):
+        if shapes == 4:
+            _both_signs(monkeypatch)
+        calls.clear()
         Verifier(real).verify_cartan_relations(1)
-    assert len(pair_brackets()) == 4 * 36 * 9
+        assert len(pair_brackets()) == shapes * 1 * 9
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(presentation, "_pair_classes", _alone)
+            Verifier(real).verify_cartan_relations(1)
+        # alone, only (0, 0) joins two least nodes, whose images are checked
+        assert len(pair_brackets()) == shapes * 9 + 4 * 35 * 9
 
 
 def _count_cartan_pairs(monkeypatch):
@@ -1024,26 +1073,35 @@ def test_run_suite_brackets_once_per_residue_class(
     modes: on A2a-rot (N = 3), one class of pairs where every class of
     output modes has one row, the 234 that its relations moved to (0, 0)
     read, and 48 of the 680 that every row reads on A1a-id (N = 1), where
-    the window holds every row."""
+    the window holds every row.  Those are the counts with both signs
+    evaluated; with sign -1 derived from sign +1 every one of them halves."""
     real, fam = _setup(label, perm, 1)
     calls = _count_kernel_calls(monkeypatch)
-    Verifier(real).verify_cartan_relations(1)
-    cartan = len(calls)
-    calls.clear()
-    seen, centrals = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 1))
-    # a later row of a class of output modes reads its nested modes through
-    # `_nested_central`, which brackets nothing
-    reads = {**{k: any(v) for k, v in centrals.items()}, **{k: bool(v) for k, v in seen.items()}}
-    nested = [(i, j, sign, modes) for i, j, sign, modes in reads if len(modes) > 1]
     big_n = real.n_order
 
     def residues(i, j, sign, modes):
         return (i, j, sign) + tuple(m % big_n for m in modes)
 
-    keys = {residues(*k) for k in nested if reads[k[:3] + (k[3][1:],)]}
-    assert len(calls) - cartan == len(keys) == bracketed
-    assert len({residues(*k) for k in nested}) == classes
-    assert len(nested) == tuples
+    for share in (2, 1):  # sign -1 derived, then both signs evaluated
+        if share == 1:
+            _both_signs(monkeypatch)
+        calls.clear()
+        Verifier(real).verify_cartan_relations(1)
+        cartan = len(calls)
+        calls.clear()
+        seen, centrals = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 1))
+        # a later row of a class of output modes reads its nested modes
+        # through `_nested_central`, which brackets nothing
+        reads = {
+            **{k: any(v) for k, v in centrals.items()},
+            **{k: bool(v) for k, v in seen.items()},
+        }
+        nested = [(i, j, sign, modes) for i, j, sign, modes in reads if len(modes) > 1]
+        assert {sign for _, _, sign, _ in nested} == ({+1} if share == 2 else {+1, -1})
+        keys = {residues(*k) for k in nested if reads[k[:3] + (k[3][1:],)]}
+        assert share * (len(calls) - cartan) == share * len(keys) == bracketed
+        assert share * len({residues(*k) for k in nested}) == classes
+        assert share * len(nested) == tuples
 
 
 def test_a_tampered_residue_representative_fails_its_whole_class(monkeypatch):
@@ -1136,12 +1194,26 @@ def test_class_rows_work_counts(monkeypatch, label, perm, weighted, pair, node, 
     check and residue class of their modes mod N (one class per check for
     the identity twists, four of the nine (m, n) for the flip of E6), the
     node rows each, and the kernel accumulates only for those full sums
-    (at the parent, every row was summed in full, and the kernel ran 658,
-    178, 379 and 958 times).  A silent fallback to a full sum per row fails
-    here."""
+    (when every row was summed in full, the kernel ran 658, 178, 379 and
+    958 times).  Those are the counts with both signs evaluated; with sign
+    -1 of every weighted relation and HXminus derived, half of the weighted
+    rows and a quarter of the pair rows are summed, and the kernel runs
+    `_DERIVED_KERNEL` times.  A silent fallback to a full sum per row, or to
+    both signs, fails here."""
     real, fam = _setup(label, perm, 1)
     rows = _count_rows(monkeypatch)
     calls = _count_kernel_calls(monkeypatch)
+    assert Verifier(real).run_suite(fam, 1).passed
+    assert (tuple(rows["weighted"]), tuple(rows["pair"]), tuple(rows["node"])) == (
+        tuple(x // 2 for x in weighted),
+        tuple(3 * x // 4 for x in pair),
+        (node, node),
+    )
+    assert len(calls) == _DERIVED_KERNEL[label]
+    _both_signs(monkeypatch)
+    for counts in rows.values():
+        counts[:] = [0, 0]
+    calls.clear()
     assert Verifier(real).run_suite(fam, 1).passed
     assert (tuple(rows["weighted"]), tuple(rows["pair"]), tuple(rows["node"])) == (
         weighted,
@@ -1149,6 +1221,35 @@ def test_class_rows_work_counts(monkeypatch, label, perm, weighted, pair, node, 
         (node, node),
     )
     assert len(calls) == kernel
+
+
+@pytest.mark.parametrize(
+    "name, modes, derived, both",
+    [
+        ("A2a-rot", 1, 81, 117),
+        ("A3a-rot", 1, 115, 176),
+        ("A4a-rot", 0, 30, 43),
+        ("A5a-rot", 0, 30, 40),
+    ],
+)
+def test_suite_rot_kernel_calls(monkeypatch, name, modes, derived, both):
+    """The kernel calls of run_suite on each entry of the benchmark's
+    suite-rot workload, in its window: 256 a round with sign -1 derived,
+    376 with both signs evaluated."""
+    e = entry_by_name(name)
+    fam = cached_family(name)
+    real = Realization(e.gcm, e.mu, *suite_window(e.gcm, e.mu, fam, modes))
+    calls = _count_kernel_calls(monkeypatch)
+    assert Verifier(real).run_suite(fam, modes).passed
+    assert len(calls) == derived
+    calls.clear()
+    _both_signs(monkeypatch)
+    assert Verifier(real).run_suite(fam, modes).passed
+    assert len(calls) == both
+
+
+# kernel calls of test_class_rows_work_counts with sign -1 derived
+_DERIVED_KERNEL = {"F4": 107, "G2": 38, "C3": 68, "E6": 322}
 
 
 def _bracket_family(fam):
@@ -1257,8 +1358,11 @@ def test_a_tampered_first_residual_fails_its_class_members(monkeypatch):
     # residual, after it was recorded: every later row of the class that is
     # no gap fails with that key moved sum(out) - sum(r), and no other row
     # changes.  Bracket family on A1a-id (N = 1: one class per check) in the
-    # window (4, 3), which cuts some rows of the class at modes 2
+    # window (4, 3), which cuts some rows of the class at modes 2.  Both
+    # signs are evaluated, so that sign -1, not derived from the tampered
+    # sign +1, stays as it was
     monkeypatch.setattr(presentation, "MAX_RECORDED_FAILURES", 10**6)
+    _both_signs(monkeypatch)
     e = entry_by_name("A1a-id")
     real = Realization(e.gcm, e.mu, 4, 3)
     fam = _one_pair(_bracket_family(cached_family("A1a-id")), 0, 1)
@@ -1355,3 +1459,103 @@ def test_a_corrupted_image_at_a_member_mode_fails_as_alone(monkeypatch, name):
     assert failed
     if name.endswith("-id"):
         assert all(1 in pair for pair in failed)
+
+
+# -- one sign per relation: sign -1 derived through omega_hat --------------------
+
+
+def _derived_and_both(monkeypatch, run) -> tuple:
+    """The JSON of `run()` with every failure recorded, with sign -1 derived
+    where the images pass the image check, then with both signs evaluated
+    everywhere; or the OutOfWindow message of each."""
+    monkeypatch.setattr(presentation, "MAX_RECORDED_FAILURES", 10**6)
+
+    def outcome():
+        try:
+            return json.dumps(run().to_json(), sort_keys=True)
+        except OutOfWindow as exc:
+            return str(exc)
+
+    derived = outcome()
+    with monkeypatch.context() as patch:
+        _both_signs(patch)
+        both = outcome()
+    return derived, both
+
+
+@pytest.mark.parametrize("modes", [2, 4])
+@pytest.mark.parametrize("name", [e.name for e in builtin_entries()])
+def test_derived_signs_match_both_signs_evaluated(monkeypatch, name, modes):
+    # every check, failing or not, every residual and every gap: family p,
+    # and the plain (criterion 9), perturbed and one-slot families as
+    # window-scale certificates
+    real = cached_realization(name)
+    # the least node of every orbit passes the image check
+    audit = Verifier(real)._audit(modes, range(-modes - 2, modes + 3))
+    mirrored = _least_nodes(real)
+    assert audit.h_mirrored == audit.cartan_mirrored == audit.weighted_mirrored == mirrored
+    for family in sorted(_FAMILIES):
+        fam = _FAMILIES[family](cached_family(name))
+        derived, both = _derived_and_both(
+            monkeypatch, lambda: Verifier(real).run_suite(fam, modes, certificate=family != "p")
+        )
+        assert _same(derived, both), family
+
+
+@pytest.mark.parametrize("tamper", ["x-1", "h-doubled", "h-root"])
+@pytest.mark.parametrize("name", ["A2-flip", "A2a-id", "A2a-rot", "A3a-rot", "E6-flip"])
+def test_a_corrupted_image_keeps_the_derived_signs_exact(monkeypatch, name, tamper):
+    # i0 the least node of the first orbit.  One coefficient of
+    # theta_x(i0, 1, -1) doubled, or theta_h(i0, 1) given a root-vector term,
+    # fails the image check, so the classes of i0 evaluate both signs.  One
+    # coefficient of theta_h(i0, 1) doubled still passes it, as any Cartan
+    # element does (-omega_hat fixes it), and the derivation stays exact.
+    # Either way every report is that of both signs evaluated, and it fails
+    real, fam = cached_realization(name), cached_family(name)
+    i0 = min(i for i in range(real.gcm.n) if real.mu.apply(i) != i) if real.mu.order > 1 else 0
+    pick = 1 if tamper == "x-1" else 2
+    theta = real._theta(pick, i0, 1)
+    key = min(k for k in theta if k[0] == "L")
+    bad = {k: c + c if k == key else c for k, c in theta.items()}
+    if tamper == "h-root":
+        bad = {**theta, ("L", 1, 0, real.galg.alg.e_idx[0]): CycNum.one(real.field)}
+    monkeypatch.setitem(real._theta_cache, (pick, i0, 1), bad)
+    audit = Verifier(real)._audit(2, range(-2, 3))
+    mirrored = audit.h_mirrored if pick == 2 else audit.weighted_mirrored
+    assert (i0 in mirrored) == (tamper == "h-doubled")
+    derived, both = _derived_and_both(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
+    assert _same(derived, both)
+    assert '"pass": false' in derived
+
+
+def test_derived_signs_on_a_twisted_core(monkeypatch):
+    # A2^(2) with the identity twist: f_1 = 2 f'_1 + 2 f'_2 in the core A2
+    # while e_1 = e'_1 + e'_2, so node 1 fails the image check and its
+    # classes evaluate both signs; node 0 passes, and (0, 0) derives
+    g = Gcm(canonical_matrix("A2^(2)"))
+    mu = validate_aut(g, [0, 1])
+    fam = family_p(g, mu)
+    real = Realization(g, mu, *suite_window(g, mu, fam, 1))
+    audit = Verifier(real)._audit(1, range(-3, 4))
+    assert audit.weighted_mirrored == audit.cartan_mirrored == {0}
+    derived, both = _derived_and_both(monkeypatch, lambda: Verifier(real).run_suite(fam, 1))
+    assert _same(derived, both)
+    assert '"pass": true' in derived
+
+
+def test_nested_values_of_a_non_periodic_image_are_bracketed_directly(monkeypatch):
+    # one coefficient of theta_x(0, 2, +1) of A3a-rot doubled: theta_x(0, 2)
+    # is no longer theta_x(0, -2) moved 4 in t1, so the classes of node 0
+    # bracket every nested value directly instead of placing it from the
+    # first modes of its residue class mod 4; every value is the bracket of
+    # the images read
+    real, fam = cached_realization("A3a-rot"), cached_family("A3a-rot")
+    _double_one_coefficient(real, 0, 0, 2, min(real.theta_x(0, 2, +1)))
+    try:
+        audit = Verifier(real)._audit(2, range(-2, 3))
+        assert 0 not in audit.periodic
+        seen, centrals = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
+        assert any(modes[0] == 2 and i == 0 for i, _, _, modes in seen)
+        _assert_nested_match_direct(real, seen, centrals)
+    finally:
+        del real._theta_cache[(0, 0, 2)]

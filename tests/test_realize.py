@@ -1100,3 +1100,36 @@ def test_place_brackets_the_shifted_operands(name):
         if isinstance(got, list):
             seen["central"] += any(item["key"][0] != "L" for item in got)
     assert seen["raised"] and seen["central"]
+
+
+# -- the Chevalley involution on the keys of the kernel ------------------------------
+
+
+@pytest.mark.parametrize("name", [e.name for e in builtin_entries()])
+def test_omega_hat_is_an_automorphism_of_the_bracket(name):
+    # omega_hat [x, y] = [omega_hat x, omega_hat y] on seeded random elements
+    # (generator images, loop vectors at t2-degrees -2..2, central keys), in
+    # a window small enough that a bracket raises OutOfWindow exactly where
+    # the bracket of the images does, for a loop or a central degree alike
+    # (the first pair reached, which the message names, may differ); the
+    # affine brackets reach K2 and K1p terms, K1p at both signs of p2
+    e = entry_by_name(name)
+    real = Realization(e.gcm, e.mu, m1_window=3, m2_window=3)
+    gen = _Elements(real, f"omega:{name}")
+    tags = set()
+    raised = 0
+    for _ in range(200):
+        x, y = gen.element(), gen.element()
+        try:
+            want = serialize_elem(real.omega(real.bracket(x, y), -1))
+        except OutOfWindow as exc:
+            want, raised = str(exc).split(" leaves")[0].split("(")[0], raised + 1
+        try:
+            got = serialize_elem(real.bracket(real.omega(x), real.omega(y, -1)))
+        except OutOfWindow as exc:
+            got = str(exc).split(" leaves")[0].split("(")[0]
+        assert got == want
+        tags |= {item["key"][0] for item in want} if isinstance(want, list) else set()
+    assert raised
+    affine = real.galg.mode == "affine"
+    assert tags == ({"L", "K1", "K2", "K1p"} if affine else {"L", "K1"})

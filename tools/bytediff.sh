@@ -143,7 +143,8 @@ for job in sys.argv[1:]:
 # theta_x(0, 1, +1) doubled.  Node 0 is the least node of its mu-orbit, so
 # that corruption sets every other node of the orbit apart: each pair with
 # one of them is its own class, and every report is that of the pairs
-# evaluated alone.
+# evaluated alone.  Last, the full suite of A2a-rot at modes 1 with
+# theta_x(0, k, -1) corrupted, where some classes evaluate both signs.
 cat >"$tmp/gdump.py" <<'EOF'
 import json
 
@@ -212,6 +213,21 @@ for e in load_entries(None):
     report = Verifier(real).verify_cartan_relations(2).to_json()
     realize._loop_bracket = kernel
     print("cartan", e.name, json.dumps(report, sort_keys=True))
+# theta_x(0, k, -1) of A2a-rot with the coefficient of one basis vector
+# doubled at every mode k: node 0 fails the image check of the derived sign,
+# so its classes evaluate both signs, while nodes 1 and 2, set apart, derive
+# theirs.  The images stay periodic in t1, so residue classes of modes are
+# still placed from their first modes: a corruption at one mode would also
+# make the classes of node 0 bracket every value directly
+e = next(e for e in load_entries(None) if e.name == "A2a-rot")
+fam = family_p(e.gcm, e.mu)
+real = Realization(e.gcm, e.mu, *suite_window(e.gcm, e.mu, fam, 1))
+b = min(key[3] for key in real.theta_x(0, 0, -1))
+for k in range(-real.m1w, real.m1w + 1):
+    theta = real.theta_x(0, k, -1)
+    real._theta_cache[(1, 0, k)] = {key: c + c if key[3] == b else c for key, c in theta.items()}
+report = Verifier(real).run_suite(fam, 1).to_json()
+print("minus", e.name, json.dumps(report, sort_keys=True))
 EOF
 entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   'from loomfold.catalog import load_entries; print(*(e.name for e in load_entries(None)))') \
@@ -262,6 +278,8 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --input a4rel.json --modes 2"
   echo "verify --input d4rel.json --modes 1"
   echo "verify --input a1.json --modes 1"
+  # A2^(2) with the identity twist: node 1 fails the image check of the
+  # derived sign (-omega_hat e_1 is half of f_1), node 0 passes it
   echo "verify --input a22.json --modes 1"
   echo "verify --input a22.json --modes 1 --family user:fam.json"
   echo "verify --input d43.json --modes 1"
