@@ -240,19 +240,19 @@ def _both_signs(monkeypatch):
 
 def test_run_suite_repeats_no_bracket(monkeypatch):
     """The locality, AS and Serre checks of a pair share their inner
-    brackets, with both signs evaluated and with sign -1 derived (81 kernel
-    calls, the Cartan rows' included)."""
+    brackets, with sign -1 derived and with both signs evaluated (54 and 90
+    kernel calls, the Cartan rows' included; the node rows make none)."""
     real, fam = _setup("A2^(1)", [1, 2, 0], 1)
     calls = _count_kernel_calls(monkeypatch)
     Verifier(real).run_suite(fam, 1)
     operands = [(id(a), id(b)) for a, b in calls]
-    assert len(operands) == 81
+    assert len(operands) == 54
     assert len(set(operands)) == len(operands)
     calls.clear()
     _both_signs(monkeypatch)
     Verifier(real).run_suite(fam, 1)
     operands = [(id(a), id(b)) for a, b in calls]
-    assert len(operands) > 100
+    assert len(operands) == 90
     assert len(set(operands)) == len(operands)
 
 
@@ -505,27 +505,27 @@ def test_run_suite_sums_once_per_class(monkeypatch):
     (0, 0): one sum per distinct moved relation, grid point and sign.  The
     locality relations move to two relations of one z-slot (9 output modes
     per sign) and family p to one of two (27), so the weighted relations
-    make 2 * 18 + 54 sums, the H and Xperiod checks of the 6 nodes 54 and
-    the H, HX and XX checks 4 * 9; every pair alone makes 36 times 36 of
-    each of the last and 1296 weighted sums.  Sign -1 of each weighted
-    relation and HXminus are derived from sign +1 and HXplus where the
-    least pair of a class joins two least nodes of their orbits, not
-    summed: that halves the weighted sums of a class and takes one of its
-    four pair sums."""
+    make 2 * 18 + 54 sums and the H, HX and XX checks 4 * 9; every pair
+    alone makes 36 times 36 of the last and 1296 weighted sums.  The 54
+    rows of the H and Xperiod checks of the 6 nodes are zero by the audit
+    and summed in no run.  Sign -1 of each weighted relation and HXminus
+    are derived from sign +1 and HXplus where the least pair of a class
+    joins two least nodes of their orbits, not summed: that halves the
+    weighted sums of a class and takes one of its four pair sums."""
     real, fam = cached_realization("A5a-rot"), cached_family("A5a-rot")
     sums = _count_sums(monkeypatch)
     Verifier(real).run_suite(fam, 1)
-    assert len(sums) == 18 + 27 + 54 + 3 * 9
+    assert len(sums) == 18 + 27 + 3 * 9
     sums.clear()
     with monkeypatch.context() as patch:
         patch.setattr(presentation, "_pair_classes", _alone)
         Verifier(real).run_suite(fam, 1)
     # alone, only (0, 0) joins two least nodes, whose images are checked
-    assert len(sums) == 1296 - 9 + 54 + 36 * 36 - 9
+    assert len(sums) == 1296 - 9 + 36 * 36 - 9
     sums.clear()
     _both_signs(monkeypatch)
     Verifier(real).run_suite(fam, 1)
-    assert len(sums) == 2 * 18 + 54 + 54 + 4 * 9
+    assert len(sums) == 2 * 18 + 54 + 4 * 9
 
 
 # families whose pairs transport to relations on the class representative
@@ -714,26 +714,21 @@ def test_cartan_classes_fail_under_a_non_invariant_eps(monkeypatch):
 def test_cartan_relations_bracket_once_per_class(monkeypatch):
     """On A5a-rot the 36 ordered pairs fall into one class: the pair checks
     bracket each of their 4 shapes once per (m, nn), or 3 where HXminus is
-    derived from HXplus."""
+    derived from HXplus, and the node checks bracket nothing."""
     real = cached_realization("A5a-rot")
-    k1 = real.theta_c()
     calls = _count_kernel_calls(monkeypatch)
-
-    def pair_brackets():  # the brackets with K1 belong to the node checks
-        return [(x, y) for x, y in calls if y != k1]
-
     for shapes in (3, 4):
         if shapes == 4:
             _both_signs(monkeypatch)
         calls.clear()
         Verifier(real).verify_cartan_relations(1)
-        assert len(pair_brackets()) == shapes * 1 * 9
+        assert len(calls) == shapes * 1 * 9
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(presentation, "_pair_classes", _alone)
             Verifier(real).verify_cartan_relations(1)
         # alone, only (0, 0) joins two least nodes, whose images are checked
-        assert len(pair_brackets()) == shapes * 9 + 4 * 35 * 9
+        assert len(calls) == shapes * 9 + 4 * 35 * 9
 
 
 def _count_cartan_pairs(monkeypatch):
@@ -857,7 +852,7 @@ def test_cartan_residuals_match_an_oracle(monkeypatch, name):
     # fields of order 2, 3 and 6.  With real.bracket doubled the pair checks
     # fail where a bracket is nonzero, and each recorded residual, the
     # derived ones included, prints as got - want summed term by term (the
-    # node checks bracket nothing but K1 and pass); with one coefficient of
+    # node checks bracket nothing and pass); with one coefficient of
     # theta_x(1, 1, +1) doubled instead, so do the residuals of the node
     # checks that fail (the pair checks that read that image fail too, but a
     # tampered image breaks the shift identity their derivation rests on)
@@ -881,6 +876,82 @@ def test_cartan_residuals_match_an_oracle(monkeypatch, name):
     assert all(c.passed for c in checks if len(c.pair) == 1)
     recorded += _match_the_oracle(real, checks)
     assert recorded > 4 * real.gcm.n**2
+
+
+def _tamper_node_images(patch, real, tamper) -> bool:
+    """One input that the node checks read corrupted, undone with `patch`;
+    False where `real` has no such input.  i0 is the least node of the
+    first mu-orbit with two nodes, else node 0:
+    * "least-x", "least-h": one coefficient of theta_x(i0, m, +1) or
+      theta_h(i0, m) doubled, m = 1, or 0 where that image is zero;
+    * "shifted-x": one of theta_x(mu i0, 1, -1) doubled;
+    * "fixed-h": theta_h(i, 1) of the least fixed node i given the terms of
+      theta_h(i, 0) moved to t1-degree 1, on a flip, so that the node row
+      (1 - xi_2) theta_h(i, 1) is nonzero;
+    * "shifted-eps": eps of mu i0 doubled."""
+    mu = real.mu
+    moved = [i for i in range(real.gcm.n) if mu.apply(i) != i]
+    i0 = min(moved, default=0)
+    if tamper in ("least-x", "least-h"):
+        pick = 0 if tamper == "least-x" else 2
+        _corrupt(patch, real, (pick, 1 if real._theta(pick, i0, 1) else 0), i0)
+    elif tamper == "fixed-h":
+        fixed = [i for i in range(real.gcm.n) if mu.apply(i) == i]
+        if real.n_order != 2 or not fixed:
+            return False
+        terms = {("L", 1) + k[2:]: c for k, c in real.theta_h(fixed[0], 0).items() if k[0] == "L"}
+        patch.setitem(real._theta_cache, (2, fixed[0], 1), terms)
+    elif not moved:
+        return False
+    else:
+        _corrupt(patch, real, (1, 1) if tamper == "shifted-x" else "eps", mu.apply(i0))
+    return True
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+@pytest.mark.parametrize(
+    "tamper", ["true", "least-x", "least-h", "shifted-x", "fixed-h", "shifted-eps"]
+)
+def test_node_rows_match_the_oracle_both_ways(monkeypatch, tamper, modes):
+    # the H and Xperiod rows of every node of every catalog entry, true or
+    # under one tampered input (`_tamper_node_images`), with every failure
+    # recorded: a row fails exactly where `_cartan_oracle` reads nonzero,
+    # with the oracle's residual, whether the audit shows it zero or it is
+    # summed.  The "fixed-h" tamper reaches the five flips with a fixed node
+    # (A3-flip, A5-flip, D4-flip, E6-flip and A2a-flip)
+    monkeypatch.setattr(presentation, "MAX_RECORDED_FAILURES", 10**6)
+    failed = 0
+    for e in builtin_entries():
+        real = cached_realization(e.name)
+        with monkeypatch.context() as patch:
+            if not _tamper_node_images(patch, real, tamper):
+                continue
+            checks = Verifier(real).verify_cartan_relations(modes).checks
+            for chk in (c for c in checks if len(c.pair) == 1):
+                signs = [()] if chk.kind == "H" else [(+1,), (-1,)]
+                rows = [(m, *s) for m in range(-modes, modes + 1) for s in signs]
+                oracle = {r: _cartan_oracle(real, chk.kind, chk.pair, r) for r in rows}
+                want = {r: serialize_elem(v) for r, v in oracle.items() if v}
+                got = {r: serialize_elem(v) for r, v in chk.failures}
+                assert got == want, (e.name, chk.kind, chk.pair)
+                assert chk.checked == len(rows) and chk.failure_count == len(want)
+                failed += len(want)
+    assert (failed > 0) == (tamper not in ("true", "shifted-eps"))
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+def test_node_rows_of_true_images_sum_nothing(monkeypatch, modes):
+    # with true images the audit shows every node row zero on every catalog
+    # entry: the node checks count their rows and pass, with no relation
+    # sum and no kernel call (the pair checks are left out here)
+    monkeypatch.setattr(Verifier, "_cartan_pair", lambda *args: [])
+    sums = _count_sums(monkeypatch)
+    calls = _count_kernel_calls(monkeypatch)
+    for e in builtin_entries():
+        report = Verifier(cached_realization(e.name)).verify_cartan_relations(modes)
+        assert report.passed
+        assert [c.checked for c in report.checks] == [2 * modes + 1, 2 * (2 * modes + 1)] * e.gcm.n
+    assert sums == calls == []
 
 
 def test_cartan_relations_check_once_per_class(monkeypatch):
@@ -1192,23 +1263,28 @@ def test_class_rows_work_counts(monkeypatch, label, perm, weighted, pair, node, 
     """run_suite at modes 1 on the cores of the benchmark's build-cores
     workload: the weighted and Cartan pair rows are summed in full once per
     check and residue class of their modes mod N (one class per check for
-    the identity twists, four of the nine (m, n) for the flip of E6), the
-    node rows each, and the kernel accumulates only for those full sums
-    (when every row was summed in full, the kernel ran 658, 178, 379 and
-    958 times).  Those are the counts with both signs evaluated; with sign
-    -1 of every weighted relation and HXminus derived, half of the weighted
-    rows and a quarter of the pair rows are summed, and the kernel runs
-    `_DERIVED_KERNEL` times.  A silent fallback to a full sum per row, or to
-    both signs, fails here."""
+    the identity twists, four of the nine (m, n) for the flip of E6), and
+    the kernel accumulates only for those full sums (when every row was
+    summed in full, the kernel ran 658, 178, 379 and 958 times).  The
+    `node` rows of the node checks are counted, but the audit shows each
+    zero, so none reaches `_check` and none brackets: `kernel` counts the
+    one K1 bracket per node row that the node checks once made.  Those are
+    the counts with both signs evaluated; with sign -1 of every weighted
+    relation and HXminus derived, half of the weighted rows and a quarter
+    of the pair rows are summed, and the kernel runs `_DERIVED_KERNEL`
+    times.  A silent fallback to a full sum per row, or to both signs,
+    fails here."""
     real, fam = _setup(label, perm, 1)
     rows = _count_rows(monkeypatch)
     calls = _count_kernel_calls(monkeypatch)
-    assert Verifier(real).run_suite(fam, 1).passed
+    report = Verifier(real).run_suite(fam, 1)
+    assert report.passed
     assert (tuple(rows["weighted"]), tuple(rows["pair"]), tuple(rows["node"])) == (
         tuple(x // 2 for x in weighted),
         tuple(3 * x // 4 for x in pair),
-        (node, node),
+        (0, 0),
     )
+    assert sum(c.checked for c in report.checks if len(c.pair) == 1) == node
     assert len(calls) == _DERIVED_KERNEL[label]
     _both_signs(monkeypatch)
     for counts in rows.values():
@@ -1218,9 +1294,9 @@ def test_class_rows_work_counts(monkeypatch, label, perm, weighted, pair, node, 
     assert (tuple(rows["weighted"]), tuple(rows["pair"]), tuple(rows["node"])) == (
         weighted,
         pair,
-        (node, node),
+        (0, 0),
     )
-    assert len(calls) == kernel
+    assert len(calls) == _BOTH_KERNEL[label] == kernel - node
 
 
 @pytest.mark.parametrize(
@@ -1234,22 +1310,36 @@ def test_class_rows_work_counts(monkeypatch, label, perm, weighted, pair, node, 
 )
 def test_suite_rot_kernel_calls(monkeypatch, name, modes, derived, both):
     """The kernel calls of run_suite on each entry of the benchmark's
-    suite-rot workload, in its window: 256 a round with sign -1 derived,
-    376 with both signs evaluated."""
+    suite-rot workload, in its window: 160 a round with sign -1 derived,
+    280 with both signs evaluated (`_SUITE_ROT_KERNEL`).  `derived` and
+    `both` (256 and 376 a round) count also the K1 bracket that the node
+    checks once made per node row, 3 (2 modes + 1) rows a node."""
     e = entry_by_name(name)
     fam = cached_family(name)
     real = Realization(e.gcm, e.mu, *suite_window(e.gcm, e.mu, fam, modes))
+    node_rows = 3 * real.gcm.n * (2 * modes + 1)
     calls = _count_kernel_calls(monkeypatch)
     assert Verifier(real).run_suite(fam, modes).passed
-    assert len(calls) == derived
+    assert len(calls) == _SUITE_ROT_KERNEL[name][0] == derived - node_rows
     calls.clear()
     _both_signs(monkeypatch)
     assert Verifier(real).run_suite(fam, modes).passed
-    assert len(calls) == both
+    assert len(calls) == _SUITE_ROT_KERNEL[name][1] == both - node_rows
 
 
-# kernel calls of test_class_rows_work_counts with sign -1 derived
-_DERIVED_KERNEL = {"F4": 107, "G2": 38, "C3": 68, "E6": 322}
+# kernel calls of test_suite_rot_kernel_calls, with sign -1 derived and with
+# both signs evaluated
+_SUITE_ROT_KERNEL = {
+    "A2a-rot": (54, 90),
+    "A3a-rot": (79, 140),
+    "A4a-rot": (15, 28),
+    "A5a-rot": (12, 22),
+}
+
+# kernel calls of test_class_rows_work_counts with sign -1 derived and with
+# both signs evaluated
+_DERIVED_KERNEL = {"F4": 71, "G2": 20, "C3": 41, "E6": 268}
+_BOTH_KERNEL = {"F4": 110, "G2": 32, "C3": 64, "E6": 408}
 
 
 def _bracket_family(fam):

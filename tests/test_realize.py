@@ -84,15 +84,20 @@ def test_finite_loop_bracket_with_center(a2_flip):
     assert lhs == want
 
 
-def test_center_is_central(a2a_flip):
-    real = a2a_flip
-    k1 = {("K1",): CycNum.one()}
-    x = real.theta_x(1, 2, +1)
-    assert not real.bracket(k1, x)
-    k2 = {("K2", 3): CycNum.one()}
-    assert not real.bracket(k2, real.theta_h(0, -1))
-    k1p = {("K1p", 1, 1): CycNum.one()}
-    assert not real.bracket(k1p, x)
+def test_center_is_central():
+    # K1, K2(p) and K1p(p1, p2) bracket to zero with every generator image
+    # theta(pick, i, m), |m| <= 2, in both orders, on every catalog entry:
+    # so a node check that brackets an image with K1 could never fail
+    ps = range(-2, 3)
+    for e in builtin_entries():
+        real = cached_realization(e.name)
+        one = CycNum.one(real.field)
+        central = [{("K1",): one}] + [{("K2", p): one} for p in ps]
+        central += [{("K1p", p1, p2): one} for p1 in ps for p2 in ps]
+        for pick, i, m in itertools.product(range(3), range(e.gcm.n), range(-2, 3)):
+            image = real._theta(pick, i, m)
+            for c in central:
+                assert real.bracket(c, image) == real.bracket(image, c) == {}, (e.name, c)
 
 
 def test_block_level_central_cancellation():

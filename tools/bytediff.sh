@@ -143,8 +143,10 @@ for job in sys.argv[1:]:
 # theta_x(0, 1, +1) doubled.  Node 0 is the least node of its mu-orbit, so
 # that corruption sets every other node of the orbit apart: each pair with
 # one of them is its own class, and every report is that of the pairs
-# evaluated alone.  Last, the full suite of A2a-rot at modes 1 with
-# theta_x(0, k, -1) corrupted, where some classes evaluate both signs.
+# evaluated alone.  Then the full suite of A2a-rot at modes 1 with
+# theta_x(0, k, -1) corrupted, where some classes evaluate both signs, and
+# last the Cartan checks at modes 2 of E6-flip and A3a-rot with one image
+# corrupted where the node rows are summed.
 cat >"$tmp/gdump.py" <<'EOF'
 import json
 
@@ -228,6 +230,23 @@ for k in range(-real.m1w, real.m1w + 1):
     real._theta_cache[(1, 0, k)] = {key: c + c if key[3] == b else c for key, c in theta.items()}
 report = Verifier(real).run_suite(fam, 1).to_json()
 print("minus", e.name, json.dumps(report, sort_keys=True))
+# two inputs that the node rows sum, not take from the audit: on E6-flip
+# theta_h(i, 1) of the least fixed node i, zero on true images, given the
+# loop terms of theta_h(i, 0) moved to t1-degree 1, so that its row
+# (1 - xi_2) theta_h(i, 1) is nonzero; on A3a-rot theta_x(mu 0, 1, -1)
+# doubled, which sets mu 0 apart and fails the rows of nodes 0 and mu 0
+for name in ("E6-flip", "A3a-rot"):
+    e = next(e for e in load_entries(None) if e.name == name)
+    real = Realization(e.gcm, e.mu, 12, 5)
+    if name == "E6-flip":
+        i = min(i for i in range(e.gcm.n) if e.mu.apply(i) == i)
+        theta = real.theta_h(i, 0)
+        real._theta_cache[(2, i, 1)] = {("L", 1) + k[2:]: c for k, c in theta.items() if k[0] == "L"}
+    else:
+        i = e.mu.apply(0)
+        real._theta_cache[(1, i, 1)] = {k: c + c for k, c in real.theta_x(i, 1, -1).items()}
+    report = Verifier(real).verify_cartan_relations(2).to_json()
+    print("nodes", name, json.dumps(report, sort_keys=True))
 EOF
 entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   'from loomfold.catalog import load_entries; print(*(e.name for e in load_entries(None)))') \
