@@ -67,21 +67,26 @@ every moved degree as the kernel would, so a placed bracket raises
 OutOfWindow exactly where the direct one does.  A zero inner bracket gives
 zero with no kernel call: it meets no basis pair.
 
-Whole rows go by residue class too.  At output modes `out` = r mod N every
-summand of a weighted row is placed from the accumulation it uses at r,
-moved sum(out) - sum(r), so the row's loop residual is r's moved; only the
+Whole rows go by residue class too, the weighted rows at output modes
+`out` = r mod N and the Cartan rows at (m, n) = (r, s) mod N, under one
+member rule.  Where every image that a row reads is the first of its
+residue class moved in t1, every bracket of a row at `out` is placed from
+the accumulation its class's first row r used, moved sum(out) - sum(r)
+(m + n - r - s), so the row's loop residual is r's moved; only the
 central part (K1, K1p, K2) depends on the actual degrees.  So the first
-row of each class that is no gap is summed in full, and every later row, a
-member, sums only its central parts and takes the first loop residual,
-moved (`Verifier._check`); it builds no loop part, and its gaps stay its
-own (`_WindowBound`, else `Verifier._nested_central`, which tests the
-window level by level).  The Cartan rows at (m, n) = (r, s) mod N go the
-same way, moved m + n - r - s, where `_CartanClass` shows that no member
-can leave the window and every image that the pair's rows read is the
-first of its residue class moved (`Verifier._periodic`).  Since
-`serialize_elem` sorts keys, every report is byte-identical to the
-row-by-row sums.  When 2 mode_bound + 1 <= N, as on every rotation at
-modes <= 1, each class has one row (`_shared_classes`).
+row of each class that is no gap is summed in full, and a later row, a
+member, is placed from it where one `_WindowBound` shows that no member
+can leave the window and the audit has shown the images read periodic
+(`Realization.in_period`): it takes the first loop residual, moved
+(`Verifier._check`), and sums only the central terms of the first row's
+accumulations, placed at its own degrees (`Realization.place_central`),
+and of its expected images, read at its own modes; it builds no loop
+part.  Every other member is summed in full, so its gaps, OutOfWindow
+and residual are its own.  Since `serialize_elem` sorts keys, every
+report is byte-identical to the row-by-row sums.  When 2 mode_bound + 1
+<= N, as on every rotation at modes <= 1, each class has one row
+(`_shared_classes`), and the audit tests no periodicity for the Cartan
+rows.
 
 One rule moves a weighted relation of (i, j) = (mu^a i0, mu^b j0) to
 (i0, j0) (`Verifier._transport`).  At output modes `out`, w last, a term
@@ -128,10 +133,12 @@ check of sign -1 copies its checked count, gaps and failure count and maps
 each residual (`Verifier._derive_minus`); a class that fails it, such as
 node 1 of A2^(2) or a tampered image, evaluates both signs.  Since
 `serialize_elem` sorts keys, every report is byte-identical to the one
-with both signs evaluated.  The same audit finds whether the theta_x
-images of the weighted rows are periodic in t1 (`Realization.in_period`);
-a class where they are not brackets every nested value directly and sums
-every row in full.
+with both signs evaluated.  The same audit finds whether the images
+that the rows read are periodic in t1 (`Realization.in_period`): a class
+of pairs where the theta_x images of the weighted rows are not brackets
+every nested value directly and sums every weighted row in full, and one
+where the images of the Cartan rows are not sums every Cartan row in
+full.
 
 A pass certifies the identity on the tested grid only; for the built-in
 families the grid is the whole statement being claimed here.
@@ -295,34 +302,35 @@ class Verifier:
             report.checks.append(chk_x)
 
         pairs: dict = {}
-        images: dict = {}
         for cls in _pair_classes(self.mu, self.gcm.n, audit.cartan_apart):
             i0, j0, _ = cls[0]
             mirror = i0 in audit.h_mirrored and j0 in audit.cartan_mirrored
-            pairs[(i0, j0)] = self._cartan_pair(i0, j0, mode_bound, images, mirror)
+            periodic = i0 in audit.cartan_in_period and j0 in audit.cartan_in_period
+            pairs[(i0, j0)] = self._cartan_pair(i0, j0, mode_bound, mirror, periodic)
             for i, j, shift in cls[1:]:
                 pairs[(i, j)] = self._phased(pairs[(i0, j0)], (i, j), shift, (0, 0))
         for pair in sorted(pairs):
             report.checks.extend(pairs[pair])
         return report
 
-    def _cartan_pair(self, i: int, j: int, mode_bound: int, images: dict, mirror: bool) -> list:
+    def _cartan_pair(self, i: int, j: int, mode_bound: int, mirror: bool, periodic: bool) -> list:
         """The H, HXplus, HXminus and XX checks of the least pair (i, j) of
         a class: at modes (m, n), each bracket less its expected value.
         With `mirror` (the images that HXplus reads pass the image check of
         `_audit`), HXminus is not evaluated but derived from HXplus, each
         residual r as omega_hat(r) (`_derive_minus`).
 
-        When some class of (m, n) mod N has two members, the first modes
-        (r, s) of a class are bracketed through the kernel's accumulate and
-        place steps (`_bracket`).  If `_CartanClass` shows that no member of
-        the class can leave the window, and `_periodic_pair` that the images
-        read are periodic (with `images` its cache), a later member takes
-        each row's loop residual from the first, moved m + n - r - s, and
-        sums its central terms only: the bracket's, placed from the first
-        accumulation, those of the expected images, and the K1 terms (see
-        the module docstring).  Any other member is evaluated like a first
-        row."""
+        With `periodic` (the audit found every image of i and j at |k| <=
+        2 mode_bound inside the window and periodic in t1, which it tests
+        only when some class of (m, n) mod N has two members), the first
+        modes (r, s) of each class are bracketed through the kernel's
+        accumulate and place steps (`_bracket`).  A later member is placed
+        from them where `_WindowBound`, with reach 2 mode_bound, shows that
+        no member can leave the window: each row takes the first loop
+        residual, moved m + n - r - s, and sums its central terms only: the
+        bracket's, placed from the first accumulation, those of the
+        expected images, read at m + n, and the K1 terms (see the module
+        docstring).  Every other row is summed in full."""
         real = self.real
         a = self.gcm.entries
         big_n = self.n_order
@@ -338,12 +346,12 @@ class Verifier:
         checks = [chk_hh, chk_hx_p] + ([] if mirror else [chk_hx_m]) + [chk_xx]
         # the k with mu^k j = i: the terms of the expected XX value
         meets = [k for k in range(big_n) if self.mu.apply(j, k) == i]
-        grouped = _shared_classes(mode_bound, big_n)
+        bound = _WindowBound(real, 2 * mode_bound)
+        # (r, s, accumulation) of every bracket of a first row, and per
+        # class of (m, n) mod N its first row's, each with its row's loop
+        # residual
+        reps: list = []
         firsts: dict = {}
-
-        # j's images by mode, when every image that the rows read is
-        # periodic (`_periodic_pair`), or False; looked for at the first member
-        periodic = None
         for m in span:
             # sum_k xi_N^(km) a_(i, mu^k j), the phase sum in the expected H
             # and HX coefficients; it does not depend on nn
@@ -362,87 +370,45 @@ class Verifier:
                 level = m + nn == 0
                 k1_hh = [(minus.mul_rational(central), k1)] if level else []
                 k1_xx = [(c.mul_rational(central), k1) for c in xx_minus] if level else []
-                key = (m % big_n, nn % big_n) if grouped else None
-                first = firsts.get(key) if grouped else None
-                if first is not None and first.ready(real, mode_bound) and periodic is None:
-                    periodic = self._periodic_pair(images, i, j, mode_bound)
-                if first is not None and first.ready(real, mode_bound) and periodic:
-                    (r, s), shift = first.modes, m + nn - first.sum
-                    e, f, h = periodic[m + nn]
-                    rows = [k1_hh, [(minus, e)] if e else []]
-                    if not mirror:
-                        rows.append([(phases, f)] if f else [])
-                    rows.append(([(c, h) for c in xx_minus] if h else []) + k1_xx)
-                    for chk, row, (acc, loop) in zip(checks, rows, first.rows):
-                        got = real.place_central(acc, m - r, nn - s) if acc[2] else None
-                        if got:  # the bracket's central terms
-                            row.append((one, got))
-                        self._check(chk, modes, row, None, loop, shift)
+                key = (m % big_n, nn % big_n) if periodic else None
+                first = firsts.get(key)
+                if first is not None and bound.holds(reps):
+                    rows = [k1_hh]
+                    for _, sign, coeff in hx:
+                        rows.append([(coeff, _central_keys(real.theta_x(j, m + nn, sign)))])
+                    h = _central_keys(real.theta_h(j, m + nn))
+                    rows.append([(c, h) for c in xx_minus] + k1_xx)
+                    for chk, row, ((r, s, acc), loop) in zip(checks, rows, first):
+                        if acc[2]:  # the bracket's central terms
+                            row.append((one, real.place_central(acc, m - r, nn - s)))
+                        self._check(chk, modes, row, None, loop, m + nn - r - s)
                     continue
-                accs = [] if grouped and first is None else None
-                got = self._bracket(accs, h_i, real.theta_h(j, nn))
+                accs = reps if periodic and first is None else None
+                n0 = len(reps)
+                got = self._bracket(accs, modes, h_i, real.theta_h(j, nn))
                 totals = [self._check(chk_hh, modes, [(one, got)] + k1_hh)]
                 for chk, sign, coeff in hx:
-                    got = self._bracket(accs, h_i, real.theta_x(j, nn, sign))
+                    got = self._bracket(accs, modes, h_i, real.theta_x(j, nn, sign))
                     want = real.theta_x(j, m + nn, sign)
                     totals.append(self._check(chk, modes, [(one, got), (coeff, want)]))
-                row = [(one, self._bracket(accs, real.theta_x(i, m, +1), real.theta_x(j, nn, -1)))]
-                row += [(c, real.theta_h(j, m + nn)) for c in xx_minus]
+                got = self._bracket(accs, modes, real.theta_x(i, m, +1), real.theta_x(j, nn, -1))
+                row = [(one, got)] + [(c, real.theta_h(j, m + nn)) for c in xx_minus]
                 totals.append(self._check(chk_xx, modes, row + k1_xx))
                 if accs is not None:
-                    firsts[key] = _CartanClass(modes, accs, totals)
+                    loops = [[(k, c) for k, c in t.items() if k[0] == "L"] for t in totals]
+                    firsts[key] = list(zip(reps[n0:], loops))
         if mirror:
             checks.insert(2, self._derive_minus(chk_hx_p, +1))
         return checks
 
-    def _bracket(self, accs: list | None, x: dict, y: dict) -> dict:
-        """[x, y]; with a list `accs`, through the kernel's accumulate and
-        place steps at shift 0, with the accumulation appended to it."""
-        if accs is None:
+    def _bracket(self, reps: list | None, modes: tuple, x: dict, y: dict) -> dict:
+        """[x, y]; with a list `reps`, through the kernel's accumulate and
+        place steps at shift 0, with (*modes, accumulation) appended to it."""
+        if reps is None:
             return self.real.bracket(x, y)
         acc = self.real.accumulate(x, y)
-        accs.append(acc)
+        reps.append((*modes, acc))
         return self.real.place(acc, 0, 0)
-
-    def _periodic_pair(self, images: dict, i: int, j: int, mode_bound: int):
-        """j's images by mode k, |k| <= 2 mode_bound, as the central terms
-        of each (e, f, h), when `_periodic` finds every image of i at
-        |k| <= mode_bound and of j at |k| <= 2 mode_bound, which the Cartan
-        rows of (i, j) read, periodic; else False.  Then a row at (m, n)
-        reads the images of its class's first row (r, s), moved in t1:
-        those at m from r, at n from s and at m + n from r + s."""
-        reach = 2 * mode_bound
-        span = range(-mode_bound, mode_bound + 1)
-        if any(self._periodic(images, i, k, reach) is None for k in span):
-            return False
-        out = {k: self._periodic(images, j, k, reach) for k in range(-reach, reach + 1)}
-        return None not in out.values() and out
-
-    def _periodic(self, images: dict, node: int, k: int, reach: int):
-        """The central terms of the images (e, f, h) of `node` at mode k,
-        |k| <= reach, when each is the one at the least mode of k's residue
-        class mod N in [-reach, reach] moved in t1, key by key; else None,
-        also where an image leaves the window.  Cached in `images` by
-        (node, k)."""
-        hit = images.get((node, k), False)
-        if hit is False:
-            real = self.real
-            base = -reach + (k + reach) % self.n_order
-            hit = []
-            try:
-                for pick in range(3):
-                    image = real._theta(pick, node, k)
-                    if k != base:
-                        d = k - base
-                        first = real._theta(pick, node, base)
-                        if image != {(key[0], key[1] + d) + key[2:]: c for key, c in first.items()}:
-                            hit = None
-                            break
-                    hit.append(_central_keys(image))
-            except OutOfWindow:
-                hit = None
-            images[(node, k)] = hit
-        return hit
 
     def _check(
         self,
@@ -493,9 +459,8 @@ class Verifier:
             i0, j0, _ = cls[0]
             mirror = i0 in audit.weighted_mirrored and j0 in audit.weighted_mirrored
             # no residue-class representatives where an image is not periodic
-            periodic = i0 in audit.periodic and j0 in audit.periodic
+            periodic = i0 in audit.weighted_in_period and j0 in audit.weighted_in_period
             memos = {sign: ({}, {} if periodic else None) for sign in (+1, -1)}
-            centrals: dict = {+1: {}, -1: {}}
             evaluated: dict = {}
             for i, j, shift in cls:
                 for kind, fam in suite:
@@ -508,7 +473,7 @@ class Verifier:
                     part = evaluated.get(key)
                     if part is None:
                         part = evaluated[key] = self._verify_weighted(
-                            kind, terms, i0, j0, arity, mode_bound, memos, centrals, mirror
+                            kind, terms, i0, j0, arity, mode_bound, memos, mirror
                         )
                     by_pair.setdefault((i, j), []).extend(
                         self._phased(part.checks, (i, j), shift, degrees)
@@ -572,13 +537,16 @@ class Verifier:
         window.  For every node that is the least of its classes, the image
         check of the derived sign (`Realization.mirrors`) is made on theta_h
         at |k| <= mode_bound (the left operand of HXplus) and on theta_x at
-        each k, and the t1-periodicity of theta_x on `span` is checked
-        (`Realization.in_period`)."""
+        each k, and the t1-periodicity (`Realization.in_period`) of theta_x
+        on `span`, and, where some class of the Cartan rows' (m, n) mod N
+        has two members, of theta_x and theta_h at |k| <= 2 mode_bound, each
+        inside the window, is checked: the images that a member of a residue
+        class of rows reads in place of its first row's."""
         real = self.real
         step = real.field // self.n_order  # xi_N = xi_L^step
         cartan = range(0) if mode_bound is None else range(-2 * mode_bound, 2 * mode_bound + 1)
         ks = set(cartan).union(span)
-        audit = _Audit(set(), set(), set(), set(), set(), set())
+        audit = _Audit(set(), set(), set(), set(), set(), set(), set())
         heads = []
         for i in range(self.gcm.n):
             i0, a = _orbit_shift(self.mu, i)
@@ -606,7 +574,10 @@ class Verifier:
             if cartan and all(real.mirrors(2, i, k) for k in range(-mode_bound, mode_bound + 1)):
                 audit.h_mirrored.add(i)
             if real.in_period(i, span):
-                audit.periodic.add(i)
+                audit.weighted_in_period.add(i)
+            if cartan and _shared_classes(mode_bound, self.n_order):
+                if real.in_period(i, cartan, (0, 1, 2), inside=True):
+                    audit.cartan_in_period.add(i)
         return audit
 
     def _verify_weighted(
@@ -618,7 +589,6 @@ class Verifier:
         arity: int,
         mode_bound: int,
         memos: dict,
-        centrals: dict | None = None,
         mirror: bool = False,
     ) -> RelationReport:
         """Relation `kind` with the `terms` of `_transport` on the pair
@@ -626,21 +596,21 @@ class Verifier:
         bracket of (i0, j0) at its modes.  Every check sums in Q(xi_F), F
         the lcm of L and the orders of the coefficients.  `memos` maps each
         sign to the memo of (i0, j0), the pair (values, reps) of
-        `_nested`, and `centrals` each sign to the memo of
-        `_nested_central` (fresh ones when None).  With `mirror` (the images
-        of i0 and j0 pass the image check of `_audit`) only sign +1 is
-        evaluated, and the check of sign -1 is derived from it, each
-        residual r as (-1)^(arity + 1) omega_hat(r) (`_derive_minus`).
+        `_nested`.  With `mirror` (the images of i0 and j0 pass the image
+        check of `_audit`) only sign +1 is evaluated, and the check of sign
+        -1 is derived from it, each residual r as (-1)^(arity + 1)
+        omega_hat(r) (`_derive_minus`).
 
         The first row of each residue class of output modes mod N that is
-        no gap is summed in full.  Every later row of the class takes the
-        first row's loop residual moved sum(out) - sum(r) and sums only the
-        central parts of its summands: placed from their outermost
-        accumulations when `_WindowBound` shows that no row can leave the
-        window, else from `_nested_central`, which tests the window per row
-        (see the module docstring).  When 2 mode_bound + 1 <= N every class
-        has one row, and every row is summed in full; so is every row of a
-        sign whose memo has no reps (None: an image read is not periodic)."""
+        no gap is summed in full.  A later row of the class, a member, is
+        placed from it where `_WindowBound` shows that no member can leave
+        the window: it takes the first row's loop residual moved
+        sum(out) - sum(r) and sums only the central parts of its summands,
+        placed from their outermost accumulations (see the module
+        docstring).  Every other row is summed in full: every row when
+        2 mode_bound + 1 <= N (each class has one row) or when the memo of
+        the sign has no reps (None: an image read is not periodic), and
+        every member of a class where the bound fails."""
         field = lcm(self.real.field, *(c.order for _, c, _ in terms))
         # per term: the slot that each mode reads, w last
         slots = [(sigma + (arity,), c, exps) for sigma, c, exps in terms]
@@ -649,14 +619,15 @@ class Verifier:
         else:
             grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
         big_n = self.n_order
-        if centrals is None:
-            centrals = {+1: {}, -1: {}}
+        # the largest mode sum of a nesting level: over a summand's slots,
+        # the sum of mode_bound + |e_q|
+        reach = max([sum(mode_bound + abs(e) for e in exps) for _, _, exps in slots], default=0)
         report = RelationReport()
         for sign in (+1,) if mirror else (+1, -1):
             chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i0, j0), sign, grid)
             memo = memos[sign]
             grouped = _shared_classes(mode_bound, big_n) and memo[1] is not None
-            bound = _WindowBound(self.real, slots, mode_bound) if grouped else None
+            bound = _WindowBound(self.real, reach)
             # residues -> (sum of the class's first modes, the loop part of
             # its residual, and per summand with a pairing sum (coefficient,
             # read, exps, outermost accumulation) or None)
@@ -664,21 +635,13 @@ class Verifier:
             for out_modes in itertools.product(
                 range(-mode_bound, mode_bound + 1), repeat=arity + 1
             ):
-                if grouped:
-                    key = tuple([m % big_n for m in out_modes])
-                    first = firsts.get(key)
-                    if first is not None:
-                        r_sum, loop, plan = first
-                        if plan is None:
-                            light = centrals[sign]
-                            row = self._central_row(memo, light, i0, j0, sign, slots, out_modes)
-                        else:
-                            row = self._planned_row(plan, out_modes)
-                        if row is None:
-                            chk.gaps.append(out_modes)
-                        else:
-                            self._check(chk, out_modes, row, field, loop, sum(out_modes) - r_sum)
-                        continue
+                key = tuple([m % big_n for m in out_modes]) if grouped else None
+                first = firsts.get(key)
+                if first is not None and first[2] is not None:
+                    r_sum, loop, plan = first
+                    row = self._planned_row(plan, out_modes)
+                    self._check(chk, out_modes, row, field, loop, sum(out_modes) - r_sum)
+                    continue
                 summands = []
                 try:
                     for read, c, exps in slots:
@@ -691,7 +654,7 @@ class Verifier:
                     chk.gaps.append(out_modes)
                     continue
                 total = self._check(chk, out_modes, summands, field)
-                if grouped:
+                if grouped and first is None:
                     loop = [(k, c) for k, c in total.items() if k[0] == "L"]
                     plan = self._class_plan(memo[1], bound, slots, out_modes)
                     firsts[key] = (sum(out_modes), loop, plan)
@@ -717,8 +680,9 @@ class Verifier:
         was just summed, place their central parts from: per summand whose
         outermost accumulation (in `reps`) has a pairing sum, (coefficient,
         read, exps, (r1, r_degree, accumulation)); or None when `bound`
-        cannot show that no row leaves the window."""
-        if not bound.holds(reps):
+        cannot show that no member leaves the window, so that each is
+        summed in full."""
+        if not bound.holds(reps.values()):
             return None
         if not bound.central:
             return []
@@ -743,18 +707,6 @@ class Verifier:
                 row.append((c, got))
         return row
 
-    def _central_row(self, memo, light, i, j, sign, slots, out_modes):
-        """The (coefficient, central part) terms of the row at `out_modes`
-        from `_nested_central`, or None where a summand leaves the window."""
-        row = []
-        try:
-            for read, c, exps in slots:
-                modes = tuple([out_modes[q] + exps[q] for q in read])
-                row.append((c, self._nested_central(memo, light, i, j, sign, modes)[1]))
-        except OutOfWindow:
-            return None
-        return row
-
     def _nested(self, memo: tuple, i: int, j: int, sign: int, modes: tuple):
         """[x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]] at modes (k_1, ..., k_s, n).
 
@@ -762,9 +714,10 @@ class Verifier:
         residue class of modes mod N the first modes r of the class with
         operands in the window and a nonzero inner bracket, with the
         kernel's accumulate step on them, from which every value of the
-        class is placed (see the module docstring).  With reps None (an
-        image of the pair is not periodic in t1) every value is bracketed
-        directly."""
+        class is placed (see the module docstring); a member row of a
+        residue class of rows places its central parts from the same
+        accumulations (`_planned_row`).  With reps None (an image of the
+        pair is not periodic in t1) every value is bracketed directly."""
         if len(modes) == 1:
             return self.real.theta_x(j, modes[0], sign)
         values, reps = memo
@@ -787,41 +740,6 @@ class Verifier:
                 rep = reps[key] = (modes[0], degree, self.real.accumulate(outer, inner))
             r1, r_degree, acc = rep
             hit = values[modes] = self.real.place(acc, modes[0] - r1, degree - r_degree)
-        return hit
-
-    def _nested_central(self, memo: tuple, light: dict, i: int, j: int, sign: int, modes: tuple):
-        """Whether the loop part of `_nested(memo, i, j, sign, modes)` is
-        nonzero, and its central part, raising OutOfWindow where `_nested`
-        raises, with no loop key built or walked; for modes whose residue
-        class `_nested` has reached.
-
-        `light` memoises both by modes.  The operands are looked up at the
-        actual modes, as `_nested` does, and the central part is placed
-        from the class's accumulation (`Realization.place_central`), whose
-        loop part is nonzero for every member or for none.  An inner operand
-        with no loop part makes the bracket zero with no window left, as in
-        `_nested`: its central keys bracket to zero."""
-        if len(modes) == 1:  # theta_x has loop keys only
-            return bool(self.real.theta_x(j, modes[0], sign)), {}
-        hit = light.get(modes)
-        if hit is None:
-            tail = modes[1:]
-            inner = self._nested_central(memo, light, i, j, sign, tail)[0]
-            self.real.theta_x(i, modes[0], sign)
-            rep = memo[1].get(tuple([m % self.n_order for m in modes])) if inner else None
-            if rep is not None:
-                r1, r_degree, acc = rep
-                central = self.real.place_central(acc, modes[0] - r1, sum(tail) - r_degree)
-                hit = (bool(acc[0]), central)
-            elif inner:  # only where an image breaks the class identity
-                value = self._nested(memo, i, j, sign, modes)
-                hit = (
-                    any(k[0] == "L" for k in value),
-                    {k: c for k, c in value.items() if k[0] != "L"},
-                )
-            else:
-                hit = (False, {})
-            light[modes] = hit
         return hit
 
     def verify_AS(self, mode_bound: int) -> RelationReport:
@@ -859,77 +777,43 @@ class Verifier:
         return report
 
 
-class _CartanClass:
-    """The first modes (r, s) of a class of the Cartan rows' (m, n) mod N:
-    per row (H, HXplus, HXminus, XX), the kernel's accumulation of its
-    bracket and the loop part of its residual, read when a later member
-    comes; and whether no member can leave the window.  A member reads
-    images at |m|, |n| <= mode_bound and at |m + n| <= 2 mode_bound, and
-    moves every degree of an accumulation by m + n - r - s, its t2-degree
-    staying; so it leaves no window if 2 mode_bound does not, and every
-    degree that `Realization.place_central` tests lies within
-    m1w - 2 mode_bound of r + s, with its t2-degree in the window.  The
-    generator t2-degrees passed the window when (r, s) looked its images
-    up."""
-
-    def __init__(self, modes: tuple, accs: list, totals: list):
-        self.modes = modes
-        self.sum = sum(modes)
-        self.accs = accs
-        self.totals = totals
-        self.rows = None
-        self._ready = None
-
-    def ready(self, real, mode_bound: int) -> bool:
-        """Whether no member can leave the window; then `rows` holds, per
-        row, its accumulation and the loop part of its residual."""
-        if self._ready is None:
-            room = real.m1w - 2 * mode_bound
-            self._ready = room >= 0 and all(
-                abs(p1 - self.sum) <= room and abs(p2) <= real.m2w
-                for acc in self.accs
-                for p1, p2 in acc[1] + [(m1 + n1, m2 + n2) for m1, m2, n1, n2 in acc[2]]
-            )
-            loops = ([(k, c) for k, c in total.items() if k[0] == "L"] for total in self.totals)
-            self.rows = list(zip(self.accs, loops))
-        return self._ready
-
-
 class _WindowBound:
-    """Whether no row of one relation on the grid |modes| <= mode_bound can
-    leave the window, for the accumulations reached so far.
+    """Whether no member of a residue class of rows, placed from the first
+    row of its class, can leave the window, for the accumulations reached
+    so far: the one member rule of the weighted and the Cartan rows.
 
-    A row reads operands at modes out_q + e_q, and each nesting level
-    places an accumulation (`Verifier._nested`) moved by the level's mode
-    sum less that of the accumulation's own modes; every degree that
-    `Realization.place_central` tests, of a contributing pair or of a
+    A member places each accumulation of its class's first row (modes r,
+    degree r_degree) moved by the mode sum of its own nesting level less
+    r + r_degree (`Verifier._nested`, `Verifier._cartan_pair`); every degree
+    that `Realization.place_central` tests, of a contributing pair or of a
     central term, moves by the same amount, and its t2-degree stays.  A
-    level's mode sum is at most `reach` = the largest sum of
-    mode_bound + |e_q| over a summand's slots in absolute value.  So if
-    every operand mode fits, and every such degree of every accumulation
-    lies within reach of its own modes' sum by a margin that the window
-    holds, with its t2-degree in the window, no row leaves it.
-    `holds(reps)` reads the accumulations added since its last call, in
-    order; once one fails, it stays failed.  `central` says whether any of
-    them has a pairing sum."""
+    level's mode sum, and every mode at which a member reads an image, is
+    at most `reach` in absolute value: for a weighted row the largest sum
+    of mode_bound + |e_q| over a summand's slots, for a Cartan row
+    2 mode_bound (the images at m + n).  So if reach fits the window, and
+    every such degree of every accumulation lies within reach of its own
+    modes' sum by the margin m1w - reach, with its t2-degree in the window,
+    no member leaves it; an image read at a member's modes has the keys of
+    the one its first row read, moved in t1, where the audit shows the
+    images periodic.  `holds(reps)` reads the (r1, r_degree, accumulation)
+    triples that `reps` gained since its last call, in order; once one
+    fails, it stays failed.  `central` says whether any of them has a
+    pairing sum."""
 
-    def __init__(self, real, slots: list, mode_bound: int):
-        self.m1w, self.m2w = real.m1w, real.m2w
-        exps = [e for _, _, term in slots for e in term]
-        self.ok = mode_bound + max(map(abs, exps), default=0) <= self.m1w
-        sums = [sum(mode_bound + abs(e) for e in term) for _, _, term in slots]
-        self.reach = max(sums, default=0)
+    def __init__(self, real, reach: int):
+        self.m2w = real.m2w
+        self.room = real.m1w - reach
+        self.ok = self.room >= 0
         self.seen = 0
         self.central = False
 
-    def holds(self, reps: dict) -> bool:
+    def holds(self, reps) -> bool:
         if self.ok and len(reps) > self.seen:
-            room = self.m1w - self.reach
-            for r1, r_degree, acc in itertools.islice(reps.values(), self.seen, None):
+            for r1, r_degree, acc in itertools.islice(reps, self.seen, None):
                 r_sum = r1 + r_degree
                 self.central = self.central or bool(acc[2])
                 for p1, p2 in acc[1] + [(m1 + n1, m2 + n2) for m1, m2, n1, n2 in acc[2]]:
-                    if abs(p1 - r_sum) > room or abs(p2) > self.m2w:
+                    if abs(p1 - r_sum) > self.room or abs(p2) > self.m2w:
                         self.ok = False
                         return False
             self.seen = len(reps)
@@ -937,20 +821,29 @@ class _WindowBound:
 
 
 class _Audit(NamedTuple):
-    """What `Verifier._audit` found, as sets of nodes: those set apart from
-    their orbit's least node for the Cartan rows and for the weighted rows;
-    among the least nodes of their classes, those whose images pass the
-    image check of the derived sign, theta_h at |k| <= mode_bound
-    (`h_mirrored`) and theta_x at |k| <= 2 mode_bound (`cartan_mirrored`)
-    or on the weighted span (`weighted_mirrored`); and those whose theta_x
-    images on the weighted span are periodic in t1 (`periodic`)."""
+    """What `Verifier._audit` found, as sets of nodes:
+    * `cartan_apart`, `weighted_apart`: those set apart from their orbit's
+      least node for the Cartan rows and for the weighted rows;
+    and among the least nodes of their classes, those whose images
+    * `h_mirrored`: theta_h at |k| <= mode_bound,
+    * `cartan_mirrored`: theta_x at |k| <= 2 mode_bound,
+    * `weighted_mirrored`: theta_x on the weighted span,
+      pass the image check of the derived sign;
+    * `cartan_in_period`: theta_x and theta_h at |k| <= 2 mode_bound are
+      inside the window and periodic in t1, tested only where some class of
+      the Cartan rows' (m, n) mod N has two members (else empty);
+    * `weighted_in_period`: theta_x on the weighted span are periodic in t1
+      where inside the window.
+    A residue class of rows of a pair places its members from its first
+    row only where both nodes are periodic for those rows."""
 
     cartan_apart: set
     weighted_apart: set
     h_mirrored: set
     cartan_mirrored: set
     weighted_mirrored: set
-    periodic: set
+    cartan_in_period: set
+    weighted_in_period: set
 
 
 def _weighted_span(suite: tuple, mode_bound: int) -> range:

@@ -434,18 +434,22 @@ class Realization:
             return image is mirror
         return self.omega(image, -1) == mirror
 
-    def in_period(self, i: int, span: range) -> bool:
-        """Whether every theta_x image of node i, of either sign, at m in
-        `span` inside the window is the first such image of m's residue
-        class mod N, at m', moved m - m' in t1, key by key.  An image outside
-        the window is never placed: the verifier looks every operand up
-        before it places a bracket from its residue class."""
+    def in_period(self, i: int, span: range, picks=(0, 1), inside: bool = False) -> bool:
+        """Whether every image `_theta(pick, i, m)`, pick in `picks` (by
+        default theta_x of either sign), at m in `span` inside the window is
+        the first such image of m's residue class mod N, at m', moved m - m'
+        in t1, key by key; with `inside`, also whether every one is inside
+        the window.  Without it, an image outside the window is skipped: the
+        verifier looks every operand up before it places a bracket from its
+        residue class.  True when no class of `span` has two members."""
         big_n = self.n_order
         firsts: dict = {}
         for m in span if len(span) > big_n else ():
-            for pick in (0, 1):
+            for pick in picks:
                 image = self.image(pick, i, m)
                 if image is None:
+                    if inside:
+                        return False
                     continue
                 m0, first = firsts.setdefault((pick, m % big_n), (m, image))
                 d = m - m0

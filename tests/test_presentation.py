@@ -1025,59 +1025,43 @@ def _direct_nested(real, i, j, sign, modes, memo):
     return hit
 
 
-def _nested_values(monkeypatch, run) -> tuple:
+def _nested_values(monkeypatch, run) -> dict:
     """(i, j, sign, modes) -> the value `Verifier._nested` returned, or
-    OutOfWindow where it raised, for every call made while `run()` ran; and
-    the same for `Verifier._nested_central`, whose value is the pair (loop
-    part nonzero, central part)."""
+    OutOfWindow where it raised, for every call made while `run()` ran."""
     seen = {}
-    centrals = {}
+    nested = Verifier._nested
 
-    def recorder(method, out):
-        def recording(self, *args):
-            key = args[-4:]
-            out[key] = OutOfWindow  # kept if the call raises
-            value = out[key] = method(self, *args)
-            return value
-
-        return recording
+    def recording(self, *args):
+        key = args[-4:]
+        seen[key] = OutOfWindow  # kept if the call raises
+        value = seen[key] = nested(self, *args)
+        return value
 
     with monkeypatch.context() as patch:
-        patch.setattr(Verifier, "_nested", recorder(Verifier._nested, seen))
-        patch.setattr(Verifier, "_nested_central", recorder(Verifier._nested_central, centrals))
+        patch.setattr(Verifier, "_nested", recording)
         run()
-    return seen, centrals
+    return seen
 
 
-def _assert_nested_match_direct(real, seen, centrals) -> int:
+def _assert_nested_match_direct(real, seen) -> int:
     """Every recorded value prints as the oracle's, loop and central keys
-    alike, and raises OutOfWindow where the oracle does; every recorded
-    central part prints as the oracle's keys other than loop keys, with the
-    loop part nonzero where the oracle's is, and raises where it does.  The
-    number of nested values and central parts that were placed from a
-    representative of other modes."""
+    alike, and raises OutOfWindow where the oracle does.  The number of
+    nested values that were placed from a representative of other modes."""
     memos: dict = {}
     reps: dict = {}
     shifted = 0
-    for record, central in ((seen, False), (centrals, True)):
-        for (i, j, sign, modes), got in record.items():
-            try:
-                want = _direct_nested(real, i, j, sign, modes, memos.setdefault((i, j, sign), {}))
-            except OutOfWindow:
-                want = OutOfWindow
-            if got is OutOfWindow or want is OutOfWindow:
-                assert got is want, (i, j, sign, modes)
-            elif central:
-                loop, part = got
-                assert loop == any(k[0] == "L" for k in want), (i, j, sign, modes)
-                assert serialize_elem(part) == serialize_elem(
-                    {k: c for k, c in want.items() if k[0] != "L"}
-                ), (i, j, sign, modes)
-            else:
-                assert serialize_elem(got) == serialize_elem(want), (i, j, sign, modes)
-            if len(modes) > 1:
-                key = (i, j, sign) + tuple(m % real.n_order for m in modes)
-                shifted += reps.setdefault(key, modes) != modes
+    for (i, j, sign, modes), got in seen.items():
+        try:
+            want = _direct_nested(real, i, j, sign, modes, memos.setdefault((i, j, sign), {}))
+        except OutOfWindow:
+            want = OutOfWindow
+        if got is OutOfWindow or want is OutOfWindow:
+            assert got is want, (i, j, sign, modes)
+        else:
+            assert serialize_elem(got) == serialize_elem(want), (i, j, sign, modes)
+        if len(modes) > 1:
+            key = (i, j, sign) + tuple(m % real.n_order for m in modes)
+            shifted += reps.setdefault(key, modes) != modes
     return shifted
 
 
@@ -1086,17 +1070,15 @@ def test_nested_values_match_direct_brackets(monkeypatch, name):
     # the suite at modes 2 reads nested modes that repeat a residue class mod
     # N on every entry, so most of its values are placed, not bracketed
     real, fam = cached_realization(name), cached_family(name)
-    seen, centrals = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
-    assert _assert_nested_match_direct(real, seen, centrals)
+    seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
+    assert _assert_nested_match_direct(real, seen)
 
 
 @pytest.mark.parametrize("name", ["A1a-flip", "A2a-flip", "A2a-rot", "A3a-rot"])
 def test_nested_values_match_direct_brackets_modes_4(monkeypatch, name):
     real, fam = cached_realization(name), cached_family(name)
-    seen, centrals = _nested_values(
-        monkeypatch, lambda: Verifier(real).verify_family("DS", fam, 4)
-    )
-    assert _assert_nested_match_direct(real, seen, centrals)
+    seen = _nested_values(monkeypatch, lambda: Verifier(real).verify_family("DS", fam, 4))
+    assert _assert_nested_match_direct(real, seen)
 
 
 @pytest.mark.parametrize(
@@ -1118,12 +1100,11 @@ def test_nested_values_leave_tight_windows_where_direct_brackets_do(
     e = entry_by_name(name)
     real = Realization(e.gcm, e.mu, *window)
     fam = cached_family(name)
-    seen, centrals = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, modes))
-    assert _assert_nested_match_direct(real, seen, centrals)
+    seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, modes))
+    assert _assert_nested_match_direct(real, seen)
     # the window may cut some later rows of a class of output modes, so
-    # they test it per row, through `_nested_central`
-    assert OutOfWindow in [*seen.values(), *centrals.values()]
-    assert centrals
+    # they are summed in full, each operand looked up at its own modes
+    assert OutOfWindow in seen.values()
     shared, alone = _shared_and_alone(monkeypatch, lambda: Verifier(real).run_suite(fam, modes))
     assert shared == alone
     assert '"out_of_window"' in shared
@@ -1160,13 +1141,8 @@ def test_run_suite_brackets_once_per_residue_class(
         Verifier(real).verify_cartan_relations(1)
         cartan = len(calls)
         calls.clear()
-        seen, centrals = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 1))
-        # a later row of a class of output modes reads its nested modes
-        # through `_nested_central`, which brackets nothing
-        reads = {
-            **{k: any(v) for k, v in centrals.items()},
-            **{k: bool(v) for k, v in seen.items()},
-        }
+        seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 1))
+        reads = {k: bool(v) for k, v in seen.items()}
         nested = [(i, j, sign, modes) for i, j, sign, modes in reads if len(modes) > 1]
         assert {sign for _, _, sign, _ in nested} == ({+1} if share == 2 else {+1, -1})
         keys = {residues(*k) for k in nested if reads[k[:3] + (k[3][1:],)]}
@@ -1327,6 +1303,31 @@ def test_suite_rot_kernel_calls(monkeypatch, name, modes, derived, both):
     assert len(calls) == _SUITE_ROT_KERNEL[name][1] == both - node_rows
 
 
+@pytest.mark.parametrize(
+    "name, modes",
+    [("A2a-rot", 1), ("A3a-rot", 1), ("A4a-rot", 0), ("A5a-rot", 0), ("A2a-rot", 2)],
+)
+def test_suite_rot_audit_tests_no_cartan_periodicity(monkeypatch, name, modes):
+    """On the entries of the benchmark's suite-rot workload at its modes,
+    N >= 2 modes + 1, so every class of the Cartan rows' (m, n) mod N has
+    one row: the audit makes no Cartan periodicity test (pick h is read by
+    no other).  A2a-rot at modes 2 (N = 3 < 5) makes one per least node."""
+    e = entry_by_name(name)
+    fam = cached_family(name)
+    real = Realization(e.gcm, e.mu, *suite_window(e.gcm, e.mu, fam, modes))
+    calls = []
+    in_period = Realization.in_period
+
+    def recording(self, i, span, picks=(0, 1), inside=False):
+        if 2 in picks:
+            calls.append(i)
+        return in_period(self, i, span, picks, inside)
+
+    monkeypatch.setattr(Realization, "in_period", recording)
+    assert Verifier(real).run_suite(fam, modes).passed
+    assert calls == ([] if 2 * modes + 1 <= real.n_order else [0])
+
+
 # kernel calls of test_suite_rot_kernel_calls, with sign -1 derived and with
 # both signs evaluated
 _SUITE_ROT_KERNEL = {
@@ -1444,49 +1445,56 @@ def test_class_rows_match_rows_summed_alone_in_tight_windows(monkeypatch, name, 
 
 
 def test_a_tampered_first_residual_fails_its_class_members(monkeypatch):
-    # the first row of one class of output modes gets a loop key in its
-    # residual, after it was recorded: every later row of the class that is
-    # no gap fails with that key moved sum(out) - sum(r), and no other row
-    # changes.  Bracket family on A1a-id (N = 1: one class per check) in the
-    # window (4, 3), which cuts some rows of the class at modes 2.  Both
-    # signs are evaluated, so that sign -1, not derived from the tampered
-    # sign +1, stays as it was
+    # the first row of the one class of output modes (A1a-id, N = 1) gets a
+    # loop key in its residual, after it was recorded.  Bracket family at
+    # modes 2; both signs are evaluated, so that sign -1, not derived from
+    # the tampered sign +1, stays as it was.  In the window (5, 3)
+    # `_WindowBound` holds: every later row is placed from the first and
+    # fails with that key moved sum(out) - sum(r), no row is a gap, and no
+    # other row changes.  The window (4, 3) cuts some rows of the class, so
+    # the bound fails and every later row is summed in full: the tamper
+    # reaches the first row only, and every member is as in the untampered
+    # run
     monkeypatch.setattr(presentation, "MAX_RECORDED_FAILURES", 10**6)
     _both_signs(monkeypatch)
     e = entry_by_name("A1a-id")
-    real = Realization(e.gcm, e.mu, 4, 3)
     fam = _one_pair(_bracket_family(cached_family("A1a-id")), 0, 1)
-    before = Verifier(real).verify_family("P1", fam, 2).checks
     check = Verifier._check
     key = ("L", 40, 0, 0)
-    firsts = []
+    for window, placed in (((5, 3), True), ((4, 3), False)):
+        real = Realization(e.gcm, e.mu, *window)
+        before = Verifier(real).verify_family("P1", fam, 2).checks
+        firsts = []
 
-    def tampering(self, chk, modes, row, *rest):
-        total = check(self, chk, modes, row, *rest)
-        if not rest[1:] and chk.sign > 0:  # the first row, +1: passed on
-            firsts.append(modes)
-            total = {**total, key: CycNum.one(real.field)}
-        return total
+        def tampering(self, chk, modes, row, *rest):
+            total = check(self, chk, modes, row, *rest)
+            if not rest[1:] and chk.sign > 0:  # a row of +1 summed in full
+                if not firsts:  # the first: passed on
+                    total = {**total, key: CycNum.one(real.field)}
+                firsts.append(modes)
+            return total
 
-    monkeypatch.setattr(Verifier, "_check", tampering)
-    after = Verifier(real).verify_family("P1", fam, 2).checks
-    assert len(firsts) == 1
-    (r,) = firsts
-    plus_before, plus_after = before[0], after[0]
-    assert after[1].to_json() == before[1].to_json()
-    assert (plus_after.checked, plus_after.gaps) == (plus_before.checked, plus_before.gaps)
-    assert plus_after.gaps
-    was = dict(plus_before.failures)
-    now = dict(plus_after.failures)
-    members = [
-        out
-        for out in itertools.product(range(-2, 3), repeat=2)
-        if out > r and out not in plus_after.gaps
-    ]
-    assert set(now) == set(was) | set(members)
-    for out in members:
-        moved = ("L", 40 + sum(out) - sum(r), 0, 0)
-        assert now[out] == {**was.get(out, {}), moved: CycNum.one(real.field)}
+        with monkeypatch.context() as patch:
+            patch.setattr(Verifier, "_check", tampering)
+            after = Verifier(real).verify_family("P1", fam, 2).checks
+        plus_before, plus_after = before[0], after[0]
+        assert len(firsts) == (1 if placed else plus_after.checked)
+        r = firsts[0]
+        assert after[1].to_json() == before[1].to_json()
+        assert (plus_after.checked, plus_after.gaps) == (plus_before.checked, plus_before.gaps)
+        assert bool(plus_after.gaps) != placed
+        was = dict(plus_before.failures)
+        now = dict(plus_after.failures)
+        members = [
+            out
+            for out in itertools.product(range(-2, 3), repeat=2)
+            if out > r and out not in plus_after.gaps
+        ]
+        assert set(now) == set(was) | (set(members) if placed else set())
+        for out in members:
+            moved = ("L", 40 + sum(out) - sum(r), 0, 0)
+            tamper = {moved: CycNum.one(real.field)} if placed else {}
+            assert now[out] == {**was.get(out, {}), **tamper}
 
 
 def test_a_tampered_pairing_sum_fails_the_members_it_weighs(monkeypatch):
@@ -1534,21 +1542,23 @@ def test_tampered_cartan_rows_fail_with_the_oracle_residual(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["A2-id", "A2a-id", "A2a-flip"])
 def test_a_corrupted_image_at_a_member_mode_fails_as_alone(monkeypatch, name):
-    # theta_x(1, 1, +1) corrupted: mode 1 is no class's first mode at modes
-    # 2 (the first is -2 or -1), and on the identity twists no node check
-    # sees it, so only the pair rows that read it fail there.  They fail as
-    # when every row is summed in full, residuals included
+    # theta_x(1, 1, +1), then theta_h(1, 1), corrupted: mode 1 is no class's
+    # first mode at modes 2 (the first is -2 or -1), and on the identity
+    # twists no node check sees it, so only the pair rows that read it fail
+    # there.  They fail as when every row is summed in full, residuals
+    # included: the audit tests the periodicity of theta_h as of theta_x
     e = entry_by_name(name)
-    real = Realization(e.gcm, e.mu, *suite_window(e.gcm, e.mu, cached_family(name), 2))
-    _double_one_coefficient(real, 0, 1, 1, min(real.theta_x(1, 1, +1)))
-    classes, rows = _classes_and_rows(
-        monkeypatch, lambda: Verifier(real).verify_cartan_relations(2)
-    )
-    assert _same(classes, rows)
-    failed = {tuple(c["pair"]) for c in json.loads(classes)["checks"] if not c["pass"]}
-    assert failed
-    if name.endswith("-id"):
-        assert all(1 in pair for pair in failed)
+    for pick in (0, 2):
+        real = Realization(e.gcm, e.mu, *suite_window(e.gcm, e.mu, cached_family(name), 2))
+        _double_one_coefficient(real, pick, 1, 1, min(real._theta(pick, 1, 1)))
+        classes, rows = _classes_and_rows(
+            monkeypatch, lambda: Verifier(real).verify_cartan_relations(2)
+        )
+        assert _same(classes, rows)
+        failed = {tuple(c["pair"]) for c in json.loads(classes)["checks"] if not c["pass"]}
+        assert failed
+        if name.endswith("-id"):
+            assert all(1 in pair for pair in failed)
 
 
 # -- one sign per relation: sign -1 derived through omega_hat --------------------
@@ -1643,9 +1653,9 @@ def test_nested_values_of_a_non_periodic_image_are_bracketed_directly(monkeypatc
     _double_one_coefficient(real, 0, 0, 2, min(real.theta_x(0, 2, +1)))
     try:
         audit = Verifier(real)._audit(2, range(-2, 3))
-        assert 0 not in audit.periodic
-        seen, centrals = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
+        assert 0 not in audit.weighted_in_period
+        seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
         assert any(modes[0] == 2 and i == 0 for i, _, _, modes in seen)
-        _assert_nested_match_direct(real, seen, centrals)
+        _assert_nested_match_direct(real, seen)
     finally:
         del real._theta_cache[(0, 0, 2)]
