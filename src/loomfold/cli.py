@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 
 import click
@@ -322,19 +321,16 @@ def _combined_exit_code(codes: list) -> int:
 @click.option("--modes", "mode_bound", type=int, default=2)
 @click.option("--family", "family_sel", default="p")
 @click.option("--window", "window_text", default=None, help="M1,M2 (default: sized automatically)")
-@click.option("--jobs", type=int, default=1, help="parallel jobs for --entry all")
 @_mapped_errors
-def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
+def verify(input_path, entry, mode_bound, family_sel, window_text):
     """Check every relation of the presentation on the realization."""
     if mode_bound < 0:
         raise JobError("--modes must be >= 0")
-    if jobs < 1:
-        raise JobError("--jobs must be >= 1")
     window = _parse_window(window_text)
     if entry == "all" and input_path is None:  # with --input, _load_job rejects both
         entries = catalog_mod.load_entries()
         source = _family_source(family_sel)
-        results = _verify_many(entries, source, mode_bound, window, jobs)
+        results = [_verify_worker(e, source, mode_bound, window) for e in entries]
         payloads = [p for p, _ in results]
         passed = all("error" not in p and p["report"]["pass"] for p in payloads)
         _emit({"entries": payloads, "pass": passed})
@@ -346,12 +342,11 @@ def verify(input_path, entry, mode_bound, family_sel, window_text, jobs):
     sys.exit(code)
 
 
-def _verify_worker(args):
+def _verify_worker(ce, source, mode_bound: int, window):
     """One catalog entry of --entry all, as listed by the one read of the
     catalog.  A family the entry's matrix rejects becomes that entry's
     error payload and exit code 2, a window abort its error payload and
     exit code 3, so that neither hides another entry's result."""
-    ce, source, mode_bound, window = args
     name = ce.name
     try:
         family = _family(ce.gcm, ce.mu, source)
@@ -365,27 +360,6 @@ def _verify_worker(args):
 
 def _entry_error(name: str, exc: LoomfoldError) -> dict:
     return {"name": name, "error": {"kind": type(exc).__name__, "message": str(exc)}}
-
-
-def _pool_size(jobs: int, tasks: int) -> int:
-    """Worker processes for --jobs: no more than the tasks or the CPUs
-    this process may use."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(jobs, tasks, cpus))
-
-
-def _verify_many(entries, source, mode_bound, window, jobs):
-    tasks = [(e, source, mode_bound, window) for e in entries]
-    jobs = _pool_size(jobs, len(tasks))
-    if jobs == 1:
-        return [_verify_worker(t) for t in tasks]
-    import multiprocessing as mp
-
-    with mp.get_context("spawn").Pool(jobs) as pool:
-        return pool.map(_verify_worker, tasks)
 
 
 @main.command()

@@ -42,12 +42,12 @@ bracketed, and every relation of the class is moved to it (see below): a
 rotation is one class, an identity twist one class per pair.
 The identity is checked, not assumed, on every image that a row reads
 (`Verifier._audit`): a node i = mu^a i0, a > 0, joins i0 only where each
-theta_x(i, out + e), |out| <= mode_bound and e an exponent of the suite
-(the weighted rows), or theta_x(i, k) and theta_h(i, k), |k| <=
+image read, theta_x(i, out + e), |out| <= mode_bound and e an exponent of
+the suite (the weighted rows), and theta_x(i, k) and theta_h(i, k), |k| <=
 2 mode_bound (the Cartan rows), is xi_N^(a k) times i0's at the same k,
 or both leave the window, and eps_i = eps_i0; else i is its own least
-node.  So every report is that of each pair evaluated alone, for any
-images and eps.  The node checks H and Xperiod compare theta(mu i, m) with
+node, for every row kind.  So every report is that of each pair evaluated
+alone, for any images and eps.  The node checks H and Xperiod compare theta(mu i, m) with
 xi_N^m theta(i, m).  Unless i = mu^a i0 or mu i = mu^a' i0 is set apart,
 the audit has shown that row to be (xi_N^(a' m) - xi_N^((a + 1) m))
 theta(i0, m), zero where (a + 1 - a') m = 0 mod N (at every step of an
@@ -135,10 +135,14 @@ node 1 of A2^(2) or a tampered image, evaluates both signs.  Since
 `serialize_elem` sorts keys, every report is byte-identical to the one
 with both signs evaluated.  The same audit finds whether the images
 that the rows read are periodic in t1 (`Realization.in_period`): a class
-of pairs where the theta_x images of the weighted rows are not brackets
-every nested value directly and sums every weighted row in full, and one
-where the images of the Cartan rows are not sums every Cartan row in
-full.
+of pairs where they are not brackets every nested value directly and sums
+every row in full.
+
+The audit keeps one verdict per node for every row kind: set apart,
+mirrored, in period (`_Audit`).  A node that fails a test on an image of
+any row kind fails it for all of them, so a row is then evaluated alone,
+with both signs or summed in full, and by the above its report is
+byte-identical.
 
 A pass certifies the identity on the tested grid only; for the built-in
 families the grid is the whole statement being claimed here.
@@ -269,11 +273,11 @@ class Verifier:
         """The H and Xperiod checks of every node, each row summed unless
         the audit shows it zero (module docstring), then the H, HX and XX
         checks of every ordered pair, in (i, j) order.  `_cartan_pair`
-        evaluates the least pair (i0, j0) of each class, the nodes' images at
-        |k| <= 2 mode_bound and eps compared by `_audit` (`audit`, when the
-        caller has made it); every other pair (mu^a i0, mu^b j0) takes its
-        checks, each residual at modes (m, n) times xi_N^(a m + b n), as its
-        expected values move (module docstring)."""
+        evaluates the least pair (i0, j0) of each class, the nodes' images
+        and eps compared by `_audit` (`audit`, when the caller has made it);
+        every other pair (mu^a i0, mu^b j0) takes its checks, each residual
+        at modes (m, n) times xi_N^(a m + b n), as its expected values move
+        (module docstring)."""
         if audit is None:
             audit = self._audit(mode_bound, range(0))
         real = self.real
@@ -288,7 +292,7 @@ class Verifier:
             rows = ((chk_h, 2, ()), (chk_x, 0, (+1,)), (chk_x, 1, (-1,)))
             # a row is zero where the audit shows it (module docstring)
             step = None
-            if not audit.cartan_apart.intersection((i, mi)):
+            if not audit.apart.intersection((i, mi)):
                 step = _orbit_shift(self.mu, i)[1] + 1 - _orbit_shift(self.mu, mi)[1]
             for m in range(-mode_bound, mode_bound + 1):
                 minus = -real._phase(m)
@@ -302,10 +306,11 @@ class Verifier:
             report.checks.append(chk_x)
 
         pairs: dict = {}
-        for cls in _pair_classes(self.mu, self.gcm.n, audit.cartan_apart):
+        shared = _shared_classes(mode_bound, self.n_order)
+        for cls in _pair_classes(self.mu, self.gcm.n, audit.apart):
             i0, j0, _ = cls[0]
-            mirror = i0 in audit.h_mirrored and j0 in audit.cartan_mirrored
-            periodic = i0 in audit.cartan_in_period and j0 in audit.cartan_in_period
+            mirror = audit.mirrored.issuperset((i0, j0))
+            periodic = shared and audit.in_period.issuperset((i0, j0))
             pairs[(i0, j0)] = self._cartan_pair(i0, j0, mode_bound, mirror, periodic)
             for i, j, shift in cls[1:]:
                 pairs[(i, j)] = self._phased(pairs[(i0, j0)], (i, j), shift, (0, 0))
@@ -320,17 +325,17 @@ class Verifier:
         `_audit`), HXminus is not evaluated but derived from HXplus, each
         residual r as omega_hat(r) (`_derive_minus`).
 
-        With `periodic` (the audit found every image of i and j at |k| <=
-        2 mode_bound inside the window and periodic in t1, which it tests
-        only when some class of (m, n) mod N has two members), the first
-        modes (r, s) of each class are bracketed through the kernel's
-        accumulate and place steps (`_bracket`).  A later member is placed
-        from them where `_WindowBound`, with reach 2 mode_bound, shows that
-        no member can leave the window: each row takes the first loop
-        residual, moved m + n - r - s, and sums its central terms only: the
-        bracket's, placed from the first accumulation, those of the
-        expected images, read at m + n, and the K1 terms (see the module
-        docstring).  Every other row is summed in full."""
+        With `periodic` (some class of (m, n) mod N has two members, and the
+        audit found i and j in period: every image at |k| <= 2 mode_bound
+        inside the window and periodic in t1), the first modes (r, s) of
+        each class are bracketed through the kernel's accumulate and place
+        steps (`_bracket`).  A later member is placed from them where
+        `_WindowBound`, with reach 2 mode_bound, shows that no member can
+        leave the window: each row takes the first loop residual, moved
+        m + n - r - s, and sums its central terms only: the bracket's,
+        placed from the first accumulation, those of the expected images,
+        read at m + n, and the K1 terms (see the module docstring).  Every
+        other row is summed in full."""
         real = self.real
         a = self.gcm.entries
         big_n = self.n_order
@@ -445,21 +450,21 @@ class Verifier:
         class of pairs at a time, with one set of memos per class; the
         checks are returned in (i, j) order, in suite order within a pair.
         A node joins its orbit's least node where `_audit` (`audit`, when
-        the caller has made it) finds each theta_x image a row can read to
-        be that node's, phased.  Each relation is moved to the class's least
-        pair (`_transport`), each distinct one is evaluated once, and every
-        pair's report is phased from it.  A class whose least nodes' images
+        the caller has made it) finds each image that a row of the run reads
+        to be that node's, phased.  Each relation is moved to the class's
+        least pair (`_transport`), each distinct one is evaluated once, and
+        every pair's report is phased from it.  A class whose least nodes' images
         pass the image check evaluates sign +1 only and derives sign -1; one
         whose images are not periodic in t1 brackets every nested value
         directly (see the module docstring)."""
         if audit is None:
             audit = self._audit(None, _weighted_span(suite, mode_bound))
         by_pair: dict = {}
-        for cls in _pair_classes(self.mu, self.gcm.n, audit.weighted_apart):
+        for cls in _pair_classes(self.mu, self.gcm.n, audit.apart):
             i0, j0, _ = cls[0]
-            mirror = i0 in audit.weighted_mirrored and j0 in audit.weighted_mirrored
+            mirror = audit.mirrored.issuperset((i0, j0))
             # no residue-class representatives where an image is not periodic
-            periodic = i0 in audit.weighted_in_period and j0 in audit.weighted_in_period
+            periodic = audit.in_period.issuperset((i0, j0))
             memos = {sign: ({}, {} if periodic else None) for sign in (+1, -1)}
             evaluated: dict = {}
             for i, j, shift in cls:
@@ -525,59 +530,52 @@ class Verifier:
 
     def _audit(self, mode_bound: int | None, span: range) -> "_Audit":
         """One pass over the generator images that the rows of a run read:
-        theta_x and theta_h at |k| <= 2 mode_bound, for the Cartan rows (none
-        when mode_bound is None), and theta_x at k in `span`, for the
-        weighted rows.  Each comparison is made once per (pick, node, k),
-        whichever rows read the image, and nothing is kept across calls.
+        theta_x and theta_h at |k| <= 2 mode_bound (none when mode_bound is
+        None) and theta_x at k in `span`.  Each comparison is made at most
+        once per (pick, node, k), whichever rows read the image; a test
+        stops at its first failure, and nothing is kept across calls.
 
-        A node i = mu^a i0, a > 0, i0 the least node of i's orbit, stays out
-        of i0's classes of the Cartan rows, or of the weighted rows, when
-        eps_i != eps_i0 or an image those rows read, theta(pick, i, k), is
-        not xi_N^(a k) theta(pick, i0, k), or just one of the two leaves the
-        window.  For every node that is the least of its classes, the image
-        check of the derived sign (`Realization.mirrors`) is made on theta_h
-        at |k| <= mode_bound (the left operand of HXplus) and on theta_x at
-        each k, and the t1-periodicity (`Realization.in_period`) of theta_x
-        on `span`, and, where some class of the Cartan rows' (m, n) mod N
-        has two members, of theta_x and theta_h at |k| <= 2 mode_bound, each
-        inside the window, is checked: the images that a member of a residue
+        One verdict per node serves every row kind.  A node i = mu^a i0,
+        a > 0, i0 the least node of i's orbit, is set apart when eps_i !=
+        eps_i0 or an image read, theta(pick, i, k), is not xi_N^(a k)
+        theta(pick, i0, k), or just one of the two leaves the window.  A
+        node that is the least of its classes is mirrored where theta_x at
+        each k and theta_h at |k| <= mode_bound (the left operand of HXplus)
+        pass the image check of the derived sign (`Realization.mirrors`),
+        and in period where theta_x on `span`, and, where some class of the
+        Cartan rows' (m, n) mod N has two members, theta_x and theta_h at
+        |k| <= 2 mode_bound, each inside the window, are periodic in t1
+        (`Realization.in_period`): the images that a member of a residue
         class of rows reads in place of its first row's."""
         real = self.real
         step = real.field // self.n_order  # xi_N = xi_L^step
-        cartan = range(0) if mode_bound is None else range(-2 * mode_bound, 2 * mode_bound + 1)
+        cartan = h_span = range(0)
+        if mode_bound is not None:
+            cartan = range(-2 * mode_bound, 2 * mode_bound + 1)
+            h_span = range(-mode_bound, mode_bound + 1)
         ks = set(cartan).union(span)
-        audit = _Audit(set(), set(), set(), set(), set(), set(), set())
+        # the Cartan periodicity test is made only where a member can be placed
+        shared = bool(cartan) and _shared_classes(mode_bound, self.n_order)
+        # (pick, k) of every image read: theta_h at the Cartan rows' k only
+        reads = [(pick, k) for k in ks for pick in ((0, 1, 2) if k in cartan else (0, 1))]
+        audit = _Audit(set(), set(), set())
         heads = []
         for i in range(self.gcm.n):
             i0, a = _orbit_shift(self.mu, i)
             if not a:
                 heads.append(i)
-                continue
-            for k in ks if real.eps[i] == real.eps[i0] else ():
-                for pick in (0, 1, 2) if k in cartan else (0, 1):
-                    if not _turned(real.image(pick, i, k), real.image(pick, i0, k), a * k * step):
-                        if k in cartan:
-                            audit.cartan_apart.add(i)
-                        if pick < 2 and k in span:
-                            audit.weighted_apart.add(i)
-            if real.eps[i] != real.eps[i0]:
-                audit.cartan_apart.add(i)
-                audit.weighted_apart.add(i)
-            if i in audit.cartan_apart or i in audit.weighted_apart:
+            elif real.eps[i] != real.eps[i0] or not all(
+                _turned(real.image(p, i, k), real.image(p, i0, k), a * k * step) for p, k in reads
+            ):
+                audit.apart.add(i)
                 heads.append(i)
         for i in heads:
-            faults = {k for k in ks if not real.mirrors(0, i, k)}
-            if cartan and not faults.intersection(cartan):
-                audit.cartan_mirrored.add(i)
-            if not faults.intersection(span):
-                audit.weighted_mirrored.add(i)
-            if cartan and all(real.mirrors(2, i, k) for k in range(-mode_bound, mode_bound + 1)):
-                audit.h_mirrored.add(i)
-            if real.in_period(i, span):
-                audit.weighted_in_period.add(i)
-            if cartan and _shared_classes(mode_bound, self.n_order):
-                if real.in_period(i, cartan, (0, 1, 2), inside=True):
-                    audit.cartan_in_period.add(i)
+            if all(real.mirrors(0, i, k) for k in ks) and all(real.mirrors(2, i, k) for k in h_span):
+                audit.mirrored.add(i)
+            if real.in_period(i, span) and (
+                not shared or real.in_period(i, cartan, (0, 1, 2), inside=True)
+            ):
+                audit.in_period.add(i)
         return audit
 
     def _verify_weighted(
@@ -742,11 +740,6 @@ class Verifier:
             hit = values[modes] = self.real.place(acc, modes[0] - r1, degree - r_degree)
         return hit
 
-    def verify_AS(self, mode_bound: int) -> RelationReport:
-        """The extra relation of A_1^(1); two vacuous checks on other matrices."""
-        fam = family_as(self.gcm, self.mu)
-        return self.verify_family("AS", fam, mode_bound) if fam.entries else _vacuous("AS")
-
     def verify_P1_at_window(self, fam: SerreFamily, mode_bound: int) -> RelationReport:
         """Window-scale certificate for an arbitrary family.
 
@@ -821,29 +814,20 @@ class _WindowBound:
 
 
 class _Audit(NamedTuple):
-    """What `Verifier._audit` found, as sets of nodes:
-    * `cartan_apart`, `weighted_apart`: those set apart from their orbit's
-      least node for the Cartan rows and for the weighted rows;
-    and among the least nodes of their classes, those whose images
-    * `h_mirrored`: theta_h at |k| <= mode_bound,
-    * `cartan_mirrored`: theta_x at |k| <= 2 mode_bound,
-    * `weighted_mirrored`: theta_x on the weighted span,
-      pass the image check of the derived sign;
-    * `cartan_in_period`: theta_x and theta_h at |k| <= 2 mode_bound are
-      inside the window and periodic in t1, tested only where some class of
-      the Cartan rows' (m, n) mod N has two members (else empty);
-    * `weighted_in_period`: theta_x on the weighted span are periodic in t1
-      where inside the window.
-    A residue class of rows of a pair places its members from its first
-    row only where both nodes are periodic for those rows."""
+    """What `Verifier._audit` found, as sets of nodes, one verdict per node
+    for every row kind:
+    * `apart`: those set apart from their orbit's least node;
+    and among the least nodes of their classes, those whose images read
+    * `mirrored`: pass the image check of the derived sign;
+    * `in_period`: are periodic in t1 (the Cartan test made only where some
+      class of the Cartan rows' (m, n) mod N has two members).
+    A pair is evaluated with its orbit's least pair, derives sign -1 or
+    places the members of its residue classes of rows only where both its
+    nodes pass the test of that shortcut."""
 
-    cartan_apart: set
-    weighted_apart: set
-    h_mirrored: set
-    cartan_mirrored: set
-    weighted_mirrored: set
-    cartan_in_period: set
-    weighted_in_period: set
+    apart: set
+    mirrored: set
+    in_period: set
 
 
 def _weighted_span(suite: tuple, mode_bound: int) -> range:

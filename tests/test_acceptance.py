@@ -9,6 +9,7 @@ import time
 
 from conftest import cached_family, cached_realization
 from loomfold.catalog import builtin_entries, entry_by_name
+from loomfold.errors import ScopeViolation
 from loomfold.folding import (
     fold_data,
     index_pairs,
@@ -133,17 +134,22 @@ def test_criterion_5_finite_type_split_relations():
 
 
 def test_criterion_6_classical_limit_family():
+    # every catalog entry in the family's scope (simply laced), at modes 4
     covered = []
-    for name in ("A2a-flip", "D4a-triality", "A2a-id"):
-        e = entry_by_name(name)
-        fam = family_qlimit(e.gcm, e.mu)
+    for e in builtin_entries():
+        try:
+            fam = family_qlimit(e.gcm, e.mu)
+        except ScopeViolation:
+            continue
         diag = check_P2(fam)
-        assert all(not d.is_zero() for d in diag.values()), name
-        m1, m2 = suite_window(e.gcm, e.mu, fam, 3)
+        assert all(not d.is_zero() for d in diag.values()), e.name
+        m1, m2 = suite_window(e.gcm, e.mu, fam, 4)
         real = Realization(e.gcm, e.mu, m1_window=m1, m2_window=m2)
-        report = Verifier(real).verify_P1_at_window(fam, 3)
-        assert report.passed, (name, [c for c in report.checks if not c.passed][:1])
-        covered.append(name)
+        report = Verifier(real).verify_P1_at_window(fam, 4)
+        assert report.passed, (e.name, [c for c in report.checks if not c.passed][:1])
+        assert not report.has_gaps, e.name
+        covered.append(e.name)
+    assert len(covered) == 11, covered
     _ok(6, f"classical-limit family passes the diagonal and grid checks on {covered}")
 
 

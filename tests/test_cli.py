@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 
 import pytest
 from click.testing import CliRunner
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from loomfold import catalog
 from loomfold.cartan import _candidates
-from loomfold.cli import _combined_exit_code, _exit_code, _pool_size, main
+from loomfold.cli import _combined_exit_code, _exit_code, main
 from loomfold.presentation import RelationCheck, RelationReport
 
 
@@ -303,11 +302,11 @@ def test_verify_all_reads_the_catalog_once(runner, tmp_path, monkeypatch):
 
     monkeypatch.setattr(catalog, "read_json", counting)
     args = ["verify", "--entry", "all", "--modes", "1"]
-    one = runner.invoke(main, args + ["--jobs", "1"])
+    one = runner.invoke(main, args)
     assert one.exit_code == 0
     assert len(reads) == 1
     assert [e["name"] for e in _json_out(one)["entries"]] == ["flip", "id", "chain"]
-    two = runner.invoke(main, args + ["--jobs", "2"])
+    two = runner.invoke(main, args)
     assert two.exit_code == 0
     assert two.output == one.output
 
@@ -434,11 +433,12 @@ def test_verify_rejects_negative_bounds(runner, extra):
 
 
 @pytest.mark.parametrize("entry", ["A2-flip", "all"])
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_verify_rejects_jobs_below_one(runner, entry, jobs):
+@pytest.mark.parametrize("jobs", ["0", "-3", "1", "2"])
+def test_verify_rejects_jobs(runner, entry, jobs):
+    # verify runs every entry in one process and has no --jobs option
     res = runner.invoke(main, ["verify", "--entry", entry, "--modes", "0", "--jobs", jobs])
     assert res.exit_code == 2
-    assert _json_out(res)["error"] == {"kind": "JobError", "message": "--jobs must be >= 1"}
+    assert "No such option '--jobs'" in res.output
 
 
 @pytest.mark.parametrize(
@@ -455,15 +455,6 @@ def test_every_command_maps_input_errors_to_exit_2(runner, args):
     data = _json_out(res)
     assert set(data) == {"schema", "error"}
     assert data["error"]["kind"] == "JobError"
-
-
-def test_pool_size_clamp():
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    assert _pool_size(10**6, 17) == min(17, cpus)
-    assert _pool_size(10**6, 10**6) == cpus
-    assert _pool_size(4, 1) == 1
-    assert _pool_size(0, 17) == 1
-    assert _pool_size(-5, 17) == 1
 
 
 def _coeff(text):

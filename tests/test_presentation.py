@@ -93,16 +93,26 @@ def test_serre_triality_weighted():
     assert v.verify_family("DS", _one_pair(fam, 1, 0), 2).passed
 
 
+def _as_checks(real, mode_bound):
+    """The AS checks of a suite: the extra relation of A_1^(1), two vacuous
+    checks on other matrices."""
+    fam = polys.family_as(real.gcm, real.mu)
+    if fam.entries:
+        return Verifier(real).verify_family("AS", fam, mode_bound).checks
+    suite = Verifier(real).run_suite(family_p(real.gcm, real.mu), mode_bound)
+    return [c for c in suite.checks if c.kind.startswith("AS")]
+
+
 def test_AS_vacuous_and_special():
     real, _ = _setup("A2", [1, 0])
-    rep = Verifier(real).verify_AS(2)
-    assert rep.passed and all(c.grid == "vacuous" for c in rep.checks)
+    checks = _as_checks(real, 2)
+    assert [c.kind for c in checks] == ["ASplus", "ASminus"]
+    assert all(c.passed and c.grid == "vacuous" for c in checks)
     real2, _ = _setup("A1^(1)", [1, 0])
-    rep2 = Verifier(real2).verify_AS(2)
-    assert rep2.passed
-    assert all(c.grid != "vacuous" for c in rep2.checks)
+    checks2 = _as_checks(real2, 2)
+    assert checks2 and all(c.passed and c.grid != "vacuous" for c in checks2)
     real3, _ = _setup("A1^(1)", [0, 1])
-    assert Verifier(real3).verify_AS(2).passed
+    assert all(c.passed for c in _as_checks(real3, 2))
 
 
 def test_thm1_requires_finite():
@@ -195,7 +205,12 @@ def _suite_by_public_methods(real, fam, mode_bound, certificate):
     v = Verifier(real)
     report = v.verify_cartan_relations(mode_bound)
     report.extend(v.verify_family("X", family_locality(real.gcm, real.mu), mode_bound))
-    report.extend(v.verify_AS(mode_bound))
+    extra = polys.family_as(real.gcm, real.mu)
+    if extra.entries:
+        report.extend(v.verify_family("AS", extra, mode_bound))
+    else:  # the extra relation of A_1^(1) stands as two vacuous checks
+        vacuous = [("ASplus", (), 0, "vacuous", 1), ("ASminus", (), 0, "vacuous", 1)]
+        report.checks.extend(presentation.RelationCheck(*c) for c in vacuous)
     if certificate:
         report.extend(v.verify_P1_at_window(fam, mode_bound))
     else:
@@ -453,7 +468,7 @@ def test_classes_match_pairs_alone_under_one_corrupted_input(monkeypatch, name, 
     # every other node of its orbit apart
     orbit = {real.mu.apply(i0, a) for a in range(real.mu.order)}
     apart = {real.mu.apply(i0)} if where == "shifted" else orbit - {i0}
-    assert Verifier(real)._audit(1, range(0)).cartan_apart == apart
+    assert Verifier(real)._audit(1, range(0)).apart == apart
 
 
 def _failures(report) -> dict:
@@ -1328,6 +1343,30 @@ def test_suite_rot_audit_tests_no_cartan_periodicity(monkeypatch, name, modes):
     assert calls == ([] if 2 * modes + 1 <= real.n_order else [0])
 
 
+@pytest.mark.parametrize("modes", [1, 2])
+@pytest.mark.parametrize("name", [e.name for e in builtin_entries()])
+def test_one_verdict_per_node_keeps_every_shortcut_on_true_images(monkeypatch, name, modes):
+    """With true images, at the window `verify` sizes, the audit of a suite
+    sets no node apart and finds every least node mirrored and in period:
+    one verdict per node, for the Cartan and the weighted rows alike,
+    costs no class, derived sign or placed member."""
+    e = entry_by_name(name)
+    fam = cached_family(name)
+    real = Realization(e.gcm, e.mu, *suite_window(e.gcm, e.mu, fam, modes))
+    audits = []
+    audit = Verifier._audit
+
+    def recording(self, mode_bound, span):
+        audits.append(audit(self, mode_bound, span))
+        return audits[-1]
+
+    monkeypatch.setattr(Verifier, "_audit", recording)
+    assert Verifier(real).run_suite(fam, modes).passed
+    (got,) = audits
+    assert got.apart == set()
+    assert got.mirrored == got.in_period == _least_nodes(real)
+
+
 # kernel calls of test_suite_rot_kernel_calls, with sign -1 derived and with
 # both signs evaluated
 _SUITE_ROT_KERNEL = {
@@ -1593,7 +1632,7 @@ def test_derived_signs_match_both_signs_evaluated(monkeypatch, name, modes):
     # the least node of every orbit passes the image check
     audit = Verifier(real)._audit(modes, range(-modes - 2, modes + 3))
     mirrored = _least_nodes(real)
-    assert audit.h_mirrored == audit.cartan_mirrored == audit.weighted_mirrored == mirrored
+    assert audit.mirrored == mirrored
     for family in sorted(_FAMILIES):
         fam = _FAMILIES[family](cached_family(name))
         derived, both = _derived_and_both(
@@ -1621,8 +1660,7 @@ def test_a_corrupted_image_keeps_the_derived_signs_exact(monkeypatch, name, tamp
         bad = {**theta, ("L", 1, 0, real.galg.alg.e_idx[0]): CycNum.one(real.field)}
     monkeypatch.setitem(real._theta_cache, (pick, i0, 1), bad)
     audit = Verifier(real)._audit(2, range(-2, 3))
-    mirrored = audit.h_mirrored if pick == 2 else audit.weighted_mirrored
-    assert (i0 in mirrored) == (tamper == "h-doubled")
+    assert (i0 in audit.mirrored) == (tamper == "h-doubled")
     derived, both = _derived_and_both(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
     assert _same(derived, both)
     assert '"pass": false' in derived
@@ -1637,7 +1675,7 @@ def test_derived_signs_on_a_twisted_core(monkeypatch):
     fam = family_p(g, mu)
     real = Realization(g, mu, *suite_window(g, mu, fam, 1))
     audit = Verifier(real)._audit(1, range(-3, 4))
-    assert audit.weighted_mirrored == audit.cartan_mirrored == {0}
+    assert audit.mirrored == {0}
     derived, both = _derived_and_both(monkeypatch, lambda: Verifier(real).run_suite(fam, 1))
     assert _same(derived, both)
     assert '"pass": true' in derived
@@ -1653,7 +1691,7 @@ def test_nested_values_of_a_non_periodic_image_are_bracketed_directly(monkeypatc
     _double_one_coefficient(real, 0, 0, 2, min(real.theta_x(0, 2, +1)))
     try:
         audit = Verifier(real)._audit(2, range(-2, 3))
-        assert 0 not in audit.weighted_in_period
+        assert 0 not in audit.in_period
         seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
         assert any(modes[0] == 2 and i == 0 for i, _, _, modes in seen)
         _assert_nested_match_direct(real, seen)

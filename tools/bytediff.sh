@@ -258,7 +258,7 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
       echo "$cmd --entry $e"
     done
   done
-  echo "verify --entry all --modes 2 --jobs 2"
+  echo "verify --entry all --modes 2"
   echo "verify --entry A2a-flip --modes 1 --family user:fam.json"
   echo "verify --entry A2a-flip --modes 1 --family user:fam5.json"
   echo "verify --entry A2a-flip --modes 1 --family user:famx.json"
