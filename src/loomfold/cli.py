@@ -137,7 +137,7 @@ def _poly(obj, where: str) -> LPoly:
 
 def _permutation(key: str, arity: int, where: str) -> tuple:
     parts = key.split(",")
-    if all(p.isascii() and p.isdigit() for p in parts):
+    if all(_decimal(p) for p in parts):
         sigma = tuple(int(p) for p in parts)
         if sorted(sigma) == list(range(arity)):
             return sigma
@@ -191,16 +191,19 @@ def _load_user_family(gcm, contents: tuple) -> SerreFamily:
     return fam
 
 
+def _decimal(text: str) -> bool:
+    """Whether `text` is an ASCII decimal integer >= 0, read as the sigma
+    keys of a family file are: no sign, space, underscore or other digit."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_window(text: str | None):
-    if not text:
+    if text is None:
         return None
-    try:
-        m1, m2 = (int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise JobError("--window expects M1,M2") from exc
-    if m1 < 0 or m2 < 0:
-        raise JobError("--window values must be >= 0")
-    return m1, m2
+    parts = text.split(",")
+    if len(parts) != 2 or not all(_decimal(p) for p in parts):
+        raise JobError(f"--window expects M1,M2, two decimal integers >= 0, got {text!r}")
+    return int(parts[0]), int(parts[1])
 
 
 @click.group()
@@ -318,14 +321,15 @@ def _combined_exit_code(codes: list) -> int:
 @main.command()
 @_input_opt
 @_entry_opt
-@click.option("--modes", "mode_bound", type=int, default=2)
+@click.option("--modes", "mode_text", default="2")
 @click.option("--family", "family_sel", default="p")
 @click.option("--window", "window_text", default=None, help="M1,M2 (default: sized automatically)")
 @_mapped_errors
-def verify(input_path, entry, mode_bound, family_sel, window_text):
+def verify(input_path, entry, mode_text, family_sel, window_text):
     """Check every relation of the presentation on the realization."""
-    if mode_bound < 0:
-        raise JobError("--modes must be >= 0")
+    if not _decimal(mode_text):
+        raise JobError(f"--modes expects a decimal integer >= 0, got {mode_text!r}")
+    mode_bound = int(mode_text)
     window = _parse_window(window_text)
     if entry == "all" and input_path is None:  # with --input, _load_job rejects both
         entries = catalog_mod.load_entries()

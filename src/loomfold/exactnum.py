@@ -441,7 +441,14 @@ class CycNum:
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        """The order and each coordinate printed as str(Fraction) prints it,
+        "n" or "n/d" in lowest terms, with no Fraction built."""
+        den = self.den
+        coeffs = []
+        for x in self.nums:
+            g = gcd(x, den)
+            coeffs.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return {"order": self.order, "coeffs": coeffs}
 
     @staticmethod
     def from_json(obj) -> "CycNum":

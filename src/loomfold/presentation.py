@@ -75,18 +75,31 @@ the accumulation its class's first row r used, moved sum(out) - sum(r)
 (m + n - r - s), so the row's loop residual is r's moved; only the
 central part (K1, K1p, K2) depends on the actual degrees.  So the first
 row of each class that is no gap is summed in full, and a later row, a
-member, is placed from it where one `_WindowBound` shows that no member
-can leave the window and the audit has shown the images read periodic
-(`Realization.in_period`): it takes the first loop residual, moved
-(`Verifier._check`), and sums only the central terms of the first row's
-accumulations, placed at its own degrees (`Realization.place_central`),
-and of its expected images, read at its own modes; it builds no loop
-part.  Every other member is summed in full, so its gaps, OutOfWindow
+member, is placed from it where the `_WindowBound` of its memo shows
+that no member can leave the window and the audit has shown the images
+read periodic (`Realization.in_period`): it takes the first loop
+residual, moved (`Verifier._check`), and sums only the central terms of
+the first row's accumulations, placed at its own degrees
+(`Realization.place_central`), and of its expected images, read at its
+own modes; it builds no loop part.  Every other member is summed in full, so its gaps, OutOfWindow
 and residual are its own.  Since `serialize_elem` sorts keys, every
 report is byte-identical to the row-by-row sums.  When 2 mode_bound + 1
 <= N, as on every rotation at modes <= 1, each class has one row
 (`_shared_classes`), and the audit tests no periodicity for the Cartan
 rows.
+
+The member rule is in one place.  Every accumulation comes from a memo of
+`Verifier._nested`, one memo per pair of image picks (p, q) that the rows
+of a class read: (0, 0) and (1, 1) for the weighted rows of sign +1 and
+-1, and (2, 2), (2, 0), (2, 1) and (0, 1) for the brackets
+[theta_h(i, m), theta_h(j, n)], [theta_h(i, m), theta_x(j, n, +1)],
+[theta_h(i, m), theta_x(j, n, -1)] and [theta_x(i, m, +1),
+theta_x(j, n, -1)] of H, HXplus, HXminus and XX.  A Cartan check is a row
+of one summand, its bracket, plus its expected value, so both kinds of
+row take the same steps: after the first row of a class,
+`Verifier._class_plan` reads the accumulations of each memo under that
+memo's own `_WindowBound`, and `Verifier._planned_row` places the central
+terms of every member from them.
 
 One rule moves a weighted relation of (i, j) = (mu^a i0, mu^b j0) to
 (i0, j0) (`Verifier._transport`).  At output modes `out`, w last, a term
@@ -170,6 +183,16 @@ __all__ = [
 ]
 
 MAX_RECORDED_FAILURES = 8
+
+# the Cartan pair checks: kind, sign, the picks (p, q) of the bracket
+# [theta(p, i, m), theta(q, j, n)] and the pick of the expected image
+# theta(j, m + n) (None: H expects K1 terms only)
+_CARTAN_CHECKS = (
+    ("H", 0, (2, 2), None),
+    ("HXplus", +1, (2, 0), 0),
+    ("HXminus", -1, (2, 1), 1),
+    ("XX", 0, (0, 1), 2),
+)
 
 
 @dataclass
@@ -320,22 +343,25 @@ class Verifier:
 
     def _cartan_pair(self, i: int, j: int, mode_bound: int, mirror: bool, periodic: bool) -> list:
         """The H, HXplus, HXminus and XX checks of the least pair (i, j) of
-        a class: at modes (m, n), each bracket less its expected value.
+        a class.  At modes (m, n) each is a row of one summand, the bracket
+        [theta(p, i, m), theta(q, j, n)] read from `_nested` with its picks
+        (p, q), (2, 2), (2, 0), (2, 1) or (0, 1), less its expected value.
         With `mirror` (the images that HXplus reads pass the image check of
         `_audit`), HXminus is not evaluated but derived from HXplus, each
         residual r as omega_hat(r) (`_derive_minus`).
 
-        With `periodic` (some class of (m, n) mod N has two members, and the
-        audit found i and j in period: every image at |k| <= 2 mode_bound
-        inside the window and periodic in t1), the first modes (r, s) of
-        each class are bracketed through the kernel's accumulate and place
-        steps (`_bracket`).  A later member is placed from them where
-        `_WindowBound`, with reach 2 mode_bound, shows that no member can
-        leave the window: each row takes the first loop residual, moved
-        m + n - r - s, and sums its central terms only: the bracket's,
-        placed from the first accumulation, those of the expected images,
-        read at m + n, and the K1 terms (see the module docstring).  Every
-        other row is summed in full."""
+        Each check has its own memo, with reps only where `periodic` holds
+        (some class of (m, n) mod N has two members, and the audit found i
+        and j in period: every image at |k| <= 2 mode_bound inside the
+        window and periodic in t1), and its own `_WindowBound`, with reach
+        2 mode_bound.  The first row of each class of (m, n) mod N is
+        summed in full, and a later member is planned and placed from it as
+        a weighted row is (`_class_plan`, `_planned_row`; module
+        docstring): it takes the first loop residual, moved
+        m + n - r - s, and sums the placed central terms of the first
+        accumulation, those of the expected images, read at m + n, and the
+        K1 terms.  Every other row is summed in full, and raises
+        OutOfWindow where its bracket or expected image leaves the window."""
         real = self.real
         a = self.gcm.entries
         big_n = self.n_order
@@ -343,77 +369,69 @@ class Verifier:
         one = CycNum.one(real.field)
         span = range(-mode_bound, mode_bound + 1)
         grid = f"|m|,|n|<={mode_bound}"
-        chk_hh = RelationCheck("H", (i, j), 0, grid)
-        chk_hx_p = RelationCheck("HXplus", (i, j), +1, grid)
-        chk_hx_m = RelationCheck("HXminus", (i, j), -1, grid)
-        chk_xx = RelationCheck("XX", (i, j), 0, grid)
-        # the checks evaluated, in row order
-        checks = [chk_hh, chk_hx_p] + ([] if mirror else [chk_hx_m]) + [chk_xx]
+        # per check evaluated, in row order: the check, the picks of its
+        # bracket, the pick of its expected image, its memo of `_nested` and
+        # its window bound
+        rows = []
+        for kind, sign, picks, pick in _CARTAN_CHECKS:
+            if sign >= 0 or not mirror:
+                chk = RelationCheck(kind, (i, j), sign, grid)
+                memo = ({}, {} if periodic else None)
+                rows.append((chk, picks, pick, memo, _WindowBound(real, 2 * mode_bound)))
+        slots = [((0, 1), one, (0, 0))]
         # the k with mu^k j = i: the terms of the expected XX value
         meets = [k for k in range(big_n) if self.mu.apply(j, k) == i]
-        bound = _WindowBound(real, 2 * mode_bound)
-        # (r, s, accumulation) of every bracket of a first row, and per
-        # class of (m, n) mod N its first row's, each with its row's loop
-        # residual
-        reps: list = []
+        # per class of (m, n) mod N: r + s of its first row, and per check
+        # the `_class_plan` that its members are placed from
         firsts: dict = {}
         for m in span:
             # sum_k xi_N^(km) a_(i, mu^k j), the phase sum in the expected H
-            # and HX coefficients; it does not depend on nn
+            # and HX coefficients; it does not depend on n
             phases = CycNum.zero(real.field)
             for k in range(big_n):
                 phases = phases + real._phase(k * m).mul_rational(a[i][self.mu.apply(j, k)])
             minus = -phases
-            # the central term m N / eps_j of the expected values at m + nn = 0
+            # the central term m N / eps_j of the expected values at m + n = 0
             central = Fraction(m * big_n) / real.eps[j]
-            # the coefficients of the expected XX value theta_h(j, m + nn)
             xx_minus = [-real._phase(k * m) for k in meets]
-            hx = [(chk_hx_p, +1, minus)] + ([] if mirror else [(chk_hx_m, -1, phases)])
-            h_i = real.theta_h(i, m)
+            # per check: the coefficients of its expected image and of K1
+            weights = {
+                "H": ([], [minus]),
+                "HXplus": ([minus], []),
+                "HXminus": ([phases], []),
+                "XX": (xx_minus, xx_minus),
+            }
             for nn in span:
                 modes = (m, nn)
-                level = m + nn == 0
-                k1_hh = [(minus.mul_rational(central), k1)] if level else []
-                k1_xx = [(c.mul_rational(central), k1) for c in xx_minus] if level else []
                 key = (m % big_n, nn % big_n) if periodic else None
                 first = firsts.get(key)
-                if first is not None and bound.holds(reps):
-                    rows = [k1_hh]
-                    for _, sign, coeff in hx:
-                        rows.append([(coeff, _central_keys(real.theta_x(j, m + nn, sign)))])
-                    h = _central_keys(real.theta_h(j, m + nn))
-                    rows.append([(c, h) for c in xx_minus] + k1_xx)
-                    for chk, row, ((r, s, acc), loop) in zip(checks, rows, first):
-                        if acc[2]:  # the bracket's central terms
-                            row.append((one, real.place_central(acc, m - r, nn - s)))
-                        self._check(chk, modes, row, None, loop, m + nn - r - s)
-                    continue
-                accs = reps if periodic and first is None else None
-                n0 = len(reps)
-                got = self._bracket(accs, modes, h_i, real.theta_h(j, nn))
-                totals = [self._check(chk_hh, modes, [(one, got)] + k1_hh)]
-                for chk, sign, coeff in hx:
-                    got = self._bracket(accs, modes, h_i, real.theta_x(j, nn, sign))
-                    want = real.theta_x(j, m + nn, sign)
-                    totals.append(self._check(chk, modes, [(one, got), (coeff, want)]))
-                got = self._bracket(accs, modes, real.theta_x(i, m, +1), real.theta_x(j, nn, -1))
-                row = [(one, got)] + [(c, real.theta_h(j, m + nn)) for c in xx_minus]
-                totals.append(self._check(chk_xx, modes, row + k1_xx))
-                if accs is not None:
-                    loops = [[(k, c) for k, c in t.items() if k[0] == "L"] for t in totals]
-                    firsts[key] = list(zip(reps[n0:], loops))
+                plans = []
+                placements = itertools.repeat(None) if first is None else first[1]
+                for (chk, picks, pick, memo, bound), placed in zip(rows, placements):
+                    coeffs, k1s = weights[chk.kind]
+                    if placed is None:
+                        row = [(one, self._nested(memo, i, j, picks, modes))]
+                    else:
+                        row = self._planned_row(placed[1], modes)
+                    if coeffs:  # read after the bracket: its OutOfWindow comes first
+                        image = real._theta(pick, j, m + nn)
+                        if placed is not None:  # its central terms
+                            image = {k: c for k, c in image.items() if k[0] != "L"}
+                        row += [(c, image) for c in coeffs]
+                    if m + nn == 0:
+                        row += [(c.mul_rational(central), k1) for c in k1s]
+                    if placed is not None:
+                        self._check(chk, modes, row, None, placed[0], m + nn - first[0])
+                        continue
+                    total = self._check(chk, modes, row)
+                    if periodic and first is None:
+                        plans.append(self._class_plan(memo[1], bound, slots, modes, total))
+                if plans:
+                    firsts[key] = (m + nn, plans)
+        checks = [row[0] for row in rows]
         if mirror:
-            checks.insert(2, self._derive_minus(chk_hx_p, +1))
+            checks.insert(2, self._derive_minus(checks[1], +1))
         return checks
-
-    def _bracket(self, reps: list | None, modes: tuple, x: dict, y: dict) -> dict:
-        """[x, y]; with a list `reps`, through the kernel's accumulate and
-        place steps at shift 0, with (*modes, accumulation) appended to it."""
-        if reps is None:
-            return self.real.bracket(x, y)
-        acc = self.real.accumulate(x, y)
-        reps.append((*modes, acc))
-        return self.real.place(acc, 0, 0)
 
     def _check(
         self,
@@ -593,11 +611,12 @@ class Verifier:
         (i0, j0), with `arity` z-slots: each summand reads the nested
         bracket of (i0, j0) at its modes.  Every check sums in Q(xi_F), F
         the lcm of L and the orders of the coefficients.  `memos` maps each
-        sign to the memo of (i0, j0), the pair (values, reps) of
-        `_nested`.  With `mirror` (the images of i0 and j0 pass the image
-        check of `_audit`) only sign +1 is evaluated, and the check of sign
-        -1 is derived from it, each residual r as (-1)^(arity + 1)
-        omega_hat(r) (`_derive_minus`).
+        sign to the memo of (i0, j0), the pair (values, reps) of `_nested`
+        for the picks (0, 0) of sign +1 or (1, 1) of sign -1.  With
+        `mirror` (the images of i0 and j0 pass the image check of `_audit`)
+        only sign +1 is evaluated, and the check of sign -1 is derived from
+        it, each residual r as (-1)^(arity + 1) omega_hat(r)
+        (`_derive_minus`).
 
         The first row of each residue class of output modes mod N that is
         no gap is summed in full.  A later row of the class, a member, is
@@ -624,19 +643,18 @@ class Verifier:
         for sign in (+1,) if mirror else (+1, -1):
             chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i0, j0), sign, grid)
             memo = memos[sign]
+            picks = (0, 0) if sign > 0 else (1, 1)
             grouped = _shared_classes(mode_bound, big_n) and memo[1] is not None
             bound = _WindowBound(self.real, reach)
-            # residues -> (sum of the class's first modes, the loop part of
-            # its residual, and per summand with a pairing sum (coefficient,
-            # read, exps, outermost accumulation) or None)
+            # residues -> (sum of the class's first modes, its `_class_plan`)
             firsts: dict = {}
             for out_modes in itertools.product(
                 range(-mode_bound, mode_bound + 1), repeat=arity + 1
             ):
                 key = tuple([m % big_n for m in out_modes]) if grouped else None
                 first = firsts.get(key)
-                if first is not None and first[2] is not None:
-                    r_sum, loop, plan = first
+                if first is not None and first[1] is not None:
+                    r_sum, (loop, plan) = first
                     row = self._planned_row(plan, out_modes)
                     self._check(chk, out_modes, row, field, loop, sum(out_modes) - r_sum)
                     continue
@@ -647,15 +665,14 @@ class Verifier:
                         # from a generator it is allocated at a guessed size
                         # and shrunk, which raised the peak RSS of a suite
                         modes = tuple([out_modes[q] + exps[q] for q in read])
-                        summands.append((c, self._nested(memo, i0, j0, sign, modes)))
+                        summands.append((c, self._nested(memo, i0, j0, picks, modes)))
                 except OutOfWindow:
                     chk.gaps.append(out_modes)
                     continue
                 total = self._check(chk, out_modes, summands, field)
                 if grouped and first is None:
-                    loop = [(k, c) for k, c in total.items() if k[0] == "L"]
-                    plan = self._class_plan(memo[1], bound, slots, out_modes)
-                    firsts[key] = (sum(out_modes), loop, plan)
+                    plan = self._class_plan(memo[1], bound, slots, out_modes, total)
+                    firsts[key] = (sum(out_modes), plan)
             report.checks.append(chk)
         if mirror:
             report.checks.append(self._derive_minus(report.checks[0], (-1) ** (arity + 1)))
@@ -673,57 +690,68 @@ class Verifier:
             chk.failure_count,
         )
 
-    def _class_plan(self, reps: dict, bound, slots: list, out_modes: tuple):
+    def _class_plan(self, reps: dict, bound, slots: list, out_modes: tuple, total: dict):
         """What the later rows of the class of `out_modes`, whose first row
-        was just summed, place their central parts from: per summand whose
-        outermost accumulation (in `reps`) has a pairing sum, (coefficient,
-        read, exps, (r1, r_degree, accumulation)); or None when `bound`
-        cannot show that no member leaves the window, so that each is
-        summed in full."""
-        if not bound.holds(reps.values()):
+        was just summed to `total`, are placed from: the loop part of
+        `total`, as (key, coefficient) pairs, and the plan of their central
+        parts, per summand whose outermost accumulation (r1, r_degree, acc)
+        in `reps` has a pairing sum (coefficient, q, exps_q - r1,
+        sum(exps) - exps_q - r_degree, acc), q its outermost slot; or None
+        when `bound` cannot show that no member leaves the window, so that
+        each is summed in full."""
+        if not bound.holds(reps):
             return None
+        loop = [(k, c) for k, c in total.items() if k[0] == "L"]
         if not bound.central:
-            return []
+            return loop, []
         plan = []
         for read, c, exps in slots:
             rep = reps.get(tuple([(out_modes[q] + exps[q]) % self.n_order for q in read]))
             if rep is not None and rep[2][2]:
-                plan.append((c, read, exps, rep))
-        return plan
+                q = read[0]
+                plan.append((c, q, exps[q] - rep[0], sum(exps) - exps[q] - rep[1], rep[2]))
+        return loop, plan
 
     def _planned_row(self, plan: list, out_modes: tuple) -> list:
         """The (coefficient, central part) terms of the row at `out_modes`
         from its class's `plan`: each summand's outermost accumulation
         placed at the summand's modes, (k_1, ..., n) = out + exps read
-        through its slots."""
+        through its slots.  The slots of a summand read every output mode
+        once, so the mode sum of its inner level is sum(out) less the mode
+        of its outermost slot q, plus sum(exps) - exps_q."""
         row = []
-        for c, read, exps, (r1, r_degree, acc) in plan:
-            d1 = out_modes[read[0]] + exps[read[0]] - r1
-            d2 = sum([out_modes[q] + exps[q] for q in read[1:]]) - r_degree
-            got = self.real.place_central(acc, d1, d2)
+        for c, q, d1, d2, acc in plan:
+            inner = sum(out_modes) - out_modes[q] + d2
+            got = self.real.place_central(acc, out_modes[q] + d1, inner)
             if got:
                 row.append((c, got))
         return row
 
-    def _nested(self, memo: tuple, i: int, j: int, sign: int, modes: tuple):
-        """[x_{i,k_1}, [..., [x_{i,k_s}, x_{j,n}]]] at modes (k_1, ..., k_s, n).
+    def _nested(self, memo: tuple, i: int, j: int, picks: tuple, modes: tuple):
+        """[theta(p, i, k_1), [..., [theta(p, i, k_s), theta(q, j, n)]]] at
+        modes (k_1, ..., k_s, n), (p, q) = `picks`, each pick 0, 1 or 2 for
+        x^+, x^- or h (`Realization._theta`): (0, 0) and (1, 1) for the
+        weighted rows of sign +1 and -1, and at s = 1 (2, 2), (2, 0), (2, 1)
+        and (0, 1) for the H, HXplus, HXminus and XX rows.
 
-        `memo` is (values, reps) of one sign: the values by modes, and per
-        residue class of modes mod N the first modes r of the class with
-        operands in the window and a nonzero inner bracket, with the
+        `memo` is (values, reps) of one pair of picks: the values by modes,
+        and per residue class of modes mod N the first modes r of the class
+        with operands in the window and a nonzero inner bracket, with the
         kernel's accumulate step on them, from which every value of the
-        class is placed (see the module docstring); a member row of a
-        residue class of rows places its central parts from the same
-        accumulations (`_planned_row`).  With reps None (an image of the
-        pair is not periodic in t1) every value is bracketed directly."""
+        class is placed (see the module docstring).  This is the only place
+        where the verifier accumulates: a member row of a residue class of
+        rows, weighted or Cartan, places its central parts from the same
+        accumulations (`_class_plan`, `_planned_row`).  With reps None (an
+        image of the pair is not periodic in t1) every value is bracketed
+        directly."""
         if len(modes) == 1:
-            return self.real.theta_x(j, modes[0], sign)
+            return self.real._theta(picks[1], j, modes[0])
         values, reps = memo
         hit = values.get(modes)
         if hit is None:
             tail = modes[1:]
-            inner = self._nested(memo, i, j, sign, tail)
-            outer = self.real.theta_x(i, modes[0], sign)
+            inner = self._nested(memo, i, j, picks, tail)
+            outer = self.real._theta(picks[0], i, modes[0])
             if not inner:  # [x, 0] = 0 meets no basis pair, so leaves no window
                 hit = values[modes] = {}
                 return hit
@@ -773,12 +801,14 @@ class Verifier:
 class _WindowBound:
     """Whether no member of a residue class of rows, placed from the first
     row of its class, can leave the window, for the accumulations reached
-    so far: the one member rule of the weighted and the Cartan rows.
+    so far: the one member rule of the weighted and the Cartan rows.  Each
+    memo of `Verifier._nested` that a member is planned from has its own
+    bound, which reads the accumulations of that memo's reps only.
 
     A member places each accumulation of its class's first row (modes r,
     degree r_degree) moved by the mode sum of its own nesting level less
-    r + r_degree (`Verifier._nested`, `Verifier._cartan_pair`); every degree
-    that `Realization.place_central` tests, of a contributing pair or of a
+    r + r_degree (`Verifier._planned_row`); every degree that
+    `Realization.place_central` tests, of a contributing pair or of a
     central term, moves by the same amount, and its t2-degree stays.  A
     level's mode sum, and every mode at which a member reads an image, is
     at most `reach` in absolute value: for a weighted row the largest sum
@@ -789,9 +819,9 @@ class _WindowBound:
     no member leaves it; an image read at a member's modes has the keys of
     the one its first row read, moved in t1, where the audit shows the
     images periodic.  `holds(reps)` reads the (r1, r_degree, accumulation)
-    triples that `reps` gained since its last call, in order; once one
-    fails, it stays failed.  `central` says whether any of them has a
-    pairing sum."""
+    triples that the dict `reps` gained since its last call, in insertion
+    order, from its values; once one fails, it stays failed.  `central`
+    says whether any of them has a pairing sum."""
 
     def __init__(self, real, reach: int):
         self.m2w = real.m2w
@@ -800,9 +830,9 @@ class _WindowBound:
         self.seen = 0
         self.central = False
 
-    def holds(self, reps) -> bool:
+    def holds(self, reps: dict) -> bool:
         if self.ok and len(reps) > self.seen:
-            for r1, r_degree, acc in itertools.islice(reps, self.seen, None):
+            for r1, r_degree, acc in itertools.islice(reps.values(), self.seen, None):
                 r_sum = r1 + r_degree
                 self.central = self.central or bool(acc[2])
                 for p1, p2 in acc[1] + [(m1 + n1, m2 + n2) for m1, m2, n1, n2 in acc[2]]:
@@ -842,11 +872,6 @@ def _shared_classes(mode_bound: int, big_n: int) -> bool:
     mode_bound] has two members, so that a later row of a class is read
     off its first (see the module docstring)."""
     return 2 * mode_bound + 1 > big_n
-
-
-def _central_keys(elem: dict) -> dict:
-    """The terms of `elem` off the loop keys."""
-    return {k: c for k, c in elem.items() if k[0] != "L"}
 
 
 def _turned(image, first, turn: int) -> bool:

@@ -17,7 +17,10 @@ at two levels:
 One kernel (`kernel`) brackets both levels.  `Realization.bracket` runs
 both of its steps at shift 0, with its window and the core's lattice period
 r; `accumulate`, `place` and `place_central` apart serve the verifier's
-residue classes (see `presentation`).  `GAlg.bracket` passes period 1 and a
+residue classes (see `presentation`): `Verifier._nested` accumulates and
+places every bracket of a residue class, for the weighted and the Cartan
+rows alike, and `Verifier._planned_row` places the central terms of a
+member row.  `GAlg.bracket` passes period 1 and a
 window no degree reaches: it brackets in the full loop algebra
 g (x) C[t2^+-1] + C k2, of which a twisted core's Aff is a subalgebra, so
 that ungraded elements of a twisted core bracket too; at t1-degree 0 no K1p

@@ -432,6 +432,31 @@ def test_verify_rejects_negative_bounds(runner, extra):
     assert _json_out(res)["error"]["kind"] == "JobError"
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--modes", "1_0"],
+        ["--modes", " 3"],
+        ["--modes", "\u0663"],
+        ["--modes", "+1"],
+        ["--modes", "1", "--window", "\u0663,2"],
+        ["--modes", "1", "--window", "1_0,2"],
+        ["--modes", "1", "--window", " 3,2"],
+        ["--modes", "1", "--window", "3,+2"],
+        ["--modes", "1", "--window", "3,2,1"],
+        ["--modes", "1", "--window", ""],
+    ],
+)
+def test_verify_rejects_malformed_integers(runner, extra):
+    # --modes and --window read ASCII decimal integers only, as the sigma
+    # keys of a family file are read: int() would take "1_0" as 10 and " 3"
+    # and the Arabic-Indic digit three as 3.  An empty --window is no
+    # window: it is rejected, not read as the automatic size
+    res = runner.invoke(main, ["verify", "--entry", "A2-id", *extra])
+    assert res.exit_code == 2
+    assert _json_out(res)["error"]["kind"] == "JobError"
+
+
 @pytest.mark.parametrize("entry", ["A2-flip", "all"])
 @pytest.mark.parametrize("jobs", ["0", "-3", "1", "2"])
 def test_verify_rejects_jobs(runner, entry, jobs):

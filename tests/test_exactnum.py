@@ -144,6 +144,22 @@ def test_json_round_trip():
     assert x.to_json() == {"order": 5, "coeffs": ["1/2", "0", "-3/7", "2"]}
 
 
+@given(
+    st.sampled_from([1, 3, 5, 7]).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(-60, 60), min_size=euler_phi(n), max_size=euler_phi(n)),
+        )
+    ),
+    st.integers(1, 720),
+)
+def test_to_json_prints_each_coordinate_as_str_fraction(order_nums, den):
+    # zero, negative and positive numerators over a shared denominator
+    order, nums = order_nums
+    x = CycNum(order, [Fraction(n, den) for n in nums])
+    assert x.to_json() == {"order": order, "coeffs": [str(Fraction(n, den)) for n in nums]}
+
+
 def test_latex_non_rational():
     x = CycNum(5, [Fraction(1, 2), 0, Fraction(-3, 4), 0])
     assert x.latex() == r"\frac{1}{2}-\frac{3}{4}\xi_{5}^{2}"

@@ -1028,20 +1028,22 @@ def test_derived_checks_own_their_lists(monkeypatch):
 # -- one kernel call per residue class of nested modes --------------------------
 
 
-def _direct_nested(real, i, j, sign, modes, memo):
+def _direct_nested(real, i, j, picks, modes, memo):
     """The oracle of `Verifier._nested`: the plain recursion through
-    Realization.bracket, one bracket per mode tuple, memoised by modes."""
+    Realization.bracket on the images of `picks` (p, q), theta(p, i, k)
+    outside and theta(q, j, n) innermost, one bracket per mode tuple,
+    memoised by modes."""
     if len(modes) == 1:
-        return real.theta_x(j, modes[0], sign)
+        return real._theta(picks[1], j, modes[0])
     hit = memo.get(modes)
     if hit is None:
-        inner = _direct_nested(real, i, j, sign, modes[1:], memo)
-        hit = memo[modes] = real.bracket(real.theta_x(i, modes[0], sign), inner)
+        inner = _direct_nested(real, i, j, picks, modes[1:], memo)
+        hit = memo[modes] = real.bracket(real._theta(picks[0], i, modes[0]), inner)
     return hit
 
 
 def _nested_values(monkeypatch, run) -> dict:
-    """(i, j, sign, modes) -> the value `Verifier._nested` returned, or
+    """(i, j, picks, modes) -> the value `Verifier._nested` returned, or
     OutOfWindow where it raised, for every call made while `run()` ran."""
     seen = {}
     nested = Verifier._nested
@@ -1058,35 +1060,50 @@ def _nested_values(monkeypatch, run) -> dict:
     return seen
 
 
-def _assert_nested_match_direct(real, seen) -> int:
+def _assert_nested_match_direct(real, seen) -> set:
     """Every recorded value prints as the oracle's, loop and central keys
-    alike, and raises OutOfWindow where the oracle does.  The number of
+    alike, and raises OutOfWindow where the oracle does.  The picks of the
     nested values that were placed from a representative of other modes."""
     memos: dict = {}
     reps: dict = {}
-    shifted = 0
-    for (i, j, sign, modes), got in seen.items():
+    shifted = set()
+    for (i, j, picks, modes), got in seen.items():
         try:
-            want = _direct_nested(real, i, j, sign, modes, memos.setdefault((i, j, sign), {}))
+            want = _direct_nested(real, i, j, picks, modes, memos.setdefault((i, j, picks), {}))
         except OutOfWindow:
             want = OutOfWindow
         if got is OutOfWindow or want is OutOfWindow:
-            assert got is want, (i, j, sign, modes)
+            assert got is want, (i, j, picks, modes)
         else:
-            assert serialize_elem(got) == serialize_elem(want), (i, j, sign, modes)
+            assert serialize_elem(got) == serialize_elem(want), (i, j, picks, modes)
         if len(modes) > 1:
-            key = (i, j, sign) + tuple(m % real.n_order for m in modes)
-            shifted += reps.setdefault(key, modes) != modes
+            key = (i, j, picks) + tuple(m % real.n_order for m in modes)
+            if reps.setdefault(key, modes) != modes:
+                shifted.add(picks)
     return shifted
+
+
+# the picks (p, q) of the brackets [theta(p, i, m), theta(q, j, n)] of the
+# H, HXplus, HXminus and XX checks
+_CARTAN_PICKS = {(2, 2), (2, 0), (2, 1), (0, 1)}
 
 
 @pytest.mark.parametrize("name", [e.name for e in builtin_entries()])
 def test_nested_values_match_direct_brackets(monkeypatch, name):
     # the suite at modes 2 reads nested modes that repeat a residue class mod
-    # N on every entry, so most of its values are placed, not bracketed
+    # N on every entry, so most of its values are placed, not bracketed; the
+    # Cartan rows read their brackets from `_nested` too.  Where N <= 2 a
+    # class of the Cartan rows' (m, n) has several rows; with no member
+    # planned each later row reads its bracket from `_nested`, placed from
+    # the class's first modes, and the oracle covers those brackets too
     real, fam = cached_realization(name), cached_family(name)
     seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
     assert _assert_nested_match_direct(real, seen)
+    assert {picks for _, _, picks, _ in seen} & _CARTAN_PICKS == _CARTAN_PICKS - {(2, 1)}
+    if real.n_order <= 2:
+        monkeypatch.setattr(Verifier, "_class_plan", lambda *args: None)
+        seen = _nested_values(monkeypatch, lambda: Verifier(real).verify_cartan_relations(2))
+        assert _assert_nested_match_direct(real, seen) == _CARTAN_PICKS - {(2, 1)}
 
 
 @pytest.mark.parametrize("name", ["A1a-flip", "A2a-flip", "A2a-rot", "A3a-rot"])
@@ -1141,10 +1158,13 @@ def test_run_suite_brackets_once_per_residue_class(
     output modes has one row, the 234 that its relations moved to (0, 0)
     read, and 48 of the 680 that every row reads on A1a-id (N = 1), where
     the window holds every row.  Those are the counts with both signs
-    evaluated; with sign -1 derived from sign +1 every one of them halves."""
+    evaluated; with sign -1 derived from sign +1 every one of them halves.
+    The weighted rows read the picks (0, 0) of sign +1 and (1, 1) of sign
+    -1; the Cartan rows' brackets, of other picks, are counted apart."""
     real, fam = _setup(label, perm, 1)
     calls = _count_kernel_calls(monkeypatch)
     big_n = real.n_order
+    signs = {(0, 0): +1, (1, 1): -1}
 
     def residues(i, j, sign, modes):
         return (i, j, sign) + tuple(m % big_n for m in modes)
@@ -1157,7 +1177,11 @@ def test_run_suite_brackets_once_per_residue_class(
         cartan = len(calls)
         calls.clear()
         seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 1))
-        reads = {k: bool(v) for k, v in seen.items()}
+        reads = {
+            (i, j, signs[picks], modes): bool(v)
+            for (i, j, picks, modes), v in seen.items()
+            if picks in signs
+        }
         nested = [(i, j, sign, modes) for i, j, sign, modes in reads if len(modes) > 1]
         assert {sign for _, _, sign, _ in nested} == ({+1} if share == 2 else {+1, -1})
         keys = {residues(*k) for k in nested if reads[k[:3] + (k[3][1:],)]}
@@ -1247,7 +1271,7 @@ def _count_rows(monkeypatch):
         ("F4", [0, 1, 2, 3], (720, 44), (576, 64), 36, 146),
         ("G2", [0, 1], (612, 12), (144, 16), 18, 50),
         ("C3", [0, 1, 2], (486, 26), (324, 36), 27, 91),
-        ("E6", [4, 3, 2, 1, 0, 5], (684, 256), (576, 256), 54, 462),
+        ("E6", [4, 3, 2, 1, 0, 5], (684, 256), (576, 256), 54, 398),
     ],
 )
 def test_class_rows_work_counts(monkeypatch, label, perm, weighted, pair, node, kernel):
@@ -1378,8 +1402,8 @@ _SUITE_ROT_KERNEL = {
 
 # kernel calls of test_class_rows_work_counts with sign -1 derived and with
 # both signs evaluated
-_DERIVED_KERNEL = {"F4": 71, "G2": 20, "C3": 41, "E6": 268}
-_BOTH_KERNEL = {"F4": 110, "G2": 32, "C3": 64, "E6": 408}
+_DERIVED_KERNEL = {"F4": 71, "G2": 20, "C3": 41, "E6": 220}
+_BOTH_KERNEL = {"F4": 110, "G2": 32, "C3": 64, "E6": 344}
 
 
 def _bracket_family(fam):
@@ -1534,6 +1558,42 @@ def test_a_tampered_first_residual_fails_its_class_members(monkeypatch):
             moved = ("L", 40 + sum(out) - sum(r), 0, 0)
             tamper = {moved: CycNum.one(real.field)} if placed else {}
             assert now[out] == {**was.get(out, {}), **tamper}
+
+
+def test_a_tampered_first_cartan_residual_fails_its_class_members(monkeypatch):
+    # the Cartan analogue of the test above: on A2-id (N = 1) at modes 2
+    # each check of a pair has one class of (m, n), whose first row is
+    # (-2, -2).  The first row of XX on (0, 1) gets a loop key in its
+    # residual, after it was recorded: every later row of that check is a
+    # member placed from the first, and fails with that key moved
+    # m + n - r - s; every other check is as in the untampered run
+    monkeypatch.setattr(presentation, "MAX_RECORDED_FAILURES", 10**6)
+    real = cached_realization("A2-id")
+    before = Verifier(real).verify_cartan_relations(2).checks
+    check = Verifier._check
+    key = ("L", 5, 0, 0)
+    one = CycNum.one(real.field)
+    firsts = []
+
+    def tampering(self, chk, modes, row, *rest):
+        total = check(self, chk, modes, row, *rest)
+        if (chk.kind, chk.pair) == ("XX", (0, 1)) and not rest:  # summed in full
+            firsts.append(modes)
+            total = {**total, key: one}
+        return total
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Verifier, "_check", tampering)
+        after = Verifier(real).verify_cartan_relations(2).checks
+    assert firsts == [(-2, -2)]
+    pairs = list(zip(before, after))
+    ((was, now),) = [(b, a) for b, a in pairs if (a.kind, a.pair) == ("XX", (0, 1))]
+    assert all(b.to_json() == a.to_json() for b, a in pairs if a is not now)
+    assert was.passed and now.checked == was.checked == 25
+    members = [(m, n) for m in range(-2, 3) for n in range(-2, 3) if (m, n) != (-2, -2)]
+    assert [modes for modes, _ in now.failures] == members
+    for (m, n), residual in now.failures:
+        assert residual == {("L", 5 + m + n + 4, 0, 0): one}
 
 
 def test_a_tampered_pairing_sum_fails_the_members_it_weighs(monkeypatch):
