@@ -258,6 +258,8 @@ def fold(input_path, entry):
 @_mapped_errors
 def polys(input_path, entry, family_sel, fmt, do_cross):
     """Locality and weight polynomial tables."""
+    if do_cross and fmt == "latex":
+        raise JobError("--crosscheck needs --format json: the LaTeX table has no closed weights")
     gcm, mu, name = _load_job(input_path, entry)
     fd = fold_data(gcm, mu)
     sets = tuple_sets(gcm, mu, fd)

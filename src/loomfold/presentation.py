@@ -75,18 +75,32 @@ the accumulation its class's first row r used, moved sum(out) - sum(r)
 (m + n - r - s), so the row's loop residual is r's moved; only the
 central part (K1, K1p, K2) depends on the actual degrees.  So the first
 row of each class that is no gap is summed in full, and a later row, a
-member, is placed from it where the `_WindowBound` of its memo shows
-that no member can leave the window and the audit has shown the images
-read periodic (`Realization.in_period`): it takes the first loop
-residual, moved (`Verifier._check`), and sums only the central terms of
-the first row's accumulations, placed at its own degrees
-(`Realization.place_central`), and of its expected images, read at its
-own modes; it builds no loop part.  Every other member is summed in full, so its gaps, OutOfWindow
-and residual are its own.  Since `serialize_elem` sorts keys, every
-report is byte-identical to the row-by-row sums.  When 2 mode_bound + 1
-<= N, as on every rotation at modes <= 1, each class has one row
-(`_shared_classes`), and the audit tests no periodicity for the Cartan
-rows.
+member, is placed from it where three things hold: the classes share rows
+(`_shared_classes`; not when 2 mode_bound + 1 <= N, as on every rotation
+at modes <= 1); the audit has shown the images read in period and
+homogeneous in t1 (`Realization.in_period`: each loop key of
+theta(pick, i, k) sits at t1-degree k); and the relation's reach is at
+most m1w.  The reach bounds the mode sum of every nesting level, and
+every mode at which a row reads an image, in absolute value: for a
+weighted row the largest sum of mode_bound + |e_q| over a summand's
+slots, for a Cartan row 2 mode_bound (the images at m + n).  A placed
+member takes the first loop residual, moved (`Verifier._check`), and
+sums only the central terms of the first row's accumulations, placed at
+its own degrees (`Realization.place_central`), and of its expected
+images, read at its own modes; it builds no loop part.  Every other
+member is summed in full, so its gaps, OutOfWindow and residual are its
+own.
+
+A placed member skips no OutOfWindow that summing it in full would raise.
+With homogeneous periodic images, every degree of a bracket at modes k,
+of a loop key, a contributing pair or a central term, has t1-degree
+sum(k), so no degree of a member exceeds the reach, and the reach is at
+most m1w; the images it reads lie at |k| <= m1w, where an image of the
+realization leaves the window only by its t2-degrees, the same for every
+image of a residue class.  The t2-degrees never move: a member meets the
+basis pairs of its first row, and a first row that is no gap has passed
+them.  Since `serialize_elem` sorts keys, every report is byte-identical
+to the row-by-row sums.
 
 The member rule is in one place.  Every accumulation comes from a memo of
 `Verifier._nested`, one memo per pair of image picks (p, q) that the rows
@@ -97,9 +111,9 @@ of a class read: (0, 0) and (1, 1) for the weighted rows of sign +1 and
 theta_x(j, n, -1)] of H, HXplus, HXminus and XX.  A Cartan check is a row
 of one summand, its bracket, plus its expected value, so both kinds of
 row take the same steps: after the first row of a class,
-`Verifier._class_plan` reads the accumulations of each memo under that
-memo's own `_WindowBound`, and `Verifier._planned_row` places the central
-terms of every member from them.
+`Verifier._class_plan` reads the accumulations of that memo, and
+`Verifier._planned_row` places the central terms of every member from
+them.
 
 One rule moves a weighted relation of (i, j) = (mu^a i0, mu^b j0) to
 (i0, j0) (`Verifier._transport`).  At output modes `out`, w last, a term
@@ -147,9 +161,9 @@ each residual (`Verifier._derive_minus`); a class that fails it, such as
 node 1 of A2^(2) or a tampered image, evaluates both signs.  Since
 `serialize_elem` sorts keys, every report is byte-identical to the one
 with both signs evaluated.  The same audit finds whether the images
-that the rows read are periodic in t1 (`Realization.in_period`): a class
-of pairs where they are not brackets every nested value directly and sums
-every row in full.
+that the rows read are periodic and homogeneous in t1
+(`Realization.in_period`): a class of pairs where they are not brackets
+every nested value directly and sums every row in full.
 
 The audit keeps one verdict per node for every row kind: set apart,
 mirrored, in period (`_Audit`).  A node that fails a test on an image of
@@ -351,17 +365,17 @@ class Verifier:
         residual r as omega_hat(r) (`_derive_minus`).
 
         Each check has its own memo, with reps only where `periodic` holds
-        (some class of (m, n) mod N has two members, and the audit found i
-        and j in period: every image at |k| <= 2 mode_bound inside the
-        window and periodic in t1), and its own `_WindowBound`, with reach
-        2 mode_bound.  The first row of each class of (m, n) mod N is
-        summed in full, and a later member is planned and placed from it as
-        a weighted row is (`_class_plan`, `_planned_row`; module
-        docstring): it takes the first loop residual, moved
-        m + n - r - s, and sums the placed central terms of the first
-        accumulation, those of the expected images, read at m + n, and the
-        K1 terms.  Every other row is summed in full, and raises
-        OutOfWindow where its bracket or expected image leaves the window."""
+        (some class of (m, n) mod N has two members, and the audit found
+        the images of i and j at |k| <= 2 mode_bound periodic and
+        homogeneous in t1).  There, and where the reach 2 mode_bound is at
+        most m1w, the first row of each class of (m, n) mod N is summed in
+        full, and a later member is planned and placed from it as a
+        weighted row is (`_class_plan`, `_planned_row`; module docstring):
+        it takes the first loop residual, moved m + n - r - s, and sums the
+        placed central terms of the first accumulation, those of the
+        expected images, read at m + n, and the K1 terms.  Every other row
+        is summed in full, and raises OutOfWindow where its bracket or
+        expected image leaves the window."""
         real = self.real
         a = self.gcm.entries
         big_n = self.n_order
@@ -370,14 +384,13 @@ class Verifier:
         span = range(-mode_bound, mode_bound + 1)
         grid = f"|m|,|n|<={mode_bound}"
         # per check evaluated, in row order: the check, the picks of its
-        # bracket, the pick of its expected image, its memo of `_nested` and
-        # its window bound
+        # bracket, the pick of its expected image and its memo of `_nested`
         rows = []
         for kind, sign, picks, pick in _CARTAN_CHECKS:
             if sign >= 0 or not mirror:
                 chk = RelationCheck(kind, (i, j), sign, grid)
-                memo = ({}, {} if periodic else None)
-                rows.append((chk, picks, pick, memo, _WindowBound(real, 2 * mode_bound)))
+                rows.append((chk, picks, pick, ({}, {} if periodic else None)))
+        grouped = periodic and 2 * mode_bound <= real.m1w
         slots = [((0, 1), one, (0, 0))]
         # the k with mu^k j = i: the terms of the expected XX value
         meets = [k for k in range(big_n) if self.mu.apply(j, k) == i]
@@ -403,11 +416,11 @@ class Verifier:
             }
             for nn in span:
                 modes = (m, nn)
-                key = (m % big_n, nn % big_n) if periodic else None
+                key = (m % big_n, nn % big_n) if grouped else None
                 first = firsts.get(key)
                 plans = []
                 placements = itertools.repeat(None) if first is None else first[1]
-                for (chk, picks, pick, memo, bound), placed in zip(rows, placements):
+                for (chk, picks, pick, memo), placed in zip(rows, placements):
                     coeffs, k1s = weights[chk.kind]
                     if placed is None:
                         row = [(one, self._nested(memo, i, j, picks, modes))]
@@ -424,8 +437,8 @@ class Verifier:
                         self._check(chk, modes, row, None, placed[0], m + nn - first[0])
                         continue
                     total = self._check(chk, modes, row)
-                    if periodic and first is None:
-                        plans.append(self._class_plan(memo[1], bound, slots, modes, total))
+                    if grouped:  # the first row of its class
+                        plans.append(self._class_plan(memo[1], slots, modes, total))
                 if plans:
                     firsts[key] = (m + nn, plans)
         checks = [row[0] for row in rows]
@@ -562,7 +575,7 @@ class Verifier:
         pass the image check of the derived sign (`Realization.mirrors`),
         and in period where theta_x on `span`, and, where some class of the
         Cartan rows' (m, n) mod N has two members, theta_x and theta_h at
-        |k| <= 2 mode_bound, each inside the window, are periodic in t1
+        |k| <= 2 mode_bound are periodic and homogeneous in t1
         (`Realization.in_period`): the images that a member of a residue
         class of rows reads in place of its first row's."""
         real = self.real
@@ -590,9 +603,7 @@ class Verifier:
         for i in heads:
             if all(real.mirrors(0, i, k) for k in ks) and all(real.mirrors(2, i, k) for k in h_span):
                 audit.mirrored.add(i)
-            if real.in_period(i, span) and (
-                not shared or real.in_period(i, cartan, (0, 1, 2), inside=True)
-            ):
+            if real.in_period(i, span) and (not shared or real.in_period(i, cartan, (0, 1, 2))):
                 audit.in_period.add(i)
         return audit
 
@@ -620,14 +631,14 @@ class Verifier:
 
         The first row of each residue class of output modes mod N that is
         no gap is summed in full.  A later row of the class, a member, is
-        placed from it where `_WindowBound` shows that no member can leave
-        the window: it takes the first row's loop residual moved
+        placed from it: it takes the first row's loop residual moved
         sum(out) - sum(r) and sums only the central parts of its summands,
         placed from their outermost accumulations (see the module
-        docstring).  Every other row is summed in full: every row when
-        2 mode_bound + 1 <= N (each class has one row) or when the memo of
-        the sign has no reps (None: an image read is not periodic), and
-        every member of a class where the bound fails."""
+        docstring).  Every row is summed in full when 2 mode_bound + 1 <= N
+        (each class has one row), when the memo of the sign has no reps
+        (None: an image read is not periodic and homogeneous in t1), or
+        when the relation's reach, the largest sum of mode_bound + |e_q|
+        over a summand's slots, exceeds m1w."""
         field = lcm(self.real.field, *(c.order for _, c, _ in terms))
         # per term: the slot that each mode reads, w last
         slots = [(sigma + (arity,), c, exps) for sigma, c, exps in terms]
@@ -636,16 +647,17 @@ class Verifier:
         else:
             grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
         big_n = self.n_order
-        # the largest mode sum of a nesting level: over a summand's slots,
-        # the sum of mode_bound + |e_q|
+        # the reach, the largest mode sum of a nesting level: over a
+        # summand's slots, the sum of mode_bound + |e_q|.  Members are placed
+        # only where it fits the window (module docstring)
         reach = max([sum(mode_bound + abs(e) for e in exps) for _, _, exps in slots], default=0)
+        shared = _shared_classes(mode_bound, big_n) and reach <= self.real.m1w
         report = RelationReport()
         for sign in (+1,) if mirror else (+1, -1):
             chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i0, j0), sign, grid)
             memo = memos[sign]
             picks = (0, 0) if sign > 0 else (1, 1)
-            grouped = _shared_classes(mode_bound, big_n) and memo[1] is not None
-            bound = _WindowBound(self.real, reach)
+            grouped = shared and memo[1] is not None
             # residues -> (sum of the class's first modes, its `_class_plan`)
             firsts: dict = {}
             for out_modes in itertools.product(
@@ -653,7 +665,7 @@ class Verifier:
             ):
                 key = tuple([m % big_n for m in out_modes]) if grouped else None
                 first = firsts.get(key)
-                if first is not None and first[1] is not None:
+                if first is not None:
                     r_sum, (loop, plan) = first
                     row = self._planned_row(plan, out_modes)
                     self._check(chk, out_modes, row, field, loop, sum(out_modes) - r_sum)
@@ -670,8 +682,8 @@ class Verifier:
                     chk.gaps.append(out_modes)
                     continue
                 total = self._check(chk, out_modes, summands, field)
-                if grouped and first is None:
-                    plan = self._class_plan(memo[1], bound, slots, out_modes, total)
+                if grouped:  # the first row of its class
+                    plan = self._class_plan(memo[1], slots, out_modes, total)
                     firsts[key] = (sum(out_modes), plan)
             report.checks.append(chk)
         if mirror:
@@ -690,20 +702,15 @@ class Verifier:
             chk.failure_count,
         )
 
-    def _class_plan(self, reps: dict, bound, slots: list, out_modes: tuple, total: dict):
+    def _class_plan(self, reps: dict, slots: list, out_modes: tuple, total: dict) -> tuple:
         """What the later rows of the class of `out_modes`, whose first row
-        was just summed to `total`, are placed from: the loop part of
-        `total`, as (key, coefficient) pairs, and the plan of their central
-        parts, per summand whose outermost accumulation (r1, r_degree, acc)
-        in `reps` has a pairing sum (coefficient, q, exps_q - r1,
-        sum(exps) - exps_q - r_degree, acc), q its outermost slot; or None
-        when `bound` cannot show that no member leaves the window, so that
-        each is summed in full."""
-        if not bound.holds(reps):
-            return None
+        was just summed to `total`, are placed from, where the member rule
+        of the module docstring holds: the loop part of `total`, as (key,
+        coefficient) pairs, and the plan of their central parts, per summand
+        whose outermost accumulation (r1, r_degree, acc) in `reps` has a
+        pairing sum (coefficient, q, exps_q - r1, sum(exps) - exps_q -
+        r_degree, acc), q its outermost slot."""
         loop = [(k, c) for k, c in total.items() if k[0] == "L"]
-        if not bound.central:
-            return loop, []
         plan = []
         for read, c, exps in slots:
             rep = reps.get(tuple([(out_modes[q] + exps[q]) % self.n_order for q in read]))
@@ -798,59 +805,15 @@ class Verifier:
         return report
 
 
-class _WindowBound:
-    """Whether no member of a residue class of rows, placed from the first
-    row of its class, can leave the window, for the accumulations reached
-    so far: the one member rule of the weighted and the Cartan rows.  Each
-    memo of `Verifier._nested` that a member is planned from has its own
-    bound, which reads the accumulations of that memo's reps only.
-
-    A member places each accumulation of its class's first row (modes r,
-    degree r_degree) moved by the mode sum of its own nesting level less
-    r + r_degree (`Verifier._planned_row`); every degree that
-    `Realization.place_central` tests, of a contributing pair or of a
-    central term, moves by the same amount, and its t2-degree stays.  A
-    level's mode sum, and every mode at which a member reads an image, is
-    at most `reach` in absolute value: for a weighted row the largest sum
-    of mode_bound + |e_q| over a summand's slots, for a Cartan row
-    2 mode_bound (the images at m + n).  So if reach fits the window, and
-    every such degree of every accumulation lies within reach of its own
-    modes' sum by the margin m1w - reach, with its t2-degree in the window,
-    no member leaves it; an image read at a member's modes has the keys of
-    the one its first row read, moved in t1, where the audit shows the
-    images periodic.  `holds(reps)` reads the (r1, r_degree, accumulation)
-    triples that the dict `reps` gained since its last call, in insertion
-    order, from its values; once one fails, it stays failed.  `central`
-    says whether any of them has a pairing sum."""
-
-    def __init__(self, real, reach: int):
-        self.m2w = real.m2w
-        self.room = real.m1w - reach
-        self.ok = self.room >= 0
-        self.seen = 0
-        self.central = False
-
-    def holds(self, reps: dict) -> bool:
-        if self.ok and len(reps) > self.seen:
-            for r1, r_degree, acc in itertools.islice(reps.values(), self.seen, None):
-                r_sum = r1 + r_degree
-                self.central = self.central or bool(acc[2])
-                for p1, p2 in acc[1] + [(m1 + n1, m2 + n2) for m1, m2, n1, n2 in acc[2]]:
-                    if abs(p1 - r_sum) > self.room or abs(p2) > self.m2w:
-                        self.ok = False
-                        return False
-            self.seen = len(reps)
-        return self.ok
-
-
 class _Audit(NamedTuple):
     """What `Verifier._audit` found, as sets of nodes, one verdict per node
     for every row kind:
     * `apart`: those set apart from their orbit's least node;
     and among the least nodes of their classes, those whose images read
     * `mirrored`: pass the image check of the derived sign;
-    * `in_period`: are periodic in t1 (the Cartan test made only where some
-      class of the Cartan rows' (m, n) mod N has two members).
+    * `in_period`: are periodic and homogeneous in t1 (the Cartan test made
+      only where some class of the Cartan rows' (m, n) mod N has two
+      members).
     A pair is evaluated with its orbit's least pair, derives sign -1 or
     places the members of its residue classes of rows only where both its
     nodes pass the test of that shortcut."""

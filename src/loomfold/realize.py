@@ -437,26 +437,28 @@ class Realization:
             return image is mirror
         return self.omega(image, -1) == mirror
 
-    def in_period(self, i: int, span: range, picks=(0, 1), inside: bool = False) -> bool:
+    def in_period(self, i: int, span: range, picks=(0, 1)) -> bool:
         """Whether every image `_theta(pick, i, m)`, pick in `picks` (by
         default theta_x of either sign), at m in `span` inside the window is
         the first such image of m's residue class mod N, at m', moved m - m'
-        in t1, key by key; with `inside`, also whether every one is inside
-        the window.  Without it, an image outside the window is skipped: the
-        verifier looks every operand up before it places a bracket from its
-        residue class.  True when no class of `span` has two members."""
+        in t1, key by key, and that first image is homogeneous in t1: each
+        of its loop keys sits at t1-degree m'.  An image outside the window
+        is skipped: the verifier looks every operand up before it places a
+        bracket from its residue class.  True when no class of `span` has
+        two members."""
         big_n = self.n_order
         firsts: dict = {}
         for m in span if len(span) > big_n else ():
             for pick in picks:
                 image = self.image(pick, i, m)
                 if image is None:
-                    if inside:
-                        return False
                     continue
                 m0, first = firsts.setdefault((pick, m % big_n), (m, image))
                 d = m - m0
-                if d and image != {(k[0], k[1] + d) + k[2:]: c for k, c in first.items()}:
+                if d:
+                    if image != {(k[0], k[1] + d) + k[2:]: c for k, c in first.items()}:
+                        return False
+                elif any(k[0] == "L" and k[1] != m for k in image):
                     return False
         return True
 

@@ -86,6 +86,14 @@ def test_polys_crosscheck(runner):
     assert all(p["constructions_agree"] for p in data["pairs"])
 
 
+def test_polys_latex_rejects_crosscheck(runner):
+    # the LaTeX table prints no closed weights, so --crosscheck would be dropped
+    res = runner.invoke(main, ["polys", "--entry", "A2-flip", "--format", "latex", "--crosscheck"])
+    assert _assert_rejected(res) == (
+        "--crosscheck needs --format json: the LaTeX table has no closed weights"
+    )
+
+
 def test_verify_pass_and_determinism(runner):
     args = ["verify", "--entry", "A2-flip", "--modes", "2"]
     res1 = runner.invoke(main, args)

@@ -1357,10 +1357,10 @@ def test_suite_rot_audit_tests_no_cartan_periodicity(monkeypatch, name, modes):
     calls = []
     in_period = Realization.in_period
 
-    def recording(self, i, span, picks=(0, 1), inside=False):
+    def recording(self, i, span, picks=(0, 1)):
         if 2 in picks:
             calls.append(i)
-        return in_period(self, i, span, picks, inside)
+        return in_period(self, i, span, picks)
 
     monkeypatch.setattr(Realization, "in_period", recording)
     assert Verifier(real).run_suite(fam, modes).passed
@@ -1507,17 +1507,44 @@ def test_class_rows_match_rows_summed_alone_in_tight_windows(monkeypatch, name, 
     assert "out_of_window" in outcomes
 
 
+@pytest.mark.parametrize("m1", range(3, 12))
+@pytest.mark.parametrize("shift", [1, 2, 3])
+@pytest.mark.parametrize("name", ["A2-id", "A1a-id", "A2a-id"])
+def test_class_rows_match_rows_summed_alone_on_images_moved_in_t1(
+    monkeypatch, name, shift, m1
+):
+    # every theta_x(0, m, +1) with its loop keys moved `shift` in t1: still
+    # periodic in t1, but not homogeneous, so a bracket at modes k that
+    # reads it sits above t1-degree sum(k) and can leave a window that the
+    # relation's reach fits.  The audit finds node 0 out of period, so its
+    # classes sum every row in full: in each window (m1, the suite's m2)
+    # the bracket family at modes 2 reports the gaps, residuals and
+    # OutOfWindow messages of every row summed in full
+    e = entry_by_name(name)
+    base = cached_family(name)
+    real = Realization(e.gcm, e.mu, m1, suite_window(e.gcm, e.mu, base, 2)[1])
+    for m in range(-m1, m1 + 1):
+        image = real._theta(0, 0, m)
+        real._theta_cache[(0, 0, m)] = {(k[0], k[1] + shift) + k[2:]: c for k, c in image.items()}
+    fam = _bracket_family(base)
+    assert 0 not in Verifier(real)._audit(None, range(-2, 4)).in_period
+    classes, rows = _classes_and_rows(
+        monkeypatch, lambda: Verifier(real).verify_family("P1", fam, 2)
+    )
+    assert _same(classes, rows)
+
+
 def test_a_tampered_first_residual_fails_its_class_members(monkeypatch):
     # the first row of the one class of output modes (A1a-id, N = 1) gets a
     # loop key in its residual, after it was recorded.  Bracket family at
     # modes 2; both signs are evaluated, so that sign -1, not derived from
-    # the tampered sign +1, stays as it was.  In the window (5, 3)
-    # `_WindowBound` holds: every later row is placed from the first and
-    # fails with that key moved sum(out) - sum(r), no row is a gap, and no
-    # other row changes.  The window (4, 3) cuts some rows of the class, so
-    # the bound fails and every later row is summed in full: the tamper
-    # reaches the first row only, and every member is as in the untampered
-    # run
+    # the tampered sign +1, stays as it was.  In the window (5, 3) the
+    # relation's reach, 5 (the term 3 z1 at modes 2), fits: every later row
+    # is placed from the first and fails with that key moved
+    # sum(out) - sum(r), no row is a gap, and no other row changes.  The
+    # window (4, 3) is narrower than the reach and cuts some rows of the
+    # class, so every later row is summed in full: the tamper reaches the
+    # first row only, and every member is as in the untampered run
     monkeypatch.setattr(presentation, "MAX_RECORDED_FAILURES", 10**6)
     _both_signs(monkeypatch)
     e = entry_by_name("A1a-id")

@@ -1107,6 +1107,23 @@ def test_place_brackets_the_shifted_operands(name):
     assert seen["raised"] and seen["central"]
 
 
+@pytest.mark.parametrize("name", ["A2-id", "A1a-id", "A2a-id", "A2a-flip"])
+def test_in_period_needs_images_homogeneous_in_t1(monkeypatch, name):
+    # every theta_x(0, m, +1) moved c in t1 is still periodic in t1, but its
+    # loop keys leave t1-degree m, so in_period is False on it; the other
+    # picks of node 0 are untouched and stay in period
+    real = cached_realization(name)
+    span = range(-3, 4)
+    assert real.in_period(0, span) and real.in_period(0, span, (0, 1, 2))
+    for c in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            for m in span:
+                patch.setitem(real._theta_cache, (0, 0, m), _t1_shifted(real._theta(0, 0, m), c))
+            assert not real.in_period(0, span)
+            assert real.in_period(0, span, (1, 2))
+    assert real.in_period(0, span)
+
+
 # -- the Chevalley involution on the keys of the kernel ------------------------------
 
 

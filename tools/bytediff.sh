@@ -287,6 +287,16 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A1a-flip --modes 2 --window 6,3"
   echo "verify --entry A1a-id --modes 2 --window 6,3"
   echo "verify --entry A2a-flip --modes 3 --window 7,4"
+  # the member gate's boundary, the relation's reach against m1: at
+  # A2-id modes 3 the Cartan reach 6 equals m1 = 6, so members are placed
+  # while the weighted rows have gaps (exit 3), and at m1 = 5 it exceeds
+  # the window and every row is summed in full until a bracket leaves it;
+  # (5, 3) on A1a-id at modes 2 is the window that the bracket family's
+  # reach, 5, just fits: the Cartan rows place members, the suite's
+  # weighted rows have gaps
+  echo "verify --entry A2-id --modes 3 --window 6,4"
+  echo "verify --entry A2-id --modes 3 --window 5,4"
+  echo "verify --entry A1a-id --modes 2 --window 5,3"
   # the same window with the plain family, which fails: the window cuts
   # rows of most classes of output modes, so their later rows are summed
   # in full, and their residuals are compared too
