@@ -13,16 +13,22 @@ grows with nnz(brackets) times a row's length, not with dim^3: on a 2-CPU
 machine under Python 3.11, the E8 check (dim 248) takes 0.3 s, where loops
 over every basis triple took 17 s.
 
-The Chevalley involution omega_0 (e_i -> -f_i, f_i -> -e_i, h -> -h),
-which lets the verifier derive the relations of sign -1 from those of sign
-+1, is built on first use (`FiniteAlg.omega`) as a monomial map, root by
-root in height order, and certified on the tables in O(nnz) before it is
-returned: it permutes the basis up to nonzero scales, it maps each nonzero
-structure constant [x_a, x_b] onto the one of its image pair, and it keeps
-each nonzero form entry (x_a, x_b).  Since its pair map is a bijection of
-each table's support, that makes it an automorphism of the bracket that
-keeps the form.  On E6 both take about 2 ms on a 2-CPU machine under
-Python 3.11.
+Both automorphisms of the finite core are monomial maps built by one
+construction, `FiniteAlg._automorphism`: the twist nu of a diagram
+automorphism (`mu_extend_finite`; e_i -> e_nu(i), f_i -> f_nu(i), h_i ->
+h_nu(i)), which gives the twisted loop cores and the folded types, and the
+Chevalley involution omega_0 (`FiniteAlg.omega`; e_i -> -f_i, f_i -> -e_i,
+h -> -h), which lets the verifier derive the relations of sign -1 from
+those of sign +1.  Each is extended from the generators root by root in
+height order and certified on the tables in O(nnz) before it is returned:
+it permutes the basis up to nonzero scales, it maps each nonzero structure
+constant [x_a, x_b] onto the one of its image pair, and it keeps each
+nonzero form entry (x_a, x_b).  Since its pair map is a bijection of each
+table's support, that makes it an automorphism of the bracket that keeps
+the form.  On E6 each takes about 2 ms on a 2-CPU machine under Python
+3.11.  A folded type sums root vectors over the nu-orbits and reads its
+root coordinates by restriction: c_t is the sum of the source coordinates
+over the node orbit of t.
 
 Elements are sparse dicts {basis index: Fraction}.  The structure tables
 `brackets` and `form` hold an int wherever a constant is integral (every
@@ -37,13 +43,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from loomfold.cartan import _RootTable, _graph_iso, finite_matrix
-from loomfold.errors import (
-    GeneratorAssertionFailed,
-    InconsistentPropagation,
-    OutOfWindow,
-    UnknownType,
-)
-from loomfold.exactnum import Echelon, perm_orbits, proportional, vec_add
+from loomfold.errors import GeneratorAssertionFailed, OutOfWindow, UnknownType
+from loomfold.exactnum import Echelon, perm_orbits, vec_scale
 
 Vec = dict[int, Fraction]
 
@@ -94,54 +95,60 @@ class FiniteAlg:
     @cached_property
     def omega(self) -> tuple:
         """The Chevalley involution omega_0 (e_i -> -f_i, f_i -> -e_i,
-        h -> -h) as a monomial map: (perm, scale), omega_0(b) = scale[b]
-        perm[b] on every basis index b, built on its first use.
+        h -> -h) as a monomial map (perm, scale), built on its first use."""
+        gens = [((f, -1), (e, -1), (h, -1)) for e, f, h in zip(self.e_idx, self.f_idx, self.h_idx)]
+        return self._automorphism("omega_0", gens)
+
+    def _automorphism(self, name: str, gens) -> tuple:
+        """The automorphism phi named `name` with the generator images
+        `gens`, one ((e, s), (f, s'), (h, s'')) per node i for phi(e_i) =
+        s x_e, phi(f_i) = s' x_f and phi(h_i) = s'' x_h, as a monomial map:
+        (perm, scale), phi(x_b) = scale[b] x_perm[b] on every basis index b.
 
         It is built root by root in height order, in O(dim): for a positive
-        root gamma = beta + alpha_i with [e_i, x_beta] = c x_gamma and
-        [f_i, x_-beta] = c' x_-gamma, omega_0(x_gamma) = [-f_i, omega_0
-        x_beta] / c = -scale[beta] c' / c x_-gamma, and omega_0(x_-gamma) =
-        x_gamma / scale[gamma], omega_0 being an involution.  Nothing of that
-        is assumed: `_certify_omega` checks the result on the tables."""
-        n, index = self.rank, self.index
-        perm, scale = list(range(self.dim)), [-1] * self.dim
-        positive = sorted((k[1] for k in self.basis if k[0] == "x" and sum(k[1]) > 0), key=sum)
+        root gamma = beta + alpha_i with [e_i, x_beta] = c x_gamma,
+        phi(x_gamma) = [phi e_i, phi x_beta] / c, and x_-gamma is reached the
+        same way through f_i; each such bracket must be a multiple of one
+        basis vector.  Nothing else is assumed: `_certify` checks the result
+        on the tables."""
+        index, brackets = self.index, self.brackets
+        perm, scale = list(range(self.dim)), [0] * self.dim
+        for i, images in enumerate(gens):
+            for b, (t, s) in zip((self.e_idx[i], self.f_idx[i], self.h_idx[i]), images):
+                perm[b], scale[b] = t, s
+        positive = sorted((k[1] for k in self.basis if k[0] == "x" and sum(k[1]) > 1), key=sum)
         for root in positive:
-            b, nb = index[("x", root)], index[("x", tuple(-x for x in root))]
-            perm[b], perm[nb] = nb, b
-            if sum(root) == 1:  # e_i -> -f_i and f_i -> -e_i
-                continue
-            for i in range(n):
+            for i in range(self.rank):  # a root of height > 1 has a lower root
                 beta = tuple(x - (t == i) for t, x in enumerate(root))
-                lower = index.get(("x", beta))
-                if lower is not None:
+                if ("x", beta) in index:
                     break
-            else:
-                raise GeneratorAssertionFailed(f"{self.label}: root {root} has no lower root")
-            c = self.brackets.get((self.e_idx[i], lower), {}).get(b)
-            c2 = self.brackets.get((self.f_idx[i], perm[lower]), {}).get(nb)
-            if not c or not c2:
-                raise GeneratorAssertionFailed(
-                    f"{self.label}: [e_{i}, x_{beta}] is no root vector"
-                )
-            s = Fraction(-scale[lower]) * c2 / c
-            scale[b], scale[nb] = _integral(s), _integral(1 / s)
-        self._certify_omega(perm, scale)
+            for sign, gen in ((1, self.e_idx[i]), (-1, self.f_idx[i])):
+                gamma = tuple(sign * x for x in root)
+                b, lower = index[("x", gamma)], index[("x", tuple(sign * x for x in beta))]
+                c = brackets.get((gen, lower), {}).get(b)
+                image = brackets.get((perm[gen], perm[lower]), {})
+                if not c or len(image) != 1:
+                    raise GeneratorAssertionFailed(
+                        f"{self.label}: {name} maps x_{gamma} to no root vector"
+                    )
+                ((perm[b], d),) = image.items()
+                scale[b] = _integral(Fraction(scale[gen] * scale[lower] * d) / c)
+        self._certify(name, perm, scale)
         return tuple(perm), tuple(scale)
 
-    def _certify_omega(self, perm: list, scale: list) -> None:
-        """Certify that b -> scale[b] perm[b] is an automorphism of the
-        bracket that keeps the form, in O(nnz) of the tables: perm is a
-        permutation and no scale is zero (a monomial map); omega_0 [x_a, x_b]
-        = [omega_0 x_a, omega_0 x_b] for every nonzero [x_a, x_b]; and
-        (omega_0 x_a, omega_0 x_b) = (x_a, x_b) for every nonzero (x_a, x_b).
+    def _certify(self, name: str, perm: list, scale: list) -> None:
+        """Certify that phi: b -> scale[b] perm[b], named `name`, is an
+        automorphism of the bracket that keeps the form, in O(nnz) of the
+        tables: perm is a permutation and no scale is zero (a monomial map);
+        phi [x_a, x_b] = [phi x_a, phi x_b] for every nonzero [x_a, x_b];
+        and (phi x_a, phi x_b) = (x_a, x_b) for every nonzero (x_a, x_b).
         Each nonzero entry maps to a nonzero entry with as many terms, and
         perm x perm is injective, so it maps the support of each table onto
         itself; every pair off the supports then maps off them, where both
         sides vanish, so the identities hold on the union of the supports
         and the map is an automorphism that keeps the form."""
         if sorted(perm) != list(range(self.dim)) or not all(scale):
-            raise GeneratorAssertionFailed(f"{self.label}: omega_0 is not monomial")
+            raise GeneratorAssertionFailed(f"{self.label}: {name} is not monomial")
         brackets = self.brackets
         for (a, b), v in brackets.items():
             w = brackets.get((perm[a], perm[b]), {})
@@ -151,12 +158,12 @@ class FiniteAlg:
                 ok = ok and w.get(perm[t], 0) * s == c * scale[t]
             if not ok:
                 raise GeneratorAssertionFailed(
-                    f"{self.label}: omega_0 is no automorphism at ({a},{b})"
+                    f"{self.label}: {name} is no automorphism at ({a},{b})"
                 )
         for (a, b), f in self.form.items():
             if self.form.get((perm[a], perm[b]), 0) * scale[a] * scale[b] != f:
                 raise GeneratorAssertionFailed(
-                    f"{self.label}: omega_0 moves the form at ({a},{b})"
+                    f"{self.label}: {name} moves the form at ({a},{b})"
                 )
 
     @property
@@ -374,7 +381,7 @@ def _build_simply_laced(letter: str, rank: int) -> FiniteAlg:
 
 
 # ---------------------------------------------------------------------------
-# Automorphism propagation
+# Bracket closure and the diagram twist
 
 
 def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None) -> None:
@@ -429,32 +436,15 @@ def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None) -> None:
 
 
 def mu_extend_finite(alg: FiniteAlg, perm) -> list[Vec]:
-    """Extend a diagram automorphism from the generators to the whole algebra.
+    """Extend a diagram automorphism nu (e_i -> e_perm[i], f_i -> f_perm[i],
+    h_i -> h_perm[i]) from the generators to the whole algebra.
 
-    Returns the images of the basis vectors, computed by propagating
-    generator images along bracket words and checking linear consistency
-    whenever an element is reached twice.
+    Returns the images of the basis vectors, each a multiple of one basis
+    vector: nu is built root by root and certified as `FiniteAlg.omega` is.
     """
-    perm = tuple(perm)
-    prop = Echelon()
-    seeds = []
-    for i in range(alg.rank):
-        seeds.append((alg.e(i), alg.e(perm[i])))
-        seeds.append((alg.f(i), alg.f(perm[i])))
-        seeds.append((alg.h(i), alg.h(perm[i])))
-    close(prop, seeds, seeds, alg.bracket)
-    if prop.rank != alg.dim:
-        raise InconsistentPropagation(
-            f"{alg.label}: generator words span only {prop.rank} of {alg.dim}"
-        )
-    return [prop.apply(alg.unit(i)) for i in range(alg.dim)]
-
-
-def apply_linear(images: list[Vec], v: Vec) -> Vec:
-    out: Vec = {}
-    for i, c in v.items():
-        vec_add(out, images[i], c)
-    return out
+    gens = [((alg.e_idx[p], 1), (alg.f_idx[p], 1), (alg.h_idx[p], 1)) for p in perm]
+    images, scale = alg._automorphism("nu", gens)
+    return [{t: Fraction(s)} for t, s in zip(images, scale)]
 
 
 # ---------------------------------------------------------------------------
@@ -519,29 +509,23 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
 
     n = rank
     # fixed vectors: sums over the nu-orbits of root vectors, each orbit
-    # walked once; every image must be one root vector
+    # walked once; nu is monomial, so the sum is fixed when the product of
+    # the scales around the orbit is 1
     fixed_vectors = []
     seen = set()
     for key, coords in zip(src.basis, src.root_of):
         if key[0] != "x" or coords in seen:
             continue
-        cur = src.unit(src.index[key])
-        total: Vec = {}
-        while True:
-            vec_add(total, cur)
-            cur = apply_linear(nu, cur)
-            if len(cur) != 1:
-                raise GeneratorAssertionFailed(
-                    f"{src.label}: the diagram automorphism does not permute root vectors"
-                )
-            nxt = src.root_of[next(iter(cur))]
-            if nxt == coords:
-                break
-            seen.add(nxt)
-        if apply_linear(nu, total) != total:
+        b, total, s = src.index[key], {}, Fraction(1)
+        while b not in total:
+            total[b] = s
+            ((b, x),) = nu[b].items()
+            s *= x
+        if s != 1:
             raise GeneratorAssertionFailed(
                 f"orbit sum at {coords} is not fixed; fold of {letter}{rank} broken"
             )
+        seen.update(src.root_of[t] for t in total)
         fixed_vectors.append((coords, total))
 
     cartan_vectors = []
@@ -551,29 +535,20 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
             vec[src.h_idx[p]] = Fraction(1)
         cartan_vectors.append(vec)
 
-    # folded root coordinates: solve lambda = A_target . c per fixed vector,
-    # as the combination of the columns of A_target that gives lambda
-    columns = Echelon()
-    for t in range(n):
-        columns.insert({r: target[r][t] for r in range(n) if target[r][t]}, {t: Fraction(1)})
+    # folded root coordinates: the restriction c_t = sum of the source
+    # coordinates over the node orbit of t, checked as the weight of the
+    # orbit sum: [h~_t, v] = (sum_r A_tr c_r) v
     folded_keys = []
     folded_vecs = []
     for coords, vec in fixed_vectors:
-        lam = []
+        c = tuple(sum(coords[p] for p in orbit_for_node[t]) for t in range(n))
         for t in range(n):
-            ratio = proportional(src.bracket(cartan_vectors[t], vec), vec)
-            if ratio is None:
+            lam = sum(a * x for a, x in zip(target[t], c))
+            if src.bracket(cartan_vectors[t], vec) != vec_scale(vec, lam):
                 raise GeneratorAssertionFailed(
-                    f"orbit sum at {coords} is no Cartan eigenvector in {src.label}"
+                    f"orbit sum at {coords} is no Cartan eigenvector of weight {c} in {src.label}"
                 )
-            lam.append(ratio)
-        sol = columns.apply({t: x for t, x in enumerate(lam) if x})
-        c = [sol.get(r, Fraction(0)) for r in range(n)]
-        if any(x.denominator != 1 for x in c):
-            raise GeneratorAssertionFailed(
-                f"orbit sum at {coords} has non-integral folded coordinates {c}"
-            )
-        folded_keys.append(("x", tuple(int(x) for x in c)))
+        folded_keys.append(("x", c))
         folded_vecs.append(vec)
 
     basis = [("h", t) for t in range(n)] + folded_keys

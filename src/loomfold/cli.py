@@ -252,7 +252,7 @@ def fold(input_path, entry):
 @main.command()
 @_input_opt
 @_entry_opt
-@click.option("--family", "family_sel", default="p")
+@click.option("--family", "family_sel")
 @click.option("--format", "fmt", type=click.Choice(["json", "latex"]), default="json")
 @click.option("--crosscheck", "do_cross", is_flag=True, help="emit both weight constructions")
 @_mapped_errors
@@ -260,10 +260,12 @@ def polys(input_path, entry, family_sel, fmt, do_cross):
     """Locality and weight polynomial tables."""
     if do_cross and fmt == "latex":
         raise JobError("--crosscheck needs --format json: the LaTeX table has no closed weights")
+    if family_sel is not None and fmt == "latex":
+        raise JobError("--family needs --format json: the LaTeX table prints no family")
     gcm, mu, name = _load_job(input_path, entry)
     fd = fold_data(gcm, mu)
     sets = tuple_sets(gcm, mu, fd)
-    fam, _ = _family(gcm, mu, _family_source(family_sel))
+    fam, _ = _family(gcm, mu, _family_source(family_sel or "p"))
     pairs = []
     lines = []
     for i, j in index_pairs(gcm):

@@ -370,7 +370,7 @@ class Realization:
         t1^p1 t2^p2 [u, v] goes to t1^p1 t2^-p2 [omega_0 u, omega_0 v] =
         omega_hat of it, since omega_0 is an automorphism, and its pairing
         (omega_0 u | omega_0 v) = (u | v) is the same, since omega_0 keeps
-        the form (both certified by `FiniteAlg._certify_omega`).  So every
+        the form (both certified by `FiniteAlg._certify`).  So every
         central term of `_central` maps with it:
         * K1 weighs m1, which stays;
         * K2(p1) weighs m2, which changes sign;

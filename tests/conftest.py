@@ -1,10 +1,12 @@
 """Shared, build-once realizations for the test session."""
 
+import sys
 from functools import lru_cache
 
 import pytest
 
 from loomfold.catalog import builtin_entries, entry_by_name
+from loomfold.exactnum import Echelon
 from loomfold.polys import family_p
 from loomfold.presentation import suite_window
 from loomfold.realize import Realization
@@ -40,3 +42,20 @@ def family_for():
 @pytest.fixture(scope="session")
 def catalog_names():
     return [e.name for e in builtin_entries()]
+
+
+def nu_by_propagation(alg, perm):
+    """The reference for `chevalley.mu_extend_finite`: the images of the
+    basis vectors under the diagram automorphism perm, propagated from the
+    generator pairs (e_i, e_perm[i]), (f_i, f_perm[i]) and (h_i, h_perm[i])
+    by the bracket closure `chevalley.close` over `alg.bracket` in an
+    `Echelon`, which checks every element reached twice for a consistent
+    image.  `close` is looked up on each call, so a test can replace it."""
+    chevalley = sys.modules["loomfold.chevalley"]
+    ech = Echelon()
+    seeds = []
+    for i, p in enumerate(perm):
+        seeds += [(alg.e(i), alg.e(p)), (alg.f(i), alg.f(p)), (alg.h(i), alg.h(p))]
+    chevalley.close(ech, seeds, seeds, alg.bracket)
+    assert ech.rank == alg.dim, f"{alg.label}: generator words span only {ech.rank} of {alg.dim}"
+    return [ech.apply(alg.unit(b)) for b in range(alg.dim)]

