@@ -384,7 +384,7 @@ def _build_simply_laced(letter: str, rank: int) -> FiniteAlg:
 # Bracket closure and the diagram twist
 
 
-def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None) -> None:
+def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None, caps=None) -> None:
     """Insert the seed (element, image) pairs into `ech` and close them
     under `ad`.
 
@@ -405,8 +405,21 @@ def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None) -> None:
     does, so it never adds a row and its consistency check repeats the
     first one.  The rows and their order are those of a closure that
     brackets every pair.
+
+    `caps`, when given, cuts the closure short (`realize._Caps` caps the
+    span closure of the fixed blocks): every element that adds a row, seed
+    or bracket, goes to `caps.row`, and the closure stops as soon as that
+    returns True; a bracket [s, a] for which `caps.skip(s, a)` is True is not
+    made.  The caller answers for what a skipped bracket or an early stop
+    leaves out: `realize._Caps` certifies what it counts and stops at the
+    first certificate that fails.
     """
-    frontier = [p for p in pairs if ech.insert(*p)]
+    frontier = []
+    for pair in pairs:
+        if ech.insert(*pair):
+            frontier.append(pair)
+            if caps is not None and caps.row(pair[0]):
+                return
     in_ad = {id(p) for p in ad}
     met: set = set()  # ids of the seed pairs of `ad` already in the frontier
     done = 0
@@ -422,6 +435,8 @@ def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None) -> None:
                 if id(s_pair) in mirrored:
                     continue
                 s, s_img = s_pair
+                if caps is not None and caps.skip(s, a):
+                    continue
                 try:
                     b = bracket(s, a)
                 except OutOfWindow:
@@ -431,6 +446,8 @@ def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None) -> None:
                 b_img = bracket(s_img, a_img) if s_img and a_img else {}
                 if ech.insert(b, b_img):
                     new.append((b, b_img))
+                    if caps is not None and caps.row(b):
+                        return
         frontier = new
         done += 1
 

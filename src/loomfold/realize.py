@@ -527,6 +527,14 @@ class Realization:
         permutation, or the identity.  Returns {block: (fixed, generated)}.
         Negative bounds raise JobError, since they name no block, and so
         does a positive inner_m2 on a finite core, which has t2-degree 0 only.
+
+        The bound, scope and window tests come first.  Then the fixed
+        dimension of each inner block, the corank of mu_hat - 1 on its keys
+        (`MuHatClosed`), and then the span closure (`_theta_span`), capped
+        at those dimensions: a block at its cap stops taking brackets, and
+        the closure stops once every block is at its cap.  The caps rest on
+        a certificate, checked as the closure runs, and a failed certificate
+        gives the uncapped closure: see `_theta_span`.
         """
         if inner_m1 < 0 or (inner_m2 is not None and inner_m2 < 0):
             raise JobError(f"block bounds must be >= 0, got ({inner_m1}, {inner_m2})")
@@ -546,9 +554,9 @@ class Realization:
             inner_m2 = 0
         elif inner_m2 is None:
             inner_m2 = max(1, inner_m1 - 1)
+        self._span_bounds(inner_m1, inner_m2)
         hat = MuHatClosed(self, self.mu_on_g())
-        blocks = {}
-        span = self._theta_span(inner_m1, inner_m2)
+        fixed = {}
         for m1 in range(-inner_m1, inner_m1 + 1):
             for m2 in range(-inner_m2, inner_m2 + 1):
                 keys = self.block_keys(m1, m2)
@@ -560,12 +568,21 @@ class Realization:
                         raise InconsistentPropagation("automorphism left the block")
                     vec_add(img, {key: -CycNum.one()})
                     moved.insert(img, {})
-                fixed = len(keys) - moved.rank
-                generated = span.get((m1, m2), 0)
-                blocks[(m1, m2)] = (fixed, generated)
-        return blocks
+                fixed[(m1, m2)] = len(keys) - moved.rank
+        span = self._theta_span(inner_m1, inner_m2, _Caps(hat, fixed))
+        return {block: (dim, span.get(block, 0)) for block, dim in fixed.items()}
 
-    def _theta_span(self, inner_m1: int, inner_m2: int):
+    def _span_bounds(self, inner_m1: int, inner_m2: int) -> tuple[int, int]:
+        """The degree bounds of the span closure: the inner bounds plus a
+        margin of 2.  Raises OutOfWindow where the window is smaller."""
+        margin = 2
+        out_m1 = inner_m1 + margin
+        out_m2 = inner_m2 + margin
+        if out_m1 > self.m1w or out_m2 > self.m2w:
+            raise OutOfWindow("window too small for the requested inner blocks")
+        return out_m1, out_m2
+
+    def _theta_span(self, inner_m1: int, inner_m2: int, caps=None):
         """Rank per block of the bracket closure of the generator images.
 
         The closure keeps |m1| <= inner_m1 + margin and |m2| <= inner_m2 +
@@ -587,12 +604,22 @@ class Realization:
           closure reaches its brackets a round later.  theta_h and theta_c
           stay seeds.
         * `close` brackets each mirrored pair of seeds once.
+
+        `caps` (a `_Caps`, from `fixed_subalgebra_dims`) caps each inner
+        block at its fixed dimension.  The certificate: every seed is
+        homogeneous in (t1, t2) and fixed by mu_hat, and so is every element
+        that adds a row in an inner block.  The premise: mu_hat is a Lie
+        automorphism of the bracket that fixes the certified seeds.  Then
+        every element the closure reaches is fixed, so the certified rows of
+        a block at its cap span its whole fixed subspace, and no further
+        element of the block could add a row: the closure brackets nothing
+        into a block at its cap and stops once every inner block is at its
+        cap, with the ranks of the uncapped closure.  Where a seed fails the
+        certificate, the closure runs uncapped; where a row fails it, the
+        capped closure stops there and the uncapped one runs from the
+        seeds.  Either way a wrong image still reports generated != fixed.
         """
-        margin = 2
-        out_m1 = inner_m1 + margin
-        out_m2 = inner_m2 + margin
-        if out_m1 > self.m1w or out_m2 > self.m2w:
-            raise OutOfWindow("window too small for the requested inner blocks")
+        out_m1, out_m2 = self._span_bounds(inner_m1, inner_m2)
         seeds = [(self.theta_c(), {})]
         ad = []
         for orbit in perm_orbits(self.mu.perm):
@@ -602,22 +629,62 @@ class Realization:
                     seeds.append(pair)
                     if pick < 2 and abs(m) <= 1 and pair[0]:
                         ad.append(pair)
+
+        def keep(v):
+            return all(abs(d1) <= out_m1 and abs(d2) <= out_m2 for d1, d2 in map(_key_degrees, v))
+
+        if caps is not None and any(v and not caps.fixes(v) for v, _ in seeds):
+            caps = None
         prop = Echelon()
-        close(
-            prop,
-            seeds,
-            ad,
-            self.bracket,
-            keep=lambda v: all(
-                abs(d1) <= out_m1 and abs(d2) <= out_m2 for d1, d2 in map(_key_degrees, v)
-            ),
-        )
+        close(prop, seeds, ad, self.bracket, keep=keep, caps=caps)
+        if caps is not None and caps.failed:
+            prop = Echelon()
+            close(prop, seeds, ad, self.bracket, keep=keep)
         ranks: dict = {}
         for pivot in prop.rows:
             m1, m2 = _key_degrees(pivot)
             if abs(m1) <= inner_m1 and abs(m2) <= inner_m2:
                 ranks[(m1, m2)] = ranks.get((m1, m2), 0) + 1
         return ranks
+
+
+class _Caps:
+    """The fixed dimension of each inner block as a cap on the span closure
+    of `Realization._theta_span`, with the certificate it rests on (see
+    there): the two hooks of `chevalley.close`."""
+
+    def __init__(self, hat: MuHatClosed, fixed: dict):
+        self.hat = hat
+        self.left = dict(fixed)  # the rows each inner block lacks of its cap
+        self.open = sum(1 for dim in fixed.values() if dim)
+        self.failed = False
+
+    def fixes(self, v: AlgElem) -> bool:
+        """Whether v is homogeneous in (t1, t2) and fixed by mu_hat."""
+        return len(set(map(_key_degrees, v))) == 1 and self.hat.apply(v) == v
+
+    def skip(self, s: AlgElem, a: AlgElem) -> bool:
+        """Whether [s, a] falls in an inner block at its cap.  s and a are
+        certified, so one key of each gives its degree."""
+        s1, s2 = _key_degrees(next(iter(s)))
+        a1, a2 = _key_degrees(next(iter(a)))
+        return self.left.get((s1 + a1, s2 + a2)) == 0
+
+    def row(self, v: AlgElem) -> bool:
+        """Certify and count the element v that added a row; True when the
+        closure should stop: every inner block is at its cap, or v failed
+        the certificate."""
+        degrees = set(map(_key_degrees, v))
+        block = degrees.pop() if len(degrees) == 1 else None
+        left = self.left.get(block)
+        if block is None or (left is not None and self.hat.apply(v) != v):
+            self.failed = True
+            return True
+        if left is not None:
+            self.left[block] = left - 1
+            if left == 1:
+                self.open -= 1
+        return not self.open
 
 
 def _key_degrees(key) -> tuple[int, int]:

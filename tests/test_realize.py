@@ -607,10 +607,131 @@ def test_theta_span_and_fixed_dims_work_counts(monkeypatch):
         return true_apply(self, v)
 
     monkeypatch.setattr(Echelon, "apply", counted_apply)
+    monkeypatch.setattr(realize, "_loop_bracket", counted_kernel)
+    brackets = 0
     real.fixed_subalgebra_dims(3)
     # one per g-level key (5 t2-degrees of 8 loop vectors, and k2) plus two
-    # per divided-center scale at m2 = +-1, +-2, whatever the t1-degree
+    # per divided-center scale at m2 = +-1, +-2, whatever the t1-degree: the
+    # certificate's applies reuse them
     assert applies == 49
+    # the closure capped at the fixed dimensions brackets nothing into a
+    # block at its cap and stops once every inner block is at its cap
+    assert brackets == 1344
+
+
+def _fixed_dims_reference(real, inner_m1, inner_m2=None):
+    """`Realization.fixed_subalgebra_dims` with the span closure uncapped:
+    every fixed dimension from `MuHatClosed`, then the ranks of the whole
+    closure of `_theta_span`, called without caps.  In-scope entries only."""
+    if real.galg.mode == "finite":
+        inner_m2 = 0
+    elif inner_m2 is None:
+        inner_m2 = max(1, inner_m1 - 1)
+    hat = MuHatClosed(real, real.mu_on_g())
+    span = real._theta_span(inner_m1, inner_m2)
+    blocks = {}
+    for m1 in range(-inner_m1, inner_m1 + 1):
+        for m2 in range(-inner_m2, inner_m2 + 1):
+            keys = real.block_keys(m1, m2)
+            moved = Echelon()
+            for key in keys:
+                img = hat.apply({key: CycNum.one()})
+                vec_add(img, {key: -CycNum.one()})
+                moved.insert(img, {})
+            blocks[(m1, m2)] = (len(keys) - moved.rank, span.get((m1, m2), 0))
+    return blocks
+
+
+_IN_SCOPE = [
+    "A2-id", "A2-flip", "A3-flip", "A4-flip", "A5-flip", "D4-flip", "D4-triality",
+    "E6-flip", "A1a-id", "A2a-id", "A2a-flip", "D4a-triality",
+]
+
+
+@pytest.mark.parametrize("window", [(6, 4, 1), (11, 5, 3)])
+@pytest.mark.parametrize("name", _IN_SCOPE)
+def test_capped_fixed_dims_match_uncapped_reference(name, window):
+    m1w, m2w, inner = window
+    e = entry_by_name(name)
+    got = Realization(e.gcm, e.mu, m1w, m2w).fixed_subalgebra_dims(inner)
+    assert got == _fixed_dims_reference(Realization(e.gcm, e.mu, m1w, m2w), inner)
+    assert all(f == g for f, g in got.values()), name
+
+
+@pytest.mark.parametrize(
+    "label, perm, window, inner",
+    [
+        ("C2", [0, 1], (8, 2), 2),
+        ("A2^(1)", [0, 2, 1], (6, 4), 1),
+        ("A2^(1)", [2, 1, 0], (6, 4), 1),
+        ("A2^(1)", [1, 0, 2], (6, 4), 1),
+        ("A2^(1)", [2, 1, 0], (11, 5), 3),
+        ("A2^(1)", [1, 0, 2], (11, 5), 3),
+    ],
+)
+def test_capped_fixed_dims_match_uncapped_reference_beyond_the_catalog(label, perm, window, inner):
+    # a folded core, and the flip of A2^(1) fixing each of its three nodes
+    got = _real(label, perm, *window).fixed_subalgebra_dims(inner)
+    assert got == _fixed_dims_reference(_real(label, perm, *window), inner)
+    assert all(f == g for f, g in got.values())
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_capped_fixed_dims_fall_back_on_an_unaveraged_seed(monkeypatch, m):
+    # theta_x(1, m, +1) of A2a-flip replaced by t1^m (x) e_1, not averaged
+    # over the orbit {1, 2}: it is homogeneous but not fixed, so the seed
+    # certificate fails and the closure runs uncapped.  m = 5 lies in the
+    # margin, outside the inner blocks, and still reaches them
+    def tampered():
+        real = _real("A2^(1)", [0, 2, 1], 11, 5)
+        real._theta_cache[(0, 1, m)] = real.embed(m, real.gens[1][0])
+        return real
+
+    closed = []
+
+    def spy(ech, *args, **kwargs):
+        closed.append(kwargs.get("caps"))
+        return close(ech, *args, **kwargs)
+
+    real = tampered()
+    real.mu_on_g()  # closed here, before the spy
+    with monkeypatch.context() as patch:
+        patch.setattr(realize, "close", spy)
+        got = real.fixed_subalgebra_dims(3)
+    assert closed == [None]
+    assert got == _fixed_dims_reference(tampered(), 3)
+    assert got[(0, -2)] == (4, 9) and got[(1, 0)] == (5, 9)
+    assert sum(f != g for f, g in got.values()) == 35
+
+
+def test_capped_fixed_dims_fall_back_on_a_row_that_fails_the_certificate(monkeypatch):
+    # mu_hat made wrong on the elements of several keys at t2-degree +-2:
+    # the block keys and the seeds (|t2| <= 1) keep their true images, so the
+    # fixed dimensions and the seed certificate hold, and the first row with
+    # several keys in such a block fails its certificate; the capped closure
+    # stops there and the uncapped one runs from the seeds
+    true_apply = MuHatClosed.apply
+
+    def wrong(self, x):
+        img = true_apply(self, x)
+        if len(x) > 1 and any(k[0] == "L" and abs(k[2]) == 2 for k in x):
+            return vec_scale(img, CycNum.from_rational(2))
+        return img
+
+    closed = []
+
+    def spy(ech, *args, **kwargs):
+        closed.append(kwargs.get("caps"))
+        return close(ech, *args, **kwargs)
+
+    monkeypatch.setattr(MuHatClosed, "apply", wrong)
+    real = _real("A2^(1)", [0, 2, 1], 11, 5)
+    real.mu_on_g()  # closed here, before the spy
+    with monkeypatch.context() as patch:
+        patch.setattr(realize, "close", spy)
+        got = real.fixed_subalgebra_dims(3)
+    assert len(closed) == 2 and closed[0].failed and closed[1] is None
+    assert got == _fixed_dims_reference(_real("A2^(1)", [0, 2, 1], 11, 5), 3)
 
 
 
