@@ -1,9 +1,9 @@
 """Command-line front end: classification, folding data, polynomial tables,
 and the mode-level relation verifier, with deterministic JSON output.
 
-Exit codes: 0 all pass, 1 relation failure, 2 input rejected, 3 window abort
-(a relation left the window, or a report has out-of-window gaps and no
-failure).
+Exit codes: 0 all pass, 1 relation failure, 2 input rejected.  `verify`
+brackets exactly at every degree and never exits 3; code 3 is kept for a
+command that truncates to a window.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import click
 
 from loomfold import catalog as catalog_mod
 from loomfold.cartan import Gcm
-from loomfold.errors import JobError, LoomfoldError, OutOfWindow, ScopeViolation
+from loomfold.errors import JobError, LoomfoldError, ScopeViolation
 from loomfold.folding import (
     fold_data,
     index_pairs,
@@ -34,10 +34,10 @@ from loomfold.polys import (
     family_qlimit,
     locality_poly,
 )
-from loomfold.presentation import RelationReport, Verifier, suite_window
+from loomfold.presentation import Verifier
 from loomfold.realize import Realization
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _emit(payload: dict):
@@ -52,14 +52,12 @@ def _fail(code: int, kind: str, message: str):
 
 def _mapped_errors(command):
     """Run a command; a LoomfoldError it raises becomes an error payload and
-    exit code 2 (input rejected), or 3 for OutOfWindow (window abort)."""
+    exit code 2 (input rejected)."""
 
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except OutOfWindow as exc:
-            _fail(3, "OutOfWindow", str(exc))
         except LoomfoldError as exc:
             _fail(2, type(exc).__name__, str(exc))
 
@@ -77,6 +75,7 @@ def _load_job(input_path: str | None, entry: str | None):
     raw = catalog_mod.read_json(input_path, "job file")
     if not isinstance(raw, dict) or "cartan" not in raw:
         raise JobError('job file must be an object with a "cartan" matrix')
+    _known_keys(raw, ("cartan", "mu", "name"), "job file")
     gcm = Gcm(raw["cartan"])
     mu = validate_aut(gcm, raw.get("mu", list(range(gcm.n))))
     name = raw.get("name", "job")
@@ -110,15 +109,34 @@ def _family(gcm, mu, source: tuple) -> tuple[SerreFamily, bool]:
     return _load_user_family(gcm, contents), True
 
 
+# the keys that a family or factor file may hold, and each of its pairs
+_FILE_KEYS = {
+    "family": (("name", "pairs"), ("i", "j", "terms")),
+    "factor": (("pairs",), ("i", "j", "poly")),
+}
+
+
 def _read_pairs(path: str, what: str) -> tuple[dict, list]:
     """The JSON object in a family or factor file, and its "pairs" list."""
     raw = catalog_mod.read_json(path, f"{what} file")
     if not isinstance(raw, dict):
         raise JobError(f"{what} file must hold a JSON object")
+    keys, item_keys = _FILE_KEYS[what]
+    _known_keys(raw, keys, f"{what} file")
     pairs = raw.get("pairs", [])
     if not isinstance(pairs, list) or not all(isinstance(item, dict) for item in pairs):
         raise JobError(f'{what} file: "pairs" must be a list of objects')
+    for item in pairs:
+        _known_keys(item, item_keys, f"{what} file pair")
     return raw, pairs
+
+
+def _known_keys(obj: dict, keys: tuple, where: str):
+    """Reject a key of `obj` other than `keys`: a misspelled key is never
+    dropped without a word."""
+    for key in obj:
+        if key not in keys:
+            raise JobError(f"{where}: unknown key {key!r}; it may hold {', '.join(keys)}")
 
 
 def _node(gcm, item: dict, key: str) -> int:
@@ -195,15 +213,6 @@ def _decimal(text: str) -> bool:
     """Whether `text` is an ASCII decimal integer >= 0, read as the sigma
     keys of a family file are: no sign, space, underscore or other digit."""
     return text.isascii() and text.isdigit()
-
-
-def _parse_window(text: str | None):
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) != 2 or not all(_decimal(p) for p in parts):
-        raise JobError(f"--window expects M1,M2, two decimal integers >= 0, got {text!r}")
-    return int(parts[0]), int(parts[1])
 
 
 @click.group()
@@ -287,39 +296,29 @@ def polys(input_path, entry, family_sel, fmt, do_cross):
     _emit({"name": name, "pairs": pairs, "family": fam.to_json()})
 
 
-def _verify_one(gcm, mu, name, family, mode_bound, window):
+def _verify_one(gcm, mu, name, family, mode_bound):
     """The payload and exit code of one matrix, for the (family,
     is_window_certificate) of `_family`."""
     fam, certificate_only = family
-    if window is None:
-        window = suite_window(gcm, mu, fam, mode_bound)
-    real = Realization(gcm, mu, m1_window=window[0], m2_window=window[1])
-    report = Verifier(real).run_suite(fam, mode_bound, certificate=certificate_only)
+    report = Verifier(Realization(gcm, mu)).run_suite(
+        fam, mode_bound, certificate=certificate_only
+    )
     payload = {
         "name": name,
         "classification": gcm.classify().to_json(),
         "family": fam.name,
         "mode_bound": mode_bound,
-        "window": {"m1": window[0], "m2": window[1]},
         "report": report.to_json(),
     }
     if certificate_only:
         payload["note"] = "window-scale certificate: a pass covers the tested grid only"
-    return payload, _exit_code(report)
-
-
-def _exit_code(report: RelationReport) -> int:
-    """1 if the report failed, else 3 if it has out-of-window gaps, else 0."""
-    if not report.passed:
-        return 1
-    return 3 if report.has_gaps else 0
+    return payload, 0 if report.passed else 1
 
 
 def _combined_exit_code(codes: list) -> int:
     """The exit code of several entries: a failed relation outranks a
-    rejected input, which outranks a window abort, which outranks a clean
-    pass."""
-    return max(codes, key=(0, 3, 2, 1).index, default=0)
+    rejected input, which outranks a clean pass."""
+    return max(codes, key=(0, 2, 1).index, default=0)
 
 
 @main.command()
@@ -327,43 +326,41 @@ def _combined_exit_code(codes: list) -> int:
 @_entry_opt
 @click.option("--modes", "mode_text", default="2")
 @click.option("--family", "family_sel", default="p")
-@click.option("--window", "window_text", default=None, help="M1,M2 (default: sized automatically)")
+@click.option("--window", "window_text", default=None, hidden=True)
 @_mapped_errors
 def verify(input_path, entry, mode_text, family_sel, window_text):
     """Check every relation of the presentation on the realization."""
+    if window_text is not None:
+        raise JobError("verify brackets exactly at every degree and takes no --window")
     if not _decimal(mode_text):
         raise JobError(f"--modes expects a decimal integer >= 0, got {mode_text!r}")
     mode_bound = int(mode_text)
-    window = _parse_window(window_text)
     if entry == "all" and input_path is None:  # with --input, _load_job rejects both
         entries = catalog_mod.load_entries()
         source = _family_source(family_sel)
-        results = [_verify_worker(e, source, mode_bound, window) for e in entries]
+        results = [_verify_worker(e, source, mode_bound) for e in entries]
         payloads = [p for p, _ in results]
         passed = all("error" not in p and p["report"]["pass"] for p in payloads)
         _emit({"entries": payloads, "pass": passed})
         sys.exit(_combined_exit_code([code for _, code in results]))
     gcm, mu, name = _load_job(input_path, entry)
     family = _family(gcm, mu, _family_source(family_sel))
-    payload, code = _verify_one(gcm, mu, name, family, mode_bound, window)
+    payload, code = _verify_one(gcm, mu, name, family, mode_bound)
     _emit(payload)
     sys.exit(code)
 
 
-def _verify_worker(ce, source, mode_bound: int, window):
+def _verify_worker(ce, source, mode_bound: int):
     """One catalog entry of --entry all, as listed by the one read of the
     catalog.  A family the entry's matrix rejects becomes that entry's
-    error payload and exit code 2, a window abort its error payload and
-    exit code 3, so that neither hides another entry's result."""
+    error payload and exit code 2, so that it hides no other entry's
+    result."""
     name = ce.name
     try:
         family = _family(ce.gcm, ce.mu, source)
     except (JobError, ScopeViolation) as exc:
         return _entry_error(name, exc), 2
-    try:
-        return _verify_one(ce.gcm, ce.mu, name, family, mode_bound, window)
-    except OutOfWindow as exc:
-        return _entry_error(name, exc), 3
+    return _verify_one(ce.gcm, ce.mu, name, family, mode_bound)
 
 
 def _entry_error(name: str, exc: LoomfoldError) -> dict:

@@ -19,7 +19,8 @@ import sys
 from loomfold.errors import InconsistentPropagation, OutOfWindow
 from loomfold.exactnum import euler_phi, lazy_add, lazy_align, lazy_reduce, lazy_settle
 
-# The window of `realize.GAlg.bracket`: no degree reaches it, so no term leaves it.
+# The window of `realize.GAlg.bracket` and of the verifier's brackets
+# (`Realization.accumulate`, `place`, `place_central`): no degree reaches it.
 _NO_WINDOW = (sys.maxsize, sys.maxsize)
 
 
@@ -43,17 +44,14 @@ def _loop_bracket(alg, field: int, window, x: dict, y: dict):
     there.
 
     `window` (m1w, m2w) bounds the output degree of each contributing pair,
-    tested as the pair is reached.  With window None nothing is tested, and
-    the degrees (p1, p2) of the contributing pairs are read off the keys of
-    the unsettled sums, in the order first reached, for `_place` to test
-    after a shift.
+    tested as the pair is reached; `_NO_WINDOW` tests nothing.
 
-    Returns (loop, degrees, central, order, den): the settled loop part,
-    those degrees (empty when tested here), the nonzero reduced pairing
-    sums per degree block (m1, m2, n1, n2), and their field and denominator.
+    Returns (loop, central, order, den): the settled loop part, the nonzero
+    reduced pairing sums per degree block (m1, m2, n1, n2), and their field
+    and denominator.
     """
     partners = alg.partners
-    m1w, m2w = window or _NO_WINDOW
+    m1w, m2w = window
     order, phi, den = field, euler_phi(field), 1
     sums: dict = {}  # output key -> unreduced numerators over den
     central: dict = {}  # (m1, m2, n1, n2) -> unreduced summed pairing
@@ -124,16 +122,14 @@ def _loop_bracket(alg, field: int, window, x: dict, y: dict):
             total = central[degs] = lazy_reduce(order, central[degs])
             if total is None:
                 del central[degs]
-    degrees = () if window else list(dict.fromkeys([(k[1], k[2]) for k in sums]))
-    return lazy_settle(sums, order, den) if sums else {}, degrees, central, order, den
+    return lazy_settle(sums, order, den) if sums else {}, central, order, den
 
 
 def _place(acc, affine: bool, r: int, window, d1: int, d2: int) -> dict:
     """The place step: [x', y'] from `acc`, the `_loop_bracket` of (x, y),
     for x', y' the loop keys of x, y moved d1, d2 in t1.  The loop part is
-    acc's moved d1 + d2, and the central terms are `_central`'s, which also
-    tests the window.  acc is not changed; its loop part may be returned
-    itself.
+    acc's moved d1 + d2, and the central terms are `_central`'s.  acc is
+    not changed; its loop part may be returned itself.
     """
     central = _central(acc, affine, r, window, d1, d2)
     loop = acc[0]
@@ -148,19 +144,9 @@ def _central(acc, affine: bool, r: int, window, d1: int, d2: int) -> dict:
     actual degrees, with k2 and its degree cocycle when `affine` and the
     divided center symbols on the loop lattice t2^(r Z): K1 (factor m1,
     where p1 = 0), K2(p1) (factor m2) and K1p(p1, p2) (factor m1 n2 - m2 n1).
-    The moved degree of each contributing pair in acc's degrees, then of
-    each central term, is tested against `window` in the order reached, so
-    OutOfWindow is raised where, and with the message that, `_loop_bracket`
-    on (x', y') would raise.
+    The degree of each central term is tested against `window`.
     """
-    _, degrees, central, order, den = acc
-    if degrees:
-        m1w, m2w = window
-        shift = d1 + d2
-        for p1, p2 in degrees:
-            p1 += shift
-            if abs(p1) > m1w or abs(p2) > m2w:
-                raise OutOfWindow(f"bracket degree ({p1},{p2}) leaves window ({m1w},{m2w})")
+    _, central, order, den = acc
     if not central:
         return {}
     m1w, m2w = window

@@ -31,41 +31,38 @@ xi_N^N = 1, gives exactly
     theta(mu^a i, m) = sum_k xi_N^(-(k - a) m) t1^m (x) x_(mu^k i)
                      = xi_N^(a m) theta(i, m).
 
-Both sides embed the same orbit of generators, so they also leave the
-window at the same modes.  By bilinearity the nested bracket of
-(mu^a i0, mu^b j0) at modes (k_1, ..., k_s, n) is
-xi_N^(a (k_1 + ... + k_s) + b n) times that of (i0, j0), and each bracket
-of the Cartan checks H, HX and XX at modes (m, n) is xi_N^(a m + b n)
-times its own; each raises OutOfWindow exactly where that of (i0, j0)
-does, since a nonzero multiple has the same keys.  So only (i0, j0) is
-bracketed, and every relation of the class is moved to it (see below): a
-rotation is one class, an identity twist one class per pair.
+By bilinearity the nested bracket of (mu^a i0, mu^b j0) at modes
+(k_1, ..., k_s, n) is xi_N^(a (k_1 + ... + k_s) + b n) times that of
+(i0, j0), and each bracket of the Cartan checks H, HX and XX at modes
+(m, n) is xi_N^(a m + b n) times its own.  So only (i0, j0) is bracketed,
+and every relation of the class is moved to it (see below): a rotation is
+one class, an identity twist one class per pair.
 The identity is checked, not assumed, on every image that a row reads
 (`Verifier._audit`): a node i = mu^a i0, a > 0, joins i0 only where each
 image read, theta_x(i, out + e), |out| <= mode_bound and e an exponent of
 the suite (the weighted rows), and theta_x(i, k) and theta_h(i, k), |k| <=
 2 mode_bound (the Cartan rows), is xi_N^(a k) times i0's at the same k,
-or both leave the window, and eps_i = eps_i0; else i is its own least
-node, for every row kind.  So every report is that of each pair evaluated
-alone, for any images and eps.  The node checks H and Xperiod compare theta(mu i, m) with
+and eps_i = eps_i0; else i is its own least node, for every row kind.  So
+every report is that of each pair evaluated alone, for any images and eps.
+The node checks H and Xperiod compare theta(mu i, m) with
 xi_N^m theta(i, m).  Unless i = mu^a i0 or mu i = mu^a' i0 is set apart,
 the audit has shown that row to be (xi_N^(a' m) - xi_N^((a + 1) m))
 theta(i0, m), zero where (a + 1 - a') m = 0 mod N (at every step of an
 orbit but the wrap mu i = i0) or theta(i, m) = 0; such a row is counted,
 not summed.  Every other row is summed, so a corrupted image fails.
 
-The nested brackets of (i0, j0) are bracketed once per residue class of
-their modes mod N (`Verifier._nested`).  Since xi_N^(-k N) = 1,
-theta(i, m + N) is theta(i, m) moved N in t1, key by key, so by induction
-on s the bracket at modes k = r mod N meets the basis pairs of the one at
-r with the same products: its loop part is r's moved sum(k) - sum(r), and
-its central terms come from the same pairing sums per degree block, placed
-at the actual degrees (`kernel._place`).  The first modes r of a class are
-accumulated with no window, and every member is placed from them.  The
-operands are still looked up at the actual modes, and the place step tests
-every moved degree as the kernel would, so a placed bracket raises
-OutOfWindow exactly where the direct one does.  A zero inner bracket gives
-zero with no kernel call: it meets no basis pair.
+Every bracket of a relation is exact: the realization's window bounds
+only its span closures, and the verifier brackets with none
+(`kernel._NO_WINDOW`), so no check has a gap.  The nested brackets of
+(i0, j0) are bracketed once per residue class of their modes mod N
+(`Verifier._nested`).  Since xi_N^(-k N) = 1, theta(i, m + N) is
+theta(i, m) moved N in t1, key by key, so by induction on s the bracket at
+modes k = r mod N meets the basis pairs of the one at r with the same
+products: its loop part is r's moved sum(k) - sum(r), and its central
+terms come from the same pairing sums per degree block, placed at the
+actual degrees (`kernel._place`).  The first modes r of a class are
+accumulated, and every member is placed from them.  A zero inner bracket
+gives zero with no kernel call: it meets no basis pair.
 
 Whole rows go by residue class too, the weighted rows at output modes
 `out` = r mod N and the Cartan rows at (m, n) = (r, s) mod N, under one
@@ -74,32 +71,15 @@ residue class moved in t1, every bracket of a row at `out` is placed from
 the accumulation its class's first row r used, moved sum(out) - sum(r)
 (m + n - r - s), so the row's loop residual is r's moved; only the
 central part (K1, K1p, K2) depends on the actual degrees.  So the first
-row of each class that is no gap is summed in full, and a later row, a
-member, is placed from it where three things hold: the classes share rows
-(`_shared_classes`; not when 2 mode_bound + 1 <= N, as on every rotation
-at modes <= 1); the audit has shown the images read in period and
-homogeneous in t1 (`Realization.in_period`: each loop key of
-theta(pick, i, k) sits at t1-degree k); and the relation's reach is at
-most m1w.  The reach bounds the mode sum of every nesting level, and
-every mode at which a row reads an image, in absolute value: for a
-weighted row the largest sum of mode_bound + |e_q| over a summand's
-slots, for a Cartan row 2 mode_bound (the images at m + n).  A placed
-member takes the first loop residual, moved (`Verifier._check`), and
-sums only the central terms of the first row's accumulations, placed at
-its own degrees (`Realization.place_central`), and of its expected
-images, read at its own modes; it builds no loop part.  Every other
-member is summed in full, so its gaps, OutOfWindow and residual are its
-own.
-
-A placed member skips no OutOfWindow that summing it in full would raise.
-With homogeneous periodic images, every degree of a bracket at modes k,
-of a loop key, a contributing pair or a central term, has t1-degree
-sum(k), so no degree of a member exceeds the reach, and the reach is at
-most m1w; the images it reads lie at |k| <= m1w, where an image of the
-realization leaves the window only by its t2-degrees, the same for every
-image of a residue class.  The t2-degrees never move: a member meets the
-basis pairs of its first row, and a first row that is no gap has passed
-them.  Since `serialize_elem` sorts keys, every report is byte-identical
+row of each class is summed in full, and a later row, a member, is placed
+from it where the classes share rows (`_shared_classes`; not when
+2 mode_bound + 1 <= N, as on every rotation at modes <= 1) and the audit
+has shown the images read in period (`Realization.in_period`).  A placed
+member takes the first loop residual, moved (`Verifier._check`), and sums
+only the central terms of the first row's accumulations, placed at its own
+degrees (`Realization.place_central`), and of its expected images, read at
+its own modes; it builds no loop part.  Every other member is summed in
+full.  Since `serialize_elem` sorts keys, every report is byte-identical
 to the row-by-row sums.
 
 The member rule is in one place.  Every accumulation comes from a memo of
@@ -124,7 +104,7 @@ transported coefficient, times xi_N^(a (sum_z(out) + Dz) + b (out_w + Dw)),
 with (Dz, Dw) the z- and w-degree of a least-degree term.  The first
 factor does not depend on the modes; the second is one phase for the whole
 check.  So the report of (i, j) is that of the transported relation on
-(i0, j0): the same checked count, gaps and failure count, and each residual
+(i0, j0): the same checked count and failure count, and each residual
 times the phase (`Verifier._phased`).  Both sum in Q(xi_F), since N divides
 L.  Each distinct transported relation of a class is summed once.  The
 Cartan checks of every pair of a class are derived the same way, with the
@@ -141,29 +121,28 @@ tables) extends to omega_hat on the keys (`Realization.omega`): a loop key
 keeps its t1-degree, negates its t2-degree and moves its basis vector by
 omega_0; K1 stays, K2(p) changes sign, and K1p(p1, p2) goes to -K1p(p1,
 -p2), since their weights m1, m2 and m1 n2 - m2 n1 stay, change sign and
-change sign.  omega_hat is an automorphism of the kernel's bracket, window
-tests included (its docstring has the proof), and it is Q(xi)-linear.  So
-where the images read satisfy theta_x(i, k, -1) = -omega_hat theta_x(i, k,
-+1), the nested bracket of sign -1 at s + 1 modes is (-1)^(s + 1)
-omega_hat of the one of sign +1, since each of its s + 1 operands
-contributes a factor -1, and it leaves the window exactly where the other
-does.  A weighted row sums such brackets at s + 1 = arity + 1 modes with
-the same coefficients, so its residual of sign -1 is (-1)^(arity + 1)
-omega_hat of its residual of sign +1, with the same gaps.  Where also
+change sign.  omega_hat is an automorphism of the kernel's bracket (its
+docstring has the proof), and it is Q(xi)-linear.  So where the images
+read satisfy theta_x(i, k, -1) = -omega_hat theta_x(i, k, +1), the nested
+bracket of sign -1 at s + 1 modes is (-1)^(s + 1) omega_hat of the one of
+sign +1, since each of its s + 1 operands contributes a factor -1.  A
+weighted row sums such brackets at s + 1 = arity + 1 modes with the same
+coefficients, so its residual of sign -1 is (-1)^(arity + 1) omega_hat of
+its residual of sign +1.  Where also
 theta_h(i, m) = -omega_hat theta_h(i, m), HXminus brackets theta_h(i, m)
 with theta_x(j, n, -1) and adds the phase sum times theta_x(j, m + n, -1):
 two factors -1 in the bracket, one in the expected value, whose
 coefficient is minus HXplus's, so its residual is omega_hat of HXplus's.
 So each class whose least nodes pass this image check (`_audit`, on
 exactly the images that the rows read) evaluates sign +1 only, and the
-check of sign -1 copies its checked count, gaps and failure count and maps
+check of sign -1 copies its checked count and failure count and maps
 each residual (`Verifier._derive_minus`); a class that fails it, such as
 node 1 of A2^(2) or a tampered image, evaluates both signs.  Since
 `serialize_elem` sorts keys, every report is byte-identical to the one
 with both signs evaluated.  The same audit finds whether the images
-that the rows read are periodic and homogeneous in t1
-(`Realization.in_period`): a class of pairs where they are not brackets
-every nested value directly and sums every row in full.
+that the rows read are periodic in t1 (`Realization.in_period`): a class
+of pairs where they are not brackets every nested value directly and sums
+every row in full.
 
 The audit keeps one verdict per node for every row kind: set apart,
 mirrored, in period (`_Audit`).  A node that fails a test on an image of
@@ -183,7 +162,6 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from loomfold.errors import OutOfWindow
 from loomfold.exactnum import CycNum, lin_comb
 from loomfold.polys import SerreFamily, family_as, family_locality
 from loomfold.realize import Realization
@@ -218,13 +196,18 @@ class RelationCheck:
     sign: int  # +1, -1 or 0 when not sign-split
     grid: str
     checked: int = 0
-    gaps: list = field(default_factory=list)  # mode tuples skipped (window)
     failures: list = field(default_factory=list)  # (modes, residual)
     failure_count: int = 0
 
     @property
     def passed(self) -> bool:
         return self.failure_count == 0
+
+    @property
+    def gaps(self) -> list:
+        """Always empty: every row is bracketed exactly.  Read by the
+        benchmark's report rows (perfbench/workloads.py)."""
+        return []
 
     def record_failure(self, modes, residual):
         self.failure_count += 1
@@ -240,8 +223,6 @@ class RelationCheck:
             "checked": self.checked,
             "pass": self.passed,
         }
-        if self.gaps:
-            out["out_of_window"] = [list(m) for m in self.gaps]
         if self.failures:
             out["failures"] = [
                 {"modes": list(m), "residual": serialize_elem(r)}
@@ -266,10 +247,6 @@ class RelationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def has_gaps(self) -> bool:
-        return any(c.gaps for c in self.checks)
 
     def extend(self, other: "RelationReport"):
         self.checks.extend(other.checks)
@@ -366,16 +343,14 @@ class Verifier:
 
         Each check has its own memo, with reps only where `periodic` holds
         (some class of (m, n) mod N has two members, and the audit found
-        the images of i and j at |k| <= 2 mode_bound periodic and
-        homogeneous in t1).  There, and where the reach 2 mode_bound is at
-        most m1w, the first row of each class of (m, n) mod N is summed in
+        the images of i and j at |k| <= 2 mode_bound periodic in t1).
+        There the first row of each class of (m, n) mod N is summed in
         full, and a later member is planned and placed from it as a
         weighted row is (`_class_plan`, `_planned_row`; module docstring):
         it takes the first loop residual, moved m + n - r - s, and sums the
         placed central terms of the first accumulation, those of the
         expected images, read at m + n, and the K1 terms.  Every other row
-        is summed in full, and raises OutOfWindow where its bracket or
-        expected image leaves the window."""
+        is summed in full."""
         real = self.real
         a = self.gcm.entries
         big_n = self.n_order
@@ -390,7 +365,6 @@ class Verifier:
             if sign >= 0 or not mirror:
                 chk = RelationCheck(kind, (i, j), sign, grid)
                 rows.append((chk, picks, pick, ({}, {} if periodic else None)))
-        grouped = periodic and 2 * mode_bound <= real.m1w
         slots = [((0, 1), one, (0, 0))]
         # the k with mu^k j = i: the terms of the expected XX value
         meets = [k for k in range(big_n) if self.mu.apply(j, k) == i]
@@ -416,7 +390,7 @@ class Verifier:
             }
             for nn in span:
                 modes = (m, nn)
-                key = (m % big_n, nn % big_n) if grouped else None
+                key = (m % big_n, nn % big_n) if periodic else None
                 first = firsts.get(key)
                 plans = []
                 placements = itertools.repeat(None) if first is None else first[1]
@@ -426,7 +400,7 @@ class Verifier:
                         row = [(one, self._nested(memo, i, j, picks, modes))]
                     else:
                         row = self._planned_row(placed[1], modes)
-                    if coeffs:  # read after the bracket: its OutOfWindow comes first
+                    if coeffs:
                         image = real._theta(pick, j, m + nn)
                         if placed is not None:  # its central terms
                             image = {k: c for k, c in image.items() if k[0] != "L"}
@@ -437,7 +411,7 @@ class Verifier:
                         self._check(chk, modes, row, None, placed[0], m + nn - first[0])
                         continue
                     total = self._check(chk, modes, row)
-                    if grouped:  # the first row of its class
+                    if periodic:  # the first row of its class
                         plans.append(self._class_plan(memo[1], slots, modes, total))
                 if plans:
                     firsts[key] = (m + nn, plans)
@@ -538,7 +512,7 @@ class Verifier:
 
     def _phased(self, checks: list, pair: tuple, shift: tuple, degrees: tuple) -> list:
         """The checks of `pair` = (mu^a i0, mu^b j0), (a, b) = `shift`, from
-        `checks`, those of (i0, j0): the same checked count, gaps and failure
+        `checks`, those of (i0, j0): the same checked count and failure
         count, each residual at output modes `out`, w last, times
         xi_N^(a (sum_z(out) + Dz) + b (out_w + Dw)), (Dz, Dw) = `degrees`.
         Every list and residual of the result is its own."""
@@ -553,8 +527,7 @@ class Verifier:
                 failures.append((modes, turn))
             out.append(
                 RelationCheck(
-                    chk.kind, pair, chk.sign, chk.grid, chk.checked, list(chk.gaps), failures,
-                    chk.failure_count,
+                    chk.kind, pair, chk.sign, chk.grid, chk.checked, failures, chk.failure_count
                 )
             )
         return out
@@ -569,14 +542,13 @@ class Verifier:
         One verdict per node serves every row kind.  A node i = mu^a i0,
         a > 0, i0 the least node of i's orbit, is set apart when eps_i !=
         eps_i0 or an image read, theta(pick, i, k), is not xi_N^(a k)
-        theta(pick, i0, k), or just one of the two leaves the window.  A
-        node that is the least of its classes is mirrored where theta_x at
-        each k and theta_h at |k| <= mode_bound (the left operand of HXplus)
-        pass the image check of the derived sign (`Realization.mirrors`),
-        and in period where theta_x on `span`, and, where some class of the
-        Cartan rows' (m, n) mod N has two members, theta_x and theta_h at
-        |k| <= 2 mode_bound are periodic and homogeneous in t1
-        (`Realization.in_period`): the images that a member of a residue
+        theta(pick, i0, k).  A node that is the least of its classes is
+        mirrored where theta_x at each k and theta_h at |k| <= mode_bound
+        (the left operand of HXplus) pass the image check of the derived
+        sign (`Realization.mirrors`), and in period where theta_x on `span`,
+        and, where some class of the Cartan rows' (m, n) mod N has two
+        members, theta_x and theta_h at |k| <= 2 mode_bound are periodic in
+        t1 (`Realization.in_period`): the images that a member of a residue
         class of rows reads in place of its first row's."""
         real = self.real
         step = real.field // self.n_order  # xi_N = xi_L^step
@@ -596,7 +568,8 @@ class Verifier:
             if not a:
                 heads.append(i)
             elif real.eps[i] != real.eps[i0] or not all(
-                _turned(real.image(p, i, k), real.image(p, i0, k), a * k * step) for p, k in reads
+                _turned(real._theta(p, i, k), real._theta(p, i0, k), a * k * step)
+                for p, k in reads
             ):
                 audit.apart.add(i)
                 heads.append(i)
@@ -629,16 +602,14 @@ class Verifier:
         it, each residual r as (-1)^(arity + 1) omega_hat(r)
         (`_derive_minus`).
 
-        The first row of each residue class of output modes mod N that is
-        no gap is summed in full.  A later row of the class, a member, is
-        placed from it: it takes the first row's loop residual moved
-        sum(out) - sum(r) and sums only the central parts of its summands,
-        placed from their outermost accumulations (see the module
-        docstring).  Every row is summed in full when 2 mode_bound + 1 <= N
-        (each class has one row), when the memo of the sign has no reps
-        (None: an image read is not periodic and homogeneous in t1), or
-        when the relation's reach, the largest sum of mode_bound + |e_q|
-        over a summand's slots, exceeds m1w."""
+        The first row of each residue class of output modes mod N is summed
+        in full.  A later row of the class, a member, is placed from it: it
+        takes the first row's loop residual moved sum(out) - sum(r) and sums
+        only the central parts of its summands, placed from their outermost
+        accumulations (see the module docstring).  Every row is summed in
+        full when 2 mode_bound + 1 <= N (each class has one row) or when the
+        memo of the sign has no reps (None: an image read is not periodic in
+        t1)."""
         field = lcm(self.real.field, *(c.order for _, c, _ in terms))
         # per term: the slot that each mode reads, w last
         slots = [(sigma + (arity,), c, exps) for sigma, c, exps in terms]
@@ -647,11 +618,7 @@ class Verifier:
         else:
             grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
         big_n = self.n_order
-        # the reach, the largest mode sum of a nesting level: over a
-        # summand's slots, the sum of mode_bound + |e_q|.  Members are placed
-        # only where it fits the window (module docstring)
-        reach = max([sum(mode_bound + abs(e) for e in exps) for _, _, exps in slots], default=0)
-        shared = _shared_classes(mode_bound, big_n) and reach <= self.real.m1w
+        shared = _shared_classes(mode_bound, big_n)
         report = RelationReport()
         for sign in (+1,) if mirror else (+1, -1):
             chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i0, j0), sign, grid)
@@ -671,16 +638,12 @@ class Verifier:
                     self._check(chk, out_modes, row, field, loop, sum(out_modes) - r_sum)
                     continue
                 summands = []
-                try:
-                    for read, c, exps in slots:
-                        # a memo key: from a list the tuple is allocated once;
-                        # from a generator it is allocated at a guessed size
-                        # and shrunk, which raised the peak RSS of a suite
-                        modes = tuple([out_modes[q] + exps[q] for q in read])
-                        summands.append((c, self._nested(memo, i0, j0, picks, modes)))
-                except OutOfWindow:
-                    chk.gaps.append(out_modes)
-                    continue
+                for read, c, exps in slots:
+                    # a memo key: from a list the tuple is allocated once;
+                    # from a generator it is allocated at a guessed size
+                    # and shrunk, which raised the peak RSS of a suite
+                    modes = tuple([out_modes[q] + exps[q] for q in read])
+                    summands.append((c, self._nested(memo, i0, j0, picks, modes)))
                 total = self._check(chk, out_modes, summands, field)
                 if grouped:  # the first row of its class
                     plan = self._class_plan(memo[1], slots, out_modes, total)
@@ -693,13 +656,12 @@ class Verifier:
     def _derive_minus(self, chk: RelationCheck, sign: int) -> RelationCheck:
         """The check of sign -1 of a relation from `chk`, its check of sign
         +1, where the images read pass the image check (module docstring):
-        the same checked count, gaps and failure count, each residual r as
+        the same checked count and failure count, each residual r as
         sign omega_hat(r).  Every list and residual of the result is its own."""
         omega = self.real.omega
         return RelationCheck(
             chk.kind.removesuffix("plus") + "minus", chk.pair, -1, chk.grid, chk.checked,
-            list(chk.gaps), [(modes, omega(r, sign)) for modes, r in chk.failures],
-            chk.failure_count,
+            [(modes, omega(r, sign)) for modes, r in chk.failures], chk.failure_count,
         )
 
     def _class_plan(self, reps: dict, slots: list, out_modes: tuple, total: dict) -> tuple:
@@ -743,14 +705,14 @@ class Verifier:
 
         `memo` is (values, reps) of one pair of picks: the values by modes,
         and per residue class of modes mod N the first modes r of the class
-        with operands in the window and a nonzero inner bracket, with the
-        kernel's accumulate step on them, from which every value of the
+        with a nonzero inner bracket, with the kernel's accumulate step on
+        them, from which every value of the
         class is placed (see the module docstring).  This is the only place
         where the verifier accumulates: a member row of a residue class of
         rows, weighted or Cartan, places its central parts from the same
         accumulations (`_class_plan`, `_planned_row`).  With reps None (an
         image of the pair is not periodic in t1) every value is bracketed
-        directly."""
+        directly.  No bracket has a window."""
         if len(modes) == 1:
             return self.real._theta(picks[1], j, modes[0])
         values, reps = memo
@@ -759,11 +721,11 @@ class Verifier:
             tail = modes[1:]
             inner = self._nested(memo, i, j, picks, tail)
             outer = self.real._theta(picks[0], i, modes[0])
-            if not inner:  # [x, 0] = 0 meets no basis pair, so leaves no window
+            if not inner:  # [x, 0] = 0 meets no basis pair
                 hit = values[modes] = {}
                 return hit
             if reps is None:
-                hit = values[modes] = self.real.bracket(outer, inner)
+                hit = values[modes] = self.real.place(self.real.accumulate(outer, inner), 0, 0)
                 return hit
             big_n = self.n_order
             key = tuple([m % big_n for m in modes])
@@ -811,7 +773,7 @@ class _Audit(NamedTuple):
     * `apart`: those set apart from their orbit's least node;
     and among the least nodes of their classes, those whose images read
     * `mirrored`: pass the image check of the derived sign;
-    * `in_period`: are periodic and homogeneous in t1 (the Cartan test made
+    * `in_period`: are periodic in t1 (the Cartan test made
       only where some class of the Cartan rows' (m, n) mod N has two
       members).
     A pair is evaluated with its orbit's least pair, derives sign -1 or
@@ -838,10 +800,10 @@ def _shared_classes(mode_bound: int, big_n: int) -> bool:
 
 
 def _turned(image, first, turn: int) -> bool:
-    """Whether image = xi_L^turn first, key by key, for two values of
-    `Realization.image`; or both are None."""
-    if image is None or first is None or len(image) != len(first):
-        return image is first
+    """Whether image = xi_L^turn first, key by key, for two generator
+    images."""
+    if len(image) != len(first):
+        return False
     for key, c in first.items():
         d = image.get(key)
         if d is None or d != (c.rotated(turn) if turn % c.order else c):
@@ -896,12 +858,14 @@ def family_max_degree(fam: SerreFamily) -> int:
 
 
 def suite_window(gcm, mu, fam: SerreFamily, mode_bound: int) -> tuple[int, int]:
-    """A window guaranteed to hold the whole relation suite at this bound.
+    """A window that holds every bracket of the relation suite at this bound.
 
-    t1: the worst intermediate degree of a nested bracket with all operand
-    modes within mode_bound plus the largest |exponent| of the suite's
-    families; t2: nesting depth, since every generator lives in t2-degrees
-    {-1, 0, 1}.
+    The verifier brackets with no window, so this sizes only the windows of
+    span closures (`Realization.fixed_subalgebra_dims`) and of the
+    benchmark's realizations.  t1: the worst intermediate degree of a nested
+    bracket with all operand modes within mode_bound plus the largest
+    |exponent| of the suite's families; t2: nesting depth, since every
+    generator lives in t2-degrees {-1, 0, 1}.
     """
     deg = max(family_max_degree(f) for f in _suite_families(gcm, mu, fam))
     arity = max((1 - a for row in gcm.entries for a in row if a < 0), default=1)

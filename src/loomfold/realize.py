@@ -11,20 +11,22 @@ at two levels:
   Aff = (sum_m t2^m (x) gdot_[m]) + C k2 with the degree cocycle: the
   elements of t1-degree 0, over ("L", 0, m2, b) and ("K2", 0).
 * ghat-level (`Realization`): the universal central extension of Aff over
-  t1, inside a window |m1| <= m1w, |m2| <= m2w.  Brackets that would leave
-  the window raise OutOfWindow instead of truncating.
+  t1.  `Realization.bracket` brackets inside a window |m1| <= m1w,
+  |m2| <= m2w, for the span closures of `fixed_subalgebra_dims` and
+  `MuHat`: a bracket that would leave it raises OutOfWindow instead of
+  truncating.
 
 One kernel (`kernel`) brackets both levels.  `Realization.bracket` runs
 both of its steps at shift 0, with its window and the core's lattice period
 r; `accumulate`, `place` and `place_central` apart serve the verifier's
-residue classes (see `presentation`): `Verifier._nested` accumulates and
-places every bracket of a residue class, for the weighted and the Cartan
-rows alike, and `Verifier._planned_row` places the central terms of a
-member row.  `GAlg.bracket` passes period 1 and a
-window no degree reaches: it brackets in the full loop algebra
-g (x) C[t2^+-1] + C k2, of which a twisted core's Aff is a subalgebra, so
-that ungraded elements of a twisted core bracket too; at t1-degree 0 no K1p
-symbol arises, since m1 n2 - m2 n1 = 0.
+residue classes (see `presentation`), with no window: `Verifier._nested`
+accumulates and places every bracket of a residue class, for the weighted
+and the Cartan rows alike, and `Verifier._planned_row` places the central
+terms of a member row.  `GAlg.bracket` passes period 1 and no window: it
+brackets in the full loop algebra g (x) C[t2^+-1] + C k2, of which a
+twisted core's Aff is a subalgebra, so that ungraded elements of a twisted
+core bracket too; at t1-degree 0 no K1p symbol arises, since
+m1 n2 - m2 n1 = 0.
 
 The twist nu of a loop core comes from `chevalley.diagram_twist`.  The
 diagram automorphism mu acts at g-level as the `Echelon` that
@@ -317,17 +319,9 @@ class Realization:
 
     # -- ghat-level elements ------------------------------------------------------
 
-    def _check_window(self, m1: int, m2: int):
-        if abs(m1) > self.m1w or abs(m2) > self.m2w:
-            raise OutOfWindow(f"degree ({m1},{m2}) outside window ({self.m1w},{self.m2w})")
-
     def embed(self, m1: int, x: AlgElem) -> AlgElem:
         """The g-level element x shifted to t1-degree m1."""
-        out: AlgElem = {}
-        for k, c in x.items():
-            self._check_window(m1, _key_degrees(k)[1])
-            out[(k[0], m1) + k[2:]] = c
-        return out
+        return {(k[0], m1) + k[2:]: c for k, c in x.items()}
 
     def bracket(self, x: AlgElem, y: AlgElem) -> AlgElem:
         """Exact bracket in the extended algebra; raises OutOfWindow."""
@@ -335,23 +329,23 @@ class Realization:
         window = (self.m1w, self.m2w)
         acc = _loop_bracket(galg.alg, self.field, window, x, y)
         # the loop tested the window, so at shift 0 only central terms remain
-        return _place(acc, galg.mode == "affine", galg.r, window, 0, 0) if acc[2] else acc[0]
+        return _place(acc, galg.mode == "affine", galg.r, window, 0, 0) if acc[1] else acc[0]
 
     def accumulate(self, x: AlgElem, y: AlgElem):
-        """The kernel's accumulate step on (x, y), with no window tested."""
-        return _loop_bracket(self.galg.alg, self.field, None, x, y)
+        """The kernel's accumulate step on (x, y), with no window."""
+        return _loop_bracket(self.galg.alg, self.field, _NO_WINDOW, x, y)
 
     def place(self, acc, d1: int, d2: int) -> AlgElem:
-        """The bracket of the operands of `acc` moved d1 and d2 in t1, in
-        this window (see `_place`)."""
+        """The exact bracket of the operands of `acc` moved d1 and d2 in t1
+        (see `_place`), with no window."""
         galg = self.galg
-        return _place(acc, galg.mode == "affine", galg.r, (self.m1w, self.m2w), d1, d2)
+        return _place(acc, galg.mode == "affine", galg.r, _NO_WINDOW, d1, d2)
 
     def place_central(self, acc, d1: int, d2: int) -> AlgElem:
-        """The keys other than loop keys of `place(acc, d1, d2)`, raising
-        where it raises, with no loop key walked (see `_central`)."""
+        """The keys other than loop keys of `place(acc, d1, d2)`, with no
+        loop key walked (see `_central`)."""
         galg = self.galg
-        return _central(acc, galg.mode == "affine", galg.r, (self.m1w, self.m2w), d1, d2)
+        return _central(acc, galg.mode == "affine", galg.r, _NO_WINDOW, d1, d2)
 
     def omega(self, x: AlgElem, sign: int = 1) -> AlgElem:
         """sign times omega_hat(x), omega_hat the Chevalley involution
@@ -419,46 +413,27 @@ class Realization:
     def theta_c(self) -> AlgElem:
         return {("K1",): CycNum.one(self.field)}
 
-    def image(self, pick: int, i: int, m: int) -> AlgElem | None:
-        """`_theta(pick, i, m)`, or None where it leaves the window."""
-        try:
-            return self._theta(pick, i, m)
-        except OutOfWindow:
-            return None
-
     def mirrors(self, pick: int, i: int, m: int) -> bool:
         """The image check under which the verifier derives sign -1 from
         sign +1: for pick 0, theta_x(i, m, -1) = -omega_hat theta_x(i, m,
-        +1); for pick 2, theta_h(i, m) = -omega_hat theta_h(i, m).  Both
-        sides may leave the window together."""
-        image = self.image(pick, i, m)
-        mirror = image if pick == 2 else self.image(1, i, m)
-        if image is None or mirror is None:
-            return image is mirror
+        +1); for pick 2, theta_h(i, m) = -omega_hat theta_h(i, m)."""
+        image = self._theta(pick, i, m)
+        mirror = image if pick == 2 else self._theta(1, i, m)
         return self.omega(image, -1) == mirror
 
     def in_period(self, i: int, span: range, picks=(0, 1)) -> bool:
         """Whether every image `_theta(pick, i, m)`, pick in `picks` (by
-        default theta_x of either sign), at m in `span` inside the window is
-        the first such image of m's residue class mod N, at m', moved m - m'
-        in t1, key by key, and that first image is homogeneous in t1: each
-        of its loop keys sits at t1-degree m'.  An image outside the window
-        is skipped: the verifier looks every operand up before it places a
-        bracket from its residue class.  True when no class of `span` has
-        two members."""
+        default theta_x of either sign), at m in `span` is the first such
+        image of m's residue class mod N, at m', moved m - m' in t1, key by
+        key.  True when no class of `span` has two members."""
         big_n = self.n_order
         firsts: dict = {}
         for m in span if len(span) > big_n else ():
             for pick in picks:
-                image = self.image(pick, i, m)
-                if image is None:
-                    continue
+                image = self._theta(pick, i, m)
                 m0, first = firsts.setdefault((pick, m % big_n), (m, image))
                 d = m - m0
-                if d:
-                    if image != {(k[0], k[1] + d) + k[2:]: c for k, c in first.items()}:
-                        return False
-                elif any(k[0] == "L" and k[1] != m for k in image):
+                if d and image != {(k[0], k[1] + d) + k[2:]: c for k, c in first.items()}:
                     return False
         return True
 

@@ -1,14 +1,18 @@
 """Shared, build-once realizations for the test session."""
 
+import itertools
 import sys
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 
+from loomfold import kernel
 from loomfold.catalog import builtin_entries, entry_by_name
-from loomfold.exactnum import Echelon
-from loomfold.polys import family_p
-from loomfold.presentation import suite_window
+from loomfold.exactnum import CycNum, Echelon, cyc_root, vec_add
+from loomfold.polys import family_as, family_locality, family_p
+from loomfold.presentation import RelationCheck, RelationReport, suite_window
 from loomfold.realize import Realization
 
 
@@ -20,8 +24,9 @@ def cached_family(name: str):
 
 @lru_cache(maxsize=None)
 def cached_realization(name: str):
-    """Realization sized for the acceptance bounds (modes 4, plus the
-    degree-6 commutator grid)."""
+    """Realization with the window of the acceptance bounds (modes 4, plus
+    the degree-6 commutator grid), which bounds its span closures; the
+    relation checks bracket with no window."""
     e = entry_by_name(name)
     fam = cached_family(name)
     m1, m2 = suite_window(e.gcm, e.mu, fam, 4)
@@ -59,3 +64,103 @@ def nu_by_propagation(alg, perm):
     chevalley.close(ech, seeds, seeds, alg.bracket)
     assert ech.rank == alg.dim, f"{alg.label}: generator words span only {ech.rank} of {alg.dim}"
     return [ech.apply(alg.unit(b)) for b in range(alg.dim)]
+
+
+def reference_report(real, fam, modes, kind="DS"):
+    """The reference for `Verifier.run_suite(fam, modes, certificate)`, with
+    relation `kind` "DS" (certificate False) or "P1" (True): its report,
+    with every row of every ordered pair and of both signs summed directly
+    from the generator images `real._theta` and the kernel's bracket with no
+    window (`kernel._NO_WINDOW`), memoised by modes only.  No pair classes,
+    audit, derived signs or residue-class members: each row is its own sum
+    of (coefficient, element) terms with `vec_add`, its coefficients written
+    in the row's field, Q(xi_L) or Q(xi_F) of the pair's relation."""
+    galg, mu, big_n, field = real.galg, real.mu, real.n_order, real.field
+    n, a = real.gcm.n, real.gcm.entries
+    span = range(-modes, modes + 1)
+    grid = f"|m|,|n|<={modes}"
+    memo: dict = {}
+
+    def bracket(x, y):
+        acc = kernel._loop_bracket(galg.alg, field, kernel._NO_WINDOW, x, y)
+        return kernel._place(acc, galg.mode == "affine", galg.r, kernel._NO_WINDOW, 0, 0)
+
+    def nested(p, i, q, j, ks):
+        """[theta(p, i, k_1), [..., [theta(p, i, k_s), theta(q, j, k_s+1)]]]."""
+        if len(ks) == 1:
+            return real._theta(q, j, ks[0])
+        key = (p, i, q, j, ks)
+        if key not in memo:
+            memo[key] = bracket(real._theta(p, i, ks[0]), nested(p, i, q, j, ks[1:]))
+        return memo[key]
+
+    def check(chk, rows, order):
+        """Sum each (modes, terms) row of `chk` in Q(xi_order)."""
+        for out, terms in rows:
+            chk.checked += 1
+            total: dict = {}
+            for c, v in terms:
+                vec_add(total, v, c)
+            if total:
+                chk.record_failure(out, {k: c.lift(order) for k, c in total.items()})
+        return chk
+
+    def phase(k):
+        return cyc_root(big_n, k).lift(field)
+
+    one = CycNum.one()
+    checks = []
+    for i in range(n):
+        # theta(p, mu i, m) - xi_N^m theta(p, i, m)
+        rows = {"H": [], "Xperiod": []}
+        for m in span:
+            for chk, p, sign in (("H", 2, ()), ("Xperiod", 0, (+1,)), ("Xperiod", 1, (-1,))):
+                terms = [(one, real._theta(p, mu.apply(i), m)), (-phase(m), real._theta(p, i, m))]
+                rows[chk].append(((m, *sign), terms))
+        for chk, kind_rows in rows.items():
+            checks.append(check(RelationCheck(chk, (i,), 0, grid), kind_rows, field))
+    for i, j in itertools.product(range(n), repeat=2):
+        # a bracket of the images at (m, n) less its expected value: the
+        # phase sum of a_(i, mu^k j) and, at m + n = 0, m N / eps_j K1
+        rows = {"H": [], "HXplus": [], "HXminus": [], "XX": []}
+        for m, nn in itertools.product(span, repeat=2):
+            phases = CycNum.zero()
+            for k in range(big_n):
+                phases = phases + phase(k * m) * a[i][mu.apply(j, k)]
+            k1 = real.theta_c() if m + nn == 0 else {}
+            central = Fraction(m * big_n) / real.eps[j]
+            terms = [(one, nested(2, i, 2, j, (m, nn))), (-phases * central, k1)]
+            rows["H"].append(((m, nn), terms))
+            for chk, q, sign in (("HXplus", 0, +1), ("HXminus", 1, -1)):
+                terms = [(one, nested(2, i, q, j, (m, nn)))]
+                terms.append((-phases * sign, real._theta(q, j, m + nn)))
+                rows[chk].append(((m, nn), terms))
+            terms = [(one, nested(0, i, 1, j, (m, nn)))]
+            for k in range(big_n):
+                if mu.apply(j, k) == i:
+                    terms.append((-phase(k * m), real._theta(2, j, m + nn)))
+                    terms.append((-phase(k * m) * central, k1))
+            rows["XX"].append(((m, nn), terms))
+        for chk, sign in (("H", 0), ("HXplus", +1), ("HXminus", -1), ("XX", 0)):
+            checks.append(check(RelationCheck(chk, (i, j), sign, grid), rows[chk], field))
+    extra = family_as(real.gcm, mu)
+    if not extra.entries:
+        checks += [RelationCheck("AS" + s, (), 0, "vacuous", checked=1) for s in ("plus", "minus")]
+    for rel, family in (("X", family_locality(real.gcm, mu)), ("AS", extra), (kind, fam)):
+        for (i, j), sigmas in family.entries.items():
+            arity = family.arity(i, j)
+            terms = [(s, e, c) for s, poly in sigmas.items() for e, c in poly.terms.items()]
+            order = lcm(field, *(c.order for _, _, c in terms))
+            wgrid = grid if rel == "X" else f"modes in [-{modes},{modes}]^{arity + 1}"
+            for sign, pick in ((+1, 0), (-1, 1)):
+                rows = []
+                for out in itertools.product(span, repeat=arity + 1):
+                    row = []
+                    for sigma, e, c in terms:
+                        slots = sigma + (arity,)
+                        ks = tuple(out[q] + e[q] for q in slots)
+                        row.append((c, nested(pick, i, pick, j, ks)))
+                    rows.append((out, row))
+                name = rel + ("plus" if sign > 0 else "minus")
+                checks.append(check(RelationCheck(name, (i, j), sign, wgrid), rows, order))
+    return RelationReport(checks)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loomfold import catalog
-from loomfold.cartan import _candidates
-from loomfold.cli import _combined_exit_code, _exit_code, main
-from loomfold.presentation import RelationCheck, RelationReport
+from loomfold.cartan import Gcm, _candidates
+from loomfold.cli import _combined_exit_code, main
+from loomfold.folding import validate_aut
+from loomfold.polys import family_p
+from loomfold.presentation import suite_window
 
 
 @pytest.fixture()
@@ -28,7 +30,7 @@ def test_classify_entry(runner):
     assert data["class"] == "affine"
     assert data["label"] == "A1^(1)"
     assert data["null_labels"] == [1, 1]
-    assert data["schema"] == 1
+    assert data["schema"] == 2
 
 
 def test_classify_rejects_bad_matrix(runner, tmp_path):
@@ -116,73 +118,105 @@ def test_verify_pass_and_determinism(runner):
     assert {"H", "XX", "Xplus", "Xminus", "DSplus", "DSminus"} <= kinds
 
 
+_NO_WINDOW = {
+    "schema": 2,
+    "error": {
+        "kind": "JobError",
+        "message": "verify brackets exactly at every degree and takes no --window",
+    },
+}
+
+
+def _assert_window_rejected(runner, args, window):
+    """verify rejects --window as input (exit 2); without it, returns the run."""
+    res = runner.invoke(main, ["verify", *args, "--window", window])
+    assert res.exit_code == 2
+    assert _json_out(res) == _NO_WINDOW
+    res = runner.invoke(main, ["verify", *args])
+    assert '"window"' not in res.output and '"out_of_window"' not in res.output
+    return res
+
+
 def test_verify_window_abort(runner):
-    res = runner.invoke(
-        main, ["verify", "--entry", "A2-flip", "--modes", "2", "--window", "3,2"]
-    )
-    # an explicit tiny window must not crash; an abort and a report with
-    # gaps both exit 3, never 0
-    assert res.exit_code == 3
-    data = _json_out(res)
-    if "error" in data:
-        assert data["error"]["kind"] == "OutOfWindow"
-    else:
-        assert any("out_of_window" in c for c in data["report"]["checks"])
+    # verify brackets exactly at every degree, so it takes no window: the
+    # tiny window 3,2, which once aborted A2-flip at modes 2 or left gaps,
+    # is rejected as input, and the same run without it passes
+    res = _assert_window_rejected(runner, ["--entry", "A2-flip", "--modes", "2"], "3,2")
+    assert res.exit_code == 0
 
 
 def test_verify_window_abort_deterministic(runner):
-    # modes 4 with a t1-window of 5: the degree-8 commutator grid cannot fit
-    res = runner.invoke(
-        main, ["verify", "--entry", "A2-flip", "--modes", "4", "--window", "5,2"]
-    )
-    assert res.exit_code == 3
-    assert _json_out(res)["error"]["kind"] == "OutOfWindow"
+    # modes 4 with a t1-window of 5 once aborted on the degree-8 commutator
+    # grid; the window is now rejected, and the bracket needs none
+    res = _assert_window_rejected(runner, ["--entry", "A2-flip", "--modes", "4"], "5,2")
+    assert res.exit_code == 0
+    assert _json_out(res)["report"]["pass"] is True
 
 
 def test_verify_gaps_exit_3(runner, tmp_path, monkeypatch):
-    # the window 4,2 holds every Cartan relation at modes 2 but not every
-    # grid point of the weighted ones: the report passes with gaps
-    args = ["verify", "--entry", "A2-flip", "--modes", "2", "--window", "4,2"]
-    res = runner.invoke(main, args)
-    assert res.exit_code == 3
-    report = _json_out(res)["report"]
-    assert report["pass"] is True
-    assert any("out_of_window" in c for c in report["checks"])
+    # the window 4,2 once held every Cartan relation at modes 2 but not every
+    # grid point of the weighted ones, and the report passed with gaps and
+    # exit 3.  The window is rejected; without it the report passes with no
+    # gap and exit 0, for one entry and for --entry all
+    args = ["--entry", "A2-flip", "--modes", "2"]
+    res = _assert_window_rejected(runner, args, "4,2")
+    assert res.exit_code == 0
+    assert _json_out(res)["report"]["pass"] is True
     path = tmp_path / "cat.json"
     path.write_text(json.dumps([{"name": "gappy", "cartan": [[2, -1], [-1, 2]], "mu": [1, 0]}]))
     monkeypatch.setenv("LOOMFOLD_CATALOG", str(path))
-    res = runner.invoke(main, ["verify", "--entry", "all", "--modes", "2", "--window", "4,2"])
-    assert res.exit_code == 3
+    res = _assert_window_rejected(runner, ["--entry", "all", "--modes", "2"], "4,2")
+    assert res.exit_code == 0
     assert _json_out(res)["pass"] is True
 
 
+def test_verify_all_reports_window_abort_per_entry(runner, tmp_path):
+    # at window 2,0 every loop entry once aborted (its generators have
+    # t2-degree 1).  The window is rejected for --entry all and for one
+    # entry; without it no entry aborts: each entry is reported, A4-flip
+    # still fails the plain weight 1, and so does A1a-flip, now verified
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(_user()[1]))
+    args = ["--modes", "1", "--family", f"user:{path}"]
+    res = _assert_window_rejected(runner, ["--entry", "all", *args], "2,0")
+    assert res.exit_code == 1
+    data = _json_out(res)
+    assert data["pass"] is False
+    entries = {e["name"]: e for e in data["entries"]}
+    assert len(entries) == 17
+    assert not any("error" in e for e in entries.values())
+    assert entries["A4-flip"]["report"]["pass"] is False
+    single = _assert_window_rejected(runner, ["--entry", "A1a-flip", *args], "2,0")
+    assert single.exit_code == 1
+    assert entries["A1a-flip"]["report"] == _json_out(single)["report"]
+
+
 def test_exit_code_precedence():
-    clean = RelationReport([RelationCheck("H", (0, 0), 0, "", checked=1)])
-    gappy = RelationReport([RelationCheck("H", (0, 0), 0, "", gaps=[(0, 0)])])
-    failed = RelationReport([RelationCheck("H", (0, 0), 0, "", gaps=[(0, 0)], failure_count=1)])
-    assert [_exit_code(r) for r in (clean, gappy, failed)] == [0, 3, 1]
     assert _combined_exit_code([0, 0]) == 0
-    assert _combined_exit_code([0, 3]) == 3
-    assert _combined_exit_code([3, 1, 0]) == 1
-    assert _combined_exit_code([0, 3, 2]) == 2
+    assert _combined_exit_code([0, 2]) == 2
+    assert _combined_exit_code([2, 1, 0]) == 1
     assert _combined_exit_code([2, 1]) == 1
     assert _combined_exit_code([]) == 0
 
 
 def test_verify_default_window_without_negative_entry(runner, tmp_path):
-    # A1 has no a_ij < 0: the automatic window takes arity 1
+    # A1 has no a_ij < 0: the automatic window takes arity 1; verify
+    # brackets with no window and reports none
     path = tmp_path / "a1.json"
     path.write_text(json.dumps({"cartan": [[2]]}))
     res = runner.invoke(main, ["verify", "--input", str(path), "--modes", "1"])
     assert res.exit_code == 0
     data = _json_out(res)
-    assert data["window"] == {"m1": 6, "m2": 4}
+    assert "window" not in data
     assert data["report"]["pass"] is True
+    gcm = Gcm([[2]])
+    mu = validate_aut(gcm, [0])
+    assert suite_window(gcm, mu, family_p(gcm, mu), 1) == (6, 4)
 
 
 def test_verify_window_counts_negative_exponents(runner, tmp_path):
     # a family whose only term is z1^-30 shifts the operand modes by -30:
-    # the window must hold them, so every grid point is checked
+    # every grid point is checked, with no gap
     fam = {"pairs": [{"i": 1, "j": 0, "terms": {"0,1": _poly(([-30, 0, 0], _ONE))}}]}
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(fam))
@@ -280,11 +314,12 @@ def test_catalog_listing(runner):
 
 
 # the sha256 of the stdout of the default commands on the built-in catalog;
-# the verify report is 467 359 bytes
+# the verify report is 466 324 bytes.  Schema 2: the schema 1 output with
+# "schema": 2 and no "window" object per entry, byte for byte
 _PINNED_OUTPUT = {
-    "catalog": "465cf235fb3a93d2c1f9d73a3af711e918c718852f6ad1d3bd8c30a1031168b4",
+    "catalog": "84daa44e610d2d5916fdd1c5d1b7b9095c85f8f2f3f9db2522388bb434253e31",
     "verify --entry all --modes 1": (
-        "a738105d8842f74b6ee36c4a3d395387c71c7eb8f554df204fa5c345d60a58dc"
+        "72f68b2f57801ab632c3fe537efbc9801e1d807d66ae4ef0d7c3b558fe8f14a3"
     ),
 }
 
@@ -466,10 +501,10 @@ def test_verify_rejects_negative_bounds(runner, extra):
     ],
 )
 def test_verify_rejects_malformed_integers(runner, extra):
-    # --modes and --window read ASCII decimal integers only, as the sigma
-    # keys of a family file are read: int() would take "1_0" as 10 and " 3"
-    # and the Arabic-Indic digit three as 3.  An empty --window is no
-    # window: it is rejected, not read as the automatic size
+    # --modes reads ASCII decimal integers only, as the sigma keys of a
+    # family file are read: int() would take "1_0" as 10 and " 3" and the
+    # Arabic-Indic digit three as 3.  Any --window, an empty one included,
+    # is rejected: verify takes no window
     res = runner.invoke(main, ["verify", "--entry", "A2-id", *extra])
     assert res.exit_code == 2
     assert _json_out(res)["error"]["kind"] == "JobError"
@@ -559,6 +594,38 @@ def test_verify_rejects_malformed_family_file(runner, tmp_path, selector, conten
     assert _json_out(res)["error"]["kind"] == "JobError"
 
 
+@pytest.mark.parametrize(
+    "selector, content, message",
+    [
+        ("job", {"cartan": [[2, -1], [-1, 2]], "Mu": [1, 0]}, "job file: unknown key 'Mu'"),
+        ("job", {"cartan": [[2]], "window": [3, 2]}, "job file: unknown key 'window'"),
+        ("user", {**_user()[1], "Name": "plain"}, "family file: unknown key 'Name'"),
+        ("user", _user(poly=_poly())[1], "family file pair: unknown key 'poly'"),
+        ("f", {"name": "extra", "pairs": []}, "factor file: unknown key 'name'"),
+        (
+            "f",
+            {"pairs": [{"i": 0, "j": 1, "poly": _poly(([0, 0, 1], _ONE)), "terms": {}}]},
+            "factor file pair: unknown key 'terms'",
+        ),
+    ],
+)
+def test_input_files_reject_unknown_keys(runner, tmp_path, selector, content, message):
+    # a job file holds only cartan, mu and name; a family file only name and
+    # pairs, each pair i, j and terms; a factor file only pairs, each pair
+    # i, j and poly.  Any other key, most likely a misspelling, is named and
+    # rejected: with "Mu" dropped the job would run with mu = id and pass
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(content))
+    if selector == "job":
+        runs = [[cmd, "--input", str(path)] for cmd in ("classify", "fold")]
+        runs.append(["verify", "--input", str(path), "--modes", "0"])
+    else:
+        family = f"{selector}:{path}"
+        runs = [["verify", "--entry", "A2a-flip", "--modes", "0", "--family", family]]
+    for args in runs:
+        assert _assert_rejected(runner.invoke(main, args)).startswith(message), args
+
+
 def test_verify_rejects_repeated_family_pair(runner, tmp_path):
     # the failing plain weight 1, then family p's own entry for the same pair:
     # keeping only the later entry would pass without checking the first
@@ -571,25 +638,6 @@ def test_verify_rejects_repeated_family_pair(runner, tmp_path):
     assert runner.invoke(main, args).exit_code == 1
     path.write_text(json.dumps({"pairs": plain["pairs"] + [{"i": 1, "j": 0, "terms": p_terms}]}))
     assert _assert_rejected(runner.invoke(main, args)) == "family pair (1, 0) appears twice"
-
-
-def test_verify_all_reports_window_abort_per_entry(runner, tmp_path):
-    # at window 2,0 every loop entry aborts (its generators have t2-degree 1)
-    # and A4-flip fails the plain weight 1: one entry's abort hides no other
-    # entry's result, and the failure outranks the aborts
-    path = tmp_path / "fam.json"
-    path.write_text(json.dumps(_user()[1]))
-    args = ["--modes", "1", "--family", f"user:{path}", "--window", "2,0"]
-    res = runner.invoke(main, ["verify", "--entry", "all", *args])
-    assert res.exit_code == 1
-    data = _json_out(res)
-    assert data["pass"] is False
-    entries = {e["name"]: e for e in data["entries"]}
-    assert len(entries) == 17
-    assert entries["A4-flip"]["report"]["pass"] is False
-    single = runner.invoke(main, ["verify", "--entry", "A1a-flip", *args])
-    assert single.exit_code == 3
-    assert entries["A1a-flip"] == {"name": "A1a-flip", "error": _json_out(single)["error"]}
 
 
 def test_verify_all_reports_rejected_family_per_entry(runner, tmp_path, monkeypatch):
@@ -838,7 +886,7 @@ def _mutated(draw, valid):
 
 # valid family and factor files for A2-flip (pairs (0, 1) and (1, 0)): one
 # monomial per polynomial, so each is homogeneous and none vanishes on the
-# diagonal; exponents stay small, so that the automatic window does too
+# diagonal; exponents stay small, so that each run stays quick
 _fuzz_poly = st.builds(
     lambda exps, c: {"vars": ["z1", "z2", "w"], "terms": [{"exps": exps, "coeff": c}]},
     st.lists(st.integers(-2, 2), min_size=3, max_size=3),
@@ -887,7 +935,7 @@ def test_family_and_catalog_file_fuzz(tmp_path_factory, job):
     else:
         args = ["verify", "--entry", "A2-flip", "--modes", "0", "--family", f"{kind}:{path}"]
     res = CliRunner().invoke(main, args)
-    assert res.exit_code in (0, 1, 2, 3)
+    assert res.exit_code in (0, 1, 2)
     assert res.exception is None or isinstance(res.exception, SystemExit)
     data = _json_out(res)  # exactly one JSON payload
     if res.exit_code == 2:

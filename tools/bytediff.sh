@@ -99,7 +99,7 @@ echo '{"cartan": [[2, 0, -1, -1, 0], [0, 2, 0, -1, -1], [-1, 0, 2, 0, -1],
 # pair that is not (0, *)
 echo '{"cartan": [[2, -1, 0, 0, 0], [-1, 2, -1, -1, -1], [0, -1, 2, 0, 0],
   [0, -1, 0, 2, 0], [0, -1, 0, 0, 2]], "mu": [2, 1, 4, 3, 0]}' >"$tmp/d4rel.json"
-# A1: no negative entry, so the automatic window has arity 1
+# A1: one node, no negative entry
 echo '{"cartan": [[2]]}' >"$tmp/a1.json"
 # D4^(3): its realization lives in Q(xi_3), and building it inverts 49
 # non-rational values; the one-pair family fails with Q(xi_3) residuals
@@ -248,9 +248,10 @@ kernel = realize._loop_bracket
 
 
 def doubled(*args):
-    loop, degrees, central, order, den = kernel(*args)
+    # (loop, central, order, den), or with the output degrees after loop
+    loop, *degrees, central, order, den = kernel(*args)
     central = {d: 2 * v if type(v) is int else [2 * x for x in v] for d, v in central.items()}
-    return {k: c + c for k, c in loop.items()}, degrees, central, order, den
+    return {k: c + c for k, c in loop.items()}, *degrees, central, order, den
 
 
 for e in load_entries(None):
@@ -328,32 +329,21 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
   echo "verify --entry A2a-id --modes 2 --family user:fam1.json"
   echo "verify --input g21id.json --modes 2 --family user:fam21.json"
   echo "verify --entry A2a-flip --modes 2 --family user:fam.json"
+  # verify takes no window: any --window is rejected with exit 2
   echo "verify --entry A2a-flip --modes 2 --window 3,2"
-  # N <= 2 with weighted gaps from bracket output degrees, the Cartan rows
-  # inside the window: a nested bracket placed from its residue class's
-  # representative must leave the window where the direct one does
-  echo "verify --entry A1a-flip --modes 2 --window 6,3"
-  echo "verify --entry A1a-id --modes 2 --window 6,3"
-  echo "verify --entry A2a-flip --modes 3 --window 7,4"
-  # the member gate's boundary, the relation's reach against m1: at
-  # A2-id modes 3 the Cartan reach 6 equals m1 = 6, so members are placed
-  # while the weighted rows have gaps (exit 3), and at m1 = 5 it exceeds
-  # the window and every row is summed in full until a bracket leaves it;
-  # (5, 3) on A1a-id at modes 2 is the window that the bracket family's
-  # reach, 5, just fits: the Cartan rows place members, the suite's
-  # weighted rows have gaps
-  echo "verify --entry A2-id --modes 3 --window 6,4"
-  echo "verify --entry A2-id --modes 3 --window 5,4"
-  echo "verify --entry A1a-id --modes 2 --window 5,3"
-  # the same window with the plain family, which fails: the window cuts
-  # rows of most classes of output modes, so their later rows are summed
-  # in full, and their residuals are compared too
-  echo "verify --entry A2a-flip --modes 3 --window 7,4 --family user:fam.json"
-  # rotations with out-of-window gaps: operand images leave the window, so
-  # the gaps of a shifted pair come from its class representative's brackets
-  echo "verify --entry A3a-rot --modes 2 --window 4,3"
-  echo "verify --entry A4a-rot --modes 2 --window 4,3"
-  echo "verify --entry A5a-rot --modes 1 --window 3,3 --family user:fam.json"
+  # N <= 2, where residue classes of rows have members and nested brackets
+  # are placed from their class's representative, the Cartan rows' too
+  echo "verify --entry A1a-flip --modes 2"
+  echo "verify --entry A1a-id --modes 2"
+  echo "verify --entry A2a-flip --modes 3"
+  echo "verify --entry A2-id --modes 3"
+  # the plain family, which fails: the residuals of the members are
+  # compared too
+  echo "verify --entry A2a-flip --modes 3 --family user:fam.json"
+  # rotations: a shifted pair's checks come from its class representative's
+  echo "verify --entry A3a-rot --modes 2"
+  echo "verify --entry A4a-rot --modes 2"
+  echo "verify --entry A5a-rot --modes 1 --family user:fam.json"
   echo "verify --entry A5a-rot --modes 1 --family user:fam5all.json"
   echo "verify --entry D4a-triality --modes 1 --family qlimit"
   echo "verify --input a4rel.json --modes 2"
