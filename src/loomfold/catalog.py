@@ -70,6 +70,14 @@ def read_json(path: str, what: str):
         raise JobError(f"cannot read {what}: {exc}") from exc
 
 
+def known_keys(obj: dict, keys: tuple, where: str):
+    """Reject a key of `obj` other than `keys`: a misspelled key is never
+    dropped without a word."""
+    for key in obj:
+        if key not in keys:
+            raise JobError(f"{where}: unknown key {key!r}; it may hold {', '.join(keys)}")
+
+
 def load_entries(path: str | None = None) -> list[CatalogEntry]:
     """Entries from an explicit path, the environment override, or built-ins."""
     path = path or os.environ.get(ENV_VAR)
@@ -83,6 +91,9 @@ def load_entries(path: str | None = None) -> list[CatalogEntry]:
         raise JobError("catalog file holds no entries")
     out = []
     for item in raw:
+        if not isinstance(item, dict):
+            raise JobError(f"catalog entry must be an object, got {json.dumps(item)[:40]}")
+        known_keys(item, ("name", "cartan", "mu"), "catalog entry")
         try:
             gcm = Gcm(item["cartan"])
             mu = validate_aut(gcm, item["mu"])

@@ -65,9 +65,9 @@ def _mapped_errors(command):
 
 
 def _load_job(input_path: str | None, entry: str | None):
-    if entry and input_path is not None:
+    if entry is not None and input_path is not None:
         raise JobError("provide --input FILE or --entry NAME, not both")
-    if entry:
+    if entry is not None:
         ce = catalog_mod.entry_by_name(entry)
         return ce.gcm, ce.mu, ce.name
     if not input_path:
@@ -75,7 +75,7 @@ def _load_job(input_path: str | None, entry: str | None):
     raw = catalog_mod.read_json(input_path, "job file")
     if not isinstance(raw, dict) or "cartan" not in raw:
         raise JobError('job file must be an object with a "cartan" matrix')
-    _known_keys(raw, ("cartan", "mu", "name"), "job file")
+    catalog_mod.known_keys(raw, ("cartan", "mu", "name"), "job file")
     gcm = Gcm(raw["cartan"])
     mu = validate_aut(gcm, raw.get("mu", list(range(gcm.n))))
     name = raw.get("name", "job")
@@ -122,21 +122,13 @@ def _read_pairs(path: str, what: str) -> tuple[dict, list]:
     if not isinstance(raw, dict):
         raise JobError(f"{what} file must hold a JSON object")
     keys, item_keys = _FILE_KEYS[what]
-    _known_keys(raw, keys, f"{what} file")
+    catalog_mod.known_keys(raw, keys, f"{what} file")
     pairs = raw.get("pairs", [])
     if not isinstance(pairs, list) or not all(isinstance(item, dict) for item in pairs):
         raise JobError(f'{what} file: "pairs" must be a list of objects')
     for item in pairs:
-        _known_keys(item, item_keys, f"{what} file pair")
+        catalog_mod.known_keys(item, item_keys, f"{what} file pair")
     return raw, pairs
-
-
-def _known_keys(obj: dict, keys: tuple, where: str):
-    """Reject a key of `obj` other than `keys`: a misspelled key is never
-    dropped without a word."""
-    for key in obj:
-        if key not in keys:
-            raise JobError(f"{where}: unknown key {key!r}; it may hold {', '.join(keys)}")
 
 
 def _node(gcm, item: dict, key: str) -> int:

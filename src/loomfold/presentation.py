@@ -82,18 +82,20 @@ its own modes; it builds no loop part.  Every other member is summed in
 full.  Since `serialize_elem` sorts keys, every report is byte-identical
 to the row-by-row sums.
 
-The member rule is in one place.  Every accumulation comes from a memo of
+The member rule is in one place, `Verifier._class_rows`, the one loop
+over the rows of both kinds.  Every accumulation comes from a memo of
 `Verifier._nested`, one memo per pair of image picks (p, q) that the rows
 of a class read: (0, 0) and (1, 1) for the weighted rows of sign +1 and
 -1, and (2, 2), (2, 0), (2, 1) and (0, 1) for the brackets
 [theta_h(i, m), theta_h(j, n)], [theta_h(i, m), theta_x(j, n, +1)],
 [theta_h(i, m), theta_x(j, n, -1)] and [theta_x(i, m, +1),
 theta_x(j, n, -1)] of H, HXplus, HXminus and XX.  A Cartan check is a row
-of one summand, its bracket, plus its expected value, so both kinds of
-row take the same steps: after the first row of a class,
-`Verifier._class_plan` reads the accumulations of that memo, and
-`Verifier._planned_row` places the central terms of every member from
-them.
+of one summand, its bracket, plus its expected value, and a weighted row
+one of several summands with none, so both kinds take the same steps: per
+output tuple one residue key serves every check of the loop; the first
+row of a class is summed in full, `Verifier._class_plan` reads the
+accumulations of its memo, and every member of the class places its
+central terms from them and adds the central keys of its expected value.
 
 One rule moves a weighted relation of (i, j) = (mu^a i0, mu^b j0) to
 (i0, j0) (`Verifier._transport`).  At output modes `out`, w last, a term
@@ -136,7 +138,8 @@ coefficient is minus HXplus's, so its residual is omega_hat of HXplus's.
 So each class whose least nodes pass this image check (`_audit`, on
 exactly the images that the rows read) evaluates sign +1 only, and the
 check of sign -1 copies its checked count and failure count and maps
-each residual (`Verifier._derive_minus`); a class that fails it, such as
+each residual (`_derived`, which also phases the checks of a shifted
+pair); a class that fails it, such as
 node 1 of A2^(2) or a tampered image, evaluates both signs.  Since
 `serialize_elem` sorts keys, every report is byte-identical to the one
 with both signs evaluated.  The same audit finds whether the images
@@ -336,88 +339,61 @@ class Verifier:
         """The H, HXplus, HXminus and XX checks of the least pair (i, j) of
         a class.  At modes (m, n) each is a row of one summand, the bracket
         [theta(p, i, m), theta(q, j, n)] read from `_nested` with its picks
-        (p, q), (2, 2), (2, 0), (2, 1) or (0, 1), less its expected value.
-        With `mirror` (the images that HXplus reads pass the image check of
-        `_audit`), HXminus is not evaluated but derived from HXplus, each
-        residual r as omega_hat(r) (`_derive_minus`).
-
-        Each check has its own memo, with reps only where `periodic` holds
-        (some class of (m, n) mod N has two members, and the audit found
-        the images of i and j at |k| <= 2 mode_bound periodic in t1).
-        There the first row of each class of (m, n) mod N is summed in
-        full, and a later member is planned and placed from it as a
-        weighted row is (`_class_plan`, `_planned_row`; module docstring):
-        it takes the first loop residual, moved m + n - r - s, and sums the
-        placed central terms of the first accumulation, those of the
-        expected images, read at m + n, and the K1 terms.  Every other row
-        is summed in full."""
+        (p, q), (2, 2), (2, 0), (2, 1) or (0, 1), less its expected value:
+        the phase sum sum_k xi_N^(km) a_(i, mu^k j) times theta(j, m + n, +-1)
+        (HX) or, summed over the k with mu^k j = i, xi_N^(km) theta_h(j, m + n)
+        (XX), and at m + n = 0 the same coefficients times m N / eps_j K1
+        (H, XX).  With `mirror` (the images that HXplus reads pass the image
+        check of `_audit`), HXminus is not evaluated but derived from
+        HXplus, each residual r as omega_hat(r).  The rows go through
+        `_class_rows`, each check with its own memo, with reps only where
+        `periodic` holds (some class of (m, n) mod N has two members, and the
+        audit found the images of i and j at |k| <= 2 mode_bound periodic in
+        t1)."""
         real = self.real
         a = self.gcm.entries
         big_n = self.n_order
         k1 = real.theta_c()
-        one = CycNum.one(real.field)
-        span = range(-mode_bound, mode_bound + 1)
-        grid = f"|m|,|n|<={mode_bound}"
-        # per check evaluated, in row order: the check, the picks of its
-        # bracket, the pick of its expected image and its memo of `_nested`
-        rows = []
-        for kind, sign, picks, pick in _CARTAN_CHECKS:
-            if sign >= 0 or not mirror:
-                chk = RelationCheck(kind, (i, j), sign, grid)
-                rows.append((chk, picks, pick, ({}, {} if periodic else None)))
-        slots = [((0, 1), one, (0, 0))]
-        # the k with mu^k j = i: the terms of the expected XX value
         meets = [k for k in range(big_n) if self.mu.apply(j, k) == i]
-        # per class of (m, n) mod N: r + s of its first row, and per check
-        # the `_class_plan` that its members are placed from
-        firsts: dict = {}
-        for m in span:
-            # sum_k xi_N^(km) a_(i, mu^k j), the phase sum in the expected H
-            # and HX coefficients; it does not depend on n
+        # per kind and m: the coefficients of its expected image and of K1
+        weights: dict = {"H": {}, "HXplus": {}, "HXminus": {}, "XX": {}}
+        for m in range(-mode_bound, mode_bound + 1):
             phases = CycNum.zero(real.field)
             for k in range(big_n):
-                phases = phases + real._phase(k * m).mul_rational(a[i][self.mu.apply(j, k)])
-            minus = -phases
-            # the central term m N / eps_j of the expected values at m + n = 0
+                phases += real._phase(k * m).mul_rational(a[i][self.mu.apply(j, k)])
             central = Fraction(m * big_n) / real.eps[j]
-            xx_minus = [-real._phase(k * m) for k in meets]
-            # per check: the coefficients of its expected image and of K1
-            weights = {
-                "H": ([], [minus]),
-                "HXplus": ([minus], []),
-                "HXminus": ([phases], []),
-                "XX": (xx_minus, xx_minus),
-            }
-            for nn in span:
-                modes = (m, nn)
-                key = (m % big_n, nn % big_n) if periodic else None
-                first = firsts.get(key)
-                plans = []
-                placements = itertools.repeat(None) if first is None else first[1]
-                for (chk, picks, pick, memo), placed in zip(rows, placements):
-                    coeffs, k1s = weights[chk.kind]
-                    if placed is None:
-                        row = [(one, self._nested(memo, i, j, picks, modes))]
-                    else:
-                        row = self._planned_row(placed[1], modes)
-                    if coeffs:
-                        image = real._theta(pick, j, m + nn)
-                        if placed is not None:  # its central terms
-                            image = {k: c for k, c in image.items() if k[0] != "L"}
+            xx = [-real._phase(k * m) for k in meets]
+            weights["H"][m] = ([], [(-phases).mul_rational(central)])
+            weights["HXplus"][m] = ([-phases], [])
+            weights["HXminus"][m] = ([phases], [])
+            weights["XX"][m] = (xx, [c.mul_rational(central) for c in xx])
+
+        def expected(pick, by_m: dict):
+            def terms(modes: tuple, member: bool) -> list:
+                m, n = modes
+                coeffs, k1s = by_m[m]
+                row = [(c, k1) for c in k1s] if m + n == 0 else []
+                if coeffs:
+                    image = real._theta(pick, j, m + n)
+                    if member:  # its central terms
+                        image = {k: c for k, c in image.items() if k[0] != "L"}
+                    if image:
                         row += [(c, image) for c in coeffs]
-                    if m + nn == 0:
-                        row += [(c.mul_rational(central), k1) for c in k1s]
-                    if placed is not None:
-                        self._check(chk, modes, row, None, placed[0], m + nn - first[0])
-                        continue
-                    total = self._check(chk, modes, row)
-                    if periodic:  # the first row of its class
-                        plans.append(self._class_plan(memo[1], slots, modes, total))
-                if plans:
-                    firsts[key] = (m + nn, plans)
-        checks = [row[0] for row in rows]
+                return row
+
+            return terms
+
+        grid = f"|m|,|n|<={mode_bound}"
+        rows = [
+            (RelationCheck(kind, (i, j), sign, grid), picks, ({}, {} if periodic else None),
+             expected(pick, weights[kind]))
+            for kind, sign, picks, pick in _CARTAN_CHECKS
+            if sign >= 0 or not mirror
+        ]
+        slots = [((0, 1), CycNum.one(real.field), (0, 0))]
+        checks = self._class_rows(i, j, rows, slots, 2, mode_bound)
         if mirror:
-            checks.insert(2, self._derive_minus(checks[1], +1))
+            checks.insert(2, _derived(checks[1], (i, j), -1, lambda modes, r: real.omega(r)))
         return checks
 
     def _check(
@@ -515,21 +491,22 @@ class Verifier:
         `checks`, those of (i0, j0): the same checked count and failure
         count, each residual at output modes `out`, w last, times
         xi_N^(a (sum_z(out) + Dz) + b (out_w + Dw)), (Dz, Dw) = `degrees`.
-        Every list and residual of the result is its own."""
+        At shift (0, 0), pair = (i0, j0), the phase is 1 and `checks` are
+        returned themselves; else every list and residual of the result is
+        its own."""
+        if shift == (0, 0):
+            return checks
         (a, b), (dz, dw) = shift, degrees
+        big_n = self.n_order
+
+        def turn(modes, residual):
+            e = (a * (sum(modes[:-1]) + dz) + b * (modes[-1] + dw)) % big_n
+            # each coefficient lies in its check's field Q(xi_F), and N divides F
+            return {k: c.rotated(e * c.order // big_n) for k, c in residual.items()}
+
         out = []
         for chk in checks:
-            failures = []
-            for modes, residual in chk.failures:
-                e = (a * (sum(modes[:-1]) + dz) + b * (modes[-1] + dw)) % self.n_order
-                # each coefficient lies in its check's field Q(xi_F), and N divides F
-                turn = {k: c.rotated(e * c.order // self.n_order) for k, c in residual.items()}
-                failures.append((modes, turn))
-            out.append(
-                RelationCheck(
-                    chk.kind, pair, chk.sign, chk.grid, chk.checked, failures, chk.failure_count
-                )
-            )
+            out.append(_derived(chk, pair, chk.sign, turn))
         return out
 
     def _audit(self, mode_bound: int | None, span: range) -> "_Audit":
@@ -599,70 +576,88 @@ class Verifier:
         for the picks (0, 0) of sign +1 or (1, 1) of sign -1.  With
         `mirror` (the images of i0 and j0 pass the image check of `_audit`)
         only sign +1 is evaluated, and the check of sign -1 is derived from
-        it, each residual r as (-1)^(arity + 1) omega_hat(r)
-        (`_derive_minus`).
-
-        The first row of each residue class of output modes mod N is summed
-        in full.  A later row of the class, a member, is placed from it: it
-        takes the first row's loop residual moved sum(out) - sum(r) and sums
-        only the central parts of its summands, placed from their outermost
-        accumulations (see the module docstring).  Every row is summed in
-        full when 2 mode_bound + 1 <= N (each class has one row) or when the
-        memo of the sign has no reps (None: an image read is not periodic in
-        t1)."""
+        it, each residual r as (-1)^(arity + 1) omega_hat(r).  The rows of
+        the signs evaluated go through `_class_rows` together."""
         field = lcm(self.real.field, *(c.order for _, c, _ in terms))
         # per term: the slot that each mode reads, w last
         slots = [(sigma + (arity,), c, exps) for sigma, c, exps in terms]
-        if kind == "X":
-            grid = f"|m|,|n|<={mode_bound}"
-        else:
-            grid = f"modes in [-{mode_bound},{mode_bound}]^{arity + 1}"
+        b = mode_bound
+        grid = f"|m|,|n|<={b}" if kind == "X" else f"modes in [-{b},{b}]^{arity + 1}"
+        rows = [
+            (RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i0, j0), sign, grid),
+             (0, 0) if sign > 0 else (1, 1), memos[sign], None)
+            for sign in ((+1,) if mirror else (+1, -1))
+        ]
+        checks = self._class_rows(i0, j0, rows, slots, arity + 1, mode_bound, field)
+        if mirror:
+            omega, sign = self.real.omega, (-1) ** (arity + 1)
+            checks.append(_derived(checks[0], (i0, j0), -1, lambda modes, r: omega(r, sign)))
+        return RelationReport(checks)
+
+    def _class_rows(
+        self, i: int, j: int, rows: list, slots: list, width: int, mode_bound: int, field=None
+    ) -> list:
+        """Count and sum the row of each check of `rows` on the pair (i, j)
+        at every output tuple `out` of [-mode_bound, mode_bound]^width, in
+        order, and return the checks.  `rows` holds per check (chk, picks,
+        memo, expected): its row at `out` sums, per (read, c, exps) of
+        `slots`, c times the nested bracket `_nested(memo, i, j, picks, k)`
+        at k_t = out[q] + exps[q], q = read_t, plus the terms
+        `expected(out, False)` of its expected value (None: none), in
+        Q(xi_field) (`_check`).
+
+        The member rule of the module docstring is here.  Where some
+        residue class of `out` mod N has two rows (`_shared_classes`) and
+        the memos have reps (the callers give every memo reps or none), the
+        first row of each class is summed in full, and a later row of the
+        class, a member, is placed from it: it takes the first row's loop
+        residual, moved sum(out) - sum(r), and sums only the central parts
+        of its summands, each outermost accumulation of the first row's
+        plan (`_class_plan`) placed at the member's degrees
+        (`Realization.place_central`), and of its expected value,
+        `expected(out, True)`.  Every other row is summed in full.  One
+        residue key per `out` serves every check."""
         big_n = self.n_order
-        shared = _shared_classes(mode_bound, big_n)
-        report = RelationReport()
-        for sign in (+1,) if mirror else (+1, -1):
-            chk = RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i0, j0), sign, grid)
-            memo = memos[sign]
-            picks = (0, 0) if sign > 0 else (1, 1)
-            grouped = shared and memo[1] is not None
-            # residues -> (sum of the class's first modes, its `_class_plan`)
-            firsts: dict = {}
-            for out_modes in itertools.product(
-                range(-mode_bound, mode_bound + 1), repeat=arity + 1
-            ):
-                key = tuple([m % big_n for m in out_modes]) if grouped else None
-                first = firsts.get(key)
-                if first is not None:
-                    r_sum, (loop, plan) = first
-                    row = self._planned_row(plan, out_modes)
-                    self._check(chk, out_modes, row, field, loop, sum(out_modes) - r_sum)
-                    continue
-                summands = []
+        place = self.real.place_central
+        grouped = _shared_classes(mode_bound, big_n) and rows[0][2][1] is not None
+        # residues -> (sum of the class's first modes, per check (chk,
+        # expected) and its `_class_plan`)
+        firsts: dict = {}
+        for out in itertools.product(range(-mode_bound, mode_bound + 1), repeat=width):
+            key = tuple([m % big_n for m in out]) if grouped else None
+            first = firsts.get(key)
+            if first is not None:
+                degree = sum(out)
+                for chk, expected, loop, plan in first[1]:
+                    # each summand's outermost accumulation placed at its
+                    # modes: its slots read every output mode once, so its
+                    # inner level's mode sum is sum(out) - out_q + sum(exps) - exps_q
+                    row = []
+                    for c, q, d1, d2, acc in plan:
+                        got = place(acc, out[q] + d1, degree - out[q] + d2)
+                        if got:
+                            row.append((c, got))
+                    if expected is not None:
+                        row += expected(out, True)
+                    self._check(chk, out, row, field, loop, degree - first[0])
+                continue
+            plans = []
+            for chk, picks, memo, expected in rows:
+                row = []
                 for read, c, exps in slots:
                     # a memo key: from a list the tuple is allocated once;
                     # from a generator it is allocated at a guessed size
                     # and shrunk, which raised the peak RSS of a suite
-                    modes = tuple([out_modes[q] + exps[q] for q in read])
-                    summands.append((c, self._nested(memo, i0, j0, picks, modes)))
-                total = self._check(chk, out_modes, summands, field)
+                    modes = tuple([out[q] + exps[q] for q in read])
+                    row.append((c, self._nested(memo, i, j, picks, modes)))
+                if expected is not None:
+                    row += expected(out, False)
+                total = self._check(chk, out, row, field)
                 if grouped:  # the first row of its class
-                    plan = self._class_plan(memo[1], slots, out_modes, total)
-                    firsts[key] = (sum(out_modes), plan)
-            report.checks.append(chk)
-        if mirror:
-            report.checks.append(self._derive_minus(report.checks[0], (-1) ** (arity + 1)))
-        return report
-
-    def _derive_minus(self, chk: RelationCheck, sign: int) -> RelationCheck:
-        """The check of sign -1 of a relation from `chk`, its check of sign
-        +1, where the images read pass the image check (module docstring):
-        the same checked count and failure count, each residual r as
-        sign omega_hat(r).  Every list and residual of the result is its own."""
-        omega = self.real.omega
-        return RelationCheck(
-            chk.kind.removesuffix("plus") + "minus", chk.pair, -1, chk.grid, chk.checked,
-            [(modes, omega(r, sign)) for modes, r in chk.failures], chk.failure_count,
-        )
+                    plans.append((chk, expected, *self._class_plan(memo[1], slots, out, total)))
+            if grouped:
+                firsts[key] = (sum(out), plans)
+        return [row[0] for row in rows]
 
     def _class_plan(self, reps: dict, slots: list, out_modes: tuple, total: dict) -> tuple:
         """What the later rows of the class of `out_modes`, whose first row
@@ -681,21 +676,6 @@ class Verifier:
                 plan.append((c, q, exps[q] - rep[0], sum(exps) - exps[q] - rep[1], rep[2]))
         return loop, plan
 
-    def _planned_row(self, plan: list, out_modes: tuple) -> list:
-        """The (coefficient, central part) terms of the row at `out_modes`
-        from its class's `plan`: each summand's outermost accumulation
-        placed at the summand's modes, (k_1, ..., n) = out + exps read
-        through its slots.  The slots of a summand read every output mode
-        once, so the mode sum of its inner level is sum(out) less the mode
-        of its outermost slot q, plus sum(exps) - exps_q."""
-        row = []
-        for c, q, d1, d2, acc in plan:
-            inner = sum(out_modes) - out_modes[q] + d2
-            got = self.real.place_central(acc, out_modes[q] + d1, inner)
-            if got:
-                row.append((c, got))
-        return row
-
     def _nested(self, memo: tuple, i: int, j: int, picks: tuple, modes: tuple):
         """[theta(p, i, k_1), [..., [theta(p, i, k_s), theta(q, j, n)]]] at
         modes (k_1, ..., k_s, n), (p, q) = `picks`, each pick 0, 1 or 2 for
@@ -710,7 +690,7 @@ class Verifier:
         class is placed (see the module docstring).  This is the only place
         where the verifier accumulates: a member row of a residue class of
         rows, weighted or Cartan, places its central parts from the same
-        accumulations (`_class_plan`, `_planned_row`).  With reps None (an
+        accumulations (`_class_plan`, `_class_rows`).  With reps None (an
         image of the pair is not periodic in t1) every value is bracketed
         directly.  No bracket has a window."""
         if len(modes) == 1:
@@ -835,6 +815,18 @@ def _vacuous(kind: str) -> RelationReport:
     return RelationReport(
         [RelationCheck(kind + sign, (), 0, "vacuous", checked=1) for sign in ("plus", "minus")]
     )
+
+
+def _derived(chk: RelationCheck, pair: tuple, sign: int, residual) -> RelationCheck:
+    """The check of `pair` and `sign` derived from `chk`: the same checked
+    count and failure count, each residual r at modes `modes` as
+    residual(modes, r); a sign other than chk's turns the kind's "plus" to
+    "minus".  Every list and residual of the result is its own."""
+    kind = chk.kind if sign == chk.sign else chk.kind.removesuffix("plus") + "minus"
+    failures = []
+    for modes, r in chk.failures:
+        failures.append((modes, residual(modes, r)))
+    return RelationCheck(kind, pair, sign, chk.grid, chk.checked, failures, chk.failure_count)
 
 
 def _suite_families(gcm, mu, fam: SerreFamily) -> tuple:

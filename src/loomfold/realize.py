@@ -21,7 +21,7 @@ both of its steps at shift 0, with its window and the core's lattice period
 r; `accumulate`, `place` and `place_central` apart serve the verifier's
 residue classes (see `presentation`), with no window: `Verifier._nested`
 accumulates and places every bracket of a residue class, for the weighted
-and the Cartan rows alike, and `Verifier._planned_row` places the central
+and the Cartan rows alike, and `Verifier._class_rows` places the central
 terms of a member row.  `GAlg.bracket` passes period 1 and no window: it
 brackets in the full loop algebra g (x) C[t2^+-1] + C k2, of which a
 twisted core's Aff is a subalgebra, so that ungraded elements of a twisted

@@ -1,6 +1,7 @@
 """Shared, build-once realizations for the test session."""
 
 import itertools
+import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -9,8 +10,10 @@ from math import lcm
 import pytest
 
 from loomfold import kernel
-from loomfold.catalog import builtin_entries, entry_by_name
+from loomfold.cartan import Gcm
+from loomfold.catalog import CatalogEntry, builtin_entries, entry_by_name
 from loomfold.exactnum import CycNum, Echelon, cyc_root, vec_add
+from loomfold.folding import validate_aut
 from loomfold.polys import family_as, family_locality, family_p
 from loomfold.presentation import RelationCheck, RelationReport, suite_window
 from loomfold.realize import Realization
@@ -32,6 +35,25 @@ def cached_realization(name: str):
     m1, m2 = suite_window(e.gcm, e.mu, fam, 4)
     m1 = max(m1, 2 * 6 + 2)
     return Realization(e.gcm, e.mu, m1_window=m1, m2_window=m2)
+
+
+def relabelled(entry: CatalogEntry, seed: int) -> CatalogEntry:
+    """`entry` with its nodes renumbered by the permutation p that
+    random.Random(seed) shuffles range(n) into: the matrix A' with
+    A'[p i][p j] = A[i][j] and the twist mu' = p mu p^-1.  The pair is
+    isomorphic to the entry, so every report is the entry's up to the
+    renumbering, while the program sees labels it was not written around."""
+    n = entry.gcm.n
+    p = list(range(n))
+    random.Random(seed).shuffle(p)
+    a = [[0] * n for _ in range(n)]
+    mu = [0] * n
+    for i in range(n):
+        mu[p[i]] = p[entry.mu.perm[i]]
+        for j in range(n):
+            a[p[i]][p[j]] = entry.gcm.entries[i][j]
+    gcm = Gcm(a)
+    return CatalogEntry(entry.name, gcm, validate_aut(gcm, mu))
 
 
 @pytest.fixture(scope="session")

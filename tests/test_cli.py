@@ -691,13 +691,27 @@ def test_verify_rejects_factor_on_uncovered_pair(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args", [["classify", "--entry", "A3-flip"], ["verify", "--entry", "all", "--modes", "0"]]
+    "args",
+    [
+        ["classify", "--entry", "A3-flip"],
+        ["verify", "--entry", "all", "--modes", "0"],
+        ["verify", "--entry", "", "--modes", "1"],
+        ["fold", "--entry", ""],
+    ],
 )
 def test_entry_and_input_together_rejected(runner, tmp_path, args):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]], "mu": [1, 0]}))
     res = runner.invoke(main, args + ["--input", str(path)])
     assert _assert_rejected(res) == "provide --input FILE or --entry NAME, not both"
+
+
+@pytest.mark.parametrize("cmd", ["classify", "fold", "polys", "crosscheck", "verify"])
+def test_empty_entry_name_is_looked_up(runner, cmd):
+    # `--entry ""` was taken for no entry at all: with --input it ran the job
+    # file, and alone it asked for --input.  It names no catalog entry
+    res = runner.invoke(main, [cmd, "--entry", ""])
+    assert _assert_rejected(res) == "no catalog entry named ''"
 
 
 # files no JSON reader can take: not UTF-8, or nested past the recursion limit
@@ -741,6 +755,34 @@ def test_unreadable_family_file(runner, tmp_path, selector, content):
     )
     what = "family" if selector == "user" else "factor"
     assert _assert_rejected(res).startswith(f"cannot read {what} file: ")
+
+
+@pytest.mark.parametrize("via", ["env", "path"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (
+            {"name": "x", "cartan": [[2, -1], [-1, 2]], "mu": [1, 0], "muu": [0, 1]},
+            "catalog entry: unknown key 'muu'; it may hold name, cartan, mu",
+        ),
+        ("oops", 'catalog entry must be an object, got "oops"'),
+        ([[2, -1], [-1, 2]], "catalog entry must be an object, got [[2, -1], [-1, 2]]"),
+        (None, "catalog entry must be an object, got null"),
+    ],
+)
+def test_catalog_rejects_malformed_entries(runner, tmp_path, monkeypatch, via, entry, message):
+    # a catalog entry holds name, cartan and mu, as a job file holds cartan,
+    # mu and name: a misspelled key was dropped and the entry listed, and an
+    # entry that is no object failed with Python's own TypeError text
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([{"name": "ok", "cartan": [[2]], "mu": [0]}, entry]))
+    if via == "env":
+        monkeypatch.setenv("LOOMFOLD_CATALOG", str(path))
+        commands = [["catalog"], ["verify", "--entry", "all", "--modes", "0"]]
+    else:
+        commands = [["catalog", "--path", str(path)]]
+    for args in commands:
+        assert _assert_rejected(runner.invoke(main, args)) == message, args
 
 
 @pytest.mark.parametrize("name", [5, None, ["A2"], {"a": 1}, True])

@@ -1,11 +1,14 @@
 import itertools
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cached_family, cached_realization, reference_report
+from conftest import cached_family, cached_realization, reference_report, relabelled
 from loomfold import polys, presentation, realize
 from loomfold.catalog import builtin_entries, entry_by_name
 from loomfold.cartan import Gcm, canonical_matrix
@@ -1102,17 +1105,24 @@ def test_nested_values_match_direct_brackets(monkeypatch, name):
     # the suite at modes 2 reads nested modes that repeat a residue class mod
     # N on every entry, so most of its values are placed, not bracketed; the
     # Cartan rows read their brackets from `_nested` too.  Where N <= 2 a
-    # class of the Cartan rows' (m, n) has several rows; with no member
-    # planned each later row reads its bracket from `_nested`, placed from
-    # the class's first modes, and the oracle covers those brackets too
+    # class of the Cartan rows' (m, n) has several rows, whose members the
+    # suite places from the class's first row without reading `_nested`:
+    # read every (m, n) of the grid from one memo with reps per pair and
+    # picks, in grid order, so that each later value of a class is placed
+    # from its first modes, and the oracle covers those brackets too
     real, fam = cached_realization(name), cached_family(name)
     seen = _nested_values(monkeypatch, lambda: Verifier(real).run_suite(fam, 2))
     assert _assert_nested_match_direct(real, seen)
     assert {picks for _, _, picks, _ in seen} & _CARTAN_PICKS == _CARTAN_PICKS - {(2, 1)}
     if real.n_order <= 2:
-        monkeypatch.setattr(Verifier, "_class_plan", lambda *args: None)
-        seen = _nested_values(monkeypatch, lambda: Verifier(real).verify_cartan_relations(2))
-        assert _assert_nested_match_direct(real, seen) == _CARTAN_PICKS - {(2, 1)}
+        v = Verifier(real)
+        seen = {}
+        for i, j in itertools.product(range(real.gcm.n), repeat=2):
+            for picks in _CARTAN_PICKS:
+                memo = ({}, {})
+                for modes in itertools.product(range(-2, 3), repeat=2):
+                    seen[(i, j, picks, modes)] = v._nested(memo, i, j, picks, modes)
+        assert _assert_nested_match_direct(real, seen) == _CARTAN_PICKS
 
 
 @pytest.mark.parametrize("name", ["A1a-flip", "A2a-flip", "A2a-rot", "A3a-rot"])
@@ -1605,7 +1615,7 @@ def test_a_tampered_first_cartan_residual_fails_its_class_members(monkeypatch):
 
     def tampering(self, chk, modes, row, *rest):
         total = check(self, chk, modes, row, *rest)
-        if (chk.kind, chk.pair) == ("XX", (0, 1)) and not rest:  # summed in full
+        if (chk.kind, chk.pair) == ("XX", (0, 1)) and not rest[1:]:  # summed in full
             firsts.append(modes)
             total = {**total, key: one}
         return total
@@ -1839,3 +1849,72 @@ def test_run_suite_matches_the_reference_on_a_tampered_image(monkeypatch, pick, 
     fam = cached_family("A2a-flip")
     assert not _reference_matches(real, fam, 2)["pass"]
     assert not _reference_matches(real, _plain_family(fam, 1), 2, certificate=True)["pass"]
+
+
+# the entries where a residue class of rows has members at modes <= 2, the
+# weighted rows' and the Cartan rows' alike (N <= 2)
+_MEMBER_ENTRIES = ["A2-id", "A2-flip", "E6-flip", "A1a-id", "A1a-flip", "A2a-id", "A2a-flip"]
+
+
+@lru_cache(maxsize=None)
+def _relabelled_realization(name: str, seed: int):
+    e = relabelled(entry_by_name(name), seed)
+    return Realization(e.gcm, e.mu)
+
+
+def _one_coefficient_doubled(fam, index: int):
+    """`fam` with the first coefficient of the first slot of its pair
+    number `index` (in sorted order) doubled: homogeneous still, and the
+    relation of that pair is no longer family p's."""
+    pair = sorted(fam.entries)[index % len(fam.entries)]
+    sigmas = dict(fam.entries[pair])
+    sigma = min(sigmas)
+    poly = sigmas[sigma]
+    e = min(poly.terms)
+    sigmas[sigma] = LPoly(poly.vars, {**poly.terms, e: poly.terms[e] + poly.terms[e]})
+    return SerreFamily("perturbed", {**fam.entries, pair: sigmas})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_suite_matches_the_reference_on_relabelled_inputs(data):
+    # a catalog entry, mostly one with members at modes <= 2, with its nodes
+    # renumbered by a seeded permutation; family p, the classical limit where
+    # it is in scope, the criterion-9 plain family or family p with one
+    # coefficient doubled; modes 1 or 2; and maybe one image, theta_x of
+    # either sign or theta_h, with one coefficient doubled at a mode that is
+    # no first mode of its residue class.  Every report, passing or not, is
+    # the reference's
+    names = [e.name for e in builtin_entries()]
+    name = data.draw(st.one_of(st.sampled_from(_MEMBER_ENTRIES), st.sampled_from(names)))
+    real = _relabelled_realization(name, data.draw(st.integers(0, 9), label="seed"))
+    modes = data.draw(st.sampled_from([1, 2]), label="modes")
+    base = family_p(real.gcm, real.mu)
+    families = {
+        "p": (base, False),
+        "plain": (_plain_family(base, 1), True),
+        "perturbed": (_one_coefficient_doubled(base, data.draw(st.integers(0, 99))), True),
+    }
+    try:
+        families["qlimit"] = (family_qlimit(real.gcm, real.mu), True)
+    except ScopeViolation:
+        pass
+    fam, certificate = families[data.draw(st.sampled_from(sorted(families)), label="family")]
+    tamper = data.draw(st.booleans(), label="tamper")
+    if tamper:
+        pick = data.draw(st.sampled_from([0, 1, 2]), label="pick")
+        node = data.draw(st.integers(0, real.gcm.n - 1), label="node")
+        members = range(-modes + real.n_order, modes + 1) or range(-modes, modes + 1)
+        m = data.draw(st.sampled_from(members), label="mode")
+        key = (pick, node, m)
+        theta = real._theta(*key)
+        loop = sorted(k for k in theta if k[0] == "L")
+        if loop:
+            real._theta_cache[key] = {k: c + c if k == loop[0] else c for k, c in theta.items()}
+    try:
+        got = Verifier(real).run_suite(fam, modes, certificate=certificate).to_json()
+        want = reference_report(real, fam, modes, "P1" if certificate else "DS").to_json()
+    finally:
+        if tamper:
+            real._theta_cache[key] = theta
+    assert got == want
