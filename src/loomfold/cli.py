@@ -70,7 +70,7 @@ def _load_job(input_path: str | None, entry: str | None):
     if entry is not None:
         ce = catalog_mod.entry_by_name(entry)
         return ce.gcm, ce.mu, ce.name
-    if not input_path:
+    if input_path is None:
         raise JobError("provide --input FILE or --entry NAME")
     raw = catalog_mod.read_json(input_path, "job file")
     if not isinstance(raw, dict) or "cartan" not in raw:

@@ -10,9 +10,11 @@ from math import lcm
 import pytest
 
 from loomfold import kernel
-from loomfold.cartan import Gcm
+from loomfold.cartan import Gcm, _graph_iso, _RootTable, finite_matrix
 from loomfold.catalog import CatalogEntry, builtin_entries, entry_by_name
-from loomfold.exactnum import CycNum, Echelon, cyc_root, vec_add
+from loomfold.chevalley import _FOLDS, diagram_twist, mu_extend_finite
+from loomfold.chevalley import chevalley as chevalley_alg
+from loomfold.exactnum import CycNum, Echelon, cyc_root, perm_orbits, vec_add
 from loomfold.folding import validate_aut
 from loomfold.polys import family_as, family_locality, family_p
 from loomfold.presentation import RelationCheck, RelationReport, suite_window
@@ -86,6 +88,111 @@ def nu_by_propagation(alg, perm):
     chevalley.close(ech, seeds, seeds, alg.bracket)
     assert ech.rank == alg.dim, f"{alg.label}: generator words span only {ech.rank} of {alg.dim}"
     return [ech.apply(alg.unit(b)) for b in range(alg.dim)]
+
+
+def simply_laced_by_cocycle(letter: str, rank: int) -> tuple:
+    """The reference for `chevalley._build_simply_laced`: (basis, brackets,
+    form) of the lattice construction with root sums formed as tuples and
+    the asymmetry cocycle eps(a, b) summed over every pair of coordinates."""
+    matrix = finite_matrix(letter, rank)
+    n = rank
+    table = _RootTable(matrix, None)
+    pos = [r for h in range(1, table.close_finite() + 1) for r in sorted(table.by_height[h])]
+    roots = pos + [tuple(-c for c in r) for r in pos]
+
+    def eps(a, b):
+        parity = sum(
+            a[i] * b[j] for i in range(n) for j in range(n) if i == j or (i < j and matrix[i][j])
+        )
+        return -1 if parity % 2 else 1
+
+    def sgn(r):
+        return 1 if sum(r) > 0 else -1
+
+    basis = [("h", i) for i in range(n)] + [("x", r) for r in roots]
+    index = {k: i for i, k in enumerate(basis)}
+    brackets, form = {}, {}
+
+    def put(i, j, vec):
+        if vec:
+            brackets[(i, j)] = vec
+            brackets[(j, i)] = {k: -c for k, c in vec.items()}
+
+    for i in range(n):
+        for r in roots:
+            c = sum(r[j] * matrix[i][j] for j in range(n))
+            if c:
+                put(i, index[("x", r)], {index[("x", r)]: c})
+    for ia, a in enumerate(roots):
+        for b in roots[ia:]:
+            s = tuple(x + y for x, y in zip(a, b))
+            if not any(s):
+                coeff = sgn(a) * sgn(b) * eps(a, b)
+                put(index[("x", a)], index[("x", b)], {i: coeff * a[i] for i in range(n) if a[i]})
+            elif ("x", s) in index:
+                coeff = sgn(a) * sgn(b) * sgn(s) * eps(a, b)
+                put(index[("x", a)], index[("x", b)], {index[("x", s)]: coeff})
+    for i in range(n):
+        for j in range(n):
+            if matrix[i][j]:
+                form[(i, j)] = matrix[i][j]
+    for r in roots:
+        form[(index[("x", r)], index[("x", tuple(-c for c in r))])] = 1
+    return basis, brackets, form
+
+
+def folded_by_echelon(letter: str, rank: int) -> tuple:
+    """The reference for `chevalley._build_folded`: (basis, brackets, form)
+    of the fixed subalgebra spanned by the Cartan orbit sums and the
+    nu-orbit sums of root vectors, with every bracket of two of them
+    expanded in an `Echelon` over Fraction coordinates and every form
+    entry summed by `FiniteAlg.pair`."""
+    src_letter, src_rank, r = _FOLDS[letter]
+    src_label, perm = diagram_twist(src_letter, src_rank(rank), r)
+    src = chevalley_alg(src_label)
+    nu = mu_extend_finite(src, perm)
+    node_orbits = perm_orbits(perm)
+    fold_matrix = tuple(
+        tuple(sum(src.matrix[q][o2[0]] for q in o1) for o2 in node_orbits) for o1 in node_orbits
+    )
+    orbit_for_node = [None] * rank
+    for orb, node in zip(node_orbits, _graph_iso(fold_matrix, finite_matrix(letter, rank))):
+        orbit_for_node[node] = orb
+    keys = [("h", t) for t in range(rank)]
+    vectors = [{src.h_idx[p]: Fraction(1) for p in orbit_for_node[t]} for t in range(rank)]
+    seen = set()
+    for key, coords in zip(src.basis, src.root_of):
+        if key[0] != "x" or coords in seen:
+            continue
+        b, total, s = src.index[key], {}, Fraction(1)
+        while b not in total:
+            total[b] = s
+            ((b, x),) = nu[b].items()
+            s *= x
+        seen.update(src.root_of[t] for t in total)
+        keys.append(("x", tuple(sum(coords[p] for p in orb) for orb in orbit_for_node)))
+        vectors.append(total)
+
+    def integral(q):
+        return q.numerator if q.denominator == 1 else q
+
+    expander = Echelon()
+    for i, vec in enumerate(vectors):
+        expander.insert(vec, {i: Fraction(1)})
+    brackets, form = {}, {}
+    for i, vi in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            br = src.bracket(vi, vectors[j])
+            out = {k: integral(c) for k, c in expander.apply(br).items()} if br else {}
+            if out:
+                brackets[(i, j)] = out
+                brackets[(j, i)] = {k: -c for k, c in out.items()}
+    for i, vi in enumerate(vectors):
+        for j, vj in enumerate(vectors):
+            val = src.pair(vi, vj)
+            if val:
+                form[(i, j)] = integral(val)
+    return keys, brackets, form
 
 
 def reference_report(real, fam, modes, kind="DS"):

@@ -1,10 +1,11 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import nu_by_propagation
+from conftest import folded_by_echelon, nu_by_propagation, simply_laced_by_cocycle
 from loomfold.cartan import Gcm, _candidates, finite_matrix
 from loomfold.chevalley import _FOLDS, FiniteAlg, chevalley, diagram_twist, mu_extend_finite
 from loomfold.errors import GeneratorAssertionFailed, UnknownType
@@ -212,6 +213,65 @@ def test_mu_extend_preserves_brackets():
         lhs = apply_linear(nu, alg.bracket(alg.unit(i), alg.unit(j)))
         rhs = alg.bracket(apply_linear(nu, alg.unit(i)), apply_linear(nu, alg.unit(j)))
         assert lhs == rhs
+
+
+def _typed(basis, brackets, form):
+    """The tables with the type of every entry, in their key order."""
+    return (
+        basis,
+        [(key, [(k, type(c), c) for k, c in v.items()]) for key, v in brackets.items()],
+        [(key, type(c), c) for key, c in form.items()],
+    )
+
+
+@pytest.mark.parametrize(
+    "label",
+    [f"A{n}" for n in range(1, 8)] + [f"D{n}" for n in range(4, 8)] + ["E6", "E7"],
+)
+def test_simply_laced_tables_match_the_cocycle_reference(label):
+    # the int root codes and cocycle bit masks give the tables of tuple root
+    # sums and the cocycle summed over all coordinate pairs, entry for entry
+    alg = chevalley(label)
+    want = simply_laced_by_cocycle(label[0], int(label[1:]))
+    assert _typed(alg.basis, alg.brackets, alg.form) == _typed(*want)
+
+
+@pytest.mark.parametrize(
+    "label", [f"{x}{n}" for x in "BC" for n in range(2, 6)] + ["F4", "G2"]
+)
+def test_folded_tables_match_the_echelon_reference(label):
+    # coordinates read off the disjoint supports of the orbit sums give the
+    # tables of the Echelon expansion, entry for entry
+    alg = chevalley(label)
+    want = folded_by_echelon(label[0], int(label[1:]))
+    assert _typed(alg.basis, alg.brackets, alg.form) == _typed(*want)
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "G2"])
+def test_fold_rejects_a_bracket_outside_the_span(label, monkeypatch):
+    # one constant [x_a, x_b] = c x_s of the source doubled, in both orders,
+    # where nu moves x_s: the orbit sums through x_a and x_b then bracket to
+    # an element with 2c at x_s but c at the image of x_s, which is no
+    # combination of orbit sums.  nu is that of the true table, so the
+    # expansion has to find it
+    module = sys.modules["loomfold.chevalley"]
+    src_letter, src_rank, r = _FOLDS[label[0]]
+    src_label, perm = diagram_twist(src_letter, src_rank(int(label[1:])), r)
+    src = chevalley(src_label)
+    images = mu_extend_finite(src, perm)
+    moved = [next(iter(image)) != b for b, image in enumerate(images)]
+    (a, b), vec = next(
+        (key, vec)
+        for key, vec in src.brackets.items()
+        if min(key) >= src.rank and len(vec) == 1 and moved[next(iter(vec))]
+    )
+    ((s, c),) = vec.items()
+    brackets = {**src.brackets, (a, b): {s: 2 * c}, (b, a): {s: -2 * c}}
+    bad = dataclasses.replace(src, brackets=brackets)
+    monkeypatch.setattr(module, "chevalley", lambda _: bad)
+    monkeypatch.setattr(module, "mu_extend_finite", lambda alg, nu: images)
+    with pytest.raises(GeneratorAssertionFailed, match=f"leaves the span of the orbit sums of {src_label}$"):
+        module._build_folded(label[0], int(label[1:]))
 
 
 def _dense_assert_structure(alg):

@@ -735,6 +735,14 @@ def test_unreadable_job_file(runner, tmp_path, content):
     assert _assert_rejected(res).startswith("cannot read job file: ")
 
 
+@pytest.mark.parametrize("cmd", ["classify", "verify"])
+def test_empty_input_path_is_read(runner, cmd):
+    # `--input ""` was taken for no input at all and asked for --input; it
+    # names a file that cannot be read
+    res = runner.invoke(main, [cmd, "--input", ""])
+    assert _assert_rejected(res).startswith("cannot read job file: ")
+
+
 @pytest.mark.parametrize("content", _UNREADABLE.values(), ids=_UNREADABLE.keys())
 def test_unreadable_catalog_file(runner, tmp_path, monkeypatch, content):
     path = tmp_path / "cat.json"

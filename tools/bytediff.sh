@@ -156,8 +156,9 @@ for job in sys.argv[1:]:
 # corrupted where the node rows are summed.  First of all the finite
 # automorphisms: the tables of every folded type B2-B5, C2-C5, F4 and G2,
 # omega_0 of each, the twist nu of every row of the twist table (the loop
-# cores of the affine types up to size 9 and the folding sources), and
-# omega_0 of every core of those rows.
+# cores of the affine types up to size 9 and the folding sources), and the
+# tables and omega_0 of every core of those rows and of E7 and E8.  Tables
+# are printed in their own key order, outer and inner.
 cat >"$tmp/gdump.py" <<'EOF'
 import json
 
@@ -179,7 +180,7 @@ def show(v):
 folded = [f"{letter}{rank}" for letter in "BC" for rank in range(2, 6)] + ["F4", "G2"]
 for label in folded:
     alg = chevalley(label)
-    print("folded", label, alg.basis, sorted(alg.brackets.items()), sorted(alg.form.items()))
+    print("folded", label, alg.basis, list(alg.brackets.items()), list(alg.form.items()))
     print("omega", label, *alg.omega)
 rows = {row for n in range(2, 10) for row in (c[:3] for c in _candidates("affine", n))}
 for label in folded:
@@ -188,8 +189,10 @@ for label in folded:
 for row in sorted(rows):
     core, nu = diagram_twist(*row)
     print("nu", *row, core, nu, *map(show, mu_extend_finite(chevalley(core), nu)))
-for core in sorted({diagram_twist(*row)[0] for row in rows}):
-    print("omega", core, *chevalley(core).omega)
+for core in sorted({diagram_twist(*row)[0] for row in rows} | {"E7", "E8"}):
+    alg = chevalley(core)
+    print("core", core, alg.basis, list(alg.brackets.items()), list(alg.form.items()))
+    print("omega", core, *alg.omega)
 
 for label in ("A1^(1) A2^(1) A3^(1) B3^(1) C2^(1) D4^(1) G2^(1) F4^(1) "
               "A2^(2) A4^(2) A5^(2) D3^(2) D4^(2) D4^(3)").split():
