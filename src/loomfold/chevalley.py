@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from loomfold.cartan import _RootTable, _graph_iso, finite_matrix
-from loomfold.errors import GeneratorAssertionFailed, OutOfWindow, UnknownType
+from loomfold.errors import GeneratorAssertionFailed, UnknownType
 from loomfold.exactnum import Echelon, perm_orbits, vec_add, vec_scale
 
 Vec = dict[int, Fraction]
@@ -391,9 +391,9 @@ def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None, caps=None) -
 
     Works breadth first: each round brackets every (s, s_img) of `ad` with
     each pair the previous round added, and inserts [s, a] with the image
-    [s_img, a_img].  A bracket that raises OutOfWindow, is zero or fails
-    `keep` is skipped; at most `rounds` rounds run when given.  An empty
-    image (a span closure maps everything to {}) is not bracketed.
+    [s_img, a_img].  A bracket that is zero or fails `keep` is skipped; at
+    most `rounds` rounds run when given.  An empty image (a span closure
+    maps everything to {}) is not bracketed.
 
     In the first round a pair of `ad` that is itself one of `pairs` (the
     same object) meets every other such pair twice, as (s, a) and (a, s);
@@ -401,11 +401,10 @@ def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None, caps=None) -
     The later one would insert [a, s] = -[s, a] with the image
     [a_img, s_img] = -[s_img, a_img]: both brackets are antisymmetric
     (`FiniteAlg.assert_structure` certifies the table and the symmetric
-    form that the central terms read), and a bracket leaves the window or
-    fails `keep` (which must read only the keys) exactly when its mirror
-    does, so it never adds a row and its consistency check repeats the
-    first one.  The rows and their order are those of a closure that
-    brackets every pair.
+    form that the central terms read), and a bracket fails `keep` (which
+    must read only the keys) exactly when its mirror does, so it never adds
+    a row and its consistency check repeats the first one.  The rows and
+    their order are those of a closure that brackets every pair.
 
     `caps`, when given, cuts the closure short (`realize._Caps` caps the
     span closure of the fixed blocks): every element that adds a row, seed
@@ -438,10 +437,7 @@ def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None, caps=None) -
                 s, s_img = s_pair
                 if caps is not None and caps.skip(s, a):
                     continue
-                try:
-                    b = bracket(s, a)
-                except OutOfWindow:
-                    continue
+                b = bracket(s, a)
                 if not b or (keep is not None and not keep(b)):
                     continue
                 b_img = bracket(s_img, a_img) if s_img and a_img else {}
@@ -453,16 +449,16 @@ def close(ech: Echelon, pairs, ad, bracket, keep=None, rounds=None, caps=None) -
         done += 1
 
 
-def mu_extend_finite(alg: FiniteAlg, perm) -> list[Vec]:
+def mu_extend_finite(alg: FiniteAlg, perm) -> tuple:
     """Extend a diagram automorphism nu (e_i -> e_perm[i], f_i -> f_perm[i],
     h_i -> h_perm[i]) from the generators to the whole algebra.
 
-    Returns the images of the basis vectors, each a multiple of one basis
-    vector: nu is built root by root and certified as `FiniteAlg.omega` is.
+    Returns nu as the monomial map (perm, scale) of `FiniteAlg.omega`,
+    nu(x_b) = scale[b] x_perm[b] with int scales: it is built root by root
+    and certified as omega_0 is.
     """
     gens = [((alg.e_idx[p], 1), (alg.f_idx[p], 1), (alg.h_idx[p], 1)) for p in perm]
-    images, scale = alg._automorphism("nu", gens)
-    return [{t: Fraction(s)} for t, s in zip(images, scale)]
+    return alg._automorphism("nu", gens)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +505,7 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
     src_letter, src_rank, r = _FOLDS[letter]
     src_label, perm = diagram_twist(src_letter, src_rank(rank), r)
     src = chevalley(src_label)
-    nu = mu_extend_finite(src, perm)
+    nu_perm, nu_scale = mu_extend_finite(src, perm)
     node_orbits = perm_orbits(perm)
     fold_matrix = tuple(
         tuple(
@@ -537,8 +533,8 @@ def _build_folded(letter: str, rank: int) -> FiniteAlg:
         b, total, s = src.index[key], {}, 1
         while b not in total:
             total[b] = s
-            ((b, x),) = nu[b].items()
-            s *= _integral(x)
+            s *= nu_scale[b]
+            b = nu_perm[b]
         if s != 1:
             raise GeneratorAssertionFailed(
                 f"orbit sum at {coords} is not fixed; fold of {letter}{rank} broken"

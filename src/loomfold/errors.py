@@ -34,10 +34,10 @@ class GeneratorAssertionFailed(LoomfoldError):
 
 
 class OutOfWindow(LoomfoldError):
-    """A bracket result left the graded truncation window.
+    """The requested inner blocks do not fit the realization's window.
 
-    Raised instead of silently truncating; the caller must rebuild with a
-    larger window.
+    Raised by `Realization.fixed_subalgebra_dims` before any bracket is
+    made; the caller must rebuild with a larger window.
     """
 
 

@@ -14,17 +14,11 @@ suites of every catalog entry at modes 1, no pair leaves it.
 
 from __future__ import annotations
 
-import sys
-
-from loomfold.errors import InconsistentPropagation, OutOfWindow
+from loomfold.errors import InconsistentPropagation
 from loomfold.exactnum import euler_phi, lazy_add, lazy_align, lazy_reduce, lazy_settle
 
-# The window of `realize.GAlg.bracket` and of the verifier's brackets
-# (`Realization.accumulate`, `place`, `place_central`): no degree reaches it.
-_NO_WINDOW = (sys.maxsize, sys.maxsize)
 
-
-def _loop_bracket(alg, field: int, window, x: dict, y: dict):
+def _loop_bracket(alg, field: int, x: dict, y: dict):
     """The accumulate step of [x, y] in the central extension over t1 of the
     t2-loop algebra of the core `alg`: everything `_place` needs to finish
     the bracket at any t1-shift of its operands.
@@ -43,15 +37,11 @@ def _loop_bracket(alg, field: int, window, x: dict, y: dict):
     even though the block contraction of honestly graded elements cancels
     there.
 
-    `window` (m1w, m2w) bounds the output degree of each contributing pair,
-    tested as the pair is reached; `_NO_WINDOW` tests nothing.
-
     Returns (loop, central, order, den): the settled loop part, the nonzero
     reduced pairing sums per degree block (m1, m2, n1, n2), and their field
     and denominator.
     """
     partners = alg.partners
-    m1w, m2w = window
     order, phi, den = field, euler_phi(field), 1
     sums: dict = {}  # output key -> unreduced numerators over den
     central: dict = {}  # (m1, m2, n1, n2) -> unreduced summed pairing
@@ -73,8 +63,6 @@ def _loop_bracket(alg, field: int, window, x: dict, y: dict):
             n1, n2 = ky[1], ky[2]
             p1 = m1 + n1
             p2 = m2 + n2
-            if entry and (abs(p1) > m1w or abs(p2) > m2w):
-                raise OutOfWindow(f"bracket degree ({p1},{p2}) leaves window ({m1w},{m2w})")
             ay = cy.nums
             if ox != order or cy.order != order or dx * cy.den != den:
                 order, den, cx, ay = lazy_align((sums, central), order, den, cx, cy)
@@ -125,13 +113,13 @@ def _loop_bracket(alg, field: int, window, x: dict, y: dict):
     return lazy_settle(sums, order, den) if sums else {}, central, order, den
 
 
-def _place(acc, affine: bool, r: int, window, d1: int, d2: int) -> dict:
+def _place(acc, affine: bool, r: int, d1: int, d2: int) -> dict:
     """The place step: [x', y'] from `acc`, the `_loop_bracket` of (x, y),
     for x', y' the loop keys of x, y moved d1, d2 in t1.  The loop part is
     acc's moved d1 + d2, and the central terms are `_central`'s.  acc is
     not changed; its loop part may be returned itself.
     """
-    central = _central(acc, affine, r, window, d1, d2)
+    central = _central(acc, affine, r, d1, d2)
     loop = acc[0]
     shift = d1 + d2
     if shift and loop:
@@ -139,17 +127,15 @@ def _place(acc, affine: bool, r: int, window, d1: int, d2: int) -> dict:
     return {**loop, **central} if central else loop
 
 
-def _central(acc, affine: bool, r: int, window, d1: int, d2: int) -> dict:
+def _central(acc, affine: bool, r: int, d1: int, d2: int) -> dict:
     """The central terms of `_place` with no loop key walked: they go at the
     actual degrees, with k2 and its degree cocycle when `affine` and the
     divided center symbols on the loop lattice t2^(r Z): K1 (factor m1,
     where p1 = 0), K2(p1) (factor m2) and K1p(p1, p2) (factor m1 n2 - m2 n1).
-    The degree of each central term is tested against `window`.
     """
     _, central, order, den = acc
     if not central:
         return {}
-    m1w, m2w = window
     sums: dict = {}
     for (m1, m2, n1, n2), total in central.items():
         m1 += d1
@@ -160,13 +146,9 @@ def _central(acc, affine: bool, r: int, window, d1: int, d2: int) -> dict:
             if p1 == 0 and m1 != 0:
                 lazy_add(sums, ("K1",), total, m1)
             if affine and m2 != 0:
-                if abs(p1) > m1w:
-                    raise OutOfWindow(f"central degree {p1} leaves window {m1w}")
                 lazy_add(sums, ("K2", p1), total, m2)
         elif p2 % r != 0:
             raise InconsistentPropagation("central term at a degree outside the loop lattice")
         elif m1 * n2 != m2 * n1:
-            if abs(p1) > m1w or abs(p2) > m2w:
-                raise OutOfWindow(f"central degree ({p1},{p2}) leaves window")
             lazy_add(sums, ("K1p", p1, p2), total, m1 * n2 - m2 * n1)
     return lazy_settle(sums, order, den) if sums else {}

@@ -51,9 +51,8 @@ theta(i0, m), zero where (a + 1 - a') m = 0 mod N (at every step of an
 orbit but the wrap mu i = i0) or theta(i, m) = 0; such a row is counted,
 not summed.  Every other row is summed, so a corrupted image fails.
 
-Every bracket of a relation is exact: the realization's window bounds
-only its span closures, and the verifier brackets with none
-(`kernel._NO_WINDOW`), so no check has a gap.  The nested brackets of
+Every bracket is exact: the realization's window bounds only its span
+closures, so no check has a gap.  The nested brackets of
 (i0, j0) are bracketed once per residue class of their modes mod N
 (`Verifier._nested`).  Since xi_N^(-k N) = 1, theta(i, m + N) is
 theta(i, m) moved N in t1, key by key, so by induction on s the bracket at
@@ -692,7 +691,7 @@ class Verifier:
         rows, weighted or Cartan, places its central parts from the same
         accumulations (`_class_plan`, `_class_rows`).  With reps None (an
         image of the pair is not periodic in t1) every value is bracketed
-        directly.  No bracket has a window."""
+        directly."""
         if len(modes) == 1:
             return self.real._theta(picks[1], j, modes[0])
         values, reps = memo
@@ -852,8 +851,8 @@ def family_max_degree(fam: SerreFamily) -> int:
 def suite_window(gcm, mu, fam: SerreFamily, mode_bound: int) -> tuple[int, int]:
     """A window that holds every bracket of the relation suite at this bound.
 
-    The verifier brackets with no window, so this sizes only the windows of
-    span closures (`Realization.fixed_subalgebra_dims`) and of the
+    Every bracket is exact, so this sizes only the windows of span
+    closures (`Realization.fixed_subalgebra_dims`) and of the
     benchmark's realizations.  t1: the worst intermediate degree of a nested
     bracket with all operand modes within mode_bound plus the largest
     |exponent| of the suite's families; t2: nesting depth, since every

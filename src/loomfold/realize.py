@@ -11,22 +11,20 @@ at two levels:
   Aff = (sum_m t2^m (x) gdot_[m]) + C k2 with the degree cocycle: the
   elements of t1-degree 0, over ("L", 0, m2, b) and ("K2", 0).
 * ghat-level (`Realization`): the universal central extension of Aff over
-  t1.  `Realization.bracket` brackets inside a window |m1| <= m1w,
-  |m2| <= m2w, for the span closures of `fixed_subalgebra_dims` and
-  `MuHat`: a bracket that would leave it raises OutOfWindow instead of
-  truncating.
+  t1.  Every bracket is exact.  The window |m1| <= m1w, |m2| <= m2w bounds
+  only the span closures of `fixed_subalgebra_dims` and `MuHat`, which keep
+  the brackets inside it (`_inside`) and skip the rest.
 
 One kernel (`kernel`) brackets both levels.  `Realization.bracket` runs
-both of its steps at shift 0, with its window and the core's lattice period
-r; `accumulate`, `place` and `place_central` apart serve the verifier's
-residue classes (see `presentation`), with no window: `Verifier._nested`
-accumulates and places every bracket of a residue class, for the weighted
-and the Cartan rows alike, and `Verifier._class_rows` places the central
-terms of a member row.  `GAlg.bracket` passes period 1 and no window: it
-brackets in the full loop algebra g (x) C[t2^+-1] + C k2, of which a
-twisted core's Aff is a subalgebra, so that ungraded elements of a twisted
-core bracket too; at t1-degree 0 no K1p symbol arises, since
-m1 n2 - m2 n1 = 0.
+both of its steps at shift 0, with the core's lattice period r;
+`accumulate`, `place` and `place_central` apart serve the verifier's
+residue classes (see `presentation`): `Verifier._nested` accumulates and
+places every bracket of a residue class, for the weighted and the Cartan
+rows alike, and `Verifier._class_rows` places the central terms of a member
+row.  `GAlg.bracket` passes period 1: it brackets in the full loop
+algebra g (x) C[t2^+-1] + C k2, of which a twisted core's Aff is a
+subalgebra, so that ungraded elements of a twisted core bracket too; at
+t1-degree 0 no K1p symbol arises, since m1 n2 - m2 n1 = 0.
 
 The twist nu of a loop core comes from `chevalley.diagram_twist`.  The
 diagram automorphism mu acts at g-level as the `Echelon` that
@@ -65,7 +63,7 @@ from loomfold.exactnum import (
     vec_scale,
 )
 from loomfold.folding import DiagramAut, fold_data, validate_aut
-from loomfold.kernel import _NO_WINDOW, _central, _loop_bracket, _place
+from loomfold.kernel import _central, _loop_bracket, _place
 
 AlgElem = dict
 
@@ -83,8 +81,9 @@ class GAlg:
         self.r = max(1, classification.twist)
         core, self.nu = diagram_twist(classification.letter, classification.rank, self.r)
         alg = self.alg = chevalley(core)
+        # nu as the monomial map (perm, scale) of `mu_extend_finite`
         self.nu_images = (
-            mu_extend_finite(alg, self.nu) if self.r > 1 else [alg.unit(i) for i in range(alg.dim)]
+            mu_extend_finite(alg, self.nu) if self.r > 1 else (range(alg.dim), (1,) * alg.dim)
         )
         if self.mode == "finite":
             self.canonical_gens = [
@@ -98,10 +97,9 @@ class GAlg:
 
     def bracket(self, x: AlgElem, y: AlgElem) -> AlgElem:
         """The loop bracket: t2^(m+n) (x) [u, v], plus the cocycle
-        m (u|v) k2 when m + n = 0 != m (affine only); lattice period 1 and
-        no window, as the module docstring explains."""
-        acc = _loop_bracket(self.alg, 1, _NO_WINDOW, x, y)
-        return _place(acc, self.mode == "affine", 1, _NO_WINDOW, 0, 0)
+        m (u|v) k2 when m + n = 0 != m (affine only); lattice period 1, as
+        the module docstring explains."""
+        return _place(_loop_bracket(self.alg, 1, x, y), self.mode == "affine", 1, 0, 0)
 
     def pair(self, x: AlgElem, y: AlgElem) -> CycNum:
         """The invariant form; k2 pairs to zero with everything."""
@@ -156,6 +154,7 @@ def _affine_generators(galg: GAlg) -> list:
     # lowest-weight line of the degree-1 eigenspace, highest of degree -1
     xi = cyc_root(r, 1)
     dim = alg.dim
+    nu_perm, nu_scale = galg.nu_images
 
     def weight_line(eigenvalue: CycNum, ops: list) -> dict:
         """The one v, up to scale, in the finite algebra with nu(v) =
@@ -163,7 +162,7 @@ def _affine_generators(galg: GAlg) -> list:
         whose column j stacks nu(e_j) - eigenvalue e_j and the [op, e_j]."""
         columns = []
         for j in range(dim):
-            col = {(0, t): CycNum.from_rational(s) for t, s in galg.nu_images[j].items()}
+            col = {(0, nu_perm[j]): CycNum.from_rational(nu_scale[j])}
             vec_add(col, {(0, j): -eigenvalue})
             for o, op in enumerate(ops, 1):
                 for key, c in galg.bracket(op, {("L", 0, 0, j): CycNum.one()}).items():
@@ -324,28 +323,29 @@ class Realization:
         return {(k[0], m1) + k[2:]: c for k, c in x.items()}
 
     def bracket(self, x: AlgElem, y: AlgElem) -> AlgElem:
-        """Exact bracket in the extended algebra; raises OutOfWindow."""
+        """The exact bracket in the extended algebra: place(accumulate(x,
+        y), 0, 0), with the kernel called directly, since the span closures
+        make thousands of these calls."""
         galg = self.galg
-        window = (self.m1w, self.m2w)
-        acc = _loop_bracket(galg.alg, self.field, window, x, y)
-        # the loop tested the window, so at shift 0 only central terms remain
-        return _place(acc, galg.mode == "affine", galg.r, window, 0, 0) if acc[1] else acc[0]
+        acc = _loop_bracket(galg.alg, self.field, x, y)
+        # at shift 0 with no pairing sum, the loop part is the bracket
+        return _place(acc, galg.mode == "affine", galg.r, 0, 0) if acc[1] else acc[0]
 
     def accumulate(self, x: AlgElem, y: AlgElem):
-        """The kernel's accumulate step on (x, y), with no window."""
-        return _loop_bracket(self.galg.alg, self.field, _NO_WINDOW, x, y)
+        """The kernel's accumulate step on (x, y)."""
+        return _loop_bracket(self.galg.alg, self.field, x, y)
 
     def place(self, acc, d1: int, d2: int) -> AlgElem:
         """The exact bracket of the operands of `acc` moved d1 and d2 in t1
-        (see `_place`), with no window."""
+        (see `_place`)."""
         galg = self.galg
-        return _place(acc, galg.mode == "affine", galg.r, _NO_WINDOW, d1, d2)
+        return _place(acc, galg.mode == "affine", galg.r, d1, d2)
 
     def place_central(self, acc, d1: int, d2: int) -> AlgElem:
         """The keys other than loop keys of `place(acc, d1, d2)`, with no
         loop key walked (see `_central`)."""
         galg = self.galg
-        return _central(acc, galg.mode == "affine", galg.r, _NO_WINDOW, d1, d2)
+        return _central(acc, galg.mode == "affine", galg.r, d1, d2)
 
     def omega(self, x: AlgElem, sign: int = 1) -> AlgElem:
         """sign times omega_hat(x), omega_hat the Chevalley involution
@@ -357,7 +357,7 @@ class Realization:
             ("K1p", p1, p2)   ->  -("K1p", p1, -p2)
 
         omega_hat is an automorphism of the bracket that `kernel._loop_bracket`
-        and `kernel._place` compute, raises included.  It is Q(xi)-linear,
+        and `kernel._place` compute.  It is Q(xi)-linear,
         since it acts on keys only, fixes t1 and negates t2-degrees.  A
         contributing basis pair at degrees (m1, m2), (n1, n2) goes to the
         pair (omega_0 u, omega_0 v) at (m1, -m2), (n1, -n2).  Its loop term
@@ -369,12 +369,11 @@ class Realization:
         * K1 weighs m1, which stays;
         * K2(p1) weighs m2, which changes sign;
         * K1p(p1, p2) weighs m1 n2 - m2 n1, which changes sign, at (p1, -p2).
-        Every test of `_loop_bracket`, `_place` and `_central` reads m1,
-        n1, p1, |p2|, whether m2, p2 or m1 n2 - m2 n1 is 0 and whether r
-        divides p2, and each of these stays, so the symmetric window and the
-        r-lattice map onto themselves and a bracket raises exactly where its
-        image raises.  Over every pair this gives omega_hat [x, y] =
-        [omega_hat x, omega_hat y]."""
+        Every test of `_central` reads m1, n1, p1, whether m2, p2 or
+        m1 n2 - m2 n1 is 0 and whether r divides p2, and each of these
+        stays, so the r-lattice maps onto itself and a bracket raises
+        exactly where its image raises.  Over every pair this gives
+        omega_hat [x, y] = [omega_hat x, omega_hat y]."""
         perm, scale = self.galg.alg.omega
         out: AlgElem = {}
         for key, c in x.items():
@@ -568,9 +567,9 @@ class Realization:
         * It runs on the least node of each mu-orbit: theta(mu^a i, m) =
           xi_N^(am) theta(i, m), so every other node's image is a nonzero
           multiple of one already seeded, of the same degree.  Its bracket
-          with any element is that multiple of the kept bracket: it leaves
-          the window, fails `keep` or vanishes exactly when the kept one
-          does, and otherwise reduces to zero against it.
+          with any element is that multiple of the kept bracket: it fails
+          `keep` or vanishes exactly when the kept one does, and otherwise
+          reduces to zero against it.
         * `ad` holds the theta_x images only.  The central theta_c brackets
           to zero.  [e_k, f_l] = delta_kl h_k is certified by
           `_assert_generators`, so [theta_x(i, m, +1), theta_x(i, 0, -1)] is
@@ -604,10 +603,7 @@ class Realization:
                     seeds.append(pair)
                     if pick < 2 and abs(m) <= 1 and pair[0]:
                         ad.append(pair)
-
-        def keep(v):
-            return all(abs(d1) <= out_m1 and abs(d2) <= out_m2 for d1, d2 in map(_key_degrees, v))
-
+        keep = _inside(out_m1, out_m2)
         if caps is not None and any(v and not caps.fixes(v) for v, _ in seeds):
             caps = None
         prop = Echelon()
@@ -729,15 +725,16 @@ class MuHat:
     """The lifted automorphism, built extensionally by bracket propagation.
 
     Valid for every case, including degree-shifting (transitive) twists.
-    The span covers the seeds and their iterated brackets; applying the map
-    outside the span raises, and conflicting routes raise on insertion.
+    The span covers the seeds and their iterated brackets, kept inside
+    |m1| <= min(m1_bound, m1w) and |m2| <= m2w; applying the map outside
+    the span raises, and conflicting routes raise on insertion.
     """
 
     def __init__(self, real: Realization, m1_bound: int = 3, depth: int = 3):
         self.real = real
         self.n = real.n_order
         prop = Echelon()
-        seeds = []
+        seeds, ad = [], []
         for i in range(real.gcm.n):
             for m in range(-m1_bound, m1_bound + 1):
                 for pick in range(3):
@@ -746,11 +743,11 @@ class MuHat:
                         real.embed(m, real.gens[real.mu.perm[i]][pick]), real._phase(-m)
                     )
                     seeds.append((src, img))
-        ad = [s for s in seeds if _max_m1(s[0]) <= 1]
+                    if abs(m) <= 1:
+                        ad.append(seeds[-1])
         seeds.append((real.theta_c(), real.theta_c()))  # central: not in `ad`
-        close(
-            prop, seeds, ad, real.bracket, keep=lambda v: _max_m1(v) <= m1_bound, rounds=depth - 1
-        )
+        keep = _inside(min(m1_bound, real.m1w), real.m2w)
+        close(prop, seeds, ad, real.bracket, keep=keep, rounds=depth - 1)
         self.prop = prop
 
     def apply(self, x: AlgElem) -> AlgElem:
@@ -774,13 +771,14 @@ class MuHat:
         return True
 
 
-def _max_m1(v: AlgElem) -> int:
-    out = 0
-    for k in v:
-        d = abs(_key_degrees(k)[0])
-        if d > out:
-            out = d
-    return out
+def _inside(b1: int, b2: int):
+    """The test that every key of an element has |t1| <= b1 and |t2| <= b2:
+    the `keep` of the span closures, which bound their degrees by it."""
+
+    def inside(v: AlgElem) -> bool:
+        return all(abs(d1) <= b1 and abs(d2) <= b2 for d1, d2 in map(_key_degrees, v))
+
+    return inside
 
 
 def affinize(label: str):

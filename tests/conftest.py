@@ -150,7 +150,7 @@ def folded_by_echelon(letter: str, rank: int) -> tuple:
     src_letter, src_rank, r = _FOLDS[letter]
     src_label, perm = diagram_twist(src_letter, src_rank(rank), r)
     src = chevalley_alg(src_label)
-    nu = mu_extend_finite(src, perm)
+    nu_perm, nu_scale = mu_extend_finite(src, perm)
     node_orbits = perm_orbits(perm)
     fold_matrix = tuple(
         tuple(sum(src.matrix[q][o2[0]] for q in o1) for o2 in node_orbits) for o1 in node_orbits
@@ -167,8 +167,8 @@ def folded_by_echelon(letter: str, rank: int) -> tuple:
         b, total, s = src.index[key], {}, Fraction(1)
         while b not in total:
             total[b] = s
-            ((b, x),) = nu[b].items()
-            s *= x
+            s *= nu_scale[b]
+            b = nu_perm[b]
         seen.update(src.root_of[t] for t in total)
         keys.append(("x", tuple(sum(coords[p] for p in orb) for orb in orbit_for_node)))
         vectors.append(total)
@@ -199,8 +199,8 @@ def reference_report(real, fam, modes, kind="DS"):
     """The reference for `Verifier.run_suite(fam, modes, certificate)`, with
     relation `kind` "DS" (certificate False) or "P1" (True): its report,
     with every row of every ordered pair and of both signs summed directly
-    from the generator images `real._theta` and the kernel's bracket with no
-    window (`kernel._NO_WINDOW`), memoised by modes only.  No pair classes,
+    from the generator images `real._theta` and the kernel's bracket
+    (`kernel._loop_bracket`, then `kernel._place`), memoised by modes only.  No pair classes,
     audit, derived signs or residue-class members: each row is its own sum
     of (coefficient, element) terms with `vec_add`, its coefficients written
     in the row's field, Q(xi_L) or Q(xi_F) of the pair's relation."""
@@ -211,8 +211,8 @@ def reference_report(real, fam, modes, kind="DS"):
     memo: dict = {}
 
     def bracket(x, y):
-        acc = kernel._loop_bracket(galg.alg, field, kernel._NO_WINDOW, x, y)
-        return kernel._place(acc, galg.mode == "affine", galg.r, kernel._NO_WINDOW, 0, 0)
+        acc = kernel._loop_bracket(galg.alg, field, x, y)
+        return kernel._place(acc, galg.mode == "affine", galg.r, 0, 0)
 
     def nested(p, i, q, j, ks):
         """[theta(p, i, k_1), [..., [theta(p, i, k_s), theta(q, j, k_s+1)]]]."""

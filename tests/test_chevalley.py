@@ -13,11 +13,13 @@ from loomfold.exactnum import vec_add
 from loomfold.folding import validate_aut
 
 
-def apply_linear(images, v):
-    """v under the linear map that sends basis vector b to images[b]."""
+def apply_linear(nu, v):
+    """v under the monomial map nu = (perm, scale), which sends basis vector
+    b to scale[b] times basis vector perm[b]."""
+    perm, scale = nu
     out = {}
     for b, c in v.items():
-        vec_add(out, images[b], c)
+        vec_add(out, {perm[b]: scale[b]}, c)
     return out
 
 
@@ -116,9 +118,12 @@ def test_diagram_twist_is_an_automorphism_of_order_r(letter, rank, r):
 def test_mu_extend_finite_matches_propagation(letter, rank, r):
     # the root-by-root build of nu gives the images that propagation along
     # bracket words gives, on every core and folding source of the twist table
+    # (perm, scale), with int scales
     label, nu = diagram_twist(letter, rank, r)
     alg = chevalley(label)
-    assert mu_extend_finite(alg, nu) == nu_by_propagation(alg, nu)
+    perm, scale = mu_extend_finite(alg, nu)
+    assert all(type(s) is int for s in scale)
+    assert [{t: s} for t, s in zip(perm, scale)] == nu_by_propagation(alg, nu)
 
 
 def test_serre_relations_hold():
@@ -259,7 +264,7 @@ def test_fold_rejects_a_bracket_outside_the_span(label, monkeypatch):
     src_label, perm = diagram_twist(src_letter, src_rank(int(label[1:])), r)
     src = chevalley(src_label)
     images = mu_extend_finite(src, perm)
-    moved = [next(iter(image)) != b for b, image in enumerate(images)]
+    moved = [t != b for b, t in enumerate(images[0])]
     (a, b), vec = next(
         (key, vec)
         for key, vec in src.brackets.items()
@@ -453,7 +458,7 @@ def test_diagram_twist_certificate_rejects_a_changed_entry(source):
     # to; an entry that nu maps to itself is no witness and is skipped
     label, nu = diagram_twist(*source)
     alg = chevalley(label)
-    perm = [next(iter(image)) for image in mu_extend_finite(alg, nu)]
+    perm = mu_extend_finite(alg, nu)[0]
     tables = []
     for (a, b), vec in sorted(alg.brackets.items()):
         for l in sorted(vec):

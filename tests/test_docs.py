@@ -57,5 +57,6 @@ def test_documented_names_exist(where, text, home):
 
 
 def test_a_stale_name_is_found():
-    assert _resolves("Realization.bracket") and _resolves("kernel._NO_WINDOW")
+    assert _resolves("Realization.bracket") and _resolves("kernel._place")
     assert not _resolves("Realization.image") and not _resolves("RelationReport.has_gaps")
+    assert not _resolves("kernel._NO_WINDOW")

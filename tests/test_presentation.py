@@ -12,7 +12,7 @@ from conftest import cached_family, cached_realization, reference_report, relabe
 from loomfold import polys, presentation, realize
 from loomfold.catalog import builtin_entries, entry_by_name
 from loomfold.cartan import Gcm, canonical_matrix
-from loomfold.errors import OutOfWindow, ScopeViolation
+from loomfold.errors import ScopeViolation
 from loomfold.exactnum import CycNum, cyc_root, perm_orbits, vec_add
 from loomfold.folding import validate_aut
 from loomfold.polys import (
@@ -242,9 +242,9 @@ def _count_kernel_calls(monkeypatch):
     calls = []
     kernel = realize._loop_bracket
 
-    def recording(alg, field, window, x, y):
+    def recording(alg, field, x, y):
         calls.append((x, y))
-        return kernel(alg, field, window, x, y)
+        return kernel(alg, field, x, y)
 
     monkeypatch.setattr(realize, "_loop_bracket", recording)
     return calls
@@ -1146,10 +1146,9 @@ def test_nested_values_leave_tight_windows_where_direct_brackets_do(
     monkeypatch, name, modes, window
 ):
     # bracket output degrees leave the window: with every row summed in
-    # full, so that every nested value is read, the realization's windowed
-    # bracket raises OutOfWindow on the operands of some of them, and there
-    # each value, placed or not, is still the exact bracket; the report has
-    # no gap and is that of the pairs evaluated alone
+    # full, so that every nested value is read, each value, placed or not,
+    # is the exact bracket of its operands, which bracket past the window
+    # too; the report has no gap and is that of the pairs evaluated alone
     e = entry_by_name(name)
     real = Realization(e.gcm, e.mu, *window)
     fam = cached_family(name)
@@ -1157,15 +1156,10 @@ def test_nested_values_leave_tight_windows_where_direct_brackets_do(
         patch.setattr(presentation, "_shared_classes", lambda mode_bound, big_n: False)
         seen = _nested_values(patch, lambda: Verifier(real).run_suite(fam, modes))
     assert _assert_nested_match_direct(real, seen)
-    left = 0
     for (i, j, picks, nested), value in seen.items():
         if len(nested) > 1:
             outer = real._theta(picks[0], i, nested[0])
-            try:
-                assert real.bracket(outer, seen[(i, j, picks, nested[1:])]) == value
-            except OutOfWindow:
-                left += 1
-    assert left
+            assert real.bracket(outer, seen[(i, j, picks, nested[1:])]) == value
     shared, alone = _shared_and_alone(monkeypatch, lambda: Verifier(real).run_suite(fam, modes))
     assert shared == alone
     assert '"out_of_window"' not in shared

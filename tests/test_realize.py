@@ -18,7 +18,7 @@ from loomfold.realize import (
     MuHat,
     MuHatClosed,
     Realization,
-    _max_m1,
+    _inside,
     affinize,
     vec_add,
     vec_scale,
@@ -131,13 +131,17 @@ def test_delta_branch_central_coefficient(a2a_flip):
 
 
 def test_out_of_window():
-    # the window bounds Realization.bracket; the generator images, which the
-    # verifier reads at any mode, have none: theta_x(0, 4) is theta_x(0, 0)
-    # moved 4 in t1, since N = 2 divides 4
+    # the window bounds only the span closures: a bracket past it is exact,
+    # inner blocks that leave no margin of 2 inside it raise OutOfWindow,
+    # and the generator images, which the verifier reads at any mode, have
+    # none: theta_x(0, 4) is theta_x(0, 0) moved 4 in t1, since N = 2
+    # divides 4
     real = _real("A2", [1, 0], m1w=3)
-    x = real.theta_x(0, 3, +1)
-    with pytest.raises(OutOfWindow):
-        real.bracket(x, real.theta_x(0, 1, +1))
+    x, y = real.theta_x(0, 3, +1), real.theta_x(0, 1, +1)
+    assert real.bracket(x, y) == _bracket_reference(real, x, y)
+    with pytest.raises(OutOfWindow, match="window too small for the requested inner blocks"):
+        real.fixed_subalgebra_dims(2)
+    assert real.fixed_subalgebra_dims(1)
     base = real.theta_x(0, 0, +1)
     assert real.theta_x(0, 4, +1) == {(k[0], 4) + k[2:]: c for k, c in base.items()}
 
@@ -480,6 +484,40 @@ def test_mu_hat_depth_one_runs_no_round(a2a_flip):
     assert MuHat(real, m1_bound=2, depth=2).prop.rank > independent
 
 
+# MuHat(real, 2, 3).prop.rank at the window (6, 0) and (6, 1) of each loop
+# entry.  A1a-flip at both windows and the rotations at (6, 0) once raised
+# OutOfWindow on an image bracket whose source the closure keeps; the other
+# ranks are those the closure had when that raise was still in the kernel
+_MU_HAT_TIGHT_RANKS = {
+    "A1a-id": (31, 61),
+    "A1a-flip": (31, 61),
+    "A2a-id": (56, 106),
+    "A2a-flip": (56, 106),
+    "A2a-rot": (56, 106),
+    "A3a-rot": (91, 141),
+    "A4a-rot": (126, 176),
+    "A5a-rot": (161, 211),
+    "D4a-triality": (136, 176),
+}
+
+
+@pytest.mark.parametrize("m2w", [0, 1])
+@pytest.mark.parametrize("name", sorted(_MU_HAT_TIGHT_RANKS))
+def test_mu_hat_builds_at_tight_t2_windows(name, m2w):
+    # the closure keeps |m1| <= 2 and |m2| <= m2w, the image brackets of
+    # what it keeps included, and maps each seed source to its image
+    e = entry_by_name(name)
+    real = Realization(e.gcm, e.mu, m1_window=6, m2_window=m2w)
+    hat = MuHat(real, 2, 3)
+    assert hat.prop.rank == _MU_HAT_TIGHT_RANKS[name][m2w]
+    for i in range(real.gcm.n):
+        for m in range(-2, 3):
+            for pick in range(3):
+                src = real.embed(m, real.gens[i][pick])
+                img = real.embed(m, real.gens[real.mu.perm[i]][pick])
+                assert hat.apply(src) == vec_scale(img, real._phase(-m))
+
+
 def test_fixed_subalgebra_dims_scope(a2a_rot):
     with pytest.raises(ScopeViolation):
         a2a_rot.fixed_subalgebra_dims(2, 1)
@@ -524,22 +562,20 @@ def test_fixed_subalgebra_dims_scope_needs_no_propagation(monkeypatch):
         real.fixed_subalgebra_dims(1)
 
 
-def _all_node_span(real, inner_m1):
+def _all_node_span(real, inner_m1, inner_m2):
     """The closure of `_theta_span` with every node's images seeded and in
-    `ad`, and theta_c in `ad` too."""
-    out_m1 = inner_m1 + 2
-    seeds = [real.theta_c()]
+    `ad` at |m| <= 1, and theta_c in `ad` too, kept inside the same margin
+    of 2 in both degrees."""
+    out_m1, out_m2 = inner_m1 + 2, inner_m2 + 2
+    seeds, ad = [(real.theta_c(), {})], [(real.theta_c(), {})]
     for i in range(real.gcm.n):
         for m in range(-out_m1, out_m1 + 1):
-            seeds += [real.theta_x(i, m, +1), real.theta_x(i, m, -1), real.theta_h(i, m)]
+            for s in (real.theta_x(i, m, +1), real.theta_x(i, m, -1), real.theta_h(i, m)):
+                seeds.append((s, {}))
+                if s and abs(m) <= 1:
+                    ad.append((s, {}))
     ech = Echelon()
-    close(
-        ech,
-        [(s, {}) for s in seeds],
-        [(s, {}) for s in seeds if s and _max_m1(s) <= 1],
-        real.bracket,
-        keep=lambda v: _max_m1(v) <= out_m1,
-    )
+    close(ech, seeds, ad, real.bracket, keep=_inside(out_m1, out_m2))
     return ech
 
 
@@ -559,7 +595,7 @@ def test_theta_span_rows_match_all_node_closure(monkeypatch, name):
 
     monkeypatch.setattr(realize, "close", spy)
     real._theta_span(1, 1)
-    assert list(closed[0].rows.items()) == list(_all_node_span(real, 1).rows.items())
+    assert list(closed[0].rows.items()) == list(_all_node_span(real, 1, 1).rows.items())
 
 
 def test_theta_span_and_fixed_dims_work_counts(monkeypatch):
@@ -781,10 +817,7 @@ def _close_every_pair(ech, pairs, ad, bracket, keep=None, rounds=None):
         new = []
         for a, a_img in frontier:
             for s, s_img in ad:
-                try:
-                    b = bracket(s, a)
-                except OutOfWindow:
-                    continue
+                b = bracket(s, a)
                 if not b or (keep is not None and not keep(b)):
                     continue
                 b_img = bracket(s_img, a_img) if s_img and a_img else {}
@@ -954,7 +987,6 @@ def _bracket_reference(real, x, y):
     alg = galg.alg
     affine = galg.mode == "affine"
     r = galg.r
-    m1w, m2w = real.m1w, real.m2w
     out = {}
     central = {}
     for kx, cx in x.items():
@@ -973,8 +1005,6 @@ def _bracket_reference(real, x, y):
             p2 = m2 + n2
             coeff = cx * cy
             if entry:
-                if abs(p1) > m1w or abs(p2) > m2w:
-                    raise OutOfWindow(f"bracket degree ({p1},{p2}) leaves window ({m1w},{m2w})")
                 for t, s in entry.items():
                     vec_add(out, {("L", p1, p2, t): coeff.mul_rational(s)})
             if pairing:
@@ -992,8 +1022,6 @@ def _bracket_reference(real, x, y):
                 if p1 == 0 and m1 != 0:
                     vec_add(out, {("K1",): total.mul_rational(m1)})
                 if m2 != 0:
-                    if abs(p1) > m1w:
-                        raise OutOfWindow(f"central degree {p1} leaves window {m1w}")
                     vec_add(out, {("K2", p1): total.mul_rational(m2)})
             else:
                 if p2 % r != 0:
@@ -1002,8 +1030,6 @@ def _bracket_reference(real, x, y):
                     )
                 factor = m1 * n2 - m2 * n1
                 if factor:
-                    if abs(p1) > m1w or abs(p2) > m2w:
-                        raise OutOfWindow(f"central degree ({p1},{p2}) leaves window")
                     vec_add(out, {("K1p", p1, p2): total.mul_rational(factor)})
         else:
             if p1 == 0 and m1 != 0:
@@ -1023,7 +1049,7 @@ def _outcome(call):
     """The printed coefficients of a result, or the error it raised."""
     try:
         return "ok", {k: c.to_json() for k, c in call().items()}
-    except (OutOfWindow, InconsistentPropagation) as exc:
+    except InconsistentPropagation as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -1094,7 +1120,7 @@ def test_bracket_kernel_matches_cycnum_reference(label, perm, field):
         if kind == "ok":
             kind += f"-{'central' if any(k[0] != 'L' for k in got[1]) else 'loop'}"
         seen[kind] = seen.get(kind, 0) + 1
-    assert seen.get("ok-loop") and seen.get("ok-central") and seen.get("OutOfWindow"), seen
+    assert seen.get("ok-loop") and seen.get("ok-central"), seen
     if real.galg.r > 1:
         assert seen.get("InconsistentPropagation"), seen
 
@@ -1111,7 +1137,7 @@ def test_bracket_kernel_mixed_orders_same_values(label, perm, field):
         x.update(gen.element())
         try:
             want = _bracket_reference(real, x, y)
-        except (OutOfWindow, InconsistentPropagation) as exc:
+        except InconsistentPropagation as exc:
             with pytest.raises(type(exc)):
                 real.bracket(x, y)
             continue
@@ -1192,13 +1218,11 @@ def _t1_shifted(x, d):
 @pytest.mark.parametrize("name", ["A2-flip", "A1a-id", "A2a-flip", "A2a-rot"])
 def test_place_brackets_the_shifted_operands(name):
     # place(accumulate(x, y), d1, d2) is the exact bracket of x and y moved
-    # d1 and d2 in t1: the reference bracket with no window, central keys at
-    # the shifted degrees included, for any shifts, not only multiples of N.
-    # The windowed Realization.bracket gives the same value wherever it does
-    # not raise OutOfWindow
+    # d1 and d2 in t1: the reference bracket, central keys at the shifted
+    # degrees included, for any shifts, not only multiples of N, and
+    # Realization.bracket of the moved operands, past the window too
     e = entry_by_name(name)
     real = Realization(e.gcm, e.mu, m1_window=4, m2_window=2)
-    exact = Realization(e.gcm, e.mu, m1_window=sys.maxsize, m2_window=sys.maxsize)
     rng = random.Random(name)
     images = [
         image
@@ -1208,19 +1232,16 @@ def test_place_brackets_the_shifted_operands(name):
         if image
     ]
     elems = images + [real.bracket(rng.choice(images), rng.choice(images)) for _ in range(20)]
-    seen = {"raised": 0, "central": 0}
+    central = 0
     for _ in range(300):
         x, y = rng.choice(elems), rng.choice(elems)
         d1, d2 = rng.randint(-4, 4), rng.randint(-4, 4)
         got = serialize_elem(real.place(real.accumulate(x, y), d1, d2))
         shifted = _t1_shifted(x, d1), _t1_shifted(y, d2)
-        assert got == serialize_elem(_bracket_reference(exact, *shifted)), (d1, d2)
-        try:
-            assert got == serialize_elem(real.bracket(*shifted)), (d1, d2)
-        except OutOfWindow:
-            seen["raised"] += 1
-        seen["central"] += any(item["key"][0] != "L" for item in got)
-    assert seen["raised"] and seen["central"]
+        assert got == serialize_elem(_bracket_reference(real, *shifted)), (d1, d2)
+        assert got == serialize_elem(real.bracket(*shifted)), (d1, d2)
+        central += any(item["key"][0] != "L" for item in got)
+    assert central
 
 
 @pytest.mark.parametrize("name", ["A2-id", "A1a-id", "A2a-id", "A2a-flip"])
@@ -1250,28 +1271,17 @@ def test_in_period_accepts_images_moved_in_t1(monkeypatch, name):
 @pytest.mark.parametrize("name", [e.name for e in builtin_entries()])
 def test_omega_hat_is_an_automorphism_of_the_bracket(name):
     # omega_hat [x, y] = [omega_hat x, omega_hat y] on seeded random elements
-    # (generator images, loop vectors at t2-degrees -2..2, central keys), in
-    # a window small enough that a bracket raises OutOfWindow exactly where
-    # the bracket of the images does, for a loop or a central degree alike
-    # (the first pair reached, which the message names, may differ); the
+    # (generator images, loop vectors at t2-degrees -2..2, central keys); the
     # affine brackets reach K2 and K1p terms, K1p at both signs of p2
     e = entry_by_name(name)
     real = Realization(e.gcm, e.mu, m1_window=3, m2_window=3)
     gen = _Elements(real, f"omega:{name}")
     tags = set()
-    raised = 0
     for _ in range(200):
         x, y = gen.element(), gen.element()
-        try:
-            want = serialize_elem(real.omega(real.bracket(x, y), -1))
-        except OutOfWindow as exc:
-            want, raised = str(exc).split(" leaves")[0].split("(")[0], raised + 1
-        try:
-            got = serialize_elem(real.bracket(real.omega(x), real.omega(y, -1)))
-        except OutOfWindow as exc:
-            got = str(exc).split(" leaves")[0].split("(")[0]
+        want = serialize_elem(real.omega(real.bracket(x, y), -1))
+        got = serialize_elem(real.bracket(real.omega(x), real.omega(y, -1)))
         assert got == want
-        tags |= {item["key"][0] for item in want} if isinstance(want, list) else set()
-    assert raised
+        tags |= {item["key"][0] for item in want}
     affine = real.galg.mode == "affine"
     assert tags == ({"L", "K1", "K2", "K1p"} if affine else {"L", "K1"})

@@ -135,7 +135,10 @@ for job in sys.argv[1:]:
 # 14 affine labels and, per catalog entry, the generators, the g-level
 # automorphism on every unit of t2-degree |m2| <= 2 (and on k2), the image
 # under MuHat(real, 2, 2) of every theta image with |m| <= 1, and the
-# fixed-block dimensions at m1 = 1, each or its error; the fixed-block dimensions
+# fixed-block dimensions at m1 = 1, each or its error; at the tight windows
+# (3, 0), (3, 1), (3, 3), (4, 4) and (5, 3), every row and image of
+# MuHat(real, 2, 3) and the span ranks of the theta closure at the widest
+# inner blocks the window holds, each or its error; the fixed-block dimensions
 # at m1 = 3 on the tests' window (sized for modes 4) of every entry, or the
 # error; the span ranks per block of the theta closure at (3, 2) in the window
 # (11, 5), which runs on the rotations too; the fixed-block dimensions at m1 = 3
@@ -156,7 +159,8 @@ for job in sys.argv[1:]:
 # corrupted where the node rows are summed.  First of all the finite
 # automorphisms: the tables of every folded type B2-B5, C2-C5, F4 and G2,
 # omega_0 of each, the twist nu of every row of the twist table (the loop
-# cores of the affine types up to size 9 and the folding sources), and the
+# cores of the affine types up to size 9 and the folding sources) as
+# "index:scale" per basis vector, and the
 # tables and omega_0 of every core of those rows and of E7 and E8.  Tables
 # are printed in their own key order, outer and inner.
 cat >"$tmp/gdump.py" <<'EOF'
@@ -188,7 +192,10 @@ for label in folded:
     rows.add((src_letter, src_rank(int(label[1:])), r))
 for row in sorted(rows):
     core, nu = diagram_twist(*row)
-    print("nu", *row, core, nu, *map(show, mu_extend_finite(chevalley(core), nu)))
+    images = mu_extend_finite(chevalley(core), nu)
+    # the pair (perm, scale), or (before it) one {index: scale} per basis vector
+    pairs = zip(*images) if isinstance(images, tuple) else (next(iter(v.items())) for v in images)
+    print("nu", *row, core, nu, *(f"{t}:{s}" for t, s in pairs))
 for core in sorted({diagram_twist(*row)[0] for row in rows} | {"E7", "E8"}):
     alg = chevalley(core)
     print("core", core, alg.basis, list(alg.brackets.items()), list(alg.form.items()))
@@ -221,6 +228,18 @@ for e in load_entries(None):
         print("fixed", e.name, real.fixed_subalgebra_dims(1))
     except LoomfoldError as exc:
         print("fixed", e.name, type(exc).__name__, exc)
+    for window in ((3, 0), (3, 1), (3, 3), (4, 4), (5, 3)):
+        tight = Realization(e.gcm, e.mu, *window)
+        try:
+            for pivot, (tail, image) in MuHat(tight, 2, 3).prop.rows.items():
+                print("muhat-tight", e.name, window, pivot, show(tail), show(image))
+        except LoomfoldError as exc:
+            print("muhat-tight", e.name, window, type(exc).__name__, exc)
+        inner = (max(0, window[0] - 2), max(0, window[1] - 2))
+        try:
+            print("span-tight", e.name, window, sorted(tight._theta_span(*inner).items()))
+        except LoomfoldError as exc:
+            print("span-tight", e.name, window, type(exc).__name__, exc)
 for e in load_entries(None):
     m1, m2 = suite_window(e.gcm, e.mu, family_p(e.gcm, e.mu), 4)
     real = Realization(e.gcm, e.mu, max(m1, 14), m2)
