@@ -4,7 +4,7 @@ Everything is computed over the rationals and cyclotomic fields; there is
 no floating point anywhere in a decision path.
 """
 
-from loomfold.cartan import Gcm, classify
+from loomfold.cartan import Gcm
 from loomfold.chevalley import chevalley, mu_extend_finite
 from loomfold.exactnum import CycNum, cyc_root
 from loomfold.folding import (
@@ -28,13 +28,12 @@ from loomfold.polys import (
     locality_poly,
 )
 from loomfold.presentation import RelationReport, Verifier, suite_window
-from loomfold.realize import Realization, affinize
+from loomfold.realize import Realization
 
 __all__ = [
     "CycNum",
     "cyc_root",
     "Gcm",
-    "classify",
     "chevalley",
     "mu_extend_finite",
     "DiagramAut",
@@ -54,7 +53,6 @@ __all__ = [
     "family_f",
     "check_P2",
     "Realization",
-    "affinize",
     "Verifier",
     "RelationReport",
     "suite_window",

@@ -112,17 +112,6 @@ class Gcm:
             self._root_table = _RootTable(self.entries, labels)
         return self._root_table
 
-    def roots_up_to_height(self, h: int) -> list[tuple[tuple[int, ...], str]]:
-        """Positive roots of height <= h, as coordinate tuples in the
-        simple-root basis, each flagged 'real' or 'imaginary'."""
-        table = self._table()
-        table.ensure(h)
-        out = []
-        for height in range(1, h + 1):
-            for coords in sorted(table.by_height.get(height, ())):
-                out.append((coords, table.flags[coords]))
-        return out
-
     def membership(self, v) -> str:
         """Classify a lattice vector, given by its coordinates in the
         simple-root basis: 'zero' | 'real' | 'imaginary' | 'none'."""
@@ -166,11 +155,6 @@ class Gcm:
                 if eps[i] * self.entries[i][j] != eps[j] * self.entries[j][i]:
                     raise FormMismatch("diag(eps) * A is not symmetric")
         return tuple(eps)
-
-
-def classify(entries) -> Classification:
-    """Classify a raw matrix (validates GCM axioms first)."""
-    return Gcm(entries).classify()
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ xi -> xi^k, k prime to N, are the automorphisms of Q(xi_N): one int
 substitution p(x) -> p(x^k) mod Phi_N (`_subst`) serves them, the lifts
 into a bigger field (k = M/N) and the rewrites of a lazy sum.  So `inverse`
 needs no Euclid: 1/x is the product of the other conjugates of x over its
-norm, a nonzero rational.  Mixed orders are coerced through Q(xi_lcm(M,N)),
-with a shortcut for rational operands of order 1.  A Realization fixes one
-field Q(xi_L) for all of its values, so its bracket loops never coerce.
-Every rendering prints the coordinates with str(Fraction).
+norm, a nonzero rational (no Euclid, no Fraction).  Mixed orders are
+coerced through Q(xi_lcm(M,N)), with a shortcut for rational operands of
+order 1.  A Realization fixes one field Q(xi_L), L = lcm(ord mu, r), for
+all of its values, so its bracket loops never coerce.  A CycNum renders only
+as `repr`, `latex` (tables) and `to_json` (reports), each printing the
+coordinates with str(Fraction).
 
 Long sums of products do not go through CycNum arithmetic: a lazy sum keeps
 one unreduced int numerator list per key (the int convolutions of the
@@ -28,18 +30,24 @@ over one running denominator in one running field.  A product outside that
 field or over another denominator rewrites the sum once (`lazy_align`);
 `lazy_settle` then reduces each key modulo Phi_N and canonicalises it once.
 The bracket kernel of `realize` runs its basis-pair loop on it, and
-`lin_comb` sums every relation check with it, in the one field it is given.
+`lin_comb` sums every relation check with it, in the one field Q(xi_F) it
+is given, and rejects a product outside that field with ValueError.
 
 The module also holds the exact linear algebra shared by the layers above:
-sparse vectors ({key: coefficient} dicts), permutation orbits, and the one
-row reduction, `Echelon`: sparse rows over Fraction or CycNum entries, each
-carrying its image, pivoted at their highest key.  Its rank is the number
-of rows; `insert` and `apply` make it a partial linear map (the automorphism
-propagation, the span closures, and solving A c = lambda from the columns
-of A); `reduce` leaves the residual of a vector, so the kernel of a matrix
-is read off its columns (`kernel_basis`), and the pivots that the rows of a
-symmetric matrix leave, in order, are the ratios D_k / D_(k-1) of its
-leading principal minors (Sylvester's test in `cartan`).
+sparse vectors ({key: coefficient} dicts, with `vec_add` and
+`proportional`), permutation orbits (`perm_orbits`), and the one row
+reduction, `Echelon`: sparse rows over int, Fraction or CycNum entries,
+each carrying its image, pivoted at their highest key and stored without
+their unit pivot entry.  A reduction step pops that entry, which cancels
+exactly, negates it once, and does no image work for a row without an
+image, as in every span closure.  Its rank is the number of rows; `insert`
+and `apply` make it a partial linear map (the propagation of
+`realize.MuHat`, the span closures, and solving A c = lambda from the
+columns of A); `reduce` leaves the residual of a vector, so the kernel of a
+matrix is read off its columns (`kernel_basis`, normalised as the reduced
+row echelon form), and the pivots that the rows of a symmetric matrix
+leave, in order, are the ratios D_k / D_(k-1) of its leading principal
+minors (Sylvester's test in `cartan`).
 """
 
 from __future__ import annotations

@@ -508,7 +508,7 @@ class Verifier:
             out.append(_derived(chk, pair, chk.sign, turn))
         return out
 
-    def _audit(self, mode_bound: int | None, span: range) -> "_Audit":
+    def _audit(self, mode_bound: int | None, span: list) -> "_Audit":
         """One pass over the generator images that the rows of a run read:
         theta_x and theta_h at |k| <= 2 mode_bound (none when mode_bound is
         None) and theta_x at k in `span`.  Each comparison is made at most
@@ -764,11 +764,13 @@ class _Audit(NamedTuple):
     in_period: set
 
 
-def _weighted_span(suite: tuple, mode_bound: int) -> range:
+def _weighted_span(suite: tuple, mode_bound: int) -> list:
     """The modes k of the theta_x images that the weighted rows of `suite`
-    read: out + e, |out| <= mode_bound, e an exponent of its families."""
-    exps = [x for _, fam in suite for e in _exponents(fam) for x in e]
-    return range(min(exps, default=0) - mode_bound, max(exps, default=0) + mode_bound + 1)
+    read, in order: out_q + e_q, |out_q| <= mode_bound, e_q a coordinate of
+    an exponent of its families.  Only these: the range between the least
+    and the greatest would grow with the exponents' spread."""
+    exps = {x for _, fam in suite for e in _exponents(fam) for x in e}
+    return sorted({x + o for x in exps for o in range(-mode_bound, mode_bound + 1)})
 
 
 def _shared_classes(mode_bound: int, big_n: int) -> bool:

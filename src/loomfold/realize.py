@@ -27,10 +27,11 @@ subalgebra, so that ungraded elements of a twisted core bracket too; at
 t1-degree 0 no K1p symbol arises, since m1 n2 - m2 n1 = 0.
 
 The twist nu of a loop core comes from `chevalley.diagram_twist`.  The
-diagram automorphism mu acts at g-level as the `Echelon` that
-`Realization.mu_on_g` propagates from the generator images, and at
-ghat-level in two variants: `MuHatClosed`, its closed form when mu preserves
-the t2-grading, and `MuHat`, propagated by brackets in every case.
+diagram automorphism mu lifts to ghat-level in two variants: `MuHatClosed`,
+where mu preserves the t2-grading, a monomial map on keys built from the
+certified twist of the core (`chevalley.mu_extend_finite`) and checked on
+the generator images, whose t1-degree-0 part is mu at g-level; and
+`MuHat`, propagated by brackets in every case, its deliberate dual.
 
 Affine Chevalley generators are found uniformly from lowest-weight vectors
 of the relevant eigenspace; a Realization verifies them against the full
@@ -258,7 +259,7 @@ class Realization:
         self._assert_generators()
         self.eps = gcm.symmetrizer(self._coroot_form)
         self._theta_cache: dict = {}
-        self._mu_g: list | None = None
+        self._mu_closed: tuple | None = None  # MuHatClosed's map, checked
 
     def _node_perm(self) -> tuple:
         """Input node -> canonical node.  The classification's isomorphism,
@@ -420,14 +421,14 @@ class Realization:
         mirror = image if pick == 2 else self._theta(1, i, m)
         return self.omega(image, -1) == mirror
 
-    def in_period(self, i: int, span: range, picks=(0, 1)) -> bool:
+    def in_period(self, i: int, span, picks=(0, 1)) -> bool:
         """Whether every image `_theta(pick, i, m)`, pick in `picks` (by
-        default theta_x of either sign), at m in `span` is the first such
-        image of m's residue class mod N, at m', moved m - m' in t1, key by
-        key.  True when no class of `span` has two members."""
+        default theta_x of either sign), at m in `span` (ints in order) is
+        the first such image of m's residue class mod N, at m', moved m - m'
+        in t1, key by key.  True when no class of `span` has two members."""
         big_n = self.n_order
         firsts: dict = {}
-        for m in span if len(span) > big_n else ():
+        for m in span:
             for pick in picks:
                 image = self._theta(pick, i, m)
                 m0, first = firsts.setdefault((pick, m % big_n), (m, image))
@@ -435,46 +436,6 @@ class Realization:
                 if d and image != {(k[0], k[1] + d) + k[2:]: c for k, c in first.items()}:
                     return False
         return True
-
-    # -- the automorphism at g-level ---------------------------------------------------
-
-    def mu_on_g(self) -> Echelon:
-        """The diagram automorphism extended to the g-level algebra.
-
-        Generator images (and k2 -> k2) are propagated along bracket words
-        of t2-degree at most max(4, m2 window); two routes to the same
-        element must agree, which is checked on every insertion.  Returns
-        the partial linear map, built once.
-        """
-        if self._mu_g is None:
-            galg = self.galg
-            t2_bound = max(4, self.m2w)
-            seeds = [
-                pair
-                for i in range(self.gcm.n)
-                for pair in zip(self.gens[i], self.gens[self.mu.perm[i]])
-            ]
-            if galg.mode == "affine":
-                k2 = {("K2", 0): CycNum.one()}
-                seeds.append((k2, k2))
-            prop = Echelon()
-            close(
-                prop,
-                seeds,
-                seeds,
-                galg.bracket,
-                keep=lambda v: all(k[0] != "L" or abs(k[2]) <= t2_bound for k in v),
-            )
-            # a twisted core's eigenspace dimensions vary: coverage is checked on use
-            if galg.r == 1:
-                dim = galg.alg.dim
-                expected = dim * (2 * t2_bound + 1) + 1 if galg.mode == "affine" else dim
-                if prop.rank < expected:
-                    raise InconsistentPropagation(
-                        f"automorphism propagation covers {prop.rank} of {expected}"
-                    )
-            self._mu_g = prop
-        return self._mu_g
 
     # -- fixed subalgebra --------------------------------------------------------------
 
@@ -512,16 +473,7 @@ class Realization:
         """
         if inner_m1 < 0 or (inner_m2 is not None and inner_m2 < 0):
             raise JobError(f"block bounds must be >= 0, got ({inner_m1}, {inner_m2})")
-        if self.galg.mode == "affine" and self.galg.r > 1:
-            raise ScopeViolation("fixed-block dimensions need an untwisted loop core")
-        if any(
-            _t2_blocks(src).keys() != _t2_blocks(img).keys()
-            for i in range(self.gcm.n)
-            for src, img in zip(self.gens[i], self.gens[self.mu.perm[i]])
-        ):
-            raise ScopeViolation(
-                "fixed-block dimensions need a grading-preserving automorphism"
-            )
+        hat = MuHatClosed(self)  # raises ScopeViolation out of its scope
         if self.galg.mode == "finite":
             if inner_m2:
                 raise JobError(f"a finite core has t2-degree 0 only, got inner_m2 = {inner_m2}")
@@ -529,7 +481,6 @@ class Realization:
         elif inner_m2 is None:
             inner_m2 = max(1, inner_m1 - 1)
         self._span_bounds(inner_m1, inner_m2)
-        hat = MuHatClosed(self, self.mu_on_g())
         fixed = {}
         for m1 in range(-inner_m1, inner_m1 + 1):
             for m2 in range(-inner_m2, inner_m2 + 1):
@@ -671,54 +622,102 @@ def _key_degrees(key) -> tuple[int, int]:
 
 
 class MuHatClosed:
-    """Degree-wise action when the automorphism preserves the t2-grading.
+    """mu_hat where mu keeps the t2-grading, in closed form: a monomial map
+    on keys.
 
-    Loop vectors transform by the g-level map (`Realization.mu_on_g`) with a
-    t1-phase.  The divided center symbols transform by the same phase times
-    a per-degree scale that is read off from a central bracket of Cartan
-    loop vectors: the one-line naive phase rule is wrong whenever the block
-    maps of the automorphism twist the finite form.  The g-level image of
-    each key is computed once per instance and kept: blocks of every
-    t1-degree share it.
+    mu permutes the finite nodes of the core, by pi, and its twist there is
+    nu = `mu_extend_finite(alg, pi)`, the monomial map (perm, scale) that
+    `FiniteAlg._certify` certifies as an automorphism keeping the form.
+    Node 0 of an affine core, which mu fixes, adds one scale lam =
+    1 / scale[b0], read off the one key ("L", 0, 1, b0) of its e.  Then
+
+        ("L", m1, m2, b)  ->  xi_N^-m1 lam^m2 scale[b] ("L", m1, m2, perm[b])
+        ("K1",)           ->  ("K1",)
+        ("K2", m1)        ->  xi_N^-m1 ("K2", m1)
+        ("K1p", p1, p2)   ->  xi_N^-p1 lam^p2 ("K1p", p1, p2)
+
+    It is an automorphism of the bracket of `kernel`, by the argument of
+    `Realization.omega`: it acts on keys only and keeps both degrees.  A
+    contributing basis pair (u, v) at degrees m and n goes to (nu u, nu v)
+    times f(m) f(n) = f(m + n), f(p) = xi_N^-p1 lam^p2, since lam^m lam^n =
+    lam^(m + n).  Its loop term t1^p1 t2^p2 [u, v], p = m + n, goes to f(p)
+    t1^p1 t2^p2 [nu u, nu v], its image, since nu is an automorphism, and
+    its pairing (nu u | nu v) = (u | v) is the same, since nu keeps the
+    form.  So every central term at p gains f(p), which is the factor of K1
+    (p = 0), of K2(p1) (p2 = 0) and of K1p(p1, p2), and every test of
+    `_central` reads degrees that stay.  mu_hat is the automorphism with
+    t1^m (x) gens[i] -> xi_N^-m t1^m (x) gens[mu i] and K1 -> K1 (the seeds
+    of `MuHat`), and these generate the realization.  The map moves t1^m
+    (x) x as it moves x, times xi_N^-m, so it agrees with mu_hat on every
+    generator image once it does at t1-degree 0, which the build checks on
+    every gens[i]; two automorphisms that agree on generators are equal.
+
+    Out of scope, before anything is built, it raises ScopeViolation: on a
+    twisted core, whose Aff holds no key t2^m2 (x) x_b alone, and where mu
+    moves the t2-grading (the rotations and A1a-flip).  nu, lam and the
+    check are made once per Realization, and the image of each key is
+    tabulated there on its first use.
     """
 
-    def __init__(self, real: Realization, mu_map: Echelon):
+    def __init__(self, real: Realization):
         self.real = real
-        self.map = mu_map
-        self._k1p_scales: dict[int, CycNum] = {}
-        self._images: dict = {}
+        built = real._mu_closed or self._monomial(real)
+        self.perm, self.scale, self.lam, self.table = built
+        if real._mu_closed is None:
+            mu = real.mu.perm
+            for i, gens in enumerate(real.gens):
+                for src, img in zip(gens, real.gens[mu[i]]):
+                    if self.apply(src) != img:
+                        raise InconsistentPropagation(f"mu_hat is not mu on node {i}'s generators")
+            real._mu_closed = built
 
-    def _k1p_scale(self, m2: int) -> CycNum:
-        cached = self._k1p_scales.get(m2)
-        if cached is None:
-            alg = self.real.galg.alg
-            h_idx = alg.h_idx[0]
-            u = self.map.apply({("L", 0, 0, h_idx): CycNum.one()})
-            v = self.map.apply({("L", 0, m2, h_idx): CycNum.one()})
-            num = CycNum.zero()
-            for ub in _t2_blocks(u).values():
-                for vb in _t2_blocks(v).values():
-                    num = num + alg.pair(ub, vb)
-            base = alg.form[(h_idx, h_idx)]
-            cached = self._k1p_scales[m2] = num.mul_rational(Fraction(1) / base)
-        return cached
+    @staticmethod
+    def _monomial(real: Realization) -> tuple:
+        """(perm, scale, lam, empty key table) after the scope tests."""
+        galg, gens, mu = real.galg, real.gens, real.mu.perm
+        if galg.mode == "affine" and galg.r > 1:
+            raise ScopeViolation("fixed-block dimensions need an untwisted loop core")
+        if any(
+            _t2_blocks(src).keys() != _t2_blocks(img).keys()
+            for i in range(real.gcm.n)
+            for src, img in zip(gens[i], gens[mu[i]])
+        ):
+            raise ScopeViolation(
+                "fixed-block dimensions need a grading-preserving automorphism"
+            )
+        alg = galg.alg
+        node = {b: p for p, b in enumerate(alg.e_idx)}
+        pi, b0 = list(range(alg.rank)), None
+        for i in range(real.gcm.n):
+            _, _, m2, b = next(iter(gens[i][0]))
+            if m2:
+                b0 = b
+            else:
+                pi[node[b]] = node[next(iter(gens[mu[i]][0]))[3]]
+        perm, scale = mu_extend_finite(alg, pi)
+        lam = Fraction(1) if b0 is None else Fraction(1, scale[b0])
+        return perm, scale, lam, {}
 
     def apply(self, x: AlgElem) -> AlgElem:
+        table = self.table
         out: AlgElem = {}
         for key, c in x.items():
-            if key[0] in ("L", "K2"):  # the g-level image, shifted back to t1-degree m1
-                m1 = key[1]
-                g_key = (key[0], 0) + key[2:]
-                img = self._images.get(g_key)
-                if img is None:
-                    img = self._images[g_key] = self.map.apply({g_key: CycNum.one()})
-                vec_add(out, self.real.embed(m1, img), c * self.real._phase(-m1))
-            elif key[0] == "K1":
-                vec_add(out, {key: c})
-            elif key[0] == "K1p":
-                scale = self.real._phase(-key[1]) * self._k1p_scale(key[2])
-                vec_add(out, {key: c * scale})
+            image = table.get(key)
+            if image is None:
+                image = table[key] = self._image(key)
+            out[image[0]] = c * image[1]
         return out
+
+    def _image(self, key) -> tuple:
+        """(image key, factor) of one key, by the table of the docstring."""
+        tag = key[0]
+        m1, q = (0 if tag == "K1" else key[1]), 1
+        if tag == "L":
+            q = self.scale[key[3]] * self.lam ** key[2]
+            key = ("L", m1, key[2], self.perm[key[3]])
+        elif tag == "K1p":
+            q = self.lam ** key[2]
+        return key, self.real._phase(-m1).mul_rational(q)
 
 
 class MuHat:
@@ -780,19 +779,3 @@ def _inside(b1: int, b2: int):
 
     return inside
 
-
-def affinize(label: str):
-    """Concrete generators for a canonical affine label, plus their algebra.
-
-    Returns (GAlg, generator list).  The generators are checked here only
-    as far as their construction needs: the matrix is read off [h_s, e_t]
-    and matched to the canonical one.  The full defining-relation suite runs
-    on them in `Realization._assert_generators`, when a Realization is built.
-    """
-    from loomfold.cartan import classify, canonical_matrix
-
-    cls = classify(canonical_matrix(label))
-    if cls.kind != "affine":
-        raise ScopeViolation(f"{label} is not an affine label")
-    galg = GAlg(cls)
-    return galg, galg.canonical_gens

@@ -7,13 +7,22 @@ from loomfold.cartan import (
     _candidates,
     _graph_iso,
     canonical_matrix,
-    classify,
     finite_matrix,
     rational_symmetrizer,
     twisted_affine_matrix,
     untwisted_affine_matrix,
 )
 from loomfold.errors import FormMismatch, IndefiniteType, NotAffine, NotGcm
+
+
+def _roots_up_to_height(g, h):
+    """The positive roots of height <= h in the root table that
+    `Gcm.membership` reads, by height and then in sorted order, each
+    flagged 'real' or 'imaginary'."""
+    table = g._table()
+    table.ensure(h)
+    heights = range(1, h + 1)
+    return [(c, table.flags[c]) for k in heights for c in sorted(table.by_height.get(k, ()))]
 
 
 def _cycle(n):
@@ -69,21 +78,21 @@ def test_gcm_validation():
 
 
 def test_classify_basics():
-    assert classify([[2]]).label == "A1"
-    c = classify([[2, -2], [-2, 2]])
+    assert Gcm([[2]]).classify().label == "A1"
+    c = Gcm([[2, -2], [-2, 2]]).classify()
     assert c.label == "A1^(1)" and c.kind == "affine"
-    assert classify(_cycle(5)).label == "A4^(1)"
-    assert classify([[2, -1], [-3, 2]]).label == "G2"
-    assert classify([[2, -3], [-1, 2]]).label == "G2"
-    assert classify([[2, -1], [-4, 2]]).label == "A2^(2)"
-    assert classify([[2, -4], [-1, 2]]).label == "A2^(2)"
+    assert Gcm(_cycle(5)).classify().label == "A4^(1)"
+    assert Gcm([[2, -1], [-3, 2]]).classify().label == "G2"
+    assert Gcm([[2, -3], [-1, 2]]).classify().label == "G2"
+    assert Gcm([[2, -1], [-4, 2]]).classify().label == "A2^(2)"
+    assert Gcm([[2, -4], [-1, 2]]).classify().label == "A2^(2)"
 
 
 def test_classify_indefinite():
     with pytest.raises(IndefiniteType):
-        classify([[2, -2, 0], [-2, 2, -2], [0, -2, 2]])
+        Gcm([[2, -2, 0], [-2, 2, -2], [0, -2, 2]]).classify()
     with pytest.raises(IndefiniteType):
-        classify([[2, -1], [-5, 2]])
+        Gcm([[2, -1], [-5, 2]]).classify()
 
 
 def test_classify_relabeled_input():
@@ -95,7 +104,7 @@ def test_classify_relabeled_input():
         [0, 0, 0, 2, -1],
         [-1, -1, -1, -1, 2],
     ]
-    c = classify(m)
+    c = Gcm(m).classify()
     assert c.label == "D4^(1)"
     canon = c.canonical
     for i in range(5):
@@ -127,14 +136,14 @@ def test_null_labels():
 
 def test_roots_a2():
     g = Gcm([[2, -1], [-1, 2]])
-    roots = g.roots_up_to_height(2)
+    roots = _roots_up_to_height(g, 2)
     assert {r for r, _ in roots} == {(1, 0), (0, 1), (1, 1)}
     assert all(flag == "real" for _, flag in roots)
 
 
 def test_roots_a1_affine():
     g = Gcm([[2, -2], [-2, 2]])
-    roots = dict(g.roots_up_to_height(2))
+    roots = dict(_roots_up_to_height(g, 2))
     assert roots == {(1, 0): "real", (0, 1): "real", (1, 1): "imaginary"}
     # 2*delta is imaginary; it is the unique root with m0 = m1 = 2
     assert g.membership((2, 2)) == "imaginary"
@@ -159,7 +168,7 @@ def test_membership_basics():
 )
 def test_finite_positive_root_counts(letter, rank, count):
     g = Gcm(finite_matrix(letter, rank))
-    roots = g.roots_up_to_height(30)
+    roots = _roots_up_to_height(g, 30)
     assert len(roots) == count
     oracle = _weyl_orbit_positive_roots(finite_matrix(letter, rank))
     assert {r for r, _ in roots} == oracle
@@ -167,7 +176,7 @@ def test_finite_positive_root_counts(letter, rank, count):
 
 def test_g2_height_window():
     g = Gcm(finite_matrix("G", 2))
-    assert len(g.roots_up_to_height(5)) == 6
+    assert len(_roots_up_to_height(g, 5)) == 6
 
 
 def test_weyl_reflection_closure_within_window():
@@ -175,7 +184,7 @@ def test_weyl_reflection_closure_within_window():
         m = canonical_matrix(label)
         g = Gcm(m)
         h = 8
-        roots = {r for r, _ in g.roots_up_to_height(h)}
+        roots = {r for r, _ in _roots_up_to_height(g, h)}
         n = len(m)
         for v in roots:
             for i in range(n):
@@ -190,7 +199,7 @@ def test_affine_imaginary_flags():
     for label in ["A2^(1)", "A1^(1)", "D4^(1)", "A4^(2)"]:
         g = Gcm(canonical_matrix(label))
         delta = g.null_labels()
-        for r, flag in g.roots_up_to_height(10):
+        for r, flag in _roots_up_to_height(g, 10):
             multiples = {tuple(m * l for l in delta) for m in range(1, 11)}
             assert (flag == "imaginary") == (r in multiples)
 
@@ -219,7 +228,7 @@ def test_twisted_affine_matrices_are_affine():
         ("D", 4, 3),
     ]:
         m = twisted_affine_matrix(letter, rank, twist)
-        c = classify(m)
+        c = Gcm(m).classify()
         assert c.label == f"{letter}{rank}^({twist})"
         assert c.kind == "affine"
         Gcm(m).null_labels()
@@ -287,12 +296,12 @@ def test_classification_fuzz_relabels():
                 a, b = {1: (-1, -1), 2: (-1, -2), 3: (-2, -1), 4: (-1, -3)}[kind]
                 m[i][j], m[j][i] = a, b
         try:
-            label = classify(m).label
+            label = Gcm(m).classify().label
         except LoomfoldError:
             continue
         labels_seen.add(label)
         perm = list(range(n))
         rng.shuffle(perm)
         relabeled = [[m[perm.index(i)][perm.index(j)] for j in range(n)] for i in range(n)]
-        assert classify(relabeled).label == label
+        assert Gcm(relabeled).classify().label == label
     assert labels_seen  # some inputs classified

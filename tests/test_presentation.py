@@ -193,6 +193,22 @@ def test_p1_window_certificate_failure_payload():
     assert {item["coeff"]["order"] for item in serialize_elem(residual5)} == {10}
 
 
+def test_audit_builds_only_the_images_the_rows_read():
+    # one term z1^k w^-k on the pair (1, 0) of A2a-flip: the rows read
+    # theta_x at out_q + k, out_q and out_q - k, |out_q| <= 1, so the images
+    # built do not grow with k, as they would over the range from -k - 1 to
+    # k + 1
+    e = entry_by_name("A2a-flip")
+    built = []
+    for k in (300, 3000):
+        fam = SerreFamily("far")
+        fam.entries[(1, 0)] = {(0, 1): LPoly(("z1", "z2", "w"), {(k, 0, -k): 1})}
+        real = Realization(e.gcm, e.mu)
+        Verifier(real).verify_P1_at_window(fam, 1)
+        built.append(len(real._theta_cache))
+    assert built[0] == built[1]
+
+
 def test_report_json_shape():
     real, fam = _setup("A2", [1, 0])
     rep = Verifier(real).run_suite(fam, 1)

@@ -131,9 +131,11 @@ for job in sys.argv[1:]:
     with open(name + ".json", "w") as out:
         json.dump({"cartan": m, "mu": mu}, out)
 ' $twists) || exit 2
-# the g-level values, which no CLI command prints: the affinize generators of
-# 14 affine labels and, per catalog entry, the generators, the g-level
-# automorphism on every unit of t2-degree |m2| <= 2 (and on k2), the image
+# the g-level values, which no CLI command prints: the generators of the
+# loop cores (`GAlg`) of 14 affine labels and, per catalog entry, the
+# generators, mu at g-level on every unit of t2-degree |m2| <= 2 (and on k2),
+# read from the `MuHatClosed` that fixed_subalgebra_dims(0) builds, or the
+# error it raises first, the image
 # under MuHat(real, 2, 2) of every theta image with |m| <= 1, and the
 # fixed-block dimensions at m1 = 1, each or its error; at the tight windows
 # (3, 0), (3, 1), (3, 3), (4, 4) and (5, 3), every row and image of
@@ -167,14 +169,14 @@ cat >"$tmp/gdump.py" <<'EOF'
 import json
 
 import loomfold.realize as realize
-from loomfold.cartan import _candidates
+from loomfold.cartan import Gcm, _candidates, canonical_matrix
 from loomfold.catalog import load_entries
 from loomfold.chevalley import _FOLDS, chevalley, diagram_twist, mu_extend_finite
 from loomfold.errors import LoomfoldError
 from loomfold.exactnum import CycNum
 from loomfold.polys import family_p
 from loomfold.presentation import Verifier, suite_window
-from loomfold.realize import MuHat, Realization, affinize
+from loomfold.realize import GAlg, MuHat, Realization
 
 
 def show(v):
@@ -203,7 +205,7 @@ for core in sorted({diagram_twist(*row)[0] for row in rows} | {"E7", "E8"}):
 
 for label in ("A1^(1) A2^(1) A3^(1) B3^(1) C2^(1) D4^(1) G2^(1) F4^(1) "
               "A2^(2) A4^(2) A5^(2) D3^(2) D4^(2) D4^(3)").split():
-    for node, gens in enumerate(affinize(label)[1]):
+    for node, gens in enumerate(GAlg(Gcm(canonical_matrix(label)).classify()).canonical_gens):
         print("affinize", label, node, *map(show, gens))
 for e in load_entries(None):
     real = Realization(e.gcm, e.mu, m1_window=6, m2_window=4)
@@ -213,9 +215,21 @@ for e in load_entries(None):
     units = [("L", 0, m2, b) for m2 in range(-t2, t2 + 1) for b in range(real.galg.alg.dim)]
     if t2:
         units.append(("K2", 0))
-    mu = real.mu_on_g()
-    for u in units:
-        print("mu_on_g", e.name, u, show(mu.apply({u: CycNum.one(real.field)})))
+    hats = []
+    true_init = realize.MuHatClosed.__init__
+
+    def record(self, *args):
+        true_init(self, *args)
+        hats.append(self)
+
+    realize.MuHatClosed.__init__ = record
+    try:
+        real.fixed_subalgebra_dims(0)
+        for u in units:
+            print("mu", e.name, u, show(hats[0].apply({u: CycNum.one(real.field)})))
+    except LoomfoldError as exc:
+        print("mu", e.name, type(exc).__name__, exc)
+    realize.MuHatClosed.__init__ = true_init
     try:
         hat = MuHat(real, 2, 2)
         for i in range(real.gcm.n):
