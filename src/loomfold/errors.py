@@ -33,14 +33,6 @@ class GeneratorAssertionFailed(LoomfoldError):
     """A constructed generator system failed its defining relations."""
 
 
-class OutOfWindow(LoomfoldError):
-    """The requested inner blocks do not fit the realization's window.
-
-    Raised by `Realization.fixed_subalgebra_dims` before any bracket is
-    made; the caller must rebuild with a larger window.
-    """
-
-
 class InconsistentPropagation(LoomfoldError):
     """Two bracket words for the same element were sent to different images."""
 
@@ -54,7 +46,8 @@ class P2Violation(LoomfoldError):
 
 
 class DivisionNotExact(LoomfoldError):
-    """Polynomial division left a nonzero remainder."""
+    """A polynomial quotient is not a polynomial
+    (`polys.power_difference_ratio`)."""
 
 
 class JobError(LoomfoldError):

@@ -391,18 +391,6 @@ class CycNum:
             return NotImplemented
         return self.inverse().mul_rational(other)
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CycNum.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other):

@@ -163,30 +163,6 @@ class LPoly:
             vec_add(out, {(sum(e),): c})
         return LPoly(("w",), out)
 
-    # -- division ------------------------------------------------------------------
-
-    def divide_exact(self, divisor: "LPoly") -> "LPoly":
-        """Exact multivariate division; raises DivisionNotExact on remainder."""
-        self._check(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        div_terms = sorted(divisor.terms.items(), reverse=True)
-        lead_e, lead_c = div_terms[0]
-        rem = dict(self.terms)
-        quot: dict = {}
-        while rem:
-            e = max(rem)
-            c = rem[e]
-            q_e = tuple(a - b for a, b in zip(e, lead_e))
-            q_c = c / lead_c
-            quot[q_e] = q_c
-            vec_add(rem, {tuple(a + b for a, b in zip(q_e, de)): dc for de, dc in div_terms}, -q_c)
-            if e in rem:
-                raise DivisionNotExact("leading term did not cancel")
-            if len(quot) > 10000:
-                raise DivisionNotExact("division does not terminate")
-        return LPoly(self.vars, quot)
-
     # -- rendering ------------------------------------------------------------------
 
     def __repr__(self):
@@ -480,15 +456,12 @@ def p_pair_qlimit(gcm: Gcm, mu: DiagramAut, fold: FoldData, i: int, j: int) -> L
 
     The quantum weight is (z^{d_i} + q^{-d_i} w^{d_i})^{s_i - 1} *
     (q^{2 d_ij} z^{d_ij} - w^{d_ij}) divided exactly by
-    (q^{2 d_i} z^{d_i} - w^{d_i}).
+    (q^{2 d_i} z^{d_i} - w^{d_i}); at q = 1 the quotient is the geometric
+    sum `power_difference_ratio`.
     """
     d_i = fold.d[i]
-    d_ij = fold.d_pair(gcm, mu, i, j)
-    variables = ("z", "w")
-    first = LPoly(variables, {(d_i, 0): 1, (0, d_i): 1}) ** (fold.s[i] - 1)
-    num = LPoly(variables, {(d_ij, 0): 1, (0, d_ij): -1})
-    den = LPoly(variables, {(d_i, 0): 1, (0, d_i): -1})
-    return first * num.divide_exact(den)
+    first = LPoly(("z", "w"), {(d_i, 0): 1, (0, d_i): 1}) ** (fold.s[i] - 1)
+    return first * power_difference_ratio(fold.d_pair(gcm, mu, i, j), d_i)
 
 
 def p_node_qlimit(d_i: int) -> LPoly:

@@ -21,6 +21,10 @@ can be re-checked independently.
 
 The ordered pairs are evaluated one class at a time (`_pair_classes`):
 the pairs (mu^a i0, mu^b j0), i0 and j0 the least nodes of their mu-orbits.
+One walk over the classes, `Verifier._verify_classes`, serves every run:
+per class it evaluates the Cartan checks of (i0, j0) and the weighted
+relations moved to it, from one memo map keyed by image picks, and it
+sorts the checks by pair once.
 The generator images (`Realization._theta`, with x = e, f or h) are
 
     theta(i, m) = sum_k xi_N^(-k m) t1^m (x) x_(mu^k i).
@@ -285,20 +289,18 @@ class Verifier:
 
     # -- degree-zero relations ------------------------------------------------
 
-    def verify_cartan_relations(self, mode_bound: int, audit=None) -> RelationReport:
+    def verify_cartan_relations(self, mode_bound: int) -> RelationReport:
+        """The H and Xperiod checks of every node (`_node_rows`), then the
+        H, HX and XX checks of every ordered pair, in (i, j) order, from the
+        one walk over the classes of pairs, `_verify_classes`."""
+        return self._verify_classes((), mode_bound, True)
+
+    def _node_rows(self, mode_bound: int, audit: "_Audit") -> list:
         """The H and Xperiod checks of every node, each row summed unless
-        the audit shows it zero (module docstring), then the H, HX and XX
-        checks of every ordered pair, in (i, j) order.  `_cartan_pair`
-        evaluates the least pair (i0, j0) of each class, the nodes' images
-        and eps compared by `_audit` (`audit`, when the caller has made it);
-        every other pair (mu^a i0, mu^b j0) takes its checks, each residual
-        at modes (m, n) times xi_N^(a m + b n), as its expected values move
-        (module docstring)."""
-        if audit is None:
-            audit = self._audit(mode_bound, range(0))
+        the audit shows it zero (module docstring)."""
         real = self.real
         grid = f"|m|,|n|<={mode_bound}"
-        report = RelationReport()
+        checks = []
         one = CycNum.one(real.field)
 
         for i in range(self.gcm.n):
@@ -318,23 +320,11 @@ class Verifier:
                         chk.checked += 1
                     else:
                         self._check(chk, (m, *sign), [(one, moved), (minus, image)])
-            report.checks.append(chk_h)
-            report.checks.append(chk_x)
+            checks.append(chk_h)
+            checks.append(chk_x)
+        return checks
 
-        pairs: dict = {}
-        shared = _shared_classes(mode_bound, self.n_order)
-        for cls in _pair_classes(self.mu, self.gcm.n, audit.apart):
-            i0, j0, _ = cls[0]
-            mirror = audit.mirrored.issuperset((i0, j0))
-            periodic = shared and audit.in_period.issuperset((i0, j0))
-            pairs[(i0, j0)] = self._cartan_pair(i0, j0, mode_bound, mirror, periodic)
-            for i, j, shift in cls[1:]:
-                pairs[(i, j)] = self._phased(pairs[(i0, j0)], (i, j), shift, (0, 0))
-        for pair in sorted(pairs):
-            report.checks.extend(pairs[pair])
-        return report
-
-    def _cartan_pair(self, i: int, j: int, mode_bound: int, mirror: bool, periodic: bool) -> list:
+    def _cartan_pair(self, i: int, j: int, mode_bound: int, mirror: bool, memos: dict) -> list:
         """The H, HXplus, HXminus and XX checks of the least pair (i, j) of
         a class.  At modes (m, n) each is a row of one summand, the bracket
         [theta(p, i, m), theta(q, j, n)] read from `_nested` with its picks
@@ -345,10 +335,8 @@ class Verifier:
         (H, XX).  With `mirror` (the images that HXplus reads pass the image
         check of `_audit`), HXminus is not evaluated but derived from
         HXplus, each residual r as omega_hat(r).  The rows go through
-        `_class_rows`, each check with its own memo, with reps only where
-        `periodic` holds (some class of (m, n) mod N has two members, and the
-        audit found the images of i and j at |k| <= 2 mode_bound periodic in
-        t1)."""
+        `_class_rows`, each check with the memo of its picks in `memos`, the
+        class's one map by picks."""
         real = self.real
         a = self.gcm.entries
         big_n = self.n_order
@@ -384,7 +372,7 @@ class Verifier:
 
         grid = f"|m|,|n|<={mode_bound}"
         rows = [
-            (RelationCheck(kind, (i, j), sign, grid), picks, ({}, {} if periodic else None),
+            (RelationCheck(kind, (i, j), sign, grid), picks, memos[picks],
              expected(pick, weights[kind]))
             for kind, sign, picks, pick in _CARTAN_CHECKS
             if sign >= 0 or not mirror
@@ -423,31 +411,40 @@ class Verifier:
 
     def verify_family(self, kind: str, fam: SerreFamily, mode_bound: int) -> RelationReport:
         """Check every pair of `fam`, in sorted order, as relation `kind`."""
-        return self._verify_classes(((kind, fam),), mode_bound)
+        return self._verify_classes(((kind, fam),), mode_bound, False)
 
-    def _verify_classes(self, suite: tuple, mode_bound: int, audit=None) -> RelationReport:
-        """Every (kind, family) of `suite` on every pair it defines, one
-        class of pairs at a time, with one set of memos per class; the
-        checks are returned in (i, j) order, in suite order within a pair.
-        A node joins its orbit's least node where `_audit` (`audit`, when
-        the caller has made it) finds each image that a row of the run reads
-        to be that node's, phased.  Each relation is moved to the class's
-        least pair (`_transport`), each distinct one is evaluated once, and
-        every pair's report is phased from it.  A class whose least nodes' images
-        pass the image check evaluates sign +1 only and derives sign -1; one
-        whose images are not periodic in t1 brackets every nested value
-        directly (see the module docstring)."""
-        if audit is None:
-            audit = self._audit(None, _weighted_span(suite, mode_bound))
+    def _verify_classes(self, suite: tuple, mode_bound: int, cartan: bool) -> RelationReport:
+        """The one walk over the classes of pairs: with `cartan`, the node
+        rows (`_node_rows`) and the Cartan checks of every pair, and every
+        (kind, family) of `suite` on every pair it defines, one class of
+        pairs at a time, with one memo per pair of image picks per class;
+        the pairs' checks are returned in (i, j) order, the Cartan checks
+        first, then suite order.  A node joins its orbit's least node where
+        `_audit` finds each image that a row of the run reads to be that
+        node's, phased.  Per class, `_cartan_pair` evaluates the least pair
+        (i0, j0), and every pair takes its checks phased; each relation is
+        moved to (i0, j0) (`_transport`), each distinct one is evaluated
+        once, and every pair's report is phased from it.  A class whose
+        least nodes' images pass the image check evaluates sign +1 only and
+        derives sign -1; one whose images are not periodic in t1 brackets
+        every nested value directly (see the module docstring)."""
+        audit = self._audit(mode_bound if cartan else None, _weighted_span(suite, mode_bound))
+        report = RelationReport(self._node_rows(mode_bound, audit) if cartan else [])
+        shared = _shared_classes(mode_bound, self.n_order)
         by_pair: dict = {}
         for cls in _pair_classes(self.mu, self.gcm.n, audit.apart):
             i0, j0, _ = cls[0]
             mirror = audit.mirrored.issuperset((i0, j0))
-            # no residue-class representatives where an image is not periodic
+            # no residue-class representatives where an image is not periodic;
+            # the audit tests the Cartan images only where rows share classes
             periodic = audit.in_period.issuperset((i0, j0))
-            memos = {sign: ({}, {} if periodic else None) for sign in (+1, -1)}
+            memos = {picks: ({}, {} if periodic else None) for picks in ((0, 0), (1, 1))}
+            for _, _, picks, _ in _CARTAN_CHECKS:
+                memos[picks] = ({}, {} if periodic and shared else None)
+            pair_checks = self._cartan_pair(i0, j0, mode_bound, mirror, memos) if cartan else []
             evaluated: dict = {}
             for i, j, shift in cls:
+                checks = by_pair[(i, j)] = list(self._phased(pair_checks, (i, j), shift, (0, 0)))
                 for kind, fam in suite:
                     if (i, j) not in fam.entries:
                         continue
@@ -460,10 +457,7 @@ class Verifier:
                         part = evaluated[key] = self._verify_weighted(
                             kind, terms, i0, j0, arity, mode_bound, memos, mirror
                         )
-                    by_pair.setdefault((i, j), []).extend(
-                        self._phased(part.checks, (i, j), shift, degrees)
-                    )
-        report = RelationReport()
+                    checks.extend(self._phased(part.checks, (i, j), shift, degrees))
         for pair in sorted(by_pair):
             report.checks.extend(by_pair[pair])
         return report
@@ -570,22 +564,24 @@ class Verifier:
         """Relation `kind` with the `terms` of `_transport` on the pair
         (i0, j0), with `arity` z-slots: each summand reads the nested
         bracket of (i0, j0) at its modes.  Every check sums in Q(xi_F), F
-        the lcm of L and the orders of the coefficients.  `memos` maps each
-        sign to the memo of (i0, j0), the pair (values, reps) of `_nested`
-        for the picks (0, 0) of sign +1 or (1, 1) of sign -1.  With
-        `mirror` (the images of i0 and j0 pass the image check of `_audit`)
-        only sign +1 is evaluated, and the check of sign -1 is derived from
-        it, each residual r as (-1)^(arity + 1) omega_hat(r).  The rows of
+        the lcm of L and the orders of the coefficients.  `memos` is the
+        class's one map by picks: the row of sign +1 reads the memo of (i0,
+        j0), the pair (values, reps) of `_nested`, of the picks (0, 0), and
+        the row of sign -1 that of (1, 1).  With `mirror` (the images of i0
+        and j0 pass the image check of `_audit`) only sign +1 is evaluated,
+        and the check of sign -1 is derived from it, each residual r as
+        (-1)^(arity + 1) omega_hat(r).  The rows of
         the signs evaluated go through `_class_rows` together."""
         field = lcm(self.real.field, *(c.order for _, c, _ in terms))
         # per term: the slot that each mode reads, w last
         slots = [(sigma + (arity,), c, exps) for sigma, c, exps in terms]
         b = mode_bound
         grid = f"|m|,|n|<={b}" if kind == "X" else f"modes in [-{b},{b}]^{arity + 1}"
+        signs = ((+1, (0, 0)),) if mirror else ((+1, (0, 0)), (-1, (1, 1)))
         rows = [
             (RelationCheck(kind + ("plus" if sign > 0 else "minus"), (i0, j0), sign, grid),
-             (0, 0) if sign > 0 else (1, 1), memos[sign], None)
-            for sign in ((+1,) if mirror else (+1, -1))
+             picks, memos[picks], None)
+            for sign, picks in signs
         ]
         checks = self._class_rows(i0, j0, rows, slots, arity + 1, mode_bound, field)
         if mirror:
@@ -732,17 +728,16 @@ class Verifier:
         """Every relation family; with `certificate`, the weighted relations
         of `fam` are checked as a window-scale certificate (P1) instead.
 
-        The weighted relations go one class of pairs at a time (see
+        The Cartan and weighted checks go through the one walk
+        `_verify_classes`, one class of pairs at a time (see
         `_pair_classes`), so that the locality, AS and Serre (or P1) checks
         of every pair in a class share its memos of nested brackets.
         """
         loc, extra, fam = _suite_families(self.gcm, self.mu, fam)
         suite = (("X", loc), ("AS", extra), ("P1" if certificate else "DS", fam))
-        audit = self._audit(mode_bound, _weighted_span(suite, mode_bound))
-        report = self.verify_cartan_relations(mode_bound, audit)
+        report = self._verify_classes(suite, mode_bound, True)
         if not extra.entries:
             report.extend(_vacuous("AS"))
-        report.extend(self._verify_classes(suite, mode_bound, audit))
         return report
 
 

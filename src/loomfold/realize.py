@@ -11,9 +11,11 @@ at two levels:
   Aff = (sum_m t2^m (x) gdot_[m]) + C k2 with the degree cocycle: the
   elements of t1-degree 0, over ("L", 0, m2, b) and ("K2", 0).
 * ghat-level (`Realization`): the universal central extension of Aff over
-  t1.  Every bracket is exact.  The window |m1| <= m1w, |m2| <= m2w bounds
-  only the span closures of `fixed_subalgebra_dims` and `MuHat`, which keep
-  the brackets inside it (`_inside`) and skip the rest.
+  t1.  Every bracket is exact.  The span closures of
+  `fixed_subalgebra_dims` and `MuHat` keep the brackets inside degree
+  bounds (`_inside`) and skip the rest: the first bounds itself by its
+  inner blocks plus a margin of 2, and only `MuHat` reads the window
+  |m1| <= m1w, |m2| <= m2w.
 
 One kernel (`kernel`) brackets both levels.  `Realization.bracket` runs
 both of its steps at shift 0, with the core's lattice period r;
@@ -50,7 +52,6 @@ from loomfold.errors import (
     GeneratorAssertionFailed,
     InconsistentPropagation,
     JobError,
-    OutOfWindow,
     ScopeViolation,
 )
 from loomfold.exactnum import (
@@ -233,7 +234,8 @@ class Realization:
     All coefficients live in one field Q(xi_L), L = lcm(ord mu, r): the
     generators are lifted into it once, here, and the generator images
     carry their phases xi_N^k as elements of it, so brackets of generator
-    images never coerce between cyclotomic orders.
+    images never coerce between cyclotomic orders.  The window
+    (m1_window, m2_window) bounds only the span closure of `MuHat`.
     """
 
     def __init__(self, gcm: Gcm, mu, m1_window: int = 24, m2_window: int = 8):
@@ -463,7 +465,7 @@ class Realization:
         Negative bounds raise JobError, since they name no block, and so
         does a positive inner_m2 on a finite core, which has t2-degree 0 only.
 
-        The bound, scope and window tests come first.  Then the fixed
+        The bound and scope tests come first.  Then the fixed
         dimension of each inner block, the corank of mu_hat - 1 on its keys
         (`MuHatClosed`), and then the span closure (`_theta_span`), capped
         at those dimensions: a block at its cap stops taking brackets, and
@@ -480,7 +482,6 @@ class Realization:
             inner_m2 = 0
         elif inner_m2 is None:
             inner_m2 = max(1, inner_m1 - 1)
-        self._span_bounds(inner_m1, inner_m2)
         fixed = {}
         for m1 in range(-inner_m1, inner_m1 + 1):
             for m2 in range(-inner_m2, inner_m2 + 1):
@@ -497,23 +498,12 @@ class Realization:
         span = self._theta_span(inner_m1, inner_m2, _Caps(hat, fixed))
         return {block: (dim, span.get(block, 0)) for block, dim in fixed.items()}
 
-    def _span_bounds(self, inner_m1: int, inner_m2: int) -> tuple[int, int]:
-        """The degree bounds of the span closure: the inner bounds plus a
-        margin of 2.  Raises OutOfWindow where the window is smaller."""
-        margin = 2
-        out_m1 = inner_m1 + margin
-        out_m2 = inner_m2 + margin
-        if out_m1 > self.m1w or out_m2 > self.m2w:
-            raise OutOfWindow("window too small for the requested inner blocks")
-        return out_m1, out_m2
-
     def _theta_span(self, inner_m1: int, inner_m2: int, caps=None):
         """Rank per block of the bracket closure of the generator images.
 
-        The closure keeps |m1| <= inner_m1 + margin and |m2| <= inner_m2 +
-        margin, as MuHat keeps its m1_bound; brackets further out are
-        skipped, so the rows do not grow with the window.  Only what can add
-        a row is bracketed:
+        The closure keeps |m1| <= inner_m1 + 2 and |m2| <= inner_m2 + 2,
+        whatever the window, as MuHat keeps its m1_bound; brackets further
+        out are skipped.  Only what can add a row is bracketed:
 
         * It runs on the least node of each mu-orbit: theta(mu^a i, m) =
           xi_N^(am) theta(i, m), so every other node's image is a nonzero
@@ -544,7 +534,7 @@ class Realization:
         capped closure stops there and the uncapped one runs from the
         seeds.  Either way a wrong image still reports generated != fixed.
         """
-        out_m1, out_m2 = self._span_bounds(inner_m1, inner_m2)
+        out_m1, out_m2 = inner_m1 + 2, inner_m2 + 2
         seeds = [(self.theta_c(), {})]
         ad = []
         for orbit in perm_orbits(self.mu.perm):

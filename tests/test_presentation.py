@@ -1240,7 +1240,7 @@ def test_a_tampered_residue_representative_fails_its_whole_class(monkeypatch):
     real = Realization(e.gcm, e.mu, m1_window=4, m2_window=3)
     fam = _one_pair(_plain_family(cached_family("A2a-rot"), 1), 0, 1)
     v = Verifier(real)
-    memos = {+1: ({}, {}), -1: ({}, {})}
+    memos = {(0, 0): ({}, {}), (1, 1): ({}, {})}
     terms, _ = v._transport(fam.entries[(0, 1)], 0, 0)
 
     def run():
@@ -1248,7 +1248,7 @@ def test_a_tampered_residue_representative_fails_its_whole_class(monkeypatch):
         return {chk.sign: (chk.checked, dict(chk.failures)) for chk in report.checks}
 
     before = run()
-    values, reps = memos[+1]
+    values, reps = memos[(0, 0)]
     key = (1, 1, 2)
     r1, rest, (loop, *acc) = reps[key]
     reps[key] = (r1, rest, ({**loop, ("L", 0, 0, 0): CycNum.one(real.field)}, *acc))

@@ -11,7 +11,7 @@ from loomfold import exactnum, realize
 from loomfold.cartan import Gcm, canonical_matrix
 from loomfold.catalog import builtin_entries, entry_by_name
 from loomfold.chevalley import close
-from loomfold.errors import InconsistentPropagation, JobError, OutOfWindow, ScopeViolation
+from loomfold.errors import InconsistentPropagation, JobError, ScopeViolation
 from loomfold.exactnum import CycNum, Echelon, cyc_root
 from loomfold.presentation import Verifier, serialize_elem
 from loomfold.realize import (
@@ -131,16 +131,15 @@ def test_delta_branch_central_coefficient(a2a_flip):
 
 
 def test_out_of_window():
-    # the window bounds only the span closures: a bracket past it is exact,
-    # inner blocks that leave no margin of 2 inside it raise OutOfWindow,
-    # and the generator images, which the verifier reads at any mode, have
-    # none: theta_x(0, 4) is theta_x(0, 0) moved 4 in t1, since N = 2
-    # divides 4
+    # the window bounds only MuHat's span closure: a bracket past it is
+    # exact, the fixed-block dimensions of inner blocks that leave no margin
+    # of 2 inside it are those of a wide window, and the generator images,
+    # which the verifier reads at any mode, have none: theta_x(0, 4) is
+    # theta_x(0, 0) moved 4 in t1, since N = 2 divides 4
     real = _real("A2", [1, 0], m1w=3)
     x, y = real.theta_x(0, 3, +1), real.theta_x(0, 1, +1)
     assert real.bracket(x, y) == _bracket_reference(real, x, y)
-    with pytest.raises(OutOfWindow, match="window too small for the requested inner blocks"):
-        real.fixed_subalgebra_dims(2)
+    assert real.fixed_subalgebra_dims(2) == _real("A2", [1, 0]).fixed_subalgebra_dims(2)
     assert real.fixed_subalgebra_dims(1)
     base = real.theta_x(0, 0, +1)
     assert real.theta_x(0, 4, +1) == {(k[0], 4) + k[2:]: c for k, c in base.items()}
@@ -1210,7 +1209,7 @@ def test_kernel_runs_no_cycnum_arithmetic(monkeypatch):
     fam = cached_family("A5a-rot")
     ver = Verifier(real)
     i, j = sorted(fam.entries)[0]
-    memos = {+1: ({}, {}), -1: ({}, {})}
+    memos = {(0, 0): ({}, {}), (1, 1): ({}, {})}
     terms, _ = ver._transport(fam.entries[(i, j)], 0, 0)
 
     def weighted():

@@ -134,25 +134,24 @@ for job in sys.argv[1:]:
 # the g-level values, which no CLI command prints: the generators of the
 # loop cores (`GAlg`) of 14 affine labels and, per catalog entry, the
 # generators, mu at g-level on every unit of t2-degree |m2| <= 2 (and on k2),
-# read from the `MuHatClosed` that fixed_subalgebra_dims(0) builds, or the
-# error it raises first, the image
+# read from `MuHatClosed(real)`, or the error its builder raises, the image
 # under MuHat(real, 2, 2) of every theta image with |m| <= 1, and the
 # fixed-block dimensions at m1 = 1, each or its error; at the tight windows
 # (3, 0), (3, 1), (3, 3), (4, 4) and (5, 3), every row and image of
-# MuHat(real, 2, 3) and the span ranks of the theta closure at the widest
-# inner blocks the window holds, each or its error; the fixed-block dimensions
-# at m1 = 3 on the tests' window (sized for modes 4) of every entry, or the
-# error; the span ranks per block of the theta closure at (3, 2) in the window
-# (11, 5), which runs on the rotations too; the fixed-block dimensions at m1 = 3
-# of A2a-flip in that window with theta_x(1, m, +1) replaced by the
-# un-averaged t1^m (x) e_1, at m = 1 and at m = 5 (in the closure's margin),
-# and with mu_hat doubled on the elements of several keys at t2-degree +-2,
-# which no block key and no seed is (the fallbacks of the capped span
-# closure); and the residuals of the Cartan checks at modes
-# 2, which every catalog entry passes, with every bracket doubled (the loop
-# and central parts of the kernel's accumulate step, realize._loop_bracket,
-# which direct and placed brackets both go through) and one coefficient of
-# theta_x(0, 1, +1) doubled.  Node 0 is the least node of its mu-orbit, so
+# MuHat(real, 2, 3) and the span ranks of the theta closure at the inner
+# blocks two below the window, floored at 0, each or its error; the
+# fixed-block dimensions at m1 = 3 on the tests' window (sized for modes 4)
+# of every entry, or the error; the span ranks per block of the theta
+# closure at (3, 2) in the window (11, 5), which runs on the rotations too;
+# the fixed-block dimensions at m1 = 3 of A2a-flip in that window with
+# theta_x(1, m, +1) replaced by the un-averaged t1^m (x) e_1, at m = 1 and
+# at m = 5 (in the closure's margin), and with mu_hat doubled on the
+# elements of several keys at t2-degree +-2, which no block key and no seed
+# is (the fallbacks of the capped span closure); and the residuals of the
+# Cartan checks at modes 2, which every catalog entry passes, with every
+# bracket doubled (the loop and central parts of the kernel's accumulate
+# step, realize._loop_bracket, which direct and placed brackets both go
+# through) and one coefficient of theta_x(0, 1, +1) doubled.  Node 0 is the least node of its mu-orbit, so
 # that corruption sets every other node of the orbit apart: each pair with
 # one of them is its own class, and every report is that of the pairs
 # evaluated alone.  Then the full suite of A2a-rot at modes 1 with
@@ -176,7 +175,7 @@ from loomfold.errors import LoomfoldError
 from loomfold.exactnum import CycNum
 from loomfold.polys import family_p
 from loomfold.presentation import Verifier, suite_window
-from loomfold.realize import GAlg, MuHat, Realization
+from loomfold.realize import GAlg, MuHat, MuHatClosed, Realization
 
 
 def show(v):
@@ -194,10 +193,8 @@ for label in folded:
     rows.add((src_letter, src_rank(int(label[1:])), r))
 for row in sorted(rows):
     core, nu = diagram_twist(*row)
-    images = mu_extend_finite(chevalley(core), nu)
-    # the pair (perm, scale), or (before it) one {index: scale} per basis vector
-    pairs = zip(*images) if isinstance(images, tuple) else (next(iter(v.items())) for v in images)
-    print("nu", *row, core, nu, *(f"{t}:{s}" for t, s in pairs))
+    perm, scale = mu_extend_finite(chevalley(core), nu)
+    print("nu", *row, core, nu, *(f"{t}:{s}" for t, s in zip(perm, scale)))
 for core in sorted({diagram_twist(*row)[0] for row in rows} | {"E7", "E8"}):
     alg = chevalley(core)
     print("core", core, alg.basis, list(alg.brackets.items()), list(alg.form.items()))
@@ -215,21 +212,12 @@ for e in load_entries(None):
     units = [("L", 0, m2, b) for m2 in range(-t2, t2 + 1) for b in range(real.galg.alg.dim)]
     if t2:
         units.append(("K2", 0))
-    hats = []
-    true_init = realize.MuHatClosed.__init__
-
-    def record(self, *args):
-        true_init(self, *args)
-        hats.append(self)
-
-    realize.MuHatClosed.__init__ = record
     try:
-        real.fixed_subalgebra_dims(0)
+        hat = MuHatClosed(real)
         for u in units:
-            print("mu", e.name, u, show(hats[0].apply({u: CycNum.one(real.field)})))
+            print("mu", e.name, u, show(hat.apply({u: CycNum.one(real.field)})))
     except LoomfoldError as exc:
         print("mu", e.name, type(exc).__name__, exc)
-    realize.MuHatClosed.__init__ = true_init
     try:
         hat = MuHat(real, 2, 2)
         for i in range(real.gcm.n):
