@@ -16,7 +16,7 @@ import click
 
 from loomfold import catalog as catalog_mod
 from loomfold.cartan import Gcm
-from loomfold.errors import JobError, LoomfoldError, ScopeViolation
+from loomfold.errors import JobError, LoomfoldError
 from loomfold.folding import (
     fold_data,
     index_pairs,
@@ -328,13 +328,16 @@ def verify(input_path, entry, mode_text, family_sel, window_text):
         raise JobError(f"--modes expects a decimal integer >= 0, got {mode_text!r}")
     mode_bound = int(mode_text)
     if entry == "all" and input_path is None:  # with --input, _load_job rejects both
+        # every rejection of the whole run comes before the first byte
         entries = catalog_mod.load_entries()
         source = _family_source(family_sel)
-        results = [_verify_worker(e, source, mode_bound) for e in entries]
-        payloads = [p for p, _ in results]
-        passed = all("error" not in p and p["report"]["pass"] for p in payloads)
-        _emit({"entries": payloads, "pass": passed})
-        sys.exit(_combined_exit_code([code for _, code in results]))
+        # the document `_emit` prints, written one entry at a time: the
+        # sorted keys put "entries" before "pass" and "schema"
+        click.echo('{\n  "entries": [', nl=False)
+        codes = [_write_entry(k, e, source, mode_bound) for k, e in enumerate(entries)]
+        passed = json.dumps(all(code == 0 for code in codes))
+        click.echo(f'\n  ],\n  "pass": {passed},\n  "schema": {SCHEMA}\n}}')
+        sys.exit(_combined_exit_code(codes))
     gcm, mu, name = _load_job(input_path, entry)
     family = _family(gcm, mu, _family_source(family_sel))
     payload, code = _verify_one(gcm, mu, name, family, mode_bound)
@@ -342,17 +345,29 @@ def verify(input_path, entry, mode_text, family_sel, window_text):
     sys.exit(code)
 
 
+def _write_entry(k: int, ce, source, mode_bound: int) -> int:
+    """Verify entry number k of --entry all, write its payload as `_emit`
+    indents an element of the "entries" list, and return its exit code.
+    The payload and its text are dropped on return, so that the run holds
+    one entry's report at a time."""
+    payload, code = _verify_worker(ce, source, mode_bound)
+    text = json.dumps(payload, sort_keys=True, indent=2).replace("\n", "\n    ")
+    click.echo(("," if k else "") + "\n    " + text, nl=False)
+    return code
+
+
 def _verify_worker(ce, source, mode_bound: int):
     """One catalog entry of --entry all, as listed by the one read of the
-    catalog.  A family the entry's matrix rejects becomes that entry's
-    error payload and exit code 2, so that it hides no other entry's
-    result."""
-    name = ce.name
+    catalog.  A LoomfoldError raised while the entry's family is built or
+    its matrix verified, such as a family the matrix rejects or a matrix of
+    indefinite type, becomes that entry's error payload and exit code 2, so
+    that it hides no other entry's result: the entries before it are
+    already written."""
     try:
         family = _family(ce.gcm, ce.mu, source)
-    except (JobError, ScopeViolation) as exc:
-        return _entry_error(name, exc), 2
-    return _verify_one(ce.gcm, ce.mu, name, family, mode_bound)
+        return _verify_one(ce.gcm, ce.mu, ce.name, family, mode_bound)
+    except LoomfoldError as exc:
+        return _entry_error(ce.name, exc), 2
 
 
 def _entry_error(name: str, exc: LoomfoldError) -> dict:

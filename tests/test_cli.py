@@ -1,12 +1,16 @@
+import contextlib
 import hashlib
 import json
+import os
+import sys
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loomfold import catalog
+from loomfold import catalog, cli
 from loomfold.cartan import Gcm, _candidates
 from loomfold.cli import _combined_exit_code, main
 from loomfold.folding import validate_aut
@@ -678,6 +682,111 @@ def test_verify_all_reports_rejected_family_per_entry(runner, tmp_path, monkeypa
     path.write_bytes(_UNREADABLE["binary"])
     res = runner.invoke(main, ["verify", "--entry", "all", *args])
     assert _assert_rejected(res).startswith("cannot read family file: ")
+
+
+@pytest.mark.parametrize(
+    "family, code, rejected", [("p", 0, 0), ("qlimit", 2, 6)], ids=["p", "qlimit"]
+)
+def test_verify_all_streams_the_document_emit_prints(runner, monkeypatch, family, code, rejected):
+    # --entry all writes its document one entry at a time, byte for byte as
+    # _emit formats the whole document, error payloads included
+    monkeypatch.delenv("LOOMFOLD_CATALOG", raising=False)
+    res = runner.invoke(main, ["verify", "--entry", "all", "--modes", "0", "--family", family])
+    assert res.exit_code == code
+    data = _json_out(res)
+    assert res.output == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    errors = [e["error"]["kind"] for e in data["entries"] if "error" in e]
+    assert errors == ["ScopeViolation"] * rejected
+    assert len(data["entries"]) == len(catalog.builtin_entries())
+
+
+def _catalog_of(tmp_path, monkeypatch, entries):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(entries))
+    monkeypatch.setenv("LOOMFOLD_CATALOG", str(path))
+
+
+def _builtin(name):
+    return next(e for e in catalog.builtin_entries() if e.name == name).to_json()
+
+
+def test_verify_all_reports_a_rejected_matrix_per_entry(runner, tmp_path, monkeypatch):
+    # an entry of indefinite type once rejected the whole run, which printed
+    # only its error: the entries before it are written by then, so it
+    # carries its error in place of a report and the others are verified
+    job = {"cartan": [[2, -3], [-3, 2]], "mu": [0, 1]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    want = _json_out(runner.invoke(main, ["verify", "--input", str(path), "--modes", "0"]))
+    assert want["error"]["kind"] == "IndefiniteType"
+    entries = [_builtin("A2-id"), {"name": "indefinite", **job}, _builtin("A1a-flip")]
+    _catalog_of(tmp_path, monkeypatch, entries)
+    res = runner.invoke(main, ["verify", "--entry", "all", "--modes", "0"])
+    assert res.exit_code == 2
+    data = _json_out(res)
+    assert data["pass"] is False
+    first, second, third = data["entries"]
+    assert second == {"name": "indefinite", "error": want["error"]}
+    for got, name in ((first, "A2-id"), (third, "A1a-flip")):
+        single = runner.invoke(main, ["verify", "--entry", name, "--modes", "0"])
+        assert single.exit_code == 0
+        assert got == {k: v for k, v in _json_out(single).items() if k != "schema"}
+
+
+def test_verify_all_writes_each_entry_before_the_next(runner, tmp_path, monkeypatch):
+    # when entry k + 1 is started, entries 0..k are on stdout: the written
+    # text, closed, is a document that holds exactly those entries
+    names = ["A2-id", "A2-flip", "A1a-flip"]
+    _catalog_of(tmp_path, monkeypatch, [_builtin(name) for name in names])
+    written = []
+    verify_one = cli._verify_one
+
+    def recording(*args):
+        sys.stdout.flush()
+        written.append(sys.stdout.buffer.getvalue().decode())
+        return verify_one(*args)
+
+    monkeypatch.setattr(cli, "_verify_one", recording)
+    res = runner.invoke(main, ["verify", "--entry", "all", "--modes", "0"])
+    assert res.exit_code == 0
+    assert len(written) == len(names)
+    for k, text in enumerate(written):
+        assert res.output.startswith(text)
+        head = json.loads(text + "\n  ]\n}")["entries"]
+        assert [e["name"] for e in head] == names[:k]
+
+
+def _traced_peak(args) -> int:
+    """The tracemalloc peak of one in-process command, its output written
+    to os.devnull so that no captured output is counted."""
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            with pytest.raises(SystemExit) as exit_info:
+                main(args=args, prog_name="loomfold")
+        assert exit_info.value.code == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_all_holds_one_entry_at_a_time(tmp_path, monkeypatch):
+    # 8 renamed copies of D4-flip peak below 1.5 times the peak of 2 copies;
+    # holding every payload until the end, and the encoder's chunk list and
+    # joined string of them all, made 8 copies peak near 4 times as high.
+    # The margin covers the cyclic garbage that each entry leaves for the
+    # collector: the closures of json's indenting encoder and of
+    # `_graph_iso`, a few KiB per entry
+    args = ["verify", "--entry", "all", "--modes", "0"]
+    peaks = {}
+    for copies in (1, 2, 8):  # the first run fills the per-type caches
+        _catalog_of(
+            tmp_path,
+            monkeypatch,
+            [{**_builtin("D4-flip"), "name": f"copy{k}"} for k in range(copies)],
+        )
+        peaks[copies] = _traced_peak(args)
+    assert peaks[8] < 1.5 * peaks[2], peaks
 
 
 def test_verify_rejects_factor_on_uncovered_pair(runner, tmp_path):

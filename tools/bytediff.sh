@@ -332,6 +332,12 @@ entries=$(cd "$tmp" && PYTHONPATH="$root/src" python3 -c \
     done
   done
   echo "verify --entry all --modes 2"
+  # the two error payloads of the streamed --entry all: qlimit's
+  # ScopeViolation on A1a-id, A1a-flip and the rotations (not simply laced
+  # or transitive), and the JobError of a family on (2, 1) on the four
+  # two-node entries
+  echo "verify --entry all --modes 1 --family qlimit"
+  echo "verify --entry all --modes 0 --family user:fam21.json"
   echo "verify --entry A2a-flip --modes 1 --family user:fam.json"
   echo "verify --entry A2a-flip --modes 1 --family user:fam5.json"
   echo "verify --entry A2a-flip --modes 1 --family user:famx.json"
